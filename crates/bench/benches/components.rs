@@ -10,7 +10,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
-use mind_blade::DramCache;
+use mind_blade::{DramCache, InvalidationOutcome};
 use mind_core::directory::RegionDirectory;
 use mind_core::galloc::GlobalAllocator;
 use mind_core::split::{BoundedSplitting, SplitConfig};
@@ -41,6 +41,23 @@ fn bench_tcam(c: &mut Criterion) {
             tcam.remove(&e)
         })
     });
+    // LPM cost against the rule population: the empty outlier TCAM every
+    // translation consults, a rack's handful of rules, a loaded table.
+    // One size class per population, so the cost is the probe count.
+    for rules in [0u64, 13, 8_192] {
+        let mut tcam: Tcam<u32> = Tcam::new(rules as usize + 1);
+        for i in 0..rules {
+            tcam.insert(TcamEntry::new(0, i << 16, 16), i as u32)
+                .unwrap();
+        }
+        group.bench_function(&format!("lookup_{rules}_rules"), |b| {
+            let mut i = 0u64;
+            b.iter(|| {
+                i = i.wrapping_add(0x9E37_79B9);
+                black_box(tcam.lookup(0, i % (1 << 30)).map(|(e, &v)| (e, v)))
+            })
+        });
+    }
     group.finish();
 }
 
@@ -55,6 +72,41 @@ fn bench_directory(c: &mut Criterion) {
         b.iter(|| {
             i = (i + 7) % 10_000;
             black_box(dir.ensure_region(i << 14))
+        })
+    });
+    // A directory pinned at capacity, regions spread over sizes 2^14..2^19
+    // as pressure-coarsened creation leaves them. `lookup` is the
+    // containing-region resolution every fault and every gated offer pays;
+    // `ensure_forced_merge` is a miss that must force-merge the coldest
+    // buddy pair to make room.
+    let at_capacity = || {
+        let mut dir = RegionDirectory::new(3_000, 14);
+        let mut rng = SimRng::new(5);
+        let mut pages = Vec::new();
+        while dir.entries() < dir.capacity() {
+            let page = rng.gen_below(1 << 18) << 12;
+            dir.ensure_region(page).unwrap();
+            pages.push(page);
+        }
+        (dir, pages)
+    };
+    group.bench_function("lookup_at_capacity", |b| {
+        let (mut dir, pages) = at_capacity();
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 7) % pages.len();
+            black_box(dir.lookup(pages[i]))
+        })
+    });
+    group.bench_function("ensure_forced_merge", |b| {
+        let (mut dir, _) = at_capacity();
+        // Every region is idle, so the coldest pair is the lowest one.
+        let (left, _) = dir.mergeable_pairs().min().expect("idle buddy pairs");
+        b.iter(|| {
+            let (fresh, _) = dir.ensure_region(1 << 40).expect("the coldest pair merges");
+            // Undo: drop the new region and split the merged pair again.
+            dir.remove(fresh);
+            black_box(dir.split(left))
         })
     });
     group.bench_function("split_merge_cycle", |b| {
@@ -120,19 +172,26 @@ fn bench_cache(c: &mut Criterion) {
             black_box(cache.insert(page, true, None))
         })
     });
-    group.bench_function("invalidate_region_64_pages", |b| {
-        b.iter_batched(
-            || {
-                let mut cache = DramCache::new(1 << 10);
-                for i in 0..64u64 {
+    // Region invalidation by region size, on a blade cache whose other
+    // 1 000 resident pages lie outside the region: the walk is over the
+    // region's pages, a quarter of them resident.
+    for pages in [1u64, 4, 128] {
+        let size_log2 = 12 + pages.trailing_zeros() as u8;
+        group.bench_function(&format!("invalidate_region_{pages}_pages"), |b| {
+            let mut cache = DramCache::new(1 << 11);
+            for i in 0..1_000u64 {
+                cache.insert((1 << 30) + (i << 12), false, None);
+            }
+            let mut out = InvalidationOutcome::default();
+            b.iter(|| {
+                for i in (0..pages).step_by(4) {
                     cache.insert(i << 12, true, None);
                 }
-                cache
-            },
-            |mut cache| cache.invalidate_region(0, 18, false),
-            BatchSize::SmallInput,
-        )
-    });
+                cache.invalidate_region_into(0, size_log2, false, &mut out);
+                black_box(out.unmapped)
+            })
+        });
+    }
     group.finish();
 }
 

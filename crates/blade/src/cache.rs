@@ -7,10 +7,8 @@
 //! back to memory blades), and — on receiving an invalidation for a region —
 //! flushes all dirty pages in the region and unmaps the rest (§6.1).
 
-use std::collections::BTreeSet;
-
-use crate::page::{PageData, PAGE_SIZE};
-use crate::pagetable::PageTable;
+use crate::page::{PageData, PAGE_SHIFT, PAGE_SIZE};
+use crate::pagetable::{PageTable, Pte};
 
 /// Result of probing the cache for an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,6 +75,9 @@ impl InvalidationOutcome {
 /// Sentinel for "no frame" in the intrusive LRU list.
 const NO_FRAME: u32 = u32::MAX;
 
+/// The `page` of a frame that holds none (never a page-aligned address).
+const NO_PAGE: u64 = u64::MAX;
+
 /// Per-frame metadata: the cached page occupying a local DRAM frame plus
 /// its links in the intrusive LRU list. Keeping this in a frame-indexed
 /// slab (instead of page-keyed maps) makes the hit path a single page-
@@ -99,7 +100,7 @@ struct Frame {
 impl Frame {
     fn vacant() -> Self {
         Frame {
-            page: 0,
+            page: NO_PAGE,
             dirty: false,
             tag: 0,
             data: None,
@@ -114,18 +115,17 @@ impl Frame {
 /// Layout: the page table maps page → frame id; `frames` holds per-frame
 /// state indexed by frame id (grown lazily as frames are first used); the
 /// frames form an intrusive doubly-linked LRU list (`lru_head` = next
-/// victim, `lru_tail` = most recently used). `resident` mirrors the
-/// resident page set in address order for region-range invalidations.
-/// Eviction order is exactly least-recently-touched, as before the slab
-/// layout.
+/// victim, `lru_tail` = most recently used). The page table is the only
+/// record of residency; region-range operations enumerate a region's
+/// resident pages from it (see [`DramCache::resident_in`]). Eviction
+/// order is exactly least-recently-touched.
 #[derive(Debug, Clone)]
 pub struct DramCache {
     pt: PageTable,
     frames: Vec<Frame>,
-    resident: BTreeSet<u64>,
-    /// Reusable page-list buffer for region scans (no per-invalidation
-    /// allocation on the coherence hot path).
-    scan_scratch: Vec<u64>,
+    /// Reusable buffer for region scans (no per-invalidation allocation on
+    /// the coherence hot path).
+    scan_scratch: Vec<(u64, Pte)>,
     lru_head: u32,
     lru_tail: u32,
     hits: u64,
@@ -142,7 +142,6 @@ impl DramCache {
         DramCache {
             pt: PageTable::new(capacity_pages),
             frames: Vec::new(),
-            resident: BTreeSet::new(),
             scan_scratch: Vec::new(),
             lru_head: NO_FRAME,
             lru_tail: NO_FRAME,
@@ -162,7 +161,48 @@ impl DramCache {
 
     /// Pages currently resident.
     pub fn resident_pages(&self) -> usize {
-        self.resident.len()
+        self.pt.mapped()
+    }
+
+    /// Whether an access to `page` would leave the blade — a miss, or a
+    /// store to a read-only page. Non-mutating: no LRU bump, no counters.
+    pub fn would_fault(&self, page: u64, is_write: bool) -> bool {
+        self.pt
+            .lookup(page)
+            .is_none_or(|pte| is_write && !pte.writable)
+    }
+
+    /// Collects the resident pages of `[region_base, region_base +
+    /// 2^size_log2)` with their mappings into `out`, in ascending page
+    /// order — the order invalidation flushes and unmaps in.
+    ///
+    /// Walks whichever is smaller: the region's page addresses (one
+    /// page-table probe each) or the frame slab (filtered, then sorted).
+    fn resident_in(&self, region_base: u64, size_log2: u8, out: &mut Vec<(u64, Pte)>) {
+        out.clear();
+        let end = region_base.saturating_add(1u64 << size_log2);
+        let region_pages = 1u64 << size_log2.saturating_sub(PAGE_SHIFT);
+        if region_pages <= self.pt.mapped() as u64 {
+            let mapped = (0..region_pages).filter_map(|i| {
+                let page = region_base + (i << PAGE_SHIFT);
+                self.pt.lookup(page).map(|pte| (page, pte))
+            });
+            out.extend(mapped);
+        } else {
+            // Vacant frames carry NO_PAGE, which lies past every region.
+            let in_region = self
+                .frames
+                .iter()
+                .filter(|f| f.page >= region_base && f.page < end)
+                .map(|f| {
+                    (
+                        f.page,
+                        self.pt.lookup(f.page).expect("resident page mapped"),
+                    )
+                });
+            out.extend(in_region);
+            out.sort_unstable_by_key(|&(page, _)| page);
+        }
     }
 
     /// Detaches frame `f` from the LRU list.
@@ -264,16 +304,6 @@ impl DramCache {
         self.frames[frame as usize].tag = tag;
     }
 
-    /// Sets the owner tag of a resident page (fault-insert path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the page is not resident.
-    pub fn set_page_tag(&mut self, page: u64, tag: u64) {
-        let pte = self.pt.lookup(page).expect("tagging a resident page");
-        self.frames[pte.frame as usize].tag = tag;
-    }
-
     /// The owner tag of a resident page (0 until set).
     pub fn page_tag(&self, page: u64) -> Option<u64> {
         let pte = self.pt.lookup(page)?;
@@ -292,10 +322,11 @@ impl DramCache {
     ///
     /// Panics if `page` is already resident.
     pub fn insert(&mut self, page: u64, writable: bool, data: Option<PageData>) -> Option<Evicted> {
-        self.insert_with(page, writable, writable, data)
+        self.insert_with(page, writable, writable, 0, data)
     }
 
-    /// Inserts a page with explicit permission and dirty flags.
+    /// Inserts a page with explicit permission and dirty flags and its
+    /// owner tag (see [`DramCache::access_tagged`]).
     ///
     /// # Panics
     ///
@@ -305,6 +336,7 @@ impl DramCache {
         page: u64,
         writable: bool,
         dirty: bool,
+        tag: u64,
         data: Option<PageData>,
     ) -> Option<Evicted> {
         let evicted = if self.pt.free_frames() == 0 {
@@ -326,13 +358,12 @@ impl DramCache {
         self.frames[f] = Frame {
             page,
             dirty,
-            tag: 0,
+            tag,
             data,
             prev: NO_FRAME,
             next: NO_FRAME,
         };
         self.push_mru(pte.frame);
-        self.resident.insert(page);
         evicted
     }
 
@@ -361,12 +392,9 @@ impl DramCache {
         out: &mut InvalidationOutcome,
     ) {
         out.clear();
-        let end = region_base.saturating_add(1u64 << size_log2);
         let mut pages = std::mem::take(&mut self.scan_scratch);
-        pages.clear();
-        pages.extend(self.resident.range(region_base..end).copied());
-        for &page in &pages {
-            let pte = self.pt.lookup(page).expect("resident page mapped");
+        self.resident_in(region_base, size_log2, &mut pages);
+        for &(page, pte) in &pages {
             if pte.writable {
                 self.pt.downgrade(page);
                 out.downgraded += 1;
@@ -382,7 +410,6 @@ impl DramCache {
         }
         self.unlink(f);
         let frame = std::mem::replace(&mut self.frames[f as usize], Frame::vacant());
-        self.resident.remove(&frame.page);
         self.pt.unmap(frame.page);
         self.evictions += 1;
         if frame.dirty {
@@ -434,12 +461,9 @@ impl DramCache {
         out: &mut InvalidationOutcome,
     ) {
         out.clear();
-        let end = region_base.saturating_add(1u64 << size_log2);
         let mut pages = std::mem::take(&mut self.scan_scratch);
-        pages.clear();
-        pages.extend(self.resident.range(region_base..end).copied());
-        for &page in &pages {
-            let pte = self.pt.lookup(page).expect("resident page mapped");
+        self.resident_in(region_base, size_log2, &mut pages);
+        for &(page, pte) in &pages {
             let f = pte.frame;
             let frame = &mut self.frames[f as usize];
             if frame.dirty {
@@ -455,7 +479,6 @@ impl DramCache {
             } else {
                 self.unlink(f);
                 self.frames[f as usize] = Frame::vacant();
-                self.resident.remove(&page);
                 self.pt.unmap(page);
                 out.unmapped += 1;
             }
@@ -466,19 +489,18 @@ impl DramCache {
     /// Number of resident pages within a region (used by tests and the
     /// false-invalidation accounting in the coherence layer).
     pub fn resident_in_region(&self, region_base: u64, size_log2: u8) -> usize {
-        let end = region_base.saturating_add(1u64 << size_log2);
-        self.resident.range(region_base..end).count()
+        let mut pages = Vec::new();
+        self.resident_in(region_base, size_log2, &mut pages);
+        pages.len()
     }
 
     /// Number of *dirty* resident pages within a region.
     pub fn dirty_in_region(&self, region_base: u64, size_log2: u8) -> usize {
-        let end = region_base.saturating_add(1u64 << size_log2);
-        self.resident
-            .range(region_base..end)
-            .filter(|&&p| {
-                let pte = self.pt.lookup(p).expect("resident page mapped");
-                self.frames[pte.frame as usize].dirty
-            })
+        let mut pages = Vec::new();
+        self.resident_in(region_base, size_log2, &mut pages);
+        pages
+            .iter()
+            .filter(|(_, pte)| self.frames[pte.frame as usize].dirty)
             .count()
     }
 
@@ -571,9 +593,8 @@ mod tests {
     #[test]
     fn frame_tags_track_ownership_and_reset_on_eviction() {
         let mut c = DramCache::new(1);
-        c.insert(0x1000, false, None);
-        assert_eq!(c.page_tag(0x1000), Some(0), "untagged at insert");
-        c.set_page_tag(0x1000, 7);
+        c.insert_with(0x1000, false, false, 7, None);
+        assert_eq!(c.page_tag(0x1000), Some(7), "tagged at insert");
         match c.access_tagged(0x1000, false) {
             TaggedLookup::Hit { frame, tag } => {
                 assert_eq!(tag, 7);
@@ -589,6 +610,86 @@ mod tests {
         // Tagged probe mirrors the plain probe's misses and upgrades.
         assert_eq!(c.access_tagged(0x3000, false), TaggedLookup::Miss);
         assert_eq!(c.access_tagged(0x2000, true), TaggedLookup::NeedUpgrade);
+    }
+
+    /// Region invalidation against the ordered resident set it used to
+    /// keep: the flush list (ascending dirty pages), the unmap / downgrade
+    /// counts and what stays resident must match for regions from one page
+    /// to 2^19 bytes, whichever side of the `min(region pages, resident
+    /// pages)` walk they fall on.
+    #[test]
+    fn region_invalidation_matches_sorted_reference() {
+        use mind_sim::SimRng;
+        use std::collections::BTreeMap;
+        const SPAN_PAGES: u64 = 512; // Four 2^19-byte regions.
+        for (seed, capacity, fill) in [
+            (1u64, 8u32, 5u64),
+            (2, 64, 40),
+            (3, 512, 300),
+            (4, 512, 512),
+        ] {
+            let mut rng = SimRng::new(seed);
+            let mut cache = DramCache::new(capacity);
+            // page -> (writable, dirty): the reference, in address order.
+            let mut resident: BTreeMap<u64, (bool, bool)> = BTreeMap::new();
+            let mut out = InvalidationOutcome::default();
+            let (mut page_walks, mut frame_scans) = (0, 0);
+            for round in 0..400 {
+                // Top the cache back up with random pages.
+                while (resident.len() as u64) < fill.min(capacity as u64) {
+                    let page = rng.gen_below(SPAN_PAGES) << PAGE_SHIFT;
+                    if resident.contains_key(&page) {
+                        continue;
+                    }
+                    let (writable, dirty) = (rng.gen_bool(0.6), rng.gen_bool(0.5));
+                    cache.insert_with(page, writable, writable && dirty, 0, None);
+                    resident.insert(page, (writable, writable && dirty));
+                }
+                let size_log2 = PAGE_SHIFT + rng.gen_below(8) as u8; // 2^12 ..= 2^19
+                let region_pages = 1u64 << (size_log2 - PAGE_SHIFT);
+                let base = (rng.gen_below(SPAN_PAGES) / region_pages * region_pages) << PAGE_SHIFT;
+                let end = base + (1u64 << size_log2);
+                if region_pages <= resident.len() as u64 {
+                    page_walks += 1;
+                } else {
+                    frame_scans += 1;
+                }
+                let downgrade = round % 3 == 0;
+                let in_region: Vec<(u64, (bool, bool))> =
+                    resident.range(base..end).map(|(&p, &f)| (p, f)).collect();
+                let flushed: Vec<u64> = in_region
+                    .iter()
+                    .filter(|(_, (_, d))| *d)
+                    .map(|&(p, _)| p)
+                    .collect();
+                let writable = in_region.iter().filter(|(_, (w, _))| *w).count() as u32;
+
+                assert_eq!(cache.resident_in_region(base, size_log2), in_region.len());
+                assert_eq!(cache.dirty_in_region(base, size_log2), flushed.len());
+                cache.invalidate_region_into(base, size_log2, downgrade, &mut out);
+                let got: Vec<u64> = out.flushed.iter().map(|&(p, _)| p).collect();
+                assert_eq!(got, flushed, "flush order, seed {seed} round {round}");
+                if downgrade {
+                    assert_eq!((out.unmapped, out.downgraded), (0, writable));
+                    for (page, _) in in_region {
+                        resident.insert(page, (false, false));
+                        assert!(cache.contains(page) && !cache.is_writable(page));
+                    }
+                } else {
+                    assert_eq!((out.unmapped, out.downgraded), (in_region.len() as u32, 0));
+                    for (page, _) in in_region {
+                        resident.remove(&page);
+                        assert!(!cache.contains(page));
+                    }
+                }
+                assert_eq!(cache.resident_pages(), resident.len());
+                assert_eq!(cache.dirty_in_region(base, size_log2), 0, "flush-once");
+            }
+            assert!(
+                page_walks > 0 && (frame_scans > 0 || fill >= 128),
+                "both walks ran"
+            );
+        }
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! invalidation forces a synchronous TLB shootdown — one of the two extra
 //! overhead sources in Figure 7 (right).
 
+use std::collections::hash_map::Entry;
+
 use mind_sim::hash::FastMap;
 
 /// A page-table entry: the local frame plus permission bits.
@@ -66,13 +68,12 @@ impl PageTable {
     ///
     /// Panics if `page` is already mapped.
     pub fn map(&mut self, page: u64, writable: bool) -> Option<Pte> {
-        assert!(
-            !self.ptes.contains_key(&page),
-            "page {page:#x} already mapped"
-        );
+        let Entry::Vacant(slot) = self.ptes.entry(page) else {
+            panic!("page {page:#x} already mapped");
+        };
         let frame = self.free_frames.pop()?;
         let pte = Pte { frame, writable };
-        self.ptes.insert(page, pte);
+        slot.insert(pte);
         Some(pte)
     }
 

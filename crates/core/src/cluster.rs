@@ -91,11 +91,12 @@ pub struct MindConfig {
     /// testbed NIC: MIND's compute blades talk to memory blades over
     /// one-sided RDMA reads/writes through ConnectX-5 adapters, whose
     /// `max_qp_rd_atom` limit caps outstanding RDMA reads per queue pair
-    /// at 16. A batch whose in-flight window is ≤ 16 (every committed
-    /// scenario) can never queue more than 16 ops on one blade, so the
-    /// calibrated default reproduces the unbounded numbers byte-
-    /// identically there; it only starts gating when the cluster engine
-    /// runs more than 16 same-blade sources concurrently — exactly the
+    /// at 16. One batch's in-flight window of ≤ 16 can never queue more
+    /// than 16 ops on its blade, so on the per-batch path the calibrated
+    /// default reproduces the unbounded numbers byte-identically. The
+    /// cluster engine pools `window × sources` slots, so there the gate
+    /// binds as soon as one blade's threads together offer more than 16
+    /// ops — two threads at window 16 already do — which is the
     /// saturation the real adapter would impose.
     pub nic_depth: u32,
     /// Deterministic tracing (defaults to resolving `MIND_TRACE`;
@@ -345,11 +346,9 @@ impl MindCluster {
     /// per-batch lookaside that fills lazily — the first op to touch a
     /// protection range pays the TCAM walk and every later op in the
     /// range is served from the memo, translations skip the outlier TCAM
-    /// while it is empty, the last directory-region resolution is reused
-    /// under a generation guard — and metric deltas flush once at batch
-    /// end. Per-op outcomes, issue times, and metrics are identical to
-    /// issuing each op through the scalar [`MindCluster::access_as`]
-    /// path.
+    /// while it is empty — and metric deltas flush once at batch end.
+    /// Per-op outcomes, issue times, and metrics are identical to issuing
+    /// each op through the scalar [`MindCluster::access_as`] path.
     ///
     /// Ops with `pdid: None` run as the default replay process.
     ///
@@ -775,10 +774,10 @@ impl MindCluster {
         op: &crate::system::MemOp,
     ) -> ClusterStep {
         let window = eng.window_mut();
-        window.retire_through(now);
-        let slot = window.slot_free_at();
+        let gates = window.sweep(now, op.blade, page_base(op.vaddr));
+        let slot = gates.slot_free_at;
         let mut region = SimTime::ZERO;
-        let mut nic = window.nic_free_at(op.blade);
+        let mut nic = gates.nic_free_at;
         // Event-driven admission. Only an op that will consult the switch
         // (cache miss or write upgrade) starts a directory transition or
         // uses the RNIC — a local hit does neither, so it passes these
@@ -797,8 +796,8 @@ impl MindCluster {
             // transitions (the pooled window's gate) and behind an entry
             // still mid-transition from earlier rounds (`busy_until`,
             // §4.4; deferring beats queueing at `admit_transition`).
-            region = window
-                .region_release(page_base(op.vaddr))
+            region = gates
+                .region_release
                 .max(self.engine.region_busy_until(op.vaddr));
             // NIC TX deferral: the blade's RNIC cannot put the request on
             // the wire while its up-link is booked (e.g. behind a bulk
@@ -817,7 +816,7 @@ impl MindCluster {
                     mind_obs::EventKind::NicStall,
                     nic_stall,
                     window.nic_depth() as u64,
-                    window.nic_in_flight(op.blade) as u64,
+                    gates.nic_in_flight as u64,
                 );
             }
             return ClusterStep::Gated { until, nic_stall };
@@ -1263,11 +1262,12 @@ mod tests {
         assert_eq!(c.protection_entries_for(pid), 0, "TCAM reclaimed");
     }
 
-    /// The default NIC gate is the CX-5 calibration, and it is inert for
-    /// every committed window depth (≤ 16): a single-blade window-16
-    /// batch runs byte-identically with the calibrated and unbounded
-    /// queues, because the slot pool already caps same-blade in-flight at
-    /// the adapter's own limit.
+    /// The default NIC gate is the CX-5 calibration, and it is inert on
+    /// the per-batch path for every window depth ≤ 16: a single-blade
+    /// window-16 batch runs byte-identically with the calibrated and
+    /// unbounded queues, because the batch's own window already caps the
+    /// blade's in-flight ops at the adapter's limit. (Not so in the
+    /// cluster engine, which pools the windows of a blade's threads.)
     #[test]
     fn default_nic_depth_is_cx5_and_inert_within_window() {
         assert_eq!(MindConfig::default().nic_depth, CX5_NIC_DEPTH);

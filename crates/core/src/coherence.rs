@@ -26,7 +26,6 @@ use mind_obs::{EventKind, TraceBuf};
 use mind_sim::stats::Metrics;
 use mind_sim::SimTime;
 use mind_switch::pipeline::Pipeline;
-use mind_switch::sram::SramFull;
 use mind_switch::tcam::TcamEntry;
 
 use crate::addr::PhysAddr;
@@ -183,10 +182,11 @@ impl Counters {
 }
 
 /// Per-batch lookaside state for the op-batch datapath (§6.3's "the whole
-/// function is a table", amortized): TCAM and directory resolutions made
-/// once per batch instead of once per op, plus the batch's pending metric
-/// deltas. Installed by [`CoherenceEngine::begin_batch`], dropped (and
-/// flushed) by [`CoherenceEngine::end_batch`]. Every memoization here is
+/// function is a table", amortized): TCAM resolutions made once per batch
+/// instead of once per op, plus the batch's pending metric deltas. (The
+/// directory memoizes its own resolutions, batch or not.) Installed by
+/// [`CoherenceEngine::begin_batch`], dropped (and flushed) by
+/// [`CoherenceEngine::end_batch`]. Every memoization here is
 /// *semantics-preserving*: the scalar and batched paths produce identical
 /// per-op outcomes and metrics.
 #[derive(Debug, Default)]
@@ -204,11 +204,6 @@ struct BatchLookaside {
     /// Resolved outlier-era translations (`page` → physical), sorted by
     /// page; used only when outliers exist.
     xlate: Vec<(u64, PhysAddr)>,
-    /// Last resolved directory region `(base, size_log2)`, valid while the
-    /// directory's region-map generation is unchanged.
-    region: Option<(u64, u8)>,
-    /// Directory generation [`BatchLookaside::region`] was resolved at.
-    dir_gen: u64,
     /// Metric deltas accumulated during the batch, merged into the live
     /// counters once at batch end.
     pending: Counters,
@@ -325,12 +320,12 @@ impl CoherenceEngine {
 
     // ----- The op-batch datapath (amortized lookups) -----
 
-    /// Begins an op-batch: installs the lookaside that amortizes TCAM,
-    /// translation, and directory-region resolutions across the batch's
-    /// ops. Resolutions fill in lazily — the first op to touch a
-    /// protection range pays the TCAM walk, every later op in the range is
-    /// served from the memo (an eager sorted prefill was measured slower:
-    /// hit-dominated batches never consult protection at all).
+    /// Begins an op-batch: installs the lookaside that amortizes TCAM and
+    /// translation resolutions across the batch's ops. Resolutions fill in
+    /// lazily — the first op to touch a protection range pays the TCAM
+    /// walk, every later op in the range is served from the memo (an eager
+    /// sorted prefill was measured slower: hit-dominated batches never
+    /// consult protection at all).
     ///
     /// Between `begin_batch` and [`CoherenceEngine::end_batch`] only
     /// data-plane calls ([`CoherenceEngine::access`] and the epoch driver)
@@ -341,10 +336,8 @@ impl CoherenceEngine {
         let mut look = self.spare_batch.take().unwrap_or_default();
         look.prot.clear();
         look.xlate.clear();
-        look.region = None;
         look.pending = Counters::default();
         look.no_outliers = self.translation.outlier_count() == 0;
-        look.dir_gen = self.directory.generation();
         self.batch = Some(look);
     }
 
@@ -414,30 +407,6 @@ impl CoherenceEngine {
         Some(pa)
     }
 
-    /// Directory region resolution with a one-entry, generation-guarded
-    /// memo: consecutive faults into the same region during a batch skip
-    /// the ordered-map lookup. Any region-map change (create, split,
-    /// merge, remove — including those made by the epoch driver between
-    /// ops) bumps the directory generation and invalidates the memo.
-    fn ensure_region_memo(&mut self, page: u64) -> Result<(u64, u8), SramFull> {
-        if let Some(b) = &self.batch {
-            if b.dir_gen == self.directory.generation() {
-                if let Some((base, k)) = b.region {
-                    if page >= base && page < base + (1u64 << k) {
-                        return Ok((base, k));
-                    }
-                }
-            }
-        }
-        let found = self.directory.ensure_region(page)?;
-        let gen = self.directory.generation();
-        if let Some(b) = self.batch.as_mut() {
-            b.region = Some(found);
-            b.dir_gen = gen;
-        }
-        Ok(found)
-    }
-
     /// Number of compute blades.
     pub fn n_compute(&self) -> u16 {
         self.caches.len() as u16
@@ -478,9 +447,7 @@ impl CoherenceEngine {
     /// no LRU bump, no counters — a pure admission probe for the cluster
     /// engine's issue gates.
     pub fn would_consult_directory(&self, blade: u16, vaddr: u64, kind: AccessKind) -> bool {
-        let page = page_base(vaddr);
-        let cache = &self.caches[blade as usize];
-        !cache.contains(page) || (kind.is_write() && !cache.is_writable(page))
+        self.caches[blade as usize].would_fault(page_base(vaddr), kind.is_write())
     }
 
     /// The earliest time `blade`'s RNIC can put a new request on the
@@ -494,14 +461,11 @@ impl CoherenceEngine {
 
     /// The directory's transition-serialization release time for the
     /// region containing `vaddr` (`busy_until`, §4.4): `SimTime::ZERO`
-    /// when the region is untracked or idle.
-    pub fn region_busy_until(&self, vaddr: u64) -> SimTime {
-        match self.directory.region_of(page_base(vaddr)) {
-            Some((base, _)) => self
-                .directory
-                .entry(base)
-                .map(|e| e.busy_until)
-                .unwrap_or(SimTime::ZERO),
+    /// when the region is untracked or idle. The directory remembers the
+    /// resolution, so the fault this probe admits does not repeat it.
+    pub fn region_busy_until(&mut self, vaddr: u64) -> SimTime {
+        match self.directory.lookup(page_base(vaddr)) {
+            Some(region) => self.directory.entry_at(region).busy_until,
             None => SimTime::ZERO,
         }
     }
@@ -664,7 +628,7 @@ impl CoherenceEngine {
         }
 
         // Directory lookup/transition: two MAUs + recirculation (Figure 4).
-        let region = match self.ensure_region_memo(page) {
+        let region = match self.directory.ensure(page) {
             Ok(r) => r,
             // No directory slot: the access bypasses the cache and holds no
             // region (nothing for an in-flight window to serialize on).
@@ -674,12 +638,12 @@ impl CoherenceEngine {
                     .map(|outcome| IssuedAccess::new(now, outcome, None))
             }
         };
-        let (base, k) = region;
+        let (base, k) = region.bounds();
         let dt = self
             .pipeline
             .directory_transition()
             .expect("MIND's pipeline program fits the MAU budget");
-        let entry = self.directory.entry(base).expect("ensured region");
+        let entry = self.directory.entry_at(region);
         // Transitions on a region serialize at the directory.
         let t_dir = entry.admit_transition(t_switch + dt);
 
@@ -747,12 +711,9 @@ impl CoherenceEngine {
         if round.reset {
             // Reset protocol removed the entry; recreate and treat the
             // requester as a fresh fetch.
-            let (nbase, nk) = self
-                .directory
-                .ensure_region(page)
-                .expect("slot freed by reset");
-            held_region = (nbase, nk);
-            let e = self.directory.entry_mut(nbase).expect("recreated");
+            let recreated = self.directory.ensure(page).expect("slot freed by reset");
+            held_region = recreated.bounds();
+            let e = self.directory.entry_at_mut(recreated);
             e.state = match kind {
                 AccessKind::Read => MsiState::Shared,
                 AccessKind::Write => MsiState::Modified,
@@ -761,7 +722,7 @@ impl CoherenceEngine {
             e.owner_blade = Some(blade);
             e.busy_until = new_busy;
         } else {
-            let e = self.directory.entry_mut(base).expect("region exists");
+            let e = self.directory.entry_at_mut(region);
             e.state = row.next;
             e.sharers = match row.inval {
                 // Full invalidation leaves only the requester.
@@ -802,9 +763,13 @@ impl CoherenceEngine {
             // MESI's Exclusive grant maps writable but *clean*; a plain
             // write fault dirties immediately.
             let dirty = row.insert_writable && kind.is_write();
-            let evicted =
-                self.caches[blade as usize].insert_with(page, row.insert_writable, dirty, data);
-            self.caches[blade as usize].set_page_tag(page, pdid);
+            let evicted = self.caches[blade as usize].insert_with(
+                page,
+                row.insert_writable,
+                dirty,
+                pdid,
+                data,
+            );
             if let Some(ev) = evicted {
                 if ev.dirty {
                     // The kernel picks and writes back the victim when the
@@ -827,14 +792,14 @@ impl CoherenceEngine {
         ctrs.flushed_pages += round.flushed as u64;
         ctrs.false_invalidations += round.false_inv as u64;
         if round.requests > 0 {
-            self.directory.record_invalidation(
-                if round.reset {
-                    page & !((1u64 << k) - 1)
-                } else {
-                    base
-                },
-                round.false_inv,
-            );
+            if round.reset {
+                // The reset removed the entry the round ran on: whatever
+                // region starts at its base now (if any) takes the count.
+                self.directory.record_invalidation(base, round.false_inv);
+            } else {
+                self.directory
+                    .record_invalidation_at(region, round.false_inv);
+            }
         }
         if self.trace.enabled() {
             self.trace.record(

@@ -9,8 +9,6 @@
 //! SRAM capacity is reached — the capacity pressure that pins Memcached
 //! workloads at the 30 k limit in Figure 8 (left).
 
-use std::collections::BTreeMap;
-
 use mind_blade::PAGE_SHIFT;
 use mind_net::node::BladeSet;
 use mind_sim::SimTime;
@@ -142,12 +140,68 @@ impl DirEntry {
     }
 }
 
+/// A resolved directory region: where its entry sits in the slot slab,
+/// plus its bounds. Resolving costs a few hash probes; every later step of
+/// the same fault (gate, transition, directory update, invalidation
+/// accounting) reaches the entry through the handle with none.
+///
+/// A handle is valid while the region *map* is unchanged — until the next
+/// create, split, merge or remove, each of which bumps
+/// [`RegionDirectory::generation`]. Entry contents (state, sharers,
+/// counters) may change freely underneath it. Using a stale handle panics.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RegionRef {
+    slot: usize,
+    base: u64,
+    size_log2: u8,
+    generation: u64,
+}
+
+impl RegionRef {
+    /// Region base address.
+    pub fn base(&self) -> u64 {
+        self.base
+    }
+
+    /// log2 of the region size in bytes.
+    pub fn size_log2(&self) -> u8 {
+        self.size_log2
+    }
+
+    /// `(base, size_log2)`, the form the window gates and reports carry.
+    pub fn bounds(&self) -> (u64, u8) {
+        (self.base, self.size_log2)
+    }
+
+    /// Whether `addr` lies inside the region.
+    pub fn contains(&self, addr: u64) -> bool {
+        addr >= self.base && addr - self.base < 1u64 << self.size_log2
+    }
+}
+
+/// Entries in the directory's resolution memo: enough that the pending
+/// ops of a rack's concurrently gated threads rarely evict one another.
+const MEMO_WAYS: usize = 32;
+
 /// The region directory.
+///
+/// The slot store (slab + `base → slot` map, paper §6.3) is the only owner
+/// of the region map. Regions are size-aligned and disjoint, so the region
+/// containing an address, if any, starts at that address rounded down to
+/// one of the size classes in use: lookup probes the slot map once per
+/// *populated* class and needs no ordered index.
 #[derive(Debug)]
 pub struct RegionDirectory {
     slots: SlotStore<DirEntry>,
-    /// Ordered mirror of region bases → size, for containing-region lookup.
-    regions: BTreeMap<u64, u8>,
+    /// Regions per size class (`size_log2`).
+    class_count: [u32; 64],
+    /// Bit `k` is set exactly while `class_count[k] > 0`.
+    classes: u64,
+    /// Recent resolutions, direct-mapped by page number and valid while
+    /// their generation is current: the issue gate resolves an op's
+    /// region, and the re-offers of a gated op and the fault that finally
+    /// follows (same page, possibly an epoch tick later) find it here.
+    memo: [Option<RegionRef>; MEMO_WAYS],
     /// Bases whose epoch counters went zero → nonzero since the last drain.
     /// Keeps per-epoch maintenance O(active regions), not O(capacity); may
     /// hold stale or duplicate bases (split/merge/remove churn), which the
@@ -155,9 +209,7 @@ pub struct RegionDirectory {
     touched: Vec<u64>,
     initial_region_log2: u8,
     /// Bumped on every change to the region *map* (create/split/merge/
-    /// remove). A cached `(base, size)` resolution is valid exactly while
-    /// the generation is unchanged — the guard MIND's batched datapath
-    /// uses to reuse one region lookup across the ops of a batch.
+    /// remove): the validity guard of every [`RegionRef`].
     generation: u64,
     splits: u64,
     merges: u64,
@@ -173,7 +225,9 @@ impl RegionDirectory {
         assert!(initial_region_log2 >= PAGE_SHIFT, "region below page size");
         RegionDirectory {
             slots: SlotStore::new(capacity),
-            regions: BTreeMap::new(),
+            class_count: [0; 64],
+            classes: 0,
+            memo: [None; MEMO_WAYS],
             touched: Vec::new(),
             initial_region_log2,
             generation: 0,
@@ -200,14 +254,96 @@ impl RegionDirectory {
         self.slots.utilization()
     }
 
+    /// Installs a region entry and accounts its size class.
+    fn install(&mut self, base: u64, entry: DirEntry) -> Result<usize, SramFull> {
+        let k = entry.size_log2 as usize;
+        let slot = self.slots.insert(base, entry)?;
+        self.class_count[k] += 1;
+        self.classes |= 1u64 << k;
+        Ok(slot)
+    }
+
+    /// Removes a region entry and accounts its size class.
+    fn uninstall(&mut self, base: u64) -> Option<DirEntry> {
+        let entry = self.slots.remove(base)?;
+        let k = entry.size_log2 as usize;
+        self.class_count[k] -= 1;
+        if self.class_count[k] == 0 {
+            self.classes &= !(1u64 << k);
+        }
+        Some(entry)
+    }
+
+    /// Resolves the region containing `addr` by probing the populated size
+    /// classes, smallest first.
+    fn probe(&self, addr: u64) -> Option<RegionRef> {
+        let mut classes = self.classes;
+        let mut probed = u64::MAX;
+        while classes != 0 {
+            let k = classes.trailing_zeros();
+            classes &= classes - 1;
+            let base = addr & !((1u64 << k) - 1);
+            // Low zero bits of `addr` make consecutive classes round to
+            // the same base; one probe answers for all of them.
+            if base == probed {
+                continue;
+            }
+            probed = base;
+            if let Some(slot) = self.slots.slot_of(base) {
+                let size_log2 = self.slots.at(slot).size_log2;
+                if addr - base < 1u64 << size_log2 {
+                    return Some(RegionRef {
+                        slot,
+                        base,
+                        size_log2,
+                        generation: self.generation,
+                    });
+                }
+            }
+        }
+        None
+    }
+
+    fn memo_way(addr: u64) -> usize {
+        (addr >> PAGE_SHIFT) as usize % MEMO_WAYS
+    }
+
+    /// Resolves the region containing `addr` to a handle, remembering it
+    /// for the next resolution of the same page.
+    pub fn lookup(&mut self, addr: u64) -> Option<RegionRef> {
+        let way = Self::memo_way(addr);
+        let hit = self.memo[way].filter(|m| m.generation == self.generation && m.contains(addr));
+        if hit.is_some() {
+            return hit;
+        }
+        let found = self.probe(addr)?;
+        self.memo[way] = Some(found);
+        Some(found)
+    }
+
     /// The region `(base, size_log2)` containing `addr`, if tracked.
     pub fn region_of(&self, addr: u64) -> Option<(u64, u8)> {
-        let (&base, &k) = self.regions.range(..=addr).next_back()?;
-        if addr < base + (1u64 << k) {
-            Some((base, k))
-        } else {
-            None
-        }
+        self.probe(addr).map(|r| r.bounds())
+    }
+
+    /// The entry behind a live handle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the region map changed since `region` was resolved.
+    pub fn entry_at(&self, region: RegionRef) -> &DirEntry {
+        assert_eq!(region.generation, self.generation, "stale region handle");
+        self.slots.at(region.slot)
+    }
+
+    /// Mutable access to the entry behind a live handle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the region map changed since `region` was resolved.
+    pub fn entry_at_mut(&mut self, region: RegionRef) -> &mut DirEntry {
+        assert_eq!(region.generation, self.generation, "stale region handle");
+        self.slots.at_mut(region.slot)
     }
 
     /// Immutable entry access.
@@ -230,8 +366,8 @@ impl RegionDirectory {
     /// full occupancy, force-merges the coldest compatible buddy pair; if
     /// nothing can merge, returns [`SramFull`] and the caller must bypass
     /// the cache.
-    pub fn ensure_region(&mut self, addr: u64) -> Result<(u64, u8), SramFull> {
-        if let Some(found) = self.region_of(addr) {
+    pub fn ensure(&mut self, addr: u64) -> Result<RegionRef, SramFull> {
+        if let Some(found) = self.lookup(addr) {
             return Ok(found);
         }
         // Pressure-adaptive creation size: up to 2 MB extra coarseness as
@@ -244,45 +380,58 @@ impl RegionDirectory {
             u if u > 0.35 => 1,
             _ => 0,
         };
-        let mut k = (self.initial_region_log2 + boost).min(30);
-        // Find the largest aligned region containing `addr` that does not
-        // overlap existing regions.
-        let (base, k) = loop {
-            let base = addr & !((1u64 << k) - 1);
-            if !self.overlaps_existing(base, k) {
-                break (base, k);
-            }
-            debug_assert!(k > PAGE_SHIFT, "page-size region cannot overlap");
-            k -= 1;
-        };
+        let size_log2 = self.largest_free_block(addr, (self.initial_region_log2 + boost).min(30));
+        let base = addr & !((1u64 << size_log2) - 1);
         if self.slots.free() == 0 {
             self.force_merge_one()?;
         }
-        self.slots.insert(base, DirEntry::new(k))?;
-        self.regions.insert(base, k);
+        let slot = self.install(base, DirEntry::new(size_log2))?;
         self.generation += 1;
-        Ok((base, k))
+        let created = RegionRef {
+            slot,
+            base,
+            size_log2,
+            generation: self.generation,
+        };
+        self.memo[Self::memo_way(addr)] = Some(created);
+        Ok(created)
     }
 
-    /// The region-map generation (see the field docs): compare before
-    /// reusing a cached [`RegionDirectory::region_of`] result.
+    /// [`RegionDirectory::ensure`] returning the bare `(base, size_log2)`.
+    pub fn ensure_region(&mut self, addr: u64) -> Result<(u64, u8), SramFull> {
+        self.ensure(addr).map(|r| r.bounds())
+    }
+
+    /// The region-map generation (see the field docs): a [`RegionRef`] is
+    /// valid exactly while it is unchanged.
     pub fn generation(&self) -> u64 {
         self.generation
     }
 
-    fn overlaps_existing(&self, base: u64, k: u8) -> bool {
-        let end = base + (1u64 << k);
-        // A region starting inside [base, end)...
-        if self.regions.range(base..end).next().is_some() {
-            return true;
-        }
-        // ...or one starting before and reaching into it.
-        if let Some((&pbase, &pk)) = self.regions.range(..base).next_back() {
-            if pbase + (1u64 << pk) > base {
-                return true;
+    /// log2 of the largest aligned block, at most `2^cap`, that contains
+    /// `addr` and overlaps no region. Requires that no region contains
+    /// `addr`, so an overlapping region lies strictly inside the block.
+    ///
+    /// Grows the block from the smallest populated size class `j` — a
+    /// block that small cannot hold a whole region beside `addr` — one
+    /// level at a time while the sibling half is empty. A region inside
+    /// the sibling starts at a multiple of `2^j`, so `sibling / 2^j`
+    /// probes of the slot map decide each level, and the first region
+    /// found ends the search: in a populated neighbourhood that is a
+    /// handful of probes.
+    fn largest_free_block(&self, addr: u64, cap: u8) -> u8 {
+        let smallest = self.classes.trailing_zeros() as u8;
+        let mut k = smallest.min(cap);
+        while k < cap {
+            let sibling = (addr & !((1u64 << k) - 1)) ^ (1u64 << k);
+            let occupied =
+                (0..1u64 << (k - smallest)).any(|i| self.slots.contains(sibling + (i << smallest)));
+            if occupied {
+                break;
             }
+            k += 1;
         }
-        false
+        k
     }
 
     /// Splits the region at `base` into two halves (bounded splitting, §5).
@@ -298,8 +447,7 @@ impl RegionDirectory {
         if self.slots.free() == 0 {
             return Err(SramFull);
         }
-        let parent = self.slots.remove(base).expect("entry exists");
-        self.regions.remove(&base);
+        let parent = self.uninstall(base).expect("entry exists");
         let child_k = parent.size_log2 - 1;
         let right_base = base + (1u64 << child_k);
         let mk_child = || DirEntry {
@@ -311,29 +459,44 @@ impl RegionDirectory {
             epoch_invalidations: 0,
             epoch_false_inv: 0,
         };
-        self.slots.insert(base, mk_child()).expect("slot freed");
-        self.slots
-            .insert(right_base, mk_child())
+        self.install(base, mk_child()).expect("slot freed");
+        self.install(right_base, mk_child())
             .expect("free slot checked");
-        self.regions.insert(base, child_k);
-        self.regions.insert(right_base, child_k);
         self.generation += 1;
         self.splits += 1;
         Ok((base, right_base))
     }
 
+    /// The right-hand buddy of the left half `(base, left)`, when it exists
+    /// at the same size.
+    fn right_buddy(&self, base: u64, left: &DirEntry) -> Option<&DirEntry> {
+        self.slots
+            .get(base | (1u64 << left.size_log2))
+            .filter(|right| right.size_log2 == left.size_log2)
+    }
+
+    /// `(left base, size_log2)` of every buddy pair [`RegionDirectory::merge`]
+    /// would coalesce — both halves present at one size and
+    /// coherence-compatible — in slot order.
+    pub fn mergeable_pairs(&self) -> impl Iterator<Item = (u64, u8)> + '_ {
+        self.slots.iter().filter_map(|(base, left)| {
+            let is_left_half = base & (1u64 << left.size_log2) == 0;
+            let mergeable = is_left_half
+                && self
+                    .right_buddy(base, left)
+                    .is_some_and(|right| left.mergeable_with(right));
+            mergeable.then_some((base, left.size_log2))
+        })
+    }
+
     /// Merges the region at `base` with its buddy if both exist at the same
     /// size and are coherence-compatible. Returns the merged base.
     pub fn merge(&mut self, base: u64) -> Option<u64> {
-        let k = *self.regions.get(&base)?;
-        let buddy_base = base ^ (1u64 << k);
-        let buddy_k = *self.regions.get(&buddy_base)?;
-        if buddy_k != k {
-            return None;
-        }
         let a = self.slots.get(base)?;
+        let k = a.size_log2;
+        let buddy_base = base ^ (1u64 << k);
         let b = self.slots.get(buddy_base)?;
-        if !a.mergeable_with(b) {
+        if b.size_log2 != k || !a.mergeable_with(b) {
             return None;
         }
         let merged = a.merged_with(b);
@@ -341,39 +504,42 @@ impl RegionDirectory {
         if merged.epoch_invalidations != 0 || merged.epoch_false_inv != 0 {
             self.touched.push(parent_base);
         }
-        self.slots.remove(base);
-        self.slots.remove(buddy_base);
-        self.regions.remove(&base);
-        self.regions.remove(&buddy_base);
-        self.slots
-            .insert(parent_base, merged)
+        self.uninstall(base);
+        self.uninstall(buddy_base);
+        self.install(parent_base, merged)
             .expect("merge frees two slots");
-        self.regions.insert(parent_base, k + 1);
         self.generation += 1;
         self.merges += 1;
         Some(parent_base)
     }
 
     /// Frees one slot under capacity pressure by merging the coldest
-    /// compatible buddy pair (fewest epoch invalidations).
+    /// compatible buddy pair: least `(epoch invalidations, base)`. One
+    /// pass over the slab, visiting each pair from its left half.
     fn force_merge_one(&mut self) -> Result<(), SramFull> {
-        let mut candidates: Vec<(u32, u64)> = Vec::new();
-        for (&base, &k) in &self.regions {
-            let buddy = base ^ (1u64 << k);
-            if buddy < base {
-                continue; // Visit each pair once (from its left half).
-            }
-            if self.regions.get(&buddy) != Some(&k) {
+        let mut coldest: Option<(u32, u64)> = None;
+        for (base, left) in self.slots.iter() {
+            // A pair is at least as hot as its left half, so an entry that
+            // already loses to the coldest pair so far needs no probe for
+            // its buddy. (First, because it settles almost every entry
+            // and, unlike the left/right test, predictably.)
+            if coldest.is_some_and(|c| (left.epoch_invalidations, base) > c) {
                 continue;
             }
-            let a = self.slots.get(base).expect("region has entry");
-            let b = self.slots.get(buddy).expect("region has entry");
-            if a.mergeable_with(b) {
-                let heat = a.epoch_invalidations + b.epoch_invalidations;
-                candidates.push((heat, base));
+            if base & (1u64 << left.size_log2) != 0 {
+                continue;
+            }
+            let Some(right) = self.right_buddy(base, left) else {
+                continue;
+            };
+            if left.mergeable_with(right) {
+                let pair = (left.epoch_invalidations + right.epoch_invalidations, base);
+                if coldest.is_none_or(|c| pair < c) {
+                    coldest = Some(pair);
+                }
             }
         }
-        let &(_, base) = candidates.iter().min().ok_or(SramFull)?;
+        let (_, base) = coldest.ok_or(SramFull)?;
         self.merge(base).expect("candidate verified mergeable");
         self.forced_merges += 1;
         Ok(())
@@ -382,23 +548,38 @@ impl RegionDirectory {
     /// Removes the region entry at `base` (reset protocol §4.4, or
     /// deallocation).
     pub fn remove(&mut self, base: u64) -> Option<DirEntry> {
-        if self.regions.remove(&base).is_some() {
-            self.generation += 1;
-        }
-        self.slots.remove(base)
+        let removed = self.uninstall(base)?;
+        self.generation += 1;
+        Some(removed)
     }
 
-    /// Records invalidation traffic for a region (bounded-splitting signal).
+    /// Records invalidation traffic for the region at `base`
+    /// (bounded-splitting signal); only the lifetime totals move when no
+    /// region starts there.
     pub fn record_invalidation(&mut self, base: u64, false_invalidations: u32) {
+        self.record_invalidation_in(self.slots.slot_of(base), base, false_invalidations);
+    }
+
+    /// [`RegionDirectory::record_invalidation`] through a live handle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the region map changed since `region` was resolved.
+    pub fn record_invalidation_at(&mut self, region: RegionRef, false_invalidations: u32) {
+        assert_eq!(region.generation, self.generation, "stale region handle");
+        self.record_invalidation_in(Some(region.slot), region.base, false_invalidations);
+    }
+
+    fn record_invalidation_in(&mut self, slot: Option<usize>, base: u64, false_invalidations: u32) {
         self.total_invalidations += 1;
         self.total_false_inv += false_invalidations as u64;
-        if let Some(e) = self.slots.get_mut(base) {
-            if e.epoch_invalidations == 0 && e.epoch_false_inv == 0 {
-                self.touched.push(base);
-            }
-            e.epoch_invalidations += 1;
-            e.epoch_false_inv += false_invalidations;
+        let Some(slot) = slot else { return };
+        let e = self.slots.at_mut(slot);
+        if e.epoch_invalidations == 0 && e.epoch_false_inv == 0 {
+            self.touched.push(base);
         }
+        e.epoch_invalidations += 1;
+        e.epoch_false_inv += false_invalidations;
     }
 
     /// Takes and resets the per-epoch counters, returning one
@@ -431,11 +612,6 @@ impl RegionDirectory {
         }
         self.touched.clear();
         out
-    }
-
-    /// Iterates `(base, size_log2)` over all tracked regions in base order.
-    pub fn regions_iter(&self) -> impl Iterator<Item = (u64, u8)> + '_ {
-        self.regions.iter().map(|(&b, &k)| (b, k))
     }
 
     /// All region bases, sorted.
@@ -477,9 +653,238 @@ impl RegionDirectory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
+    use mind_sim::SimRng;
 
     fn dir() -> RegionDirectory {
         RegionDirectory::new(64, 14) // 16 KB initial regions.
+    }
+
+    /// The ordered `base → size_log2` mirror the directory used to keep,
+    /// and the algorithms that ran on it: the oracle for the treeless
+    /// lookup, creation sizing and forced-merge pick.
+    struct OrderedOracle(BTreeMap<u64, u8>);
+
+    impl OrderedOracle {
+        fn of(d: &RegionDirectory) -> Self {
+            OrderedOracle(
+                d.bases_sorted()
+                    .into_iter()
+                    .map(|base| (base, d.entry(base).unwrap().size_log2))
+                    .collect(),
+            )
+        }
+
+        fn region_of(&self, addr: u64) -> Option<(u64, u8)> {
+            let (&base, &k) = self.0.range(..=addr).next_back()?;
+            (addr < base + (1u64 << k)).then_some((base, k))
+        }
+
+        fn overlaps(&self, base: u64, k: u8) -> bool {
+            let end = base + (1u64 << k);
+            self.0.range(base..end).next().is_some()
+                || self
+                    .0
+                    .range(..base)
+                    .next_back()
+                    .is_some_and(|(&pbase, &pk)| pbase + (1u64 << pk) > base)
+        }
+
+        /// Where `ensure_region` must create the region for an untracked
+        /// `addr`, starting the shrink from `2^cap`.
+        fn creation_bounds(&self, addr: u64, cap: u8) -> (u64, u8) {
+            let mut k = cap;
+            loop {
+                let base = addr & !((1u64 << k) - 1);
+                if !self.overlaps(base, k) {
+                    return (base, k);
+                }
+                k -= 1;
+            }
+        }
+
+        /// The forced-merge pick: least `(heat, left base)` over mergeable
+        /// same-size buddy pairs.
+        fn coldest_pair(&self, d: &RegionDirectory) -> Option<(u32, u64)> {
+            self.0
+                .iter()
+                .filter_map(|(&base, &k)| {
+                    let buddy = base ^ (1u64 << k);
+                    if buddy < base || self.0.get(&buddy) != Some(&k) {
+                        return None;
+                    }
+                    let (a, b) = (d.entry(base).unwrap(), d.entry(buddy).unwrap());
+                    a.mergeable_with(b)
+                        .then_some((a.epoch_invalidations + b.epoch_invalidations, base))
+                })
+                .min()
+        }
+
+        fn assert_disjoint(&self) {
+            let mut end = 0u64;
+            for (&base, &k) in &self.0 {
+                assert_eq!(base & ((1u64 << k) - 1), 0, "{base:#x} aligned to 2^{k}");
+                assert!(base >= end, "{base:#x} overlaps its predecessor");
+                end = base + (1u64 << k);
+            }
+        }
+    }
+
+    /// Random create / split / merge / remove / force-merge / state churn
+    /// on a small directory that spends most of the run at capacity: every
+    /// lookup, creation size and forced-merge pick must agree with the
+    /// ordered-tree oracle.
+    #[test]
+    fn treeless_directory_matches_ordered_oracle() {
+        const SPAN_PAGES: u64 = 1 << 10; // 4 MB: 256 initial-size regions.
+        for seed in 0..8u64 {
+            let mut rng = SimRng::new(seed);
+            let mut d = RegionDirectory::new(48, 14);
+            let random_base = |d: &RegionDirectory, rng: &mut SimRng| {
+                let bases = d.bases_sorted();
+                (!bases.is_empty()).then(|| bases[rng.gen_below(bases.len() as u64) as usize])
+            };
+            for step in 0..3_000 {
+                let addr = rng.gen_below(SPAN_PAGES) << PAGE_SHIFT;
+                match rng.gen_below(10) {
+                    0..=3 => {
+                        let oracle = OrderedOracle::of(&d);
+                        let expected = oracle.region_of(addr).or_else(|| {
+                            let boost = match d.utilization() {
+                                u if u > 0.90 => 5,
+                                u if u > 0.80 => 4,
+                                u if u > 0.65 => 3,
+                                u if u > 0.50 => 2,
+                                u if u > 0.35 => 1,
+                                _ => 0,
+                            };
+                            Some(oracle.creation_bounds(addr, 14 + boost))
+                        });
+                        let coldest = oracle.coldest_pair(&d);
+                        let full = d.slots.free() == 0;
+                        match d.ensure(addr) {
+                            Ok(r) => {
+                                assert_eq!(Some(r.bounds()), expected, "seed {seed} step {step}");
+                                assert_eq!(d.entry_at(r).size_log2, r.size_log2());
+                            }
+                            Err(SramFull) => {
+                                assert!(
+                                    full && coldest.is_none() && oracle.region_of(addr).is_none()
+                                );
+                            }
+                        }
+                    }
+                    4 => {
+                        if let Some(base) = random_base(&d, &mut rng) {
+                            if d.entry(base).unwrap().size_log2 > PAGE_SHIFT {
+                                let _ = d.split(base);
+                            }
+                        }
+                    }
+                    5 => {
+                        if let Some(base) = random_base(&d, &mut rng) {
+                            d.merge(base);
+                        }
+                    }
+                    6 => {
+                        if let Some(base) = random_base(&d, &mut rng) {
+                            d.remove(base);
+                        }
+                    }
+                    7 => {
+                        if let Some(base) = random_base(&d, &mut rng) {
+                            d.record_invalidation(base, rng.gen_below(3) as u32);
+                            let e = d.entry_mut(base).unwrap();
+                            e.sharers = BladeSet::singleton(rng.gen_below(2) as u16);
+                            e.state = [MsiState::Invalid, MsiState::Shared, MsiState::Modified]
+                                [rng.gen_below(3) as usize];
+                        }
+                    }
+                    8 => {
+                        let oracle = OrderedOracle::of(&d);
+                        let pick = oracle.coldest_pair(&d);
+                        let before = d.entries();
+                        match d.force_merge_one() {
+                            Ok(()) => {
+                                let (_, left) = pick.expect("oracle found a pair too");
+                                let k = oracle.0[&left];
+                                assert_eq!(d.region_of(left), Some((left, k + 1)));
+                                assert_eq!(d.entries(), before - 1);
+                            }
+                            Err(SramFull) => assert_eq!(pick, None),
+                        }
+                    }
+                    _ => {
+                        if rng.gen_bool(0.05) {
+                            d.drain_epoch_counters();
+                        }
+                    }
+                }
+                // Lookups — memoized, handle and plain — against the tree,
+                // at the touched address and at a fresh one.
+                let oracle = OrderedOracle::of(&d);
+                oracle.assert_disjoint();
+                for probe in [addr, rng.gen_below(SPAN_PAGES) << PAGE_SHIFT, addr | 0xFFF] {
+                    let expected = oracle.region_of(probe);
+                    assert_eq!(d.region_of(probe), expected, "seed {seed} step {step}");
+                    assert_eq!(d.lookup(probe).map(|r| r.bounds()), expected);
+                    assert_eq!(d.lookup(probe).map(|r| r.bounds()), expected, "memo hit");
+                }
+                let classes: u64 = oracle.0.values().fold(0, |m, &k| m | 1u64 << k);
+                assert_eq!(d.classes, classes, "populated-class mask");
+            }
+        }
+    }
+
+    #[test]
+    fn mergeable_pairs_lists_exactly_what_merge_accepts() {
+        let mut d = dir();
+        for i in 0..6u64 {
+            d.ensure_region(i << 14).unwrap();
+        }
+        // (0x0, 0x4000) compatible; (0x8000, 0xC000) conflicting owners;
+        // 0x10000's buddy 0x14000 split one level finer.
+        d.entry_mut(0x8000).unwrap().state = MsiState::Modified;
+        d.entry_mut(0x8000).unwrap().sharers = BladeSet::singleton(0);
+        d.entry_mut(0xC000).unwrap().state = MsiState::Modified;
+        d.entry_mut(0xC000).unwrap().sharers = BladeSet::singleton(1);
+        d.split(0x14000).unwrap();
+        let mut pairs: Vec<(u64, u8)> = d.mergeable_pairs().collect();
+        pairs.sort_unstable();
+        assert_eq!(pairs, vec![(0x0, 14), (0x14000, 13)]);
+        for (left, _) in pairs {
+            assert!(d.merge(left).is_some());
+        }
+        assert!(d.merge(0x8000).is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "stale region handle")]
+    fn stale_handle_is_refused() {
+        let mut d = dir();
+        let r = d.ensure(0x1_0000).unwrap();
+        d.split(r.base()).unwrap();
+        let _ = d.entry_at(r);
+    }
+
+    #[test]
+    fn handle_survives_entry_updates_and_memo_survives_lookups() {
+        let mut d = dir();
+        let r = d.ensure(0x1_0000).unwrap();
+        d.entry_at_mut(r).state = MsiState::Shared;
+        d.record_invalidation_at(r, 2);
+        d.record_invalidation(r.base(), 1);
+        assert_eq!(d.entry_at(r).epoch_invalidations, 2);
+        assert_eq!(d.entry_at(r).epoch_false_inv, 3);
+        // Same generation: the memo answers, with the same handle.
+        assert_eq!(d.lookup(0x1_2FFF), Some(r));
+        assert_eq!(d.ensure(0x1_3000).unwrap(), r);
+        // A region that does not start at the recorded base only moves the
+        // lifetime totals.
+        d.record_invalidation(0x9_0000, 4);
+        assert_eq!(d.total_invalidations(), 3);
+        assert_eq!(d.total_false_invalidations(), 7);
     }
 
     #[test]

@@ -176,32 +176,19 @@ impl BoundedSplitting {
         // sets.
         let mut merges = 0;
         if self.cfg.enable_merge && dir.utilization() > 0.5 {
-            // Regions are disjoint, so when both halves of a buddy pair
-            // exist they are adjacent in base order: one ordered pass finds
-            // every candidate pair. A pair merges (one level per epoch)
-            // only when neither half appears in the active list — `active`
-            // is sorted by base, so membership is a binary search. Cost is
-            // a cheap linear walk plus real work only on actual merges.
-            let active: Vec<u64> = counters.iter().map(|c| c.base).collect();
-            let mut candidates: Vec<u64> = Vec::new();
-            let mut prev: Option<(u64, u8)> = None;
-            for (base, k) in dir.regions_iter() {
-                if let Some((pb, pk)) = prev {
-                    if pk == k
-                        && pb & (1u64 << k) == 0
-                        && base == pb + (1u64 << k)
-                        && active.binary_search(&pb).is_err()
-                        && active.binary_search(&base).is_err()
-                    {
-                        candidates.push(pb);
-                        prev = None; // Pair consumed.
-                        continue;
-                    }
-                }
-                prev = Some((base, k));
-            }
+            // A coherence-compatible buddy pair merges (one level per
+            // epoch) only when neither half appears in the active list —
+            // `counters` is sorted by base, so membership is a binary
+            // search. Pairs are disjoint, so the merges are independent;
+            // they run in base order.
+            let is_active = |base: u64| counters.binary_search_by_key(&base, |c| c.base).is_ok();
+            let mut candidates: Vec<u64> = dir
+                .mergeable_pairs()
+                .filter(|&(left, k)| !is_active(left) && !is_active(left | (1u64 << k)))
+                .map(|(left, _)| left)
+                .collect();
+            candidates.sort_unstable();
             for base in candidates {
-                // `merge` re-checks coherence compatibility (M/O states).
                 if dir.merge(base).is_some() {
                     merges += 1;
                 }

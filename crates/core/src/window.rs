@@ -28,11 +28,41 @@ use mind_sim::SimTime;
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
     complete_at: SimTime,
-    region: Option<(u64, u8)>,
+    /// The held region as `[region_base, region_base + region_len)`;
+    /// `region_len == 0` when the op holds none.
+    region_base: u64,
+    region_len: u64,
     blade: u16,
 }
 
+impl InFlight {
+    /// Whether this operation's directory region contains `addr`.
+    fn holds(&self, addr: u64) -> bool {
+        addr.wrapping_sub(self.region_base) < self.region_len
+    }
+}
+
+/// What one [`InFlightWindow::sweep`] found: the release time of each
+/// issue gate for one candidate operation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Gates {
+    /// [`InFlightWindow::slot_free_at`].
+    pub slot_free_at: SimTime,
+    /// [`InFlightWindow::nic_free_at`] for the candidate's blade.
+    pub nic_free_at: SimTime,
+    /// [`InFlightWindow::nic_in_flight`] for the candidate's blade.
+    pub nic_in_flight: usize,
+    /// [`InFlightWindow::region_release`] for the candidate's page.
+    pub region_release: SimTime,
+}
+
 /// A fixed-depth window of in-flight operations.
+///
+/// The pool is kept ordered by completion time and each blade's share of
+/// it is counted, so retirement pops a prefix, the slot gate reads the
+/// front, and the NIC gate is a counter compare that scans (from the
+/// front, stopping at the blade's first op) only when the queue is full.
+/// Only the region gate walks the pool.
 #[derive(Debug)]
 pub struct InFlightWindow {
     depth: usize,
@@ -40,7 +70,10 @@ pub struct InFlightWindow {
     /// belong to one issuing blade at once. `0` models an unbounded NIC
     /// queue (the pre-NIC-gate behaviour, byte-identical).
     nic_depth: usize,
+    /// In-flight ops, earliest completion first.
     slots: Vec<InFlight>,
+    /// In-flight ops per issuing blade (grown on first use of a blade).
+    per_blade: Vec<usize>,
     /// Latest completion among every op ever issued through this window —
     /// the overlap frontier used to attribute hidden fabric time.
     frontier: SimTime,
@@ -56,6 +89,7 @@ impl InFlightWindow {
             depth,
             nic_depth: 0,
             slots: Vec::with_capacity(depth),
+            per_blade: Vec::new(),
             frontier: SimTime::ZERO,
         }
     }
@@ -90,11 +124,7 @@ impl InFlightWindow {
         if self.slots.len() < self.depth {
             SimTime::ZERO
         } else {
-            self.slots
-                .iter()
-                .map(|s| s.complete_at)
-                .min()
-                .expect("a full window is non-empty")
+            self.slots[0].complete_at
         }
     }
 
@@ -105,17 +135,14 @@ impl InFlightWindow {
     pub fn region_release(&self, addr: u64) -> SimTime {
         self.slots
             .iter()
-            .filter(|s| {
-                s.region
-                    .is_some_and(|(base, k)| addr >= base && addr - base < 1u64 << k)
-            })
-            .map(|s| s.complete_at)
-            .fold(SimTime::ZERO, SimTime::max)
+            .rev()
+            .find(|s| s.holds(addr))
+            .map_or(SimTime::ZERO, |s| s.complete_at)
     }
 
     /// In-flight operations issued by `blade`'s RNIC.
     pub fn nic_in_flight(&self, blade: u16) -> usize {
-        self.slots.iter().filter(|s| s.blade == blade).count()
+        self.per_blade.get(blade as usize).copied().unwrap_or(0)
     }
 
     /// Earliest time `blade` may issue another operation through its RNIC:
@@ -123,25 +150,34 @@ impl InFlightWindow {
     /// entry or the NIC is unbounded, otherwise the earliest completion
     /// among the blade's in-flight ops.
     pub fn nic_free_at(&self, blade: u16) -> SimTime {
-        if self.nic_depth == 0 {
+        if self.nic_depth == 0 || self.nic_in_flight(blade) < self.nic_depth {
             return SimTime::ZERO;
         }
-        let mut in_flight = 0usize;
-        let mut earliest = SimTime::MAX;
-        for s in self.slots.iter().filter(|s| s.blade == blade) {
-            in_flight += 1;
-            earliest = earliest.min(s.complete_at);
-        }
-        if in_flight < self.nic_depth {
-            SimTime::ZERO
-        } else {
-            earliest
-        }
+        self.slots
+            .iter()
+            .find(|s| s.blade == blade)
+            .map_or(SimTime::ZERO, |s| s.complete_at)
     }
 
     /// Retires every operation that completed at or before `now`.
     pub fn retire_through(&mut self, now: SimTime) {
-        self.slots.retain(|s| s.complete_at > now);
+        let retired = self.slots.partition_point(|s| s.complete_at <= now);
+        for s in self.slots.drain(..retired) {
+            self.per_blade[s.blade as usize] -= 1;
+        }
+    }
+
+    /// [`InFlightWindow::retire_through`] `now`, then all three gates for
+    /// an operation by `blade` on the page at `addr` — what the cluster
+    /// engine asks per offered operation.
+    pub fn sweep(&mut self, now: SimTime, blade: u16, addr: u64) -> Gates {
+        self.retire_through(now);
+        Gates {
+            slot_free_at: self.slot_free_at(),
+            nic_free_at: self.nic_free_at(blade),
+            nic_in_flight: self.nic_in_flight(blade),
+            region_release: self.region_release(addr),
+        }
     }
 
     /// Admits an operation issued by `blade` occupying a slot until
@@ -159,11 +195,27 @@ impl InFlightWindow {
             self.nic_depth == 0 || self.nic_in_flight(blade) < self.nic_depth,
             "per-NIC queue overflow on blade {blade}"
         );
-        self.slots.push(InFlight {
-            complete_at,
-            region,
-            blade,
-        });
+        let (region_base, region_len) = region.map_or((0, 0), |(base, k)| (base, 1u64 << k));
+        // A new op usually completes after most of the pool: find its
+        // place from the back.
+        let at = self
+            .slots
+            .iter()
+            .rposition(|s| s.complete_at <= complete_at)
+            .map_or(0, |i| i + 1);
+        self.slots.insert(
+            at,
+            InFlight {
+                complete_at,
+                region_base,
+                region_len,
+                blade,
+            },
+        );
+        if self.per_blade.len() <= blade as usize {
+            self.per_blade.resize(blade as usize + 1, 0);
+        }
+        self.per_blade[blade as usize] += 1;
         self.frontier = self.frontier.max(complete_at);
     }
 
@@ -182,6 +234,108 @@ mod tests {
 
     fn ns(n: u64) -> SimTime {
         SimTime::from_nanos(n)
+    }
+
+    /// One op of the reference pool.
+    struct Held {
+        complete_at: SimTime,
+        region: Option<(u64, u8)>,
+        blade: u16,
+    }
+
+    /// The pool as it used to be kept — unordered, every gate its own
+    /// linear scan: the oracle for the ordered pool and the one-call sweep.
+    #[derive(Default)]
+    struct ScanOracle {
+        slots: Vec<Held>,
+    }
+
+    impl ScanOracle {
+        fn retire_through(&mut self, now: SimTime) {
+            self.slots.retain(|s| s.complete_at > now);
+        }
+
+        fn slot_free_at(&self, depth: usize) -> SimTime {
+            if self.slots.len() < depth {
+                SimTime::ZERO
+            } else {
+                self.slots.iter().map(|s| s.complete_at).min().unwrap()
+            }
+        }
+
+        fn nic_in_flight(&self, blade: u16) -> usize {
+            self.slots.iter().filter(|s| s.blade == blade).count()
+        }
+
+        fn nic_free_at(&self, nic_depth: usize, blade: u16) -> SimTime {
+            if nic_depth == 0 || self.nic_in_flight(blade) < nic_depth {
+                return SimTime::ZERO;
+            }
+            let own = self.slots.iter().filter(|s| s.blade == blade);
+            own.map(|s| s.complete_at).min().unwrap()
+        }
+
+        fn region_release(&self, addr: u64) -> SimTime {
+            self.slots
+                .iter()
+                .filter(|s| {
+                    s.region
+                        .is_some_and(|(base, k)| addr >= base && addr - base < 1u64 << k)
+                })
+                .map(|s| s.complete_at)
+                .fold(SimTime::ZERO, SimTime::max)
+        }
+    }
+
+    /// Random offers against a pool under slot, NIC and region pressure:
+    /// one `sweep` must report what retire + the three separate scans
+    /// report on the unordered reference, ties and nested regions included.
+    #[test]
+    fn sweep_matches_the_four_separate_scans() {
+        use mind_sim::SimRng;
+        for (seed, depth, nic_depth) in [(1u64, 1usize, 0u32), (2, 8, 2), (3, 24, 4), (4, 64, 0)] {
+            let mut rng = SimRng::new(seed);
+            let mut w = InFlightWindow::new(depth).with_nic_depth(nic_depth);
+            let mut oracle = ScanOracle::default();
+            let mut now = SimTime::ZERO;
+            for _ in 0..4_000 {
+                now += ns(rng.gen_below(40));
+                let blade = rng.gen_below(3) as u16;
+                let addr = rng.gen_below(64) << 12;
+                oracle.retire_through(now);
+                let expected = Gates {
+                    slot_free_at: oracle.slot_free_at(depth),
+                    nic_free_at: oracle.nic_free_at(nic_depth as usize, blade),
+                    nic_in_flight: oracle.nic_in_flight(blade),
+                    region_release: oracle.region_release(addr),
+                };
+                assert_eq!(
+                    w.sweep(now, blade, addr),
+                    expected,
+                    "seed {seed} at {now:?}"
+                );
+                assert_eq!(w.in_flight(), oracle.slots.len());
+                // The separate calls answer alike.
+                assert_eq!(w.slot_free_at(), expected.slot_free_at);
+                assert_eq!(w.nic_free_at(blade), expected.nic_free_at);
+                assert_eq!(w.region_release(addr), expected.region_release);
+                if expected.slot_free_at > now || expected.nic_free_at > now {
+                    continue; // Gated: the op is re-offered later.
+                }
+                // Coarse completion times make ties; regions nest.
+                let complete_at = now + ns(20 * (1 + rng.gen_below(12)));
+                let region = rng.gen_bool(0.7).then(|| {
+                    let k = 12 + rng.gen_below(4) as u8;
+                    ((addr >> k) << k, k)
+                });
+                w.admit(complete_at, region, blade);
+                oracle.slots.push(Held {
+                    complete_at,
+                    region,
+                    blade,
+                });
+            }
+        }
     }
 
     #[test]

@@ -128,19 +128,4 @@ mod tests {
         let (a2, b2) = alloc_counts();
         assert!(a2 >= a1 && b2 >= b1, "counters never go backwards");
     }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn peak_rss_reads_and_resets() {
-        let peak = peak_rss_bytes().expect("/proc/self/status is readable on Linux");
-        assert!(peak > 0);
-        let rss = current_rss_bytes().expect("/proc/self/status is readable on Linux");
-        assert!(rss > 0);
-        if reset_peak_rss() {
-            let after = peak_rss_bytes().expect("still readable");
-            // The watermark collapses to (about) the current RSS; it can
-            // only have grown again by our own activity since the reset.
-            assert!(after <= peak);
-        }
-    }
 }

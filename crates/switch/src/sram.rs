@@ -26,9 +26,16 @@ impl std::error::Error for SramFull {}
 /// Slot storage grows lazily up to `capacity`, so modelling an effectively
 /// unbounded SRAM (the paper's MIND-PSO+ simulation) costs no memory up
 /// front.
+///
+/// A slot index is a *handle*: [`SlotStore::slot_of`] resolves a base to
+/// its slot once, and [`SlotStore::at`] / [`SlotStore::at_mut`] then reach
+/// the entry with no further hashing. A handle stays valid until that
+/// entry is removed.
 #[derive(Debug, Clone)]
 pub struct SlotStore<T> {
-    slots: Vec<Option<T>>,
+    /// Each occupied slot holds its region base beside the entry, so the
+    /// slab can be walked without consulting `used_map`.
+    slots: Vec<Option<(u64, T)>>,
     free_list: Vec<usize>,
     used_map: FastMap<u64, usize>,
     capacity: usize,
@@ -76,7 +83,8 @@ impl<T> SlotStore<T> {
         }
     }
 
-    /// Allocates a slot for region `base` and stores `value`.
+    /// Allocates a slot for region `base`, stores `value`, and returns the
+    /// slot.
     ///
     /// Returns [`SramFull`] when no slots remain.
     ///
@@ -84,7 +92,7 @@ impl<T> SlotStore<T> {
     ///
     /// Panics if `base` already has a slot — directory entries must be
     /// removed before being re-created.
-    pub fn insert(&mut self, base: u64, value: T) -> Result<(), SramFull> {
+    pub fn insert(&mut self, base: u64, value: T) -> Result<usize, SramFull> {
         assert!(
             !self.used_map.contains_key(&base),
             "slot already allocated for region {base:#x}"
@@ -94,37 +102,58 @@ impl<T> SlotStore<T> {
         }
         let slot = match self.free_list.pop() {
             Some(s) => {
-                self.slots[s] = Some(value);
+                self.slots[s] = Some((base, value));
                 s
             }
             None => {
-                self.slots.push(Some(value));
+                self.slots.push(Some((base, value)));
                 self.slots.len() - 1
             }
         };
         self.used_map.insert(base, slot);
         self.high_watermark = self.high_watermark.max(self.used());
-        Ok(())
+        Ok(slot)
+    }
+
+    /// The slot holding region `base`, if it has one.
+    pub fn slot_of(&self, base: u64) -> Option<usize> {
+        self.used_map.get(&base).copied()
+    }
+
+    /// The entry in an occupied `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is free (a stale handle).
+    pub fn at(&self, slot: usize) -> &T {
+        &self.slots[slot].as_ref().expect("slot is occupied").1
+    }
+
+    /// Mutable access to the entry in an occupied `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is free (a stale handle).
+    pub fn at_mut(&mut self, slot: usize) -> &mut T {
+        &mut self.slots[slot].as_mut().expect("slot is occupied").1
     }
 
     /// Looks up the entry for region `base`.
     pub fn get(&self, base: u64) -> Option<&T> {
-        self.used_map
-            .get(&base)
-            .map(|&slot| self.slots[slot].as_ref().expect("used slot is populated"))
+        self.slot_of(base).map(|slot| self.at(slot))
     }
 
     /// Mutable lookup.
     pub fn get_mut(&mut self, base: u64) -> Option<&mut T> {
-        let slot = *self.used_map.get(&base)?;
-        self.slots[slot].as_mut()
+        let slot = self.slot_of(base)?;
+        Some(self.at_mut(slot))
     }
 
     /// Removes the entry for region `base`, returning the slot to the free
     /// list.
     pub fn remove(&mut self, base: u64) -> Option<T> {
         let slot = self.used_map.remove(&base)?;
-        let value = self.slots[slot].take().expect("used slot is populated");
+        let (_, value) = self.slots[slot].take().expect("used slot is populated");
         self.free_list.push(slot);
         Some(value)
     }
@@ -134,11 +163,13 @@ impl<T> SlotStore<T> {
         self.used_map.contains_key(&base)
     }
 
-    /// Iterates `(base, entry)` pairs in unspecified order.
+    /// Iterates `(base, entry)` pairs in slot order: one linear pass over
+    /// the slab, no hashing. The order is deterministic for a given
+    /// insert/remove history but otherwise unspecified.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
-        self.used_map
+        self.slots
             .iter()
-            .map(|(&base, &slot)| (base, self.slots[slot].as_ref().expect("populated")))
+            .filter_map(|slot| slot.as_ref().map(|(base, value)| (*base, value)))
     }
 
     /// Region bases currently stored, sorted (for deterministic iteration).

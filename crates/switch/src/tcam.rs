@@ -78,13 +78,17 @@ impl TcamEntry {
 
 /// A capacity-limited TCAM with longest-prefix-match lookup.
 ///
-/// Internally indexed per `(ctx, size_log2)` so a lookup probes at most
-/// `VA_BITS` hash buckets from most- to least-specific, returning the first
-/// hit — exactly LPM priority.
+/// Internally indexed per `(ctx, size_log2)` so a lookup probes one hash
+/// bucket per *populated* prefix level, from most- to least-specific,
+/// returning the first hit — exactly LPM priority. An empty TCAM probes
+/// nothing.
 #[derive(Debug, Clone)]
 pub struct Tcam<V> {
     /// `levels[k]` maps `(ctx, base >> k)` to the value for that range.
     levels: Vec<FastMap<(u64, u64), V>>,
+    /// Bit `k` is set exactly while `levels[k]` holds an entry; lookups
+    /// skip every other level.
+    populated: u64,
     capacity: usize,
     used: usize,
     lookups: u64,
@@ -107,6 +111,7 @@ impl<V> Tcam<V> {
     pub fn new(capacity: usize) -> Self {
         Tcam {
             levels: (0..=VA_BITS).map(|_| FastMap::default()).collect(),
+            populated: 0,
             capacity,
             used: 0,
             lookups: 0,
@@ -144,6 +149,7 @@ impl<V> Tcam<V> {
                 return Err(TcamFull);
             }
             self.used += 1;
+            self.populated |= 1u64 << entry.size_log2;
         }
         Ok(level.insert(key, value))
     }
@@ -151,9 +157,13 @@ impl<V> Tcam<V> {
     /// Removes an entry, returning its value if present.
     pub fn remove(&mut self, entry: &TcamEntry) -> Option<V> {
         let key = (entry.ctx, entry.base >> entry.size_log2);
-        let removed = self.levels[entry.size_log2 as usize].remove(&key);
+        let level = &mut self.levels[entry.size_log2 as usize];
+        let removed = level.remove(&key);
         if removed.is_some() {
             self.used -= 1;
+            if level.is_empty() {
+                self.populated &= !(1u64 << entry.size_log2);
+            }
         }
         removed
     }
@@ -170,7 +180,10 @@ impl<V> Tcam<V> {
     /// datapaths use it to pre-resolve entries a batch will reuse (the
     /// per-op accounting happens at use time, not resolve time).
     pub fn peek_lookup(&self, ctx: u64, addr: u64) -> Option<(TcamEntry, &V)> {
-        for k in 0..=VA_BITS {
+        let mut levels = self.populated;
+        while levels != 0 {
+            let k = levels.trailing_zeros() as u8;
+            levels &= levels - 1;
             if let Some(v) = self.levels[k as usize].get(&(ctx, addr >> k)) {
                 let entry = TcamEntry {
                     ctx,
@@ -378,6 +391,76 @@ mod tests {
         tcam.lookup(0, 0);
         tcam.lookup(0, 1);
         assert_eq!(tcam.lookups(), 2);
+    }
+
+    /// The walk the populated-level mask replaced: every prefix level,
+    /// most specific first.
+    fn full_walk(tcam: &Tcam<u32>, ctx: u64, addr: u64) -> Option<(TcamEntry, u32)> {
+        (0..=VA_BITS).find_map(|k| {
+            let entry = TcamEntry {
+                ctx,
+                base: (addr >> k) << k,
+                size_log2: k,
+            };
+            tcam.get(&entry).map(|&v| (entry, v))
+        })
+    }
+
+    /// Masked LPM against the full 49-level walk under insert/remove
+    /// churn, from an empty table through single-level and nested ones and
+    /// back to empty.
+    #[test]
+    fn masked_lookup_matches_full_walk_under_churn() {
+        use mind_sim::SimRng;
+        for (seed, levels) in [
+            (1u64, &[14u8][..]),
+            (2, &[12, 16, 21, 30][..]),
+            (3, &[0, 48][..]),
+        ] {
+            let mut rng = SimRng::new(seed);
+            let mut tcam: Tcam<u32> = Tcam::new(64);
+            let mut installed: Vec<TcamEntry> = Vec::new();
+            let probe_all = |tcam: &mut Tcam<u32>, rng: &mut SimRng| {
+                for _ in 0..32 {
+                    let (ctx, addr) = (rng.gen_below(3), rng.gen_below(1 << 24));
+                    let expected = full_walk(tcam, ctx, addr);
+                    assert_eq!(tcam.peek_lookup(ctx, addr).map(|(e, &v)| (e, v)), expected);
+                    assert_eq!(tcam.lookup(ctx, addr).map(|(e, &v)| (e, v)), expected);
+                }
+            };
+            assert_eq!(tcam.populated, 0);
+            probe_all(&mut tcam, &mut rng);
+            for step in 0..600u32 {
+                // Fill for the first half of the run, drain in the second.
+                if rng.gen_bool(if step < 300 { 0.7 } else { 0.3 }) {
+                    let k = levels[rng.gen_below(levels.len() as u64) as usize];
+                    let entry =
+                        TcamEntry::new(rng.gen_below(3), (rng.gen_below(1 << 24) >> k) << k, k);
+                    if tcam.insert(entry, step).is_ok() && !installed.contains(&entry) {
+                        installed.push(entry);
+                    }
+                } else if !installed.is_empty() {
+                    let victim =
+                        installed.swap_remove(rng.gen_below(installed.len() as u64) as usize);
+                    assert!(tcam.remove(&victim).is_some());
+                }
+                let expected_mask = installed.iter().fold(0u64, |m, e| m | 1u64 << e.size_log2);
+                assert_eq!(
+                    tcam.populated, expected_mask,
+                    "level mask tracks the entries"
+                );
+                assert_eq!(tcam.used(), installed.len());
+                probe_all(&mut tcam, &mut rng);
+            }
+            for entry in installed.drain(..) {
+                tcam.remove(&entry);
+            }
+            assert_eq!(tcam.populated, 0, "emptied table probes nothing");
+            probe_all(&mut tcam, &mut rng);
+            let before = tcam.lookups();
+            assert!(tcam.lookup(0, 0x1234).is_none());
+            assert_eq!(tcam.lookups(), before + 1, "an empty walk still counts");
+        }
     }
 
     #[test]
