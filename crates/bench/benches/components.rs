@@ -10,10 +10,12 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
-use mind_blade::{DramCache, InvalidationOutcome};
+use mind_blade::{DramCache, InvalidationOutcome, MemoryBlade, PageData};
+use mind_core::cluster::{MindCluster, MindConfig};
 use mind_core::directory::RegionDirectory;
 use mind_core::galloc::GlobalAllocator;
 use mind_core::split::{BoundedSplitting, SplitConfig};
+use mind_service::{MemoryService, QosClass, ServiceConfig};
 use mind_sim::rng::Zipfian;
 use mind_sim::{SimRng, SimTime};
 use mind_switch::tcam::{Tcam, TcamEntry};
@@ -192,7 +194,93 @@ fn bench_cache(c: &mut Criterion) {
             })
         });
     }
+    // The same walk in data-carrying mode with every resident page dirty:
+    // each flushed page hands its contents to the write-back.
+    for pages in [1u64, 128] {
+        let size_log2 = 12 + pages.trailing_zeros() as u8;
+        let name = format!("invalidate_region_dirty_carrying_{pages}_pages");
+        group.bench_function(&name, |b| {
+            let mut cache = DramCache::new(1 << 11);
+            let mut out = InvalidationOutcome::default();
+            b.iter(|| {
+                for i in 0..pages {
+                    cache.insert(i << 12, true, Some(PageData::zeroed()));
+                }
+                cache.invalidate_region_into(0, size_log2, false, &mut out);
+                black_box(out.flushed.len())
+            })
+        });
+    }
     group.finish();
+}
+
+/// A one-sided read of a page nobody wrote, and of one among 64 k written.
+fn bench_memory_blade(c: &mut Criterion) {
+    let mut group = c.benchmark_group("membld");
+    group.bench_function("read_page_fresh", |b| {
+        let mut blade = MemoryBlade::new(1 << 34);
+        let mut i = 0u64;
+        b.iter(|| {
+            i = (i + 127) % (1 << 16);
+            black_box(blade.read_page(i))
+        })
+    });
+    group.bench_function("read_page_populated", |b| {
+        let mut blade = MemoryBlade::new(1 << 34);
+        for i in 0..(1u64 << 16) {
+            let stamp = i.to_le_bytes();
+            blade.write_page(i, PageData::from_bytes(&stamp)).unwrap();
+        }
+        let mut i = 0u64;
+        b.iter(|| {
+            i = (i + 127) % (1 << 16);
+            black_box(blade.read_page(i))
+        })
+    });
+    group.finish();
+}
+
+/// One dispatch quantum (four slots) by how many tenants are live; half of
+/// them submit a request before each quantum, so queues neither empty nor
+/// fill.
+fn bench_dispatch(c: &mut Criterion) {
+    let mut group = c.benchmark_group("service");
+    for tenants in [4u64, 32, 256] {
+        group.bench_function(&format!("dispatch_quantum_{tenants}_tenants"), |b| {
+            let mut cfg = ServiceConfig::default();
+            cfg.rack.cache_pages = 1 << 14;
+            let mut svc = MemoryService::new(cfg);
+            let ids: Vec<_> = (0..tenants)
+                .map(|i| {
+                    let qos = QosClass::ALL[(i % 3) as usize];
+                    svc.admit(SimTime::ZERO, qos, 16, 1_000.0).unwrap()
+                })
+                .collect();
+            let mut now = SimTime::ZERO;
+            let mut turn = 0usize;
+            b.iter(|| {
+                now += cfg.dispatch_quantum;
+                for _ in 0..2 {
+                    turn = (turn + 7) % ids.len();
+                    svc.submit(now, ids[turn]);
+                }
+                svc.dispatch(now)
+            })
+        });
+    }
+    group.finish();
+}
+
+/// A single-region tenant's control-plane life: `exec`, `mmap`, `exit`.
+fn bench_controller(c: &mut Criterion) {
+    c.bench_function("controller/mmap_exit_single_region", |b| {
+        let mut rack = MindCluster::new(MindConfig::small());
+        b.iter(|| {
+            let pid = rack.exec().unwrap();
+            black_box(rack.mmap(pid, 1 << 16).unwrap());
+            rack.exit(SimTime::ZERO, pid).unwrap()
+        })
+    });
 }
 
 fn bench_rng(c: &mut Criterion) {
@@ -216,6 +304,9 @@ criterion_group!(
     bench_bounded_splitting,
     bench_allocator,
     bench_cache,
+    bench_memory_blade,
+    bench_dispatch,
+    bench_controller,
     bench_rng
 );
 criterion_main!(benches);

@@ -467,7 +467,14 @@ impl DramCache {
             let f = pte.frame;
             let frame = &mut self.frames[f as usize];
             if frame.dirty {
-                out.flushed.push((page, frame.data.clone()));
+                // A downgraded page stays resident and shares its bytes
+                // with the write-back; an unmapped one hands them over.
+                let data = if downgrade_to_shared {
+                    frame.data.clone()
+                } else {
+                    frame.data.take()
+                };
+                out.flushed.push((page, data));
                 frame.dirty = false;
                 self.flushed_pages += 1;
             }
@@ -514,7 +521,7 @@ impl DramCache {
         self.pt.lookup(page).is_some_and(|pte| pte.writable)
     }
 
-    /// Clones the full contents of a resident page (cache-to-cache supply).
+    /// A handle to the contents of a resident page (cache-to-cache supply).
     pub fn page_data(&self, page: u64) -> Option<PageData> {
         let pte = self.pt.lookup(page)?;
         self.frames[pte.frame as usize].data.clone()

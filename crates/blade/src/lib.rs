@@ -16,6 +16,8 @@
 //!   shows up as "Inv (queue)" in Figure 7 (right);
 //! - [`membld`]: the passive memory blade.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod invalidation;
 pub mod membld;

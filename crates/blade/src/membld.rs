@@ -98,7 +98,27 @@ impl MemoryBlade {
         Ok(())
     }
 
-    /// Distinct pages ever written (sparse occupancy).
+    /// Forgets the `pages` physical pages from `first`: their extent was
+    /// freed, and its next owner must read zeros, not the last one's bytes.
+    /// Walks the range or the store, whichever is smaller.
+    pub fn free_range(&mut self, first: u64, pages: u64) {
+        let range = first..first + pages;
+        if (self.pages.len() as u64) < pages {
+            self.pages.retain(|ppage, _| !range.contains(ppage));
+        } else {
+            for ppage in range {
+                self.pages.remove(&ppage);
+            }
+        }
+    }
+
+    /// The stored contents of `ppage`, if any (an inspection, not an RDMA
+    /// read: counts no traffic).
+    pub fn peek(&self, ppage: u64) -> Option<&PageData> {
+        self.pages.get(&ppage)
+    }
+
+    /// Pages currently holding written data (sparse occupancy).
     pub fn pages_populated(&self) -> usize {
         self.pages.len()
     }
@@ -137,6 +157,21 @@ mod tests {
         back.read(0, &mut buf);
         assert_eq!(&buf, b"persisted");
         assert_eq!(mb.pages_populated(), 1);
+    }
+
+    #[test]
+    fn freed_pages_read_zero_again() {
+        let mut mb = MemoryBlade::new(1 << 20);
+        for ppage in [3, 7, 8, 40] {
+            mb.write_page(ppage, PageData::from_bytes(b"old owner")).unwrap();
+        }
+        assert!(mb.peek(7).is_some());
+        mb.free_range(4, 8); // Wider than the store: the store is walked.
+        assert!(mb.peek(7).is_none() && mb.peek(8).is_none());
+        mb.free_range(40, 1); // Narrower: the range is.
+        assert_eq!(mb.pages_populated(), 1, "page 3 was outside both");
+        assert_eq!(mb.read_page(7).unwrap(), PageData::zeroed());
+        assert_eq!((mb.reads(), mb.writes()), (1, 4), "peek and free are not traffic");
     }
 
     #[test]

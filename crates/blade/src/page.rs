@@ -3,7 +3,10 @@
 //! Cache *accesses* and data movement between blades happen at page
 //! granularity, while the coherence directory tracks coarser, dynamically
 //! sized regions (paper §4.3.1) — so the page constants here are used by
-//! every layer above.
+//! every layer above. In data-carrying mode the bytes move as MIND moves
+//! them, by reference: [`PageData`] is a shared copy-on-write handle.
+
+use std::sync::{Arc, OnceLock};
 
 /// log2 of the page size.
 pub const PAGE_SHIFT: u8 = 12;
@@ -26,17 +29,22 @@ pub const fn pages_for(len: u64) -> u64 {
     len.div_ceil(PAGE_SIZE)
 }
 
-/// Owned contents of one page.
+/// Contents of one page: a shared handle, copied on write.
 ///
-/// Heap-allocated and cloned only on actual data movement; simulation-only
-/// runs skip page data entirely (the cache stores `Option<PageData>`).
+/// `clone` — a fetch, a flush, a cache-to-cache supply — shares the bytes;
+/// the first [`PageData::write`] or [`PageData::bytes_mut`] through a
+/// handle that is not the only one copies them first, so no other holder
+/// sees the store. Simulation-only runs skip page data entirely (the cache
+/// stores `Option<PageData>`).
 #[derive(Clone, PartialEq, Eq)]
-pub struct PageData(Box<[u8; PAGE_SIZE as usize]>);
+pub struct PageData(Arc<[u8; PAGE_SIZE as usize]>);
 
 impl PageData {
-    /// A zero-filled page.
+    /// A zero-filled page: every caller shares one process-wide page.
     pub fn zeroed() -> Self {
-        PageData(Box::new([0u8; PAGE_SIZE as usize]))
+        static ZERO: OnceLock<PageData> = OnceLock::new();
+        ZERO.get_or_init(|| PageData(Arc::new([0u8; PAGE_SIZE as usize])))
+            .clone()
     }
 
     /// Builds a page from a byte slice (zero-padded).
@@ -50,7 +58,7 @@ impl PageData {
             "more than a page of data"
         );
         let mut p = Self::zeroed();
-        p.0[..bytes.len()].copy_from_slice(bytes);
+        p.write(0, bytes);
         p
     }
 
@@ -59,9 +67,9 @@ impl PageData {
         &self.0
     }
 
-    /// Write access to the page bytes.
+    /// Write access to the page bytes (copies them first if shared).
     pub fn bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE as usize] {
-        &mut self.0
+        Arc::make_mut(&mut self.0)
     }
 
     /// Reads `buf.len()` bytes at `offset` within the page.
@@ -79,7 +87,7 @@ impl PageData {
     ///
     /// Panics if the write would cross the page boundary.
     pub fn write(&mut self, offset: usize, buf: &[u8]) {
-        self.0[offset..offset + buf.len()].copy_from_slice(buf);
+        self.bytes_mut()[offset..offset + buf.len()].copy_from_slice(buf);
     }
 }
 
@@ -134,6 +142,18 @@ mod tests {
         let p = PageData::zeroed();
         let mut buf = [0u8; 8];
         p.read(PAGE_SIZE as usize - 4, &mut buf);
+    }
+
+    #[test]
+    fn a_write_through_one_handle_is_invisible_to_the_others() {
+        let mut a = PageData::from_bytes(b"shared");
+        let b = a.clone();
+        a.write(0, b"A");
+        assert_eq!(&a.bytes()[..6], b"Ahared");
+        assert_eq!(&b.bytes()[..6], b"shared", "the other holder keeps its bytes");
+        let mut z = PageData::zeroed();
+        z.bytes_mut()[7] = 9;
+        assert!(PageData::zeroed().bytes().iter().all(|&x| x == 0));
     }
 
     #[test]

@@ -1239,6 +1239,22 @@ mod tests {
         assert!(c.match_action_rules() > 0);
     }
 
+    /// Freeing an extent scrubs the frames its pages translate to, which
+    /// after a migration are the outlier entries' targets.
+    #[test]
+    fn a_migrated_extent_is_scrubbed_where_it_went() {
+        let (mut c, pid, base) = functional_cluster();
+        c.migrate(SimTime::ZERO, base, 1 << 16, 1, 1 << 25).unwrap();
+        c.write_bytes(SimTime::from_millis(1), 0, pid, base, b"moved")
+            .unwrap();
+        c.munmap(SimTime::from_millis(2), pid, base).unwrap();
+        assert_eq!(c.engine().memory(1).pages_populated(), 0);
+        let again = c.mmap(pid, 1 << 20).unwrap();
+        assert_eq!(again, base, "the freed extent is handed out again");
+        let read = c.read_bytes(SimTime::from_millis(3), 1, pid, again, 5);
+        assert_eq!(read.unwrap(), [0; 5]);
+    }
+
     #[test]
     fn memory_utilization_tracks_allocation() {
         let mut c = MindCluster::new(MindConfig::small());

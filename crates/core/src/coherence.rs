@@ -437,6 +437,18 @@ impl CoherenceEngine {
         &self.caches[blade as usize]
     }
 
+    /// A memory blade (for functional data inspection).
+    pub fn memory(&self, blade: u16) -> &MemoryBlade {
+        &self.memory[blade as usize]
+    }
+
+    /// What the memory blades store for the page holding `vaddr`, if
+    /// anything (an inspection: no traffic, no counters).
+    pub fn stored_page(&self, vaddr: u64) -> Option<&PageData> {
+        let pa = self.translation.resolve(page_base(vaddr))?;
+        self.memory.get(pa.blade as usize)?.peek(pa.page())
+    }
+
     /// Mutable cache access.
     pub fn cache_mut(&mut self, blade: u16) -> &mut DramCache {
         &mut self.caches[blade as usize]
@@ -1128,13 +1140,14 @@ impl CoherenceEngine {
     /// region and remove the directory entry (§4.4).
     pub fn reset_region(&mut self, now: SimTime, base: u64, k: u8) -> SimTime {
         let mut done = now;
+        let mut outcome = std::mem::take(&mut self.inval_scratch);
         for b in 0..self.n_compute() {
             if self.failed[b as usize] {
                 continue;
             }
-            let outcome = self.caches[b as usize].invalidate_region(base, k, false);
+            self.caches[b as usize].invalidate_region_into(base, k, false, &mut outcome);
             let mut t = now + self.lat.invalidation_service;
-            for (page, data) in outcome.flushed {
+            for (page, data) in outcome.flushed.drain(..) {
                 if let Ok(fin) = self.writeback(t, b, page, data) {
                     t = fin;
                 }
@@ -1142,8 +1155,33 @@ impl CoherenceEngine {
             }
             done = done.max(t);
         }
+        self.inval_scratch = outcome;
         self.directory.remove(base);
         done
+    }
+
+    /// Drops what the memory blades store for `[base, base + len)`: the
+    /// control plane freed the extent, and its next owner must read zeros.
+    pub fn free_backing(&mut self, base: u64, len: u64) {
+        if !self.cfg.carry_data {
+            return; // Nothing is ever stored.
+        }
+        if self.translation.outlier_count() == 0 {
+            // Range partition alone: an extent is one run of one blade's
+            // frames.
+            if let Some(pa) = self.translation.partition_of(base) {
+                self.memory[pa.blade as usize].free_range(pa.page(), len / PAGE_SIZE);
+            }
+            return;
+        }
+        for page in (base..base + len).step_by(PAGE_SIZE as usize) {
+            let Some(pa) = self.translation.resolve(page) else {
+                continue;
+            };
+            if let Some(blade) = self.memory.get_mut(pa.blade as usize) {
+                blade.free_range(pa.page(), 1);
+            }
+        }
     }
 
     /// Cache-bypass path when no directory slot can be made available: the

@@ -12,8 +12,7 @@
 //! PID, sharing the address space through the in-switch tables; placement is
 //! round-robin (the paper does not innovate on scheduling, §6.1).
 
-use std::collections::HashMap;
-
+use mind_sim::hash::FastMap;
 use mind_sim::SimTime;
 use mind_switch::control::ControlPlane;
 
@@ -48,18 +47,62 @@ impl std::fmt::Display for SysError {
 
 impl std::error::Error for SysError {}
 
+/// One live vma of a process: where it starts and the class it is granted
+/// with (its reserved extent is the allocator's to know).
+#[derive(Debug, Clone, Copy)]
+struct Mapping {
+    base: u64,
+    pc: PermClass,
+}
+
 /// Control-plane record of a process (`task_struct` + `mm_struct`).
 #[derive(Debug, Clone)]
 pub struct Process {
     /// Process id (also the protection domain id).
     pub pid: Pid,
-    /// Live vmas, in allocation order.
-    pub vmas: Vec<Vma>,
+    /// Live vmas in allocation order: `first`, then `rest`. A process with
+    /// one vma — every service tenant — keeps it inline and owns no heap.
+    first: Option<Mapping>,
+    rest: Vec<Mapping>,
     /// Compute blades hosting this process's threads.
     pub blades: Vec<u16>,
 }
 
-/// A grant record, kept for backup-switch reconstruction (§4.4).
+impl Process {
+    fn mappings(&self) -> impl Iterator<Item = &Mapping> {
+        self.first.iter().chain(&self.rest)
+    }
+
+    fn mapping_mut(&mut self, base: u64) -> Option<&mut Mapping> {
+        self.first
+            .iter_mut()
+            .chain(&mut self.rest)
+            .find(|m| m.base == base)
+    }
+
+    fn map(&mut self, mapping: Mapping) {
+        if self.first.is_none() {
+            self.first = Some(mapping);
+        } else {
+            self.rest.push(mapping);
+        }
+    }
+
+    /// Forgets the vma at `base`; whether there was one.
+    fn unmap(&mut self, base: u64) -> bool {
+        let Some(idx) = self.mappings().position(|m| m.base == base) else {
+            return false;
+        };
+        if idx > 0 {
+            self.rest.remove(idx - 1);
+        } else {
+            self.first = (!self.rest.is_empty()).then(|| self.rest.remove(0));
+        }
+        true
+    }
+}
+
+/// A grant, as the backup switch replays it (§4.4).
 #[derive(Debug, Clone, Copy)]
 pub struct GrantRecord {
     /// Protection domain.
@@ -74,12 +117,11 @@ pub struct GrantRecord {
 #[derive(Debug)]
 pub struct Controller {
     galloc: GlobalAllocator,
-    processes: HashMap<Pid, Process>,
+    processes: FastMap<Pid, Process>,
     next_pid: Pid,
     control: ControlPlane,
     rr_next_blade: u16,
     n_compute: u16,
-    grants: Vec<GrantRecord>,
 }
 
 impl Controller {
@@ -94,12 +136,11 @@ impl Controller {
     ) -> Self {
         Controller {
             galloc: GlobalAllocator::new(n_memory, blade_span),
-            processes: HashMap::new(),
+            processes: FastMap::default(),
             next_pid: 1,
             control: ControlPlane::new(syscall_cost, rule_install_cost),
             rr_next_blade: 0,
             n_compute,
-            grants: Vec::new(),
         }
     }
 
@@ -112,7 +153,8 @@ impl Controller {
             pid,
             Process {
                 pid,
-                vmas: Vec::new(),
+                first: None,
+                rest: Vec::new(),
                 blades: Vec::new(),
             },
         );
@@ -182,16 +224,10 @@ impl Controller {
             return Err(SysError::NoMem);
         }
         self.control.install_rule();
-        self.grants.push(GrantRecord {
-            pdid: pid,
-            vma: reserved,
-            pc,
-        });
         self.processes
             .get_mut(&pid)
             .expect("checked above")
-            .vmas
-            .push(vma);
+            .map(Mapping { base: vma.base, pc });
         Ok(vma)
     }
 
@@ -218,18 +254,13 @@ impl Controller {
     ) -> Result<(), SysError> {
         self.control.handle_syscall();
         let p = self.processes.get_mut(&pid).ok_or(SysError::NoProcess)?;
-        let idx = p
-            .vmas
-            .iter()
-            .position(|v| v.base == base)
-            .ok_or(SysError::Fault)?;
-        let vma = p.vmas.remove(idx);
+        if !p.unmap(base) {
+            return Err(SysError::Fault);
+        }
         let reserved_len = self.galloc.reserved_size(base).ok_or(SysError::Fault)?;
         let reserved = Vma::new(base, reserved_len);
         engine.protection.revoke(pid, reserved);
         self.control.remove_rule();
-        self.grants
-            .retain(|g| !(g.pdid == pid && g.vma.base == base));
         // Tear down directory entries covering the vma, flushing caches.
         let mut addr = reserved.base;
         while addr < reserved.end() {
@@ -242,7 +273,7 @@ impl Controller {
             }
         }
         self.galloc.dealloc(base);
-        let _ = vma;
+        engine.free_backing(reserved.base, reserved.len);
         Ok(())
     }
 
@@ -281,10 +312,8 @@ impl Controller {
                 None => addr += mind_blade::PAGE_SIZE,
             }
         }
-        for g in &mut self.grants {
-            if g.pdid == pid && g.vma.base == base {
-                g.pc = pc;
-            }
+        if let Some(m) = self.processes.get_mut(&pid).and_then(|p| p.mapping_mut(base)) {
+            m.pc = pc;
         }
         Ok(())
     }
@@ -297,10 +326,10 @@ impl Controller {
         pid: Pid,
     ) -> Result<(), SysError> {
         self.control.handle_syscall();
-        let p = self.processes.get(&pid).ok_or(SysError::NoProcess)?;
-        let bases: Vec<u64> = p.vmas.iter().map(|v| v.base).collect();
-        for base in bases {
-            self.munmap(engine, now, pid, base)?;
+        loop {
+            let p = self.processes.get(&pid).ok_or(SysError::NoProcess)?;
+            let Some(oldest) = p.first else { break };
+            self.munmap(engine, now, pid, oldest.base)?;
         }
         self.processes.remove(&pid);
         Ok(())
@@ -331,9 +360,19 @@ impl Controller {
         &mut self.control
     }
 
-    /// Grant records for backup-switch reconstruction.
-    pub fn grants(&self) -> &[GrantRecord] {
-        &self.grants
+    /// The grant log the backup switch reconstructs protection from: every
+    /// live vma of every process, each process's in allocation order.
+    pub fn grants(&self) -> impl Iterator<Item = GrantRecord> + '_ {
+        self.processes.values().flat_map(move |p| {
+            p.mappings().map(move |m| {
+                let reserved = self.galloc.reserved_size(m.base);
+                GrantRecord {
+                    pdid: p.pid,
+                    vma: Vma::new(m.base, reserved.expect("a live vma is allocated")),
+                    pc: m.pc,
+                }
+            })
+        })
     }
 }
 
@@ -414,7 +453,7 @@ mod tests {
             !eng.protection.check(pid + 1, vma.base, AccessKind::Read),
             "other domains denied"
         );
-        assert_eq!(ctl.grants().len(), 1);
+        assert_eq!(ctl.grants().count(), 1);
     }
 
     #[test]
@@ -498,7 +537,29 @@ mod tests {
         ctl.exit(&mut eng, SimTime::ZERO, pid).unwrap();
         assert_eq!(ctl.process_count(), 0);
         assert_eq!(ctl.allocator().live_allocations(), 0);
-        assert_eq!(ctl.grants().len(), 0);
+        assert_eq!(ctl.grants().count(), 0);
+    }
+
+    #[test]
+    fn vmas_unmap_in_any_order_and_the_grant_log_follows() {
+        let (mut ctl, mut eng) = setup();
+        let pid = ctl.exec();
+        let v: Vec<u64> = (0..4)
+            .map(|_| ctl.mmap(&mut eng, pid, 4096, PermClass::ReadWrite).unwrap().base)
+            .collect();
+        let now = SimTime::ZERO;
+        ctl.munmap(&mut eng, now, pid, v[2]).unwrap();
+        ctl.munmap(&mut eng, now, pid, v[0]).unwrap(); // The inline one.
+        assert_eq!(ctl.munmap(&mut eng, now, pid, v[0]), Err(SysError::Fault));
+        ctl.mprotect(&mut eng, now, pid, v[3], PermClass::ReadOnly).unwrap();
+        let log: Vec<_> = ctl.grants().map(|g| (g.pdid, g.vma.base, g.pc)).collect();
+        assert_eq!(
+            log,
+            [(pid, v[1], PermClass::ReadWrite), (pid, v[3], PermClass::ReadOnly)],
+            "allocation order, current classes"
+        );
+        ctl.exit(&mut eng, now, pid).unwrap();
+        assert_eq!(ctl.allocator().live_allocations(), 0);
     }
 
     #[test]

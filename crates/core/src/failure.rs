@@ -82,7 +82,7 @@ pub fn switch_failover(
     // Replay protection rules from the replicated grant log. (Translation
     // needs no replay: the blade-range partition is config, not state.)
     let mut replayed = 0;
-    for g in controller.grants().to_vec() {
+    for g in controller.grants() {
         // The grant may target a TCAM that already holds the entry (we reuse
         // the same engine object as "the backup"); revoke first for
         // idempotence.

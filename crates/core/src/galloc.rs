@@ -185,17 +185,23 @@ impl GlobalAllocator {
         );
         let size = pow2_alloc_size(len);
         // Least-allocated blade first (P2: global view); ties by index for
-        // determinism.
-        let mut order: Vec<u16> = blades.collect();
-        order.sort_by_key(|&b| (self.blades[b as usize].allocated(), b));
-        for blade in order {
+        // determinism. A blade that cannot fit the request keeps its load,
+        // so "the next key above the last one tried" walks the same order a
+        // sort would.
+        let mut tried = None;
+        loop {
+            let (load, blade) = blades
+                .clone()
+                .map(|b| (self.blades[b as usize].allocated(), b))
+                .filter(|&key| tried.is_none_or(|t| key > t))
+                .min()?;
             if let Some(offset) = self.blades[blade as usize].alloc(size) {
                 let base = VA_BASE + blade as u64 * self.blade_span + offset;
                 self.allocations.insert(base, Allocation { blade, size });
                 return Some(Vma::new(base, len));
             }
+            tried = Some((load, blade));
         }
-        None
     }
 
     /// Frees the vma based at `base`; returns `false` if unknown.

@@ -63,6 +63,8 @@
 //! # let _ = AccessKind::Read;
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod addr;
 pub mod cluster;
 pub mod coherence;

@@ -200,21 +200,16 @@ impl ProtectionTable {
             vma.len,
         );
         let pieces = pow2_cover(vma.base, vma.len);
-        let mut installed = Vec::new();
-        for &(base, k) in &pieces {
-            let row = Row::new(base, k, pc);
-            match self.insert_row(pdid, row) {
-                Ok(()) => installed.push(row),
-                Err(full) => {
-                    for r in installed {
-                        self.remove_row(pdid, r.base(), r.size_log2());
-                    }
-                    return Err(full);
+        for (installed, (base, k)) in pieces.clone().enumerate() {
+            if let Err(full) = self.insert_row(pdid, Row::new(base, k, pc)) {
+                for (base, k) in pieces.take(installed) {
+                    self.remove_row(pdid, base, k);
                 }
+                return Err(full);
             }
         }
-        for row in installed {
-            self.coalesce_from(pdid, row.base(), row.size_log2());
+        for (base, k) in pieces {
+            self.coalesce_from(pdid, base, k);
         }
         Ok(())
     }

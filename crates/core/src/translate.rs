@@ -29,7 +29,9 @@ pub struct OutlierTarget {
 #[derive(Debug, Clone)]
 pub struct TranslationTable {
     n_blades: u16,
-    blade_span: u64,
+    /// log2 of the (power-of-two) span, so the partition is a shift and a
+    /// mask, as it is in the switch pipeline.
+    span_log2: u32,
     outliers: Tcam<OutlierTarget>,
 }
 
@@ -40,7 +42,7 @@ impl TranslationTable {
         assert!(blade_span.is_power_of_two(), "blade span must be pow2");
         TranslationTable {
             n_blades,
-            blade_span,
+            span_log2: blade_span.trailing_zeros(),
             outliers: Tcam::new(tcam_capacity),
         }
     }
@@ -51,14 +53,22 @@ impl TranslationTable {
     /// blade-range partition. Returns `None` for addresses outside the
     /// space.
     pub fn translate(&mut self, vaddr: u64) -> Option<PhysAddr> {
-        if let Some((entry, target)) = self.outliers.lookup(0, vaddr) {
-            let within = vaddr - entry.base;
-            return Some(PhysAddr {
-                blade: target.blade,
-                offset: target.pa_base + within,
-            });
-        }
-        self.partition_of(vaddr)
+        let redirected = Self::redirect(self.outliers.lookup(0, vaddr), vaddr);
+        redirected.or_else(|| self.partition_of(vaddr))
+    }
+
+    /// [`TranslationTable::translate`] as the control plane sees it: the
+    /// same answer without counting a data-plane TCAM lookup.
+    pub fn resolve(&self, vaddr: u64) -> Option<PhysAddr> {
+        Self::redirect(self.outliers.peek_lookup(0, vaddr), vaddr)
+            .or_else(|| self.partition_of(vaddr))
+    }
+
+    fn redirect(hit: Option<(TcamEntry, &OutlierTarget)>, vaddr: u64) -> Option<PhysAddr> {
+        hit.map(|(entry, target)| PhysAddr {
+            blade: target.blade,
+            offset: target.pa_base + (vaddr - entry.base),
+        })
     }
 
     /// The range-partition translation alone — pure arithmetic, no TCAM.
@@ -73,13 +83,13 @@ impl TranslationTable {
             return None;
         }
         let rel = vaddr - VA_BASE;
-        let blade = rel / self.blade_span;
+        let blade = rel >> self.span_log2;
         if blade >= self.n_blades as u64 {
             return None;
         }
         Some(PhysAddr {
             blade: blade as u16,
-            offset: rel % self.blade_span,
+            offset: rel & ((1u64 << self.span_log2) - 1),
         })
     }
 
@@ -97,31 +107,27 @@ impl TranslationTable {
         pa_base: u64,
     ) -> Result<usize, TcamFull> {
         let pieces = pow2_cover(va_base, len);
-        let mut installed = Vec::new();
-        for &(base, k) in &pieces {
-            let entry = TcamEntry::new(0, base, k);
+        let mut installed = 0;
+        for (base, k) in pieces.clone() {
             let target = OutlierTarget {
                 blade,
                 pa_base: pa_base + (base - va_base),
             };
-            match self.outliers.insert(entry, target) {
-                Ok(_) => installed.push(entry),
-                Err(full) => {
-                    for e in installed {
-                        self.outliers.remove(&e);
-                    }
-                    return Err(full);
+            if let Err(full) = self.outliers.insert(TcamEntry::new(0, base, k), target) {
+                for (base, k) in pieces.take(installed) {
+                    self.outliers.remove(&TcamEntry::new(0, base, k));
                 }
+                return Err(full);
             }
+            installed += 1;
         }
-        Ok(pieces.len())
+        Ok(installed)
     }
 
     /// Removes the outlier entries covering `[va_base, va_base + len)`.
     /// Returns the number of entries removed.
     pub fn remove_outlier(&mut self, va_base: u64, len: u64) -> usize {
         pow2_cover(va_base, len)
-            .into_iter()
             .filter(|&(base, k)| self.outliers.remove(&TcamEntry::new(0, base, k)).is_some())
             .count()
     }

@@ -29,6 +29,8 @@
 //! symmetric partitions for the deterministic sharded replay in
 //! `mind_workloads::shard`.
 
+#![forbid(unsafe_code)]
+
 pub mod admission;
 pub mod elastic;
 pub mod qos;

@@ -16,7 +16,7 @@
 //! produces the same [`ServiceReport`], which is what lets the harness
 //! fan service scenarios across worker threads.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use mind_core::addr::pow2_alloc_size;
 use mind_core::cluster::{MindCluster, MindConfig};
@@ -228,13 +228,32 @@ enum Event {
     Rebalance,
 }
 
+/// The live tenant in `slot` of the slot table.
+fn tenant_in(slots: &mut [Option<Tenant>], slot: u32) -> &mut Tenant {
+    slots[slot as usize]
+        .as_mut()
+        .expect("listed tenant is live")
+}
+
 /// The multi-tenant memory service.
 #[derive(Debug)]
 pub struct MemoryService {
     cfg: ServiceConfig,
     cluster: MindCluster,
     rng: SimRng,
-    tenants: BTreeMap<TenantId, Tenant>,
+    /// Live tenants in a dense slot table; a departed tenant's slot is
+    /// handed to the next admission.
+    slots: Vec<Option<Tenant>>,
+    free_slots: Vec<u32>,
+    /// The live tenants as `(id, slot)`, ascending by id. Ids are handed
+    /// out in admission order, so an admission appends.
+    live: Vec<(TenantId, u32)>,
+    /// Per class, the tenants with a non-empty queue as `(id, slot)`,
+    /// ascending by id: kept current at submit, queue drain and departure,
+    /// so a quantum never walks the tenants that have nothing to serve.
+    ready: [Vec<(TenantId, u32)>; 3],
+    /// Per class, requests queued across its tenants.
+    queued: [u64; 3],
     next_tenant_id: TenantId,
     queue: EventQueue<Event>,
     wrr_cursor: [usize; 3],
@@ -248,8 +267,10 @@ pub struct MemoryService {
     peak_live: usize,
     /// Reusable quantum batch (cleared each dispatch, keeps allocations).
     quantum: OpBatch,
-    /// Reusable grant list paired with `quantum`.
-    grants: Vec<(TenantId, usize, PendingRequest)>,
+    /// Reusable grant list paired with `quantum`: `(slot, class, request)`.
+    grants: Vec<(u32, usize, PendingRequest)>,
+    /// Reusable list of the ready-list positions a quantum drained.
+    drained: Vec<usize>,
     /// Per-class windowed telemetry, present only when the rack traces.
     class_series: Option<[WindowSeries; 3]>,
 }
@@ -270,7 +291,11 @@ impl MemoryService {
             class_series,
             rng: SimRng::new(cfg.seed),
             cfg,
-            tenants: BTreeMap::new(),
+            slots: Vec::new(),
+            free_slots: Vec::new(),
+            live: Vec::new(),
+            ready: Default::default(),
+            queued: [0; 3],
             next_tenant_id: 1,
             queue: EventQueue::new(),
             wrr_cursor: [0; 3],
@@ -284,6 +309,7 @@ impl MemoryService {
             peak_live: 0,
             quantum: OpBatch::fixed().with_window(cfg.window),
             grants: Vec::new(),
+            drained: Vec::new(),
         }
     }
 
@@ -303,20 +329,34 @@ impl MemoryService {
         &mut self.cluster
     }
 
-    /// The control lane service events trace on: one past the rack's last
-    /// compute blade.
-    fn control_lane(&self) -> u32 {
-        self.cfg.rack.n_compute as u32
+    /// Records a service event on the control lane: one past the rack's
+    /// last compute blade.
+    fn trace_control(&mut self, now: SimTime, kind: EventKind, a: u64, b: u64) {
+        let lane = self.cfg.rack.n_compute as u32;
+        self.cluster
+            .trace()
+            .record(now, lane, kind, SimTime::ZERO, a, b);
     }
 
     /// Live tenant ids, in admission order.
     pub fn live_tenants(&self) -> Vec<TenantId> {
-        self.tenants.keys().copied().collect()
+        self.live.iter().map(|&(id, _)| id).collect()
     }
 
     /// A live tenant.
     pub fn tenant(&self, id: TenantId) -> Option<&Tenant> {
-        self.tenants.get(&id)
+        self.slots[self.slot_of(id)? as usize].as_ref()
+    }
+
+    /// Where `id` sits in `list` (ascending by id), or where it would go.
+    fn position(list: &[(TenantId, u32)], id: TenantId) -> Result<usize, usize> {
+        list.binary_search_by_key(&id, |&(listed, _)| listed)
+    }
+
+    /// The slot of a live tenant.
+    fn slot_of(&self, id: TenantId) -> Option<u32> {
+        let at = Self::position(&self.live, id).ok()?;
+        Some(self.live[at].1)
     }
 
     // ----- Scripted control plane (tests and the event loop share it) -----
@@ -339,15 +379,7 @@ impl MemoryService {
         let footprint_frac = pow2_alloc_size(pages << 12) as f64 / capacity as f64;
         if let Err(e) = admission::admit(self.cluster.memory_utilization(), footprint_frac, qos) {
             self.class_rejected_tenants[qos.index()] += 1;
-            let lane = self.control_lane();
-            self.cluster.trace().record(
-                now,
-                lane,
-                EventKind::TenantReject,
-                SimTime::ZERO,
-                qos.index() as u64,
-                0,
-            );
+            self.trace_control(now, EventKind::TenantReject, qos.index() as u64, 0);
             return Err(e);
         }
         let pid = self.cluster.exec().expect("exec cannot fail");
@@ -357,15 +389,7 @@ impl MemoryService {
                 // Unwind the half-created tenant; its domain leaves nothing.
                 self.cluster.exit(now, pid).expect("fresh pid exists");
                 self.class_rejected_tenants[qos.index()] += 1;
-                let lane = self.control_lane();
-                self.cluster.trace().record(
-                    now,
-                    lane,
-                    EventKind::TenantReject,
-                    SimTime::ZERO,
-                    qos.index() as u64,
-                    0,
-                );
+                self.trace_control(now, EventKind::TenantReject, qos.index() as u64, 0);
                 return Err(AdmitError::RackFull);
             }
         };
@@ -378,38 +402,32 @@ impl MemoryService {
             self.cfg.class_patterns[qos.index()],
             self.rng.fork(),
         );
-        self.tenants.insert(
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            self.slots.len() as u32 - 1
+        });
+        self.live.push((id, slot));
+        self.slots[slot as usize] = Some(Tenant {
             id,
-            Tenant {
-                id,
-                pid,
-                qos,
-                region_base: vma.base,
-                pages,
-                rate_hz,
-                arrived_at: now,
-                workload,
-                queue: VecDeque::new(),
-                blades: vec![first_blade],
-                blades_peak: 1,
-                next_blade: 0,
-                latency: Histogram::new(),
-                ops: 0,
-                rejected: 0,
-                ops_this_epoch: 0,
-            },
-        );
+            pid,
+            qos,
+            region_base: vma.base,
+            pages,
+            rate_hz,
+            arrived_at: now,
+            workload,
+            queue: VecDeque::new(),
+            blades: vec![first_blade],
+            blades_peak: 1,
+            next_blade: 0,
+            latency: Histogram::new(),
+            ops: 0,
+            rejected: 0,
+            ops_this_epoch: 0,
+        });
         self.class_admitted[qos.index()] += 1;
-        self.peak_live = self.peak_live.max(self.tenants.len());
-        let lane = self.control_lane();
-        self.cluster.trace().record(
-            now,
-            lane,
-            EventKind::TenantAdmit,
-            SimTime::ZERO,
-            qos.index() as u64,
-            0,
-        );
+        self.peak_live = self.peak_live.max(self.live.len());
+        self.trace_control(now, EventKind::TenantAdmit, qos.index() as u64, 0);
         Ok(id)
     }
 
@@ -417,10 +435,20 @@ impl MemoryService {
     /// the SLO record is cut, and the process exits — which revokes its
     /// protection grants, tears down directory state, and frees memory.
     pub fn depart(&mut self, now: SimTime, id: TenantId) -> Option<TenantSlo> {
-        let mut t = self.tenants.remove(&id)?;
+        let at = Self::position(&self.live, id).ok()?;
+        let (_, slot) = self.live.remove(at);
+        let mut t = self.slots[slot as usize]
+            .take()
+            .expect("listed tenant is live");
+        self.free_slots.push(slot);
+        let ci = t.qos.index();
         let dropped = t.queue.len() as u64;
+        if let Ok(at) = Self::position(&self.ready[ci], id) {
+            self.ready[ci].remove(at);
+        }
+        self.queued[ci] -= dropped;
         t.rejected += dropped;
-        self.class_rejected_requests[t.qos.index()] += dropped;
+        self.class_rejected_requests[ci] += dropped;
         t.queue.clear();
         self.cluster.exit(now, t.pid).expect("live tenant has a pid");
         debug_assert_eq!(
@@ -431,52 +459,47 @@ impl MemoryService {
         let slo = t.slo(now, true);
         self.slos.push(slo);
         self.departed += 1;
-        let lane = self.control_lane();
-        self.cluster.trace().record(
-            now,
-            lane,
-            EventKind::TenantDepart,
-            SimTime::ZERO,
-            t.qos.index() as u64,
-            0,
-        );
+        self.trace_control(now, EventKind::TenantDepart, ci as u64, 0);
         Some(slo)
     }
 
     /// Enqueues one open-loop request for tenant `id` (rejecting it if the
     /// queue is at its bound). Returns whether it was accepted.
     pub fn submit(&mut self, now: SimTime, id: TenantId) -> bool {
-        let max_depth = self.cfg.max_queue_depth;
-        let Some(t) = self.tenants.get_mut(&id) else {
-            return false;
-        };
-        if t.queue.len() >= max_depth {
+        self.slot_of(id).is_some_and(|slot| self.enqueue(now, slot))
+    }
+
+    /// [`MemoryService::submit`] for the live tenant in `slot`.
+    fn enqueue(&mut self, now: SimTime, slot: u32) -> bool {
+        let t = tenant_in(&mut self.slots, slot);
+        let ci = t.qos.index();
+        if t.queue.len() >= self.cfg.max_queue_depth {
             t.rejected += 1;
-            let qos = t.qos;
-            self.class_rejected_requests[qos.index()] += 1;
-            let lane = self.control_lane();
-            self.cluster.trace().record(
-                now,
-                lane,
-                EventKind::RequestReject,
-                SimTime::ZERO,
-                qos.index() as u64,
-                0,
-            );
+            self.class_rejected_requests[ci] += 1;
+            self.trace_control(now, EventKind::RequestReject, ci as u64, 0);
             return false;
         }
         let op = t.workload.next_op(0);
+        if t.queue.is_empty() {
+            let ready = &mut self.ready[ci];
+            let at = Self::position(ready, t.id).expect_err("an idle tenant is not listed");
+            ready.insert(at, (t.id, slot));
+        }
         t.queue.push_back(PendingRequest {
             enqueued_at: now,
             op,
         });
+        self.queued[ci] += 1;
         true
     }
 
     /// One dispatch quantum: serves up to `slots_per_quantum` queued
     /// requests, split across QoS classes by weighted round-robin (see
     /// [`admission::wrr_shares`]) and within a class round-robin across
-    /// its tenants.
+    /// its tenants: the class's tenants that had a request queued when the
+    /// quantum began, in ascending id, starting where the class's cursor
+    /// left off. A tenant the quantum drains keeps its turn until the
+    /// quantum ends.
     ///
     /// The WRR pass hands out the quantum's *batch grant* — the selected
     /// `(tenant, request)` list — which then executes as one fixed-time
@@ -484,15 +507,7 @@ impl MemoryService {
     /// through the scalar path when [`ServiceConfig::batch_dispatch`] is
     /// off; results are identical either way).
     pub fn dispatch(&mut self, now: SimTime) {
-        let mut pending: [Vec<TenantId>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-        let mut demand = [0u64; 3];
-        for (id, t) in &self.tenants {
-            if !t.queue.is_empty() {
-                pending[t.qos.index()].push(*id);
-                demand[t.qos.index()] += t.queue.len() as u64;
-            }
-        }
-        let shares = admission::wrr_shares(self.cfg.slots_per_quantum, demand);
+        let shares = admission::wrr_shares(self.cfg.slots_per_quantum, self.queued);
 
         // Selection pass: weighted round-robin hands out the quantum's
         // grants. Every request in the grant issues at `now`, so selection
@@ -504,21 +519,25 @@ impl MemoryService {
         batch.clear();
         for class in QosClass::ALL {
             let ci = class.index();
-            let list = &pending[ci];
+            let list = &mut self.ready[ci];
             if list.is_empty() || shares[ci] == 0 {
                 continue;
             }
             let mut budget = shares[ci];
             let mut cursor = self.wrr_cursor[ci] % list.len();
             let mut empty_streak = 0;
+            self.drained.clear();
             while budget > 0 && empty_streak < list.len() {
-                let id = list[cursor];
+                let (at, (_, slot)) = (cursor, list[cursor]);
                 cursor = (cursor + 1) % list.len();
-                let t = self.tenants.get_mut(&id).expect("listed tenant is live");
+                let t = tenant_in(&mut self.slots, slot);
                 let Some(req) = t.queue.pop_front() else {
                     empty_streak += 1;
                     continue;
                 };
+                if t.queue.is_empty() {
+                    self.drained.push(at);
+                }
                 empty_streak = 0;
                 budget -= 1;
                 batch.push(MemOp {
@@ -528,9 +547,16 @@ impl MemoryService {
                     vaddr: t.region_base + req.op.offset,
                     kind: req.op.kind,
                 });
-                grants.push((id, ci, req));
+                grants.push((slot, ci, req));
             }
             self.wrr_cursor[ci] = cursor;
+            self.queued[ci] -= shares[ci] - budget;
+            // Highest position first, so a removal never moves one still
+            // to come.
+            self.drained.sort_unstable_by(|a, b| b.cmp(a));
+            for &at in &self.drained {
+                list.remove(at);
+            }
         }
 
         // Execution pass: the whole quantum through the datapath at once.
@@ -557,8 +583,8 @@ impl MemoryService {
         // latency): at window 1 the issue time is the quantum boundary
         // `now` exactly; deeper windows delay grants that waited for an
         // in-flight slot, and that wait bills to the request.
-        for (i, &(id, ci, ref req)) in grants.iter().enumerate() {
-            let t = self.tenants.get_mut(&id).expect("granted tenant is live");
+        for (i, &(slot, ci, ref req)) in grants.iter().enumerate() {
+            let t = tenant_in(&mut self.slots, slot);
             match batch.result(i) {
                 Ok(outcome) => {
                     let latency = batch.op(i).at.saturating_sub(req.enqueued_at)
@@ -587,18 +613,8 @@ impl MemoryService {
                 }
             }
         }
-        if self.cluster.trace().enabled() {
-            let queued: u64 = self.tenants.values().map(|t| t.queue.len() as u64).sum();
-            let lane = self.control_lane();
-            self.cluster.trace().record(
-                now,
-                lane,
-                EventKind::Dispatch,
-                SimTime::ZERO,
-                grants.len() as u64,
-                queued,
-            );
-        }
+        let queued = self.queued.iter().sum();
+        self.trace_control(now, EventKind::Dispatch, grants.len() as u64, queued);
         self.grants = grants;
         self.quantum = batch;
     }
@@ -649,7 +665,8 @@ impl MemoryService {
         let n_compute = self.cfg.rack.n_compute;
         let epoch = self.cfg.elastic_epoch;
         let capacity_hz = self.cfg.blade_capacity_hz;
-        for t in self.tenants.values_mut() {
+        for &(_, slot) in &self.live {
+            let t = tenant_in(&mut self.slots, slot);
             let target = elastic::target_blades(t.ops_this_epoch, epoch, capacity_hz, n_compute);
             t.ops_this_epoch = 0;
             while (t.blades.len() as u16) < target {
@@ -724,9 +741,9 @@ impl MemoryService {
                     self.depart(at, id);
                 }
                 Event::Request(id) => {
-                    if self.tenants.contains_key(&id) {
-                        self.submit(at, id);
-                        let rate = self.tenants[&id].rate_hz;
+                    if let Some(slot) = self.slot_of(id) {
+                        self.enqueue(at, slot);
+                        let rate = tenant_in(&mut self.slots, slot).rate_hz;
                         let gap = self.exp_gap_rate(rate);
                         self.queue.schedule(at + gap, Event::Request(id));
                     }
@@ -762,10 +779,9 @@ impl MemoryService {
     /// Cuts the final report: still-live tenants contribute SLO records
     /// (not marked departed) and the rack is snapshotted.
     fn finish(mut self, duration: SimTime) -> ServiceReport {
-        let live: Vec<TenantId> = self.tenants.keys().copied().collect();
-        let tenants_live = live.len() as u64;
-        for id in live {
-            let slo = self.tenants[&id].slo(duration, false);
+        let tenants_live = self.live.len() as u64;
+        for &(_, slot) in &self.live {
+            let slo = tenant_in(&mut self.slots, slot).slo(duration, false);
             self.slos.push(slo);
         }
         // Ids are assigned monotonically, so this is admission order (the
@@ -806,6 +822,79 @@ impl MemoryService {
             timeseries: self.class_series,
             trace,
         }
+    }
+}
+
+#[cfg(test)]
+impl MemoryService {
+    /// The dispatcher this one replaced, kept as its order oracle: walk
+    /// every live tenant in id order, list per class the ones with a queue,
+    /// hand each class's share out round-robin from its cursor. Returns the
+    /// tenants the next quantum must grant, in grant order, the cursors it
+    /// must leave, and how often it came back to a tenant it had drained.
+    /// Reads the slot table only, none of the ready lists.
+    fn oracle_grants(&self) -> (Vec<TenantId>, [usize; 3], usize) {
+        use std::collections::BTreeMap;
+        let mut tenants: BTreeMap<TenantId, (usize, usize)> = self
+            .slots
+            .iter()
+            .flatten()
+            .map(|t| (t.id, (t.qos.index(), t.queue.len())))
+            .collect();
+        let mut pending: [Vec<TenantId>; 3] = Default::default();
+        let mut demand = [0u64; 3];
+        for (&id, &(ci, queued)) in &tenants {
+            if queued > 0 {
+                pending[ci].push(id);
+                demand[ci] += queued as u64;
+            }
+        }
+        let shares = admission::wrr_shares(self.cfg.slots_per_quantum, demand);
+        let mut cursors = self.wrr_cursor;
+        let (mut granted, mut revisits) = (Vec::new(), 0);
+        for ci in 0..3 {
+            let list = &pending[ci];
+            if list.is_empty() || shares[ci] == 0 {
+                continue;
+            }
+            let mut budget = shares[ci];
+            let mut cursor = cursors[ci] % list.len();
+            let mut empty_streak = 0;
+            while budget > 0 && empty_streak < list.len() {
+                let id = list[cursor];
+                cursor = (cursor + 1) % list.len();
+                let queued = &mut tenants.get_mut(&id).expect("listed").1;
+                if *queued == 0 {
+                    empty_streak += 1;
+                    revisits += 1;
+                    continue;
+                }
+                *queued -= 1;
+                empty_streak = 0;
+                budget -= 1;
+                granted.push(id);
+            }
+            cursors[ci] = cursor;
+        }
+        (granted, cursors, revisits)
+    }
+
+    /// The ready lists and queue counters say exactly what the slot table
+    /// says.
+    fn assert_ready_lists_current(&self) {
+        let mut ready: [Vec<(TenantId, u32)>; 3] = Default::default();
+        let mut queued = [0u64; 3];
+        for &(id, slot) in &self.live {
+            let t = self.slots[slot as usize].as_ref().expect("listed");
+            assert_eq!(t.id, id);
+            if !t.queue.is_empty() {
+                ready[t.qos.index()].push((id, slot));
+                queued[t.qos.index()] += t.queue.len() as u64;
+            }
+        }
+        assert_eq!(self.ready, ready);
+        assert_eq!(self.queued, queued);
+        assert_eq!(self.live.len(), self.slots.iter().flatten().count());
     }
 }
 
@@ -950,6 +1039,65 @@ mod tests {
             assert_eq!(x.ops, y.ops);
             assert_eq!(x.p999_ns, y.p999_ns);
         }
+    }
+
+    /// Random admit / submit / depart / dispatch scripts: every quantum
+    /// grants exactly the tenants, in exactly the order, the per-quantum
+    /// walk of all tenants would have, and leaves the same cursors.
+    #[test]
+    fn ready_lists_grant_in_the_order_of_the_per_quantum_walk() {
+        let (mut quanta, mut drained_revisits, mut queued_departures) = (0, 0, 0);
+        for seed in 0..12 {
+            let mut rng = SimRng::new(seed);
+            let mut svc = MemoryService::new(ServiceConfig {
+                slots_per_quantum: 1 + seed as u32 % 7,
+                max_queue_depth: 6,
+                ..quick_cfg()
+            });
+            let mut now = SimTime::ZERO;
+            for _ in 0..1_500 {
+                now += SimTime::from_micros(1);
+                let live = svc.live_tenants();
+                let pick = |rng: &mut SimRng| live[rng.gen_below(live.len() as u64) as usize];
+                match rng.gen_below(10) {
+                    0 if live.len() < 24 => {
+                        let qos = QosClass::ALL[rng.gen_below(3) as usize];
+                        svc.admit(now, qos, 16, 1_000.0).unwrap();
+                    }
+                    1 if !live.is_empty() => {
+                        let id = pick(&mut rng);
+                        if !svc.tenant(id).unwrap().queue.is_empty() {
+                            queued_departures += 1;
+                        }
+                        svc.depart(now, id).unwrap();
+                    }
+                    2..=6 if !live.is_empty() => {
+                        // Bursts, so that queues both build up and run dry.
+                        let id = pick(&mut rng);
+                        for _ in 0..rng.gen_below(4) {
+                            svc.submit(now, id);
+                        }
+                    }
+                    _ => {
+                        let (expected, cursors, revisits) = svc.oracle_grants();
+                        svc.dispatch(now);
+                        let granted: Vec<TenantId> = svc
+                            .grants
+                            .iter()
+                            .map(|&(slot, ..)| svc.slots[slot as usize].as_ref().unwrap().id)
+                            .collect();
+                        assert_eq!(granted, expected, "seed {seed} at {now:?}");
+                        assert_eq!(svc.wrr_cursor, cursors, "seed {seed} at {now:?}");
+                        quanta += !granted.is_empty() as u32;
+                        drained_revisits += revisits;
+                    }
+                }
+                svc.assert_ready_lists_current();
+            }
+        }
+        assert!(quanta > 1_000, "{quanta} quanta granted something");
+        assert!(drained_revisits > 100, "{drained_revisits} turns of a drained tenant");
+        assert!(queued_departures > 20, "{queued_departures} departures with a queue");
     }
 
     #[test]

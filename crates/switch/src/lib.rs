@@ -16,6 +16,8 @@
 //! so that every entry they consume is counted against realistic capacities
 //! (30 k directory slots, 45 k match-action rules — Figure 8).
 
+#![forbid(unsafe_code)]
+
 pub mod control;
 pub mod mau;
 pub mod pipeline;

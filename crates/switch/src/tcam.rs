@@ -219,31 +219,32 @@ impl<V> Tcam<V> {
 }
 
 /// Decomposes `[base, base + len)` into the minimal set of power-of-two
-/// aligned ranges, returned as `(base, size_log2)` pairs in address order.
+/// aligned ranges, yielded as `(base, size_log2)` pairs in address order.
 ///
 /// For a power-of-two aligned allocation (MIND's control plane only makes
-/// those, §4.2) this returns exactly one range; for arbitrary ranges the
+/// those, §4.2) this yields exactly one range; for arbitrary ranges the
 /// count is bounded by `2 · log2(len)`.
 ///
 /// # Panics
 ///
 /// Panics if `len == 0` or the range overflows the address space.
-pub fn pow2_cover(base: u64, len: u64) -> Vec<(u64, u8)> {
+pub fn pow2_cover(base: u64, len: u64) -> impl Iterator<Item = (u64, u8)> + Clone {
     assert!(len > 0, "empty range");
     assert!(base.checked_add(len).is_some(), "range overflows");
-    let mut out = Vec::new();
-    let mut cur = base;
-    let mut remaining = len;
-    while remaining > 0 {
+    let (mut cur, mut remaining) = (base, len);
+    std::iter::from_fn(move || {
+        if remaining == 0 {
+            return None;
+        }
         // Largest size that is aligned at `cur` and fits in `remaining`.
         let align = if cur == 0 { 63 } else { cur.trailing_zeros() };
         let fit = 63 - remaining.leading_zeros();
         let k = align.min(fit) as u8;
-        out.push((cur, k));
+        let piece = (cur, k);
         cur += 1u64 << k;
         remaining -= 1u64 << k;
-    }
-    out
+        Some(piece)
+    })
 }
 
 #[cfg(test)]
@@ -340,14 +341,14 @@ mod tests {
 
     #[test]
     fn pow2_cover_power_of_two_is_single_entry() {
-        assert_eq!(pow2_cover(0x4000, 0x4000), vec![(0x4000, 14)]);
-        assert_eq!(pow2_cover(0, 1 << 30), vec![(0, 30)]);
+        assert!(pow2_cover(0x4000, 0x4000).eq([(0x4000, 14)]));
+        assert!(pow2_cover(0, 1 << 30).eq([(0, 30)]));
     }
 
     #[test]
     fn pow2_cover_unaligned_range() {
         // [0x1000, 0x1000 + 0x3000) = 4K + 8K pieces.
-        let cover = pow2_cover(0x1000, 0x3000);
+        let cover: Vec<_> = pow2_cover(0x1000, 0x3000).collect();
         assert_eq!(cover, vec![(0x1000, 12), (0x2000, 13)]);
         // Pieces tile the range exactly.
         let total: u64 = cover.iter().map(|&(_, k)| 1u64 << k).sum();
@@ -361,7 +362,7 @@ mod tests {
             (0x1000, 0xF000),
             (4096, 12288),
         ] {
-            let cover = pow2_cover(base, len);
+            let cover: Vec<_> = pow2_cover(base, len).collect();
             let bound = 2 * (64 - len.leading_zeros()) as usize;
             assert!(
                 cover.len() <= bound,
@@ -382,7 +383,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty range")]
     fn pow2_cover_rejects_empty() {
-        pow2_cover(0x1000, 0);
+        let _ = pow2_cover(0x1000, 0);
     }
 
     #[test]

@@ -23,7 +23,7 @@ proptest! {
     fn pow2_cover_tiles_exactly(base in 0u64..(1 << 40), len in 1u64..(1 << 30)) {
         let base = base & !0xFFF;
         let len = (len + 0xFFF) & !0xFFF;
-        let pieces = pow2_cover(base, len);
+        let pieces: Vec<_> = pow2_cover(base, len).collect();
         let mut cursor = base;
         for &(b, k) in &pieces {
             prop_assert_eq!(b, cursor, "contiguous");

@@ -2,13 +2,107 @@
 //! subsystem: under any interleaving of tenant arrivals, departures, and
 //! accesses, a tenant can only ever reach memory inside its own
 //! protection domain, and a departed tenant leaves no residue in the
-//! switch (TCAM entries, allocated memory).
+//! switch (TCAM entries, allocated memory) or in the memory blades (the
+//! bytes it wrote).
 
 use proptest::prelude::*;
 
+use mind::core::cluster::{MindCluster, MindConfig};
 use mind::core::system::AccessKind;
 use mind::service::{MemoryService, QosClass, ServiceConfig};
 use mind::sim::SimTime;
+
+/// A departed tenant's bytes do not outlive it: the allocator hands the
+/// next tenant the same extent, and the extent reads zeros.
+#[test]
+fn a_new_tenant_reads_zeros_where_a_departed_one_wrote() {
+    let mut rack = MindCluster::new(MindConfig::small());
+    let pid_a = rack.exec().unwrap();
+    let va = rack.mmap(pid_a, 1 << 16).unwrap();
+    rack.write_bytes(SimTime::ZERO, 0, pid_a, va, b"tenant-a-secret")
+        .unwrap();
+    rack.exit(SimTime::from_micros(100), pid_a).unwrap();
+
+    let pid_b = rack.exec().unwrap();
+    let vb = rack.mmap(pid_b, 1 << 16).unwrap();
+    assert_eq!(vb, va, "the freed extent is handed out again");
+    let read = rack
+        .read_bytes(SimTime::from_micros(200), 1, pid_b, vb, 15)
+        .unwrap();
+    assert_eq!(
+        read,
+        [0; 15],
+        "the new tenant read {:?}",
+        String::from_utf8_lossy(&read)
+    );
+}
+
+/// How many pages of `[base, base + pages * 4 KiB)` a memory blade holds
+/// bytes for.
+fn stored_pages(svc: &MemoryService, base: u64, pages: u64) -> usize {
+    let engine = svc.cluster().engine();
+    (0..pages)
+        .filter(|p| engine.stored_page(base + (p << 12)).is_some())
+        .count()
+}
+
+/// Under churn the memory blades hold pages of live tenants only: blade
+/// caches small enough that dirty pages are written back while their tenant
+/// still runs, a departure checked the moment it happens, and an empty rack
+/// at the end.
+#[test]
+fn a_churned_service_keeps_no_pages_of_departed_tenants() {
+    let mut cfg = ServiceConfig::default();
+    cfg.rack.cache_pages = 32;
+    let mut svc = MemoryService::new(cfg);
+    let populated = |svc: &MemoryService| -> usize {
+        (0..cfg.rack.n_memory)
+            .map(|b| svc.cluster().engine().memory(b).pages_populated())
+            .sum()
+    };
+    let mut now = SimTime::ZERO;
+    let mut written_back_live = 0;
+    for round in 0..60u64 {
+        while svc.live_tenants().len() < 6 {
+            let qos = QosClass::ALL[(round % 3) as usize];
+            svc.admit(now, qos, 48 + round, 10_000.0).unwrap();
+        }
+        for _ in 0..80 {
+            now += SimTime::from_micros(20);
+            for id in svc.live_tenants() {
+                svc.submit(now, id);
+            }
+            svc.dispatch(now);
+        }
+        let live = svc.live_tenants();
+        let leaving = live[round as usize % live.len()];
+        let (base, pages) = {
+            let t = svc.tenant(leaving).unwrap();
+            (t.region_base, t.pages)
+        };
+        written_back_live += stored_pages(&svc, base, pages);
+        svc.depart(now, leaving).unwrap();
+        assert_eq!(
+            stored_pages(&svc, base, pages),
+            0,
+            "tenant {leaving} left pages behind"
+        );
+        let live_pages: u64 = svc
+            .live_tenants()
+            .iter()
+            .map(|&id| svc.tenant(id).unwrap().pages)
+            .sum();
+        assert!(populated(&svc) as u64 <= live_pages);
+    }
+    assert!(
+        written_back_live > 500,
+        "only {written_back_live} pages were ever written back"
+    );
+    for id in svc.live_tenants() {
+        svc.depart(now, id).unwrap();
+    }
+    assert_eq!(populated(&svc), 0, "an empty rack stores nothing");
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
