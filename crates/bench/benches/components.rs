@@ -8,13 +8,16 @@
 //! cache maintenance).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use std::collections::VecDeque;
 use std::hint::black_box;
 
-use mind_blade::{DramCache, InvalidationOutcome, MemoryBlade, PageData};
+use mind_blade::{DramCache, InvalidationOutcome, MemoryBlade, PageData, PageTable};
 use mind_core::cluster::{MindCluster, MindConfig};
-use mind_core::directory::RegionDirectory;
+use mind_core::directory::{MsiState, RegionDirectory};
 use mind_core::galloc::GlobalAllocator;
 use mind_core::split::{BoundedSplitting, SplitConfig};
+use mind_core::stt::{Protocol, Role, SttTable};
+use mind_core::AccessKind;
 use mind_service::{MemoryService, QosClass, ServiceConfig};
 use mind_sim::rng::Zipfian;
 use mind_sim::{SimRng, SimTime};
@@ -142,6 +145,114 @@ fn bench_bounded_splitting(c: &mut Criterion) {
     });
 }
 
+/// One epoch on a directory split down to capacity, so that every region
+/// has its buddy and nothing more may split. Every region is held Modified:
+/// `idle` with a different owner in each half of every buddy pair, so the
+/// merge pass walks the pairs and coalesces none; `churning` with one owner
+/// per other pair, those pairs invalidated before every epoch, so the pass
+/// also drains, sorts and searches the activity list and still coalesces
+/// none. Both are steady states.
+fn bench_epoch_at_capacity(c: &mut Criterion) {
+    let mut group = c.benchmark_group("split");
+    let held = |mergeable_every_other: bool| {
+        let mut dir = RegionDirectory::new(3_000, 20);
+        let mut whole: VecDeque<u64> = (0..12u64)
+            .map(|i| dir.ensure_region(i << 20).unwrap().0)
+            .collect();
+        while dir.entries() < dir.capacity() {
+            let (left, right) = dir.split(whole.pop_front().unwrap()).unwrap();
+            whole.extend([left, right]);
+        }
+        for base in dir.bases_sorted() {
+            let e = dir.entry_mut(base).unwrap();
+            let (half, pair) = (base >> e.size_log2 & 1, base >> (e.size_log2 + 1) & 1);
+            let same_owner = mergeable_every_other && pair == 0;
+            e.state = MsiState::Modified;
+            e.sharers.clear();
+            e.sharers.insert(if same_owner { 0 } else { half as u16 });
+        }
+        (BoundedSplitting::new(SplitConfig::default()), dir)
+    };
+    group.bench_function("run_epoch_at_capacity_idle", |b| {
+        let (mut bs, mut dir) = held(false);
+        assert_eq!(dir.mergeable_pairs().count(), 0);
+        b.iter(|| bs.run_epoch(SimTime::from_millis(100), &mut dir))
+    });
+    group.bench_function("run_epoch_at_capacity_churning", |b| {
+        let (mut bs, mut dir) = held(true);
+        let active: Vec<u64> = dir.mergeable_pairs().map(|(left, _)| left).collect();
+        assert!(active.len() > 500, "{} mergeable pairs", active.len());
+        b.iter(|| {
+            for (i, &left) in active.iter().enumerate() {
+                dir.record_invalidation(left, (i % 4 == 0) as u32);
+            }
+            let report = bs.run_epoch(SimTime::from_millis(100), &mut dir);
+            assert_eq!(report.merges + report.splits, 0);
+            report
+        })
+    });
+    group.finish();
+}
+
+fn bench_stt(c: &mut Criterion) {
+    c.bench_function("stt/lookup", |b| {
+        let stt = SttTable::new(Protocol::Moesi);
+        let faults = [
+            (MsiState::Invalid, AccessKind::Read, Role::Other),
+            (MsiState::Shared, AccessKind::Write, Role::Sharer),
+            (MsiState::Modified, AccessKind::Read, Role::Other),
+            (MsiState::Owned, AccessKind::Write, Role::Owner),
+        ];
+        let mut i = 0usize;
+        b.iter(|| {
+            i = (i + 1) % faults.len();
+            let (state, kind, role) = faults[i];
+            black_box(stt.lookup(state, kind, role))
+        })
+    });
+}
+
+/// The blade page table at the size of `remote_faults`' blade cache, every
+/// fourth page of its span mapped.
+fn bench_pagetable(c: &mut Criterion) {
+    const FRAMES: u64 = 12_000;
+    let mut group = c.benchmark_group("pagetable");
+    let populated = |mapped: u64| {
+        let mut pt = PageTable::new(FRAMES as u32);
+        for i in 0..mapped {
+            pt.map((4 * i) << 12, i % 2 == 0).unwrap();
+        }
+        pt
+    };
+    group.bench_function("lookup_hit", |b| {
+        let pt = populated(FRAMES);
+        let mut i = 0u64;
+        b.iter(|| {
+            i = (i + 127) % FRAMES;
+            black_box(pt.lookup((4 * i) << 12))
+        })
+    });
+    group.bench_function("lookup_miss", |b| {
+        let pt = populated(FRAMES);
+        let mut i = 0u64;
+        b.iter(|| {
+            i = (i + 127) % FRAMES;
+            black_box(pt.lookup((4 * i + 1) << 12))
+        })
+    });
+    group.bench_function("map_unmap", |b| {
+        let mut pt = populated(FRAMES - 1);
+        let mut i = 0u64;
+        b.iter(|| {
+            i = (i + 127) % FRAMES;
+            let page = (4 * i + 2) << 12;
+            pt.map(page, true).unwrap();
+            black_box(pt.unmap(page))
+        })
+    });
+    group.finish();
+}
+
 fn bench_allocator(c: &mut Criterion) {
     c.bench_function("galloc/alloc_dealloc_1MB", |b| {
         let mut galloc = GlobalAllocator::new(8, 1 << 34);
@@ -187,6 +298,26 @@ fn bench_cache(c: &mut Criterion) {
             let mut out = InvalidationOutcome::default();
             b.iter(|| {
                 for i in (0..pages).step_by(4) {
+                    cache.insert(i << 12, true, None);
+                }
+                cache.invalidate_region_into(0, size_log2, false, &mut out);
+                black_box(out.unmapped)
+            })
+        });
+    }
+    // A wide region of which the blade holds three pages, as a merged
+    // region looks to a blade that touched little of it.
+    for pages in [128u64, 512] {
+        let size_log2 = 12 + pages.trailing_zeros() as u8;
+        let name = format!("invalidate_region_sparse_{pages}_pages");
+        group.bench_function(&name, |b| {
+            let mut cache = DramCache::new(1 << 11);
+            for i in 0..1_000u64 {
+                cache.insert((1 << 30) + (i << 12), false, None);
+            }
+            let mut out = InvalidationOutcome::default();
+            b.iter(|| {
+                for i in [1, pages / 2, pages - 2] {
                     cache.insert(i << 12, true, None);
                 }
                 cache.invalidate_region_into(0, size_log2, false, &mut out);
@@ -302,6 +433,9 @@ criterion_group!(
     bench_tcam,
     bench_directory,
     bench_bounded_splitting,
+    bench_epoch_at_capacity,
+    bench_stt,
+    bench_pagetable,
     bench_allocator,
     bench_cache,
     bench_memory_blade,

@@ -7,8 +7,8 @@
 //! back to memory blades), and — on receiving an invalidation for a region —
 //! flushes all dirty pages in the region and unmaps the rest (§6.1).
 
-use crate::page::{PageData, PAGE_SHIFT, PAGE_SIZE};
-use crate::pagetable::{PageTable, Pte};
+use crate::page::{PageData, PAGE_SIZE};
+use crate::pagetable::PageTable;
 
 /// Result of probing the cache for an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -116,16 +116,13 @@ impl Frame {
 /// state indexed by frame id (grown lazily as frames are first used); the
 /// frames form an intrusive doubly-linked LRU list (`lru_head` = next
 /// victim, `lru_tail` = most recently used). The page table is the only
-/// record of residency; region-range operations enumerate a region's
-/// resident pages from it (see [`DramCache::resident_in`]). Eviction
-/// order is exactly least-recently-touched.
+/// record of residency; region-range operations walk a region's resident
+/// pages in it (see [`PageTable::unmap_range`]). Eviction order is exactly
+/// least-recently-touched.
 #[derive(Debug, Clone)]
 pub struct DramCache {
     pt: PageTable,
     frames: Vec<Frame>,
-    /// Reusable buffer for region scans (no per-invalidation allocation on
-    /// the coherence hot path).
-    scan_scratch: Vec<(u64, Pte)>,
     lru_head: u32,
     lru_tail: u32,
     hits: u64,
@@ -142,7 +139,6 @@ impl DramCache {
         DramCache {
             pt: PageTable::new(capacity_pages),
             frames: Vec::new(),
-            scan_scratch: Vec::new(),
             lru_head: NO_FRAME,
             lru_tail: NO_FRAME,
             hits: 0,
@@ -172,51 +168,24 @@ impl DramCache {
             .is_none_or(|pte| is_write && !pte.writable)
     }
 
-    /// Collects the resident pages of `[region_base, region_base +
-    /// 2^size_log2)` with their mappings into `out`, in ascending page
-    /// order — the order invalidation flushes and unmaps in.
-    ///
-    /// Walks whichever is smaller: the region's page addresses (one
-    /// page-table probe each) or the frame slab (filtered, then sorted).
-    fn resident_in(&self, region_base: u64, size_log2: u8, out: &mut Vec<(u64, Pte)>) {
-        out.clear();
-        let end = region_base.saturating_add(1u64 << size_log2);
-        let region_pages = 1u64 << size_log2.saturating_sub(PAGE_SHIFT);
-        if region_pages <= self.pt.mapped() as u64 {
-            let mapped = (0..region_pages).filter_map(|i| {
-                let page = region_base + (i << PAGE_SHIFT);
-                self.pt.lookup(page).map(|pte| (page, pte))
-            });
-            out.extend(mapped);
-        } else {
-            // Vacant frames carry NO_PAGE, which lies past every region.
-            let in_region = self
-                .frames
-                .iter()
-                .filter(|f| f.page >= region_base && f.page < end)
-                .map(|f| {
-                    (
-                        f.page,
-                        self.pt.lookup(f.page).expect("resident page mapped"),
-                    )
-                });
-            out.extend(in_region);
-            out.sort_unstable_by_key(|&(page, _)| page);
-        }
-    }
-
     /// Detaches frame `f` from the LRU list.
     fn unlink(&mut self, f: u32) {
-        let Frame { prev, next, .. } = self.frames[f as usize];
+        Self::unlink_in(&mut self.frames, &mut self.lru_head, &mut self.lru_tail, f);
+    }
+
+    /// [`DramCache::unlink`] on the list's parts, for callers that hold the
+    /// page table borrowed (a range walk).
+    fn unlink_in(frames: &mut [Frame], lru_head: &mut u32, lru_tail: &mut u32, f: u32) {
+        let Frame { prev, next, .. } = frames[f as usize];
         if prev == NO_FRAME {
-            self.lru_head = next;
+            *lru_head = next;
         } else {
-            self.frames[prev as usize].next = next;
+            frames[prev as usize].next = next;
         }
         if next == NO_FRAME {
-            self.lru_tail = prev;
+            *lru_tail = prev;
         } else {
-            self.frames[next as usize].prev = prev;
+            frames[next as usize].prev = prev;
         }
     }
 
@@ -392,15 +361,9 @@ impl DramCache {
         out: &mut InvalidationOutcome,
     ) {
         out.clear();
-        let mut pages = std::mem::take(&mut self.scan_scratch);
-        self.resident_in(region_base, size_log2, &mut pages);
-        for &(page, pte) in &pages {
-            if pte.writable {
-                self.pt.downgrade(page);
-                out.downgraded += 1;
-            }
-        }
-        self.scan_scratch = pages;
+        self.pt.downgrade_range(region_base, size_log2, |_, pte| {
+            out.downgraded += pte.writable as u32;
+        });
     }
 
     fn evict_lru(&mut self) -> Option<Evicted> {
@@ -461,54 +424,52 @@ impl DramCache {
         out: &mut InvalidationOutcome,
     ) {
         out.clear();
-        let mut pages = std::mem::take(&mut self.scan_scratch);
-        self.resident_in(region_base, size_log2, &mut pages);
-        for &(page, pte) in &pages {
-            let f = pte.frame;
-            let frame = &mut self.frames[f as usize];
-            if frame.dirty {
-                // A downgraded page stays resident and shares its bytes
-                // with the write-back; an unmapped one hands them over.
-                let data = if downgrade_to_shared {
-                    frame.data.clone()
-                } else {
-                    frame.data.take()
-                };
-                out.flushed.push((page, data));
-                frame.dirty = false;
-                self.flushed_pages += 1;
-            }
-            if downgrade_to_shared {
-                if pte.writable {
-                    self.pt.downgrade(page);
-                    out.downgraded += 1;
+        let frames = &mut self.frames;
+        let mut flushed_pages = 0;
+        if downgrade_to_shared {
+            self.pt
+                .downgrade_range(region_base, size_log2, |page, pte| {
+                    let frame = &mut frames[pte.frame as usize];
+                    if frame.dirty {
+                        // The page stays resident and shares its bytes with the
+                        // write-back.
+                        out.flushed.push((page, frame.data.clone()));
+                        frame.dirty = false;
+                        flushed_pages += 1;
+                    }
+                    out.downgraded += pte.writable as u32;
+                });
+        } else {
+            let (lru_head, lru_tail) = (&mut self.lru_head, &mut self.lru_tail);
+            self.pt.unmap_range(region_base, size_log2, |page, pte| {
+                Self::unlink_in(frames, lru_head, lru_tail, pte.frame);
+                let frame = std::mem::replace(&mut frames[pte.frame as usize], Frame::vacant());
+                if frame.dirty {
+                    // An unmapped page hands its bytes to the write-back.
+                    out.flushed.push((page, frame.data));
+                    flushed_pages += 1;
                 }
-            } else {
-                self.unlink(f);
-                self.frames[f as usize] = Frame::vacant();
-                self.pt.unmap(page);
                 out.unmapped += 1;
-            }
+            });
         }
-        self.scan_scratch = pages;
+        self.flushed_pages += flushed_pages;
     }
 
-    /// Number of resident pages within a region (used by tests and the
-    /// false-invalidation accounting in the coherence layer).
+    /// Number of resident pages within a region.
     pub fn resident_in_region(&self, region_base: u64, size_log2: u8) -> usize {
-        let mut pages = Vec::new();
-        self.resident_in(region_base, size_log2, &mut pages);
-        pages.len()
+        let mut resident = 0;
+        self.pt
+            .for_each_in_range(region_base, size_log2, |_, _| resident += 1);
+        resident
     }
 
     /// Number of *dirty* resident pages within a region.
     pub fn dirty_in_region(&self, region_base: u64, size_log2: u8) -> usize {
-        let mut pages = Vec::new();
-        self.resident_in(region_base, size_log2, &mut pages);
-        pages
-            .iter()
-            .filter(|(_, pte)| self.frames[pte.frame as usize].dirty)
-            .count()
+        let mut dirty = 0;
+        self.pt.for_each_in_range(region_base, size_log2, |_, pte| {
+            dirty += self.frames[pte.frame as usize].dirty as usize;
+        });
+        dirty
     }
 
     /// Whether `page` is resident.
@@ -596,6 +557,7 @@ impl DramCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::PAGE_SHIFT;
 
     #[test]
     fn frame_tags_track_ownership_and_reset_on_eviction() {
@@ -621,30 +583,34 @@ mod tests {
 
     /// Region invalidation against the ordered resident set it used to
     /// keep: the flush list (ascending dirty pages), the unmap / downgrade
-    /// counts and what stays resident must match for regions from one page
-    /// to 2^19 bytes, whichever side of the `min(region pages, resident
-    /// pages)` walk they fall on.
+    /// counts and what stays resident must match for all three kinds of
+    /// invalidation — unmap, downgrade with write-back, and the MOESI
+    /// downgrade that keeps dirty pages dirty. Dense caches under regions
+    /// from one page to 2^19 bytes, and caches of at most three pages under
+    /// regions of 128 to 512 pages.
     #[test]
     fn region_invalidation_matches_sorted_reference() {
         use mind_sim::SimRng;
         use std::collections::BTreeMap;
-        const SPAN_PAGES: u64 = 512; // Four 2^19-byte regions.
-        for (seed, capacity, fill) in [
-            (1u64, 8u32, 5u64),
-            (2, 64, 40),
-            (3, 512, 300),
-            (4, 512, 512),
+        // (seed, capacity, resident pages, span in pages, region sizes).
+        for (seed, capacity, fill, span_pages, (min_log2, max_log2)) in [
+            (1u64, 8u32, 5u64, 512u64, (12u8, 19u8)),
+            (2, 64, 40, 512, (12, 19)),
+            (3, 512, 300, 512, (12, 19)),
+            (4, 512, 512, 512, (12, 19)),
+            (5, 8, 3, 4_096, (19, 21)),
+            (6, 512, 2, 4_096, (19, 21)),
         ] {
             let mut rng = SimRng::new(seed);
             let mut cache = DramCache::new(capacity);
             // page -> (writable, dirty): the reference, in address order.
             let mut resident: BTreeMap<u64, (bool, bool)> = BTreeMap::new();
             let mut out = InvalidationOutcome::default();
-            let (mut page_walks, mut frame_scans) = (0, 0);
+            let mut kept_dirty = 0;
             for round in 0..400 {
                 // Top the cache back up with random pages.
                 while (resident.len() as u64) < fill.min(capacity as u64) {
-                    let page = rng.gen_below(SPAN_PAGES) << PAGE_SHIFT;
+                    let page = rng.gen_below(span_pages) << PAGE_SHIFT;
                     if resident.contains_key(&page) {
                         continue;
                     }
@@ -652,19 +618,13 @@ mod tests {
                     cache.insert_with(page, writable, writable && dirty, 0, None);
                     resident.insert(page, (writable, writable && dirty));
                 }
-                let size_log2 = PAGE_SHIFT + rng.gen_below(8) as u8; // 2^12 ..= 2^19
+                let size_log2 = min_log2 + rng.gen_below((max_log2 - min_log2) as u64 + 1) as u8;
                 let region_pages = 1u64 << (size_log2 - PAGE_SHIFT);
-                let base = (rng.gen_below(SPAN_PAGES) / region_pages * region_pages) << PAGE_SHIFT;
+                let base = (rng.gen_below(span_pages) / region_pages * region_pages) << PAGE_SHIFT;
                 let end = base + (1u64 << size_log2);
-                if region_pages <= resident.len() as u64 {
-                    page_walks += 1;
-                } else {
-                    frame_scans += 1;
-                }
-                let downgrade = round % 3 == 0;
                 let in_region: Vec<(u64, (bool, bool))> =
                     resident.range(base..end).map(|(&p, &f)| (p, f)).collect();
-                let flushed: Vec<u64> = in_region
+                let dirty: Vec<u64> = in_region
                     .iter()
                     .filter(|(_, (_, d))| *d)
                     .map(|&(p, _)| p)
@@ -672,14 +632,26 @@ mod tests {
                 let writable = in_region.iter().filter(|(_, (w, _))| *w).count() as u32;
 
                 assert_eq!(cache.resident_in_region(base, size_log2), in_region.len());
-                assert_eq!(cache.dirty_in_region(base, size_log2), flushed.len());
-                cache.invalidate_region_into(base, size_log2, downgrade, &mut out);
-                let got: Vec<u64> = out.flushed.iter().map(|&(p, _)| p).collect();
-                assert_eq!(got, flushed, "flush order, seed {seed} round {round}");
-                if downgrade {
+                assert_eq!(cache.dirty_in_region(base, size_log2), dirty.len());
+                let kind = round % 4;
+                match kind {
+                    0 => cache.invalidate_region_into(base, size_log2, true, &mut out),
+                    1 => cache.downgrade_region_keep_dirty_into(base, size_log2, &mut out),
+                    _ => cache.invalidate_region_into(base, size_log2, false, &mut out),
+                }
+                let flushed: Vec<u64> = out.flushed.iter().map(|&(p, _)| p).collect();
+                if kind == 1 {
+                    assert_eq!(flushed, [], "kept, not flushed");
+                    assert_eq!(cache.dirty_in_region(base, size_log2), dirty.len());
+                    kept_dirty += dirty.len();
+                } else {
+                    assert_eq!(flushed, dirty, "flush order, seed {seed} round {round}");
+                    assert_eq!(cache.dirty_in_region(base, size_log2), 0, "flush-once");
+                }
+                if kind <= 1 {
                     assert_eq!((out.unmapped, out.downgraded), (0, writable));
-                    for (page, _) in in_region {
-                        resident.insert(page, (false, false));
+                    for (page, (_, was_dirty)) in in_region {
+                        resident.insert(page, (false, was_dirty && kind == 1));
                         assert!(cache.contains(page) && !cache.is_writable(page));
                     }
                 } else {
@@ -690,12 +662,8 @@ mod tests {
                     }
                 }
                 assert_eq!(cache.resident_pages(), resident.len());
-                assert_eq!(cache.dirty_in_region(base, size_log2), 0, "flush-once");
             }
-            assert!(
-                page_walks > 0 && (frame_scans > 0 || fill >= 128),
-                "both walks ran"
-            );
+            assert!(kept_dirty > 0, "a downgrade kept dirty pages, seed {seed}");
         }
     }
 

@@ -66,6 +66,35 @@ pub struct DirEntry {
     /// False invalidations charged to this region in the current epoch
     /// (bounded splitting's split signal, §5).
     pub epoch_false_inv: u32,
+    /// This entry's place among the directory's buddy pairs; set and
+    /// cleared by `install` / `uninstall` only.
+    pair: PairLinks,
+}
+
+/// "No slot": an absent buddy, or the end of the pair list.
+const NO_SLOT: u32 = u32::MAX;
+
+/// A *buddy pair* is both halves of an aligned block present at one size:
+/// the only regions [`RegionDirectory::merge`] can coalesce. The directory
+/// threads its pairs on a doubly-linked list kept in the entries
+/// themselves, so that the merge passes walk pairs, not slots, and listing
+/// allocates nothing. A pair's two links are split between its halves.
+/// Slots are stable while their entries are installed, and a pair is
+/// listed exactly that long.
+#[derive(Debug, Clone, Copy)]
+struct PairLinks {
+    /// Slot of the same-size buddy.
+    buddy: u32,
+    /// Left half of a neighbouring pair: the next one when held by a left
+    /// half, the previous one when held by a right half.
+    link: u32,
+}
+
+impl PairLinks {
+    const NONE: PairLinks = PairLinks {
+        buddy: NO_SLOT,
+        link: NO_SLOT,
+    };
 }
 
 impl DirEntry {
@@ -78,6 +107,7 @@ impl DirEntry {
             busy_until: SimTime::ZERO,
             epoch_invalidations: 0,
             epoch_false_inv: 0,
+            pair: PairLinks::NONE,
         }
     }
 
@@ -136,6 +166,7 @@ impl DirEntry {
             busy_until: self.busy_until.max(other.busy_until),
             epoch_invalidations: self.epoch_invalidations + other.epoch_invalidations,
             epoch_false_inv: self.epoch_false_inv + other.epoch_false_inv,
+            pair: PairLinks::NONE,
         }
     }
 }
@@ -197,6 +228,8 @@ pub struct RegionDirectory {
     class_count: [u32; 64],
     /// Bit `k` is set exactly while `class_count[k] > 0`.
     classes: u64,
+    /// Left half of the first listed buddy pair (see [`PairLinks`]).
+    pair_head: u32,
     /// Recent resolutions, direct-mapped by page number and valid while
     /// their generation is current: the issue gate resolves an op's
     /// region, and the re-offers of a gated op and the fault that finally
@@ -227,6 +260,7 @@ impl RegionDirectory {
             slots: SlotStore::new(capacity),
             class_count: [0; 64],
             classes: 0,
+            pair_head: NO_SLOT,
             memo: [None; MEMO_WAYS],
             touched: Vec::new(),
             initial_region_log2,
@@ -254,24 +288,87 @@ impl RegionDirectory {
         self.slots.utilization()
     }
 
-    /// Installs a region entry and accounts its size class.
+    /// Installs a region entry, accounts its size class and lists the buddy
+    /// pair it completes, if any (one probe for the buddy).
     fn install(&mut self, base: u64, entry: DirEntry) -> Result<usize, SramFull> {
-        let k = entry.size_log2 as usize;
+        let k = entry.size_log2;
         let slot = self.slots.insert(base, entry)?;
-        self.class_count[k] += 1;
+        self.class_count[k as usize] += 1;
         self.classes |= 1u64 << k;
+        let buddy = self
+            .slots
+            .slot_of(base ^ (1u64 << k))
+            .filter(|&buddy| self.slots.at(buddy).size_log2 == k);
+        if let Some(buddy) = buddy {
+            let as_link = |slot: usize| u32::try_from(slot).expect("directory slots fit 32 bits");
+            let (new, buddy) = (as_link(slot), as_link(buddy));
+            let (left, right) = if base & (1u64 << k) == 0 {
+                (new, buddy)
+            } else {
+                (buddy, new)
+            };
+            self.slots.at_mut(left as usize).pair = PairLinks {
+                buddy: right,
+                link: self.pair_head,
+            };
+            self.slots.at_mut(right as usize).pair = PairLinks {
+                buddy: left,
+                link: NO_SLOT,
+            };
+            self.set_prev_of(self.pair_head, left);
+            self.pair_head = left;
+        }
         Ok(slot)
     }
 
-    /// Removes a region entry and accounts its size class.
+    /// Removes a region entry, accounts its size class and unlists the
+    /// buddy pair it was half of, if any.
     fn uninstall(&mut self, base: u64) -> Option<DirEntry> {
         let entry = self.slots.remove(base)?;
-        let k = entry.size_log2 as usize;
-        self.class_count[k] -= 1;
-        if self.class_count[k] == 0 {
+        let k = entry.size_log2;
+        self.class_count[k as usize] -= 1;
+        if self.class_count[k as usize] == 0 {
             self.classes &= !(1u64 << k);
         }
+        let buddy = entry.pair.buddy;
+        if buddy != NO_SLOT {
+            let survivor =
+                std::mem::replace(&mut self.slots.at_mut(buddy as usize).pair, PairLinks::NONE);
+            let (next, prev) = if base & (1u64 << k) == 0 {
+                (entry.pair.link, survivor.link)
+            } else {
+                (survivor.link, entry.pair.link)
+            };
+            if prev == NO_SLOT {
+                self.pair_head = next;
+            } else {
+                self.slots.at_mut(prev as usize).pair.link = next;
+            }
+            self.set_prev_of(next, prev);
+        }
         Some(entry)
+    }
+
+    /// Points the pair whose left half sits in slot `pair` (if any) back at
+    /// `prev`; the right half holds that link.
+    fn set_prev_of(&mut self, pair: u32, prev: u32) {
+        if pair != NO_SLOT {
+            let right = self.slots.at(pair as usize).pair.buddy;
+            self.slots.at_mut(right as usize).pair.link = prev;
+        }
+    }
+
+    /// The listed buddy pairs as `(left base, left half, right half)`, in
+    /// no particular order.
+    fn pairs(&self) -> impl Iterator<Item = (u64, &DirEntry, &DirEntry)> + '_ {
+        let mut at = self.pair_head;
+        std::iter::from_fn(move || {
+            (at != NO_SLOT).then(|| {
+                let (base, left) = self.slots.at_with_base(at as usize);
+                at = left.pair.link;
+                (base, left, self.slots.at(left.pair.buddy as usize))
+            })
+        })
     }
 
     /// Resolves the region containing `addr` by probing the populated size
@@ -458,6 +555,7 @@ impl RegionDirectory {
             busy_until: parent.busy_until,
             epoch_invalidations: 0,
             epoch_false_inv: 0,
+            pair: PairLinks::NONE,
         };
         self.install(base, mk_child()).expect("slot freed");
         self.install(right_base, mk_child())
@@ -467,25 +565,12 @@ impl RegionDirectory {
         Ok((base, right_base))
     }
 
-    /// The right-hand buddy of the left half `(base, left)`, when it exists
-    /// at the same size.
-    fn right_buddy(&self, base: u64, left: &DirEntry) -> Option<&DirEntry> {
-        self.slots
-            .get(base | (1u64 << left.size_log2))
-            .filter(|right| right.size_log2 == left.size_log2)
-    }
-
     /// `(left base, size_log2)` of every buddy pair [`RegionDirectory::merge`]
     /// would coalesce — both halves present at one size and
-    /// coherence-compatible — in slot order.
+    /// coherence-compatible — in no particular order.
     pub fn mergeable_pairs(&self) -> impl Iterator<Item = (u64, u8)> + '_ {
-        self.slots.iter().filter_map(|(base, left)| {
-            let is_left_half = base & (1u64 << left.size_log2) == 0;
-            let mergeable = is_left_half
-                && self
-                    .right_buddy(base, left)
-                    .is_some_and(|right| left.mergeable_with(right));
-            mergeable.then_some((base, left.size_log2))
+        self.pairs().filter_map(|(base, left, right)| {
+            left.mergeable_with(right).then_some((base, left.size_log2))
         })
     }
 
@@ -493,12 +578,15 @@ impl RegionDirectory {
     /// size and are coherence-compatible. Returns the merged base.
     pub fn merge(&mut self, base: u64) -> Option<u64> {
         let a = self.slots.get(base)?;
-        let k = a.size_log2;
-        let buddy_base = base ^ (1u64 << k);
-        let b = self.slots.get(buddy_base)?;
-        if b.size_log2 != k || !a.mergeable_with(b) {
+        if a.pair.buddy == NO_SLOT {
             return None;
         }
+        let b = self.slots.at(a.pair.buddy as usize);
+        if !a.mergeable_with(b) {
+            return None;
+        }
+        let k = a.size_log2;
+        let buddy_base = base ^ (1u64 << k);
         let merged = a.merged_with(b);
         let parent_base = base & !(1u64 << k);
         if merged.epoch_invalidations != 0 || merged.epoch_false_inv != 0 {
@@ -514,31 +602,13 @@ impl RegionDirectory {
     }
 
     /// Frees one slot under capacity pressure by merging the coldest
-    /// compatible buddy pair: least `(epoch invalidations, base)`. One
-    /// pass over the slab, visiting each pair from its left half.
+    /// compatible buddy pair: least `(epoch invalidations, base)`.
     fn force_merge_one(&mut self) -> Result<(), SramFull> {
-        let mut coldest: Option<(u32, u64)> = None;
-        for (base, left) in self.slots.iter() {
-            // A pair is at least as hot as its left half, so an entry that
-            // already loses to the coldest pair so far needs no probe for
-            // its buddy. (First, because it settles almost every entry
-            // and, unlike the left/right test, predictably.)
-            if coldest.is_some_and(|c| (left.epoch_invalidations, base) > c) {
-                continue;
-            }
-            if base & (1u64 << left.size_log2) != 0 {
-                continue;
-            }
-            let Some(right) = self.right_buddy(base, left) else {
-                continue;
-            };
-            if left.mergeable_with(right) {
-                let pair = (left.epoch_invalidations + right.epoch_invalidations, base);
-                if coldest.is_none_or(|c| pair < c) {
-                    coldest = Some(pair);
-                }
-            }
-        }
+        let coldest = self
+            .pairs()
+            .filter(|(_, left, right)| left.mergeable_with(right))
+            .map(|(base, left, right)| (left.epoch_invalidations + right.epoch_invalidations, base))
+            .min();
         let (_, base) = coldest.ok_or(SramFull)?;
         self.merge(base).expect("candidate verified mergeable");
         self.forced_merges += 1;
@@ -588,9 +658,17 @@ impl RegionDirectory {
     /// draining costs O(active regions), so the epoch driver stays cheap
     /// even when the directory tracks tens of thousands of idle regions.
     pub fn drain_epoch_counters(&mut self) -> Vec<EpochCounter> {
+        let mut out = Vec::new();
+        self.drain_epoch_counters_into(&mut out);
+        out
+    }
+
+    /// [`RegionDirectory::drain_epoch_counters`] writing into a reusable
+    /// buffer (cleared first) instead of allocating one.
+    pub fn drain_epoch_counters_into(&mut self, out: &mut Vec<EpochCounter>) {
+        out.clear();
         self.touched.sort_unstable();
         self.touched.dedup();
-        let mut out = Vec::with_capacity(self.touched.len());
         for i in 0..self.touched.len() {
             let base = self.touched[i];
             // Stale bases (split/removed since being touched) or zeroed
@@ -611,7 +689,6 @@ impl RegionDirectory {
             e.epoch_invalidations = 0;
         }
         self.touched.clear();
-        out
     }
 
     /// All region bases, sorted.
@@ -731,10 +808,75 @@ mod tests {
         }
     }
 
+    /// The full-slab scans the pair list replaced, as its oracle: one pass
+    /// over every slot, one probe per left half for its buddy.
+    impl RegionDirectory {
+        /// `(left base, size_log2)` of every same-size buddy pair, sorted.
+        fn buddy_pairs_by_scan(&self) -> Vec<(u64, u8)> {
+            let mut pairs: Vec<(u64, u8)> = self
+                .slots
+                .iter()
+                .filter(|&(base, left)| {
+                    base & (1u64 << left.size_log2) == 0
+                        && self
+                            .slots
+                            .get(base | (1u64 << left.size_log2))
+                            .is_some_and(|right| right.size_log2 == left.size_log2)
+                })
+                .map(|(base, left)| (base, left.size_log2))
+                .collect();
+            pairs.sort_unstable();
+            pairs
+        }
+
+        /// The pairs of [`Self::buddy_pairs_by_scan`] that `merge` accepts.
+        fn mergeable_pairs_by_scan(&self) -> Vec<(u64, u8)> {
+            let mut pairs = self.buddy_pairs_by_scan();
+            pairs.retain(|&(base, k)| {
+                let (left, right) = (self.entry(base), self.entry(base | (1u64 << k)));
+                left.unwrap().mergeable_with(right.unwrap())
+            });
+            pairs
+        }
+
+        /// The pair list against the scans, and its links against the list.
+        fn assert_pairs_match_scan(&self) {
+            let mut listed: Vec<(u64, u8)> = self
+                .pairs()
+                .map(|(base, left, right)| {
+                    assert_eq!(left.size_log2, right.size_log2);
+                    (base, left.size_log2)
+                })
+                .collect();
+            listed.sort_unstable();
+            assert_eq!(listed, self.buddy_pairs_by_scan(), "listed pairs");
+            let mut mergeable: Vec<(u64, u8)> = self.mergeable_pairs().collect();
+            mergeable.sort_unstable();
+            assert_eq!(mergeable, self.mergeable_pairs_by_scan(), "mergeable pairs");
+            // Exactly the halves of listed pairs carry links, each to its
+            // buddy and back.
+            let mut linked = 0;
+            for (base, e) in self.slots.iter() {
+                if e.pair.buddy == NO_SLOT {
+                    assert_eq!(e.pair.link, NO_SLOT, "stray link at {base:#x}");
+                    continue;
+                }
+                linked += 1;
+                let buddy = self.slots.at(e.pair.buddy as usize);
+                assert_eq!(
+                    self.slots.slot_of(base),
+                    Some(buddy.pair.buddy as usize),
+                    "buddy of {base:#x} points back"
+                );
+            }
+            assert_eq!(linked, 2 * listed.len());
+        }
+    }
+
     /// Random create / split / merge / remove / force-merge / state churn
     /// on a small directory that spends most of the run at capacity: every
     /// lookup, creation size and forced-merge pick must agree with the
-    /// ordered-tree oracle.
+    /// ordered-tree oracle, and the pair list with a scan of the slab.
     #[test]
     fn treeless_directory_matches_ordered_oracle() {
         const SPAN_PAGES: u64 = 1 << 10; // 4 MB: 256 initial-size regions.
@@ -833,6 +975,7 @@ mod tests {
                 }
                 let classes: u64 = oracle.0.values().fold(0, |m, &k| m | 1u64 << k);
                 assert_eq!(d.classes, classes, "populated-class mask");
+                d.assert_pairs_match_scan();
             }
         }
     }

@@ -21,7 +21,7 @@ use mind_blade::PAGE_SHIFT;
 use mind_sim::stats::TimeSeries;
 use mind_sim::SimTime;
 
-use crate::directory::RegionDirectory;
+use crate::directory::{EpochCounter, RegionDirectory};
 
 /// Tunables for bounded splitting.
 #[derive(Debug, Clone, Copy)]
@@ -94,6 +94,12 @@ pub struct BoundedSplitting {
     entries_series: TimeSeries,
     false_inv_series: TimeSeries,
     last_report: EpochReport,
+    /// Per-epoch working sets, kept so that an epoch allocates nothing: the
+    /// drained activity counters, the split list `(f, base)` and the merge
+    /// list (left bases).
+    counters: Vec<EpochCounter>,
+    hot: Vec<(u32, u64)>,
+    candidates: Vec<u64>,
 }
 
 impl BoundedSplitting {
@@ -107,6 +113,9 @@ impl BoundedSplitting {
             entries_series: TimeSeries::new(),
             false_inv_series: TimeSeries::new(),
             last_report: EpochReport::default(),
+            counters: Vec::new(),
+            hot: Vec::new(),
+            candidates: Vec::new(),
         }
     }
 
@@ -139,7 +148,8 @@ impl BoundedSplitting {
         // regions contribute zero to Σf and can never exceed t (≥ 1), so
         // the split scan over it is exhaustive. N in t = Σf / (c·N) is the
         // total region count, per §5.
-        let counters = dir.drain_epoch_counters();
+        let counters = &mut self.counters;
+        dir.drain_epoch_counters_into(counters);
         let n = dir.entries().max(1);
         let total_f: u64 = counters.iter().map(|c| c.false_inv as u64).sum();
 
@@ -150,13 +160,16 @@ impl BoundedSplitting {
         // hottest first so limited SRAM goes to the worst offenders.
         let mut splits = 0;
         if self.cfg.enable_split {
-            let mut hot: Vec<(u32, u64, u8)> = counters
-                .iter()
-                .filter(|c| c.false_inv as f64 > threshold && c.size_log2 > PAGE_SHIFT)
-                .map(|c| (c.false_inv, c.base, c.size_log2))
-                .collect();
+            let hot = &mut self.hot;
+            hot.clear();
+            hot.extend(
+                counters
+                    .iter()
+                    .filter(|c| c.false_inv as f64 > threshold && c.size_log2 > PAGE_SHIFT)
+                    .map(|c| (c.false_inv, c.base)),
+            );
             hot.sort_unstable_by(|a, b| b.cmp(a));
-            for (_, base, _) in hot {
+            for &(_, base) in hot.iter() {
                 if dir.utilization() >= self.cfg.target_utilization {
                     break;
                 }
@@ -182,13 +195,15 @@ impl BoundedSplitting {
             // search. Pairs are disjoint, so the merges are independent;
             // they run in base order.
             let is_active = |base: u64| counters.binary_search_by_key(&base, |c| c.base).is_ok();
-            let mut candidates: Vec<u64> = dir
-                .mergeable_pairs()
-                .filter(|&(left, k)| !is_active(left) && !is_active(left | (1u64 << k)))
-                .map(|(left, _)| left)
-                .collect();
+            let candidates = &mut self.candidates;
+            candidates.clear();
+            candidates.extend(
+                dir.mergeable_pairs()
+                    .filter(|&(left, k)| !is_active(left) && !is_active(left | (1u64 << k)))
+                    .map(|(left, _)| left),
+            );
             candidates.sort_unstable();
-            for base in candidates {
+            for &base in candidates.iter() {
                 if dir.merge(base).is_some() {
                     merges += 1;
                 }

@@ -99,12 +99,36 @@ pub struct SttRow {
     pub insert_writable: bool,
 }
 
+/// Every directory state, in discriminant order.
+const STATES: [MsiState; 5] = [
+    MsiState::Invalid,
+    MsiState::Shared,
+    MsiState::Modified,
+    MsiState::Exclusive,
+    MsiState::Owned,
+];
+
+/// Every requester role, in discriminant order.
+const ROLES: [Role; 3] = [Role::Owner, Role::Sharer, Role::Other];
+
+/// Size of the key space `state × is_write × role`.
+const KEYS: usize = STATES.len() * 2 * ROLES.len();
+
+/// A key's place in [`SttTable::rows_by_key`].
+fn key_index(state: MsiState, is_write: bool, role: Role) -> usize {
+    (state as usize * 2 + is_write as usize) * ROLES.len() + role as usize
+}
+
 /// A protocol's full materialized table, stored in an MAU exact-match
 /// table with capacity accounting like the real ASIC.
 #[derive(Debug)]
 pub struct SttTable {
     protocol: Protocol,
+    /// The MAU table: what the rows cost the switch ([`SttTable::rows`]).
     table: ExactTable<(MsiState, bool, Role), SttRow>,
+    /// The same rows indexed by [`key_index`], which is how the simulator
+    /// resolves a fault: the key space is tiny, so no hasher is needed.
+    rows_by_key: [Option<SttRow>; KEYS],
 }
 
 impl SttTable {
@@ -112,34 +136,24 @@ impl SttTable {
     pub fn new(protocol: Protocol) -> Self {
         // Generous MAU capacity; real tables need tens of rows.
         let mut table = ExactTable::new("state-transition", 256);
-        let states: &[MsiState] = match protocol {
-            Protocol::Msi => &[MsiState::Invalid, MsiState::Shared, MsiState::Modified],
-            Protocol::Mesi => &[
-                MsiState::Invalid,
-                MsiState::Shared,
-                MsiState::Exclusive,
-                MsiState::Modified,
-            ],
-            Protocol::Moesi => &[
-                MsiState::Invalid,
-                MsiState::Shared,
-                MsiState::Exclusive,
-                MsiState::Modified,
-                MsiState::Owned,
-            ],
-        };
-        for &state in states {
+        let mut rows_by_key = [None; KEYS];
+        for state in STATES {
             for is_write in [false, true] {
-                for role in [Role::Owner, Role::Sharer, Role::Other] {
+                for role in ROLES {
                     if let Some(row) = Self::row(protocol, state, is_write, role) {
                         table
                             .insert((state, is_write, role), row)
                             .expect("STT fits its MAU table");
+                        rows_by_key[key_index(state, is_write, role)] = Some(row);
                     }
                 }
             }
         }
-        SttTable { protocol, table }
+        SttTable {
+            protocol,
+            table,
+            rows_by_key,
+        }
     }
 
     /// The protocol this table implements.
@@ -159,9 +173,7 @@ impl SttTable {
     /// Panics if the combination is not in the table — that would be a
     /// protocol bug, not a runtime condition.
     pub fn lookup(&self, state: MsiState, kind: AccessKind, role: Role) -> SttRow {
-        *self
-            .table
-            .get(&(state, kind.is_write(), role))
+        self.rows_by_key[key_index(state, kind.is_write(), role)]
             .unwrap_or_else(|| panic!("no STT row for {state:?}/{kind:?}/{role:?}"))
     }
 
@@ -306,6 +318,34 @@ mod tests {
         let r = stt.lookup(MsiState::Owned, AccessKind::Write, Role::Sharer);
         assert_eq!(r.next, MsiState::Modified);
         assert!(r.flush_dirty);
+    }
+
+    /// The array the simulator resolves through against the MAU table that
+    /// accounts the rows: the same row or the same absence for every key of
+    /// every protocol, and no two keys in one place.
+    #[test]
+    fn dense_lookup_agrees_with_the_mau_table() {
+        let mut places = std::collections::HashSet::new();
+        for protocol in [Protocol::Msi, Protocol::Mesi, Protocol::Moesi] {
+            let stt = SttTable::new(protocol);
+            let mut present = 0;
+            for state in STATES {
+                for (is_write, kind) in [(false, AccessKind::Read), (true, AccessKind::Write)] {
+                    for role in ROLES {
+                        let by_key = stt.rows_by_key[key_index(state, is_write, role)];
+                        let by_hash = stt.table.get(&(state, is_write, role)).copied();
+                        assert_eq!(by_key, by_hash, "{protocol:?} {state:?}/{kind:?}/{role:?}");
+                        if let Some(row) = by_hash {
+                            assert_eq!(stt.lookup(state, kind, role), row);
+                            present += 1;
+                        }
+                        places.insert(key_index(state, is_write, role));
+                    }
+                }
+            }
+            assert_eq!(present, stt.rows());
+        }
+        assert_eq!(places.len(), KEYS);
     }
 
     #[test]

@@ -62,10 +62,21 @@ impl Default for LatencyConfig {
     }
 }
 
+/// Whole nanoseconds to put `bytes` on a wire of the given bandwidth:
+/// `(bytes / bandwidth).ceil()`, bit for bit, without the call into libm
+/// that `f64::ceil` is on the baseline x86-64 target — this runs once per
+/// packet per hop.
+fn serialization_ns(bytes: u32, bandwidth_bytes_per_ns: f64) -> u64 {
+    let exact = bytes as f64 / bandwidth_bytes_per_ns;
+    // The cast truncates toward zero and saturates (NaN and negatives to 0).
+    let whole = exact as u64;
+    whole.saturating_add(((whole as f64) < exact) as u64)
+}
+
 impl LatencyConfig {
     /// Serialization delay for `bytes` on a link of this bandwidth.
     pub fn serialization(&self, bytes: u32) -> SimTime {
-        SimTime::from_nanos((bytes as f64 / self.bandwidth_bytes_per_ns).ceil() as u64)
+        SimTime::from_nanos(serialization_ns(bytes, self.bandwidth_bytes_per_ns))
     }
 
     /// Uncontended one-way latency for `bytes` over one hop.
@@ -73,6 +84,11 @@ impl LatencyConfig {
         self.hop_latency + self.serialization(bytes)
     }
 }
+
+/// Wire sizes a link remembers the serialization delay of. A link carries
+/// three or four (a request, a page, an invalidation, an ACK), so the
+/// division is paid once per size, not once per packet.
+const REMEMBERED_SIZES: usize = 4;
 
 /// One direction of a full-duplex link.
 #[derive(Debug, Clone)]
@@ -82,6 +98,10 @@ pub struct Link {
     free_at: SimTime,
     bytes_carried: u64,
     packets_carried: u64,
+    /// `(bytes, serialization ns)` of the last distinct wire sizes carried,
+    /// replaced in turn. Starts out true: no bytes take no time.
+    serialization_memo: [(u32, u64); REMEMBERED_SIZES],
+    memo_turn: usize,
 }
 
 impl Link {
@@ -94,7 +114,20 @@ impl Link {
             free_at: SimTime::ZERO,
             bytes_carried: 0,
             packets_carried: 0,
+            serialization_memo: [(0, 0); REMEMBERED_SIZES],
+            memo_turn: 0,
         }
+    }
+
+    /// [`serialization_ns`] of `bytes` on this link, remembered per size.
+    fn remembered_serialization_ns(&mut self, bytes: u32) -> u64 {
+        if let Some(&(_, ns)) = self.serialization_memo.iter().find(|m| m.0 == bytes) {
+            return ns;
+        }
+        let ns = serialization_ns(bytes, self.bandwidth_bytes_per_ns);
+        self.serialization_memo[self.memo_turn] = (bytes, ns);
+        self.memo_turn = (self.memo_turn + 1) % REMEMBERED_SIZES;
+        ns
     }
 
     /// Creates a link from a [`LatencyConfig`].
@@ -106,8 +139,7 @@ impl Link {
     /// time at the far end. Transfers queue FIFO behind earlier ones.
     pub fn transfer(&mut self, now: SimTime, bytes: u32) -> SimTime {
         let depart = now.max(self.free_at);
-        let serialize =
-            SimTime::from_nanos((bytes as f64 / self.bandwidth_bytes_per_ns).ceil() as u64);
+        let serialize = SimTime::from_nanos(self.remembered_serialization_ns(bytes));
         // The link is busy while the packet serializes onto the wire.
         self.free_at = depart + serialize;
         self.bytes_carried += bytes as u64;
@@ -155,6 +187,81 @@ mod tests {
         assert_eq!(cfg.serialization(125).as_nanos(), 10);
         let page = cfg.serialization(4096).as_nanos();
         assert!((320..340).contains(&page), "4KB serialization = {page}ns");
+    }
+
+    /// The libm-free rounding against `f64::ceil`, for the wire size of
+    /// every packet kind (page-sized and odd payloads) and every size near
+    /// them, at the rack's bandwidth and at ones that divide unevenly.
+    #[test]
+    fn serialization_rounds_up_exactly_as_ceil() {
+        use crate::node::BladeSet;
+        use crate::packet::PacketKind;
+        let payloads = [0u32, 1, 64, 4096, 4097, 1 << 21];
+        let mut sizes = vec![
+            PacketKind::RdmaReadReq {
+                vaddr: 0,
+                len: 4096,
+            }
+            .wire_bytes(),
+            PacketKind::RdmaWriteResp { vaddr: 0 }.wire_bytes(),
+            PacketKind::Invalidate {
+                region_base: 0,
+                region_size_log2: 14,
+                sharers: BladeSet::EMPTY,
+                downgrade_to_shared: false,
+            }
+            .wire_bytes(),
+            PacketKind::InvalidateAck {
+                region_base: 0,
+                flushed_pages: 3,
+            }
+            .wire_bytes(),
+            PacketKind::CtrlSyscall { call: 9 }.wire_bytes(),
+            PacketKind::CtrlResp { ret: 0 }.wire_bytes(),
+            PacketKind::Reset { vaddr: 0 }.wire_bytes(),
+        ];
+        for len in payloads {
+            sizes.push(PacketKind::RdmaReadResp { vaddr: 0, len }.wire_bytes());
+            sizes.push(PacketKind::RdmaWriteReq { vaddr: 0, len }.wire_bytes());
+        }
+        sizes.extend(0..=10_000);
+        sizes.extend([u32::MAX - 1, u32::MAX]);
+        let default_bw = LatencyConfig::default().bandwidth_bytes_per_ns;
+        for bw in [default_bw, 1.0, 0.3, 3.0, 7.7, 1e-12, 1e-300, f64::INFINITY] {
+            let cfg = LatencyConfig {
+                bandwidth_bytes_per_ns: bw,
+                ..Default::default()
+            };
+            // One link carries every size twice over, each twice in a row:
+            // computed, remembered, and long since replaced.
+            let mut wire = Link::new(SimTime::ZERO, bw);
+            for &bytes in sizes.iter().chain(&sizes) {
+                let by_ceil = (bytes as f64 / bw).ceil() as u64;
+                assert_eq!(
+                    serialization_ns(bytes, bw),
+                    by_ceil,
+                    "{bytes} B at {bw} B/ns"
+                );
+                assert_eq!(cfg.serialization(bytes).as_nanos(), by_ceil);
+                if by_ceil < 1 << 40 {
+                    for _ in 0..2 {
+                        let sent = wire.free_at();
+                        assert_eq!((wire.transfer(sent, bytes) - sent).as_nanos(), by_ceil);
+                    }
+                }
+            }
+        }
+        // What no link accepts but a config can hold: the cast's edge cases.
+        for bw in [-12.5, 0.0, -0.0, f64::NAN] {
+            for bytes in [0u32, 74, 4154] {
+                let by_ceil = (bytes as f64 / bw).ceil() as u64;
+                assert_eq!(
+                    serialization_ns(bytes, bw),
+                    by_ceil,
+                    "{bytes} B at {bw} B/ns"
+                );
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! "Cache directory management"). The 30 k-entry capacity is the resource
 //! bound Figure 8 (left) plots against.
 
+use std::collections::hash_map::Entry;
+
 use mind_sim::hash::FastMap;
 
 /// Error returned when no SRAM slots remain.
@@ -93,11 +95,11 @@ impl<T> SlotStore<T> {
     /// Panics if `base` already has a slot — directory entries must be
     /// removed before being re-created.
     pub fn insert(&mut self, base: u64, value: T) -> Result<usize, SramFull> {
-        assert!(
-            !self.used_map.contains_key(&base),
-            "slot already allocated for region {base:#x}"
-        );
-        if self.used() >= self.capacity {
+        let used = self.used_map.len();
+        let Entry::Vacant(unused) = self.used_map.entry(base) else {
+            panic!("slot already allocated for region {base:#x}");
+        };
+        if used >= self.capacity {
             return Err(SramFull);
         }
         let slot = match self.free_list.pop() {
@@ -110,8 +112,8 @@ impl<T> SlotStore<T> {
                 self.slots.len() - 1
             }
         };
-        self.used_map.insert(base, slot);
-        self.high_watermark = self.high_watermark.max(self.used());
+        unused.insert(slot);
+        self.high_watermark = self.high_watermark.max(used + 1);
         Ok(slot)
     }
 
@@ -126,7 +128,17 @@ impl<T> SlotStore<T> {
     ///
     /// Panics if the slot is free (a stale handle).
     pub fn at(&self, slot: usize) -> &T {
-        &self.slots[slot].as_ref().expect("slot is occupied").1
+        self.at_with_base(slot).1
+    }
+
+    /// The region base and entry in an occupied `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is free (a stale handle).
+    pub fn at_with_base(&self, slot: usize) -> (u64, &T) {
+        let (base, value) = self.slots[slot].as_ref().expect("slot is occupied");
+        (*base, value)
     }
 
     /// Mutable access to the entry in an occupied `slot`.
