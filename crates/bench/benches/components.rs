@@ -17,10 +17,11 @@ use mind_core::directory::{MsiState, RegionDirectory};
 use mind_core::galloc::GlobalAllocator;
 use mind_core::split::{BoundedSplitting, SplitConfig};
 use mind_core::stt::{Protocol, Role, SttTable};
+use mind_core::window::InFlightWindow;
 use mind_core::AccessKind;
 use mind_service::{MemoryService, QosClass, ServiceConfig};
 use mind_sim::rng::Zipfian;
-use mind_sim::{SimRng, SimTime};
+use mind_sim::{EventQueue, SimRng, SimTime};
 use mind_switch::tcam::{Tcam, TcamEntry};
 
 fn bench_tcam(c: &mut Criterion) {
@@ -101,6 +102,21 @@ fn bench_directory(c: &mut Criterion) {
         b.iter(|| {
             i = (i + 7) % pages.len();
             black_box(dir.lookup(pages[i]))
+        })
+    });
+    // A page's first resolution, 1 000 a sample: the stride walks the
+    // whole list before a page comes round again, so the 32-entry memo
+    // never answers and every lookup probes the populated size classes.
+    group.bench_function("lookup_first_touch_at_capacity", |b| {
+        let (mut dir, pages) = at_capacity();
+        let mut i = 0usize;
+        b.iter(|| {
+            let mut found = 0usize;
+            for _ in 0..1_000 {
+                i = (i + 7) % pages.len();
+                found += dir.lookup(pages[i]).is_some() as usize;
+            }
+            black_box(found)
         })
     });
     group.bench_function("ensure_forced_merge", |b| {
@@ -402,6 +418,77 @@ fn bench_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
+/// The event core's two kinds of traffic, 1 000 operations a sample: pop
+/// the earliest and schedule the same source again (the runner, the
+/// cluster engine and the service, at 8, 40 and 4 096 pending events), and
+/// pop after pop until the queue is empty (the shard driver's pre-seeded
+/// threads, which are never rescheduled).
+fn bench_event_queue(c: &mut Criterion) {
+    let mut group = c.benchmark_group("event_queue");
+    for pending in [8u32, 40, 4_096] {
+        group.bench_function(&format!("pop_reschedule_{pending}"), |b| {
+            let mut rng = SimRng::new(7);
+            let mut queue: EventQueue<u32> = EventQueue::new();
+            for source in 0..pending {
+                queue.schedule(SimTime::from_nanos(rng.gen_below(4_096)), source);
+            }
+            b.iter(|| {
+                for _ in 0..1_000 {
+                    let ev = queue.pop().expect("one event per source");
+                    let gap = SimTime::from_nanos(100 + (rng.next_u64() & 0xfff));
+                    queue.schedule(ev.at + gap, ev.event);
+                }
+                queue.len()
+            })
+        });
+    }
+    group.bench_function("drain_8192", |b| {
+        let mut rng = SimRng::new(7);
+        b.iter_batched(
+            || {
+                let mut queue: EventQueue<u32> = EventQueue::new();
+                for source in 0..8_192 {
+                    queue.schedule(SimTime::from_nanos(rng.gen_below(1 << 20)), source);
+                }
+                queue
+            },
+            |mut queue| {
+                let mut last = 0;
+                while let Some(ev) = queue.pop() {
+                    last = ev.event;
+                }
+                last
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    group.finish();
+}
+
+/// The issue gate for an op that hits its blade's cache (19 of 20 offers on
+/// a resident stream) against a full pool: 64 in flight, half holding a
+/// region, none due to retire. 1 000 offers a sample.
+fn bench_window(c: &mut Criterion) {
+    c.bench_function("window/sweep_hit_offer_64_in_flight", |b| {
+        let mut window = InFlightWindow::new(65).with_nic_depth(16);
+        for i in 0..64u64 {
+            let region = (i % 2 == 0).then_some((i << 14, 14u8));
+            window.admit(SimTime::from_micros(10 + i), region, (i % 4) as u16);
+        }
+        let mut i = 0u64;
+        b.iter(|| {
+            let mut free = 0u64;
+            for _ in 0..1_000 {
+                i += 1;
+                let now = SimTime::from_nanos(i % 4_096);
+                let gates = window.sweep(now, (i % 4) as u16, None);
+                free += (gates.slot_free_at <= now && gates.region_release <= now) as u64;
+            }
+            black_box(free)
+        })
+    });
+}
+
 /// A single-region tenant's control-plane life: `exec`, `mmap`, `exit`.
 fn bench_controller(c: &mut Criterion) {
     c.bench_function("controller/mmap_exit_single_region", |b| {
@@ -440,6 +527,8 @@ criterion_group!(
     bench_cache,
     bench_memory_blade,
     bench_dispatch,
+    bench_event_queue,
+    bench_window,
     bench_controller,
     bench_rng
 );

@@ -8,7 +8,7 @@
 //! flushes all dirty pages in the region and unmaps the rest (§6.1).
 
 use crate::page::{PageData, PAGE_SIZE};
-use crate::pagetable::PageTable;
+use crate::pagetable::{PageTable, Pte};
 
 /// Result of probing the cache for an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,6 +39,29 @@ pub enum TaggedLookup {
     Miss,
     /// Present read-only, store requested.
     NeedUpgrade,
+}
+
+/// What a cache's page table held for one page when
+/// [`DramCache::probe`] looked: the admission gate reads it, and the access
+/// that follows takes it instead of looking again. Good only until that
+/// cache is next mutated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CacheProbe {
+    page: u64,
+    pte: Option<Pte>,
+}
+
+impl CacheProbe {
+    /// The probed page (page-aligned VA).
+    pub fn page(&self) -> u64 {
+        self.page
+    }
+
+    /// Whether an access would leave the blade — a miss, or a store to a
+    /// read-only page.
+    pub fn would_fault(&self, is_write: bool) -> bool {
+        self.pte.is_none_or(|pte| is_write && !pte.writable)
+    }
 }
 
 /// A page evicted to make room, to be written back if dirty.
@@ -160,12 +183,14 @@ impl DramCache {
         self.pt.mapped()
     }
 
-    /// Whether an access to `page` would leave the blade — a miss, or a
-    /// store to a read-only page. Non-mutating: no LRU bump, no counters.
-    pub fn would_fault(&self, page: u64, is_write: bool) -> bool {
-        self.pt
-            .lookup(page)
-            .is_none_or(|pte| is_write && !pte.writable)
+    /// Looks `page` up without touching anything: no LRU bump, no
+    /// counters.
+    pub fn probe(&self, page: u64) -> CacheProbe {
+        debug_assert_eq!(page % PAGE_SIZE, 0, "page-aligned address expected");
+        CacheProbe {
+            page,
+            pte: self.pt.lookup(page),
+        }
     }
 
     /// Detaches frame `f` from the LRU list.
@@ -241,8 +266,15 @@ impl DramCache {
     /// [`DramCache::access`] that also returns the hit frame's id and
     /// owner tag (one page-table lookup for probe + ownership together).
     pub fn access_tagged(&mut self, page: u64, is_write: bool) -> TaggedLookup {
-        debug_assert_eq!(page % PAGE_SIZE, 0, "page-aligned address expected");
-        match self.pt.lookup(page) {
+        self.access_probed(self.probe(page), is_write)
+    }
+
+    /// [`DramCache::access_tagged`] of the probed page without a second
+    /// lookup. The cache must not have been mutated since the probe
+    /// (checked in debug builds).
+    pub fn access_probed(&mut self, probe: CacheProbe, is_write: bool) -> TaggedLookup {
+        debug_assert_eq!(probe, self.probe(probe.page), "stale cache probe");
+        match probe.pte {
             None => {
                 self.misses += 1;
                 TaggedLookup::Miss
@@ -579,6 +611,35 @@ mod tests {
         // Tagged probe mirrors the plain probe's misses and upgrades.
         assert_eq!(c.access_tagged(0x3000, false), TaggedLookup::Miss);
         assert_eq!(c.access_tagged(0x2000, true), TaggedLookup::NeedUpgrade);
+    }
+
+    #[test]
+    fn a_probe_reads_without_touching_and_feeds_the_access() {
+        let mut c = DramCache::new(2);
+        c.insert(0x1000, false, None);
+        c.insert(0x2000, true, None);
+        let probe = c.probe(0x1000);
+        assert_eq!(probe.page(), 0x1000);
+        assert!(!probe.would_fault(false) && probe.would_fault(true));
+        assert!(c.probe(0x3000).would_fault(false), "absent page");
+        assert!(!c.probe(0x2000).would_fault(true), "writable page");
+        assert_eq!(c.hits() + c.misses(), 0, "probes count nothing");
+        // The probe did not bump 0x1000: it is still the LRU victim.
+        assert!(matches!(
+            c.access_probed(c.probe(0x2000), true),
+            TaggedLookup::Hit { .. }
+        ));
+        assert_eq!(c.insert(0x3000, false, None).map(|e| e.page), Some(0x1000));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stale cache probe")]
+    fn a_probe_from_before_a_mutation_is_refused() {
+        let mut c = DramCache::new(1);
+        let probe = c.probe(0x1000);
+        c.insert(0x1000, false, None);
+        c.access_probed(probe, false);
     }
 
     /// Region invalidation against the ordered resident set it used to

@@ -24,7 +24,7 @@ pub mod membld;
 pub mod page;
 pub mod pagetable;
 
-pub use cache::{CacheLookup, DramCache, InvalidationOutcome, TaggedLookup};
+pub use cache::{CacheLookup, CacheProbe, DramCache, InvalidationOutcome, TaggedLookup};
 pub use invalidation::InvalidationQueue;
 pub use membld::MemoryBlade;
 pub use page::{page_base, page_index, PageData, PAGE_SHIFT, PAGE_SIZE};

@@ -774,7 +774,12 @@ impl MindCluster {
         op: &crate::system::MemOp,
     ) -> ClusterStep {
         let window = eng.window_mut();
-        let gates = window.sweep(now, op.blade, page_base(op.vaddr));
+        // Nothing below touches a blade cache before `issue_probed`: the
+        // gates read the window, the directory and the fabric, and `tick`
+        // is handed the directory alone.
+        let probe = self.engine.probe_cache(op.blade, op.vaddr);
+        let consults = probe.would_fault(op.kind.is_write());
+        let gates = window.sweep(now, op.blade, consults.then(|| page_base(op.vaddr)));
         let slot = gates.slot_free_at;
         let mut region = SimTime::ZERO;
         let mut nic = gates.nic_free_at;
@@ -787,10 +792,7 @@ impl MindCluster {
         // turnwise replay cannot do either deferral (it commits a whole
         // turn before seeing the fabric), which is precisely the
         // cross-turn engine's advantage on invalidation-heavy sharing.
-        if self
-            .engine
-            .would_consult_directory(op.blade, op.vaddr, op.kind)
-        {
+        if consults {
             // Same-region serialization: directory transitions on one
             // region serialize cluster-wide — behind in-flight
             // transitions (the pooled window's gate) and behind an entry
@@ -839,7 +841,10 @@ impl MindCluster {
             .pdid
             .or(self.default_pid)
             .expect("exec a process before replay");
-        match self.engine.issue(now, op.blade, pdid, op.vaddr, op.kind) {
+        match self
+            .engine
+            .issue_probed(now, op.blade, pdid, op.kind, probe)
+        {
             Ok(issued) => {
                 let window = eng.window_mut();
                 let mut outcome = issued.outcome;

@@ -14,8 +14,8 @@
 //! requested page (§4.3.1) — which feed the bounded-splitting algorithm.
 
 use mind_blade::{
-    page_base, DramCache, InvalidationOutcome, InvalidationQueue, MemoryBlade, PageData,
-    TaggedLookup, PAGE_SIZE,
+    page_base, CacheProbe, DramCache, InvalidationOutcome, InvalidationQueue, MemoryBlade,
+    PageData, TaggedLookup, PAGE_SIZE,
 };
 use mind_net::fabric::Fabric;
 use mind_net::link::LatencyConfig;
@@ -454,12 +454,13 @@ impl CoherenceEngine {
         &mut self.caches[blade as usize]
     }
 
-    /// Whether an access would leave the blade (cache miss or write
-    /// upgrade) and therefore consult the switch directory. Non-mutating:
-    /// no LRU bump, no counters — a pure admission probe for the cluster
-    /// engine's issue gates.
-    pub fn would_consult_directory(&self, blade: u16, vaddr: u64, kind: AccessKind) -> bool {
-        self.caches[blade as usize].would_fault(page_base(vaddr), kind.is_write())
+    /// What `blade`'s cache holds for the page of `vaddr`. Non-mutating:
+    /// no LRU bump, no counters — the cluster engine's issue gates read it
+    /// ([`CacheProbe::would_fault`]: a miss or a write upgrade leaves the
+    /// blade and consults the switch directory), and
+    /// [`CoherenceEngine::issue_probed`] takes it.
+    pub fn probe_cache(&self, blade: u16, vaddr: u64) -> CacheProbe {
+        self.caches[blade as usize].probe(page_base(vaddr))
     }
 
     /// The earliest time `blade`'s RNIC can put a new request on the
@@ -519,7 +520,22 @@ impl CoherenceEngine {
         vaddr: u64,
         kind: AccessKind,
     ) -> Result<IssuedAccess, AccessError> {
-        let result = self.issue_inner(now, blade, pdid, vaddr, kind);
+        let probe = self.probe_cache(blade, vaddr);
+        self.issue_probed(now, blade, pdid, kind, probe)
+    }
+
+    /// [`CoherenceEngine::issue`] of the page `probe` looked up in
+    /// `blade`'s cache ([`CoherenceEngine::probe_cache`]), without looking
+    /// again. That cache must not have been mutated in between.
+    pub fn issue_probed(
+        &mut self,
+        now: SimTime,
+        blade: u16,
+        pdid: Pdid,
+        kind: AccessKind,
+        probe: CacheProbe,
+    ) -> Result<IssuedAccess, AccessError> {
+        let result = self.issue_inner(now, blade, pdid, kind, probe);
         if self.trace.enabled() {
             if let Ok(ia) = &result {
                 self.trace.record(
@@ -540,16 +556,15 @@ impl CoherenceEngine {
         now: SimTime,
         blade: u16,
         pdid: Pdid,
-        vaddr: u64,
         kind: AccessKind,
+        probe: CacheProbe,
     ) -> Result<IssuedAccess, AccessError> {
         if self.failed[blade as usize] {
             return Err(AccessError::BladeFailed);
         }
         self.ctr().accesses += 1;
-        let page = page_base(vaddr);
-        let probe = self.caches[blade as usize].access_tagged(page, kind.is_write());
-        match probe {
+        let page = probe.page();
+        match self.caches[blade as usize].access_probed(probe, kind.is_write()) {
             TaggedLookup::Hit { frame, tag } => {
                 // The local page tables are per protection domain: a page
                 // cached under another domain is not mapped for this one.

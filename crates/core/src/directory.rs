@@ -228,6 +228,9 @@ pub struct RegionDirectory {
     class_count: [u32; 64],
     /// Bit `k` is set exactly while `class_count[k] > 0`.
     classes: u64,
+    /// The populated size classes, the one with most regions first: the
+    /// order [`RegionDirectory::probe`] tries them in.
+    by_count: Vec<u8>,
     /// Left half of the first listed buddy pair (see [`PairLinks`]).
     pair_head: u32,
     /// Recent resolutions, direct-mapped by page number and valid while
@@ -260,6 +263,7 @@ impl RegionDirectory {
             slots: SlotStore::new(capacity),
             class_count: [0; 64],
             classes: 0,
+            by_count: Vec::new(),
             pair_head: NO_SLOT,
             memo: [None; MEMO_WAYS],
             touched: Vec::new(),
@@ -295,6 +299,7 @@ impl RegionDirectory {
         let slot = self.slots.insert(base, entry)?;
         self.class_count[k as usize] += 1;
         self.classes |= 1u64 << k;
+        self.rerank(k);
         let buddy = self
             .slots
             .slot_of(base ^ (1u64 << k))
@@ -330,6 +335,7 @@ impl RegionDirectory {
         if self.class_count[k as usize] == 0 {
             self.classes &= !(1u64 << k);
         }
+        self.rerank(k);
         let buddy = entry.pair.buddy;
         if buddy != NO_SLOT {
             let survivor =
@@ -371,21 +377,39 @@ impl RegionDirectory {
         })
     }
 
+    /// Restores `by_count`'s order after class `k` gained or lost a region.
+    fn rerank(&mut self, k: u8) {
+        let count = |c: u8| self.class_count[c as usize];
+        let order = &mut self.by_count;
+        let mut i = order.iter().position(|&c| c == k).unwrap_or_else(|| {
+            order.push(k);
+            order.len() - 1
+        });
+        while i > 0 && count(order[i - 1]) < count(k) {
+            order.swap(i - 1, i);
+            i -= 1;
+        }
+        while i + 1 < order.len() && count(order[i + 1]) > count(k) {
+            order.swap(i, i + 1);
+            i += 1;
+        }
+        if count(k) == 0 {
+            order.pop(); // Every other listed class has a region: `k` sank last.
+        }
+    }
+
     /// Resolves the region containing `addr` by probing the populated size
-    /// classes, smallest first.
+    /// classes, most regions first (regions are disjoint, so the order
+    /// cannot change the answer).
     fn probe(&self, addr: u64) -> Option<RegionRef> {
-        let mut classes = self.classes;
-        let mut probed = u64::MAX;
-        while classes != 0 {
-            let k = classes.trailing_zeros();
-            classes &= classes - 1;
-            let base = addr & !((1u64 << k) - 1);
-            // Low zero bits of `addr` make consecutive classes round to
-            // the same base; one probe answers for all of them.
-            if base == probed {
+        let floor = |k: u8| addr & !((1u64 << k) - 1);
+        for (i, &k) in self.by_count.iter().enumerate() {
+            let base = floor(k);
+            // Zero bits of `addr` make neighbouring classes round to the
+            // same base; the probe made for one answers for all of them.
+            if self.by_count[..i].iter().any(|&j| floor(j) == base) {
                 continue;
             }
-            probed = base;
             if let Some(slot) = self.slots.slot_of(base) {
                 let size_log2 = self.slots.at(slot).size_log2;
                 if addr - base < 1u64 << size_log2 {
@@ -975,6 +999,16 @@ mod tests {
                 }
                 let classes: u64 = oracle.0.values().fold(0, |m, &k| m | 1u64 << k);
                 assert_eq!(d.classes, classes, "populated-class mask");
+                let mut ranked: Vec<u8> = (0..64).filter(|k| classes >> k & 1 == 1).collect();
+                ranked.sort_by_key(|&k| std::cmp::Reverse(d.class_count[k as usize]));
+                let counts = |order: &[u8]| -> Vec<u32> {
+                    order.iter().map(|&k| d.class_count[k as usize]).collect()
+                };
+                assert_eq!(counts(&d.by_count), counts(&ranked), "probe order");
+                ranked.sort_unstable();
+                let mut listed = d.by_count.clone();
+                listed.sort_unstable();
+                assert_eq!(listed, ranked, "every populated class listed once");
                 d.assert_pairs_match_scan();
             }
         }

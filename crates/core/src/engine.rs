@@ -34,7 +34,6 @@
 //! turnwise discipline — the serialized window=1 replay stays the
 //! byte-identical reference.
 
-use mind_sim::event::Scheduled;
 use mind_sim::{EventQueue, SimTime};
 
 use crate::system::AccessOutcome;
@@ -79,10 +78,8 @@ pub struct ClusterEngine {
     /// current op — survives gated deferrals so stall spans start where
     /// the wait actually began.
     ready0: Vec<SimTime>,
-    /// Scratch buffer for same-timestamp batches ([`EventQueue::pop_batch_into`]
-    /// keeps the hot loop allocation-free).
-    scratch: Vec<Scheduled<u32>>,
-    cursor: usize,
+    /// The per-source window the pool is sized from.
+    per_source: usize,
 }
 
 impl ClusterEngine {
@@ -92,14 +89,24 @@ impl ClusterEngine {
     /// `nic_depth` ops each (`0` = unbounded).
     pub fn new(window: u32, nic_depth: u32, sources: u32) -> Self {
         let sources = sources.max(1) as usize;
-        let pool = (window.max(1) as usize) * sources;
+        let per_source = window.max(1) as usize;
         ClusterEngine {
-            window: InFlightWindow::new(pool).with_nic_depth(nic_depth),
+            window: InFlightWindow::new(per_source * sources).with_nic_depth(nic_depth),
             queue: EventQueue::new(),
             ready0: vec![SimTime::ZERO; sources],
-            scratch: Vec::new(),
-            cursor: 0,
+            per_source,
         }
+    }
+
+    /// Makes this the engine [`ClusterEngine::new`] would build for
+    /// `sources` streams with the same window and NIC depth — nothing in
+    /// flight, no frontier, an empty ready queue — keeping its storage.
+    pub fn reset(&mut self, sources: u32) {
+        let sources = sources.max(1) as usize;
+        self.window.reset(self.per_source * sources);
+        self.queue.clear();
+        self.ready0.clear();
+        self.ready0.resize(sources, SimTime::ZERO);
     }
 
     /// The number of issue streams the engine arbitrates.
@@ -123,9 +130,7 @@ impl ClusterEngine {
     /// final pop. In-flight state and the overlap frontier persist — a
     /// phase boundary is an accounting boundary, not a fabric drain.
     pub fn begin_phase(&mut self) {
-        self.queue = EventQueue::new();
-        self.scratch.clear();
-        self.cursor = 0;
+        self.queue.clear();
     }
 
     /// Declares `source` ready to issue its next operation at `at`,
@@ -142,29 +147,20 @@ impl ClusterEngine {
     }
 
     /// Pops the next ready source and the virtual time it pops at.
-    /// Same-timestamp sources drain in schedule order via one batched pop.
+    /// Same-timestamp sources pop in schedule order (the queue's
+    /// `(at, seq)` order is total).
     pub fn next_ready(&mut self) -> Option<(SimTime, u32)> {
-        if self.cursor == self.scratch.len() {
-            self.queue.pop_batch_into(&mut self.scratch);
-            self.cursor = 0;
-        }
-        let ev = self.scratch.get(self.cursor)?;
-        self.cursor += 1;
-        Some((ev.at, ev.event))
+        self.queue.pop().map(|ev| (ev.at, ev.event))
     }
 
-    /// The timestamp of the next readiness event, if any (scratch-aware:
-    /// sources already drained into the current batch count).
+    /// The timestamp of the next readiness event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.scratch
-            .get(self.cursor)
-            .map(|ev| ev.at)
-            .or_else(|| self.queue.peek_time())
+        self.queue.peek_time()
     }
 
     /// Whether no source is pending.
     pub fn is_idle(&self) -> bool {
-        self.cursor == self.scratch.len() && self.queue.is_empty()
+        self.queue.is_empty()
     }
 
     /// When `source` first became ready for its current operation.
@@ -176,9 +172,144 @@ impl ClusterEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn ns(n: u64) -> SimTime {
         SimTime::from_nanos(n)
+    }
+
+    /// The ready queue as it used to be: the standard library's heap on
+    /// `(at, seq)`, drained a whole timestamp at a time into a scratch
+    /// batch that `next_ready` walks with a cursor.
+    #[derive(Default)]
+    struct ScratchBatchOracle {
+        heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+        next_seq: u64,
+        scratch: Vec<(SimTime, u32)>,
+        cursor: usize,
+    }
+
+    impl ScratchBatchOracle {
+        fn schedule(&mut self, at: SimTime, source: u32) {
+            self.heap.push(Reverse((at, self.next_seq, source)));
+            self.next_seq += 1;
+        }
+
+        fn queue_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|ev| ev.0 .0)
+        }
+
+        fn next_ready(&mut self) -> Option<(SimTime, u32)> {
+            if self.cursor == self.scratch.len() {
+                self.scratch.clear();
+                self.cursor = 0;
+                let at = self.queue_time();
+                while at.is_some() && self.queue_time() == at {
+                    let Reverse((at, _, source)) = self.heap.pop().unwrap();
+                    self.scratch.push((at, source));
+                }
+            }
+            let ev = *self.scratch.get(self.cursor)?;
+            self.cursor += 1;
+            Some(ev)
+        }
+
+        fn peek_time(&self) -> Option<SimTime> {
+            let batched = self.scratch.get(self.cursor).map(|ev| ev.0);
+            batched.or_else(|| self.queue_time())
+        }
+
+        fn is_idle(&self) -> bool {
+            self.cursor == self.scratch.len() && self.heap.is_empty()
+        }
+    }
+
+    /// The runner's traffic over the engine — pop a source, then re-seed it
+    /// (think time, often zero: the same timestamp again), defer it to a
+    /// later gate release, or let it finish — pops the sources in the order
+    /// the same-timestamp scratch batch did, phase changes and resets
+    /// included.
+    #[test]
+    fn pop_order_matches_the_scratch_batch_engine() {
+        use mind_sim::SimRng;
+        for (seed, sources) in [(1u64, 4u32), (2, 40), (3, 512)] {
+            let mut rng = SimRng::new(seed);
+            let mut eng = ClusterEngine::new(2, 0, sources);
+            let mut oracle = ScratchBatchOracle::default();
+            let mut idle: Vec<u32> = Vec::new();
+            let reseed = |eng: &mut ClusterEngine, oracle: &mut ScratchBatchOracle, at| {
+                for src in 0..sources {
+                    eng.seed(at, src);
+                    oracle.schedule(at, src);
+                }
+            };
+            reseed(&mut eng, &mut oracle, SimTime::ZERO);
+            let mut same_time_reseeds = 0;
+            for step in 0..40_000 {
+                let ctx = format!("seed {seed} step {step}");
+                assert_eq!(eng.peek_time(), oracle.peek_time(), "{ctx}: peek");
+                assert_eq!(eng.is_idle(), oracle.is_idle(), "{ctx}: idle");
+                let popped = eng.next_ready();
+                assert_eq!(popped, oracle.next_ready(), "{ctx}: pop");
+                let Some((now, src)) = popped else {
+                    // Everything finished: a new phase (the old clock may
+                    // be ahead of the new seeds) or a reset engine.
+                    if rng.gen_bool(0.5) {
+                        eng.begin_phase();
+                    } else {
+                        eng.reset(sources);
+                        assert_eq!(eng.sources(), sources);
+                    }
+                    oracle = ScratchBatchOracle::default();
+                    idle.clear();
+                    reseed(&mut eng, &mut oracle, ns(rng.gen_below(50)));
+                    continue;
+                };
+                match rng.gen_below(10) {
+                    0..=5 => {
+                        let gap = ns(20 * rng.gen_below(3));
+                        same_time_reseeds += (gap == SimTime::ZERO) as u32;
+                        eng.seed(now + gap, src);
+                        oracle.schedule(now + gap, src);
+                    }
+                    6..=8 => {
+                        let until = now + ns(1 + 20 * rng.gen_below(4));
+                        eng.defer(until, src);
+                        oracle.schedule(until, src);
+                    }
+                    _ => idle.push(src),
+                }
+                // A finished source sometimes comes back (a later batch).
+                if !idle.is_empty() && rng.gen_bool(0.08) {
+                    let src = idle.swap_remove(rng.gen_below(idle.len() as u64) as usize);
+                    eng.seed(now + ns(40), src);
+                    oracle.schedule(now + ns(40), src);
+                }
+            }
+            assert!(same_time_reseeds > 2_000, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn reset_resizes_the_pool_and_forgets_the_run() {
+        let mut eng = ClusterEngine::new(4, 2, 3);
+        eng.seed(ns(100), 2);
+        eng.next_ready();
+        eng.window_mut().admit(ns(250), None, 0);
+        eng.reset(5);
+        assert_eq!(eng.sources(), 5);
+        assert_eq!(eng.window().depth(), 20);
+        assert_eq!(eng.window().nic_depth(), 2);
+        assert_eq!(eng.window().in_flight(), 0);
+        assert_eq!(eng.window().frontier(), SimTime::ZERO);
+        assert!(eng.is_idle());
+        assert_eq!(eng.ready0(4), SimTime::ZERO);
+        // Seeding before the old clock is allowed again.
+        eng.seed(ns(30), 4);
+        assert_eq!(eng.next_ready(), Some((ns(30), 4)));
+        eng.reset(0);
+        assert_eq!((eng.sources(), eng.window().depth()), (1, 4));
     }
 
     #[test]
@@ -199,7 +330,7 @@ mod tests {
         eng.seed(ns(10), 1);
         assert_eq!(eng.peek_time(), Some(ns(10)));
         assert_eq!(eng.next_ready(), Some((ns(10), 0)));
-        assert_eq!(eng.peek_time(), Some(ns(10)), "scratch-aware peek");
+        assert_eq!(eng.peek_time(), Some(ns(10)), "peek past a vacant root");
         assert_eq!(eng.next_ready(), Some((ns(10), 1)));
         assert_eq!(eng.next_ready(), Some((ns(20), 2)));
         assert!(eng.next_ready().is_none());

@@ -52,7 +52,9 @@ pub struct Gates {
     pub nic_free_at: SimTime,
     /// [`InFlightWindow::nic_in_flight`] for the candidate's blade.
     pub nic_in_flight: usize,
-    /// [`InFlightWindow::region_release`] for the candidate's page.
+    /// [`InFlightWindow::region_release`] for the page the candidate
+    /// would transition; [`SimTime::ZERO`] for a candidate that consults
+    /// no directory region (a local hit), which the gate does not hold.
     pub region_release: SimTime,
 }
 
@@ -62,7 +64,8 @@ pub struct Gates {
 /// it is counted, so retirement pops a prefix, the slot gate reads the
 /// front, and the NIC gate is a counter compare that scans (from the
 /// front, stopping at the blade's first op) only when the queue is full.
-/// Only the region gate walks the pool.
+/// Only the region gate walks the pool, and only for an operation that
+/// will consult the directory.
 #[derive(Debug)]
 pub struct InFlightWindow {
     depth: usize,
@@ -100,6 +103,16 @@ impl InFlightWindow {
     pub fn with_nic_depth(mut self, depth: u32) -> Self {
         self.nic_depth = depth as usize;
         self
+    }
+
+    /// Empties the window and gives it `depth` slots (clamped to at least
+    /// 1), keeping the NIC depth and the storage: nothing in flight, no
+    /// frontier — the window [`InFlightWindow::new`] would build.
+    pub fn reset(&mut self, depth: usize) {
+        self.depth = depth.max(1);
+        self.slots.clear();
+        self.per_blade.fill(0);
+        self.frontier = SimTime::ZERO;
     }
 
     /// The window depth.
@@ -161,22 +174,30 @@ impl InFlightWindow {
 
     /// Retires every operation that completed at or before `now`.
     pub fn retire_through(&mut self, now: SimTime) {
-        let retired = self.slots.partition_point(|s| s.complete_at <= now);
+        // Counted from the front, not searched for: most offers retire
+        // nothing or an op or two.
+        let retired = self
+            .slots
+            .iter()
+            .take_while(|s| s.complete_at <= now)
+            .count();
         for s in self.slots.drain(..retired) {
             self.per_blade[s.blade as usize] -= 1;
         }
     }
 
-    /// [`InFlightWindow::retire_through`] `now`, then all three gates for
-    /// an operation by `blade` on the page at `addr` — what the cluster
-    /// engine asks per offered operation.
-    pub fn sweep(&mut self, now: SimTime, blade: u16, addr: u64) -> Gates {
+    /// [`InFlightWindow::retire_through`] `now`, then the gates for an
+    /// operation by `blade` — what the cluster engine asks per offered
+    /// operation. `consults` is the page whose directory region the
+    /// operation would transition, `None` for a local hit: only then is
+    /// the pool walked for the region gate.
+    pub fn sweep(&mut self, now: SimTime, blade: u16, consults: Option<u64>) -> Gates {
         self.retire_through(now);
         Gates {
             slot_free_at: self.slot_free_at(),
             nic_free_at: self.nic_free_at(blade),
             nic_in_flight: self.nic_in_flight(blade),
-            region_release: self.region_release(addr),
+            region_release: consults.map_or(SimTime::ZERO, |addr| self.region_release(addr)),
         }
     }
 
@@ -289,36 +310,47 @@ mod tests {
 
     /// Random offers against a pool under slot, NIC and region pressure:
     /// one `sweep` must report what retire + the three separate scans
-    /// report on the unordered reference, ties and nested regions included.
+    /// report on the unordered reference, ties and nested regions included
+    /// — the region scan for an op that consults the directory, no region
+    /// hold for one that does not.
     #[test]
     fn sweep_matches_the_four_separate_scans() {
         use mind_sim::SimRng;
+        let mut region_holds = 0;
         for (seed, depth, nic_depth) in [(1u64, 1usize, 0u32), (2, 8, 2), (3, 24, 4), (4, 64, 0)] {
             let mut rng = SimRng::new(seed);
             let mut w = InFlightWindow::new(depth).with_nic_depth(nic_depth);
             let mut oracle = ScanOracle::default();
             let mut now = SimTime::ZERO;
-            for _ in 0..4_000 {
-                now += ns(rng.gen_below(40));
+            for step in 0..4_000 {
+                // Mostly small steps, so that most offers retire nothing
+                // and some land exactly on a completion time.
+                now += ns(rng.gen_below(40) * rng.gen_below(2));
                 let blade = rng.gen_below(3) as u16;
                 let addr = rng.gen_below(64) << 12;
+                let consults = rng.gen_bool(0.5);
                 oracle.retire_through(now);
                 let expected = Gates {
                     slot_free_at: oracle.slot_free_at(depth),
                     nic_free_at: oracle.nic_free_at(nic_depth as usize, blade),
                     nic_in_flight: oracle.nic_in_flight(blade),
-                    region_release: oracle.region_release(addr),
+                    region_release: if consults {
+                        oracle.region_release(addr)
+                    } else {
+                        SimTime::ZERO
+                    },
                 };
+                region_holds += (expected.region_release > now) as u32;
                 assert_eq!(
-                    w.sweep(now, blade, addr),
+                    w.sweep(now, blade, consults.then_some(addr)),
                     expected,
-                    "seed {seed} at {now:?}"
+                    "seed {seed} step {step} at {now:?}"
                 );
                 assert_eq!(w.in_flight(), oracle.slots.len());
                 // The separate calls answer alike.
                 assert_eq!(w.slot_free_at(), expected.slot_free_at);
                 assert_eq!(w.nic_free_at(blade), expected.nic_free_at);
-                assert_eq!(w.region_release(addr), expected.region_release);
+                assert_eq!(w.region_release(addr), oracle.region_release(addr));
                 if expected.slot_free_at > now || expected.nic_free_at > now {
                     continue; // Gated: the op is re-offered later.
                 }
@@ -336,6 +368,20 @@ mod tests {
                 });
             }
         }
+        assert!(region_holds > 1_000, "the region gate held {region_holds}");
+    }
+
+    #[test]
+    fn reset_is_a_fresh_window_of_the_new_depth() {
+        let mut w = InFlightWindow::new(2).with_nic_depth(1);
+        w.admit(ns(100), Some((0x1000, 12)), 1);
+        w.reset(3);
+        assert_eq!((w.depth(), w.nic_depth(), w.in_flight()), (3, 1, 0));
+        assert_eq!(w.frontier(), SimTime::ZERO);
+        assert_eq!(w.nic_in_flight(1), 0, "the blade's count is gone");
+        assert_eq!(w.region_release(0x1000), SimTime::ZERO);
+        w.reset(0);
+        assert_eq!(w.depth(), 1, "clamped like `new`");
     }
 
     #[test]

@@ -20,9 +20,9 @@ use std::collections::VecDeque;
 
 use mind_core::addr::pow2_alloc_size;
 use mind_core::cluster::{MindCluster, MindConfig};
-use mind_core::engine::ClusterStep;
+use mind_core::engine::{ClusterEngine, ClusterStep};
 use mind_core::protect::PermClass;
-use mind_core::system::{MemOp, MemorySystem, OpBatch};
+use mind_core::system::{AccessOutcome, MemOp, MemorySystem, OpBatch};
 use mind_obs::{EventKind, TraceData, WindowSeries};
 use mind_sim::stats::{Histogram, Metrics};
 use mind_sim::{EventQueue, SimRng, SimTime};
@@ -228,6 +228,10 @@ enum Event {
     Rebalance,
 }
 
+/// What the issue engine reported for one grant: `(issue time, outcome,
+/// region)`.
+type Staged = (SimTime, AccessOutcome, Option<(u64, u8)>);
+
 /// The live tenant in `slot` of the slot table.
 fn tenant_in(slots: &mut [Option<Tenant>], slot: u32) -> &mut Tenant {
     slots[slot as usize]
@@ -271,6 +275,11 @@ pub struct MemoryService {
     grants: Vec<(u32, usize, PendingRequest)>,
     /// Reusable list of the ready-list positions a quantum drained.
     drained: Vec<usize>,
+    /// The rack's issue engine, reset for each quantum that dispatches
+    /// through it ([`ServiceConfig::cluster_dispatch`]).
+    engine: ClusterEngine,
+    /// Reusable staging of that engine's results, in op order.
+    staged: Vec<Option<Staged>>,
     /// Per-class windowed telemetry, present only when the rack traces.
     class_series: Option<[WindowSeries; 3]>,
 }
@@ -286,8 +295,14 @@ impl MemoryService {
         } else {
             None
         };
+        let cluster = MindCluster::new(cfg.rack);
+        let engine = cluster
+            .cluster_engine(cfg.window, 1)
+            .expect("MindCluster always offers the issue/complete engine");
         MemoryService {
-            cluster: MindCluster::new(cfg.rack),
+            cluster,
+            engine,
+            staged: Vec::new(),
             class_series,
             rng: SimRng::new(cfg.seed),
             cfg,
@@ -627,32 +642,31 @@ impl MemoryService {
     /// release time and re-offer. Completions land back in the batch in
     /// op order, so the accounting pass downstream is path-agnostic.
     fn dispatch_through_engine(&mut self, now: SimTime, batch: &mut OpBatch) {
-        let mut eng = self
-            .cluster
-            .cluster_engine(self.cfg.window, batch.len() as u32)
-            .expect("MindCluster always offers the issue/complete engine");
+        let eng = &mut self.engine;
+        eng.reset(batch.len() as u32);
         for src in 0..batch.len() as u32 {
             eng.seed(now, src);
         }
         // The engine issues in ready order, not op order; stage results
         // and record them in op order to honor the OpBatch contract.
-        let mut done = vec![None; batch.len()];
+        self.staged.clear();
+        self.staged.resize(batch.len(), None);
         while let Some((at, src)) = eng.next_ready() {
             let i = src as usize;
             let op = batch.op(i);
             let ready0 = eng.ready0(src);
             let step = self
                 .cluster
-                .cluster_issue(&mut eng, at, ready0, &op)
-                .expect("engine path probed above");
+                .cluster_issue(eng, at, ready0, &op)
+                .expect("MindCluster always offers the issue/complete engine");
             match step {
                 ClusterStep::Gated { until, .. } => eng.defer(until, src),
                 ClusterStep::Issued {
                     outcome, region, ..
-                } => done[i] = Some((at, outcome, region)),
+                } => self.staged[i] = Some((at, outcome, region)),
             }
         }
-        for (i, slot) in done.into_iter().enumerate() {
+        for (i, slot) in self.staged.drain(..).enumerate() {
             let (at, outcome, region) = slot.expect("engine drains every seeded grant");
             batch.record_with_region(i, at, Ok(outcome), region);
         }

@@ -11,6 +11,8 @@
 //! [`time::SimTime`], so simulation runs are bit-for-bit reproducible from a
 //! seed.
 
+#![forbid(unsafe_code)]
+
 pub mod env;
 pub mod event;
 pub mod hash;

@@ -634,10 +634,14 @@ impl ClusterDriver {
             }
             let op = self.bufs[s][self.pos[s]];
             let ready0 = self.eng.ready0(src);
-            let step = system
-                .cluster_issue(&mut self.eng, now, ready0, &op)
-                .expect("cluster support probed via cluster_engine");
-            match step {
+            // Read in place: moving the step out of the `Option` copies
+            // its hundred bytes with wide loads that stall on the narrow
+            // stores the system just wrote them with.
+            let step = system.cluster_issue(&mut self.eng, now, ready0, &op);
+            match *step
+                .as_ref()
+                .expect("cluster support probed via cluster_engine")
+            {
                 ClusterStep::Gated { until, nic_stall } => {
                     if nic_stall > SimTime::ZERO {
                         if let Some(acc) = acc.as_deref_mut() {
@@ -647,7 +651,7 @@ impl ClusterDriver {
                     self.eng.defer(until, src);
                 }
                 ClusterStep::Issued {
-                    outcome,
+                    ref outcome,
                     complete_at,
                     region: _,
                 } => {
@@ -656,7 +660,7 @@ impl ClusterDriver {
                     let done = complete_at + self.gap;
                     match acc.as_deref_mut() {
                         Some(acc) => {
-                            acc.record_op(&outcome, complete_at);
+                            acc.record_op(outcome, complete_at);
                             self.end_clock = self.end_clock.max(done);
                         }
                         None => self.warmup_end = self.warmup_end.max(done),

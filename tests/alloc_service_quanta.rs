@@ -33,29 +33,41 @@ fn drive(svc: &mut MemoryService, tenants: &[TenantId], now: &mut SimTime, quant
 
 #[test]
 fn a_quantum_over_a_steady_tenant_set_allocates_nothing() {
-    let mut svc = MemoryService::new(ServiceConfig::default());
-    let mut now = SimTime::ZERO;
-    let tenants: Vec<TenantId> = (0..TENANTS)
-        .map(|i| {
-            let qos = QosClass::ALL[(i % 3) as usize];
-            svc.admit(now, qos, PAGES, 10_000.0).unwrap()
-        })
-        .collect();
-    // Warm-up: every page fetched and stored to once, every queue, batch
-    // and table at the size the loop needs.
-    drive(&mut svc, &tenants, &mut now, 40_000);
+    // The batched quantum, then the quantum dispatched through the rack's
+    // issue engine (one engine and one staging buffer, reset per quantum).
+    let engine_dispatch = ServiceConfig {
+        window: 4,
+        cluster_dispatch: true,
+        ..ServiceConfig::default()
+    };
+    for (name, cfg) in [
+        ("batch_dispatch", ServiceConfig::default()),
+        ("cluster_dispatch", engine_dispatch),
+    ] {
+        let mut svc = MemoryService::new(cfg);
+        let mut now = SimTime::ZERO;
+        let tenants: Vec<TenantId> = (0..TENANTS)
+            .map(|i| {
+                let qos = QosClass::ALL[(i % 3) as usize];
+                svc.admit(now, qos, PAGES, 10_000.0).unwrap()
+            })
+            .collect();
+        // Warm-up: every page fetched and stored to once, every queue,
+        // batch and table at the size the loop needs.
+        drive(&mut svc, &tenants, &mut now, 40_000);
 
-    let (allocs_before, _) = alloc_counts();
-    let served = drive(&mut svc, &tenants, &mut now, 20_000);
-    let (allocs_after, _) = alloc_counts();
+        let (allocs_before, _) = alloc_counts();
+        let served = drive(&mut svc, &tenants, &mut now, 20_000);
+        let (allocs_after, _) = alloc_counts();
 
-    assert_eq!(served, 60_000, "every submitted request was served");
-    // The bounded-splitting driver keeps two per-epoch series for the
-    // figures, and a vector that grows for 200 more epochs doubles at most
-    // once; nothing a quantum does may allocate.
-    let allocs = allocs_after - allocs_before;
-    assert!(
-        allocs <= 2,
-        "{allocs} allocations over {served} served requests"
-    );
+        assert_eq!(served, 60_000, "{name}: every submitted request was served");
+        // The bounded-splitting driver keeps two per-epoch series for the
+        // figures, and a vector that grows for 200 more epochs doubles at
+        // most once; nothing a quantum does may allocate.
+        let allocs = allocs_after - allocs_before;
+        assert!(
+            allocs <= 2,
+            "{name}: {allocs} allocations over {served} served requests"
+        );
+    }
 }
