@@ -14,6 +14,8 @@
 //! Both implement [`mind_core::system::MemorySystem`] so the trace runner
 //! replays identical workloads against all three systems.
 
+#![forbid(unsafe_code)]
+
 pub mod fastswap;
 pub mod gam;
 

@@ -1,17 +1,15 @@
-//! The `datapath` figure: scalar vs op-batch pipeline replay throughput
-//! over batch sizes 1/8/64/256 plus the sharded large-scenario scaling
-//! points (shard counts, OS-thread counts, the 131 072-tenant XL
-//! population, and the 1 048 576-tenant streamed XXL population),
-//! writing `BENCH_datapath.json`. Pass `--quick` for the CI-sized
-//! variant. The `wall_*` / `shard_wall_*` / `shard_x*_wall_*` values
-//! measure the host and vary run to run; the `sim_*` values are
-//! deterministic.
+//! The `datapath` figure: simulated throughput over turn sizes
+//! 1/8/64/256, in-flight windows and cross-turn overlap, plus the sharded
+//! large-scenario scaling points (shard counts, OS-thread counts, the
+//! 131 072-tenant XL population, and the 1 048 576-tenant streamed XXL
+//! population), writing `BENCH_datapath.json`. Pass `--quick` for the
+//! CI-sized variant. The `shard_wall_*` / `shard_x*_wall_*`, `*speedup*`
+//! and `*peak_rss_mb*` values measure the host and vary run to run;
+//! everything else is deterministic (CI diffs it against the committed
+//! file with `bench_diff`).
 //!
-//! Under `--quick` the bin doubles as a perf-guard: it exits non-zero if
+//! Under `--quick` the bin doubles as a guard: it exits non-zero if
 //!
-//! - any regime's `wall_speedup_b64` falls below [`GUARD_FLOOR`] —
-//!   batching regressing below scalar parity on any regime is the bug
-//!   this figure exists to catch; or
 //! - the multi-core shard driver at the top shard count
 //!   (`shard_speedup_s4_t4`) falls below [`GUARD_FLOOR`] × the
 //!   single-threaded figure (`shard_speedup_s4`) — threads must never
@@ -41,12 +39,10 @@
 //! there and the gate prints a skip note instead of failing. The RSS
 //! gate is parallelism-independent and always applies.
 
-use mind_bench::figures::datapath::{
-    BATCH_SIZES, SHARD_COUNTS, SHARD_THREADS, WINDOWS, XXL_THREADS,
-};
+use mind_bench::figures::datapath::{SHARD_COUNTS, SHARD_THREADS, WINDOWS, XXL_THREADS};
 
-/// Minimum accepted `wall_speedup_b64` per regime — and minimum accepted
-/// multi-thread/single-thread shard-speedup ratio — under `--quick`.
+/// Minimum accepted multi-thread/single-thread shard-speedup ratio — and
+/// cluster-mode/turnwise recovery ratio — under `--quick`.
 const GUARD_FLOOR: f64 = 0.95;
 
 /// Maximum accepted `shard_xxl_peak_rss_mb / shard_xl_peak_rss_mb` at the
@@ -67,22 +63,7 @@ fn main() {
     if !std::env::args().any(|a| a == "--quick") {
         return;
     }
-    assert!(BATCH_SIZES.contains(&64), "guard batch size must be swept");
     let mut failed = false;
-    for r in results
-        .iter()
-        .filter(|r| !r.name.contains("/shards"))
-    {
-        let speedup = r.value("wall_speedup_b64");
-        if speedup < GUARD_FLOOR {
-            eprintln!(
-                "perf-guard: {} wall_speedup_b64 = {speedup:.3} < {GUARD_FLOOR} \
-                 (batching must not regress below scalar parity)",
-                r.name
-            );
-            failed = true;
-        }
-    }
     // The cross-turn gate: cluster mode must never lose to the per-batch
     // window path it generalizes — and on the fault-dominated regime it
     // must win outright, because there the turn-drain barrier is what
@@ -173,8 +154,7 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "perf-guard: every regime's wall_speedup_b64 >= {GUARD_FLOOR}, \
-         xturn_recovery_w{top_window} held against overlap_recovery_w{top_window}, \
+        "perf-guard: xturn_recovery_w{top_window} held against overlap_recovery_w{top_window}, \
          the thread-scaling gates held (or were skipped on an under-provisioned host), \
          and shards_xxl kept peak RSS <= {RSS_CEILING}x the XL peak"
     );

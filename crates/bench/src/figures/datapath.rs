@@ -1,25 +1,13 @@
-//! The `datapath` figure: scalar vs op-batch pipeline throughput.
+//! The `datapath` figure: what scheduling granularity, in-flight windows
+//! and sharding do to a replay.
 //!
-//! MIND's premise is that the switch datapath runs at line rate, so the
-//! *simulator's* ops/sec on the access hot path bounds every experiment
-//! in this repo (275 suite scenarios, the service's tenant quanta). This
-//! figure sweeps the trace runner's `batch_ops` over three micro-workload
-//! regimes and reports, per batch size:
-//!
-//! - `sim_mops_b<N>` / `runtime_ns_b<N>` — *simulated* results, fully
-//!   deterministic (and independent of the scalar/batched datapath choice:
-//!   the equivalence suite asserts byte-identical reports);
-//! - `wall_kops_b<N>` — host-side replay throughput (thousand simulated
-//!   ops per wall-clock second), the quantity batching exists to raise;
-//! - `wall_speedup_b<N>` — `wall_kops_b<N> / wall_kops_b1`.
-//!
-//! Unlike every other figure, the `wall_*` values measure the host and are
-//! **not** run-to-run deterministic; the `sim_*` values are. Measurements
-//! are paired (both pipelines run inside one scenario, best of
-//! [`MEASURE_PASSES`]) *and pass-interleaved*: each pass runs every
-//! (batch size × pipeline) cell once before the next pass starts, so slow
-//! host drift (thermal, background load) lands on every cell about
-//! equally instead of biasing whichever cell happened to run last.
+//! Everything the three replay regimes report is *simulated* and fully
+//! deterministic; host-time numbers for the same hot paths come from the
+//! repo benchmark (`BENCHMARK.json`), not from here. Per batch size the
+//! figure reports `sim_mops_b<N>` / `runtime_ns_b<N>`: every op takes the
+//! same path whatever the turn size, so the sweep shows only what coarser
+//! turns do to the interleaving of threads (and so to sharing, queueing
+//! and simulated throughput).
 //!
 //! The figure also sweeps the **window axis** ([`WINDOWS`] ×
 //! [`WINDOW_BATCHES`]): simulated MOPS with the issue/complete datapath
@@ -41,9 +29,9 @@
 //! while each shard pays only for its slice. The **threads axis**
 //! (`shard_wall_secs_s<K>_t<T>` / `shard_speedup_s<K>_t<T>`) re-measures
 //! the top shard count with 1/2/4 OS threads driving the shard
-//! sub-clusters — identical output, multi-core wall clock. Like `wall_*`,
-//! `shard_wall_*` and `shard_speedup_*` measure the host; the
-//! `shard_sim_*` values are deterministic.
+//! sub-clusters — identical output, multi-core wall clock.
+//! `shard_wall_*` and `shard_speedup_*` measure the host and are **not**
+//! run-to-run deterministic; the `shard_sim_*` values are.
 //!
 //! `datapath/shards_xl` scales the same population to 131 072 tenants —
 //! affordable only sharded ([`XL_SHARDS`] ways) and only because the
@@ -65,7 +53,7 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
-use mind_core::system::{ConsistencyModel, ScalarLoop};
+use mind_core::system::ConsistencyModel;
 use mind_harness::{Scenario, ScenarioOutput, ScenarioResult, SystemSpec, WorkloadSpec};
 use mind_service::{population_spec, tenant_partitions, TenantGroupConfig};
 use mind_workloads::micro::MicroConfig;
@@ -75,23 +63,17 @@ use mind_workloads::{run_group, run_sharded_threads, ShardSpec};
 use super::scaled_ops;
 use crate::print_table;
 
-/// Batch sizes swept (1 = the scalar per-op discipline).
+/// Batch sizes swept (1 = the earliest thread is re-picked after every op).
 pub const BATCH_SIZES: [u64; 4] = [1, 8, 64, 256];
 
 /// In-flight window depths swept beyond the serialized baseline (the
-/// whole wall-clock sweep above runs at window 1, which is byte-identical
-/// to the pre-window datapath). Windowed points are simulation-only and
-/// fully deterministic: they measure the *modelled* effect of
-/// memory-level parallelism, not host throughput.
+/// batch sweep above runs at window 1): the *modelled* effect of
+/// memory-level parallelism.
 pub const WINDOWS: [u32; 2] = [4, 16];
 
 /// Batch sizes the window axis sweeps (a batch of 1 has nothing to
 /// overlap: the window is intra-batch).
 pub const WINDOW_BATCHES: [u64; 3] = [8, 64, 256];
-
-/// Wall-clock passes per point; the fastest is reported. Passes are
-/// interleaved across cells (pass-major order), not batched per cell.
-const MEASURE_PASSES: u32 = 5;
 
 const OPS_PER_THREAD: u64 = 30_000;
 
@@ -118,11 +100,11 @@ pub const XXL_THREADS: [usize; 2] = [1, 4];
 /// whole population at every shard count, so fewer passes suffice).
 const SHARD_PASSES: u32 = 3;
 
-/// Serializes the wall-clock sections across this figure's scenarios, so
-/// a parallel engine does not run two measurements on sibling cores at
-/// once (they would distort each other). Other figures' scenarios can
-/// still interfere when the whole `suite` runs; the dedicated `datapath`
-/// bin is the clean measurement path.
+/// Serializes the shard scenarios' wall-clock sections, so a parallel
+/// engine does not run two measurements on sibling cores at once (they
+/// would distort each other). Other figures' scenarios can still
+/// interfere when the whole `suite` runs; the dedicated `datapath` bin is
+/// the clean measurement path.
 static MEASURE_LOCK: Mutex<()> = Mutex::new(());
 
 /// One hot-path regime of the sweep.
@@ -187,73 +169,13 @@ fn regimes() -> [Regime; 3] {
     ]
 }
 
-/// One measured cell, folded across passes: host kops/s from the best
-/// pass plus the deterministic sim results (identical in every pass).
-struct Point {
-    best_secs: f64,
-    executed: u64,
-    sim_mops: f64,
-    runtime_ns: u128,
-}
-
-impl Point {
-    fn new() -> Self {
-        Point {
-            best_secs: f64::INFINITY,
-            executed: 0,
-            sim_mops: 0.0,
-            runtime_ns: 0,
-        }
-    }
-
-    fn kops(&self) -> f64 {
-        self.executed as f64 / self.best_secs / 1e3
-    }
-}
-
-/// Runs one wall-clock pass of one regime at one batch size through
-/// either pipeline (`scalar` wraps the rack in [`ScalarLoop`], keeping
-/// the trait's per-op loop) and folds it into `point`.
-fn run_pass(regime: &Regime, batch_ops: u64, ops: u64, scalar: bool, point: &mut Point) {
-    let workload = WorkloadSpec::Micro(regime.micro);
-    let regions = workload.regions();
-    let run_cfg = RunConfig {
-        ops_per_thread: ops,
-        warmup_ops_per_thread: ops / 2,
-        threads_per_blade: regime.threads_per_blade,
-        ..Default::default()
-    }
-    .with_batch_ops(batch_ops);
-
-    let system = SystemSpec::mind_scaled(&regions, regime.n_compute, ConsistencyModel::Tso);
-    let mut wl = workload.build();
-    let report;
-    let start;
-    if scalar {
-        let mut sys = ScalarLoop(system.build());
-        start = Instant::now();
-        report = runner::run(&mut sys, wl.as_mut(), run_cfg);
-    } else {
-        let mut sys = system.build();
-        start = Instant::now();
-        report = runner::run(sys.as_mut(), wl.as_mut(), run_cfg);
-    }
-    let secs = start.elapsed().as_secs_f64().max(1e-9);
-    point.best_secs = point.best_secs.min(secs);
-    // Warmup ops run through the datapath too; count them as work done.
-    point.executed =
-        report.total_ops + run_cfg.warmup_ops_per_thread * regime.micro.n_threads as u64;
-    point.sim_mops = report.mops;
-    point.runtime_ns = report.runtime.as_nanos() as u128;
-}
-
-/// One simulation-only windowed point: the regime replayed at the given
-/// batch size with an in-flight window of `window`. In
-/// [`Concurrency::Turnwise`] the window overlaps RTTs within each
+/// One point: the regime replayed at the given batch size with an
+/// in-flight window of `window`, as `(sim MOPS, runtime ns, overlapped
+/// ns)`. In [`Concurrency::Turnwise`] the window overlaps RTTs within each
 /// thread's batch; in [`Concurrency::Cluster`] the event-driven engine
 /// additionally overlaps *across* turns and threads. Deterministic either
 /// way — a single pass, no wall clock.
-fn run_window_point(
+fn run_point(
     regime: &Regime,
     batch_ops: u64,
     window: u32,
@@ -365,59 +287,24 @@ fn report_key(r: &RunReport) -> (u128, u64, u64, u64, u128, u128, u64, u64) {
     )
 }
 
-/// Scenario table: one paired-measurement scenario per regime, plus the
-/// sharded scaling point. At every batch size both pipelines replay the
-/// *identical* schedule, so `pipe_speedup` isolates the datapath
-/// amortization; `wall_speedup` additionally includes the effect of
-/// coarser issue quanta on the simulated workload itself.
+/// Scenario table: one scenario per regime, plus the sharded scaling
+/// points.
 pub fn build(quick: bool) -> Vec<Scenario> {
     let ops = scaled_ops(OPS_PER_THREAD, quick) / 4;
     let mut table: Vec<Scenario> = regimes()
         .into_iter()
         .map(|regime| {
             Scenario::custom(format!("datapath/{}", regime.key), move || {
-                let _serial = MEASURE_LOCK.lock().expect("measure lock");
                 let mut out = ScenarioOutput::default();
-                // Pass-major: each pass visits every (batch × pipeline)
-                // cell once, so host drift hits all cells evenly and the
-                // per-cell best-of stays a paired comparison.
-                let mut batched_pts: Vec<Point> = BATCH_SIZES.iter().map(|_| Point::new()).collect();
-                let mut scalar_pts: Vec<Point> = BATCH_SIZES.iter().map(|_| Point::new()).collect();
-                for _ in 0..MEASURE_PASSES {
-                    for (i, &batch) in BATCH_SIZES.iter().enumerate() {
-                        run_pass(&regime, batch, ops, false, &mut batched_pts[i]);
-                        run_pass(&regime, batch, ops, true, &mut scalar_pts[i]);
-                    }
-                }
-                let mut base_kops = 0.0;
                 let mut base_sim_mops = 0.0;
-                for (i, &batch) in BATCH_SIZES.iter().enumerate() {
-                    let batched = &batched_pts[i];
-                    let scalar = &scalar_pts[i];
-                    // The equivalence guarantee, enforced in-figure: both
-                    // pipelines simulated the exact same run.
-                    assert_eq!(
-                        batched.runtime_ns, scalar.runtime_ns,
-                        "scalar/batched divergence: {} b{batch}",
-                        regime.key
-                    );
+                for &batch in &BATCH_SIZES {
+                    let (sim_mops, runtime_ns, _) =
+                        run_point(&regime, batch, 1, ops, Concurrency::Turnwise);
                     out = out
-                        .value(format!("sim_mops_b{batch}"), batched.sim_mops)
-                        .value(format!("runtime_ns_b{batch}"), batched.runtime_ns as f64)
-                        .value(format!("wall_kops_b{batch}"), batched.kops())
-                        .value(format!("scalar_kops_b{batch}"), scalar.kops())
-                        .value(
-                            format!("pipe_speedup_b{batch}"),
-                            batched.kops() / scalar.kops().max(1e-12),
-                        );
+                        .value(format!("sim_mops_b{batch}"), sim_mops)
+                        .value(format!("runtime_ns_b{batch}"), runtime_ns as f64);
                     if batch == 1 {
-                        base_kops = batched.kops();
-                        base_sim_mops = batched.sim_mops;
-                    } else {
-                        out = out.value(
-                            format!("wall_speedup_b{batch}"),
-                            batched.kops() / base_kops.max(1e-12),
-                        );
+                        base_sim_mops = sim_mops;
                     }
                 }
                 // The window axis: simulated MOPS with up to W fault RTTs
@@ -428,7 +315,7 @@ pub fn build(quick: bool) -> Vec<Scenario> {
                 for &window in &WINDOWS {
                     for &batch in &WINDOW_BATCHES {
                         let (sim_mops, runtime_ns, overlapped_ns) =
-                            run_window_point(&regime, batch, window, ops, Concurrency::Turnwise);
+                            run_point(&regime, batch, window, ops, Concurrency::Turnwise);
                         out = out
                             .value(format!("sim_mops_b{batch}_w{window}"), sim_mops)
                             .value(format!("runtime_ns_b{batch}_w{window}"), runtime_ns as f64)
@@ -452,7 +339,7 @@ pub fn build(quick: bool) -> Vec<Scenario> {
                 // turn-drain barrier was the binding constraint.
                 for &window in &WINDOWS {
                     let (sim_mops, runtime_ns, overlapped_ns) =
-                        run_window_point(&regime, 64, window, ops, Concurrency::Cluster);
+                        run_point(&regime, 64, window, ops, Concurrency::Cluster);
                     out = out
                         .value(format!("sim_mops_b64_xturn_w{window}"), sim_mops)
                         .value(format!("runtime_ns_b64_xturn_w{window}"), runtime_ns as f64)
@@ -682,34 +569,13 @@ pub fn present(results: &[ScenarioResult]) {
         .map(|(r, regime)| {
             let mut cells = vec![regime.key.to_string()];
             for &batch in &BATCH_SIZES {
-                cells.push(format!("{:.0}", r.value(&format!("wall_kops_b{batch}"))));
-            }
-            cells.push(format!("{:.2}x", r.value("wall_speedup_b64")));
-            cells.push(format!("{:.3}", r.value("sim_mops_b1")));
-            cells
-        })
-        .collect();
-    print_table(
-        "datapath — batched-pipeline throughput (host kops/s) vs batch_ops",
-        &["regime", "b=1", "b=8", "b=64", "b=256", "speedup64", "sim MOPS (b=1)"],
-        &rows,
-    );
-    let rows: Vec<Vec<String>> = results
-        .iter()
-        .zip(regimes())
-        .map(|(r, regime)| {
-            let mut cells = vec![regime.key.to_string()];
-            for &batch in &BATCH_SIZES {
-                cells.push(format!(
-                    "{:.2}x",
-                    r.value(&format!("pipe_speedup_b{batch}"))
-                ));
+                cells.push(format!("{:.3}", r.value(&format!("sim_mops_b{batch}"))));
             }
             cells
         })
         .collect();
     print_table(
-        "datapath — batched vs scalar-loop pipeline on the identical schedule",
+        "datapath — simulated MOPS vs batch_ops (turn size) at window 1",
         &["regime", "b=1", "b=8", "b=64", "b=256"],
         &rows,
     );

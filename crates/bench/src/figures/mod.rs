@@ -5,8 +5,8 @@
 //! data) and `*_present(&[ScenarioResult])` (prints the paper-style table
 //! from results, which arrive in table order regardless of how the engine
 //! interleaved execution). The [`all`] registry ties them together so the
-//! per-figure binaries and the all-in-one `suite` binary share one
-//! definition.
+//! `suite` binary (`--filter <name>` for one figure) and the gating bins
+//! share one definition.
 
 use mind_harness::{report, Engine, Scenario, ScenarioResult};
 
@@ -145,7 +145,7 @@ pub fn all() -> Vec<Figure> {
         },
         Figure {
             name: "datapath",
-            title: "datapath: scalar vs op-batch pipeline replay throughput",
+            title: "datapath: turn size, in-flight windows and sharded replay",
             build: datapath::build,
             present: datapath::present,
         },
@@ -169,7 +169,7 @@ pub(crate) fn scaled_ops(full: u64, quick: bool) -> u64 {
     }
 }
 
-/// Entry point shared by the per-figure binaries: builds the named
+/// Entry point of a single-figure binary: builds the named
 /// figure's table (honouring a `--quick` argument), executes it on the
 /// environment-sized engine, prints the tables, and writes
 /// `BENCH_<name>.json`. Returns the results so a binary can gate on them

@@ -4,9 +4,10 @@
 //! in [`figures`] as a *scenario table* — pure data (system spec +
 //! workload spec + run parameters) executed by the
 //! [`mind_harness::Engine`] — plus a presentation function that prints the
-//! corresponding rows. Each `src/bin/` binary is a thin wrapper over one
-//! table; the `suite` binary runs every figure in a single parallel
-//! invocation and emits `BENCH_suite.json`.
+//! corresponding rows. The `suite` binary runs every figure in a single
+//! parallel invocation and emits `BENCH_suite.json` (`--filter <name>`
+//! runs one figure or a family); `service` and `datapath` are the two
+//! tables with a binary of their own.
 //!
 //! ## Scaling
 //!

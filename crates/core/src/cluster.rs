@@ -339,23 +339,18 @@ impl MindCluster {
         self.engine.access(now, blade, pid, vaddr, kind)
     }
 
-    /// Executes an [`OpBatch`] through the rack's batched datapath.
-    ///
-    /// This is the fast path behind [`MemorySystem::execute_batch`] and
-    /// the service dispatcher's quantum grants: the engine installs a
-    /// per-batch lookaside that fills lazily — the first op to touch a
-    /// protection range pays the TCAM walk and every later op in the
-    /// range is served from the memo, translations skip the outlier TCAM
-    /// while it is empty — and metric deltas flush once at batch end.
-    /// Per-op outcomes, issue times, and metrics are identical to issuing
-    /// each op through the scalar [`MindCluster::access_as`] path.
+    /// Executes an [`OpBatch`]: each op through the one datapath,
+    /// [`MindCluster::access_as`], at its issue time. A batch is a
+    /// schedule — which ops, issued when — not a second way to execute
+    /// them: this is the executor behind [`MemorySystem::execute_batch`]
+    /// and the service dispatcher's quantum grants, and a chained batch of
+    /// `n` ops equals `n` such calls chained by hand.
     ///
     /// Ops with `pdid: None` run as the default replay process.
     ///
-    /// A batch with an in-flight window deeper than 1 executes through the
-    /// two-phase issue/complete datapath instead (see
-    /// [`MindCluster::run_batch_overlapped`]); `window <= 1` is always
-    /// this serialized path, byte-identical to the pre-window release.
+    /// A batch with an in-flight window deeper than 1 is issued through
+    /// the window's gates instead (see
+    /// [`MindCluster::run_batch_overlapped`]).
     ///
     /// # Panics
     ///
@@ -365,36 +360,22 @@ impl MindCluster {
         if batch.window() > 1 {
             return self.run_batch_overlapped(now, batch);
         }
-        // A batch of one *is* the scalar path: skip the lookaside setup
-        // (there is nothing to amortize over).
-        if batch.len() > 1 {
-            self.engine.begin_batch();
-        }
-
-        let default_pid = self.default_pid;
-        let chained = batch.is_chained();
-        let gap = batch.gap();
         let mut t = now;
         for i in 0..batch.len() {
             let op = batch.op(i);
-            let at = if chained { t } else { op.at };
-            self.tick(at);
-            let pdid = op.pdid.or(default_pid).expect("exec a process before replay");
-            let result = self.engine.access(at, op.blade, pdid, op.vaddr, op.kind);
-            if let Ok(outcome) = &result {
-                t = at + outcome.latency.total() + gap;
-            } else {
-                // A refused chained op contributes no service time; the
-                // next op issues after the gap alone. Trace-replay callers
-                // treat any `Err` as fatal before using later results (the
-                // scalar reference loop panics on the first error), so
-                // this arm only defines behaviour for callers that opt
-                // into inspecting per-op `Result`s.
-                t = at + gap;
-            }
+            let at = if batch.is_chained() { t } else { op.at };
+            let pdid = op
+                .pdid
+                .or(self.default_pid)
+                .expect("exec a process before replay");
+            let result = self.access_as(at, op.blade, pdid, op.vaddr, op.kind);
+            // A refused chained op contributes no service time: the next
+            // op issues after the gap alone.
+            // (Read in place: `result` is a hundred bytes just written.)
+            let service = result.as_ref().map_or(SimTime::ZERO, |o| o.latency.total());
+            t = at + service + batch.gap();
             batch.record(i, at, result);
         }
-        self.engine.end_batch();
     }
 
     /// The two-phase issue/complete executor: up to `batch.window()` ops
@@ -424,10 +405,6 @@ impl MindCluster {
     /// into `overlapped`, so per-op totals (and the op's completion time)
     /// are unchanged while the visible breakdown reflects the hiding.
     fn run_batch_overlapped(&mut self, now: SimTime, batch: &mut OpBatch) {
-        if batch.len() > 1 {
-            self.engine.begin_batch();
-        }
-
         let default_pid = self.default_pid;
         let chained = batch.is_chained();
         let gap = batch.gap();
@@ -528,7 +505,6 @@ impl MindCluster {
             }
             prev_issue = at;
         }
-        self.engine.end_batch();
     }
 
     /// Reads `len` bytes at `vaddr` through `blade`'s cache (functional
@@ -726,8 +702,7 @@ impl MindCluster {
     /// operations ([`MindCluster::inject_loss`],
     /// [`MindCluster::fail_blade`], [`MindCluster::reset_region`],
     /// [`MindCluster::switch_failover`], [`MindCluster::migrate`]) so the
-    /// cluster's invariants — and the batched datapath's lookaside
-    /// assumptions — cannot be bypassed from outside.
+    /// cluster's invariants cannot be bypassed from outside.
     pub fn engine(&self) -> &CoherenceEngine {
         &self.engine
     }
@@ -761,11 +736,9 @@ impl MindCluster {
     /// runs, fabric time below the pool's overlap frontier moves into
     /// `latency.overlapped` (totals unchanged, same attribution as
     /// [`MindCluster::run_batch`]'s windowed path), the op is admitted,
-    /// and any `ready0 → now` wait is traced as a `WindowStall` span.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the access itself fails, like every trace-replay path.
+    /// and any `ready0 → now` wait is traced as a `WindowStall` span. An
+    /// access the rack refuses comes back as [`ClusterStep::Refused`] and
+    /// occupies no slot.
     pub fn issue_clustered(
         &mut self,
         eng: &mut ClusterEngine,
@@ -870,7 +843,7 @@ impl MindCluster {
                     region: issued.region,
                 }
             }
-            Err(e) => panic!("clustered access failed at {:#x}: {e}", op.vaddr),
+            Err(e) => ClusterStep::Refused(e),
         }
     }
 }
@@ -904,9 +877,8 @@ impl MemorySystem for MindCluster {
         self.tick(now);
     }
 
-    /// MIND's op-batch pipeline (see [`MindCluster::run_batch`]): same
-    /// per-op outcomes and metrics as the default scalar loop, with the
-    /// per-op table walks amortized across the batch.
+    /// [`MindCluster::run_batch`]: the default loop plus per-op
+    /// protection domains, typed refusals and the in-flight window.
     fn execute_batch(&mut self, now: SimTime, batch: &mut OpBatch) {
         self.run_batch(now, batch);
     }
@@ -964,72 +936,6 @@ mod tests {
             assert!(scaled_cache_pages(pair[1]) >= scaled_cache_pages(pair[0]));
             assert!(scaled_dir_capacity(pair[1]) >= scaled_dir_capacity(pair[0]));
         }
-    }
-
-    /// The cluster-level equivalence guarantee: a batch through
-    /// `run_batch` produces identical outcomes, issue times, and metrics
-    /// to the same ops issued through the scalar path.
-    #[test]
-    fn run_batch_matches_scalar_path() {
-        use crate::system::MemOp;
-
-        let build_ops = |c: &mut MindCluster, pid: Pid| -> Vec<MemOp> {
-            let base = c.mmap(pid, 1 << 20).unwrap();
-            let mut rng = mind_sim::SimRng::new(9);
-            (0..64)
-                .map(|i| MemOp {
-                    at: SimTime::ZERO,
-                    blade: (i % 2) as u16,
-                    pdid: None,
-                    vaddr: base + (rng.gen_below(64) << 12),
-                    kind: if rng.gen_bool(0.4) {
-                        AccessKind::Write
-                    } else {
-                        AccessKind::Read
-                    },
-                })
-                .collect()
-        };
-
-        // Scalar reference: issue each op through access_as, chaining
-        // issue times exactly like a chained batch.
-        let mut scalar = MindCluster::new(MindConfig::small());
-        let pid = scalar.exec().unwrap();
-        let gap = SimTime::from_nanos(100);
-        let ops = build_ops(&mut scalar, pid);
-        let mut scalar_outcomes = Vec::new();
-        let mut t = SimTime::ZERO;
-        for op in &ops {
-            let outcome = scalar.access_as(t, op.blade, pid, op.vaddr, op.kind).unwrap();
-            scalar_outcomes.push((t, outcome));
-            t = t + outcome.latency.total() + gap;
-        }
-
-        // Batched run over an identically prepared rack.
-        let mut batched = MindCluster::new(MindConfig::small());
-        let pid2 = batched.exec().unwrap();
-        let ops2 = build_ops(&mut batched, pid2);
-        assert_eq!(ops.len(), ops2.len());
-        let mut batch = OpBatch::chained(gap);
-        for op in &ops2 {
-            batch.push(*op);
-        }
-        batched.run_batch(SimTime::ZERO, &mut batch);
-
-        for (i, &(at, outcome)) in scalar_outcomes.iter().enumerate() {
-            assert_eq!(batch.op(i).at, at, "issue time of op {i}");
-            let b = batch.outcome(i);
-            assert_eq!(b.latency, outcome.latency, "latency of op {i}");
-            assert_eq!(b.remote, outcome.remote);
-            assert_eq!(b.invalidations, outcome.invalidations);
-            assert_eq!(b.flushed_pages, outcome.flushed_pages);
-            assert_eq!(b.false_invalidations, outcome.false_invalidations);
-        }
-        assert_eq!(
-            scalar.metrics_snapshot(),
-            batched.metrics_snapshot(),
-            "batched metrics diverge from scalar"
-        );
     }
 
     /// The review probe that caught the fixed-batch slot-gate regression:

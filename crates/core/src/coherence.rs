@@ -26,11 +26,9 @@ use mind_obs::{EventKind, TraceBuf};
 use mind_sim::stats::Metrics;
 use mind_sim::SimTime;
 use mind_switch::pipeline::Pipeline;
-use mind_switch::tcam::TcamEntry;
 
-use crate::addr::PhysAddr;
 use crate::directory::{MsiState, RegionDirectory};
-use crate::protect::{Pdid, PermClass, ProtectionTable};
+use crate::protect::{Pdid, ProtectionTable};
 use crate::stt::{FetchSource, InvalScope, Protocol, Role, SttTable};
 use crate::system::{AccessKind, AccessOutcome, ConsistencyModel, LatencyBreakdown};
 use crate::translate::TranslationTable;
@@ -72,8 +70,8 @@ impl std::error::Error for AccessError {}
 /// serialize at issue.
 #[derive(Debug, Clone, Copy)]
 pub struct IssuedAccess {
-    /// Latency attribution and protocol side effects, as the scalar path
-    /// reports them.
+    /// Latency attribution and protocol side effects, as
+    /// [`CoherenceEngine::access`] reports them.
     pub outcome: AccessOutcome,
     /// When the operation issued.
     pub issued_at: SimTime,
@@ -145,9 +143,7 @@ struct InvalRound {
     reset: bool,
 }
 
-/// The engine's event counters, kept in one struct so the batched datapath
-/// can accumulate a batch's deltas aside and flush them in a single merge
-/// (identical totals to per-op updates, one memory region touched).
+/// The engine's event counters.
 #[derive(Debug, Default, Clone, Copy)]
 struct Counters {
     accesses: u64,
@@ -162,51 +158,6 @@ struct Counters {
     resets: u64,
     denials: u64,
     async_writes: u64,
-}
-
-impl Counters {
-    fn merge(&mut self, o: &Counters) {
-        self.accesses += o.accesses;
-        self.local_hits += o.local_hits;
-        self.remote_accesses += o.remote_accesses;
-        self.upgrades += o.upgrades;
-        self.inval_requests += o.inval_requests;
-        self.inval_rounds += o.inval_rounds;
-        self.flushed_pages += o.flushed_pages;
-        self.false_invalidations += o.false_invalidations;
-        self.bypasses += o.bypasses;
-        self.resets += o.resets;
-        self.denials += o.denials;
-        self.async_writes += o.async_writes;
-    }
-}
-
-/// Per-batch lookaside state for the op-batch datapath (§6.3's "the whole
-/// function is a table", amortized): TCAM resolutions made once per batch
-/// instead of once per op, plus the batch's pending metric deltas. (The
-/// directory memoizes its own resolutions, batch or not.) Installed by
-/// [`CoherenceEngine::begin_batch`], dropped (and flushed) by
-/// [`CoherenceEngine::end_batch`]. Every memoization here is
-/// *semantics-preserving*: the scalar and batched paths produce identical
-/// per-op outcomes and metrics.
-#[derive(Debug, Default)]
-struct BatchLookaside {
-    /// Resolved protection grants `(pdid, entry, class)`. Valid for the
-    /// whole batch: the data plane never mutates the protection TCAM, and
-    /// a domain's grants are disjoint (one per vma, buddies coalesced), so
-    /// the covering entry is unique — re-checked by a debug assertion.
-    prot: Vec<(Pdid, TcamEntry, PermClass)>,
-    /// Whether the outlier translation TCAM was empty at batch start (it
-    /// cannot gain entries mid-batch: outliers install only through the
-    /// control plane). `true` lets every translation in the batch use the
-    /// pure range-partition arithmetic, skipping the TCAM walk.
-    no_outliers: bool,
-    /// Resolved outlier-era translations (`page` → physical), sorted by
-    /// page; used only when outliers exist.
-    xlate: Vec<(u64, PhysAddr)>,
-    /// Metric deltas accumulated during the batch, merged into the live
-    /// counters once at batch end.
-    pending: Counters,
 }
 
 /// The in-network memory management engine: switch data plane + blades.
@@ -231,12 +182,7 @@ pub struct CoherenceEngine {
     /// The materialized state-transition table in the second MAU (§6.3).
     stt: SttTable,
     acks: AckTracker,
-    /// Live metric counters (plus the active batch's pending deltas).
     ctrs: Counters,
-    /// The active op-batch's lookaside, when one is in flight.
-    batch: Option<Box<BatchLookaside>>,
-    /// Retired lookaside recycled across batches (keeps its allocations).
-    spare_batch: Option<Box<BatchLookaside>>,
     /// Reusable multicast-delivery buffer for invalidation rounds.
     deliveries_scratch: Vec<(u16, SimTime)>,
     /// Reusable invalidation-outcome buffer (per-victim cache scans).
@@ -288,8 +234,6 @@ impl CoherenceEngine {
             stt: SttTable::new(cfg.protocol),
             acks: AckTracker::new(cfg.ack_timeout, cfg.max_retries),
             ctrs: Counters::default(),
-            batch: None,
-            spare_batch: None,
             deliveries_scratch: Vec::new(),
             inval_scratch: InvalidationOutcome::default(),
             trace: TraceBuf::disabled(),
@@ -306,105 +250,6 @@ impl CoherenceEngine {
     /// tracing is disabled).
     pub fn take_trace(&mut self) -> Option<mind_obs::TraceData> {
         self.trace.take()
-    }
-
-    /// The counter sink: the live counters, or the active batch's pending
-    /// deltas (flushed once, at [`CoherenceEngine::end_batch`]).
-    #[inline]
-    fn ctr(&mut self) -> &mut Counters {
-        match &mut self.batch {
-            Some(b) => &mut b.pending,
-            None => &mut self.ctrs,
-        }
-    }
-
-    // ----- The op-batch datapath (amortized lookups) -----
-
-    /// Begins an op-batch: installs the lookaside that amortizes TCAM and
-    /// translation resolutions across the batch's ops. Resolutions fill in
-    /// lazily — the first op to touch a protection range pays the TCAM
-    /// walk, every later op in the range is served from the memo (an eager
-    /// sorted prefill was measured slower: hit-dominated batches never
-    /// consult protection at all).
-    ///
-    /// Between `begin_batch` and [`CoherenceEngine::end_batch`] only
-    /// data-plane calls ([`CoherenceEngine::access`] and the epoch driver)
-    /// may run — control-plane mutations (grants, outlier installs) would
-    /// invalidate the lookaside.
-    pub fn begin_batch(&mut self) {
-        debug_assert!(self.batch.is_none(), "batches do not nest");
-        let mut look = self.spare_batch.take().unwrap_or_default();
-        look.prot.clear();
-        look.xlate.clear();
-        look.pending = Counters::default();
-        look.no_outliers = self.translation.outlier_count() == 0;
-        self.batch = Some(look);
-    }
-
-    /// Ends the active op-batch, flushing its pending metric deltas into
-    /// the live counters in one merge.
-    pub fn end_batch(&mut self) {
-        if let Some(look) = self.batch.take() {
-            self.ctrs.merge(&look.pending);
-            self.spare_batch = Some(look);
-        }
-    }
-
-    /// Protection check through the batch lookaside when one is active,
-    /// the plain TCAM walk otherwise. Counter-exact with the scalar path:
-    /// every op accounts one check (and one denial when refused), whether
-    /// it was served from the memo or from a fresh walk.
-    fn prot_check(&mut self, pdid: Pdid, page: u64, kind: AccessKind) -> bool {
-        let memoized = self.batch.as_ref().and_then(|b| {
-            b.prot
-                .iter()
-                .find(|&&(pd, e, _)| pd == pdid && e.matches(page))
-                .map(|&(_, _, pc)| pc)
-        });
-        if let Some(pc) = memoized {
-            debug_assert_eq!(
-                Some(pc),
-                self.protection.resolve_grant(pdid, page).map(|(_, c)| c),
-                "protection memo out of date within a batch"
-            );
-            let allowed = pc.allows(kind);
-            self.protection.note_memoized_check(allowed);
-            return allowed;
-        }
-        if self.batch.is_some() {
-            let (allowed, grant) = self.protection.check_resolve(pdid, page, kind);
-            if let (Some((entry, pc)), Some(b)) = (grant, self.batch.as_mut()) {
-                b.prot.push((pdid, entry, pc));
-            }
-            allowed
-        } else {
-            self.protection.check(pdid, page, kind)
-        }
-    }
-
-    /// Address translation through the batch lookaside when one is
-    /// active: with an empty outlier TCAM (the common case) every
-    /// translation is pure range-partition arithmetic; with outliers
-    /// installed, resolved pages are memoized for the batch. Identical
-    /// results to [`TranslationTable::translate`] in all cases.
-    fn xlate(&mut self, page: u64) -> Option<PhysAddr> {
-        let Some(b) = &self.batch else {
-            return self.translation.translate(page);
-        };
-        if b.no_outliers {
-            debug_assert_eq!(self.translation.outlier_count(), 0);
-            return self.translation.partition_of(page);
-        }
-        if let Ok(i) = b.xlate.binary_search_by_key(&page, |&(p, _)| p) {
-            return Some(b.xlate[i].1);
-        }
-        let pa = self.translation.translate(page)?;
-        if let Some(b) = self.batch.as_mut() {
-            if let Err(i) = b.xlate.binary_search_by_key(&page, |&(p, _)| p) {
-                b.xlate.insert(i, (page, pa));
-            }
-        }
-        Some(pa)
     }
 
     /// Number of compute blades.
@@ -562,7 +407,7 @@ impl CoherenceEngine {
         if self.failed[blade as usize] {
             return Err(AccessError::BladeFailed);
         }
-        self.ctr().accesses += 1;
+        self.ctrs.accesses += 1;
         let page = probe.page();
         match self.caches[blade as usize].access_probed(probe, kind.is_write()) {
             TaggedLookup::Hit { frame, tag } => {
@@ -573,8 +418,8 @@ impl CoherenceEngine {
                 // rides in the frame slab, so the probe resolved it with
                 // no extra lookup.
                 if tag != pdid {
-                    if !self.prot_check(pdid, page, kind) {
-                        self.ctr().denials += 1;
+                    if !self.protection.check(pdid, page, kind) {
+                        self.ctrs.denials += 1;
                         self.trace.record(
                             now + self.lat.fault_handler,
                             blade as u32,
@@ -586,7 +431,7 @@ impl CoherenceEngine {
                         return Err(AccessError::PermissionDenied);
                     }
                     self.caches[blade as usize].set_frame_tag(frame, pdid);
-                    self.ctr().remote_accesses += 1;
+                    self.ctrs.remote_accesses += 1;
                     let t_done = self.grant(now + self.lat.fault_handler, blade);
                     let outcome = AccessOutcome {
                         latency: LatencyBreakdown {
@@ -599,7 +444,7 @@ impl CoherenceEngine {
                     };
                     return Ok(IssuedAccess::new(now, outcome, None));
                 }
-                self.ctr().local_hits += 1;
+                self.ctrs.local_hits += 1;
                 let outcome = AccessOutcome {
                     latency: LatencyBreakdown::local(self.lat.local_dram),
                     ..Default::default()
@@ -608,7 +453,7 @@ impl CoherenceEngine {
             }
             TaggedLookup::Miss => self.page_fault(now, blade, pdid, page, kind, true),
             TaggedLookup::NeedUpgrade => {
-                self.ctr().upgrades += 1;
+                self.ctrs.upgrades += 1;
                 self.page_fault(now, blade, pdid, page, kind, false)
             }
         }
@@ -624,7 +469,7 @@ impl CoherenceEngine {
         kind: AccessKind,
         need_data: bool,
     ) -> Result<IssuedAccess, AccessError> {
-        self.ctr().remote_accesses += 1;
+        self.ctrs.remote_accesses += 1;
         let t0 = now + self.lat.fault_handler;
 
         // One-sided RDMA request, addressed by virtual address, intercepted
@@ -639,10 +484,9 @@ impl CoherenceEngine {
         );
         let t_switch = self.fabric.send(t0, &req);
 
-        // Protection: TCAM parallel range match on <PDID, vaddr> (§4.2),
-        // served from the batch lookaside when an op-batch is in flight.
-        if !self.prot_check(pdid, page, kind) {
-            self.ctr().denials += 1;
+        // Protection: TCAM parallel range match on <PDID, vaddr> (§4.2).
+        if !self.protection.check(pdid, page, kind) {
+            self.ctrs.denials += 1;
             self.trace.record(
                 t_switch,
                 blade as u32,
@@ -811,7 +655,7 @@ impl CoherenceEngine {
         }
 
         // Account the round.
-        let ctrs = self.ctr();
+        let ctrs = &mut self.ctrs;
         ctrs.inval_requests += round.requests as u64;
         if round.requests > 0 {
             ctrs.inval_rounds += 1;
@@ -856,7 +700,7 @@ impl CoherenceEngine {
         // busy_until). §7.1's MIND-PSO simulation.
         let total_wait = done.saturating_sub(now);
         if kind.is_write() && self.cfg.consistency.async_writes() {
-            self.ctr().async_writes += 1;
+            self.ctrs.async_writes += 1;
             // Bounded store buffer: drain completed writes, stall if full.
             const PSO_BUFFER_DEPTH: usize = 16;
             let buf = &mut self.pso_buffer[blade as usize];
@@ -915,7 +759,7 @@ impl CoherenceEngine {
         page: u64,
         _carry: bool,
     ) -> Result<SimTime, AccessError> {
-        let pa = self.xlate(page).ok_or(AccessError::BadAddress)?;
+        let pa = self.translation.translate(page).ok_or(AccessError::BadAddress)?;
         if pa.blade >= self.n_memory() {
             return Err(AccessError::BadAddress);
         }
@@ -983,7 +827,7 @@ impl CoherenceEngine {
             // The owner evicted the page: its write-back made memory
             // current again.
         }
-        let pa = self.xlate(page).ok_or(AccessError::BadAddress)?;
+        let pa = self.translation.translate(page).ok_or(AccessError::BadAddress)?;
         self.memory[pa.blade as usize]
             .read_page(pa.page())
             .map_err(|_| AccessError::BadAddress)
@@ -1008,7 +852,7 @@ impl CoherenceEngine {
         page: u64,
         data: Option<PageData>,
     ) -> Result<SimTime, AccessError> {
-        let pa = self.xlate(page).ok_or(AccessError::BadAddress)?;
+        let pa = self.translation.translate(page).ok_or(AccessError::BadAddress)?;
         let pkt = Packet::new(
             NodeId::Compute(blade),
             NodeId::Memory(pa.blade),
@@ -1142,7 +986,7 @@ impl CoherenceEngine {
                 let done = self.reset_region(t, base, k);
                 round.done_at = round.done_at.max(done);
                 round.reset = true;
-                self.ctr().resets += 1;
+                self.ctrs.resets += 1;
                 break;
             }
         }
@@ -1166,7 +1010,7 @@ impl CoherenceEngine {
                 if let Ok(fin) = self.writeback(t, b, page, data) {
                     t = fin;
                 }
-                self.ctr().flushed_pages += 1;
+                self.ctrs.flushed_pages += 1;
             }
             done = done.max(t);
         }
@@ -1208,7 +1052,7 @@ impl CoherenceEngine {
         page: u64,
         kind: AccessKind,
     ) -> Result<AccessOutcome, AccessError> {
-        self.ctr().bypasses += 1;
+        self.ctrs.bypasses += 1;
         self.trace.record(
             t_switch,
             blade as u32,
@@ -1233,13 +1077,9 @@ impl CoherenceEngine {
         })
     }
 
-    /// Lifetime metrics snapshot. Correct mid-batch too: an in-flight
-    /// batch's pending deltas are merged into the view.
+    /// Lifetime metrics snapshot.
     pub fn metrics(&self) -> Metrics {
-        let mut c = self.ctrs;
-        if let Some(b) = &self.batch {
-            c.merge(&b.pending);
-        }
+        let c = self.ctrs;
         let mut m = Metrics::new();
         m.add("accesses", c.accesses);
         m.add("local_hits", c.local_hits);

@@ -22,12 +22,13 @@
 //! The engine itself is pure scheduling: it owns the pooled window, the
 //! ready queue, and per-source bookkeeping, while the protocol work stays
 //! in [`MindCluster::issue_clustered`](crate::cluster::MindCluster), which
-//! consults the gates and either issues at the popped virtual time or
-//! returns a *gated* step. A gated source is re-scheduled at the exact
-//! gate-release time (a completion of an already-admitted op, so virtual
-//! time strictly advances and the loop terminates); ties pop in schedule
-//! order, which keeps the whole interleaving deterministic for a fixed
-//! source count regardless of OS threads or sharding.
+//! consults the gates and either issues at the popped virtual time,
+//! returns a *gated* step, or hands back the rack's refusal. A gated
+//! source is re-scheduled at the exact gate-release time (a completion of
+//! an already-admitted op, so virtual time strictly advances and the loop
+//! terminates); ties pop in schedule order, which keeps the whole
+//! interleaving deterministic for a fixed source count regardless of OS
+//! threads or sharding.
 //!
 //! Determinism contract: cluster mode is opt-in (`Concurrency::Cluster`
 //! in `mind_workloads`), and with `window <= 1` the runner keeps the
@@ -36,6 +37,7 @@
 
 use mind_sim::{EventQueue, SimTime};
 
+use crate::coherence::AccessError;
 use crate::system::AccessOutcome;
 use crate::window::InFlightWindow;
 
@@ -66,6 +68,9 @@ pub enum ClusterStep {
         /// the NIC was not the binding constraint).
         nic_stall: SimTime,
     },
+    /// The rack refused the access (protection, translation, a failed
+    /// blade). The operation occupied no slot and is not re-offered.
+    Refused(AccessError),
 }
 
 /// Cluster-wide issue state: the pooled in-flight window plus a

@@ -86,6 +86,5 @@ pub use cluster::{MindCluster, MindConfig, CX5_NIC_DEPTH};
 pub use engine::{ClusterEngine, ClusterStep};
 pub use system::{
     AccessKind, AccessOutcome, ConsistencyModel, LatencyBreakdown, MemOp, MemorySystem, OpBatch,
-    ScalarLoop,
 };
 pub use window::InFlightWindow;

@@ -26,7 +26,7 @@
 //! coalescing keeps that a handful.
 
 use mind_sim::hash::FastMap;
-use mind_switch::tcam::{pow2_cover, TcamEntry, TcamFull, VA_BITS};
+use mind_switch::tcam::{pow2_cover, TcamFull, VA_BITS};
 
 use crate::addr::Vma;
 use crate::system::AccessKind;
@@ -77,8 +77,7 @@ impl PermClass {
 /// One protection entry packed into 8 bytes, laid out `(base << 8) |
 /// (size_log2 << 2) | class`: a 48-bit canonical-VA range base, the
 /// range's `size_log2` (6 bits), and the permission class (2 bits). The
-/// range semantics are exactly [`TcamEntry`]'s — [`Row::entry`] round-trips
-/// into one for callers that memoize grants.
+/// range semantics are exactly [`mind_switch::tcam::TcamEntry`]'s.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Row(u64);
 
@@ -114,11 +113,6 @@ impl Row {
     /// Whether this row covers exactly `[base, base + 2^k)`.
     fn is(self, base: u64, k: u8) -> bool {
         self.base() == base && self.size_log2() == k
-    }
-
-    /// The equivalent [`TcamEntry`] under domain `pdid`.
-    fn entry(self, pdid: Pdid) -> TcamEntry {
-        TcamEntry::new(pdid, self.base(), self.size_log2())
     }
 }
 
@@ -188,9 +182,8 @@ impl ProtectionTable {
     /// A domain's grants are **disjoint by invariant** (change a range's
     /// class with [`ProtectionTable::revoke`] + re-grant, not by stacking
     /// nested entries): the control plane allocates disjoint vmas, and
-    /// the batched datapath's grant memo relies on the covering entry
-    /// being unique — a nested more-specific entry would win the TCAM's
-    /// LPM in the scalar path but could be shadowed in the memo.
+    /// [`ProtectionTable::check`] takes a domain's first matching row as
+    /// its only one, with no longest-prefix priority among rows.
     pub fn grant(&mut self, pdid: Pdid, vma: Vma, pc: PermClass) -> Result<(), TcamFull> {
         assert!(
             !self.overlaps(pdid, vma),
@@ -293,8 +286,8 @@ impl ProtectionTable {
 
     /// Repeatedly merges `[base, base + 2^k)` with its buddy while both
     /// exist with the same permission class (§4.2 "coalesces adjacent
-    /// entries"). Buddy/parent arithmetic matches [`TcamEntry::buddy`] /
-    /// [`TcamEntry::parent`].
+    /// entries"). Buddy/parent arithmetic matches
+    /// [`mind_switch::tcam::TcamEntry`]'s `buddy` / `parent`.
     fn coalesce_from(&mut self, pdid: Pdid, mut base: u64, mut k: u8) {
         loop {
             let Some(pc) = self.class_of(pdid, base, k) else {
@@ -360,53 +353,14 @@ impl ProtectionTable {
     /// Checks whether `<pdid>` may perform `kind` at `vaddr` — the data-
     /// plane TCAM parallel range match.
     pub fn check(&mut self, pdid: Pdid, vaddr: u64, kind: AccessKind) -> bool {
-        self.check_resolve(pdid, vaddr, kind).0
-    }
-
-    /// [`check`] that also returns the matched grant, so a batched
-    /// datapath can memoize the entry and serve later ops in the same
-    /// range without repeating the TCAM walk. Counter behaviour is
-    /// identical to [`check`].
-    ///
-    /// [`check`]: ProtectionTable::check
-    pub fn check_resolve(
-        &mut self,
-        pdid: Pdid,
-        vaddr: u64,
-        kind: AccessKind,
-    ) -> (bool, Option<(TcamEntry, PermClass)>) {
         self.checks += 1;
-        match self.matching(pdid, vaddr) {
-            Some(row) => {
-                let allowed = row.pc().allows(kind);
-                if !allowed {
-                    self.denials += 1;
-                }
-                (allowed, Some((row.entry(pdid), row.pc())))
-            }
-            None => {
-                self.denials += 1;
-                (false, None)
-            }
-        }
-    }
-
-    /// Counter-free grant resolution: the entry and class covering
-    /// `<pdid, vaddr>`, if any, without recording a check. Used to
-    /// pre-resolve a batch's grants; per-op accounting then goes through
-    /// [`ProtectionTable::note_memoized_check`].
-    pub fn resolve_grant(&self, pdid: Pdid, vaddr: u64) -> Option<(TcamEntry, PermClass)> {
-        self.matching(pdid, vaddr)
-            .map(|row| (row.entry(pdid), row.pc()))
-    }
-
-    /// Accounts one check served from a batch's memoized grant, keeping
-    /// the `checks`/`denials` counters identical to the scalar path.
-    pub fn note_memoized_check(&mut self, allowed: bool) {
-        self.checks += 1;
+        let allowed = self
+            .matching(pdid, vaddr)
+            .is_some_and(|row| row.pc().allows(kind));
         if !allowed {
             self.denials += 1;
         }
+        allowed
     }
 
     /// Installed TCAM entries (Figure 8 center counts these).
@@ -457,7 +411,6 @@ mod tests {
             assert_eq!(row.base(), base);
             assert_eq!(row.size_log2(), k);
             assert_eq!(row.pc(), pc);
-            assert_eq!(row.entry(7), TcamEntry::new(7, base, k));
         }
     }
 
@@ -582,39 +535,11 @@ mod tests {
     }
 
     #[test]
-    fn resolve_grant_and_memoized_check_mirror_scalar_counters() {
-        let mut p = ProtectionTable::new(64);
-        let vma = Vma::new(0x4000, 0x4000);
-        p.grant(7, vma, PermClass::ReadOnly).unwrap();
-        // Counter-free resolution returns the covering entry.
-        let (entry, pc) = p.resolve_grant(7, 0x5000).unwrap();
-        assert!(entry.matches(0x4000) && entry.matches(0x7FFF));
-        assert_eq!(pc, PermClass::ReadOnly);
-        assert_eq!(p.checks(), 0, "resolve_grant records no check");
-        assert!(p.resolve_grant(8, 0x5000).is_none(), "other domain");
-        // A memoized check accounts exactly like a scalar one.
-        p.note_memoized_check(pc.allows(AccessKind::Read));
-        p.note_memoized_check(pc.allows(AccessKind::Write));
-        let mut scalar = ProtectionTable::new(64);
-        scalar.grant(7, vma, PermClass::ReadOnly).unwrap();
-        scalar.check(7, 0x5000, AccessKind::Read);
-        scalar.check(7, 0x5000, AccessKind::Write);
-        assert_eq!((p.checks(), p.denials()), (scalar.checks(), scalar.denials()));
-        // check_resolve is check plus the matched grant.
-        let (allowed, grant) = scalar.check_resolve(7, 0x5000, AccessKind::Read);
-        assert!(allowed);
-        assert_eq!(grant, Some((entry, pc)));
-        let (allowed, grant) = scalar.check_resolve(9, 0x5000, AccessKind::Read);
-        assert!(!allowed);
-        assert_eq!(grant, None);
-    }
-
-    #[test]
     #[should_panic(expected = "disjoint")]
     fn nested_grant_rejected() {
-        // The batched datapath's grant memo relies on per-domain grants
-        // being disjoint; stacking a nested entry must be refused loudly
-        // rather than silently shadowing LPM.
+        // A check takes a domain's first matching row as its only one;
+        // stacking a nested entry must be refused loudly rather than
+        // silently shadowing LPM.
         let mut p = ProtectionTable::new(64);
         p.grant(1, Vma::new(0x0, 1 << 20), PermClass::ReadOnly).unwrap();
         let _ = p.grant(1, Vma::new(0x4000, 0x4000), PermClass::ReadWrite);

@@ -73,7 +73,7 @@ pub struct LatencyBreakdown {
     pub software: SimTime,
     /// Fabric time hidden behind earlier in-flight operations of the same
     /// batch (memory-level parallelism under the issue/complete datapath's
-    /// in-flight window). The serialized path always reports zero; under
+    /// in-flight window). Window 1 always reports zero; under
     /// overlap the hidden share of `network` moves here, so the visible
     /// components still sum to the op's issue→complete latency and
     /// breakdowns stay additive in the BENCH reports.
@@ -121,7 +121,7 @@ pub struct AccessOutcome {
 
 /// One operation of an [`OpBatch`].
 ///
-/// The operation addresses the system exactly like a scalar
+/// The operation addresses the system exactly like a
 /// [`MemorySystem::access`] call; `pdid` optionally names the protection
 /// domain (tenant) issuing it — `None` means the system's default replay
 /// domain.
@@ -141,9 +141,13 @@ pub struct MemOp {
     pub kind: AccessKind,
 }
 
-/// A batch of memory operations pushed through the datapath in one call.
+/// A schedule of memory operations handed to a system in one call.
 ///
-/// Two issue disciplines cover the workloads in this repo:
+/// Every op of a batch takes the same path through the system that a lone
+/// [`MemorySystem::access`] takes; the batch only says *when* each issues.
+/// How many ops a caller puts in one batch is therefore scheduling
+/// granularity — how long one issuer runs before another gets a turn —
+/// and nothing else. Two issue disciplines cover the callers in this repo:
 ///
 /// - **chained** (trace replay): ops belong to one issuing thread; op
 ///   `i + 1` issues when op `i` completes, plus a fixed inter-op `gap`
@@ -158,20 +162,18 @@ pub struct MemOp {
 ///
 /// The **in-flight window** (`window`, default 1) is the batch's
 /// memory-level-parallelism depth: how many operations the issuing blade
-/// may keep in flight at once. At 1 the batch runs with the serialized
-/// semantics every pre-window release used (chained ops issue at their
-/// predecessor's completion, fixed ops at their preset time) —
-/// byte-identical reports. At `W > 1`, executors with an issue/complete
-/// datapath (MIND) overlap up to `W` independent fabric round trips while
-/// same-region directory transitions still serialize; executors without
-/// one (the default scalar loop, GAM, FastSwap) ignore the window and run
-/// serialized.
+/// may keep in flight at once. At 1 every op completes before the next
+/// issues (chained) or issues at its preset time (fixed). At `W > 1`,
+/// systems with an issue/complete datapath (MIND) overlap up to `W`
+/// independent fabric round trips while same-region directory transitions
+/// still serialize; systems without one (GAM, FastSwap) ignore the window
+/// and run serialized.
 #[derive(Debug, Default)]
 pub struct OpBatch {
     ops: Vec<MemOp>,
     results: Vec<Result<AccessOutcome, AccessError>>,
     /// Directory region each op transitioned (recorded by issue/complete
-    /// executors; `None` for local hits, bypasses, and the scalar loop).
+    /// executors; `None` for local hits, bypasses, and window 1).
     regions: Vec<Option<(u64, u8)>>,
     gap: SimTime,
     chained: bool,
@@ -320,6 +322,12 @@ impl OpBatch {
     }
 }
 
+impl Extend<MemOp> for OpBatch {
+    fn extend<I: IntoIterator<Item = MemOp>>(&mut self, ops: I) {
+        self.ops.extend(ops);
+    }
+}
+
 impl<T: MemorySystem + ?Sized> MemorySystem for Box<T> {
     fn access(&mut self, now: SimTime, blade: u16, vaddr: u64, kind: AccessKind) -> AccessOutcome {
         (**self).access(now, blade, vaddr, kind)
@@ -341,8 +349,8 @@ impl<T: MemorySystem + ?Sized> MemorySystem for Box<T> {
         (**self).advance_to(now)
     }
 
-    /// Forwards to the inner system's implementation, preserving batched
-    /// overrides through trait objects.
+    /// Forwards to the inner system's implementation, preserving its
+    /// override through trait objects.
     fn execute_batch(&mut self, now: SimTime, batch: &mut OpBatch) {
         (**self).execute_batch(now, batch)
     }
@@ -363,46 +371,6 @@ impl<T: MemorySystem + ?Sized> MemorySystem for Box<T> {
         op: &MemOp,
     ) -> Option<ClusterStep> {
         (**self).cluster_issue(eng, now, ready0, op)
-    }
-}
-
-/// Adapter that forwards a system's scalar surface but keeps the trait's
-/// *default* [`MemorySystem::execute_batch`] — the scalar loop — even when
-/// the inner system overrides it with a batched pipeline.
-///
-/// This is the reference half of the datapath-equivalence story: running
-/// the same schedule through `ScalarLoop<MindCluster>` and a bare
-/// `MindCluster` must produce byte-identical reports (asserted by the
-/// batch-equivalence suite), and the wall-clock gap between the two is the
-/// batched pipeline's amortization, measured on identical simulated work
-/// (the `datapath` figure). The cluster-engine methods likewise keep their
-/// `None` defaults, so a `ScalarLoop` always replays turnwise — serialized
-/// references stay serialized even under cluster concurrency.
-pub struct ScalarLoop<S>(pub S);
-
-impl<S: MemorySystem> MemorySystem for ScalarLoop<S> {
-    fn access(&mut self, now: SimTime, blade: u16, vaddr: u64, kind: AccessKind) -> AccessOutcome {
-        self.0.access(now, blade, vaddr, kind)
-    }
-
-    fn n_compute(&self) -> u16 {
-        self.0.n_compute()
-    }
-
-    fn metrics(&self) -> Metrics {
-        self.0.metrics()
-    }
-
-    fn alloc(&mut self, len: u64) -> u64 {
-        self.0.alloc(len)
-    }
-
-    fn advance_to(&mut self, now: SimTime) {
-        self.0.advance_to(now)
-    }
-
-    fn take_trace(&mut self) -> Option<mind_obs::TraceData> {
-        self.0.take_trace()
     }
 }
 
@@ -434,26 +402,26 @@ pub trait MemorySystem {
     /// bounded-splitting epoch) up to time `now`.
     fn advance_to(&mut self, _now: SimTime) {}
 
-    /// Executes a batch of operations starting at `now`, recording each
-    /// op's issue time and outcome into the batch.
-    ///
-    /// The default implementation loops the scalar [`access`] path —
-    /// op-for-op identical to a caller issuing each operation itself — so
-    /// systems without a batched datapath (GAM, FastSwap) work unmodified;
-    /// it runs serialized regardless of the batch's in-flight window
-    /// (overlap is an issue/complete-datapath feature). Systems overriding
-    /// this (MIND's op-batch pipeline) must preserve that contract exactly
-    /// at `window <= 1`: identical per-op outcomes, issue times, and
-    /// metrics as the scalar loop.
-    ///
     /// Drains the system's deterministic trace, if it records one.
     ///
     /// `None` means tracing is off (or unsupported — the default); the
-    /// scalar loop and baselines never trace, so comparisons stay cheap.
+    /// baselines never trace, so comparisons stay cheap.
     fn take_trace(&mut self) -> Option<mind_obs::TraceData> {
         None
     }
 
+    /// Executes a batch of operations starting at `now`, recording each
+    /// op's issue time and outcome into the batch.
+    ///
+    /// The default implementation is the schedule and nothing more: each
+    /// op goes through [`access`] at its issue time — a chained op when
+    /// its predecessor completes plus the gap, a fixed op at its preset
+    /// time — so GAM and FastSwap work unmodified. It runs serialized
+    /// whatever the batch's in-flight window (overlap needs an
+    /// issue/complete datapath). An override (MIND's, for per-op
+    /// protection domains, typed refusals and the window) must issue the
+    /// same ops at the same times at `window <= 1`.
+    ///
     /// [`access`]: MemorySystem::access
     fn execute_batch(&mut self, now: SimTime, batch: &mut OpBatch) {
         let mut t = now;
@@ -473,9 +441,8 @@ pub trait MemorySystem {
     /// depth.
     ///
     /// `None` — the default — means the system has no issue/complete
-    /// datapath to arbitrate (the scalar loop, the baselines); the runner
-    /// then keeps the turnwise discipline even when cluster mode is
-    /// requested.
+    /// datapath to arbitrate (the baselines); the runner then keeps the
+    /// turnwise discipline even when cluster mode is requested.
     fn cluster_engine(&self, window: u32, sources: u32) -> Option<ClusterEngine> {
         let _ = (window, sources);
         None

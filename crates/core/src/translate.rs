@@ -74,9 +74,7 @@ impl TranslationTable {
     /// The range-partition translation alone — pure arithmetic, no TCAM.
     ///
     /// Equals [`TranslationTable::translate`] whenever no outlier entry
-    /// covers `vaddr`; MIND's batched datapath uses it to amortize the
-    /// TCAM walk across a batch after checking once that the outlier
-    /// store is empty.
+    /// covers `vaddr`.
     #[inline]
     pub fn partition_of(&self, vaddr: u64) -> Option<PhysAddr> {
         if vaddr < VA_BASE {

@@ -37,6 +37,8 @@
 //!
 //! [`RunConfig`]: mind_workloads::runner::RunConfig
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod json;
 pub mod report;

@@ -299,9 +299,6 @@ pub fn aggregate_json(results: &[ScenarioResult]) -> Json {
     let mut runtime_ns_sum = 0i128;
     let mut service_scenarios = 0i128;
     let mut service_ops = 0i128;
-    // Datapath speedups (`wall_speedup_b<N>` values emitted by the
-    // `datapath` figure), aggregated as a geometric mean per batch size.
-    let mut speedups: std::collections::BTreeMap<&str, Vec<f64>> = std::collections::BTreeMap::new();
     // Overlap recoveries (`overlap_recovery_w<W>` values): simulated MOPS
     // at the windowed batch point over the batch-1 serialized baseline.
     let mut recoveries: std::collections::BTreeMap<&str, Vec<f64>> =
@@ -322,9 +319,6 @@ pub fn aggregate_json(results: &[ScenarioResult]) -> Json {
             service_ops += service.total_ops as i128;
         }
         for (key, value) in &result.output.values {
-            if let Some(batch) = key.strip_prefix("wall_speedup_") {
-                speedups.entry(batch).or_default().push(*value);
-            }
             if let Some(window) = key.strip_prefix("overlap_recovery_") {
                 recoveries.entry(window).or_default().push(*value);
             }
@@ -343,52 +337,6 @@ pub fn aggregate_json(results: &[ScenarioResult]) -> Json {
         ("service_scenarios".into(), Json::Int(service_scenarios)),
         ("service_ops".into(), Json::Int(service_ops)),
     ];
-    if !speedups.is_empty() {
-        pairs.push((
-            "datapath_speedup_geomean".into(),
-            Json::Obj(
-                speedups
-                    .iter()
-                    .map(|(batch, xs)| (batch.to_string(), Json::Num(geomean(xs))))
-                    .collect(),
-            ),
-        ));
-        // The best regime per batch size: how much batching buys where it
-        // is the right tool (the geomean includes regimes where coarse
-        // quanta cost simulated latency).
-        pairs.push((
-            "datapath_speedup_max".into(),
-            Json::Obj(
-                speedups
-                    .iter()
-                    .map(|(batch, xs)| {
-                        (
-                            batch.to_string(),
-                            Json::Num(xs.iter().copied().fold(f64::MIN, f64::max)),
-                        )
-                    })
-                    .collect(),
-            ),
-        ));
-        // The worst regime per batch size: the parity floor. A value
-        // below 1.0 here means batching made some regime's host replay
-        // *slower* than scalar — the regression class the datapath
-        // perf-guard gates on.
-        pairs.push((
-            "datapath_speedup_min".into(),
-            Json::Obj(
-                speedups
-                    .iter()
-                    .map(|(batch, xs)| {
-                        (
-                            batch.to_string(),
-                            Json::Num(xs.iter().copied().fold(f64::MAX, f64::min)),
-                        )
-                    })
-                    .collect(),
-            ),
-        ));
-    }
     if !recoveries.is_empty() {
         // Geomean and worst-case recovery per window depth: ≥ 1.0 means
         // intra-batch RTT overlap fully bought back the coarse-quantum
@@ -609,10 +557,6 @@ mod tests {
         assert!(doc.contains("\"suite\": \"t\""));
         assert!(doc.contains("\"replayed_scenarios\": 0"));
         assert!(doc.contains("\"service_scenarios\": 0"));
-        assert!(
-            !doc.contains("datapath_speedup_geomean"),
-            "no speedup block without datapath values"
-        );
     }
 
     #[test]
@@ -673,36 +617,6 @@ mod tests {
         assert!(
             text.contains("\"overlapped\": 0"),
             "serialized replays report a zero overlapped component: {text}"
-        );
-    }
-
-    #[test]
-    fn aggregate_geomeans_datapath_speedups() {
-        let results = vec![
-            ScenarioResult {
-                name: "datapath/a".into(),
-                output: ScenarioOutput::default()
-                    .value("wall_kops_b1", 100.0)
-                    .value("wall_speedup_b64", 2.0),
-            },
-            ScenarioResult {
-                name: "datapath/b".into(),
-                output: ScenarioOutput::default().value("wall_speedup_b64", 8.0),
-            },
-        ];
-        let doc = suite_json("datapath", &results).render();
-        // geomean(2, 8) = 4; max(2, 8) = 8.
-        assert!(
-            doc.contains("\"datapath_speedup_geomean\": {\n      \"b64\": 4"),
-            "speedup block missing or wrong: {doc}"
-        );
-        assert!(
-            doc.contains("\"datapath_speedup_max\": {\n      \"b64\": 8"),
-            "max block missing or wrong: {doc}"
-        );
-        assert!(
-            doc.contains("\"datapath_speedup_min\": {\n      \"b64\": 2"),
-            "min block missing or wrong: {doc}"
         );
     }
 

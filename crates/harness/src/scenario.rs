@@ -12,9 +12,9 @@ pub struct ReplaySpec {
     pub system: SystemSpec,
     /// Workload to replay.
     pub workload: WorkloadSpec,
-    /// Runner parameters — including `batch_ops`, the op-batch datapath
-    /// knob (`RunConfig::with_batch_ops`); scenario tables sweep it like
-    /// any other run parameter.
+    /// Runner parameters — including `batch_ops`, the turn size
+    /// (`RunConfig::with_batch_ops`); scenario tables sweep it like any
+    /// other run parameter.
     pub run: RunConfig,
 }
 

@@ -14,6 +14,8 @@
 //! switch lands at ≈9 µs end-to-end and a sequential invalidate-then-fetch
 //! at ≈18 µs, matching Figure 7 (left).
 
+#![forbid(unsafe_code)]
+
 pub mod fabric;
 pub mod link;
 pub mod node;

@@ -20,6 +20,7 @@ use std::collections::VecDeque;
 
 use mind_core::addr::pow2_alloc_size;
 use mind_core::cluster::{MindCluster, MindConfig};
+use mind_core::coherence::AccessError;
 use mind_core::engine::{ClusterEngine, ClusterStep};
 use mind_core::protect::PermClass;
 use mind_core::system::{AccessOutcome, MemOp, MemorySystem, OpBatch};
@@ -69,17 +70,9 @@ pub struct ServiceConfig {
     pub elastic_epoch: SimTime,
     /// Assumed per-blade service capacity, requests per second.
     pub blade_capacity_hz: f64,
-    /// Whether the dispatcher pushes each quantum's grants through the
-    /// rack's batched datapath (one [`mind_core::OpBatch`] per quantum).
-    /// `false` issues every grant through the scalar access path instead —
-    /// same requests, same order, same timestamps, so reports are
-    /// byte-identical either way (the equivalence suite asserts this);
-    /// batching only amortizes the per-op table walks.
-    pub batch_dispatch: bool,
     /// In-flight window depth of the quantum batch: how many grants the
     /// dispatcher keeps in flight at once. `1` (the default) reproduces
-    /// the pre-window reports byte-identically — every grant issues at
-    /// the quantum boundary. Deeper windows run the quantum through the
+    /// every grant issues at the quantum boundary. Deeper windows run the quantum through the
     /// issue/complete datapath: up to `window` independent faults overlap
     /// their fabric RTTs, grants beyond the window queue for a slot (the
     /// queueing shows up in per-tenant latency), and same-region grants
@@ -92,10 +85,7 @@ pub struct ServiceConfig {
     /// arbitrates the quantum's grants through a shared slot pool,
     /// cluster-wide region serialization, and the per-NIC bandwidth gate
     /// ([`MindConfig::nic_depth`]). Off by default; takes effect only with
-    /// `window > 1`. The engine path shares the replay paths' contract
-    /// that grants are never rack-refused (a refused grant panics instead
-    /// of counting as a rejected request), so leave it off for runs that
-    /// inject blade failures.
+    /// `window > 1`.
     pub cluster_dispatch: bool,
     /// Access pattern per QoS class, in [`QosClass::ALL`] order — the
     /// tenant workload-diversity axis. Defaults to uniform everywhere;
@@ -128,7 +118,6 @@ impl Default for ServiceConfig {
             max_queue_depth: 64,
             elastic_epoch: SimTime::from_millis(5),
             blade_capacity_hz: 50_000.0,
-            batch_dispatch: true,
             window: 1,
             cluster_dispatch: false,
             class_patterns: [AccessPattern::Uniform; 3],
@@ -228,9 +217,9 @@ enum Event {
     Rebalance,
 }
 
-/// What the issue engine reported for one grant: `(issue time, outcome,
-/// region)`.
-type Staged = (SimTime, AccessOutcome, Option<(u64, u8)>);
+/// What the issue engine reported for one grant: `(issue time, outcome or
+/// refusal, region)`.
+type Staged = (SimTime, Result<AccessOutcome, AccessError>, Option<(u64, u8)>);
 
 /// The live tenant in `slot` of the slot table.
 fn tenant_in(slots: &mut [Option<Tenant>], slot: u32) -> &mut Tenant {
@@ -518,9 +507,7 @@ impl MemoryService {
     ///
     /// The WRR pass hands out the quantum's *batch grant* — the selected
     /// `(tenant, request)` list — which then executes as one fixed-time
-    /// [`OpBatch`] through the rack's batched datapath (or op-by-op
-    /// through the scalar path when [`ServiceConfig::batch_dispatch`] is
-    /// off; results are identical either way).
+    /// [`OpBatch`].
     pub fn dispatch(&mut self, now: SimTime) {
         let shares = admission::wrr_shares(self.cfg.slots_per_quantum, self.queued);
 
@@ -577,20 +564,8 @@ impl MemoryService {
         // Execution pass: the whole quantum through the datapath at once.
         if self.cfg.cluster_dispatch && self.cfg.window > 1 && !batch.is_empty() {
             self.dispatch_through_engine(now, &mut batch);
-        } else if self.cfg.batch_dispatch {
-            self.cluster.run_batch(now, &mut batch);
         } else {
-            for i in 0..batch.len() {
-                let op = batch.op(i);
-                let result = self.cluster.access_as(
-                    now,
-                    op.blade,
-                    op.pdid.expect("grants carry their tenant"),
-                    op.vaddr,
-                    op.kind,
-                );
-                batch.record(i, now, result);
-            }
+            self.cluster.run_batch(now, &mut batch);
         }
 
         // Accounting pass, in grant order. End-to-end latency is derived
@@ -663,12 +638,13 @@ impl MemoryService {
                 ClusterStep::Gated { until, .. } => eng.defer(until, src),
                 ClusterStep::Issued {
                     outcome, region, ..
-                } => self.staged[i] = Some((at, outcome, region)),
+                } => self.staged[i] = Some((at, Ok(outcome), region)),
+                ClusterStep::Refused(e) => self.staged[i] = Some((at, Err(e), None)),
             }
         }
         for (i, slot) in self.staged.drain(..).enumerate() {
-            let (at, outcome, region) = slot.expect("engine drains every seeded grant");
-            batch.record_with_region(i, at, Ok(outcome), region);
+            let (at, result, region) = slot.expect("engine drains every seeded grant");
+            batch.record_with_region(i, at, result, region);
         }
     }
 
@@ -926,33 +902,6 @@ mod tests {
         }
     }
 
-    /// The service-level equivalence guarantee: a full churn run with
-    /// batched quantum dispatch matches the scalar per-op dispatch
-    /// exactly — tenants, ops, rejects, latencies, and rack metrics.
-    #[test]
-    fn batched_dispatch_matches_scalar_dispatch() {
-        let batched = MemoryService::new(quick_cfg()).run();
-        let scalar = MemoryService::new(ServiceConfig {
-            batch_dispatch: false,
-            ..quick_cfg()
-        })
-        .run();
-        assert_eq!(batched.tenants_admitted, scalar.tenants_admitted);
-        assert_eq!(batched.total_ops, scalar.total_ops);
-        assert_eq!(batched.rejected_requests, scalar.rejected_requests);
-        assert_eq!(batched.metrics, scalar.metrics);
-        assert_eq!(batched.tenants.len(), scalar.tenants.len());
-        for (b, s) in batched.tenants.iter().zip(&scalar.tenants) {
-            assert_eq!(b.ops, s.ops);
-            assert_eq!(b.p50_ns, s.p50_ns);
-            assert_eq!(b.p999_ns, s.p999_ns);
-        }
-        for (b, s) in batched.classes.iter().zip(&scalar.classes) {
-            assert_eq!(b.ops, s.ops);
-            assert_eq!(b.p99_ns, s.p99_ns);
-        }
-    }
-
     /// Overlapped quanta serve the same requests (the window changes
     /// dispatch timing, not what gets granted) and the run stays
     /// deterministic.
@@ -1034,6 +983,41 @@ mod tests {
         assert_eq!(a.total_ops, windowed.total_ops);
         assert_eq!(a.rejected_requests, windowed.rejected_requests);
         assert!(a.total_ops > 0, "the engine path actually served requests");
+    }
+
+    /// A grant the rack refuses (here: the tenant's only blade has failed)
+    /// is billed to the tenant as a rejected request, whichever way the
+    /// quantum is dispatched.
+    #[test]
+    fn a_refused_grant_is_a_rejection_under_every_dispatch_config() {
+        let windowed = ServiceConfig {
+            window: 4,
+            ..quick_cfg()
+        };
+        let through_engine = ServiceConfig {
+            cluster_dispatch: true,
+            ..windowed
+        };
+        for cfg in [quick_cfg(), windowed, through_engine] {
+            let mut svc = MemoryService::new(cfg);
+            let id = svc
+                .admit(SimTime::ZERO, QosClass::Gold, 64, 1_000.0)
+                .unwrap();
+            let blade = svc.tenant(id).unwrap().blades[0];
+            svc.cluster_mut().fail_blade(blade);
+            for _ in 0..4 {
+                assert!(svc.submit(SimTime::from_micros(1), id));
+            }
+            svc.dispatch(SimTime::from_micros(2));
+            let t = svc.tenant(id).unwrap();
+            assert_eq!(
+                (t.ops, t.rejected, t.queue.len()),
+                (0, 4, 0),
+                "window {} cluster_dispatch {}",
+                cfg.window,
+                cfg.cluster_dispatch
+            );
+        }
     }
 
     /// With `window: 1` the engine path is inert (the config documents it

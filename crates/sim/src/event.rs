@@ -130,10 +130,16 @@ impl<E: Copy> EventQueue<E> {
 
     /// Pops the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
+        self.pop_due(SimTime::MAX)
+    }
+
+    /// [`pop`](Self::pop) if the earliest event is at or before `horizon`;
+    /// otherwise it stays queued.
+    pub fn pop_due(&mut self, horizon: SimTime) -> Option<Scheduled<E>> {
         if self.vacant {
             self.close_vacancy();
         }
-        let next = *self.heap.first()?;
+        let next = *self.heap.first().filter(|next| next.at <= horizon)?;
         self.vacant = true;
         self.now = next.at;
         Some(next)

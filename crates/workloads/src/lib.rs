@@ -24,6 +24,8 @@
 //! fused serialized reference and a deterministic sharded executor over
 //! per-partition sub-clusters, merged exactly.
 
+#![forbid(unsafe_code)]
+
 pub mod gc;
 pub mod kvs;
 pub mod memcached;

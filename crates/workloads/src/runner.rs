@@ -2,17 +2,25 @@
 //!
 //! Replays a [`Workload`] against a [`MemorySystem`], maintaining one
 //! virtual clock per thread: at each step the thread with the earliest
-//! clock issues its next *run* of operations at that time — a batch of up
-//! to [`RunConfig::batch_ops`] consecutive ops pushed through
-//! [`MemorySystem::execute_batch`] — and its clock advances by the chained
-//! access latencies plus a small per-op compute gap. At `batch_ops: 1`
-//! (the default) this is exactly the scalar op-at-a-time discipline; larger
-//! batches issue each thread's ops in quanta, letting a batched datapath
-//! amortize per-op table walks. The run's *runtime* is the maximum thread
-//! clock — the quantity Figure 5 reports (as inverse, normalized
-//! performance).
+//! clock takes its *turn* — its next [`RunConfig::batch_ops`] operations,
+//! handed to [`MemorySystem::execute_batch`] as one chained schedule — and
+//! its clock advances by the chained access latencies plus a small per-op
+//! compute gap. Every op takes the same path through the system whatever
+//! the turn size: `batch_ops` decides only how long a thread runs before
+//! the next-earliest thread gets its turn. The run's *runtime* is the
+//! maximum thread clock — the quantity Figure 5 reports (as inverse,
+//! normalized performance).
+//!
+//! One piece of schedule state, [`Replay`], carries every replay in the
+//! crate: the turn, the warmup → baseline → measured phase machine and the
+//! op-fill routine exist once. [`run`] is its one-partition case driven to
+//! an unbounded horizon; `shard::GroupRun` puts partition validation and
+//! conservative horizons on top of the same state.
+
+use std::ops::DerefMut;
 
 use mind_core::engine::{ClusterEngine, ClusterStep};
+use mind_core::protect::Pdid;
 use mind_core::system::{AccessOutcome, MemOp, MemorySystem, OpBatch};
 use mind_obs::{TraceConfig, TraceData, WindowSeries};
 use mind_sim::stats::{Histogram, Metrics};
@@ -25,8 +33,7 @@ use crate::trace::{TraceOp, Workload};
 pub enum Concurrency {
     /// Lockstep scheduling turns: the earliest thread issues its next
     /// batch and drains it before its next turn, so in-flight overlap
-    /// forms only *within* one thread's batch. The default, and the
-    /// byte-identical reference discipline.
+    /// forms only *within* one thread's batch. The default.
     #[default]
     Turnwise,
     /// The cluster-wide event-driven engine (`mind_core::engine`): every
@@ -35,8 +42,7 @@ pub enum Concurrency {
     /// serialize cluster-wide, and each blade's RNIC issue bandwidth
     /// gates its threads. Takes effect when `window > 1` *and* the system
     /// has an issue/complete datapath; otherwise the run stays turnwise
-    /// (so a `window <= 1` cluster run replays the serialized reference
-    /// byte-identically).
+    /// (one op in flight per thread *is* the turnwise schedule).
     Cluster,
 }
 
@@ -59,17 +65,16 @@ pub struct RunConfig {
     /// placement); `true` interleaves (`t % n_blades`) — used by the §8
     /// thread-placement ablation to co-locate or separate sharers.
     pub interleave: bool,
-    /// Consecutive operations a thread issues per scheduling turn, pushed
-    /// through the system as one [`OpBatch`]. `1` (the default) preserves
-    /// the scalar op-at-a-time semantics exactly; larger values trade
-    /// scheduling granularity for datapath amortization. For any fixed
-    /// value, scalar and batched datapaths produce identical reports.
+    /// Consecutive operations a thread issues per scheduling turn, handed
+    /// to the system as one chained [`OpBatch`]. Scheduling granularity
+    /// only: `1` (the default) re-picks the earliest thread after every
+    /// op, larger values let a thread run ahead of the others for a whole
+    /// turn. A single thread's replay is the same at every value.
     pub batch_ops: u64,
     /// In-flight window depth per batch (memory-level parallelism): how
     /// many independent faults a thread's blade keeps in flight at once.
     /// `1` (the default) is the serialized issue discipline — every RTT
-    /// completes before the next op issues — and reproduces the
-    /// pre-window reports byte-identically. Larger values overlap fabric
+    /// completes before the next op issues. Larger values overlap fabric
     /// round trips on systems with an issue/complete datapath (MIND);
     /// systems without one run serialized regardless.
     pub window: u32,
@@ -490,8 +495,8 @@ pub fn merge_reports(name: impl Into<String>, reports: &[RunReport]) -> RunRepor
 }
 
 /// Drives a set of issue streams (threads) through a system's
-/// [`ClusterEngine`] — the cluster-mode counterpart of the turnwise
-/// scheduling loops, shared by [`run`] and the sharded executor.
+/// [`ClusterEngine`] — what a cluster-mode [`Replay`] schedules with
+/// instead of turns.
 ///
 /// Each source is a continuous stream: its next op becomes ungated-ready
 /// `think_time` after its previous *issue* (the issue pipeline's per-op
@@ -501,17 +506,14 @@ pub fn merge_reports(name: impl Into<String>, reports: &[RunReport]) -> RunRepor
 /// through a caller-supplied `fill` closure, so workload generation order
 /// per source is identical to the turnwise runner's.
 ///
-/// The caller owns the phase protocol: pump [`advance_warmup`] to
-/// completion, snapshot its baseline metrics, then [`start_measured`] and
-/// pump [`advance_measured`]. Warmup ends at the latest warmup completion
-/// (plus gap) and each source resumes the measured phase `gap` after its
-/// last warmup issue — the same accounting boundaries as turnwise, with
-/// in-flight window state (and the overlap frontier) persisting across
-/// the phase line.
-///
-/// [`advance_warmup`]: ClusterDriver::advance_warmup
-/// [`start_measured`]: ClusterDriver::start_measured
-/// [`advance_measured`]: ClusterDriver::advance_measured
+/// The caller owns the phase protocol: [`pump`](ClusterDriver::pump)
+/// warmup to completion, snapshot its baseline metrics, then
+/// [`start_measured`](ClusterDriver::start_measured) and pump again with
+/// accumulators. Warmup ends at the latest warmup completion (plus gap)
+/// and each source resumes the measured phase `gap` after its last warmup
+/// issue — the same accounting boundaries as turnwise, with in-flight
+/// window state (and the overlap frontier) persisting across the phase
+/// line.
 pub(crate) struct ClusterDriver {
     eng: ClusterEngine,
     bufs: Vec<Vec<MemOp>>,
@@ -525,7 +527,6 @@ pub(crate) struct ClusterDriver {
     measured_ops: u64,
     batch_ops: u64,
     gap: SimTime,
-    measured_started: bool,
     /// Latest warmup completion + gap across sources.
     pub(crate) warmup_end: SimTime,
     /// Latest measured completion + gap across sources (primed to
@@ -547,7 +548,6 @@ impl ClusterDriver {
             measured_ops: cfg.ops_per_thread,
             batch_ops: cfg.batch_ops.max(1),
             gap: cfg.think_time,
-            measured_started: false,
             warmup_end: SimTime::ZERO,
             end_clock: SimTime::ZERO,
         };
@@ -559,26 +559,12 @@ impl ClusterDriver {
         driver
     }
 
-    /// Pumps warmup events up to `horizon`; returns whether the warmup
-    /// phase has fully drained (idempotently true thereafter).
-    pub(crate) fn advance_warmup<S: MemorySystem + ?Sized>(
-        &mut self,
-        system: &mut S,
-        horizon: SimTime,
-        fill: &mut dyn FnMut(u32, usize, &mut Vec<MemOp>),
-    ) -> bool {
-        debug_assert!(!self.measured_started, "warmup after start_measured");
-        self.pump(system, horizon, fill, None)
-    }
-
     /// Seeds the measured phase: every source resumes `gap` after its
     /// last warmup issue, on a fresh event queue (resume times may
-    /// precede the warmup queue's final pop). Call exactly once, after
-    /// [`ClusterDriver::advance_warmup`] returns `true` and the caller
+    /// precede the warmup queue's final pop). Call exactly once, after a
+    /// warmup [`ClusterDriver::pump`] returns `true` and the caller
     /// snapshotted its baseline metrics.
     pub(crate) fn start_measured(&mut self) {
-        debug_assert!(!self.measured_started, "start_measured called twice");
-        self.measured_started = true;
         self.end_clock = self.warmup_end;
         self.left.fill(self.measured_ops);
         for buf in &mut self.bufs {
@@ -593,25 +579,18 @@ impl ClusterDriver {
         }
     }
 
-    /// Pumps measured events up to `horizon`, accounting completed ops
-    /// (and NIC stalls) into `acc`; returns whether the run is complete.
-    pub(crate) fn advance_measured<S: MemorySystem + ?Sized>(
-        &mut self,
-        system: &mut S,
-        horizon: SimTime,
-        fill: &mut dyn FnMut(u32, usize, &mut Vec<MemOp>),
-        acc: &mut Accum,
-    ) -> bool {
-        debug_assert!(self.measured_started, "measure before start_measured");
-        self.pump(system, horizon, fill, Some(acc))
-    }
-
     /// The event loop: pops ready sources in deterministic order, offers
     /// each source's next op to the system's gates, defers gated sources
-    /// to their release times, and streams issued ops. `acc: None` is the
+    /// to their release times, and streams issued ops up to `horizon`;
+    /// returns whether the phase has fully drained. `acc: None` is the
     /// warmup phase (completions advance `warmup_end`, nothing is
     /// recorded); `Some` is measured.
-    fn pump<S: MemorySystem + ?Sized>(
+    ///
+    /// # Panics
+    ///
+    /// Panics when the system refuses an access: trace replay treats any
+    /// refusal as fatal.
+    pub(crate) fn pump<S: MemorySystem + ?Sized>(
         &mut self,
         system: &mut S,
         horizon: SimTime,
@@ -650,6 +629,9 @@ impl ClusterDriver {
                     }
                     self.eng.defer(until, src);
                 }
+                ClusterStep::Refused(e) => {
+                    panic!("clustered access failed at {:#x}: {e}", op.vaddr)
+                }
                 ClusterStep::Issued {
                     ref outcome,
                     complete_at,
@@ -678,16 +660,304 @@ impl ClusterDriver {
     }
 }
 
+/// One issue stream: which thread of which partition's workload it is,
+/// the compute blade it runs on, and the protection domain it issues under
+/// (`None`: the system's default replay domain). A table row rather than
+/// arithmetic on the source index, which would put a division on every
+/// turn.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Source {
+    pub(crate) part: u32,
+    pub(crate) thread: u16,
+    pub(crate) blade: u16,
+    pub(crate) pdid: Option<Pdid>,
+}
+
+/// The op streams of a replay: `partitions × threads_per_part` sources in
+/// partition-major order, each partition a workload with its own region
+/// bases.
+struct Streams {
+    sources: Vec<Source>,
+    threads_per_part: u32,
+    /// Per partition, the system address of each workload region.
+    bases: Vec<Vec<u64>>,
+    ops_buf: Vec<TraceOp>,
+}
+
+impl Streams {
+    /// Appends source `s`'s next `n` operations to `out`, resolved to its
+    /// blade, its domain and its partition's addresses.
+    fn fill<P: DerefMut<Target: Workload>>(
+        &mut self,
+        workloads: &mut [P],
+        s: u32,
+        n: usize,
+        out: &mut impl Extend<MemOp>,
+    ) {
+        let src = self.sources[s as usize];
+        self.ops_buf.clear();
+        workloads[src.part as usize].fill_ops(src.thread, n, &mut self.ops_buf);
+        let bases = &self.bases[src.part as usize];
+        out.extend(self.ops_buf.iter().map(|op| MemOp {
+            at: SimTime::ZERO,
+            blade: src.blade,
+            pdid: src.pdid,
+            vaddr: bases[op.region as usize] + op.offset,
+            kind: op.kind,
+        }));
+    }
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    Warmup,
+    Measured,
+    Done,
+}
+
+/// The schedule state of one replay, advanced event by event to a
+/// horizon. It owns who issues next and what has been accounted; the
+/// system and the workloads are handed in at every step, so one value
+/// drives [`run`]'s generic system and the sharded executor's sub-cluster
+/// alike.
+pub(crate) struct Replay {
+    cfg: RunConfig,
+    streams: Streams,
+    phase: Phase,
+    /// Turnwise: the current phase's ready sources by thread clock.
+    queue: EventQueue<u32>,
+    /// Turnwise: sources that finished warmup, at their post-warmup
+    /// clocks in completion order — the measured phase's queue.
+    resume: EventQueue<u32>,
+    /// Turnwise: ops each source still owes the current phase.
+    left: Vec<u64>,
+    /// Cluster mode ([`Concurrency::Cluster`], `window > 1`, a system with
+    /// an issue/complete datapath): one event-driven issue engine *per
+    /// partition*, so the gates a partition's threads share — its slot
+    /// pool, its blades' NICs, its region serialization — are identical
+    /// whether the partition runs fused or sharded. Empty in turnwise
+    /// mode.
+    drivers: Vec<ClusterDriver>,
+    batch: OpBatch,
+    warmup_end: SimTime,
+    end_clock: SimTime,
+    baseline: Option<Metrics>,
+    acc: Accum,
+}
+
+impl Replay {
+    /// A replay of `sources` (see [`Streams`] for their order) on
+    /// `system`, all sources ready at time zero.
+    pub(crate) fn new<S: MemorySystem + ?Sized>(
+        system: &S,
+        cfg: RunConfig,
+        sources: Vec<Source>,
+        threads_per_part: u32,
+        bases: Vec<Vec<u64>>,
+    ) -> Self {
+        let mut drivers = Vec::new();
+        if cfg.concurrency == Concurrency::Cluster && cfg.window > 1 {
+            // A system without an issue engine stays turnwise.
+            drivers.extend((0..bases.len()).filter_map(|_| {
+                let eng = system.cluster_engine(cfg.window, threads_per_part)?;
+                Some(ClusterDriver::new(eng, threads_per_part, cfg))
+            }));
+        }
+        let (mut queue, mut resume, mut left) = (EventQueue::new(), EventQueue::new(), Vec::new());
+        if drivers.is_empty() {
+            // Without warmup the seeds are the measured phase's.
+            let warmup = cfg.warmup_ops_per_thread;
+            let first = if warmup > 0 { &mut queue } else { &mut resume };
+            for s in 0..sources.len() as u32 {
+                first.schedule(SimTime::ZERO, s);
+            }
+            left = vec![warmup; sources.len()];
+        }
+        Replay {
+            cfg,
+            streams: Streams {
+                sources,
+                threads_per_part,
+                bases,
+                ops_buf: Vec::new(),
+            },
+            phase: Phase::Warmup,
+            queue,
+            resume,
+            left,
+            drivers,
+            batch: OpBatch::chained(cfg.think_time).with_window(cfg.window),
+            warmup_end: SimTime::ZERO,
+            end_clock: SimTime::ZERO,
+            baseline: None,
+            acc: Accum::with_trace(cfg.trace),
+        }
+    }
+
+    /// Executes every event at or before `horizon`, in timestamp order
+    /// (ties by schedule order); returns `true` once nothing is left.
+    /// Within a phase, pops never go backwards in time; warmup →
+    /// measured is a barrier across all sources, where the baseline
+    /// metrics are snapshotted and the sources re-seeded at their
+    /// post-warmup clocks.
+    pub(crate) fn advance_until<S: MemorySystem + ?Sized, P: DerefMut<Target: Workload>>(
+        &mut self,
+        system: &mut S,
+        workloads: &mut [P],
+        horizon: SimTime,
+    ) -> bool {
+        loop {
+            let measuring = match self.phase {
+                Phase::Warmup => false,
+                Phase::Measured => true,
+                Phase::Done => return true,
+            };
+            let drained = if self.drivers.is_empty() {
+                self.turns_until(system, workloads, horizon, measuring)
+            } else {
+                self.pump_until(system, workloads, horizon, measuring)
+            };
+            if !drained {
+                return false;
+            }
+            if measuring {
+                self.phase = Phase::Done;
+                return true;
+            }
+            self.baseline = Some(system.metrics());
+            self.end_clock = self.warmup_end;
+            self.left.fill(self.cfg.ops_per_thread);
+            std::mem::swap(&mut self.queue, &mut self.resume);
+            for driver in &mut self.drivers {
+                driver.start_measured();
+            }
+            self.phase = Phase::Measured;
+        }
+    }
+
+    /// Turnwise: gives the earliest source its turn until the queue is
+    /// past `horizon` (`false`) or the phase has drained (`true`).
+    fn turns_until<S: MemorySystem + ?Sized, P: DerefMut<Target: Workload>>(
+        &mut self,
+        system: &mut S,
+        workloads: &mut [P],
+        horizon: SimTime,
+        measuring: bool,
+    ) -> bool {
+        let batch_ops = self.cfg.batch_ops.max(1);
+        while let Some(due) = self.queue.pop_due(horizon) {
+            let s = due.event;
+            let n = batch_ops.min(self.left[s as usize]);
+            let next = self.turn(system, workloads, due.at, s, n as usize);
+            if measuring {
+                // One accounting flush per turn, in op order.
+                self.acc.record_batch(&self.batch);
+                self.end_clock = self.end_clock.max(next);
+            } else {
+                self.warmup_end = self.warmup_end.max(next);
+            }
+            self.left[s as usize] -= n;
+            if self.left[s as usize] > 0 {
+                self.queue.schedule(next, s);
+            } else if !measuring {
+                self.resume.schedule(next, s);
+            }
+        }
+        self.queue.is_empty()
+    }
+
+    /// One scheduling turn: source `s`'s next `n` ops as a single chained
+    /// batch starting at `clock`. Returns the source's clock after its
+    /// last completion plus think time.
+    fn turn<S: MemorySystem + ?Sized, P: DerefMut<Target: Workload>>(
+        &mut self,
+        system: &mut S,
+        workloads: &mut [P],
+        clock: SimTime,
+        s: u32,
+        n: usize,
+    ) -> SimTime {
+        self.batch.clear();
+        self.streams.fill(workloads, s, n, &mut self.batch);
+        system.execute_batch(clock, &mut self.batch);
+        // Trace replay treats any refusal as fatal, whichever op of the
+        // turn it hit (warmup included).
+        for (op, result) in self.batch.ops().iter().zip(self.batch.results()) {
+            if let Err(e) = result {
+                panic!("batched access failed at {:#x}: {e}", op.vaddr);
+            }
+        }
+        // The source resumes when its whole turn has completed. Under the
+        // serialized window the last op completes last (issue times
+        // chain); under overlap the in-flight tail may finish out of order
+        // and the *latest* completion gates the next turn.
+        let turn_done = (0..self.batch.len())
+            .map(|i| self.batch.completion(i))
+            .max()
+            .expect("turns are non-empty");
+        turn_done + self.cfg.think_time
+    }
+
+    /// Cluster mode: pumps every partition's engine driver to `horizon`;
+    /// `true` once all of them have drained the phase.
+    fn pump_until<S: MemorySystem + ?Sized, P: DerefMut<Target: Workload>>(
+        &mut self,
+        system: &mut S,
+        workloads: &mut [P],
+        horizon: SimTime,
+        measuring: bool,
+    ) -> bool {
+        let streams = &mut self.streams;
+        let mut all = true;
+        for (part, driver) in self.drivers.iter_mut().enumerate() {
+            let first = part as u32 * streams.threads_per_part;
+            let mut fill = |src: u32, n: usize, out: &mut Vec<MemOp>| {
+                streams.fill(workloads, first + src, n, out)
+            };
+            let acc = measuring.then_some(&mut self.acc);
+            all &= driver.pump(system, horizon, &mut fill, acc);
+            self.warmup_end = self.warmup_end.max(driver.warmup_end);
+            self.end_clock = self.end_clock.max(driver.end_clock);
+        }
+        all
+    }
+
+    /// Whether every source has finished its measured ops.
+    pub(crate) fn is_done(&self) -> bool {
+        self.phase == Phase::Done
+    }
+
+    /// The report of the measured window; `metrics` is the system's
+    /// snapshot at completion.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the replay has not completed.
+    pub(crate) fn finish(self, name: String, metrics: Metrics) -> RunReport {
+        assert!(self.is_done(), "finish before the replay completed");
+        let baseline = self.baseline.as_ref().expect("baseline snapshotted");
+        let window_metrics = metrics.diff(baseline);
+        finish_report(
+            name,
+            self.warmup_end,
+            self.end_clock,
+            self.acc,
+            metrics,
+            window_metrics,
+        )
+    }
+}
+
 /// Replays `ops_per_thread × n_threads` operations of `workload` against
 /// `system`.
 ///
 /// # Panics
 ///
 /// Panics if the workload's threads do not fit on the system's compute
-/// blades under `threads_per_blade`.
+/// blades under `threads_per_blade`, or if the system refuses an access.
 pub fn run<S: MemorySystem + ?Sized, W: Workload + ?Sized>(
     system: &mut S,
-    workload: &mut W,
+    mut workload: &mut W,
     cfg: RunConfig,
 ) -> RunReport {
     let n_threads = workload.n_threads();
@@ -704,181 +974,19 @@ pub fn run<S: MemorySystem + ?Sized, W: Workload + ?Sized>(
         .into_iter()
         .map(|len| system.alloc(len))
         .collect();
+    let sources = (0..n_threads)
+        .map(|thread| Source {
+            part: 0,
+            thread,
+            blade: blade_of(thread, cfg, blades_needed),
+            pdid: None,
+        })
+        .collect();
 
-    // Cluster mode: hand the whole thread set to the system's
-    // event-driven issue engine, when it has one and the window actually
-    // admits overlap. At `window <= 1` (or on engine-less systems) the
-    // turnwise discipline below *is* the cluster semantics — one op in
-    // flight per thread, serialized — so the reference replay stays
-    // byte-identical.
-    if cfg.concurrency == Concurrency::Cluster && cfg.window > 1 {
-        if let Some(eng) = system.cluster_engine(cfg.window, n_threads as u32) {
-            return run_cluster(system, workload, cfg, eng, &bases, n_threads, blades_needed);
-        }
-    }
-
-    // Discrete-event schedule over threads: the earliest thread issues
-    // next; ties resolve in scheduling order (insertion seq).
-    let mut queue: EventQueue<u16> = EventQueue::new();
-    for t in 0..n_threads {
-        queue.schedule(SimTime::ZERO, t);
-    }
-
-    // One reusable batch (and generator scratch) for the whole run.
-    let batch_ops = cfg.batch_ops.max(1);
-    let mut batch = OpBatch::chained(cfg.think_time).with_window(cfg.window);
-    let mut ops_buf: Vec<TraceOp> = Vec::new();
-
-    // Fills and executes one scheduling turn for `thread`: up to
-    // `batch_ops` consecutive ops as a single chained batch starting at
-    // `clock`. Returns the thread's clock after its last completion.
-    let mut issue_turn = |system: &mut S,
-                          workload: &mut W,
-                          batch: &mut OpBatch,
-                          clock: SimTime,
-                          thread: u16,
-                          n: usize|
-     -> SimTime {
-        let blade = blade_of(thread, cfg, blades_needed);
-        ops_buf.clear();
-        workload.fill_ops(thread, n, &mut ops_buf);
-        batch.clear();
-        for op in &ops_buf {
-            batch.push(MemOp {
-                at: SimTime::ZERO,
-                blade,
-                pdid: None,
-                vaddr: bases[op.region as usize] + op.offset,
-                kind: op.kind,
-            });
-        }
-        system.execute_batch(clock, batch);
-        // Trace replay treats any refusal as fatal, whichever op of the
-        // batch it hit — same visibility as the scalar loop, which panics
-        // inside `access` on the first error (warmup included).
-        for (op, result) in batch.ops().iter().zip(batch.results()) {
-            if let Err(e) = result {
-                panic!("batched access failed at {:#x}: {e}", op.vaddr);
-            }
-        }
-        // The thread resumes when its whole turn has completed. Under the
-        // serialized window the last op completes last (issue times
-        // chain), so this is exactly the old last-op arithmetic; under
-        // overlap the in-flight tail may finish out of order and the
-        // *latest* completion gates the next turn.
-        let turn_done = (0..batch.len())
-            .map(|i| batch.completion(i))
-            .max()
-            .expect("turns are non-empty");
-        turn_done + cfg.think_time
-    };
-
-    // Warmup phase: populate caches, stabilize regions; untimed. Threads
-    // finishing warmup seed the measured queue at their post-warmup
-    // clocks, in completion order.
-    let mut warmup_end = SimTime::ZERO;
-    let mut measured: EventQueue<u16> = EventQueue::new();
-    if cfg.warmup_ops_per_thread > 0 {
-        let mut left: Vec<u64> = vec![cfg.warmup_ops_per_thread; n_threads as usize];
-        while let Some(ev) = queue.pop() {
-            let (clock, thread) = (ev.at, ev.event);
-            let n = batch_ops.min(left[thread as usize]);
-            let next = issue_turn(system, workload, &mut batch, clock, thread, n as usize);
-            warmup_end = warmup_end.max(next);
-            left[thread as usize] -= n;
-            if left[thread as usize] > 0 {
-                queue.schedule(next, thread);
-            } else {
-                measured.schedule(next, thread);
-            }
-        }
-    } else {
-        measured = queue;
-    }
-    let baseline_metrics = system.metrics();
-
-    let mut remaining: Vec<u64> = vec![cfg.ops_per_thread; n_threads as usize];
-    let mut acc = Accum::with_trace(cfg.trace);
-    let mut end_clock = warmup_end;
-
-    while let Some(ev) = measured.pop() {
-        let (clock, thread) = (ev.at, ev.event);
-        let n = batch_ops.min(remaining[thread as usize]);
-        let next_clock = issue_turn(system, workload, &mut batch, clock, thread, n as usize);
-
-        // One accounting flush per batch, in op order (issue_turn already
-        // rejected any failed op).
-        acc.record_batch(&batch);
-
-        end_clock = end_clock.max(next_clock);
-        remaining[thread as usize] -= n;
-        if remaining[thread as usize] > 0 {
-            measured.schedule(next_clock, thread);
-        }
-    }
-
-    // Report the measured window only.
-    let window_metrics = system.metrics().diff(&baseline_metrics);
-    let mut report = finish_report(
-        workload.name(),
-        warmup_end,
-        end_clock,
-        acc,
-        system.metrics(),
-        window_metrics,
-    );
-    report.trace = system.take_trace();
-    report
-}
-
-/// The cluster-mode body of [`run`]: same workload schedule per thread,
-/// same warmup/measured accounting boundaries, but issue arbitration runs
-/// through the system's [`ClusterEngine`] so independent threads' fabric
-/// RTTs overlap cluster-wide.
-fn run_cluster<S: MemorySystem + ?Sized, W: Workload + ?Sized>(
-    system: &mut S,
-    workload: &mut W,
-    cfg: RunConfig,
-    eng: ClusterEngine,
-    bases: &[u64],
-    n_threads: u16,
-    n_blades: u16,
-) -> RunReport {
-    let mut driver = ClusterDriver::new(eng, n_threads as u32, cfg);
-    let mut ops_buf: Vec<TraceOp> = Vec::new();
-    let mut fill = |src: u32, n: usize, out: &mut Vec<MemOp>| {
-        let thread = src as u16;
-        let blade = blade_of(thread, cfg, n_blades);
-        ops_buf.clear();
-        workload.fill_ops(thread, n, &mut ops_buf);
-        for op in &ops_buf {
-            out.push(MemOp {
-                at: SimTime::ZERO,
-                blade,
-                pdid: None,
-                vaddr: bases[op.region as usize] + op.offset,
-                kind: op.kind,
-            });
-        }
-    };
-
-    let drained = driver.advance_warmup(system, SimTime::MAX, &mut fill);
-    debug_assert!(drained, "an unbounded horizon drains warmup");
-    let baseline_metrics = system.metrics();
-    driver.start_measured();
-    let mut acc = Accum::with_trace(cfg.trace);
-    let done = driver.advance_measured(system, SimTime::MAX, &mut fill, &mut acc);
+    let mut replay = Replay::new(system, cfg, sources, n_threads as u32, vec![bases]);
+    let done = replay.advance_until(system, std::slice::from_mut(&mut workload), SimTime::MAX);
     debug_assert!(done, "an unbounded horizon completes the run");
-
-    let window_metrics = system.metrics().diff(&baseline_metrics);
-    let mut report = finish_report(
-        workload.name(),
-        driver.warmup_end,
-        driver.end_clock,
-        acc,
-        system.metrics(),
-        window_metrics,
-    );
+    let mut report = replay.finish(workload.name(), system.metrics());
     report.trace = system.take_trace();
     report
 }
@@ -965,8 +1073,6 @@ mod tests {
         assert!(p999 > 0);
     }
 
-    use mind_core::system::ScalarLoop;
-
     #[test]
     fn batched_run_executes_all_ops_with_partial_batches() {
         // 500 ops per thread at batch 64: the last turn per thread is a
@@ -989,47 +1095,6 @@ mod tests {
         assert_eq!(report.total_ops, 1000);
         assert_eq!(report.latency.count(), 1000, "one sample per measured op");
         assert!(report.runtime > SimTime::ZERO);
-    }
-
-    #[test]
-    fn batched_datapath_matches_scalar_loop_at_every_batch_size() {
-        // The equivalence guarantee at runner level: for each batch size,
-        // MIND's batched execute_batch produces a report identical to the
-        // trait's default scalar loop over the same schedule.
-        for batch_ops in [1u64, 8, 64] {
-            let cfg = RunConfig {
-                ops_per_thread: 400,
-                warmup_ops_per_thread: 50,
-                ..Default::default()
-            }
-            .with_batch_ops(batch_ops);
-            let batched = {
-                let mut sys = MindCluster::new(MindConfig::small());
-                let mut wl = PingPong {
-                    threads: 2,
-                    rng: SimRng::new(11),
-                };
-                run(&mut sys, &mut wl, cfg)
-            };
-            let scalar = {
-                let mut sys = ScalarLoop(MindCluster::new(MindConfig::small()));
-                let mut wl = PingPong {
-                    threads: 2,
-                    rng: SimRng::new(11),
-                };
-                run(&mut sys, &mut wl, cfg)
-            };
-            assert_eq!(batched.runtime, scalar.runtime, "batch_ops {batch_ops}");
-            assert_eq!(batched.total_ops, scalar.total_ops);
-            assert_eq!(batched.metrics, scalar.metrics, "batch_ops {batch_ops}");
-            assert_eq!(batched.window_metrics, scalar.window_metrics);
-            assert_eq!(
-                batched.latency.quantile(0.999),
-                scalar.latency.quantile(0.999)
-            );
-            assert_eq!(batched.sum_network_ns, scalar.sum_network_ns);
-            assert_eq!(batched.sum_inv_queue_ns, scalar.sum_inv_queue_ns);
-        }
     }
 
     /// A wide-footprint workload whose consecutive ops hit distinct

@@ -83,15 +83,12 @@ use std::sync::Mutex;
 use mind_core::cluster::{MindCluster, MindConfig};
 use mind_core::controller::Pid;
 use mind_core::shard::{PartitionError, PartitionLayout};
-use mind_core::system::{MemOp, MemorySystem, OpBatch};
+use mind_core::system::MemorySystem;
 use mind_obs::EventKind;
-use mind_sim::stats::Metrics;
-use mind_sim::{threads, EventQueue, SimTime};
+use mind_sim::{threads, SimTime};
 
-use crate::runner::{
-    finish_report, Accum, ClusterDriver, Concurrency, ReportMerger, RunConfig, RunReport,
-};
-use crate::trace::{TraceOp, Workload};
+use crate::runner::{Replay, ReportMerger, RunConfig, RunReport, Source};
+use crate::trace::Workload;
 
 /// Environment variable overriding the shard-thread count [`run_sharded`]
 /// uses (exact, like an explicit [`run_sharded_threads`] call). Unset,
@@ -251,49 +248,17 @@ pub struct ShardSpec {
 /// already demanded).
 pub type PartitionFactory<'a> = dyn Fn(u16) -> Box<dyn Workload> + Sync + 'a;
 
-struct PartitionState {
-    /// Protection domains: one entry (per-partition mode) or one per
-    /// thread (per-thread mode, thread `t` runs in `pids[t]`).
-    pids: Vec<Pid>,
-    workload: Box<dyn Workload>,
-    bases: Vec<u64>,
-    compute_lo: u16,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Warmup,
-    Measured,
-    Done,
-}
-
 /// One group of partitions co-hosted on one cluster, advanced event by
 /// event: the whole scenario (the fused reference) or one shard of it.
+/// The schedule is a [`Replay`]; this type adds what a *partitioned*
+/// replay needs on top — the confinement checks, the sub-cluster and the
+/// partition workloads it hands the replay at every step.
 pub struct GroupRun {
     name: String,
     cluster: MindCluster,
-    run_cfg: RunConfig,
-    parts: Vec<PartitionState>,
-    threads_per_partition: u16,
-    domain_per_thread: bool,
-    phase: Phase,
-    queue: EventQueue<u32>,
-    measured: EventQueue<u32>,
-    /// Cluster mode ([`Concurrency::Cluster`], `window > 1`): one
-    /// event-driven issue engine *per partition*, so the gates a
-    /// partition's threads share — its slot pool, its blades' NICs, its
-    /// region serialization — are identical whether the partition runs
-    /// fused or sharded (partition-local arbitration is what the
-    /// confinement contract already demands). Empty in turnwise mode.
-    drivers: Vec<ClusterDriver>,
-    warmup_left: Vec<u64>,
-    remaining: Vec<u64>,
-    warmup_end: SimTime,
-    baseline: Option<Metrics>,
-    acc: Accum,
-    end_clock: SimTime,
-    batch: OpBatch,
-    ops_buf: Vec<TraceOp>,
+    /// One workload per partition, in partition order.
+    workloads: Vec<Box<dyn Workload>>,
+    replay: Replay,
 }
 
 impl GroupRun {
@@ -325,7 +290,9 @@ impl GroupRun {
         let layout = PartitionLayout::try_new(&cfg, partitions)?;
         let dir_capacity = cfg.dir_capacity;
         let mut cluster = MindCluster::new(cfg);
-        let mut parts = Vec::with_capacity(partitions as usize);
+        let mut workloads = Vec::with_capacity(partitions as usize);
+        let mut sources = Vec::new();
+        let mut all_bases = Vec::with_capacity(partitions as usize);
         let mut threads_per_partition = None;
         let mut total_regions = 0usize;
         for lp in 0..partitions {
@@ -367,12 +334,17 @@ impl GroupRun {
                 })?;
                 bases.push(base);
             }
-            parts.push(PartitionState {
-                pids,
-                workload,
-                bases,
-                compute_lo: layout.compute_slice(lp).start,
-            });
+            // Thread `t` runs on the partition's compute slice, in its own
+            // domain or the partition's one.
+            let compute_lo = layout.compute_slice(lp).start;
+            sources.extend((0..nt).map(|t| Source {
+                part: lp as u32,
+                thread: t,
+                blade: compute_lo + t / run.threads_per_blade,
+                pdid: Some(pids[if domain_per_thread { t as usize } else { 0 }]),
+            }));
+            workloads.push(workload);
+            all_bases.push(bases);
         }
         let tpp = threads_per_partition.expect("at least one partition");
         let blades_needed = tpp.div_ceil(run.threads_per_blade);
@@ -397,223 +369,27 @@ impl GroupRun {
             });
         }
 
-        let total = partitions as u32 * tpp as u32;
-        let mut queue = EventQueue::new();
-        for gt in 0..total {
-            queue.schedule(SimTime::ZERO, gt);
-        }
-        let warmup = run.warmup_ops_per_thread;
-        let cluster_mode = run.concurrency == Concurrency::Cluster && run.window > 1;
-        let drivers: Vec<ClusterDriver> = if cluster_mode {
-            (0..partitions)
-                .map(|_| {
-                    let eng = cluster
-                        .cluster_engine(run.window, tpp as u32)
-                        .expect("MindCluster has an issue/complete datapath");
-                    ClusterDriver::new(eng, tpp as u32, run)
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let (phase, queue, measured, baseline) = if cluster_mode {
-            // Cluster mode schedules through the per-partition drivers;
-            // the group-level phase machine still sequences warmup →
-            // baseline snapshot → measured (warmup is trivially drained
-            // when there is none).
-            (Phase::Warmup, EventQueue::new(), EventQueue::new(), None)
-        } else if warmup > 0 {
-            (Phase::Warmup, queue, EventQueue::new(), None)
-        } else {
-            // No warmup: the seeded queue is the measured queue and the
-            // baseline snapshot is the post-setup state, exactly as in
-            // `runner::run`.
-            let baseline = cluster.metrics_snapshot();
-            (Phase::Measured, EventQueue::new(), queue, Some(baseline))
-        };
+        let replay = Replay::new(&cluster, run, sources, tpp as u32, all_bases);
         Ok(GroupRun {
             name,
-            run_cfg: run,
-            parts,
-            threads_per_partition: tpp,
-            domain_per_thread,
-            phase,
-            queue,
-            measured,
-            drivers,
-            warmup_left: vec![warmup; total as usize],
-            remaining: vec![run.ops_per_thread; total as usize],
-            warmup_end: SimTime::ZERO,
-            baseline,
-            acc: Accum::with_trace(run.trace),
-            end_clock: SimTime::ZERO,
-            batch: OpBatch::chained(run.think_time).with_window(run.window),
-            ops_buf: Vec::new(),
             cluster,
+            workloads,
+            replay,
         })
-    }
-
-    /// Issues one scheduling turn for global thread `gt` at `clock`;
-    /// returns the thread's clock after its last completion + think time.
-    fn turn(&mut self, clock: SimTime, gt: u32, n: u64) -> SimTime {
-        let lp = (gt / self.threads_per_partition as u32) as usize;
-        let t = (gt % self.threads_per_partition as u32) as u16;
-        let part = &mut self.parts[lp];
-        let blade = part.compute_lo + t / self.run_cfg.threads_per_blade;
-        let pdid = Some(part.pids[if self.domain_per_thread { t as usize } else { 0 }]);
-        self.ops_buf.clear();
-        part.workload.fill_ops(t, n as usize, &mut self.ops_buf);
-        self.batch.clear();
-        for op in &self.ops_buf {
-            self.batch.push(MemOp {
-                at: SimTime::ZERO,
-                blade,
-                pdid,
-                vaddr: part.bases[op.region as usize] + op.offset,
-                kind: op.kind,
-            });
-        }
-        self.cluster.run_batch(clock, &mut self.batch);
-        for (op, result) in self.batch.ops().iter().zip(self.batch.results()) {
-            if let Err(e) = result {
-                panic!("sharded access failed at {:#x}: {e}", op.vaddr);
-            }
-        }
-        let turn_done = (0..self.batch.len())
-            .map(|i| self.batch.completion(i))
-            .max()
-            .expect("turns are non-empty");
-        turn_done + self.run_cfg.think_time
     }
 
     /// Executes every event at or before `horizon`, in timestamp order
     /// (ties by schedule order). Returns `true` once the group has no
-    /// work left. Within a phase, pops never go backwards in time; the
-    /// warmup→measured transition is a barrier exactly as in
-    /// [`crate::runner::run`].
+    /// work left. Shard state cannot leak across the horizon (shards
+    /// share nothing), so windowing only pauses the replay.
     pub fn advance_until(&mut self, horizon: SimTime) -> bool {
-        if !self.drivers.is_empty() {
-            return self.advance_cluster_until(horizon);
-        }
-        let batch_ops = self.run_cfg.batch_ops.max(1);
-        loop {
-            match self.phase {
-                Phase::Warmup => {
-                    while let Some(at) = self.queue.peek_time() {
-                        if at > horizon {
-                            return false;
-                        }
-                        let ev = self.queue.pop().expect("peeked event exists");
-                        let gt = ev.event;
-                        let n = batch_ops.min(self.warmup_left[gt as usize]);
-                        let next = self.turn(ev.at, gt, n);
-                        self.warmup_end = self.warmup_end.max(next);
-                        self.warmup_left[gt as usize] -= n;
-                        if self.warmup_left[gt as usize] > 0 {
-                            self.queue.schedule(next, gt);
-                        } else {
-                            self.measured.schedule(next, gt);
-                        }
-                    }
-                    // Warmup drained: snapshot the baseline and switch.
-                    self.baseline = Some(self.cluster.metrics_snapshot());
-                    self.end_clock = self.warmup_end;
-                    self.phase = Phase::Measured;
-                }
-                Phase::Measured => {
-                    while let Some(at) = self.measured.peek_time() {
-                        if at > horizon {
-                            return false;
-                        }
-                        let ev = self.measured.pop().expect("peeked event exists");
-                        let gt = ev.event;
-                        let n = batch_ops.min(self.remaining[gt as usize]);
-                        let next = self.turn(ev.at, gt, n);
-                        self.acc.record_batch(&self.batch);
-                        self.end_clock = self.end_clock.max(next);
-                        self.remaining[gt as usize] -= n;
-                        if self.remaining[gt as usize] > 0 {
-                            self.measured.schedule(next, gt);
-                        }
-                    }
-                    self.phase = Phase::Done;
-                }
-                Phase::Done => return true,
-            }
-        }
-    }
-
-    /// The cluster-mode phase machine: pump every partition's engine
-    /// driver to the horizon; when *all* drivers drain their warmup,
-    /// snapshot the group baseline and seed the measured phase —
-    /// the same warmup barrier as the turnwise path, group-wide.
-    fn advance_cluster_until(&mut self, horizon: SimTime) -> bool {
-        loop {
-            match self.phase {
-                Phase::Warmup => {
-                    let mut all = true;
-                    for lp in 0..self.drivers.len() {
-                        let mut fill = part_fill(
-                            &mut self.parts[lp],
-                            &mut self.ops_buf,
-                            self.run_cfg,
-                            self.domain_per_thread,
-                        );
-                        all &= self.drivers[lp].advance_warmup(
-                            &mut self.cluster,
-                            horizon,
-                            &mut fill,
-                        );
-                    }
-                    if !all {
-                        return false;
-                    }
-                    self.warmup_end = self
-                        .drivers
-                        .iter()
-                        .map(|d| d.warmup_end)
-                        .fold(SimTime::ZERO, SimTime::max);
-                    self.baseline = Some(self.cluster.metrics_snapshot());
-                    self.end_clock = self.warmup_end;
-                    for d in &mut self.drivers {
-                        d.start_measured();
-                    }
-                    self.phase = Phase::Measured;
-                }
-                Phase::Measured => {
-                    let mut all = true;
-                    for lp in 0..self.drivers.len() {
-                        let mut fill = part_fill(
-                            &mut self.parts[lp],
-                            &mut self.ops_buf,
-                            self.run_cfg,
-                            self.domain_per_thread,
-                        );
-                        all &= self.drivers[lp].advance_measured(
-                            &mut self.cluster,
-                            horizon,
-                            &mut fill,
-                            &mut self.acc,
-                        );
-                    }
-                    if !all {
-                        return false;
-                    }
-                    self.end_clock = self
-                        .drivers
-                        .iter()
-                        .map(|d| d.end_clock)
-                        .fold(self.end_clock, SimTime::max);
-                    self.phase = Phase::Done;
-                }
-                Phase::Done => return true,
-            }
-        }
+        self.replay
+            .advance_until(&mut self.cluster, &mut self.workloads, horizon)
     }
 
     /// Whether every thread has finished its measured ops.
     pub fn is_done(&self) -> bool {
-        self.phase == Phase::Done
+        self.replay.is_done()
     }
 
     /// Records a [`mind_obs::TraceBuf::record_full`]-level shard-epoch
@@ -637,49 +413,11 @@ impl GroupRun {
     /// if any, still carries this group's *local* lane indices — sharded
     /// drivers rebase it onto global blades before merging.
     pub fn finish(mut self) -> RunReport {
-        assert!(self.is_done(), "finish before the group completed");
         let trace = self.cluster.take_trace();
         let metrics = self.cluster.metrics_snapshot();
-        let window_metrics = metrics.diff(self.baseline.as_ref().expect("baseline snapshotted"));
-        let mut report = finish_report(
-            self.name,
-            self.warmup_end,
-            self.end_clock.max(self.warmup_end),
-            self.acc,
-            metrics,
-            window_metrics,
-        );
+        let mut report = self.replay.finish(self.name, metrics);
         report.trace = trace;
         report
-    }
-}
-
-/// Builds the op-generation closure a partition's cluster driver pulls
-/// from: source `src` is the partition-local thread index, mapped to its
-/// blade and protection domain exactly as [`GroupRun::turn`] maps global
-/// threads. Free-standing so the borrow of one partition's state splits
-/// cleanly from the driver and cluster borrows.
-fn part_fill<'a>(
-    part: &'a mut PartitionState,
-    ops_buf: &'a mut Vec<TraceOp>,
-    run_cfg: RunConfig,
-    domain_per_thread: bool,
-) -> impl FnMut(u32, usize, &mut Vec<MemOp>) + 'a {
-    move |src, n, out| {
-        let t = src as u16;
-        let blade = part.compute_lo + t / run_cfg.threads_per_blade;
-        let pdid = Some(part.pids[if domain_per_thread { t as usize } else { 0 }]);
-        ops_buf.clear();
-        part.workload.fill_ops(t, n, ops_buf);
-        for op in ops_buf.iter() {
-            out.push(MemOp {
-                at: SimTime::ZERO,
-                blade,
-                pdid,
-                vaddr: part.bases[op.region as usize] + op.offset,
-                kind: op.kind,
-            });
-        }
     }
 }
 
@@ -980,6 +718,7 @@ const _: fn() = || {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::TraceOp;
     use mind_core::system::AccessKind;
     use mind_sim::SimRng;
 

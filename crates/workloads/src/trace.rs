@@ -43,7 +43,7 @@ pub trait Workload: Send {
     fn next_op(&mut self, thread: u16) -> TraceOp;
 
     /// Appends `thread`'s next `n` operations to `out` — the batched form
-    /// the op-batch runner issues through.
+    /// a scheduling turn is generated with.
     ///
     /// The default implementation loops [`Workload::next_op`]; overrides
     /// may hoist per-op work (RNG borrows, config reads) out of the loop

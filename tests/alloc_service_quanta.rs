@@ -33,7 +33,7 @@ fn drive(svc: &mut MemoryService, tenants: &[TenantId], now: &mut SimTime, quant
 
 #[test]
 fn a_quantum_over_a_steady_tenant_set_allocates_nothing() {
-    // The batched quantum, then the quantum dispatched through the rack's
+    // The serialized quantum, then the quantum dispatched through the rack's
     // issue engine (one engine and one staging buffer, reset per quantum).
     let engine_dispatch = ServiceConfig {
         window: 4,
@@ -41,7 +41,7 @@ fn a_quantum_over_a_steady_tenant_set_allocates_nothing() {
         ..ServiceConfig::default()
     };
     for (name, cfg) in [
-        ("batch_dispatch", ServiceConfig::default()),
+        ("serialized", ServiceConfig::default()),
         ("cluster_dispatch", engine_dispatch),
     ] {
         let mut svc = MemoryService::new(cfg);

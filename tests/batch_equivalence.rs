@@ -1,19 +1,20 @@
-//! The op-batch datapath's core guarantee: for any batch size, pushing a
-//! schedule through MIND's batched pipeline produces **byte-identical**
-//! reports to the scalar per-op loop — same outcomes, same issue times,
-//! same metrics, same BENCH JSON. Batching amortizes table walks; it must
-//! never change what the simulation computes.
-//!
-//! `ScalarLoop` wraps the cluster so the trait's *default*
-//! `execute_batch` (a loop over scalar `access`) runs instead of the
-//! batched override; both sides then execute the exact same schedule.
+//! Batching is a schedule, not a second datapath: `batch_ops` decides how
+//! many ops a thread issues per turn and nothing about how each op
+//! executes. What is checked here are the invariants that follow — a
+//! single thread's replay does not depend on its turn size, on any
+//! system; [`runner::run`] and a one-partition group run are the same
+//! replay; the in-flight window bounds and serializes what it says it
+//! does; `window <= 1` and cluster mode at window 1 are the serialized
+//! schedule; sharding composes with every turn size. (Behaviour across
+//! commits is pinned by the `sim_digest` goldens, not by comparing paths
+//! within one commit.)
 
 use proptest::prelude::*;
 
 use mind::core::cluster::{MindCluster, MindConfig};
 use mind::core::engine::{ClusterEngine, ClusterStep};
-use mind::core::system::{AccessKind, ConsistencyModel, MemOp, OpBatch, ScalarLoop};
-use mind::harness::{report, Scenario, ScenarioResult, SystemSpec, WorkloadSpec};
+use mind::core::system::{AccessKind, ConsistencyModel, MemOp, OpBatch};
+use mind::harness::{report, ScenarioResult, SystemSpec, WorkloadSpec};
 use mind::service::{MemoryService, ServiceConfig};
 use mind::sim::SimTime;
 use mind::workloads::kvs::KvsConfig;
@@ -56,58 +57,125 @@ fn run_cfg(batch_ops: u64) -> RunConfig {
     .with_batch_ops(batch_ops)
 }
 
-/// Renders one replay as BENCH JSON, through either pipeline, at the
-/// given in-flight window depth.
-fn replay_json_at(workload: &WorkloadSpec, batch_ops: u64, window: u32, scalar: bool) -> String {
-    let regions = workload.regions();
-    let system = SystemSpec::mind_scaled(&regions, 2, ConsistencyModel::Tso);
-    let mut wl = workload.build();
-    let cfg = run_cfg(batch_ops).with_window(window);
-    let report = if scalar {
-        let mut sys = ScalarLoop(system.build());
-        runner::run(&mut sys, wl.as_mut(), cfg)
-    } else {
-        let mut sys = system.build();
-        runner::run(sys.as_mut(), wl.as_mut(), cfg)
-    };
+/// Renders a report as suite JSON for byte comparison.
+fn runner_json(report: mind::workloads::RunReport) -> String {
     let result = ScenarioResult {
-        name: format!("equiv/b{batch_ops}"),
+        name: report.name.clone(),
         output: mind::harness::ScenarioOutput::from_report(report),
     };
     report::suite_json("batch_equivalence", &[result]).render()
 }
 
-/// Renders one replay as BENCH JSON, through either pipeline.
-fn replay_json(workload: &WorkloadSpec, batch_ops: u64, scalar: bool) -> String {
-    replay_json_at(workload, batch_ops, 1, scalar)
+/// Replays `workload` on `system` and renders the BENCH JSON.
+fn replay_json_on(system: &SystemSpec, workload: &WorkloadSpec, cfg: RunConfig) -> String {
+    let mut sys = system.build();
+    let mut wl = workload.build();
+    runner_json(runner::run(sys.as_mut(), wl.as_mut(), cfg))
 }
 
+/// Renders one MIND replay as BENCH JSON at the given turn size, in-flight
+/// window depth and cross-thread discipline.
+fn replay_json(
+    workload: &WorkloadSpec,
+    batch_ops: u64,
+    window: u32,
+    concurrency: Concurrency,
+) -> String {
+    let system = SystemSpec::mind_scaled(&workload.regions(), 2, ConsistencyModel::Tso);
+    let cfg = run_cfg(batch_ops)
+        .with_window(window)
+        .with_concurrency(concurrency);
+    replay_json_on(&system, workload, cfg)
+}
+
+/// Chained issue makes a single thread's schedule independent of its turn
+/// size: op `i + 1` issues at op `i`'s completion plus the gap whether or
+/// not a turn boundary falls between them. So one thread renders the same
+/// BENCH JSON at every `batch_ops`, on every system.
 #[test]
-fn replay_batched_json_is_byte_identical_to_scalar_loop() {
-    for workload in workloads() {
-        for batch_ops in BATCH_SIZES {
-            let batched = replay_json(&workload, batch_ops, false);
-            let scalar = replay_json(&workload, batch_ops, true);
-            assert!(
-                batched.contains("\"metrics\""),
-                "report carries full metrics"
-            );
+fn single_thread_json_is_independent_of_batch_size() {
+    let workload = WorkloadSpec::Micro(MicroConfig {
+        n_threads: 1,
+        shared_pages: 1_024,
+        private_pages: 256,
+        ..Default::default()
+    });
+    let regions = workload.regions();
+    for system in [
+        SystemSpec::mind_scaled(&regions, 1, ConsistencyModel::Tso),
+        SystemSpec::gam_scaled(&regions, 1, 1),
+        SystemSpec::fastswap_scaled(&regions),
+    ] {
+        let render = |batch_ops: u64| {
+            let cfg = RunConfig {
+                threads_per_blade: 1,
+                ..run_cfg(batch_ops)
+            };
+            replay_json_on(&system, &workload, cfg)
+        };
+        let reference = render(1);
+        assert!(reference.contains("\"metrics\""), "report carries full metrics");
+        for batch_ops in [8u64, 64] {
             assert_eq!(
-                batched, scalar,
-                "batched datapath diverged from the scalar loop at batch_ops \
-                 {batch_ops} for {:?}",
-                workload.build().name()
+                render(batch_ops),
+                reference,
+                "turn size {batch_ops} changed a single thread's replay on {}",
+                system.label()
             );
         }
+    }
+}
+
+/// [`runner::run`] is the one-partition case of the group replay: the same
+/// workload as a single partition of a [`ShardSpec`] replays to the same
+/// runtime, op count, latency distribution and measured-window metrics —
+/// turnwise and through the cluster engine.
+#[test]
+fn run_equals_a_group_run_of_one_partition() {
+    let workload = WorkloadSpec::Micro(MicroConfig {
+        n_threads: 4,
+        shared_pages: 512,
+        private_pages: 64,
+        ..Default::default()
+    });
+    let rack = MindConfig::scaled_to(
+        workload.regions().iter().map(|len| len >> 12).sum(),
+        2,
+    );
+    for (window, concurrency) in [(1, Concurrency::Turnwise), (4, Concurrency::Cluster)] {
+        let cfg = run_cfg(8).with_window(window).with_concurrency(concurrency);
+        let direct = {
+            let mut sys = MindCluster::new(rack);
+            let mut wl = workload.build();
+            runner::run(&mut sys, wl.as_mut(), cfg)
+        };
+        let spec = ShardSpec {
+            name: "equiv/one-partition".into(),
+            base: rack,
+            partitions: 1,
+            run: cfg,
+            horizon: SimTime::from_micros(50),
+            domain_per_thread: false,
+        };
+        let group = run_group(&spec, &|_| workload.build()).expect("one partition always fits");
+        assert_eq!(direct.runtime, group.runtime, "w{window}");
+        assert_eq!(direct.warmup_end, group.warmup_end, "w{window}");
+        assert_eq!(direct.total_ops, group.total_ops, "w{window}");
+        let latency = |r: &mind::workloads::RunReport| {
+            let quantiles = [0.5, 0.9, 0.99, 0.999, 1.0].map(|q| r.latency.quantile(q));
+            (r.latency.count(), quantiles, r.latency.mean().to_bits())
+        };
+        assert_eq!(latency(&direct), latency(&group), "w{window}");
+        assert_eq!(direct.window_metrics, group.window_metrics, "w{window}");
+        assert_eq!(direct.sum_overlapped_ns, group.sum_overlapped_ns, "w{window}");
     }
 }
 
 /// Tracing is observation, never behaviour: pinning the trace mode off
 /// renders byte-identical BENCH JSON to the default environment-resolved
 /// config (the instrumentation's disabled path adds no sections and
-/// changes no values), and with tracing *on* the batched datapath still
-/// matches the scalar loop byte for byte — now including the windowed
-/// `timeseries` section both sides must agree on.
+/// changes no values), and with tracing *on* the report gains its
+/// windowed `timeseries` section.
 #[test]
 fn tracing_never_changes_replay_json() {
     use mind::obs::{TraceConfig, TraceMode};
@@ -118,82 +186,52 @@ fn tracing_never_changes_replay_json() {
         private_pages: 256,
         ..Default::default()
     });
-    let with_trace = |trace: TraceConfig, scalar: bool| -> String {
-        let regions = workload.regions();
-        let system = SystemSpec::mind_scaled(&regions, 2, ConsistencyModel::Tso)
+    let with_trace = |trace: TraceConfig| -> String {
+        let system = SystemSpec::mind_scaled(&workload.regions(), 2, ConsistencyModel::Tso)
             .with_trace(trace);
-        let mut wl = workload.build();
         let cfg = RunConfig {
             trace,
             ..run_cfg(8)
         };
-        let report = if scalar {
-            let mut sys = ScalarLoop(system.build());
-            runner::run(&mut sys, wl.as_mut(), cfg)
-        } else {
-            let mut sys = system.build();
-            runner::run(sys.as_mut(), wl.as_mut(), cfg)
-        };
-        let result = ScenarioResult {
-            name: "equiv/traced".into(),
-            output: mind::harness::ScenarioOutput::from_report(report),
-        };
-        report::suite_json("batch_equivalence", &[result]).render()
+        replay_json_on(&system, &workload, cfg)
     };
 
     // Off is the default in this environment (no MIND_TRACE): pinning it
     // must be invisible.
-    let pinned_off = with_trace(TraceConfig::with_mode(TraceMode::Off), false);
-    let env_default = with_trace(TraceConfig::default(), false);
+    let pinned_off = with_trace(TraceConfig::with_mode(TraceMode::Off));
+    let env_default = with_trace(TraceConfig::default());
     assert_eq!(pinned_off, env_default, "disabled tracing must be inert");
     assert!(!pinned_off.contains("\"timeseries\""), "no telemetry when off");
 
-    // On: batched and scalar must still agree — including the telemetry.
-    let on = TraceConfig::with_mode(TraceMode::On);
-    let batched = with_trace(on, false);
-    let scalar = with_trace(on, true);
-    assert!(batched.contains("\"timeseries\""), "telemetry present when on");
-    assert_eq!(
-        batched, scalar,
-        "tracing-on batched datapath diverged from the scalar loop"
-    );
+    let on = with_trace(TraceConfig::with_mode(TraceMode::On));
+    assert!(on.contains("\"timeseries\""), "telemetry present when on");
 }
 
-/// The window=1 anchor of the issue/complete refactor: with the in-flight
-/// window at its default serialized depth, the two-phase datapath renders
-/// the exact BENCH JSON the pre-window (PR 4) pipeline rendered — for the
-/// replay suite against the scalar reference loop, and for the service
-/// suite against the per-op scalar dispatch.
+/// `window: 0` and `window: 1` both spell the serialized schedule — one
+/// op in flight per issuer — for the replay suite and for the service's
+/// quanta.
 #[test]
 fn window_one_json_is_byte_identical_to_the_serialized_path() {
     for workload in workloads() {
         for batch_ops in [8u64, 64] {
-            let windowed = replay_json_at(&workload, batch_ops, 1, false);
-            let scalar = replay_json_at(&workload, batch_ops, 1, true);
             assert_eq!(
-                windowed, scalar,
-                "window=1 diverged from the serialized path at batch_ops \
-                 {batch_ops} for {:?}",
+                replay_json(&workload, batch_ops, 1, Concurrency::Turnwise),
+                replay_json(&workload, batch_ops, 0, Concurrency::Turnwise),
+                "window 1 diverged from window 0 at batch_ops {batch_ops} for {:?}",
                 workload.build().name()
             );
         }
     }
     let cfg = ServiceConfig {
         duration: SimTime::from_millis(30),
-        window: 1,
         ..Default::default()
     };
-    let windowed = MemoryService::new(cfg).run();
-    let serialized = MemoryService::new(ServiceConfig {
-        batch_dispatch: false,
-        ..cfg
-    })
-    .run();
-    assert_eq!(
-        report::service_json(&windowed).render(),
-        report::service_json(&serialized).render(),
-        "service window=1 diverged from the scalar dispatch"
-    );
+    let service_json = |window: u32| {
+        let report = MemoryService::new(ServiceConfig { window, ..cfg }).run();
+        assert!(report.total_ops > 0, "the run served requests");
+        report::service_json(&report).render()
+    };
+    assert_eq!(service_json(1), service_json(0), "service window 1 vs 0");
 }
 
 /// Deeper windows change timing, never the work: every op still executes
@@ -212,12 +250,12 @@ fn overlapped_windows_preserve_work_and_never_slow_the_run() {
         let rest = &json[json.find(&tag).expect("key present") + tag.len()..];
         rest[..rest.find([',', '\n']).unwrap()].trim().parse().unwrap()
     };
-    let serialized = replay_json_at(&workload, 64, 1, false);
+    let serialized = replay_json(&workload, 64, 1, Concurrency::Turnwise);
     let base_runtime = parse(&serialized, "runtime_ns");
     let base_ops = parse(&serialized, "total_ops");
     assert_eq!(parse(&serialized, "overlapped"), 0, "window 1 hides nothing");
     for window in [4u32, 16] {
-        let overlapped = replay_json_at(&workload, 64, window, false);
+        let overlapped = replay_json(&workload, 64, window, Concurrency::Turnwise);
         assert_eq!(parse(&overlapped, "total_ops"), base_ops, "w{window}");
         assert!(
             parse(&overlapped, "runtime_ns") <= base_runtime,
@@ -228,66 +266,6 @@ fn overlapped_windows_preserve_work_and_never_slow_the_run() {
             "w{window} overlapped no fabric time"
         );
     }
-}
-
-/// The same guarantee through the harness engine: a scenario table mixing
-/// batch sizes renders identical suite JSON whichever pipeline executes it.
-#[test]
-fn engine_table_json_is_pipeline_independent() {
-    let build_table = |scalar: bool| -> Vec<Scenario> {
-        BATCH_SIZES
-            .iter()
-            .map(|&batch_ops| {
-                let workload = WorkloadSpec::Micro(MicroConfig {
-                    n_threads: 2,
-                    shared_pages: 512,
-                    private_pages: 64,
-                    ..Default::default()
-                });
-                let regions = workload.regions();
-                let system = SystemSpec::mind_scaled(&regions, 2, ConsistencyModel::Tso);
-                let cfg = run_cfg(batch_ops);
-                Scenario::custom(format!("equiv/micro/b{batch_ops}"), move || {
-                    let mut wl = workload.build();
-                    let report = if scalar {
-                        let mut sys = ScalarLoop(system.build());
-                        runner::run(&mut sys, wl.as_mut(), cfg)
-                    } else {
-                        let mut sys = system.build();
-                        runner::run(sys.as_mut(), wl.as_mut(), cfg)
-                    };
-                    mind::harness::ScenarioOutput::from_report(report)
-                })
-            })
-            .collect()
-    };
-    let batched = mind::harness::Engine::new(2).run(build_table(false));
-    let scalar = mind::harness::Engine::new(2).run(build_table(true));
-    assert_eq!(
-        report::suite_json("equiv", &batched).render(),
-        report::suite_json("equiv", &scalar).render()
-    );
-}
-
-/// Service quanta: a full churn/QoS run with batched dispatch renders the
-/// same service JSON as the per-op scalar dispatch.
-#[test]
-fn service_batched_dispatch_json_is_byte_identical() {
-    let cfg = ServiceConfig {
-        duration: SimTime::from_millis(30),
-        ..Default::default()
-    };
-    let batched = MemoryService::new(cfg).run();
-    let scalar = MemoryService::new(ServiceConfig {
-        batch_dispatch: false,
-        ..cfg
-    })
-    .run();
-    assert!(batched.total_ops > 0, "the run served requests");
-    assert_eq!(
-        report::service_json(&batched).render(),
-        report::service_json(&scalar).render()
-    );
 }
 
 proptest! {
@@ -440,6 +418,7 @@ proptest! {
                     );
                     eng.defer(until, src);
                 }
+                ClusterStep::Refused(e) => prop_assert!(false, "granted access refused: {e}"),
                 ClusterStep::Issued { complete_at, region, .. } => {
                     // (a) When this op issued, its blade's RNIC had a free
                     // entry: fewer than `nic_depth` earlier ops from *any*
@@ -516,29 +495,6 @@ proptest! {
     }
 }
 
-/// Renders one replay as BENCH JSON through the batched pipeline under
-/// the given cross-thread concurrency discipline.
-fn replay_json_concurrent(
-    workload: &WorkloadSpec,
-    batch_ops: u64,
-    window: u32,
-    concurrency: Concurrency,
-) -> String {
-    let regions = workload.regions();
-    let system = SystemSpec::mind_scaled(&regions, 2, ConsistencyModel::Tso);
-    let mut wl = workload.build();
-    let cfg = run_cfg(batch_ops)
-        .with_window(window)
-        .with_concurrency(concurrency);
-    let mut sys = system.build();
-    let report = runner::run(sys.as_mut(), wl.as_mut(), cfg);
-    let result = ScenarioResult {
-        name: format!("equiv/cluster/b{batch_ops}"),
-        output: mind::harness::ScenarioOutput::from_report(report),
-    };
-    report::suite_json("batch_equivalence", &[result]).render()
-}
-
 /// The cluster engine's determinism anchor: at window 1 cluster mode
 /// keeps the turnwise discipline, so a serialized cluster-mode replay
 /// renders the exact BENCH JSON of the turnwise reference — for every
@@ -547,9 +503,8 @@ fn replay_json_concurrent(
 fn cluster_window_one_json_is_byte_identical_to_turnwise() {
     for workload in workloads() {
         for batch_ops in [8u64, 64] {
-            let turnwise =
-                replay_json_concurrent(&workload, batch_ops, 1, Concurrency::Turnwise);
-            let cluster = replay_json_concurrent(&workload, batch_ops, 1, Concurrency::Cluster);
+            let turnwise = replay_json(&workload, batch_ops, 1, Concurrency::Turnwise);
+            let cluster = replay_json(&workload, batch_ops, 1, Concurrency::Cluster);
             assert_eq!(
                 cluster, turnwise,
                 "serialized cluster mode diverged from the turnwise reference \
@@ -560,9 +515,9 @@ fn cluster_window_one_json_is_byte_identical_to_turnwise() {
     }
 }
 
-/// The batching guarantee composes with sharding: at every batch size,
-/// the sharded windowed replay merges to the same report as the fused
-/// serialized reference. Batch size regroups each thread's schedule —
+/// Turn size composes with sharding: at every batch size, the sharded
+/// windowed replay merges to the same report as the fused serialized
+/// reference. Batch size regroups each thread's schedule —
 /// identically on every shard — so the conservative windows still line up.
 #[test]
 fn sharded_replay_matches_fused_at_every_batch_size() {
@@ -609,19 +564,8 @@ fn sharded_replay_matches_fused_at_every_batch_size() {
     }
 }
 
-/// Renders a group/merged report as suite JSON for byte comparison.
-fn runner_json(report: mind::workloads::RunReport) -> String {
-    let result = ScenarioResult {
-        name: report.name.clone(),
-        output: mind::harness::ScenarioOutput::from_report(report),
-    };
-    report::suite_json("batch_equivalence", &[result]).render()
-}
-
-/// Baselines keep working unmodified through the default batched path:
-/// batch size must not change a GAM/FastSwap replay either (they never
-/// override `execute_batch`, so every size runs the same scalar loop —
-/// sizes only regroup the per-thread schedule).
+/// Baselines replay every turn size through the trait's default
+/// `execute_batch`: sizes only regroup the per-thread schedule.
 #[test]
 fn baselines_accept_batched_schedules() {
     let workload = WorkloadSpec::Micro(MicroConfig {

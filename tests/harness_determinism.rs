@@ -83,8 +83,8 @@ fn table() -> Vec<Scenario> {
             .with_series("ts", vec![(0.0, 1.0), (1.0, 0.5)])
     }));
 
-    // A batched-datapath replay: the op-batch pipeline must be just as
-    // schedule-independent across worker threads as the scalar one.
+    // A replay in 16-op turns: as schedule-independent across worker
+    // threads as the op-at-a-time one.
     scenarios.push(Scenario::replay(
         "det/micro/MIND/batched16",
         SystemSpec::mind_scaled(&regions, 2, ConsistencyModel::Tso),
