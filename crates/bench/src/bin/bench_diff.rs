@@ -6,7 +6,9 @@
 //! comparison is line-based: each scalar is keyed by the path of object
 //! keys and array positions above it. Ignored: `generator`, and the
 //! host-lane keys — anything at or under a key that contains `wall_secs`,
-//! `speedup` or `peak_rss_mb`.
+//! `speedup` or `peak_rss_mb`. Two files whose `mode` headers differ (a
+//! `--quick` run against a full one) are not compared at all: exit 2,
+//! "modes differ", instead of a difference per value.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -71,6 +73,17 @@ fn main() -> ExitCode {
     let (Some(a), Some(b)) = (read(committed), read(fresh)) else {
         return ExitCode::from(2);
     };
+    // A file from before the header existed has no mode: it is compared,
+    // and the key shows up as a difference of its own.
+    if let (Some(ours), Some(theirs)) = (a.get("mode"), b.get("mode")) {
+        if ours != theirs {
+            eprintln!(
+                "bench_diff: modes differ: {committed} is {ours}, {fresh} is {theirs} \
+                 (was one written with --quick and the other without?)"
+            );
+            return ExitCode::from(2);
+        }
+    }
     let mut differences = 0;
     for (path, value) in &a {
         match b.get(path) {

@@ -79,6 +79,6 @@ fn main() {
         println!();
     }
 
-    let path = report::write_suite("diag", &results).expect("write BENCH json");
+    let path = report::write_suite("diag", false, &results).expect("write BENCH json");
     println!("\nwrote {}", path.display());
 }

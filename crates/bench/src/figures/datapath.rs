@@ -10,13 +10,20 @@
 //! and simulated throughput).
 //!
 //! The figure also sweeps the **window axis** ([`WINDOWS`] ×
-//! [`WINDOW_BATCHES`]): simulated MOPS with the issue/complete datapath
-//! keeping up to W page-fault RTTs in flight per batch. These points are
-//! simulation-only and deterministic. The `overlap_recovery_w<W>` values
-//! (and the suite aggregate built from them) divide windowed batch-64
-//! throughput by the batch-1 serialized baseline — the quantity that shows
-//! whether latency hiding buys back the coarse-quantum loss batching
-//! introduces on fault-dominated footprints.
+//! [`WINDOW_BATCHES`]): simulated MOPS with each thread keeping up to W
+//! page-fault RTTs in flight. Every op of these points goes through the
+//! one issue gate (`MindCluster::issue_clustered`); the two families differ
+//! only in the schedule around it. `*_b<N>_w<W>` is
+//! [`Concurrency::Turnwise`]: a thread's turn of N ops shares W slots and
+//! the thread waits for all of them before its next turn, so
+//! `overlap_recovery_w<W>` — windowed batch-64 throughput over the batch-1
+//! serialized baseline — shows what latency hiding buys back of the
+//! coarse-quantum loss *with* a drain barrier per turn. `*_b64_xturn_w<W>`
+//! and `xturn_recovery_w<W>` are the same cell in [`Concurrency::Cluster`]:
+//! no barrier, the threads' windows pooled per partition. Their ratio is
+//! the cost of the barrier (it can be below 1: a barrier also keeps a
+//! thread's invalidations from piling onto a contended region). These
+//! points are simulation-only and deterministic.
 //!
 //! Finally the **shards axis** (`datapath/shards`): a large multi-tenant
 //! population — every tenant in its own protection domain — replayed
@@ -172,9 +179,9 @@ fn regimes() -> [Regime; 3] {
 /// One point: the regime replayed at the given batch size with an
 /// in-flight window of `window`, as `(sim MOPS, runtime ns, overlapped
 /// ns)`. In [`Concurrency::Turnwise`] the window overlaps RTTs within each
-/// thread's batch; in [`Concurrency::Cluster`] the event-driven engine
-/// additionally overlaps *across* turns and threads. Deterministic either
-/// way — a single pass, no wall clock.
+/// thread's turn; in [`Concurrency::Cluster`] there is no turn barrier and
+/// RTTs overlap *across* turns and threads. Deterministic either way — a
+/// single pass, no wall clock.
 fn run_point(
     regime: &Regime,
     batch_ops: u64,
@@ -308,7 +315,7 @@ pub fn build(quick: bool) -> Vec<Scenario> {
                     }
                 }
                 // The window axis: simulated MOPS with up to W fault RTTs
-                // in flight per batch. `overlap_recovery_w<W>` is the
+                // in flight per turn. `overlap_recovery_w<W>` is the
                 // figure's headline — windowed batch-64 throughput over
                 // the batch-1 serialized baseline; ≥ 1.0 means the
                 // latency hiding bought back the coarse-quantum loss.
@@ -332,11 +339,9 @@ pub fn build(quick: bool) -> Vec<Scenario> {
                     }
                 }
                 // The cross-turn axis: the same windowed batch-64 cell in
-                // cluster concurrency — the event-driven engine lets every
-                // thread's in-flight faults overlap *across* turn and
-                // thread boundaries, so `xturn_recovery_w<W>` should sit
-                // strictly above `overlap_recovery_w<W>` wherever the
-                // turn-drain barrier was the binding constraint.
+                // cluster concurrency — the same gate without the turn
+                // barrier, so `xturn_recovery_w<W>` over
+                // `overlap_recovery_w<W>` is what the barrier costs.
                 for &window in &WINDOWS {
                     let (sim_mops, runtime_ns, overlapped_ns) =
                         run_point(&regime, 64, window, ops, Concurrency::Cluster);
@@ -605,7 +610,7 @@ pub fn present(results: &[ScenarioResult]) {
     headers.extend(WINDOWS.iter().map(|w| format!("recov w{w}")));
     let headers: Vec<&str> = headers.iter().map(String::as_str).collect();
     print_table(
-        "datapath — intra-batch RTT overlap: simulated MOPS at batch 64 vs window \
+        "datapath — RTT overlap within a turn: simulated MOPS at batch 64 vs window \
          (recovery is vs the b=1 serialized baseline)",
         &headers,
         &rows,
@@ -642,7 +647,7 @@ pub fn present(results: &[ScenarioResult]) {
     }
     let headers: Vec<&str> = headers.iter().map(String::as_str).collect();
     print_table(
-        "datapath — cross-turn overlap: cluster-engine MOPS at batch 64 \
+        "datapath — no turn barrier: cluster-mode MOPS at batch 64 \
          (xturn recovery vs the b=1 serialized baseline, next to the turnwise figure)",
         &headers,
         &rows,

@@ -183,7 +183,7 @@ pub fn run_main(name: &str) -> Vec<ScenarioResult> {
     let engine = Engine::from_env();
     let results = engine.run((figure.build)(quick));
     (figure.present)(&results);
-    let path = report::write_suite(figure.name, &results).expect("write BENCH json");
+    let path = report::write_suite(figure.name, quick, &results).expect("write BENCH json");
     println!("\nwrote {}", path.display());
     write_trace_if_enabled(figure.name, &results);
     results
@@ -229,7 +229,7 @@ pub fn run_suite(suite: &str, figures: &[Figure], quick: bool) {
         offset += span;
     }
 
-    let path = report::write_suite(suite, &results).expect("write BENCH json");
+    let path = report::write_suite(suite, quick, &results).expect("write BENCH json");
     println!("\nwrote {}", path.display());
     write_trace_if_enabled(suite, &results);
 }

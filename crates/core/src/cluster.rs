@@ -19,7 +19,6 @@ use crate::failure::{switch_failover, FailoverReport};
 use crate::protect::PermClass;
 use crate::split::{BoundedSplitting, SplitConfig};
 use crate::system::{AccessKind, AccessOutcome, ConsistencyModel, MemorySystem, OpBatch};
-use crate::window::InFlightWindow;
 
 /// Fraction of a workload footprint held in the compute-blade cache when
 /// scaling a rack down (the paper's 512 MB cache / ~2 GB footprint, §7).
@@ -84,20 +83,20 @@ pub struct MindConfig {
     pub rule_install_cost: SimTime,
     /// Per-blade RNIC issue queue depth: how many remote operations one
     /// compute blade's NIC keeps in flight at once — the third gate of
-    /// the in-flight window and the cluster engine (after the slot pool
-    /// and same-region serialization). `0` models an unbounded queue.
+    /// [`MindCluster::issue_clustered`] (after the slot pool and
+    /// same-region serialization). `0` models an unbounded queue.
     ///
     /// The default is [`CX5_NIC_DEPTH`] (16), calibrated to the paper's
     /// testbed NIC: MIND's compute blades talk to memory blades over
     /// one-sided RDMA reads/writes through ConnectX-5 adapters, whose
     /// `max_qp_rd_atom` limit caps outstanding RDMA reads per queue pair
-    /// at 16. One batch's in-flight window of ≤ 16 can never queue more
-    /// than 16 ops on its blade, so on the per-batch path the calibrated
-    /// default reproduces the unbounded numbers byte-identically. The
-    /// cluster engine pools `window × sources` slots, so there the gate
-    /// binds as soon as one blade's threads together offer more than 16
-    /// ops — two threads at window 16 already do — which is the
-    /// saturation the real adapter would impose.
+    /// at 16. The gate binds when a blade's share of the slot pool can
+    /// exceed 16: never for one windowed batch or service quantum of
+    /// `window` ≤ 16 (its pool is `window` slots in all), but as soon as
+    /// a cluster-mode replay, which pools `window × threads` slots, has
+    /// one blade's threads together offer more than 16 ops — two threads
+    /// at window 16 already do — which is the saturation the real adapter
+    /// would impose.
     pub nic_depth: u32,
     /// Deterministic tracing (defaults to resolving `MIND_TRACE`;
     /// propagated unchanged into shard sub-clusters by
@@ -205,6 +204,9 @@ pub struct MindCluster {
     splitter: BoundedSplitting,
     default_pid: Option<Pid>,
     clock_high_watermark: SimTime,
+    /// The issue streams of the windowed batch in progress, reset for each
+    /// one ([`MindCluster::run_batch`] at `window > 1`); built by the first.
+    batch_engine: Option<ClusterEngine>,
 }
 
 impl MindCluster {
@@ -237,6 +239,7 @@ impl MindCluster {
             cfg,
             default_pid: None,
             clock_high_watermark: SimTime::ZERO,
+            batch_engine: None,
         }
     }
 
@@ -339,18 +342,21 @@ impl MindCluster {
         self.engine.access(now, blade, pid, vaddr, kind)
     }
 
-    /// Executes an [`OpBatch`]: each op through the one datapath,
-    /// [`MindCluster::access_as`], at its issue time. A batch is a
-    /// schedule — which ops, issued when — not a second way to execute
-    /// them: this is the executor behind [`MemorySystem::execute_batch`]
-    /// and the service dispatcher's quantum grants, and a chained batch of
-    /// `n` ops equals `n` such calls chained by hand.
+    /// Executes an [`OpBatch`]: a schedule — which ops, ready when — not a
+    /// second way to execute them. This is the executor behind
+    /// [`MemorySystem::execute_batch`] and the service dispatcher's quantum
+    /// grants.
+    ///
+    /// At `batch.window() <= 1` each op goes through
+    /// [`MindCluster::access_as`] at its issue time, and a chained batch of
+    /// `n` ops equals `n` such calls chained by hand. A deeper window keeps
+    /// up to `window` ops of the batch in flight: every op is then offered
+    /// to [`MindCluster::issue_clustered`] — the gate cluster-mode replay
+    /// uses, over a pool of `window` slots — and the call returns when the
+    /// last op has *issued* (completions are in the batch records; the
+    /// caller decides whether to wait for them).
     ///
     /// Ops with `pdid: None` run as the default replay process.
-    ///
-    /// A batch with an in-flight window deeper than 1 is issued through
-    /// the window's gates instead (see
-    /// [`MindCluster::run_batch_overlapped`]).
     ///
     /// # Panics
     ///
@@ -358,7 +364,7 @@ impl MindCluster {
     /// `exec`ed.
     pub fn run_batch(&mut self, now: SimTime, batch: &mut OpBatch) {
         if batch.window() > 1 {
-            return self.run_batch_overlapped(now, batch);
+            return self.run_batch_windowed(now, batch);
         }
         let mut t = now;
         for i in 0..batch.len() {
@@ -378,133 +384,49 @@ impl MindCluster {
         }
     }
 
-    /// The two-phase issue/complete executor: up to `batch.window()` ops
-    /// in flight at once, modelling the blade's memory-level parallelism
-    /// (the paper's RDMA NICs pipeline page-fault round trips, §3).
-    ///
-    /// Issue arbitration, per op:
-    ///
-    /// 1. **Slot gate** — with `W` ops outstanding, the op waits for the
-    ///    earliest in-flight completion. Chained ops additionally issue no
-    ///    earlier than `gap` after their predecessor's issue (the issue
-    ///    pipeline's per-op cost); fixed ops no earlier than their preset
-    ///    [`MemOp::at`].
-    /// 2. **NIC gate** — with [`MindConfig::nic_depth`] of the blade's own
-    ///    ops outstanding, the op waits for the blade's earliest in-flight
-    ///    completion (its RNIC issue queue is full). Depth `0` — the
-    ///    default — never gates.
-    /// 3. **Region gate** — an op whose page lies in the directory region
-    ///    of an in-flight op waits for that op to complete: same-region
-    ///    transitions never overlap (on top of the directory's own
-    ///    `busy_until` serialization).
-    ///
-    /// The engine's issue phase then runs the full data path at the gated
-    /// time and returns a completion record. The fabric time an op spent
-    /// below the window's completion frontier ran concurrently with
-    /// earlier in-flight work; it moves from the breakdown's `network`
-    /// into `overlapped`, so per-op totals (and the op's completion time)
-    /// are unchanged while the visible breakdown reflects the hiding.
-    fn run_batch_overlapped(&mut self, now: SimTime, batch: &mut OpBatch) {
-        let default_pid = self.default_pid;
-        let chained = batch.is_chained();
-        let gap = batch.gap();
-        let mut window =
-            InFlightWindow::new(batch.window() as usize).with_nic_depth(self.cfg.nic_depth);
-        let mut prev_issue = now;
-        for i in 0..batch.len() {
-            let op = batch.op(i);
-            // The op's ungated issue time: what `at` would be with an
-            // infinite window and no region conflicts (trace attribution
-            // only — never feeds back into the simulation).
-            let ungated = if chained {
-                if i == 0 {
-                    now
-                } else {
-                    prev_issue + gap
-                }
-            } else {
-                op.at.max(prev_issue)
-            };
-            // Slot gate.
-            let mut at = if chained {
-                if i == 0 {
-                    now
-                } else {
-                    prev_issue.max(window.slot_free_at()) + gap
-                }
-            } else {
-                // Fixed ops issue in program order: clamp to the previous
-                // issue time so that a gate release retiring several
-                // tied completions at once can never regress simulated
-                // time or re-admit past the window.
-                op.at.max(prev_issue).max(window.slot_free_at())
-            };
-            window.retire_through(at);
-            // NIC gate: the blade's RNIC queue must have a free entry.
-            let nic = window.nic_free_at(op.blade);
-            if nic > at {
-                if self.engine.trace.enabled() {
-                    self.engine.trace.record(
-                        at,
-                        op.blade as u32,
-                        mind_obs::EventKind::NicStall,
-                        nic.saturating_sub(at),
-                        window.nic_depth() as u64,
-                        window.nic_in_flight(op.blade) as u64,
-                    );
-                }
-                at = nic;
-                window.retire_through(at);
-            }
-            // Region gate: serialize behind in-flight same-region ops.
-            at = at.max(window.region_release(page_base(op.vaddr)));
-            window.retire_through(at);
-            if self.engine.trace.enabled() {
-                let stall = at.saturating_sub(ungated);
-                if stall > SimTime::ZERO {
-                    self.engine.trace.record(
-                        ungated,
-                        op.blade as u32,
-                        mind_obs::EventKind::WindowStall,
-                        stall,
-                        window.in_flight() as u64,
-                        0,
-                    );
-                }
-            }
-            self.tick(at);
-            let pdid = op.pdid.or(default_pid).expect("exec a process before replay");
-            match self.engine.issue(at, op.blade, pdid, op.vaddr, op.kind) {
-                Ok(issued) => {
-                    let mut outcome = issued.outcome;
-                    // Overlap attribution: the share of this op's fabric
-                    // time spent below the frontier was hidden behind
-                    // earlier in-flight completions.
-                    let hidden = window
-                        .frontier()
-                        .min(issued.complete_at)
-                        .saturating_sub(at)
-                        .min(outcome.latency.network);
-                    outcome.latency.network = outcome.latency.network.saturating_sub(hidden);
-                    outcome.latency.overlapped = hidden;
-                    window.admit(issued.complete_at, issued.region, op.blade);
-                    self.engine.trace.record(
-                        at,
-                        op.blade as u32,
-                        mind_obs::EventKind::WindowAdmit,
-                        SimTime::ZERO,
-                        window.in_flight() as u64,
-                        0,
-                    );
-                    batch.record_with_region(i, at, Ok(outcome), issued.region);
-                }
-                // A refused op occupies no slot; the next op's issue chains
-                // from this issue time alone (same rule as the serialized
-                // path's gap-only advance).
-                Err(e) => batch.record_with_region(i, at, Err(e), None),
-            }
-            prev_issue = at;
+    /// [`MindCluster::run_batch`] at `batch.window() > 1`: the batch as
+    /// issue streams through the one gate, [`MindCluster::issue_clustered`],
+    /// over a pool of exactly `batch.window()` slots. A chained batch is
+    /// one stream — its next op is ready `gap` after the previous *issue*
+    /// (the issue pipeline's per-op cost), the rule the replay runner's
+    /// cluster mode uses; a fixed batch is one stream per op, ready at its
+    /// preset [`MemOp::at`](crate::system::MemOp::at), so its ops issue in
+    /// ready order and a gated op holds back nobody but itself. A refused
+    /// op occupies no slot, and a chained stream moves on from its issue
+    /// time.
+    fn run_batch_windowed(&mut self, now: SimTime, batch: &mut OpBatch) {
+        let (chained, gap, n) = (batch.is_chained(), batch.gap(), batch.len());
+        let mut eng = self
+            .batch_engine
+            .take()
+            .unwrap_or_else(|| ClusterEngine::new(1, self.cfg.nic_depth, 1));
+        let sources = if chained { n.min(1) } else { n } as u32;
+        eng.reset(batch.window(), sources);
+        for src in 0..sources {
+            eng.seed(if chained { now } else { batch.op(src as usize).at }, src);
         }
+        // The chained stream's next op.
+        let mut head = 0;
+        while let Some((at, src)) = eng.next_ready() {
+            let i = if chained { head } else { src as usize };
+            let ready0 = eng.ready0(src);
+            let (result, region) = match self.issue_clustered(&mut eng, at, ready0, &batch.op(i)) {
+                ClusterStep::Gated { until, .. } => {
+                    eng.defer(until, src);
+                    continue;
+                }
+                ClusterStep::Issued { outcome, region, .. } => (Ok(outcome), region),
+                ClusterStep::Refused(e) => (Err(e), None),
+            };
+            batch.record_with_region(i, at, result, region);
+            if chained {
+                head += 1;
+                if head < n {
+                    eng.seed(at + gap, src);
+                }
+            }
+        }
+        self.batch_engine = Some(eng);
     }
 
     /// Reads `len` bytes at `vaddr` through `blade`'s cache (functional
@@ -734,9 +656,8 @@ impl MindCluster {
     /// share of the wait is reported (and traced) separately so NIC
     /// pressure is attributable. Otherwise the op issues at `now`: the full datapath
     /// runs, fabric time below the pool's overlap frontier moves into
-    /// `latency.overlapped` (totals unchanged, same attribution as
-    /// [`MindCluster::run_batch`]'s windowed path), the op is admitted,
-    /// and any `ready0 → now` wait is traced as a `WindowStall` span. An
+    /// `latency.overlapped` (totals unchanged), the op is admitted, and
+    /// any `ready0 → now` wait is traced as a `WindowStall` span. An
     /// access the rack refuses comes back as [`ClusterStep::Refused`] and
     /// occupies no slot.
     pub fn issue_clustered(
@@ -761,10 +682,7 @@ impl MindCluster {
         // uses the RNIC — a local hit does neither, so it passes these
         // gates untouched. A consulting op is held back while it could
         // not make progress anyway; otherwise it occupies a pool slot for
-        // the whole wait and convoys the cluster behind one hot spot. The
-        // turnwise replay cannot do either deferral (it commits a whole
-        // turn before seeing the fabric), which is precisely the
-        // cross-turn engine's advantage on invalidation-heavy sharing.
+        // the whole wait and convoys the cluster behind one hot spot.
         if consults {
             // Same-region serialization: directory transitions on one
             // region serialize cluster-wide — behind in-flight
@@ -878,7 +796,8 @@ impl MemorySystem for MindCluster {
     }
 
     /// [`MindCluster::run_batch`]: the default loop plus per-op
-    /// protection domains, typed refusals and the in-flight window.
+    /// protection domains and typed refusals, and at `window > 1` the
+    /// issue gate's overlap.
     fn execute_batch(&mut self, now: SimTime, batch: &mut OpBatch) {
         self.run_batch(now, batch);
     }
@@ -1189,12 +1108,12 @@ mod tests {
         assert_eq!(c.protection_entries_for(pid), 0, "TCAM reclaimed");
     }
 
-    /// The default NIC gate is the CX-5 calibration, and it is inert on
-    /// the per-batch path for every window depth ≤ 16: a single-blade
-    /// window-16 batch runs byte-identically with the calibrated and
-    /// unbounded queues, because the batch's own window already caps the
-    /// blade's in-flight ops at the adapter's limit. (Not so in the
-    /// cluster engine, which pools the windows of a blade's threads.)
+    /// The default NIC gate is the CX-5 calibration, and it is inert for
+    /// one batch at every window depth ≤ 16: a single-blade window-16
+    /// batch runs byte-identically with the calibrated and unbounded
+    /// queues, because the batch's own pool already caps the blade's
+    /// in-flight ops at the adapter's limit. (Not so in a cluster-mode
+    /// replay, which pools the windows of a blade's threads.)
     #[test]
     fn default_nic_depth_is_cx5_and_inert_within_window() {
         assert_eq!(MindConfig::default().nic_depth, CX5_NIC_DEPTH);

@@ -1,27 +1,24 @@
-//! The cluster-wide event-driven issue engine.
+//! The issue engine: the scheduling state behind the one issue gate.
 //!
-//! The turnwise runner drives every compute thread through lockstep
-//! *turns*: each turn issues one batch per thread and drains it before the
-//! next begins, so overlap ([`InFlightWindow`]) only ever forms *within*
-//! one thread's batch. Real MIND blades do not run in lockstep — a blade
-//! whose fault is in flight does not stop its neighbours from issuing, and
-//! the fabric keeps round trips from *every* blade outstanding at once
-//! (paper §3, §7). This module generalizes the window's arbitration from
-//! per-batch to per-cluster: issue readiness becomes an event in a
-//! deterministic [`EventQueue`], every source (compute thread) is a
-//! concurrent stream, and three gates arbitrate each issue —
+//! Real MIND blades do not run in lockstep — a blade whose fault is in
+//! flight does not stop its neighbours from issuing, and the fabric keeps
+//! round trips from *every* blade outstanding at once (paper §3, §7). The
+//! engine models that as a set of concurrent *sources* (issue streams)
+//! whose readiness is an event in a deterministic [`EventQueue`], over one
+//! shared [`InFlightWindow`]. Three gates arbitrate each issue —
 //!
-//! 1. **slot pool** — at most `window × sources` operations in flight
-//!    cluster-wide (the per-source window, pooled);
-//! 2. **region serialization** — an op touching the directory region of an
-//!    in-flight transition waits for that transition, now enforced across
-//!    *all* sources rather than within one batch;
+//! 1. **slot pool** — at most `depth` operations in flight across all
+//!    sources;
+//! 2. **region serialization** — an op that consults the directory region
+//!    of an in-flight transition waits for that transition, whichever
+//!    source started it;
 //! 3. **per-NIC bandwidth** — each compute blade's RNIC keeps at most
 //!    `nic_depth` operations outstanding (`0` = unbounded).
 //!
 //! The engine itself is pure scheduling: it owns the pooled window, the
-//! ready queue, and per-source bookkeeping, while the protocol work stays
-//! in [`MindCluster::issue_clustered`](crate::cluster::MindCluster), which
+//! ready queue, and per-source bookkeeping, while the decision whether an
+//! op may issue is made in exactly one place,
+//! [`MindCluster::issue_clustered`](crate::cluster::MindCluster), which
 //! consults the gates and either issues at the popped virtual time,
 //! returns a *gated* step, or hands back the rack's refusal. A gated
 //! source is re-scheduled at the exact gate-release time (a completion of
@@ -30,10 +27,18 @@
 //! interleaving deterministic for a fixed source count regardless of OS
 //! threads or sharding.
 //!
-//! Determinism contract: cluster mode is opt-in (`Concurrency::Cluster`
-//! in `mind_workloads`), and with `window <= 1` the runner keeps the
-//! turnwise discipline — the serialized window=1 replay stays the
-//! byte-identical reference.
+//! Who drives it, and with what pool:
+//!
+//! - a cluster-mode replay (`Concurrency::Cluster` in `mind_workloads`):
+//!   one source per compute thread for the whole run, `window × threads`
+//!   slots ([`ClusterEngine::new`]);
+//! - one windowed batch (`MindCluster::run_batch` at `window > 1` — a
+//!   turnwise replay's turn, a service quantum): the batch's ops as one
+//!   chained source or one source per fixed op, exactly `window` slots,
+//!   the engine emptied before each batch ([`ClusterEngine::reset`]).
+//!
+//! At `window <= 1` nothing is driven through the engine: one op in
+//! flight per issuer is the serialized schedule.
 
 use mind_sim::{EventQueue, SimTime};
 
@@ -73,8 +78,8 @@ pub enum ClusterStep {
     Refused(AccessError),
 }
 
-/// Cluster-wide issue state: the pooled in-flight window plus a
-/// deterministic ready queue of sources.
+/// Issue state shared by a set of sources: the pooled in-flight window
+/// plus a deterministic ready queue.
 #[derive(Debug)]
 pub struct ClusterEngine {
     window: InFlightWindow,
@@ -83,8 +88,6 @@ pub struct ClusterEngine {
     /// current op — survives gated deferrals so stall spans start where
     /// the wait actually began.
     ready0: Vec<SimTime>,
-    /// The per-source window the pool is sized from.
-    per_source: usize,
 }
 
 impl ClusterEngine {
@@ -94,24 +97,22 @@ impl ClusterEngine {
     /// `nic_depth` ops each (`0` = unbounded).
     pub fn new(window: u32, nic_depth: u32, sources: u32) -> Self {
         let sources = sources.max(1) as usize;
-        let per_source = window.max(1) as usize;
         ClusterEngine {
-            window: InFlightWindow::new(per_source * sources).with_nic_depth(nic_depth),
+            window: InFlightWindow::new(window.max(1) as usize * sources)
+                .with_nic_depth(nic_depth),
             queue: EventQueue::new(),
             ready0: vec![SimTime::ZERO; sources],
-            per_source,
         }
     }
 
-    /// Makes this the engine [`ClusterEngine::new`] would build for
-    /// `sources` streams with the same window and NIC depth — nothing in
-    /// flight, no frontier, an empty ready queue — keeping its storage.
-    pub fn reset(&mut self, sources: u32) {
-        let sources = sources.max(1) as usize;
-        self.window.reset(self.per_source * sources);
+    /// Empties the engine for `sources` streams sharing a pool of exactly
+    /// `slots` (not `slots` each): nothing in flight, no frontier, an
+    /// empty ready queue — keeping the NIC depth and the storage.
+    pub fn reset(&mut self, slots: u32, sources: u32) {
+        self.window.reset(slots as usize);
         self.queue.clear();
         self.ready0.clear();
-        self.ready0.resize(sources, SimTime::ZERO);
+        self.ready0.resize(sources as usize, SimTime::ZERO);
     }
 
     /// The number of issue streams the engine arbitrates.
@@ -161,11 +162,6 @@ impl ClusterEngine {
     /// The timestamp of the next readiness event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
-    }
-
-    /// Whether no source is pending.
-    pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
     }
 
     /// When `source` first became ready for its current operation.
@@ -225,9 +221,6 @@ mod tests {
             batched.or_else(|| self.queue_time())
         }
 
-        fn is_idle(&self) -> bool {
-            self.cursor == self.scratch.len() && self.heap.is_empty()
-        }
     }
 
     /// The runner's traffic over the engine — pop a source, then re-seed it
@@ -254,7 +247,6 @@ mod tests {
             for step in 0..40_000 {
                 let ctx = format!("seed {seed} step {step}");
                 assert_eq!(eng.peek_time(), oracle.peek_time(), "{ctx}: peek");
-                assert_eq!(eng.is_idle(), oracle.is_idle(), "{ctx}: idle");
                 let popped = eng.next_ready();
                 assert_eq!(popped, oracle.next_ready(), "{ctx}: pop");
                 let Some((now, src)) = popped else {
@@ -263,7 +255,7 @@ mod tests {
                     if rng.gen_bool(0.5) {
                         eng.begin_phase();
                     } else {
-                        eng.reset(sources);
+                        eng.reset(2 * sources, sources);
                         assert_eq!(eng.sources(), sources);
                     }
                     oracle = ScratchBatchOracle::default();
@@ -302,19 +294,19 @@ mod tests {
         eng.seed(ns(100), 2);
         eng.next_ready();
         eng.window_mut().admit(ns(250), None, 0);
-        eng.reset(5);
+        eng.reset(4, 5);
         assert_eq!(eng.sources(), 5);
-        assert_eq!(eng.window().depth(), 20);
+        assert_eq!(eng.window().depth(), 4, "the pool is shared, not per source");
         assert_eq!(eng.window().nic_depth(), 2);
         assert_eq!(eng.window().in_flight(), 0);
         assert_eq!(eng.window().frontier(), SimTime::ZERO);
-        assert!(eng.is_idle());
+        assert_eq!(eng.peek_time(), None);
         assert_eq!(eng.ready0(4), SimTime::ZERO);
         // Seeding before the old clock is allowed again.
         eng.seed(ns(30), 4);
         assert_eq!(eng.next_ready(), Some((ns(30), 4)));
-        eng.reset(0);
-        assert_eq!((eng.sources(), eng.window().depth()), (1, 4));
+        eng.reset(0, 0);
+        assert_eq!((eng.sources(), eng.window().depth()), (0, 1));
     }
 
     #[test]
@@ -339,7 +331,6 @@ mod tests {
         assert_eq!(eng.next_ready(), Some((ns(10), 1)));
         assert_eq!(eng.next_ready(), Some((ns(20), 2)));
         assert!(eng.next_ready().is_none());
-        assert!(eng.is_idle());
     }
 
     #[test]
@@ -362,7 +353,7 @@ mod tests {
         eng.next_ready();
         eng.window_mut().admit(ns(250), None, 0);
         eng.begin_phase();
-        assert!(eng.is_idle());
+        assert_eq!(eng.peek_time(), None);
         // Re-seeding *before* the old queue's last pop must not panic.
         eng.seed(ns(30), 1);
         assert_eq!(eng.next_ready(), Some((ns(30), 1)));

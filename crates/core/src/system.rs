@@ -72,11 +72,11 @@ pub struct LatencyBreakdown {
     /// Software overhead (GAM's per-access user-level library checks).
     pub software: SimTime,
     /// Fabric time hidden behind earlier in-flight operations of the same
-    /// batch (memory-level parallelism under the issue/complete datapath's
-    /// in-flight window). Window 1 always reports zero; under
-    /// overlap the hidden share of `network` moves here, so the visible
-    /// components still sum to the op's issue→complete latency and
-    /// breakdowns stay additive in the BENCH reports.
+    /// slot pool (memory-level parallelism under the issue gate). Window 1
+    /// always reports zero; under overlap the hidden share of `network`
+    /// moves here, so the visible components still sum to the op's
+    /// issue→complete latency and breakdowns stay additive in the BENCH
+    /// reports.
     pub overlapped: SimTime,
 }
 
@@ -127,9 +127,9 @@ pub struct AccessOutcome {
 /// domain.
 #[derive(Debug, Clone, Copy)]
 pub struct MemOp {
-    /// Issue time. For *fixed* batches the caller sets it; for *chained*
-    /// batches the executor fills in the actual issue time as the batch
-    /// runs (op `i + 1` issues when op `i` completes plus the batch gap).
+    /// Issue time. For *fixed* batches the caller sets the time the op is
+    /// ready; for *chained* batches the executor works it out as the batch
+    /// runs. Either way the executor records the actual issue time here.
     pub at: SimTime,
     /// Compute blade issuing the operation.
     pub blade: u16,
@@ -149,31 +149,31 @@ pub struct MemOp {
 /// granularity — how long one issuer runs before another gets a turn —
 /// and nothing else. Two issue disciplines cover the callers in this repo:
 ///
-/// - **chained** (trace replay): ops belong to one issuing thread; op
-///   `i + 1` issues when op `i` completes, plus a fixed inter-op `gap`
-///   (think time). The executor records each op's actual issue time back
-///   into [`MemOp::at`].
-/// - **fixed** (serving quanta): every op issues at its preset
-///   [`MemOp::at`] — the discipline of a dispatcher draining queues at a
-///   quantum boundary.
+/// - **chained** (trace replay): ops belong to one issuing thread, in
+///   program order, separated by a fixed inter-op `gap` (think time).
+/// - **fixed** (serving quanta): every op is independent and ready at its
+///   preset [`MemOp::at`] — the discipline of a dispatcher draining queues
+///   at a quantum boundary.
 ///
-/// Outcomes land in a parallel result vector; a batch is reusable across
-/// rounds via [`OpBatch::clear`], which keeps both allocations.
+/// Outcomes land in a parallel result vector, and each op's actual issue
+/// time is recorded back into [`MemOp::at`]; a batch is reusable across
+/// rounds via [`OpBatch::clear`], which keeps the allocations.
 ///
-/// The **in-flight window** (`window`, default 1) is the batch's
-/// memory-level-parallelism depth: how many operations the issuing blade
-/// may keep in flight at once. At 1 every op completes before the next
-/// issues (chained) or issues at its preset time (fixed). At `W > 1`,
-/// systems with an issue/complete datapath (MIND) overlap up to `W`
-/// independent fabric round trips while same-region directory transitions
-/// still serialize; systems without one (GAM, FastSwap) ignore the window
-/// and run serialized.
+/// The **in-flight window** (`window`, default 1) is how many of the
+/// batch's operations may be in flight at once. At 1 a chained op issues
+/// when its predecessor has completed, plus the gap, and a fixed op at its
+/// preset time. At `W > 1`, a system with an issue gate (MIND) keeps up to
+/// `W` of them in flight — a chained op is then ready `gap` after its
+/// predecessor *issued*, a fixed op still at its preset time, and each
+/// issues as soon as a slot, its blade's RNIC and its directory region
+/// allow, so a fixed batch issues in ready order, not op order; systems
+/// without one (GAM, FastSwap) ignore the window and run serialized.
 #[derive(Debug, Default)]
 pub struct OpBatch {
     ops: Vec<MemOp>,
     results: Vec<Result<AccessOutcome, AccessError>>,
-    /// Directory region each op transitioned (recorded by issue/complete
-    /// executors; `None` for local hits, bypasses, and window 1).
+    /// Directory region each op transitioned (recorded by the windowed
+    /// executor; `None` for local hits, bypasses, and window 1).
     regions: Vec<Option<(u64, u8)>>,
     gap: SimTime,
     chained: bool,
@@ -256,15 +256,21 @@ impl OpBatch {
         &self.results
     }
 
-    /// Records the `i`-th op's issue time and result. Executors must
+    /// Records the `i`-th op's issue time and result. Serialized executors
     /// record ops in order, exactly once each.
     pub fn record(&mut self, i: usize, at: SimTime, result: Result<AccessOutcome, AccessError>) {
-        self.record_with_region(i, at, result, None);
+        debug_assert_eq!(i, self.results.len(), "results recorded in op order");
+        self.ops[i].at = at;
+        self.results.push(result);
+        self.regions.push(None);
     }
 
-    /// [`OpBatch::record`] plus the directory region the op transitioned —
-    /// the issue/complete executors' form, which lets callers audit the
-    /// window's same-region serialization from the batch records alone.
+    /// [`OpBatch::record`] plus the directory region the op transitioned,
+    /// in any order — the windowed executor's form: it issues a fixed
+    /// batch in ready order, and the region lets callers audit the
+    /// same-region serialization from the batch records alone. The first
+    /// call gives every op a placeholder record; the executor records
+    /// every op exactly once before it returns.
     pub fn record_with_region(
         &mut self,
         i: usize,
@@ -272,10 +278,13 @@ impl OpBatch {
         result: Result<AccessOutcome, AccessError>,
         region: Option<(u64, u8)>,
     ) {
-        debug_assert_eq!(i, self.results.len(), "results recorded in op order");
+        if self.results.len() < self.ops.len() {
+            self.results.resize(self.ops.len(), Ok(AccessOutcome::default()));
+            self.regions.resize(self.ops.len(), None);
+        }
         self.ops[i].at = at;
-        self.results.push(result);
-        self.regions.push(region);
+        self.results[i] = result;
+        self.regions[i] = region;
     }
 
     /// The directory region `(base, size_log2)` the `i`-th op transitioned,
@@ -417,10 +426,11 @@ pub trait MemorySystem {
     /// op goes through [`access`] at its issue time — a chained op when
     /// its predecessor completes plus the gap, a fixed op at its preset
     /// time — so GAM and FastSwap work unmodified. It runs serialized
-    /// whatever the batch's in-flight window (overlap needs an
-    /// issue/complete datapath). An override (MIND's, for per-op
-    /// protection domains, typed refusals and the window) must issue the
-    /// same ops at the same times at `window <= 1`.
+    /// whatever the batch's in-flight window (overlap needs an issue
+    /// gate). An override (MIND's, for per-op protection domains, typed
+    /// refusals and the window) must issue the same ops at the same times
+    /// at `window <= 1`; at a deeper window it returns once every op has
+    /// issued, with completions in the batch records.
     ///
     /// [`access`]: MemorySystem::access
     fn execute_batch(&mut self, now: SimTime, batch: &mut OpBatch) {
@@ -435,14 +445,13 @@ pub trait MemorySystem {
         }
     }
 
-    /// Builds the system's cluster-wide event-driven issue engine for
-    /// `sources` concurrent streams with a per-source window of `window`
-    /// (see [`crate::engine`]), injecting the system's own per-NIC queue
-    /// depth.
+    /// Builds the system's issue engine for `sources` concurrent streams
+    /// with a per-source window of `window`, pooled (see
+    /// [`crate::engine`]), injecting the system's own per-NIC queue depth.
     ///
-    /// `None` — the default — means the system has no issue/complete
-    /// datapath to arbitrate (the baselines); the runner then keeps the
-    /// turnwise discipline even when cluster mode is requested.
+    /// `None` — the default — means the system has no issue gate to
+    /// arbitrate (the baselines); the runner then keeps the turnwise
+    /// discipline even when cluster mode is requested.
     fn cluster_engine(&self, window: u32, sources: u32) -> Option<ClusterEngine> {
         let _ = (window, sources);
         None

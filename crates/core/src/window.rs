@@ -1,24 +1,25 @@
-//! The in-flight window: per-batch memory-level-parallelism arbitration
-//! for the issue/complete datapath.
+//! The in-flight window: the bookkeeping under the issue gate.
 //!
 //! MIND's premise is that disaggregated memory is viable because the RDMA
 //! NICs and the in-network directory keep many page-fault round trips in
 //! flight at once (paper §3, §7): while one fault's fabric RTT is
-//! outstanding, the blade issues the next. This module is the explicit
-//! arbitration layer for that overlap. A window of depth `W` admits up to
-//! `W` concurrently in-flight operations; an op that would exceed the
-//! depth waits for the earliest in-flight completion, and an op that
-//! touches the *directory region* of an in-flight op waits for that op to
-//! complete — same-region transitions serialize (the region's `busy_until`
-//! already orders them inside the switch; the window keeps the *issue*
-//! side honest so a blade never has two transitions of one region
-//! outstanding).
+//! outstanding, the blade issues the next. A window of depth `W` holds up
+//! to `W` concurrently in-flight operations; an op that would exceed the
+//! depth waits for the earliest in-flight completion, an op whose blade's
+//! RNIC queue is full waits for that blade's earliest completion, and an
+//! op that consults the *directory region* of an in-flight op waits for
+//! that op to complete — same-region transitions serialize (the region's
+//! `busy_until` already orders them inside the switch; the window keeps
+//! the *issue* side honest so the rack never has two transitions of one
+//! region outstanding).
 //!
 //! The window is pure bookkeeping over completion records
 //! ([`mind_core::coherence::IssuedAccess`](crate::coherence::IssuedAccess)
-//! supplies them); it performs no simulation itself, which is what makes
-//! the `window = 1` configuration byte-identical to the serialized
-//! datapath.
+//! supplies them) and performs no simulation itself. It answers one
+//! question per offered operation, [`InFlightWindow::sweep`] — when each
+//! gate releases — and the one caller that turns the answer into "issue"
+//! or "wait" is
+//! [`MindCluster::issue_clustered`](crate::cluster::MindCluster::issue_clustered).
 
 use mind_sim::SimTime;
 
@@ -46,14 +47,20 @@ impl InFlight {
 /// issue gate for one candidate operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Gates {
-    /// [`InFlightWindow::slot_free_at`].
+    /// Earliest time the candidate can claim a slot: [`SimTime::ZERO`]
+    /// (no constraint) while one is free, otherwise the earliest in-flight
+    /// completion.
     pub slot_free_at: SimTime,
-    /// [`InFlightWindow::nic_free_at`] for the candidate's blade.
+    /// Earliest time the candidate's blade may issue through its RNIC:
+    /// [`SimTime::ZERO`] while its queue has a free entry or the NIC is
+    /// unbounded, otherwise the earliest completion among the blade's
+    /// in-flight ops.
     pub nic_free_at: SimTime,
-    /// [`InFlightWindow::nic_in_flight`] for the candidate's blade.
+    /// In-flight operations issued by the candidate's blade.
     pub nic_in_flight: usize,
-    /// [`InFlightWindow::region_release`] for the page the candidate
-    /// would transition; [`SimTime::ZERO`] for a candidate that consults
+    /// The latest completion among in-flight ops whose directory region
+    /// contains the page the candidate would transition;
+    /// [`SimTime::ZERO`] when none does, and for a candidate that consults
     /// no directory region (a local hit), which the gate does not hold.
     pub region_release: SimTime,
 }
@@ -130,10 +137,8 @@ impl InFlightWindow {
         self.slots.len()
     }
 
-    /// Earliest time a new operation can claim a slot: [`SimTime::ZERO`]
-    /// (no constraint) while a slot is free, otherwise the earliest
-    /// in-flight completion.
-    pub fn slot_free_at(&self) -> SimTime {
+    /// [`Gates::slot_free_at`].
+    fn slot_free_at(&self) -> SimTime {
         if self.slots.len() < self.depth {
             SimTime::ZERO
         } else {
@@ -141,11 +146,8 @@ impl InFlightWindow {
         }
     }
 
-    /// When an operation on the page at `addr` may issue without
-    /// overlapping an in-flight transition of the same directory region:
-    /// the latest completion among in-flight ops whose region contains
-    /// `addr` ([`SimTime::ZERO`] when none does).
-    pub fn region_release(&self, addr: u64) -> SimTime {
+    /// [`Gates::region_release`] for the page at `addr`.
+    fn region_release(&self, addr: u64) -> SimTime {
         self.slots
             .iter()
             .rev()
@@ -158,11 +160,8 @@ impl InFlightWindow {
         self.per_blade.get(blade as usize).copied().unwrap_or(0)
     }
 
-    /// Earliest time `blade` may issue another operation through its RNIC:
-    /// [`SimTime::ZERO`] (no constraint) while the blade's queue has a free
-    /// entry or the NIC is unbounded, otherwise the earliest completion
-    /// among the blade's in-flight ops.
-    pub fn nic_free_at(&self, blade: u16) -> SimTime {
+    /// [`Gates::nic_free_at`] for `blade`.
+    fn nic_free_at(&self, blade: u16) -> SimTime {
         if self.nic_depth == 0 || self.nic_in_flight(blade) < self.nic_depth {
             return SimTime::ZERO;
         }
@@ -173,7 +172,7 @@ impl InFlightWindow {
     }
 
     /// Retires every operation that completed at or before `now`.
-    pub fn retire_through(&mut self, now: SimTime) {
+    fn retire_through(&mut self, now: SimTime) {
         // Counted from the front, not searched for: most offers retire
         // nothing or an op or two.
         let retired = self
@@ -186,9 +185,9 @@ impl InFlightWindow {
         }
     }
 
-    /// [`InFlightWindow::retire_through`] `now`, then the gates for an
-    /// operation by `blade` — what the cluster engine asks per offered
-    /// operation. `consults` is the page whose directory region the
+    /// Retires every operation that completed at or before `now`, then
+    /// reports the gates for an operation by `blade` — what the issue gate
+    /// asks per offered operation. `consults` is the page whose directory region the
     /// operation would transition, `None` for a local hit: only then is
     /// the pool walked for the region gate.
     pub fn sweep(&mut self, now: SimTime, blade: u16, consults: Option<u64>) -> Gates {
@@ -206,10 +205,9 @@ impl InFlightWindow {
     ///
     /// # Panics
     ///
-    /// Panics if the window is full — callers must gate issue on
-    /// [`InFlightWindow::slot_free_at`] and retire first — and, in debug
-    /// builds, if `blade`'s RNIC queue is already at its depth (gate on
-    /// [`InFlightWindow::nic_free_at`]).
+    /// Panics if the window is full — callers must gate issue on a
+    /// [`InFlightWindow::sweep`] at the issue time — and, in debug builds,
+    /// if `blade`'s RNIC queue is already at its depth.
     pub fn admit(&mut self, complete_at: SimTime, region: Option<(u64, u8)>, blade: u16) {
         assert!(self.slots.len() < self.depth, "in-flight window overflow");
         debug_assert!(
@@ -347,10 +345,6 @@ mod tests {
                     "seed {seed} step {step} at {now:?}"
                 );
                 assert_eq!(w.in_flight(), oracle.slots.len());
-                // The separate calls answer alike.
-                assert_eq!(w.slot_free_at(), expected.slot_free_at);
-                assert_eq!(w.nic_free_at(blade), expected.nic_free_at);
-                assert_eq!(w.region_release(addr), oracle.region_release(addr));
                 if expected.slot_free_at > now || expected.nic_free_at > now {
                     continue; // Gated: the op is re-offered later.
                 }

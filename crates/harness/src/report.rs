@@ -6,6 +6,7 @@
 //! {
 //!   "schema_version": 2,
 //!   "generator": "v0.1.0-12-gabc1234",   // git describe (or MIND_GIT_DESCRIBE)
+//!   "mode": "quick",                      // or "full"; files written by write_suite
 //!   "suite": "fig5_intra",
 //!   "scenarios": [
 //!     {
@@ -411,6 +412,17 @@ pub fn suite_json(suite: &str, results: &[ScenarioResult]) -> Json {
     ])
 }
 
+/// [`suite_json`] as a BENCH file carries it: with a `mode` header after
+/// `generator`, saying which scenario table produced the file.
+fn written_suite_json(suite: &str, quick: bool, results: &[ScenarioResult]) -> Json {
+    let mut doc = suite_json(suite, results);
+    if let Json::Obj(pairs) = &mut doc {
+        let mode = if quick { "quick" } else { "full" };
+        pairs.insert(2, ("mode".to_string(), Json::str(mode)));
+    }
+    doc
+}
+
 /// The output directory for BENCH/TRACE files: `$MIND_BENCH_DIR` if set,
 /// otherwise the current directory.
 fn bench_dir() -> PathBuf {
@@ -418,12 +430,18 @@ fn bench_dir() -> PathBuf {
 }
 
 /// Renders and writes `BENCH_<suite>.json` into the current directory (or
-/// `$MIND_BENCH_DIR` if set), returning the path written.
-pub fn write_suite(suite: &str, results: &[ScenarioResult]) -> std::io::Result<PathBuf> {
+/// `$MIND_BENCH_DIR` if set), returning the path written. The header says
+/// which scenario table produced the file — `"mode": "quick"` or `"full"`
+/// — so that `bench_diff` can refuse to compare one with the other.
+pub fn write_suite(
+    suite: &str,
+    quick: bool,
+    results: &[ScenarioResult],
+) -> std::io::Result<PathBuf> {
     let dir = bench_dir();
     std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("BENCH_{suite}.json"));
-    std::fs::write(&path, suite_json(suite, results).render())?;
+    std::fs::write(&path, written_suite_json(suite, quick, results).render())?;
     Ok(path)
 }
 
@@ -514,6 +532,17 @@ mod tests {
             doc.starts_with("{\n  \"schema_version\": 2,\n  \"generator\": \""),
             "schema header leads the document: {doc}"
         );
+    }
+
+    /// The written file's header names its scenario table; the document is
+    /// otherwise the one [`suite_json`] renders.
+    #[test]
+    fn written_suites_carry_their_mode() {
+        let results = [custom_result()];
+        let quick = written_suite_json("t", true, &results).render();
+        assert!(quick.contains("\",\n  \"mode\": \"quick\",\n  \"suite\": \"t\""), "{quick}");
+        let plain = suite_json("t", &results).render();
+        assert_eq!(quick.replace("  \"mode\": \"quick\",\n", ""), plain);
     }
 
     #[test]

@@ -20,10 +20,8 @@ use std::collections::VecDeque;
 
 use mind_core::addr::pow2_alloc_size;
 use mind_core::cluster::{MindCluster, MindConfig};
-use mind_core::coherence::AccessError;
-use mind_core::engine::{ClusterEngine, ClusterStep};
 use mind_core::protect::PermClass;
-use mind_core::system::{AccessOutcome, MemOp, MemorySystem, OpBatch};
+use mind_core::system::{MemOp, OpBatch};
 use mind_obs::{EventKind, TraceData, WindowSeries};
 use mind_sim::stats::{Histogram, Metrics};
 use mind_sim::{EventQueue, SimRng, SimTime};
@@ -70,23 +68,17 @@ pub struct ServiceConfig {
     pub elastic_epoch: SimTime,
     /// Assumed per-blade service capacity, requests per second.
     pub blade_capacity_hz: f64,
-    /// In-flight window depth of the quantum batch: how many grants the
-    /// dispatcher keeps in flight at once. `1` (the default) reproduces
-    /// every grant issues at the quantum boundary. Deeper windows run the quantum through the
-    /// issue/complete datapath: up to `window` independent faults overlap
-    /// their fabric RTTs, grants beyond the window queue for a slot (the
-    /// queueing shows up in per-tenant latency), and same-region grants
-    /// serialize.
+    /// In-flight window depth of the quantum batch: how many of a
+    /// quantum's grants the rack keeps in flight at once. At `1` (the
+    /// default) every grant issues at the quantum boundary. A deeper
+    /// window offers the grants to the rack's issue gate
+    /// ([`MindCluster::run_batch`]) over a pool of `window` slots they
+    /// share: up to `window` independent faults overlap their fabric RTTs,
+    /// a grant that finds the pool, its blade's RNIC
+    /// ([`MindConfig::nic_depth`]) or its directory region busy issues when
+    /// that clears without holding back the grants behind it, and the wait
+    /// bills to the request's latency.
     pub window: u32,
-    /// Whether overlapped quanta (`window > 1`) run through the rack's
-    /// cluster-wide [`mind_core::engine::ClusterEngine`] — the same
-    /// event-driven issue engine the sharded replay harness uses — instead
-    /// of the per-batch [`mind_core::InFlightWindow`] walk. The engine
-    /// arbitrates the quantum's grants through a shared slot pool,
-    /// cluster-wide region serialization, and the per-NIC bandwidth gate
-    /// ([`MindConfig::nic_depth`]). Off by default; takes effect only with
-    /// `window > 1`.
-    pub cluster_dispatch: bool,
     /// Access pattern per QoS class, in [`QosClass::ALL`] order — the
     /// tenant workload-diversity axis. Defaults to uniform everywhere;
     /// the QoS figure mixes Zipfian / uniform / scanning classes.
@@ -119,7 +111,6 @@ impl Default for ServiceConfig {
             elastic_epoch: SimTime::from_millis(5),
             blade_capacity_hz: 50_000.0,
             window: 1,
-            cluster_dispatch: false,
             class_patterns: [AccessPattern::Uniform; 3],
         }
     }
@@ -217,10 +208,6 @@ enum Event {
     Rebalance,
 }
 
-/// What the issue engine reported for one grant: `(issue time, outcome or
-/// refusal, region)`.
-type Staged = (SimTime, Result<AccessOutcome, AccessError>, Option<(u64, u8)>);
-
 /// The live tenant in `slot` of the slot table.
 fn tenant_in(slots: &mut [Option<Tenant>], slot: u32) -> &mut Tenant {
     slots[slot as usize]
@@ -264,11 +251,6 @@ pub struct MemoryService {
     grants: Vec<(u32, usize, PendingRequest)>,
     /// Reusable list of the ready-list positions a quantum drained.
     drained: Vec<usize>,
-    /// The rack's issue engine, reset for each quantum that dispatches
-    /// through it ([`ServiceConfig::cluster_dispatch`]).
-    engine: ClusterEngine,
-    /// Reusable staging of that engine's results, in op order.
-    staged: Vec<Option<Staged>>,
     /// Per-class windowed telemetry, present only when the rack traces.
     class_series: Option<[WindowSeries; 3]>,
 }
@@ -284,14 +266,8 @@ impl MemoryService {
         } else {
             None
         };
-        let cluster = MindCluster::new(cfg.rack);
-        let engine = cluster
-            .cluster_engine(cfg.window, 1)
-            .expect("MindCluster always offers the issue/complete engine");
         MemoryService {
-            cluster,
-            engine,
-            staged: Vec::new(),
+            cluster: MindCluster::new(cfg.rack),
             class_series,
             rng: SimRng::new(cfg.seed),
             cfg,
@@ -562,17 +538,13 @@ impl MemoryService {
         }
 
         // Execution pass: the whole quantum through the datapath at once.
-        if self.cfg.cluster_dispatch && self.cfg.window > 1 && !batch.is_empty() {
-            self.dispatch_through_engine(now, &mut batch);
-        } else {
-            self.cluster.run_batch(now, &mut batch);
-        }
+        self.cluster.run_batch(now, &mut batch);
 
         // Accounting pass, in grant order. End-to-end latency is derived
         // from each grant's completion record (recorded issue time +
         // latency): at window 1 the issue time is the quantum boundary
-        // `now` exactly; deeper windows delay grants that waited for an
-        // in-flight slot, and that wait bills to the request.
+        // `now` exactly; deeper windows delay grants that waited at
+        // the issue gate, and that wait bills to the request.
         for (i, &(slot, ci, ref req)) in grants.iter().enumerate() {
             let t = tenant_in(&mut self.slots, slot);
             match batch.result(i) {
@@ -607,45 +579,6 @@ impl MemoryService {
         self.trace_control(now, EventKind::Dispatch, grants.len() as u64, queued);
         self.grants = grants;
         self.quantum = batch;
-    }
-
-    /// Executes one quantum's grants through the rack's cluster-wide
-    /// issue engine ([`ServiceConfig::cluster_dispatch`]): every grant is
-    /// seeded as an engine source at the quantum boundary, then the
-    /// engine's deterministic ready queue drives issue — gated grants
-    /// (no free slot, region busy, NIC saturated) defer to their gate's
-    /// release time and re-offer. Completions land back in the batch in
-    /// op order, so the accounting pass downstream is path-agnostic.
-    fn dispatch_through_engine(&mut self, now: SimTime, batch: &mut OpBatch) {
-        let eng = &mut self.engine;
-        eng.reset(batch.len() as u32);
-        for src in 0..batch.len() as u32 {
-            eng.seed(now, src);
-        }
-        // The engine issues in ready order, not op order; stage results
-        // and record them in op order to honor the OpBatch contract.
-        self.staged.clear();
-        self.staged.resize(batch.len(), None);
-        while let Some((at, src)) = eng.next_ready() {
-            let i = src as usize;
-            let op = batch.op(i);
-            let ready0 = eng.ready0(src);
-            let step = self
-                .cluster
-                .cluster_issue(eng, at, ready0, &op)
-                .expect("MindCluster always offers the issue/complete engine");
-            match step {
-                ClusterStep::Gated { until, .. } => eng.defer(until, src),
-                ClusterStep::Issued {
-                    outcome, region, ..
-                } => self.staged[i] = Some((at, Ok(outcome), region)),
-                ClusterStep::Refused(e) => self.staged[i] = Some((at, Err(e), None)),
-            }
-        }
-        for (i, slot) in self.staged.drain(..).enumerate() {
-            let (at, result, region) = slot.expect("engine drains every seeded grant");
-            batch.record_with_region(i, at, result, region);
-        }
     }
 
     /// One elasticity epoch: re-sizes every tenant's blade set to its
@@ -927,7 +860,7 @@ mod tests {
     }
 
     /// The per-NIC issue gate reaches dispatch with zero wiring: it rides
-    /// in `rack.nic_depth` straight into the overlapped batch path. A
+    /// in `rack.nic_depth` straight into the rack's issue gate. A
     /// bounded depth keeps the run deterministic, and — like the window —
     /// shifts dispatch timing without changing what gets granted.
     #[test]
@@ -954,51 +887,16 @@ mod tests {
         assert_eq!(a.rejected_requests, unbounded.rejected_requests);
     }
 
-    /// The cluster-engine dispatch path ([`ServiceConfig::cluster_dispatch`])
-    /// serves the same grants as the per-batch window walk — WRR selection
-    /// is execution-path-independent — and stays deterministic across
-    /// reruns. The engine arbitration may time grants differently (shared
-    /// slot pool vs per-batch window), which is the point: it shifts
-    /// dispatch timing, never what gets granted.
-    #[test]
-    fn cluster_engine_dispatch_serves_same_grants_deterministically() {
-        let engine_cfg = ServiceConfig {
-            window: 4,
-            cluster_dispatch: true,
-            ..quick_cfg()
-        };
-        let a = MemoryService::new(engine_cfg).run();
-        let b = MemoryService::new(engine_cfg).run();
-        assert_eq!(a.total_ops, b.total_ops);
-        assert_eq!(a.metrics, b.metrics);
-        for (x, y) in a.tenants.iter().zip(&b.tenants) {
-            assert_eq!(x.p999_ns, y.p999_ns);
-        }
-        let windowed = MemoryService::new(ServiceConfig {
-            window: 4,
-            ..quick_cfg()
-        })
-        .run();
-        assert_eq!(a.tenants_admitted, windowed.tenants_admitted);
-        assert_eq!(a.total_ops, windowed.total_ops);
-        assert_eq!(a.rejected_requests, windowed.rejected_requests);
-        assert!(a.total_ops > 0, "the engine path actually served requests");
-    }
-
     /// A grant the rack refuses (here: the tenant's only blade has failed)
-    /// is billed to the tenant as a rejected request, whichever way the
-    /// quantum is dispatched.
+    /// is billed to the tenant as a rejected request, serialized or through
+    /// the issue gate.
     #[test]
     fn a_refused_grant_is_a_rejection_under_every_dispatch_config() {
         let windowed = ServiceConfig {
             window: 4,
             ..quick_cfg()
         };
-        let through_engine = ServiceConfig {
-            cluster_dispatch: true,
-            ..windowed
-        };
-        for cfg in [quick_cfg(), windowed, through_engine] {
+        for cfg in [quick_cfg(), windowed] {
             let mut svc = MemoryService::new(cfg);
             let id = svc
                 .admit(SimTime::ZERO, QosClass::Gold, 64, 1_000.0)
@@ -1010,32 +908,7 @@ mod tests {
             }
             svc.dispatch(SimTime::from_micros(2));
             let t = svc.tenant(id).unwrap();
-            assert_eq!(
-                (t.ops, t.rejected, t.queue.len()),
-                (0, 4, 0),
-                "window {} cluster_dispatch {}",
-                cfg.window,
-                cfg.cluster_dispatch
-            );
-        }
-    }
-
-    /// With `window: 1` the engine path is inert (the config documents it
-    /// takes effect only with overlap), so reports stay byte-identical to
-    /// the serialized quantum.
-    #[test]
-    fn cluster_dispatch_is_inert_at_window_one() {
-        let a = MemoryService::new(ServiceConfig {
-            cluster_dispatch: true,
-            ..quick_cfg()
-        })
-        .run();
-        let b = MemoryService::new(quick_cfg()).run();
-        assert_eq!(a.total_ops, b.total_ops);
-        assert_eq!(a.metrics, b.metrics);
-        for (x, y) in a.tenants.iter().zip(&b.tenants) {
-            assert_eq!(x.ops, y.ops);
-            assert_eq!(x.p999_ns, y.p999_ns);
+            assert_eq!((t.ops, t.rejected, t.queue.len()), (0, 4, 0), "window {}", cfg.window);
         }
     }
 

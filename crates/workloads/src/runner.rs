@@ -28,21 +28,28 @@ use mind_sim::{EventQueue, SimTime};
 
 use crate::trace::{TraceOp, Workload};
 
-/// How concurrently-running threads' operations interleave.
+/// How concurrently-running threads' operations interleave. Both
+/// disciplines put every op of a `window > 1` replay through the same
+/// issue gate (`MindCluster::issue_clustered`: slot pool, same-region
+/// serialization, per-NIC depth); they differ in one thing only, whether a
+/// turn ends in a drain barrier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Concurrency {
-    /// Lockstep scheduling turns: the earliest thread issues its next
-    /// batch and drains it before its next turn, so in-flight overlap
-    /// forms only *within* one thread's batch. The default.
+    /// Scheduling turns with a drain barrier: the earliest thread issues
+    /// its next [`RunConfig::batch_ops`] ops through a pool of `window`
+    /// slots of its own and takes its next turn only when every one of
+    /// them has completed, so in-flight overlap forms only *within* one
+    /// thread's turn. The default.
     #[default]
     Turnwise,
-    /// The cluster-wide event-driven engine (`mind_core::engine`): every
-    /// thread is a continuous issue stream, faults from different threads
-    /// overlap each other's fabric RTTs, same-region transitions
-    /// serialize cluster-wide, and each blade's RNIC issue bandwidth
-    /// gates its threads. Takes effect when `window > 1` *and* the system
-    /// has an issue/complete datapath; otherwise the run stays turnwise
-    /// (one op in flight per thread *is* the turnwise schedule).
+    /// No barrier: every thread is a continuous issue stream over one
+    /// pool of `window × threads` slots per partition, so faults overlap
+    /// across turns and threads, same-region transitions serialize
+    /// cluster-wide, and each blade's RNIC depth gates its threads
+    /// together. Takes effect when `window > 1` *and* the system has an
+    /// issue gate; otherwise the run stays turnwise (one op in flight per
+    /// thread *is* the turnwise schedule). One thread replayed in a single
+    /// turn without warm-up is the same schedule under either discipline.
     Cluster,
 }
 
@@ -71,12 +78,12 @@ pub struct RunConfig {
     /// op, larger values let a thread run ahead of the others for a whole
     /// turn. A single thread's replay is the same at every value.
     pub batch_ops: u64,
-    /// In-flight window depth per batch (memory-level parallelism): how
-    /// many independent faults a thread's blade keeps in flight at once.
-    /// `1` (the default) is the serialized issue discipline — every RTT
-    /// completes before the next op issues. Larger values overlap fabric
-    /// round trips on systems with an issue/complete datapath (MIND);
-    /// systems without one run serialized regardless.
+    /// In-flight window depth per thread (memory-level parallelism): how
+    /// many independent faults a thread keeps in flight at once. `1` (the
+    /// default) is the serialized issue discipline — every RTT completes
+    /// before the next op issues. Larger values overlap fabric round trips
+    /// on systems with an issue gate (MIND); systems without one run
+    /// serialized regardless.
     pub window: u32,
     /// Observability: whether to record the windowed telemetry series
     /// (and its bucket width). Defaults to resolving `MIND_TRACE`, so an
@@ -500,9 +507,9 @@ pub fn merge_reports(name: impl Into<String>, reports: &[RunReport]) -> RunRepor
 ///
 /// Each source is a continuous stream: its next op becomes ungated-ready
 /// `think_time` after its previous *issue* (the issue pipeline's per-op
-/// cost, same chaining rule as a turnwise batch — but with no per-turn
-/// drain barrier, which is exactly the cross-turn overlap this engine
-/// adds). Ops are generated `batch_ops` at a time into per-source buffers
+/// cost, the chaining rule of a windowed turnwise batch — but with no
+/// per-turn drain barrier, which is exactly the cross-turn overlap this
+/// discipline adds). Ops are generated `batch_ops` at a time into per-source buffers
 /// through a caller-supplied `fill` closure, so workload generation order
 /// per source is identical to the turnwise runner's.
 ///
@@ -732,8 +739,7 @@ pub(crate) struct Replay {
     /// Turnwise: ops each source still owes the current phase.
     left: Vec<u64>,
     /// Cluster mode ([`Concurrency::Cluster`], `window > 1`, a system with
-    /// an issue/complete datapath): one event-driven issue engine *per
-    /// partition*, so the gates a partition's threads share — its slot
+    /// an issue gate): one event-driven issue engine *per partition*, so the gates a partition's threads share — its slot
     /// pool, its blades' NICs, its region serialization — are identical
     /// whether the partition runs fused or sharded. Empty in turnwise
     /// mode.
@@ -827,7 +833,12 @@ impl Replay {
             self.baseline = Some(system.metrics());
             self.end_clock = self.warmup_end;
             self.left.fill(self.cfg.ops_per_thread);
-            std::mem::swap(&mut self.queue, &mut self.resume);
+            // A zero-op measured phase seeds nobody (as in
+            // `ClusterDriver::start_measured`): the drained warmup queue
+            // stays the phase's queue.
+            if self.cfg.ops_per_thread > 0 {
+                std::mem::swap(&mut self.queue, &mut self.resume);
+            }
             for driver in &mut self.drivers {
                 driver.start_measured();
             }
@@ -1246,6 +1257,36 @@ mod tests {
         assert_eq!(a.window_metrics, b.window_metrics);
         assert_eq!(a.mops.to_bits(), b.mops.to_bits());
         assert_eq!(a.latency.quantile(0.999), b.latency.quantile(0.999));
+    }
+
+    /// A measured phase of zero ops seeds nobody under either discipline:
+    /// the report is empty, with or without a warm-up before it.
+    #[test]
+    fn a_zero_op_measured_phase_reports_nothing_under_both_disciplines() {
+        for concurrency in [Concurrency::Turnwise, Concurrency::Cluster] {
+            for (warmup, window) in [(0, 1), (0, 4), (40, 1), (40, 4)] {
+                let mut sys = MindCluster::new(MindConfig::small());
+                let mut wl = PingPong {
+                    threads: 2,
+                    rng: SimRng::new(3),
+                };
+                let cfg = RunConfig {
+                    ops_per_thread: 0,
+                    warmup_ops_per_thread: warmup,
+                    ..Default::default()
+                }
+                .with_batch_ops(16)
+                .with_window(window)
+                .with_concurrency(concurrency);
+                let report = run(&mut sys, &mut wl, cfg);
+                let ctx = format!("{concurrency:?} warmup {warmup} window {window}");
+                assert_eq!(report.total_ops, 0, "{ctx}");
+                assert_eq!(report.latency.count(), 0, "{ctx}");
+                assert_eq!(report.runtime, SimTime::ZERO, "{ctx}");
+                assert_eq!(report.metrics.get("accesses"), 2 * warmup, "{ctx}");
+                assert_eq!(report.window_metrics.get("accesses"), 0, "{ctx}");
+            }
+        }
     }
 
     #[test]

@@ -33,17 +33,13 @@ fn drive(svc: &mut MemoryService, tenants: &[TenantId], now: &mut SimTime, quant
 
 #[test]
 fn a_quantum_over_a_steady_tenant_set_allocates_nothing() {
-    // The serialized quantum, then the quantum dispatched through the rack's
-    // issue engine (one engine and one staging buffer, reset per quantum).
-    let engine_dispatch = ServiceConfig {
+    // The serialized quantum, then the windowed quantum through the rack's
+    // issue gate (one cluster-owned engine, emptied per quantum).
+    let windowed = ServiceConfig {
         window: 4,
-        cluster_dispatch: true,
         ..ServiceConfig::default()
     };
-    for (name, cfg) in [
-        ("serialized", ServiceConfig::default()),
-        ("cluster_dispatch", engine_dispatch),
-    ] {
+    for (name, cfg) in [("serialized", ServiceConfig::default()), ("window 4", windowed)] {
         let mut svc = MemoryService::new(cfg);
         let mut now = SimTime::ZERO;
         let tenants: Vec<TenantId> = (0..TENANTS)

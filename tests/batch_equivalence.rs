@@ -3,9 +3,11 @@
 //! executes. What is checked here are the invariants that follow — a
 //! single thread's replay does not depend on its turn size, on any
 //! system; [`runner::run`] and a one-partition group run are the same
-//! replay; the in-flight window bounds and serializes what it says it
-//! does; `window <= 1` and cluster mode at window 1 are the serialized
-//! schedule; sharding composes with every turn size. (Behaviour across
+//! replay; the issue gate bounds and serializes what it says it does,
+//! for a windowed batch and for a cluster-mode replay; one thread in one
+//! turn is the same schedule under both disciplines; `window <= 1` and
+//! cluster mode at window 1 are the serialized schedule; sharding composes
+//! with every turn size. (Behaviour across
 //! commits is pinned by the `sim_digest` goldens, not by comparing paths
 //! within one commit.)
 
@@ -271,12 +273,14 @@ fn overlapped_windows_preserve_work_and_never_slow_the_run() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The in-flight window's two invariants, checked from the batch's
-    /// own completion records over random schedules — chained (trace
-    /// replay) and fixed (dispatcher quanta, including tied preset
-    /// times) alike: (a) no more than `window` operations are ever in
-    /// flight at once, and (b) two operations that transitioned the same
-    /// directory region never overlap in time.
+    /// The issue gate's two invariants for one windowed batch, checked over
+    /// all pairs of ops from the batch's own issue and completion records —
+    /// chained (trace replay) and fixed (dispatcher quanta, including tied
+    /// preset times) alike: (a) no more than `window` operations are ever
+    /// in flight at once, and (b) an op that consults a directory region
+    /// never issues while an op that holds that region is in flight. Issue
+    /// order is an invariant of chained batches only: a fixed batch issues
+    /// in ready order.
     #[test]
     fn window_bounds_inflight_ops_and_serializes_same_region(
         seed in 0u64..10_000,
@@ -311,40 +315,43 @@ proptest! {
                 },
             });
         }
+        let ready: Vec<SimTime> = batch.ops().iter().map(|op| op.at).collect();
         cluster.run_batch(SimTime::ZERO, &mut batch);
-        for i in 1..batch.len() {
-            prop_assert!(
-                batch.op(i).at >= batch.op(i - 1).at,
-                "issue times regressed at op {i}"
-            );
-        }
-        for i in 0..batch.len() {
+        for (i, &ready) in ready.iter().enumerate() {
             prop_assert!(batch.result(i).is_ok());
+            if chained {
+                prop_assert!(
+                    i == 0 || batch.op(i).at >= batch.op(i - 1).at,
+                    "chained issue times regressed at op {i}"
+                );
+            } else {
+                prop_assert!(batch.op(i).at >= ready, "op {i} issued before it was ready");
+            }
         }
         for i in 0..batch.len() {
             let issued = batch.op(i).at;
-            // (a) When op i issued, fewer than `window` earlier ops were
-            // still in flight (so op i fit in a slot). Chained issue
-            // times are monotone, so "in flight" is exactly: issued no
-            // later, completing strictly later.
-            let in_flight = (0..i)
-                .filter(|&j| batch.op(j).at <= issued && batch.completion(j) > issued)
-                .count();
+            // In flight when op i issued: issued no later, completing
+            // strictly later (ops issued at the same instant included).
+            let in_flight = |j: usize| {
+                j != i && batch.op(j).at <= issued && batch.completion(j) > issued
+            };
+            // (a) Op i fit in a slot.
+            let others = (0..batch.len()).filter(|&j| in_flight(j)).count();
             prop_assert!(
-                in_flight < window as usize,
-                "op {i} issued with {in_flight} ops already in flight (window {window})"
+                others < window as usize,
+                "op {i} issued with {others} ops already in flight (window {window})"
             );
-            // (b) Same-region transitions serialize: an earlier op that
-            // held the same directory region must have completed before
-            // this one issued.
-            for j in 0..i {
-                if batch.region(i).is_some() && batch.region(i) == batch.region(j) {
-                    prop_assert!(
-                        batch.completion(j) <= issued,
-                        "ops {j} and {i} overlapped on region {:?}",
-                        batch.region(i)
-                    );
-                }
+            // (b) Same-region transitions serialize: nothing in flight
+            // held the region op i went on to consult.
+            for j in (0..batch.len()).filter(|&j| in_flight(j)) {
+                let holds = batch.region(j).is_some_and(|(base, k)| {
+                    batch.op(i).vaddr.wrapping_sub(base) < 1u64 << k
+                });
+                prop_assert!(
+                    batch.region(i).is_none() || !holds,
+                    "ops {j} and {i} overlapped on region {:?}",
+                    batch.region(j)
+                );
             }
         }
     }
@@ -492,6 +499,69 @@ proptest! {
             prop_assert!(batch.op(i).at >= batch.completion(i - 1));
             prop_assert_eq!(batch.outcome(i).latency.overlapped, SimTime::ZERO);
         }
+    }
+}
+
+/// A fixed batch issues in ready order: a grant held by the region gate
+/// does not hold back an independent grant queued behind it.
+#[test]
+fn a_region_gated_grant_does_not_block_the_grant_behind_it() {
+    let mut cluster = MindCluster::new(MindConfig::small());
+    let pid = cluster.exec().unwrap();
+    let base = cluster.mmap(pid, 64 << 12).unwrap();
+    let mut batch = OpBatch::fixed().with_window(4);
+    // Pages 0 and 1 share an initial 16 KB directory region; page 32 is
+    // far from it, and comes from the other blade (whose up-link the first
+    // fault's request does not occupy).
+    for (page, blade) in [(0u64, 0), (1, 0), (32, 1)] {
+        batch.push(MemOp {
+            at: SimTime::ZERO,
+            blade,
+            pdid: None,
+            vaddr: base + (page << 12),
+            kind: AccessKind::Read,
+        });
+    }
+    cluster.run_batch(SimTime::ZERO, &mut batch);
+    let region = batch.region(0).expect("a fault transitions its region");
+    assert_eq!(batch.region(1), Some(region), "ops 0 and 1 share a region");
+    assert_ne!(batch.region(2), Some(region));
+    assert_eq!(batch.op(0).at, SimTime::ZERO);
+    assert!(
+        batch.op(1).at >= batch.completion(0),
+        "the second fault on the region waits for the first"
+    );
+    assert_eq!(batch.op(2).at, SimTime::ZERO, "the independent grant does not wait");
+}
+
+/// The degenerate point of the two scheduling disciplines: one thread
+/// replayed in a single turn, no warm-up, is one issue stream over a pool
+/// of `window` slots either way, so [`Concurrency::Turnwise`] and
+/// [`Concurrency::Cluster`] render the same BENCH JSON byte for byte.
+#[test]
+fn one_thread_in_one_turn_is_the_same_schedule_under_both_disciplines() {
+    let workload = WorkloadSpec::Micro(MicroConfig {
+        n_threads: 1,
+        shared_pages: 1_024,
+        private_pages: 256,
+        ..Default::default()
+    });
+    let system = SystemSpec::mind_scaled(&workload.regions(), 1, ConsistencyModel::Tso);
+    for window in [4u32, 16] {
+        let render = |concurrency: Concurrency| {
+            let cfg = RunConfig {
+                ops_per_thread: 1_500,
+                threads_per_blade: 1,
+                ..Default::default()
+            }
+            .with_batch_ops(1_500)
+            .with_window(window)
+            .with_concurrency(concurrency);
+            replay_json_on(&system, &workload, cfg)
+        };
+        let turnwise = render(Concurrency::Turnwise);
+        assert!(turnwise.contains("\"metrics\""), "report carries full metrics");
+        assert_eq!(turnwise, render(Concurrency::Cluster), "window {window}");
     }
 }
 
