@@ -65,7 +65,7 @@ use mind_harness::{Scenario, ScenarioOutput, ScenarioResult, SystemSpec, Workloa
 use mind_service::{population_spec, tenant_partitions, TenantGroupConfig};
 use mind_workloads::micro::MicroConfig;
 use mind_workloads::runner::{self, Concurrency, RunConfig, RunReport};
-use mind_workloads::{run_group, run_sharded_threads, ShardSpec};
+use mind_workloads::{run_group, run_sharded_threads};
 
 use super::scaled_ops;
 use crate::print_table;
@@ -211,66 +211,96 @@ fn run_point(
     )
 }
 
-/// The large-scenario scaling point: `partitions` × `tenants_per_group`
-/// single-threaded tenants (16 384 in the full run), each in its own
-/// protection domain with a 16-page footprint, on a 16+16-blade rack
-/// sized by [`mind_service::population_spec`]. The population is confined
-/// by construction (single-threaded tenants never invalidate) and
-/// directory utilization stays at 1/4, so the sharded replay is
-/// byte-identical to the fused reference — which the scenario asserts
-/// before timing anything.
-fn shard_spec(quick: bool) -> ShardSpec {
-    population_spec("datapath/shards", 16, shard_population(quick))
-}
-
-/// The tenant population behind [`shard_spec`], keyed by global partition
-/// index so every shard count replays identical op streams.
-fn shard_population(quick: bool) -> TenantGroupConfig {
+/// The tenant population of every shard point: `tenants_per_group`
+/// single-threaded tenants per partition, each in its own protection
+/// domain with a 16-page footprint, keyed by global partition index so
+/// every shard count replays identical op streams. Such a population is
+/// confined by construction (single-threaded tenants never invalidate),
+/// and [`mind_service::population_spec`] sizes the rack so directory
+/// utilization stays at 1/4.
+fn shard_population(tenants_per_group: u16) -> TenantGroupConfig {
     TenantGroupConfig {
-        tenants_per_group: if quick { 256 } else { 1024 },
+        tenants_per_group,
         pages_per_tenant: 16,
         read_ratio: 0.7,
         seed: 42,
     }
 }
 
-/// The multi-core scaling point: the shard population grown to 131 072
-/// tenants (16 × 8192, `--quick` included) — a footprint whose fused
-/// O(tenants²) admission makes the serialized reference unaffordable, so
-/// the point runs sharded only, at [`XL_SHARDS`] shards. Determinism is
-/// asserted the way the multi-core contract states it: the merged report
-/// is byte-identical across every thread count in [`SHARD_THREADS`].
-fn shard_xl_spec() -> ShardSpec {
-    population_spec("datapath/shards_xl", 16, shard_xl_population())
-}
+/// One sharded-only population point, `datapath/shards_<tag>`:
+/// `partitions` × [`shard_population`]`(tenants_per_group)` tenants
+/// replayed as `shards` shards, once per thread count. At these sizes the
+/// fused O(tenants²) admission makes a serialized reference unaffordable,
+/// so determinism is asserted the way the multi-core contract states it —
+/// the merged report is byte-identical across `thread_counts` — and each
+/// identity run doubles as that cell's wall-clock and peak-RSS measurement
+/// (the peak counter is reset per cell, so each cell's figure is its own
+/// high-water mark).
+fn population_point(
+    tag: &'static str,
+    partitions: u16,
+    tenants_per_group: u16,
+    shards: u16,
+    thread_counts: &'static [usize],
+) -> Scenario {
+    let name = format!("datapath/shards_{tag}");
+    Scenario::custom(name.clone(), move || {
+        let _serial = MEASURE_LOCK.lock().expect("measure lock");
+        let population = shard_population(tenants_per_group);
+        let spec = population_spec(&name, partitions, population);
+        let factory = tenant_partitions(population);
+        let tenants = partitions as u64 * tenants_per_group as u64;
 
-/// The tenant population behind [`shard_xl_spec`].
-fn shard_xl_population() -> TenantGroupConfig {
-    TenantGroupConfig {
-        tenants_per_group: 8192,
-        pages_per_tenant: 16,
-        read_ratio: 0.7,
-        seed: 42,
-    }
-}
+        let mut reference: Option<RunReport> = None;
+        let mut cells = Vec::with_capacity(thread_counts.len());
+        for &threads in thread_counts {
+            mind_obs::mem::reset_peak_rss();
+            let start = Instant::now();
+            let merged = run_sharded_threads(&spec, shards, threads, &factory).expect("confined");
+            cells.push((threads, start.elapsed().as_secs_f64().max(1e-9), peak_rss_mb()));
+            match &reference {
+                None => {
+                    assert_eq!(merged.invalidations, 0, "population must be confined");
+                    assert!(
+                        merged.total_ops >= tenants,
+                        "every tenant must issue at least one measured op"
+                    );
+                    reference = Some(merged);
+                }
+                Some(reference) => {
+                    assert_eq!(
+                        report_key(reference),
+                        report_key(&merged),
+                        "thread count changed the merged report at threads={threads}"
+                    );
+                    assert_eq!(reference.metrics, merged.metrics, "threads={threads}");
+                    assert_eq!(reference.window_metrics, merged.window_metrics);
+                }
+            }
+        }
+        let reference = reference.expect("at least one thread count");
 
-/// The constant-memory scaling point: the shard population grown to
-/// 1 048 576 tenants (64 × 16 384). At this scale even *holding* every
-/// shard's finished report would defeat the run — the streamed merge
-/// folds each shard away as it completes, so peak memory tracks the
-/// worker-lane count, not the tenant count.
-fn shard_xxl_spec() -> ShardSpec {
-    population_spec("datapath/shards_xxl", XXL_SHARDS, shard_xxl_population())
-}
-
-/// The tenant population behind [`shard_xxl_spec`].
-fn shard_xxl_population() -> TenantGroupConfig {
-    TenantGroupConfig {
-        tenants_per_group: 16_384,
-        pages_per_tenant: 16,
-        read_ratio: 0.7,
-        seed: 42,
-    }
+        let mut out = ScenarioOutput::default()
+            .value(format!("shard_{tag}_tenants"), tenants as f64)
+            .value(format!("shard_{tag}_shards"), shards as f64)
+            .value(format!("shard_{tag}_total_ops"), reference.total_ops as f64)
+            .value(
+                format!("shard_{tag}_sim_runtime_ns"),
+                reference.runtime.as_nanos() as f64,
+            );
+        let single_lane_wall = cells[0].1;
+        for (threads, wall, peak) in cells {
+            out = out.value(format!("shard_{tag}_wall_secs_t{threads}"), wall);
+            out = out.value(format!("shard_{tag}_peak_rss_mb_t{threads}"), peak);
+            if threads > 1 {
+                out = out.value(
+                    format!("shard_{tag}_speedup_t{threads}"),
+                    single_lane_wall / wall.max(1e-12),
+                );
+            }
+        }
+        out
+    })
 }
 
 /// Peak process RSS in MiB since the last reset, or 0.0 where the
@@ -364,8 +394,10 @@ pub fn build(quick: bool) -> Vec<Scenario> {
 
     table.push(Scenario::custom("datapath/shards".to_string(), move || {
         let _serial = MEASURE_LOCK.lock().expect("measure lock");
-        let spec = shard_spec(quick);
-        let factory = tenant_partitions(shard_population(quick));
+        // 16 384 tenants in the full run, on a 16+16-blade rack.
+        let population = shard_population(if quick { 256 } else { 1024 });
+        let spec = population_spec("datapath/shards", 16, population);
+        let factory = tenant_partitions(population);
         let tenants = spec.partitions as u64 * spec.run.threads_per_blade as u64;
 
         // Determinism first: the fused serialized reference, then every
@@ -440,129 +472,10 @@ pub fn build(quick: bool) -> Vec<Scenario> {
         out
     }));
 
-    table.push(Scenario::custom("datapath/shards_xl".to_string(), move || {
-        let _serial = MEASURE_LOCK.lock().expect("measure lock");
-        let spec = shard_xl_spec();
-        let factory = tenant_partitions(shard_xl_population());
-        let tenants = spec.partitions as u64 * spec.run.threads_per_blade as u64;
-
-        // No fused reference at this scale (per-tenant TCAM admission
-        // makes the fused control plane pay O(tenants²)); determinism is
-        // asserted as the multi-core contract states it — byte-identical
-        // merged reports across thread counts — and the identity runs
-        // double as the wall-clock measurements (one pass per cell).
-        let mut reference: Option<RunReport> = None;
-        let mut wall = [f64::INFINITY; SHARD_THREADS.len()];
-        let mut peak = [0.0f64; SHARD_THREADS.len()];
-        for (i, &threads) in SHARD_THREADS.iter().enumerate() {
-            mind_obs::mem::reset_peak_rss();
-            let start = Instant::now();
-            let merged =
-                run_sharded_threads(&spec, XL_SHARDS, threads, &factory).expect("confined");
-            wall[i] = start.elapsed().as_secs_f64().max(1e-9);
-            peak[i] = peak_rss_mb();
-            match &reference {
-                None => {
-                    assert_eq!(merged.invalidations, 0, "population must be confined");
-                    reference = Some(merged);
-                }
-                Some(reference) => {
-                    assert_eq!(
-                        report_key(reference),
-                        report_key(&merged),
-                        "thread count changed the merged report at threads={threads}"
-                    );
-                    assert_eq!(reference.metrics, merged.metrics, "threads={threads}");
-                    assert_eq!(reference.window_metrics, merged.window_metrics);
-                }
-            }
-        }
-        let reference = reference.expect("at least one thread count");
-
-        let mut out = ScenarioOutput::default()
-            .value("shard_xl_tenants", tenants as f64)
-            .value("shard_xl_shards", XL_SHARDS as f64)
-            .value("shard_xl_total_ops", reference.total_ops as f64)
-            .value("shard_xl_sim_runtime_ns", reference.runtime.as_nanos() as f64);
-        for (i, &threads) in SHARD_THREADS.iter().enumerate() {
-            out = out.value(format!("shard_xl_wall_secs_t{threads}"), wall[i]);
-            out = out.value(format!("shard_xl_peak_rss_mb_t{threads}"), peak[i]);
-            if threads > 1 {
-                out = out.value(
-                    format!("shard_xl_speedup_t{threads}"),
-                    wall[0] / wall[i].max(1e-12),
-                );
-            }
-        }
-        out
-    }));
-
-    table.push(Scenario::custom(
-        "datapath/shards_xxl".to_string(),
-        move || {
-            let _serial = MEASURE_LOCK.lock().expect("measure lock");
-            let spec = shard_xxl_spec();
-            let factory = tenant_partitions(shard_xxl_population());
-            let tenants = spec.partitions as u64 * spec.run.threads_per_blade as u64;
-
-            // Like XL: no affordable fused reference, so determinism is
-            // byte-identity across thread counts, and each identity run
-            // doubles as that cell's wall-clock and peak-RSS measurement
-            // (the peak counter is reset per cell, so each cell's figure
-            // is its own high-water mark).
-            let mut reference: Option<RunReport> = None;
-            let mut wall = [f64::INFINITY; XXL_THREADS.len()];
-            let mut peak = [0.0f64; XXL_THREADS.len()];
-            for (i, &threads) in XXL_THREADS.iter().enumerate() {
-                mind_obs::mem::reset_peak_rss();
-                let start = Instant::now();
-                let merged =
-                    run_sharded_threads(&spec, XXL_SHARDS, threads, &factory).expect("confined");
-                wall[i] = start.elapsed().as_secs_f64().max(1e-9);
-                peak[i] = peak_rss_mb();
-                match &reference {
-                    None => {
-                        assert_eq!(merged.invalidations, 0, "population must be confined");
-                        assert!(
-                            merged.total_ops >= tenants,
-                            "every tenant must issue at least one measured op"
-                        );
-                        reference = Some(merged);
-                    }
-                    Some(reference) => {
-                        assert_eq!(
-                            report_key(reference),
-                            report_key(&merged),
-                            "thread count changed the merged report at threads={threads}"
-                        );
-                        assert_eq!(reference.metrics, merged.metrics, "threads={threads}");
-                        assert_eq!(reference.window_metrics, merged.window_metrics);
-                    }
-                }
-            }
-            let reference = reference.expect("at least one thread count");
-
-            let mut out = ScenarioOutput::default()
-                .value("shard_xxl_tenants", tenants as f64)
-                .value("shard_xxl_shards", XXL_SHARDS as f64)
-                .value("shard_xxl_total_ops", reference.total_ops as f64)
-                .value(
-                    "shard_xxl_sim_runtime_ns",
-                    reference.runtime.as_nanos() as f64,
-                );
-            for (i, &threads) in XXL_THREADS.iter().enumerate() {
-                out = out.value(format!("shard_xxl_wall_secs_t{threads}"), wall[i]);
-                out = out.value(format!("shard_xxl_peak_rss_mb_t{threads}"), peak[i]);
-                if threads > 1 {
-                    out = out.value(
-                        format!("shard_xxl_speedup_t{threads}"),
-                        wall[0] / wall[i].max(1e-12),
-                    );
-                }
-            }
-            out
-        },
-    ));
+    // 131 072 tenants (16 × 8192) and 1 048 576 (64 × 16 384, one shard per
+    // partition), `--quick` included; the module doc says what each shows.
+    table.push(population_point("xl", 16, 8192, XL_SHARDS, &SHARD_THREADS));
+    table.push(population_point("xxl", XXL_SHARDS, 16_384, XXL_SHARDS, &XXL_THREADS));
     table
 }
 

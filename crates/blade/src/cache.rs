@@ -373,19 +373,8 @@ impl DramCache {
     /// transition, where the old owner retains the only up-to-date copy
     /// and serves it cache-to-cache (paper §8). Dirty data eventually
     /// reaches memory via eviction write-back or a later full
-    /// invalidation.
-    pub fn downgrade_region_keep_dirty(
-        &mut self,
-        region_base: u64,
-        size_log2: u8,
-    ) -> InvalidationOutcome {
-        let mut out = InvalidationOutcome::default();
-        self.downgrade_region_keep_dirty_into(region_base, size_log2, &mut out);
-        out
-    }
-
-    /// [`DramCache::downgrade_region_keep_dirty`] writing into a reusable
-    /// outcome buffer (cleared first) instead of allocating one.
+    /// invalidation. Writes into a reusable outcome buffer (cleared
+    /// first).
     pub fn downgrade_region_keep_dirty_into(
         &mut self,
         region_base: u64,

@@ -166,15 +166,6 @@ impl MindConfig {
         cfg
     }
 
-    /// The default rack resized to `n_compute` compute blades (Figure 5
-    /// center sweeps 1–8).
-    pub fn with_compute(n_compute: u16) -> Self {
-        MindConfig {
-            n_compute,
-            ..Default::default()
-        }
-    }
-
     /// Sets the consistency model (MIND / MIND-PSO / MIND-PSO+, §7.1).
     pub fn consistency(mut self, model: ConsistencyModel) -> Self {
         self.coherence.consistency = model;
@@ -575,11 +566,6 @@ impl MindCluster {
     /// Per-epoch directory-entry counts (Figure 8 left).
     pub fn directory_series(&self) -> &TimeSeries {
         self.splitter.entries_series()
-    }
-
-    /// Per-epoch false-invalidation counts (Figure 9).
-    pub fn false_invalidation_series(&self) -> &TimeSeries {
-        self.splitter.false_inv_series()
     }
 
     /// Current directory entry count.

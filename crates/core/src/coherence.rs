@@ -335,11 +335,6 @@ impl CoherenceEngine {
         self.caches[blade as usize] = DramCache::new(self.caches[blade as usize].capacity_pages());
     }
 
-    /// Whether a blade is failed.
-    pub fn is_failed(&self, blade: u16) -> bool {
-        self.failed[blade as usize]
-    }
-
     /// Performs one memory access. This is the full MIND data path —
     /// the issue phase of [`CoherenceEngine::issue`] with the completion
     /// record discarded, for callers that serialize anyway.

@@ -2,7 +2,7 @@
 //! §6.3).
 //!
 //! Compute-blade kernel modules intercept process and memory system calls
-//! (`exec`, `exit`, `mmap`, `brk`, `munmap`, `mprotect`) and forward them to
+//! (`exec`, `exit`, `mmap`, `munmap`, `mprotect`) and forward them to
 //! the switch control plane over a reliable channel. The control plane keeps
 //! the canonical `task_struct`/`mm_struct` equivalents, performs balanced
 //! allocation, installs data-plane rules, and replies with Linux-compatible
@@ -229,18 +229,6 @@ impl Controller {
             .expect("checked above")
             .map(Mapping { base: vma.base, pc });
         Ok(vma)
-    }
-
-    /// `brk`-style heap growth is modelled as an mmap of the increment; the
-    /// glibc allocator's power-of-two request pattern (§4.2) makes the two
-    /// equivalent at the switch.
-    pub fn brk(
-        &mut self,
-        engine: &mut CoherenceEngine,
-        pid: Pid,
-        increment: u64,
-    ) -> Result<Vma, SysError> {
-        self.mmap(engine, pid, increment, PermClass::ReadWrite)
     }
 
     /// `munmap`: revokes protection, resets coherence state for all regions

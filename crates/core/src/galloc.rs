@@ -112,11 +112,6 @@ impl BladeAllocator {
     pub fn fragments(&self) -> usize {
         self.free.len()
     }
-
-    /// Largest free extent.
-    pub fn largest_free(&self) -> u64 {
-        self.free.values().copied().max().unwrap_or(0)
-    }
 }
 
 /// A completed allocation record.
@@ -242,11 +237,6 @@ impl GlobalAllocator {
     pub fn live_allocations(&self) -> usize {
         self.allocations.len()
     }
-
-    /// Per-blade fragment counts.
-    pub fn fragments_per_blade(&self) -> Vec<usize> {
-        self.blades.iter().map(|b| b.fragments()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -288,7 +278,6 @@ mod tests {
         assert_eq!(b.fragments(), 2, "hole at 0 + tail");
         b.free(c, 4096);
         assert_eq!(b.fragments(), 1, "all free space coalesced");
-        assert_eq!(b.largest_free(), 1 << 16);
         assert_eq!(b.allocated(), 0);
     }
 

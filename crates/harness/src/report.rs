@@ -58,8 +58,9 @@ use crate::scenario::ScenarioResult;
 pub const SCHEMA_VERSION: i128 = 2;
 
 /// The generator string stamped into every suite document:
-/// `MIND_GIT_DESCRIBE` when set (CI pins it), otherwise `git describe
-/// --always --dirty` resolved once per process, otherwise `"unknown"`.
+/// `MIND_GIT_DESCRIBE` when set (an override for reproducible
+/// regeneration; no CI step sets it), otherwise `git describe --always
+/// --dirty` resolved once per process, otherwise `"unknown"`.
 pub fn generator() -> &'static str {
     static GEN: OnceLock<String> = OnceLock::new();
     GEN.get_or_init(|| {

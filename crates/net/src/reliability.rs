@@ -109,14 +109,6 @@ impl AckTracker {
         self.rounds.contains_key(&round)
     }
 
-    /// Sharers still unacknowledged for `round` (empty if unknown).
-    pub fn pending_sharers(&self, round: RoundId) -> BladeSet {
-        self.rounds
-            .get(&round)
-            .map(|r| r.pending)
-            .unwrap_or(BladeSet::EMPTY)
-    }
-
     /// Advances time to `now`, expiring rounds whose deadline passed.
     /// Expired rounds either schedule a retransmission (extending the
     /// deadline) or — once out of retries — are abandoned with a reset.

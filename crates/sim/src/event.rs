@@ -123,11 +123,6 @@ impl<E: Copy> EventQueue<E> {
         }
     }
 
-    /// Schedules `event` at `delay` after the current time.
-    pub fn schedule_after(&mut self, delay: SimTime, event: E) {
-        self.schedule(self.now + delay, event);
-    }
-
     /// Pops the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
         self.pop_due(SimTime::MAX)
@@ -292,8 +287,9 @@ mod tests {
 
     /// Seeded mixed traffic at three queue sizes, every observable compared
     /// after every operation: pop then schedule (the fused path), pop then
-    /// pop (bottom-up deletion), bursts at one timestamp, batch pops and
-    /// `schedule_after` with the root vacant or not, reuse after `clear`.
+    /// pop (bottom-up deletion), bursts at one timestamp, batch pops and a
+    /// schedule off the queue's own clock with the root vacant or not, reuse
+    /// after `clear`.
     #[test]
     fn matches_a_binary_heap_under_mixed_traffic() {
         for (seed, target) in [(1u64, 4usize), (2, 40), (3, 4_096)] {
@@ -340,7 +336,7 @@ mod tests {
                     }
                     6 if grow => {
                         let event = rng.next_u64() as u32;
-                        q.schedule_after(delay, event);
+                        q.schedule(q.now() + delay, event);
                         oracle.schedule(oracle.now + delay, event);
                         last_was_pop = false;
                     }
@@ -419,16 +415,6 @@ mod tests {
         assert_eq!(q.now(), SimTime::ZERO);
         q.pop();
         assert_eq!(q.now(), SimTime::from_nanos(42));
-    }
-
-    #[test]
-    fn schedule_after_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_nanos(10), 0u32);
-        q.pop();
-        q.schedule_after(SimTime::from_nanos(5), 1);
-        let ev = q.pop().unwrap();
-        assert_eq!(ev.at, SimTime::from_nanos(15));
     }
 
     #[test]

@@ -91,23 +91,6 @@ impl SimRng {
         self.gen_f64() < p
     }
 
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.gen_below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
-
-    /// Picks a uniformly random element, or `None` if `items` is empty.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> Option<&'a T> {
-        if items.is_empty() {
-            None
-        } else {
-            Some(&items[self.gen_below(items.len() as u64) as usize])
-        }
-    }
-
     /// Forks an independent generator; the child stream does not overlap with
     /// the parent's (it is reseeded through SplitMix64).
     pub fn fork(&mut self) -> SimRng {
@@ -237,26 +220,6 @@ mod tests {
         let hits = (0..100_000).filter(|_| rng.gen_bool(0.3)).count();
         let frac = hits as f64 / 100_000.0;
         assert!((frac - 0.3).abs() < 0.01, "got {frac}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = SimRng::new(5);
-        let mut v: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(v, (0..100).collect::<Vec<_>>(), "shuffle changed order");
-    }
-
-    #[test]
-    fn choose_handles_empty_and_nonempty() {
-        let mut rng = SimRng::new(3);
-        let empty: [u8; 0] = [];
-        assert!(rng.choose(&empty).is_none());
-        let items = [10u8, 20, 30];
-        assert!(items.contains(rng.choose(&items).unwrap()));
     }
 
     #[test]

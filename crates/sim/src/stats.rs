@@ -5,46 +5,8 @@
 //! fairness index (Figure 8 right measures memory-blade load balance).
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 use crate::time::SimTime;
-
-/// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-
-    /// Resets to zero and returns the previous value.
-    pub fn take(&mut self) -> u64 {
-        std::mem::take(&mut self.0)
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
 
 /// A latency histogram with exact-ish percentiles.
 ///
@@ -100,11 +62,6 @@ impl Histogram {
         self.sum += value as u128;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
-    }
-
-    /// Records a [`SimTime`] sample in nanoseconds.
-    pub fn record_time(&mut self, t: SimTime) {
-        self.record(t.as_nanos());
     }
 
     /// Number of samples.
@@ -196,11 +153,6 @@ impl TimeSeries {
         &self.points
     }
 
-    /// Largest value seen (0 when empty).
-    pub fn max_value(&self) -> f64 {
-        self.points.iter().map(|&(_, v)| v).fold(0.0, f64::max)
-    }
-
     /// Last value (None when empty).
     pub fn last(&self) -> Option<f64> {
         self.points.last().map(|&(_, v)| v)
@@ -287,16 +239,6 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_basics() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        assert_eq!(c.take(), 5);
-        assert_eq!(c.get(), 0);
-    }
 
     #[test]
     fn histogram_small_values_exact() {
@@ -387,7 +329,6 @@ mod tests {
         ts.push(SimTime::from_millis(200), 30.0);
         ts.push(SimTime::from_millis(300), 20.0);
         assert_eq!(ts.points().len(), 3);
-        assert_eq!(ts.max_value(), 30.0);
         assert_eq!(ts.last(), Some(20.0));
         assert!((ts.mean() - 20.0).abs() < 1e-9);
     }

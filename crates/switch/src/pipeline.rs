@@ -73,16 +73,6 @@ impl Pipeline {
     pub fn recirculations(&self) -> u64 {
         self.recirculations
     }
-
-    /// Packets seen by the directory-lookup MAU (includes recirculations).
-    pub fn lookup_mau_packets(&self) -> u64 {
-        self.lookup_mau.packets()
-    }
-
-    /// Packets seen by the state-transition MAU.
-    pub fn stt_mau_packets(&self) -> u64 {
-        self.stt_mau.packets()
-    }
 }
 
 #[cfg(test)]
@@ -109,8 +99,8 @@ mod tests {
         assert_eq!(p.traversals(), 1);
         assert_eq!(p.recirculations(), 1);
         // Lookup MAU sees the packet twice (initial + recirculated).
-        assert_eq!(p.lookup_mau_packets(), 2);
-        assert_eq!(p.stt_mau_packets(), 1);
+        assert_eq!(p.lookup_mau.packets(), 2);
+        assert_eq!(p.stt_mau.packets(), 1);
     }
 
     #[test]
@@ -124,6 +114,6 @@ mod tests {
         }
         assert_eq!(p.traversals(), 15);
         assert_eq!(p.recirculations(), 5);
-        assert_eq!(p.lookup_mau_packets(), 10);
+        assert_eq!(p.lookup_mau.packets(), 10);
     }
 }

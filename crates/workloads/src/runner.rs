@@ -203,14 +203,6 @@ pub struct RunReport {
     pub trace: Option<TraceData>,
 }
 
-impl RunReport {
-    /// Performance as inverse runtime, normalized against `baseline`
-    /// (Figure 5's y-axis).
-    pub fn normalized_perf(&self, baseline: &RunReport) -> f64 {
-        baseline.runtime.as_nanos() as f64 / self.runtime.as_nanos() as f64
-    }
-}
-
 /// The thread→blade mapping under the configured placement.
 fn blade_of(thread: u16, cfg: RunConfig, n_blades: u16) -> u16 {
     if cfg.interleave {
@@ -1480,18 +1472,5 @@ mod tests {
             m.metrics.get("accesses"),
             a.metrics.get("accesses") + b.metrics.get("accesses")
         );
-    }
-
-    #[test]
-    fn normalized_perf_is_relative_runtime() {
-        let mut sys = MindCluster::new(MindConfig::small());
-        let mut wl = PingPong {
-            threads: 1,
-            rng: SimRng::new(3),
-        };
-        let a = run(&mut sys, &mut wl, RunConfig::default());
-        let mut b = a.clone();
-        b.runtime = a.runtime / 2;
-        assert!((b.normalized_perf(&a) - 2.0).abs() < 1e-9);
     }
 }

@@ -108,6 +108,9 @@ pub enum ShardError {
     /// `run.interleave` was set; interleaved thread placement is not
     /// partition-confined.
     InterleavedPlacement,
+    /// `run.threads_per_blade` was zero; no thread can be placed on a
+    /// compute blade.
+    ZeroThreadsPerBlade,
     /// A partition's thread count differs from the first partition's —
     /// partitions must be structurally symmetric.
     AsymmetricThreads {
@@ -169,6 +172,7 @@ impl fmt::Display for ShardError {
             ShardError::InterleavedPlacement => {
                 write!(f, "interleaved placement is not partition-confined")
             }
+            ShardError::ZeroThreadsPerBlade => write!(f, "threads_per_blade must be at least 1"),
             ShardError::AsymmetricThreads { partition, threads, expected } => write!(
                 f,
                 "partition {partition} runs {threads} threads, expected {expected}: \
@@ -272,9 +276,10 @@ impl GroupRun {
     /// Returns the [`ShardError`] naming the violated invariant if the
     /// partitions are not symmetric, do not fit their compute or memory
     /// slices, `run.interleave` is set (interleaved thread placement is
-    /// not partition-confined), `domain_per_thread` is set and a
-    /// partition does not expose exactly one region per thread, or the
-    /// initial directory utilization exceeds the contract's ½ ceiling.
+    /// not partition-confined), `run.threads_per_blade` is zero,
+    /// `domain_per_thread` is set and a partition does not expose exactly
+    /// one region per thread, or the initial directory utilization exceeds
+    /// the contract's ½ ceiling.
     pub fn new(
         name: String,
         cfg: MindConfig,
@@ -286,6 +291,9 @@ impl GroupRun {
     ) -> Result<Self, ShardError> {
         if run.interleave {
             return Err(ShardError::InterleavedPlacement);
+        }
+        if run.threads_per_blade == 0 {
+            return Err(ShardError::ZeroThreadsPerBlade);
         }
         let layout = PartitionLayout::try_new(&cfg, partitions)?;
         let dir_capacity = cfg.dir_capacity;
@@ -990,6 +998,17 @@ mod tests {
         let mut s = spec(2, 50);
         s.horizon = SimTime::ZERO;
         assert_eq!(run_sharded(&s, 2, &factory).unwrap_err(), ShardError::ZeroHorizon);
+    }
+
+    #[test]
+    fn zero_threads_per_blade_rejected() {
+        let mut s = spec(2, 50);
+        s.run.threads_per_blade = 0;
+        assert_eq!(run_group(&s, &factory).unwrap_err(), ShardError::ZeroThreadsPerBlade);
+        assert_eq!(run_sharded(&s, 2, &factory).unwrap_err(), ShardError::ZeroThreadsPerBlade);
+        let err = run_sharded_threads(&s, 2, 2, &factory).unwrap_err();
+        assert_eq!(err, ShardError::ZeroThreadsPerBlade);
+        assert!(err.to_string().contains("threads_per_blade"), "{err}");
     }
 
     #[test]

@@ -57,20 +57,9 @@ pub trait Workload: Send {
     }
 }
 
-/// Convenience: byte offset of a page index.
-pub fn page_offset(page_index: u64) -> u64 {
-    page_index << 12
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn page_offset_shifts() {
-        assert_eq!(page_offset(0), 0);
-        assert_eq!(page_offset(3), 0x3000);
-    }
 
     #[test]
     fn trace_op_holds_fields() {
