@@ -159,11 +159,6 @@ impl ClusterEngine {
         self.queue.pop().map(|ev| (ev.at, ev.event))
     }
 
-    /// The timestamp of the next readiness event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue.peek_time()
-    }
-
     /// When `source` first became ready for its current operation.
     pub fn ready0(&self, source: u32) -> SimTime {
         self.ready0[source as usize]
@@ -215,12 +210,6 @@ mod tests {
             self.cursor += 1;
             Some(ev)
         }
-
-        fn peek_time(&self) -> Option<SimTime> {
-            let batched = self.scratch.get(self.cursor).map(|ev| ev.0);
-            batched.or_else(|| self.queue_time())
-        }
-
     }
 
     /// The runner's traffic over the engine — pop a source, then re-seed it
@@ -246,7 +235,6 @@ mod tests {
             let mut same_time_reseeds = 0;
             for step in 0..40_000 {
                 let ctx = format!("seed {seed} step {step}");
-                assert_eq!(eng.peek_time(), oracle.peek_time(), "{ctx}: peek");
                 let popped = eng.next_ready();
                 assert_eq!(popped, oracle.next_ready(), "{ctx}: pop");
                 let Some((now, src)) = popped else {
@@ -300,7 +288,7 @@ mod tests {
         assert_eq!(eng.window().nic_depth(), 2);
         assert_eq!(eng.window().in_flight(), 0);
         assert_eq!(eng.window().frontier(), SimTime::ZERO);
-        assert_eq!(eng.peek_time(), None);
+        assert_eq!(eng.next_ready(), None);
         assert_eq!(eng.ready0(4), SimTime::ZERO);
         // Seeding before the old clock is allowed again.
         eng.seed(ns(30), 4);
@@ -325,9 +313,7 @@ mod tests {
         eng.seed(ns(20), 2);
         eng.seed(ns(10), 0);
         eng.seed(ns(10), 1);
-        assert_eq!(eng.peek_time(), Some(ns(10)));
         assert_eq!(eng.next_ready(), Some((ns(10), 0)));
-        assert_eq!(eng.peek_time(), Some(ns(10)), "peek past a vacant root");
         assert_eq!(eng.next_ready(), Some((ns(10), 1)));
         assert_eq!(eng.next_ready(), Some((ns(20), 2)));
         assert!(eng.next_ready().is_none());
@@ -353,7 +339,6 @@ mod tests {
         eng.next_ready();
         eng.window_mut().admit(ns(250), None, 0);
         eng.begin_phase();
-        assert_eq!(eng.peek_time(), None);
         // Re-seeding *before* the old queue's last pop must not panic.
         eng.seed(ns(30), 1);
         assert_eq!(eng.next_ready(), Some((ns(30), 1)));

@@ -22,7 +22,6 @@
 use std::fmt;
 use std::ops::Range;
 
-use crate::addr::VA_BASE;
 use crate::cluster::MindConfig;
 
 /// Why a rack cannot divide into the requested partitions. Each variant
@@ -77,28 +76,14 @@ pub struct PartitionLayout {
     pub compute_per_partition: u16,
     /// Memory blades per partition.
     pub memory_per_partition: u16,
-    /// Virtual address span per memory blade (for VA → partition lookups).
-    pub blade_span: u64,
 }
 
 impl PartitionLayout {
-    /// Computes the layout of `cfg` divided into `partitions` slices.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partitions` is zero or does not evenly divide both blade
-    /// counts — asymmetric partitions would not be interchangeable with
-    /// the sub-clusters [`MindConfig::partition`] builds. Fallible setup
-    /// paths use [`PartitionLayout::try_new`] instead.
-    pub fn new(cfg: &MindConfig, partitions: u16) -> Self {
-        match Self::try_new(cfg, partitions) {
-            Ok(layout) => layout,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Computes the layout of `cfg` divided into `partitions` slices,
-    /// reporting which symmetry invariant failed instead of panicking.
+    /// reporting which symmetry invariant failed: `partitions` zero or
+    /// not dividing both blade counts evenly — asymmetric partitions would
+    /// not be interchangeable with the sub-clusters
+    /// [`MindConfig::partition`] builds.
     pub fn try_new(cfg: &MindConfig, partitions: u16) -> Result<Self, PartitionError> {
         if partitions == 0 {
             return Err(PartitionError::ZeroPartitions);
@@ -119,7 +104,6 @@ impl PartitionLayout {
             partitions,
             compute_per_partition: cfg.n_compute / partitions,
             memory_per_partition: cfg.n_memory / partitions,
-            blade_span: cfg.blade_span,
         })
     }
 
@@ -133,23 +117,6 @@ impl PartitionLayout {
     pub fn memory_slice(&self, p: u16) -> Range<u16> {
         assert!(p < self.partitions, "partition {p} out of range");
         p * self.memory_per_partition..(p + 1) * self.memory_per_partition
-    }
-
-    /// The partition owning compute blade `blade`, if any.
-    pub fn owner_of_compute(&self, blade: u16) -> Option<u16> {
-        let p = blade / self.compute_per_partition;
-        (p < self.partitions).then_some(p)
-    }
-
-    /// The partition owning virtual address `vaddr` under the range
-    /// partition, if it falls on an owned memory blade.
-    pub fn owner_of_vaddr(&self, vaddr: u64) -> Option<u16> {
-        if vaddr < VA_BASE {
-            return None;
-        }
-        let blade = (vaddr - VA_BASE) / self.blade_span;
-        let p = blade / self.memory_per_partition as u64;
-        (p < self.partitions as u64).then_some(p as u16)
     }
 }
 
@@ -216,7 +183,7 @@ mod tests {
 
     #[test]
     fn slices_tile_the_rack_disjointly() {
-        let layout = PartitionLayout::new(&cfg(8, 4), 4);
+        let layout = PartitionLayout::try_new(&cfg(8, 4), 4).expect("8 and 4 divide by 4");
         let mut compute = Vec::new();
         let mut memory = Vec::new();
         for p in 0..4 {
@@ -225,20 +192,6 @@ mod tests {
         }
         assert_eq!(compute, (0..8).collect::<Vec<u16>>());
         assert_eq!(memory, (0..4).collect::<Vec<u16>>());
-    }
-
-    #[test]
-    fn ownership_matches_slices() {
-        let layout = PartitionLayout::new(&cfg(8, 4), 2);
-        assert_eq!(layout.owner_of_compute(0), Some(0));
-        assert_eq!(layout.owner_of_compute(3), Some(0));
-        assert_eq!(layout.owner_of_compute(4), Some(1));
-        assert_eq!(layout.owner_of_compute(8), None);
-        let span = layout.blade_span;
-        assert_eq!(layout.owner_of_vaddr(VA_BASE), Some(0));
-        assert_eq!(layout.owner_of_vaddr(VA_BASE + span * 2), Some(1));
-        assert_eq!(layout.owner_of_vaddr(VA_BASE + span * 4), None);
-        assert_eq!(layout.owner_of_vaddr(0), None);
     }
 
     #[test]
@@ -267,7 +220,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "do not divide")]
     fn uneven_compute_split_rejected() {
-        PartitionLayout::new(&cfg(6, 4), 4);
+        cfg(6, 4).partition(4);
     }
 
     #[test]

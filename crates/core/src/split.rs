@@ -92,7 +92,6 @@ pub struct BoundedSplitting {
     next_epoch: SimTime,
     epochs_run: u64,
     entries_series: TimeSeries,
-    false_inv_series: TimeSeries,
     last_report: EpochReport,
     /// Per-epoch working sets, kept so that an epoch allocates nothing: the
     /// drained activity counters, the split list `(f, base)` and the merge
@@ -111,7 +110,6 @@ impl BoundedSplitting {
             cfg,
             epochs_run: 0,
             entries_series: TimeSeries::new(),
-            false_inv_series: TimeSeries::new(),
             last_report: EpochReport::default(),
             counters: Vec::new(),
             hot: Vec::new(),
@@ -220,7 +218,6 @@ impl BoundedSplitting {
         }
 
         self.entries_series.push(at, dir.entries() as f64);
-        self.false_inv_series.push(at, total_f as f64);
         self.last_report = EpochReport {
             splits,
             merges,
@@ -239,11 +236,6 @@ impl BoundedSplitting {
     /// Directory-entry count per epoch (Figure 8 left).
     pub fn entries_series(&self) -> &TimeSeries {
         &self.entries_series
-    }
-
-    /// False invalidations per epoch (Figure 9).
-    pub fn false_inv_series(&self) -> &TimeSeries {
-        &self.false_inv_series
     }
 
     /// The most recent epoch's report.

@@ -72,7 +72,7 @@ impl SystemSpec {
     }
 
     /// This spec with a run's trace configuration applied: a pinned mode
-    /// (`Off`/`On`/`Full`) overrides the system's own trace config, while
+    /// (`Off`/`On`) overrides the system's own trace config, while
     /// the default `Env` mode leaves the spec untouched. Baselines don't
     /// trace, so only MIND configs change.
     pub fn with_trace(self, trace: mind_obs::TraceConfig) -> Self {

@@ -41,9 +41,6 @@ pub enum TraceMode {
     Off,
     /// The grouping-invariant event set, regardless of the environment.
     On,
-    /// Everything, including shard-execution marks that depend on the
-    /// shard count (outside the byte-identity contract).
-    Full,
 }
 
 impl TraceMode {
@@ -53,7 +50,6 @@ impl TraceMode {
             TraceMode::Env => mind_sim::env::trace_level(),
             TraceMode::Off => TraceLevel::Off,
             TraceMode::On => TraceLevel::On,
-            TraceMode::Full => TraceLevel::Full,
         }
     }
 }
@@ -62,7 +58,7 @@ impl TraceMode {
 /// run configs so explicit settings override the environment in tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
-    /// Whether (and how much) to trace.
+    /// Whether to trace.
     pub mode: TraceMode,
     /// Maximum events retained per system ([`DEFAULT_CAPACITY`]).
     pub capacity: usize,
@@ -103,7 +99,7 @@ impl TraceConfig {
 
 /// Stable event ids. The discriminant is the wire id: renumbering an
 /// existing kind is a breaking change to recorded traces (add new kinds
-/// at the end).
+/// at the end). Id 12 is retired and stays unassigned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum EventKind {
@@ -139,10 +135,6 @@ pub enum EventKind {
     TenantDepart = 10,
     /// A request rejected at the queue bound. Args: QoS `class`.
     RequestReject = 11,
-    /// A shard conservative-horizon step ([`TraceLevel::Full`] only —
-    /// inherently shard-count-dependent). Args: `shard` index,
-    /// `horizon_ns`.
-    ShardEpoch = 12,
     /// An issue stalled on its blade's RNIC queue being at depth (the
     /// cluster engine's per-NIC bandwidth gate); spans the wait, on the
     /// stalled thread's lane. Args: `depth` (the configured queue depth
@@ -169,7 +161,6 @@ impl EventKind {
             EventKind::TenantReject => "tenant_reject",
             EventKind::TenantDepart => "tenant_depart",
             EventKind::RequestReject => "request_reject",
-            EventKind::ShardEpoch => "shard_epoch",
             EventKind::NicStall => "nic_stall",
         }
     }
@@ -190,7 +181,6 @@ impl EventKind {
             | EventKind::TenantReject
             | EventKind::TenantDepart
             | EventKind::RequestReject => ("class", ""),
-            EventKind::ShardEpoch => ("shard", "horizon_ns"),
             EventKind::NicStall => ("depth", "in_flight"),
         }
     }
@@ -346,23 +336,6 @@ impl TraceBuf {
         });
     }
 
-    /// Records an event only at [`TraceLevel::Full`] (execution-shape
-    /// marks outside the byte-identity contract).
-    #[inline]
-    pub fn record_full(
-        &mut self,
-        ts: SimTime,
-        lane: u32,
-        kind: EventKind,
-        dur: SimTime,
-        a0: u64,
-        a1: u64,
-    ) {
-        if self.level == TraceLevel::Full {
-            self.record(ts, lane, kind, dur, a0, a1);
-        }
-    }
-
     /// Extracts the recorded events, leaving the sink empty but live.
     /// `None` when the sink is disabled (so reports omit trace sections
     /// entirely rather than carrying empty ones).
@@ -485,14 +458,28 @@ mod tests {
         assert_eq!(data.events[0].ts, ns(0), "oldest kept");
     }
 
+    /// Wire id 12 (the retired shard-step mark) is a gap, not a renumbering,
+    /// and nothing renders under its name.
     #[test]
-    fn full_events_gate_on_level() {
-        let mut on = TraceBuf::new(TraceConfig::with_mode(TraceMode::On));
-        on.record_full(ns(1), 0, EventKind::ShardEpoch, SimTime::ZERO, 0, 0);
-        assert!(on.is_empty(), "shard marks excluded at level On");
-        let mut full = TraceBuf::new(TraceConfig::with_mode(TraceMode::Full));
-        full.record_full(ns(1), 0, EventKind::ShardEpoch, SimTime::ZERO, 0, 0);
-        assert_eq!(full.len(), 1);
+    fn retiring_the_shard_mark_moved_no_wire_id() {
+        assert_eq!(EventKind::RequestReject as u8, 11);
+        assert_eq!(EventKind::NicStall as u8, 13);
+        let kinds = [
+            EventKind::Issue,
+            EventKind::DirTransition,
+            EventKind::TcamMiss,
+            EventKind::Invalidation,
+            EventKind::Bypass,
+            EventKind::WindowAdmit,
+            EventKind::WindowStall,
+            EventKind::Dispatch,
+            EventKind::TenantAdmit,
+            EventKind::TenantReject,
+            EventKind::TenantDepart,
+            EventKind::RequestReject,
+            EventKind::NicStall,
+        ];
+        assert!(kinds.iter().all(|k| k.name() != "shard_epoch" && *k as u8 != 12));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! invalidations) by construction.
 
 use mind_core::cluster::MindConfig;
-use mind_sim::{SimRng, SimTime};
+use mind_sim::SimRng;
 use mind_workloads::runner::RunConfig;
 use mind_workloads::trace::{TraceOp, Workload};
 use mind_workloads::ShardSpec;
@@ -166,9 +166,8 @@ pub fn tenant_partitions(cfg: TenantGroupConfig) -> impl Fn(u16) -> Box<dyn Work
 ///   protection domain), rounded to a power of two so every shard count
 ///   that divides `partitions` also divides the capacities.
 ///
-/// The returned spec replays 8-op turns in batches of 8 with no warmup
-/// and a 50 µs conservative window; pair it with
-/// [`tenant_partitions`]`(cfg)`.
+/// The returned spec replays 8-op turns in batches of 8 with no warmup;
+/// pair it with [`tenant_partitions`]`(cfg)`.
 pub fn population_spec(name: &str, partitions: u16, cfg: TenantGroupConfig) -> ShardSpec {
     let total = partitions as u64 * cfg.tenants_per_group as u64;
     let region_bytes = cfg.pages_per_tenant << 12;
@@ -197,7 +196,6 @@ pub fn population_spec(name: &str, partitions: u16, cfg: TenantGroupConfig) -> S
             ..Default::default()
         }
         .with_batch_ops(8),
-        horizon: SimTime::from_micros(50),
         domain_per_thread: true,
     }
 }

@@ -30,18 +30,14 @@ pub const PROFILE_ENV: &str = "MIND_PROFILE";
 /// Output directory for `BENCH_*.json` / `TRACE_*.json` reports.
 pub const BENCH_DIR_ENV: &str = "MIND_BENCH_DIR";
 
-/// How much the deterministic trace layer records.
+/// Whether the deterministic trace layer records.
 ///
-/// The distinction that matters: everything recorded at [`On`] is
-/// *grouping-invariant* — the same events with the same virtual
-/// timestamps regardless of `MIND_THREADS`, `MIND_SHARD_THREADS`, or the
-/// shard count — so rendered traces are byte-identical across every
-/// execution cell. [`Full`] adds execution-shape marks (shard epoch /
-/// horizon steps) that are inherently shard-count-dependent and therefore
-/// outside the byte-identity contract.
+/// Everything recorded at [`On`] is *grouping-invariant* — the same
+/// events with the same virtual timestamps regardless of `MIND_THREADS`,
+/// `MIND_SHARD_THREADS`, or the shard count — so rendered traces are
+/// byte-identical across every execution cell.
 ///
 /// [`On`]: TraceLevel::On
-/// [`Full`]: TraceLevel::Full
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum TraceLevel {
     /// No events recorded; the instrumented paths reduce to a branch.
@@ -49,9 +45,6 @@ pub enum TraceLevel {
     Off,
     /// The grouping-invariant event set (datapath, window, service).
     On,
-    /// Everything, plus shard-execution marks that depend on the shard
-    /// count. Not covered by the cross-cell byte-identity contract.
-    Full,
 }
 
 impl TraceLevel {
@@ -107,12 +100,10 @@ pub fn thread_budget() -> usize {
 }
 
 /// Parse policy for [`TRACE_ENV`]: `1`/`on`/`true` enable the
-/// grouping-invariant set, `2`/`full` add shard-execution marks,
-/// everything else (including absence) is off.
+/// grouping-invariant set, everything else (including absence) is off.
 pub fn parse_trace_level(var: Option<&str>) -> TraceLevel {
     match var.map(|s| s.trim().to_ascii_lowercase()).as_deref() {
         Some("1") | Some("on") | Some("true") => TraceLevel::On,
-        Some("2") | Some("full") => TraceLevel::Full,
         _ => TraceLevel::Off,
     }
 }
@@ -188,18 +179,21 @@ mod tests {
         assert_eq!(parse_trace_level(Some("1")), TraceLevel::On);
         assert_eq!(parse_trace_level(Some("on")), TraceLevel::On);
         assert_eq!(parse_trace_level(Some("TRUE")), TraceLevel::On);
-        assert_eq!(parse_trace_level(Some("2")), TraceLevel::Full);
-        assert_eq!(parse_trace_level(Some("full")), TraceLevel::Full);
         assert_eq!(parse_trace_level(Some("garbage")), TraceLevel::Off);
+    }
+
+    /// The retired shard-mark level's spellings are no longer values.
+    #[test]
+    fn retired_full_spellings_are_off_like_any_unrecognised_value() {
+        assert_eq!(parse_trace_level(Some("2")), TraceLevel::Off);
+        assert_eq!(parse_trace_level(Some("full")), TraceLevel::Off);
     }
 
     #[test]
     fn trace_level_ordering_matches_verbosity() {
         assert!(TraceLevel::Off < TraceLevel::On);
-        assert!(TraceLevel::On < TraceLevel::Full);
         assert!(!TraceLevel::Off.enabled());
         assert!(TraceLevel::On.enabled());
-        assert!(TraceLevel::Full.enabled());
     }
 
     #[test]

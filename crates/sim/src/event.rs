@@ -125,16 +125,10 @@ impl<E: Copy> EventQueue<E> {
 
     /// Pops the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        self.pop_due(SimTime::MAX)
-    }
-
-    /// [`pop`](Self::pop) if the earliest event is at or before `horizon`;
-    /// otherwise it stays queued.
-    pub fn pop_due(&mut self, horizon: SimTime) -> Option<Scheduled<E>> {
         if self.vacant {
             self.close_vacancy();
         }
-        let next = *self.heap.first().filter(|next| next.at <= horizon)?;
+        let next = *self.heap.first()?;
         self.vacant = true;
         self.now = next.at;
         Some(next)
@@ -148,28 +142,6 @@ impl<E: Copy> EventQueue<E> {
             self.heap.iter().skip(1).take(2).map(|s| s.at).min()
         } else {
             self.heap.first().map(|s| s.at)
-        }
-    }
-
-    /// Drains and returns every event scheduled at exactly the next
-    /// timestamp, in insertion order. Useful for batch-processing multicast
-    /// fan-out deterministically.
-    pub fn pop_batch(&mut self) -> Vec<Scheduled<E>> {
-        let mut batch = Vec::new();
-        self.pop_batch_into(&mut batch);
-        batch
-    }
-
-    /// [`pop_batch`](Self::pop_batch) without the per-call allocation:
-    /// clears `batch` and drains every event scheduled at exactly the next
-    /// timestamp into it, in insertion order.
-    pub fn pop_batch_into(&mut self, batch: &mut Vec<Scheduled<E>>) {
-        batch.clear();
-        let Some(at) = self.peek_time() else {
-            return;
-        };
-        while self.peek_time() == Some(at) {
-            batch.push(self.pop().expect("peeked event exists"));
         }
     }
 
@@ -274,29 +246,18 @@ mod tests {
         fn peek_time(&self) -> Option<SimTime> {
             self.heap.peek().map(|Reverse((at, _, _))| *at)
         }
-
-        fn pop_batch(&mut self) -> Vec<Scheduled<u32>> {
-            let at = self.peek_time();
-            let mut batch = Vec::new();
-            while at.is_some() && self.peek_time() == at {
-                batch.extend(self.pop());
-            }
-            batch
-        }
     }
 
     /// Seeded mixed traffic at three queue sizes, every observable compared
     /// after every operation: pop then schedule (the fused path), pop then
-    /// pop (bottom-up deletion), bursts at one timestamp, batch pops and a
-    /// schedule off the queue's own clock with the root vacant or not, reuse
-    /// after `clear`.
+    /// pop (bottom-up deletion), bursts at one timestamp, a schedule off the
+    /// queue's own clock with the root vacant or not, reuse after `clear`.
     #[test]
     fn matches_a_binary_heap_under_mixed_traffic() {
         for (seed, target) in [(1u64, 4usize), (2, 40), (3, 4_096)] {
             let mut rng = SimRng::new(seed);
             let mut q: EventQueue<u32> = EventQueue::new();
             let mut oracle = HeapOracle::default();
-            let mut scratch = Vec::new();
             let (mut fused, mut unfused, mut vacant_peeks) = (0, 0, 0);
             let mut last_was_pop = false;
             for step in 0..60_000 {
@@ -339,11 +300,6 @@ mod tests {
                         q.schedule(q.now() + delay, event);
                         oracle.schedule(oracle.now + delay, event);
                         last_was_pop = false;
-                    }
-                    7 => {
-                        q.pop_batch_into(&mut scratch);
-                        assert_eq!(scratch, oracle.pop_batch(), "{ctx}: batch");
-                        last_was_pop = !scratch.is_empty();
                     }
                     8 if rng.gen_below(500) == 0 => {
                         q.clear();
@@ -418,49 +374,10 @@ mod tests {
     }
 
     #[test]
-    fn pop_batch_takes_all_simultaneous() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_nanos(7), 1u32);
-        q.schedule(SimTime::from_nanos(7), 2);
-        q.schedule(SimTime::from_nanos(9), 3);
-        let batch = q.pop_batch();
-        assert_eq!(
-            batch.iter().map(|s| s.event).collect::<Vec<_>>(),
-            vec![1, 2]
-        );
-        assert_eq!(q.now(), SimTime::from_nanos(7));
-        assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn pop_batch_into_reuses_the_scratch_buffer() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_nanos(7), 1u32);
-        q.schedule(SimTime::from_nanos(7), 2);
-        q.schedule(SimTime::from_nanos(9), 3);
-        let mut scratch = vec![Scheduled {
-            at: SimTime::ZERO,
-            seq: 0,
-            event: 99u32,
-        }];
-        q.pop_batch_into(&mut scratch);
-        assert_eq!(
-            scratch.iter().map(|s| s.event).collect::<Vec<_>>(),
-            vec![1, 2],
-            "stale contents cleared, batch drained in insertion order"
-        );
-        q.pop_batch_into(&mut scratch);
-        assert_eq!(scratch.iter().map(|s| s.event).collect::<Vec<_>>(), vec![3]);
-        q.pop_batch_into(&mut scratch);
-        assert!(scratch.is_empty(), "empty queue leaves an empty batch");
-    }
-
-    #[test]
     fn empty_queue_behaviour() {
         let mut q: EventQueue<()> = EventQueue::new();
         assert!(q.is_empty());
         assert!(q.pop().is_none());
         assert!(q.peek_time().is_none());
-        assert!(q.pop_batch().is_empty());
     }
 }

@@ -37,7 +37,7 @@ pub mod trace;
 
 pub use runner::{merge_reports, run, Concurrency, ReportMerger, RunConfig, RunReport};
 pub use shard::{
-    run_group, run_sharded, run_sharded_threads, GroupRun, ShardError, ShardSpec, StreamedMerge,
+    run_group, run_shard, run_sharded, run_sharded_threads, ShardError, ShardSpec, StreamedMerge,
     SHARD_THREADS_ENV,
 };
 pub use trace::{TraceOp, Workload};

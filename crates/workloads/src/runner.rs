@@ -12,10 +12,11 @@
 //! normalized performance).
 //!
 //! One piece of schedule state, [`Replay`], carries every replay in the
-//! crate: the turn, the warmup → baseline → measured phase machine and the
-//! op-fill routine exist once. [`run`] is its one-partition case driven to
-//! an unbounded horizon; `shard::GroupRun` puts partition validation and
-//! conservative horizons on top of the same state.
+//! crate, and a replay is a straight line: warm up until every source has
+//! drained, snapshot the baseline metrics, measure until every source has
+//! drained, report. The turn and the op-fill routine exist once. [`run`] is
+//! its one-partition case; the sharded executor puts partition validation
+//! in front of the same state.
 
 use std::ops::DerefMut;
 
@@ -330,6 +331,8 @@ pub(crate) fn finish_report(
 ) -> RunReport {
     let runtime = end_clock.saturating_sub(warmup_end);
     let secs = runtime.as_secs_f64().max(1e-12);
+    // A window without ops (or without remote ops) reports zero, not 0/0.
+    let per = |sum: f64, of: u64| if of > 0 { sum / of as f64 } else { 0.0 };
     let mut acc = acc;
     let timeseries = acc.series.take();
     RunReport {
@@ -342,20 +345,16 @@ pub(crate) fn finish_report(
         flushed_pages: acc.flushed,
         sum_remote_lat_ns: acc.sum_remote_lat,
         mops: acc.total_ops as f64 / secs / 1e6,
-        remote_per_op: acc.remote as f64 / acc.total_ops as f64,
-        invalidations_per_op: acc.invals as f64 / acc.total_ops as f64,
-        flushed_per_op: acc.flushed as f64 / acc.total_ops as f64,
+        remote_per_op: per(acc.remote as f64, acc.total_ops),
+        invalidations_per_op: per(acc.invals as f64, acc.total_ops),
+        flushed_per_op: per(acc.flushed as f64, acc.total_ops),
         sum_fault_ns: acc.sum_fault,
         sum_network_ns: acc.sum_network,
         sum_inv_queue_ns: acc.sum_inv_queue,
         sum_inv_tlb_ns: acc.sum_inv_tlb,
         sum_software_ns: acc.sum_software,
         sum_overlapped_ns: acc.sum_overlapped,
-        mean_remote_ns: if acc.remote > 0 {
-            acc.sum_remote_lat as f64 / acc.remote as f64
-        } else {
-            0.0
-        },
+        mean_remote_ns: per(acc.sum_remote_lat as f64, acc.remote),
         latency: acc.latency,
         metrics,
         window_metrics,
@@ -505,105 +504,81 @@ pub fn merge_reports(name: impl Into<String>, reports: &[RunReport]) -> RunRepor
 /// through a caller-supplied `fill` closure, so workload generation order
 /// per source is identical to the turnwise runner's.
 ///
-/// The caller owns the phase protocol: [`pump`](ClusterDriver::pump)
-/// warmup to completion, snapshot its baseline metrics, then
-/// [`start_measured`](ClusterDriver::start_measured) and pump again with
-/// accumulators. Warmup ends at the latest warmup completion (plus gap)
-/// and each source resumes the measured phase `gap` after its last warmup
-/// issue — the same accounting boundaries as turnwise, with in-flight
-/// window state (and the overlap frontier) persisting across the phase
-/// line.
+/// The driver holds only what is the engine's: the [`Replay`] owns the
+/// phase protocol, the ops each source still owes and the phase clocks.
+/// Each source resumes the measured phase think time after its last
+/// warmup issue — the same accounting boundaries as turnwise, with
+/// in-flight window state (and the overlap frontier) persisting across the
+/// phase line.
 pub(crate) struct ClusterDriver {
     eng: ClusterEngine,
     bufs: Vec<Vec<MemOp>>,
     pos: Vec<usize>,
-    /// Ops left to issue in the current phase, per source (buffered ops
-    /// included — they decrement at issue).
-    left: Vec<u64>,
     /// Per-source resume time for the measured phase: last warmup issue
-    /// plus gap ([`SimTime::ZERO`] for sources without warmup).
+    /// plus think time ([`SimTime::ZERO`] for sources without warmup).
     resume: Vec<SimTime>,
-    measured_ops: u64,
-    batch_ops: u64,
-    gap: SimTime,
-    /// Latest warmup completion + gap across sources.
-    pub(crate) warmup_end: SimTime,
-    /// Latest measured completion + gap across sources (primed to
-    /// `warmup_end` by [`ClusterDriver::start_measured`]).
-    pub(crate) end_clock: SimTime,
 }
 
 impl ClusterDriver {
-    /// A driver over `sources` streams. Starts in the warmup phase (which
-    /// is trivially complete when `warmup_ops_per_thread` is 0).
-    pub(crate) fn new(eng: ClusterEngine, sources: u32, cfg: RunConfig) -> Self {
+    /// A driver over `sources` streams, seeded for the warmup phase when
+    /// there is one.
+    fn new(mut eng: ClusterEngine, sources: u32, warmup: bool) -> Self {
+        if warmup {
+            for src in 0..sources {
+                eng.seed(SimTime::ZERO, src);
+            }
+        }
         let n = sources as usize;
-        let mut driver = ClusterDriver {
+        ClusterDriver {
             eng,
             bufs: vec![Vec::new(); n],
             pos: vec![0; n],
-            left: vec![cfg.warmup_ops_per_thread; n],
             resume: vec![SimTime::ZERO; n],
-            measured_ops: cfg.ops_per_thread,
-            batch_ops: cfg.batch_ops.max(1),
-            gap: cfg.think_time,
-            warmup_end: SimTime::ZERO,
-            end_clock: SimTime::ZERO,
-        };
-        if cfg.warmup_ops_per_thread > 0 {
-            for src in 0..sources {
-                driver.eng.seed(SimTime::ZERO, src);
-            }
         }
-        driver
     }
 
-    /// Seeds the measured phase: every source resumes `gap` after its
-    /// last warmup issue, on a fresh event queue (resume times may
-    /// precede the warmup queue's final pop). Call exactly once, after a
-    /// warmup [`ClusterDriver::pump`] returns `true` and the caller
-    /// snapshotted its baseline metrics.
-    pub(crate) fn start_measured(&mut self) {
-        self.end_clock = self.warmup_end;
-        self.left.fill(self.measured_ops);
+    /// Seeds the measured phase (unless it is empty): every source resumes
+    /// think time after its last warmup issue, on a fresh event queue
+    /// (resume times may precede the warmup queue's final pop).
+    fn start_measured(&mut self, seed: bool) {
         for buf in &mut self.bufs {
             buf.clear();
         }
         self.pos.fill(0);
         self.eng.begin_phase();
-        if self.measured_ops > 0 {
+        if seed {
             for src in 0..self.eng.sources() {
                 self.eng.seed(self.resume[src as usize], src);
             }
         }
     }
 
-    /// The event loop: pops ready sources in deterministic order, offers
-    /// each source's next op to the system's gates, defers gated sources
-    /// to their release times, and streams issued ops up to `horizon`;
-    /// returns whether the phase has fully drained. `acc: None` is the
-    /// warmup phase (completions advance `warmup_end`, nothing is
-    /// recorded); `Some` is measured.
+    /// The event loop of one phase: pops ready sources in deterministic
+    /// order, offers each source's next op to the system's gates, defers
+    /// gated sources to their release times, and streams issued ops until
+    /// every source has issued the `left` it owes. Returns the latest
+    /// completion plus think time ([`SimTime::ZERO`] when nothing issued).
+    /// `acc: None` is the warmup phase (nothing is recorded); `Some` is
+    /// measured.
     ///
     /// # Panics
     ///
     /// Panics when the system refuses an access: trace replay treats any
     /// refusal as fatal.
-    pub(crate) fn pump<S: MemorySystem + ?Sized>(
+    fn pump<S: MemorySystem + ?Sized>(
         &mut self,
         system: &mut S,
-        horizon: SimTime,
+        cfg: &RunConfig,
+        left: &mut [u64],
         fill: &mut dyn FnMut(u32, usize, &mut Vec<MemOp>),
         mut acc: Option<&mut Accum>,
-    ) -> bool {
-        while let Some(at) = self.eng.peek_time() {
-            if at > horizon {
-                return false;
-            }
-            let (now, src) = self.eng.next_ready().expect("peeked event exists");
+    ) -> SimTime {
+        let (batch_ops, gap) = (cfg.batch_ops.max(1), cfg.think_time);
+        let mut latest = SimTime::ZERO;
+        while let Some((now, src)) = self.eng.next_ready() {
             let s = src as usize;
             if self.pos[s] == self.bufs[s].len() {
-                let n = self.batch_ops.min(self.left[s]) as usize;
+                let n = batch_ops.min(left[s]) as usize;
                 debug_assert!(n > 0, "exhausted source popped");
                 self.bufs[s].clear();
                 fill(src, n, &mut self.bufs[s]);
@@ -637,17 +612,13 @@ impl ClusterDriver {
                     region: _,
                 } => {
                     self.pos[s] += 1;
-                    self.left[s] -= 1;
-                    let done = complete_at + self.gap;
-                    match acc.as_deref_mut() {
-                        Some(acc) => {
-                            acc.record_op(outcome, complete_at);
-                            self.end_clock = self.end_clock.max(done);
-                        }
-                        None => self.warmup_end = self.warmup_end.max(done),
+                    left[s] -= 1;
+                    if let Some(acc) = acc.as_deref_mut() {
+                        acc.record_op(outcome, complete_at);
                     }
-                    let next = now + self.gap;
-                    if self.left[s] > 0 {
+                    latest = latest.max(complete_at + gap);
+                    let next = now + gap;
+                    if left[s] > 0 {
                         self.eng.seed(next, src);
                     } else {
                         self.resume[s] = next;
@@ -655,7 +626,7 @@ impl ClusterDriver {
                 }
             }
         }
-        true
+        latest
     }
 }
 
@@ -707,28 +678,19 @@ impl Streams {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Warmup,
-    Measured,
-    Done,
-}
-
-/// The schedule state of one replay, advanced event by event to a
-/// horizon. It owns who issues next and what has been accounted; the
-/// system and the workloads are handed in at every step, so one value
-/// drives [`run`]'s generic system and the sharded executor's sub-cluster
-/// alike.
+/// The schedule state of one replay. It owns who issues next, what each
+/// source still owes and what has been accounted; the system and the
+/// workloads are handed to [`Replay::run`], so one value drives [`run`]'s
+/// generic system and the sharded executor's sub-cluster alike.
 pub(crate) struct Replay {
     cfg: RunConfig,
     streams: Streams,
-    phase: Phase,
     /// Turnwise: the current phase's ready sources by thread clock.
     queue: EventQueue<u32>,
     /// Turnwise: sources that finished warmup, at their post-warmup
     /// clocks in completion order — the measured phase's queue.
     resume: EventQueue<u32>,
-    /// Turnwise: ops each source still owes the current phase.
+    /// Ops each source still owes the current phase.
     left: Vec<u64>,
     /// Cluster mode ([`Concurrency::Cluster`], `window > 1`, a system with
     /// an issue gate): one event-driven issue engine *per partition*, so the gates a partition's threads share — its slot
@@ -737,9 +699,6 @@ pub(crate) struct Replay {
     /// mode.
     drivers: Vec<ClusterDriver>,
     batch: OpBatch,
-    warmup_end: SimTime,
-    end_clock: SimTime,
-    baseline: Option<Metrics>,
     acc: Accum,
 }
 
@@ -753,120 +712,123 @@ impl Replay {
         threads_per_part: u32,
         bases: Vec<Vec<u64>>,
     ) -> Self {
+        let warmup = cfg.warmup_ops_per_thread;
         let mut drivers = Vec::new();
         if cfg.concurrency == Concurrency::Cluster && cfg.window > 1 {
             // A system without an issue engine stays turnwise.
             drivers.extend((0..bases.len()).filter_map(|_| {
                 let eng = system.cluster_engine(cfg.window, threads_per_part)?;
-                Some(ClusterDriver::new(eng, threads_per_part, cfg))
+                Some(ClusterDriver::new(eng, threads_per_part, warmup > 0))
             }));
         }
-        let (mut queue, mut resume, mut left) = (EventQueue::new(), EventQueue::new(), Vec::new());
+        let (mut queue, mut resume) = (EventQueue::new(), EventQueue::new());
         if drivers.is_empty() {
             // Without warmup the seeds are the measured phase's.
-            let warmup = cfg.warmup_ops_per_thread;
             let first = if warmup > 0 { &mut queue } else { &mut resume };
             for s in 0..sources.len() as u32 {
                 first.schedule(SimTime::ZERO, s);
             }
-            left = vec![warmup; sources.len()];
         }
         Replay {
             cfg,
+            left: vec![warmup; sources.len()],
             streams: Streams {
                 sources,
                 threads_per_part,
                 bases,
                 ops_buf: Vec::new(),
             },
-            phase: Phase::Warmup,
             queue,
             resume,
-            left,
             drivers,
             batch: OpBatch::chained(cfg.think_time).with_window(cfg.window),
-            warmup_end: SimTime::ZERO,
-            end_clock: SimTime::ZERO,
-            baseline: None,
             acc: Accum::with_trace(cfg.trace),
         }
     }
 
-    /// Executes every event at or before `horizon`, in timestamp order
-    /// (ties by schedule order); returns `true` once nothing is left.
-    /// Within a phase, pops never go backwards in time; warmup →
-    /// measured is a barrier across all sources, where the baseline
-    /// metrics are snapshotted and the sources re-seeded at their
-    /// post-warmup clocks.
-    pub(crate) fn advance_until<S: MemorySystem + ?Sized, P: DerefMut<Target: Workload>>(
-        &mut self,
+    /// Replays to completion and reports the measured window: warm up
+    /// until every source has drained, snapshot the baseline metrics at
+    /// that barrier, re-seed the sources at their post-warmup clocks and
+    /// measure until every source has drained again. `system` and
+    /// `workloads` must be the ones the replay was built for.
+    pub(crate) fn run<S: MemorySystem + ?Sized, P: DerefMut<Target: Workload>>(
+        mut self,
         system: &mut S,
         workloads: &mut [P],
-        horizon: SimTime,
-    ) -> bool {
-        loop {
-            let measuring = match self.phase {
-                Phase::Warmup => false,
-                Phase::Measured => true,
-                Phase::Done => return true,
-            };
-            let drained = if self.drivers.is_empty() {
-                self.turns_until(system, workloads, horizon, measuring)
-            } else {
-                self.pump_until(system, workloads, horizon, measuring)
-            };
-            if !drained {
-                return false;
-            }
-            if measuring {
-                self.phase = Phase::Done;
-                return true;
-            }
-            self.baseline = Some(system.metrics());
-            self.end_clock = self.warmup_end;
-            self.left.fill(self.cfg.ops_per_thread);
-            // A zero-op measured phase seeds nobody (as in
-            // `ClusterDriver::start_measured`): the drained warmup queue
-            // stays the phase's queue.
-            if self.cfg.ops_per_thread > 0 {
-                std::mem::swap(&mut self.queue, &mut self.resume);
-            }
-            for driver in &mut self.drivers {
-                driver.start_measured();
-            }
-            self.phase = Phase::Measured;
+        name: String,
+    ) -> RunReport {
+        let warmup_end = self.drain_phase(system, workloads, false);
+        let baseline = system.metrics();
+        let measured = self.cfg.ops_per_thread;
+        self.left.fill(measured);
+        // A zero-op measured phase seeds nobody: the drained warmup queue
+        // stays the phase's queue.
+        if measured > 0 {
+            std::mem::swap(&mut self.queue, &mut self.resume);
         }
+        for driver in &mut self.drivers {
+            driver.start_measured(measured > 0);
+        }
+        let end_clock = warmup_end.max(self.drain_phase(system, workloads, true));
+        let metrics = system.metrics();
+        let window_metrics = metrics.diff(&baseline);
+        let mut report = finish_report(
+            name,
+            warmup_end,
+            end_clock,
+            self.acc,
+            metrics,
+            window_metrics,
+        );
+        report.trace = system.take_trace();
+        report
     }
 
-    /// Turnwise: gives the earliest source its turn until the queue is
-    /// past `horizon` (`false`) or the phase has drained (`true`).
-    fn turns_until<S: MemorySystem + ?Sized, P: DerefMut<Target: Workload>>(
+    /// Runs the current phase until no source owes it an op, in timestamp
+    /// order (ties by schedule order), accounting only when `measuring`.
+    /// Returns the latest source clock the phase reached — a completion
+    /// plus think time — or [`SimTime::ZERO`] if nothing ran.
+    fn drain_phase<S: MemorySystem + ?Sized, P: DerefMut<Target: Workload>>(
         &mut self,
         system: &mut S,
         workloads: &mut [P],
-        horizon: SimTime,
         measuring: bool,
-    ) -> bool {
-        let batch_ops = self.cfg.batch_ops.max(1);
-        while let Some(due) = self.queue.pop_due(horizon) {
-            let s = due.event;
-            let n = batch_ops.min(self.left[s as usize]);
-            let next = self.turn(system, workloads, due.at, s, n as usize);
-            if measuring {
-                // One accounting flush per turn, in op order.
-                self.acc.record_batch(&self.batch);
-                self.end_clock = self.end_clock.max(next);
-            } else {
-                self.warmup_end = self.warmup_end.max(next);
+    ) -> SimTime {
+        let mut latest = SimTime::ZERO;
+        if self.drivers.is_empty() {
+            // Turnwise: the earliest source takes its turn.
+            let batch_ops = self.cfg.batch_ops.max(1);
+            while let Some(due) = self.queue.pop() {
+                let s = due.event;
+                let n = batch_ops.min(self.left[s as usize]);
+                let next = self.turn(system, workloads, due.at, s, n as usize);
+                if measuring {
+                    // One accounting flush per turn, in op order.
+                    self.acc.record_batch(&self.batch);
+                }
+                latest = latest.max(next);
+                self.left[s as usize] -= n;
+                if self.left[s as usize] > 0 {
+                    self.queue.schedule(next, s);
+                } else if !measuring {
+                    self.resume.schedule(next, s);
+                }
             }
-            self.left[s as usize] -= n;
-            if self.left[s as usize] > 0 {
-                self.queue.schedule(next, s);
-            } else if !measuring {
-                self.resume.schedule(next, s);
-            }
+            return latest;
         }
-        self.queue.is_empty()
+        // Cluster mode: each partition's engine driver in turn.
+        let streams = &mut self.streams;
+        let tpp = streams.threads_per_part;
+        for (part, driver) in self.drivers.iter_mut().enumerate() {
+            let first = part as u32 * tpp;
+            let left = &mut self.left[first as usize..(first + tpp) as usize];
+            let mut fill = |src: u32, n: usize, out: &mut Vec<MemOp>| {
+                streams.fill(workloads, first + src, n, out)
+            };
+            let acc = measuring.then_some(&mut self.acc);
+            latest = latest.max(driver.pump(system, &self.cfg, left, &mut fill, acc));
+        }
+        latest
     }
 
     /// One scheduling turn: source `s`'s next `n` ops as a single chained
@@ -899,55 +861,6 @@ impl Replay {
             .max()
             .expect("turns are non-empty");
         turn_done + self.cfg.think_time
-    }
-
-    /// Cluster mode: pumps every partition's engine driver to `horizon`;
-    /// `true` once all of them have drained the phase.
-    fn pump_until<S: MemorySystem + ?Sized, P: DerefMut<Target: Workload>>(
-        &mut self,
-        system: &mut S,
-        workloads: &mut [P],
-        horizon: SimTime,
-        measuring: bool,
-    ) -> bool {
-        let streams = &mut self.streams;
-        let mut all = true;
-        for (part, driver) in self.drivers.iter_mut().enumerate() {
-            let first = part as u32 * streams.threads_per_part;
-            let mut fill = |src: u32, n: usize, out: &mut Vec<MemOp>| {
-                streams.fill(workloads, first + src, n, out)
-            };
-            let acc = measuring.then_some(&mut self.acc);
-            all &= driver.pump(system, horizon, &mut fill, acc);
-            self.warmup_end = self.warmup_end.max(driver.warmup_end);
-            self.end_clock = self.end_clock.max(driver.end_clock);
-        }
-        all
-    }
-
-    /// Whether every source has finished its measured ops.
-    pub(crate) fn is_done(&self) -> bool {
-        self.phase == Phase::Done
-    }
-
-    /// The report of the measured window; `metrics` is the system's
-    /// snapshot at completion.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the replay has not completed.
-    pub(crate) fn finish(self, name: String, metrics: Metrics) -> RunReport {
-        assert!(self.is_done(), "finish before the replay completed");
-        let baseline = self.baseline.as_ref().expect("baseline snapshotted");
-        let window_metrics = metrics.diff(baseline);
-        finish_report(
-            name,
-            self.warmup_end,
-            self.end_clock,
-            self.acc,
-            metrics,
-            window_metrics,
-        )
     }
 }
 
@@ -986,12 +899,12 @@ pub fn run<S: MemorySystem + ?Sized, W: Workload + ?Sized>(
         })
         .collect();
 
-    let mut replay = Replay::new(system, cfg, sources, n_threads as u32, vec![bases]);
-    let done = replay.advance_until(system, std::slice::from_mut(&mut workload), SimTime::MAX);
-    debug_assert!(done, "an unbounded horizon completes the run");
-    let mut report = replay.finish(workload.name(), system.metrics());
-    report.trace = system.take_trace();
-    report
+    let name = workload.name();
+    Replay::new(system, cfg, sources, n_threads as u32, vec![bases]).run(
+        system,
+        std::slice::from_mut(&mut workload),
+        name,
+    )
 }
 
 #[cfg(test)]
@@ -1275,6 +1188,9 @@ mod tests {
                 assert_eq!(report.total_ops, 0, "{ctx}");
                 assert_eq!(report.latency.count(), 0, "{ctx}");
                 assert_eq!(report.runtime, SimTime::ZERO, "{ctx}");
+                assert_eq!(report.remote_per_op, 0.0, "{ctx}");
+                assert_eq!(report.invalidations_per_op, 0.0, "{ctx}");
+                assert_eq!(report.flushed_per_op, 0.0, "{ctx}");
                 assert_eq!(report.metrics.get("accesses"), 2 * warmup, "{ctx}");
                 assert_eq!(report.window_metrics.get("accesses"), 0, "{ctx}");
             }

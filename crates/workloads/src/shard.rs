@@ -5,32 +5,24 @@
 //! [`mind_core::shard`]). This module replays such scenarios two ways:
 //!
 //! - [`run_group`]: the **serialized reference** — every partition on one
-//!   fused rack, driven straight through a single
-//!   [`mind_sim::EventQueue`];
+//!   fused rack, replayed straight through;
 //! - [`run_sharded`]: the same partitions split across `shards`
-//!   sub-clusters, each advanced through **conservative time windows** of
-//!   [`ShardSpec::horizon`] — a shard executes no event past a horizon
-//!   before observing it as a window boundary (recording its epoch mark
-//!   there) — and streamed through [`StreamedMerge`] into one report in
+//!   sub-clusters, each replayed to completion on its own ([`run_shard`])
+//!   and streamed through [`StreamedMerge`] into one report in
 //!   shard-index order, byte-identical to an in-memory
 //!   [`crate::runner::merge_reports`] over the same per-shard reports.
 //!
 //! ## Multi-core, constant-memory execution
 //!
-//! Shards share nothing: a shard's advance through any horizon depends
-//! only on its own state, and whether it has drained at a horizon is a
-//! purely shard-local condition. [`run_sharded`] exploits both halves of
-//! that independence. Scoped worker threads *claim* shard indices from a
-//! shared cursor; each worker **builds its shard lazily, steps it through
-//! the conservative horizons to completion, finalizes its report, and
-//! streams the report into a running accumulator** ([`StreamedMerge`])
-//! before claiming the next index. No barrier synchronizes horizons
-//! across shards — the lockstep schedule earlier revisions ran is
-//! semantically inert for share-nothing shards, so dropping it changes no
-//! output byte — and at no point does more than one sub-cluster (plus a
-//! bounded reorder buffer of finished reports) live per worker lane.
-//! Peak memory is therefore O(lanes × one shard), not O(all shards):
-//! the property that makes 10⁶-tenant scenarios affordable.
+//! Shards share nothing: what a shard does depends only on its own state,
+//! so nothing ever synchronizes them. Scoped worker threads *claim* shard
+//! indices from a shared cursor; each worker **builds its shard lazily,
+//! replays it to completion, and streams its report into a running
+//! accumulator** ([`StreamedMerge`]) before claiming the next index. At
+//! no point does more than one sub-cluster (plus a bounded reorder buffer
+//! of finished reports) live per worker lane. Peak memory is therefore
+//! O(lanes × one shard), not O(all shards): the property that makes
+//! 10⁶-tenant scenarios affordable.
 //!
 //! The merge folds per-shard reports **in shard-index order, never
 //! completion order**: [`StreamedMerge`] buffers any report that arrives
@@ -46,9 +38,8 @@
 //! ## Determinism contract
 //!
 //! `run_sharded(spec, 1, ..)` is byte-identical to `run_group(spec, ..)`:
-//! windowing only pauses the pop loop (shard state cannot leak across the
-//! horizon because shards share nothing), and a merge of one report is
-//! the identity. For `shards > 1` the merged report is byte-identical to
+//! the one shard is the fused rack, and a merge of one report is the
+//! identity. For `shards > 1` the merged report is byte-identical to
 //! the fused reference whenever the scenario is *confined*:
 //!
 //! 1. partitions are structurally symmetric (same thread count and region
@@ -83,9 +74,7 @@ use std::sync::Mutex;
 use mind_core::cluster::{MindCluster, MindConfig};
 use mind_core::controller::Pid;
 use mind_core::shard::{PartitionError, PartitionLayout};
-use mind_core::system::MemorySystem;
-use mind_obs::EventKind;
-use mind_sim::{threads, SimTime};
+use mind_sim::threads;
 
 use crate::runner::{Replay, ReportMerger, RunConfig, RunReport, Source};
 use crate::trace::Workload;
@@ -151,9 +140,6 @@ pub enum ShardError {
         /// Requested shard count.
         shards: u16,
     },
-    /// The conservative window length is zero — shards would never
-    /// advance.
-    ZeroHorizon,
     /// Initial directory utilization exceeds the determinism contract's
     /// ½ ceiling (the epoch merge phase would engage, a global coupling).
     DirectoryOverUtilized {
@@ -196,7 +182,6 @@ impl fmt::Display for ShardError {
                 f,
                 "{partitions} partitions do not divide into {shards} shards"
             ),
-            ShardError::ZeroHorizon => write!(f, "conservative window must advance"),
             ShardError::DirectoryOverUtilized { entries, capacity } => write!(
                 f,
                 "initial directory utilization {entries}/{capacity} exceeds the \
@@ -228,9 +213,6 @@ pub struct ShardSpec {
     pub partitions: u16,
     /// Per-thread replay parameters (shared by every partition).
     pub run: RunConfig,
-    /// Conservative window length for [`run_sharded`]: shards advance in
-    /// lockstep quanta of this much simulated time.
-    pub horizon: SimTime,
     /// `false` (the default shape): one process — one protection domain —
     /// per partition. `true`: one process *per thread*, for multi-tenant
     /// populations where every tenant is its own protection domain (the
@@ -252,43 +234,35 @@ pub struct ShardSpec {
 /// already demanded).
 pub type PartitionFactory<'a> = dyn Fn(u16) -> Box<dyn Workload> + Sync + 'a;
 
-/// One group of partitions co-hosted on one cluster, advanced event by
-/// event: the whole scenario (the fused reference) or one shard of it.
-/// The schedule is a [`Replay`]; this type adds what a *partitioned*
-/// replay needs on top — the confinement checks, the sub-cluster and the
-/// partition workloads it hands the replay at every step.
-pub struct GroupRun {
+/// Replays one group of `spec`'s partitions co-hosted on one cluster —
+/// the whole scenario (the fused reference) or one shard of it — to
+/// completion: assembles a cluster of `cfg` hosting the global partitions
+/// `first..first + partitions` (per partition, one process, threads
+/// pinned to its compute slice, regions `mmap_in`-confined to its memory
+/// slice), checks confinement, and hands cluster and partition workloads
+/// to a [`Replay`]. The report's trace, if any, carries this group's
+/// *local* lane indices.
+///
+/// # Errors
+///
+/// Returns the [`ShardError`] naming the violated invariant if the
+/// partitions are not symmetric, do not fit their compute or memory
+/// slices, `run.interleave` is set (interleaved thread placement is
+/// not partition-confined), `run.threads_per_blade` is zero,
+/// `domain_per_thread` is set and a partition does not expose exactly
+/// one region per thread, or the initial directory utilization exceeds
+/// the contract's ½ ceiling.
+fn replay_group(
+    spec: &ShardSpec,
     name: String,
-    cluster: MindCluster,
-    /// One workload per partition, in partition order.
-    workloads: Vec<Box<dyn Workload>>,
-    replay: Replay,
-}
-
-impl GroupRun {
-    /// Assembles a cluster of `cfg` hosting the global partitions
-    /// `first..first + partitions`: per partition, one process, threads
-    /// pinned to its compute slice, regions `mmap_in`-confined to its
-    /// memory slice.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`ShardError`] naming the violated invariant if the
-    /// partitions are not symmetric, do not fit their compute or memory
-    /// slices, `run.interleave` is set (interleaved thread placement is
-    /// not partition-confined), `run.threads_per_blade` is zero,
-    /// `domain_per_thread` is set and a partition does not expose exactly
-    /// one region per thread, or the initial directory utilization exceeds
-    /// the contract's ½ ceiling.
-    pub fn new(
-        name: String,
-        cfg: MindConfig,
-        first: u16,
-        partitions: u16,
-        run: RunConfig,
-        domain_per_thread: bool,
-        factory: &PartitionFactory,
-    ) -> Result<Self, ShardError> {
+    cfg: MindConfig,
+    first: u16,
+    partitions: u16,
+    factory: &PartitionFactory,
+) -> Result<RunReport, ShardError> {
+    let (run, domain_per_thread) = (spec.run, spec.domain_per_thread);
+    let (mut cluster, mut workloads, replay) = {
+        let _t = mind_obs::profile::scope("shard.build");
         if run.interleave {
             return Err(ShardError::InterleavedPlacement);
         }
@@ -378,85 +352,76 @@ impl GroupRun {
         }
 
         let replay = Replay::new(&cluster, run, sources, tpp as u32, all_bases);
-        Ok(GroupRun {
-            name,
-            cluster,
-            workloads,
-            replay,
-        })
-    }
-
-    /// Executes every event at or before `horizon`, in timestamp order
-    /// (ties by schedule order). Returns `true` once the group has no
-    /// work left. Shard state cannot leak across the horizon (shards
-    /// share nothing), so windowing only pauses the replay.
-    pub fn advance_until(&mut self, horizon: SimTime) -> bool {
-        self.replay
-            .advance_until(&mut self.cluster, &mut self.workloads, horizon)
-    }
-
-    /// Whether every thread has finished its measured ops.
-    pub fn is_done(&self) -> bool {
-        self.replay.is_done()
-    }
-
-    /// Records a [`mind_obs::TraceBuf::record_full`]-level shard-epoch
-    /// mark: shard `shard` stepped its conservative window to `horizon`.
-    /// On the control lane (one past this group's last blade); epoch
-    /// marks depend on the shard count and horizon length, so they are
-    /// outside the cross-cell byte-identity contract.
-    fn mark_epoch(&mut self, shard: u32, horizon: SimTime) {
-        let lane = self.cluster.n_compute() as u32;
-        self.cluster.trace().record_full(
-            horizon,
-            lane,
-            EventKind::ShardEpoch,
-            SimTime::ZERO,
-            shard as u64,
-            horizon.as_nanos(),
-        );
-    }
-
-    /// Finalizes this group's report (measured window only). The trace,
-    /// if any, still carries this group's *local* lane indices — sharded
-    /// drivers rebase it onto global blades before merging.
-    pub fn finish(mut self) -> RunReport {
-        let trace = self.cluster.take_trace();
-        let metrics = self.cluster.metrics_snapshot();
-        let mut report = self.replay.finish(self.name, metrics);
-        report.trace = trace;
-        report
-    }
+        (cluster, workloads, replay)
+    };
+    let _t = mind_obs::profile::scope("shard.advance");
+    Ok(replay.run(&mut cluster, &mut workloads, name))
 }
 
-/// The serialized reference: every partition fused on one rack, driven
+/// The serialized reference: every partition fused on one rack, replayed
 /// straight through in a single pass.
 ///
 /// # Errors
 ///
 /// Returns the [`ShardError`] naming the violated confinement invariant
-/// (see [`GroupRun::new`]).
+/// (see [`run_shard`]).
 pub fn run_group(spec: &ShardSpec, factory: &PartitionFactory) -> Result<RunReport, ShardError> {
-    let mut group = GroupRun::new(
-        spec.name.clone(),
-        spec.base,
-        0,
-        spec.partitions,
-        spec.run,
-        spec.domain_per_thread,
-        factory,
-    )?;
-    let done = group.advance_until(SimTime::MAX);
-    debug_assert!(done, "an unbounded horizon drains the group");
-    Ok(group.finish())
+    replay_group(spec, spec.name.clone(), spec.base, 0, spec.partitions, factory)
 }
 
-/// Replays the scenario as `shards` independent sub-clusters advanced in
-/// conservative windows of `spec.horizon` — in parallel on OS threads
-/// when the process-wide thread budget has headroom — then merges the
-/// per-shard reports in shard-index order. See the module docs for when
-/// the result is byte-identical to [`run_group`]; it is *always*
-/// byte-identical across thread counts.
+/// The sub-rack one of `shards` shards runs on and the partitions it
+/// hosts.
+fn shard_rack(spec: &ShardSpec, shards: u16) -> Result<(MindConfig, u16), ShardError> {
+    if shards == 0 || !spec.partitions.is_multiple_of(shards) {
+        return Err(ShardError::UnevenShards {
+            partitions: spec.partitions,
+            shards,
+        });
+    }
+    Ok((spec.base.try_partition(shards)?, spec.partitions / shards))
+}
+
+/// Shard `s` of the scenario split `shards` ways, built, replayed to
+/// completion and reported on its own: what one worker lane of
+/// [`run_sharded`] does per claimed index. Trace lanes are rebased onto
+/// the fused rack's global blade indices (shard `s` owns blades starting
+/// at `s × sub.n_compute`, so the merged trace is grouping-invariant);
+/// merging every shard's report in index order
+/// ([`crate::runner::merge_reports`]) is the sharded result.
+///
+/// # Errors
+///
+/// Returns the [`ShardError`] naming the violated invariant: an uneven
+/// shard split, an asymmetric rack partition, partitions that are not
+/// symmetric or do not fit their compute or memory slices, interleaved
+/// thread placement (not partition-confined), zero `threads_per_blade`,
+/// `domain_per_thread` without exactly one region per thread, or an
+/// initial directory utilization past the contract's ½ ceiling.
+///
+/// # Panics
+///
+/// Panics if `s` is not below `shards`.
+pub fn run_shard(
+    spec: &ShardSpec,
+    shards: u16,
+    s: u16,
+    factory: &PartitionFactory,
+) -> Result<RunReport, ShardError> {
+    let (sub, per_shard) = shard_rack(spec, shards)?;
+    assert!(s < shards, "shard {s} out of range {shards}");
+    let name = format!("{}/shard{s}", spec.name);
+    let mut report = replay_group(spec, name, sub, s * per_shard, per_shard, factory)?;
+    if let Some(t) = &mut report.trace {
+        t.rebase_lanes(s as u32 * sub.n_compute as u32);
+    }
+    Ok(report)
+}
+
+/// Replays the scenario as `shards` independent sub-clusters — in
+/// parallel on OS threads when the process-wide thread budget has
+/// headroom — and merges the per-shard reports in shard-index order. See
+/// the module docs for when the result is byte-identical to
+/// [`run_group`]; it is *always* byte-identical across thread counts.
 ///
 /// The thread count is [`SHARD_THREADS_ENV`] when set, otherwise one
 /// thread per shard capped by what [`mind_sim::threads::budget`] has left
@@ -465,9 +430,7 @@ pub fn run_group(spec: &ShardSpec, factory: &PartitionFactory) -> Result<RunRepo
 ///
 /// # Errors
 ///
-/// Returns the [`ShardError`] naming the violated invariant: an uneven
-/// shard split, a zero horizon, an asymmetric rack partition, or any
-/// confinement failure from [`GroupRun::new`].
+/// As [`run_shard`], for the lowest shard index that fails.
 pub fn run_sharded(
     spec: &ShardSpec,
     shards: u16,
@@ -588,51 +551,6 @@ impl StreamedMerge {
     }
 }
 
-/// Builds shard `s` of the spec, runs it through its conservative
-/// horizons to completion, and finalizes its report with trace lanes
-/// rebased onto the fused rack's global blade indices (shard `s` owns
-/// blades starting at `s × sub.n_compute`, so the merged trace is
-/// grouping-invariant).
-///
-/// Horizon stepping is shard-local: whether this shard drains at a
-/// horizon — and the `ShardEpoch` mark it records when it does not —
-/// depends only on its own state, so stepping it alone produces the
-/// identical event sequence the old cluster-wide lockstep did.
-fn run_one_shard(
-    spec: &ShardSpec,
-    sub: MindConfig,
-    per_shard: u16,
-    s: u16,
-    factory: &PartitionFactory,
-) -> Result<RunReport, ShardError> {
-    let mut group = {
-        let _t = mind_obs::profile::scope("shard.build");
-        GroupRun::new(
-            format!("{}/shard{s}", spec.name),
-            sub,
-            s * per_shard,
-            per_shard,
-            spec.run,
-            spec.domain_per_thread,
-            factory,
-        )?
-    };
-    let mut horizon = spec.horizon;
-    loop {
-        let _t = mind_obs::profile::scope("shard.advance");
-        if group.advance_until(horizon) {
-            break;
-        }
-        group.mark_epoch(s as u32, horizon);
-        horizon += spec.horizon;
-    }
-    let mut report = group.finish();
-    if let Some(t) = &mut report.trace {
-        t.rebase_lanes(s as u32 * sub.n_compute as u32);
-    }
-    Ok(report)
-}
-
 /// The shard driver behind both public entry points: `lanes` worker
 /// threads claim shard indices from a shared cursor, each building its
 /// shard lazily, running it to completion, and streaming the finished
@@ -640,8 +558,8 @@ fn run_one_shard(
 /// sub-clusters, never O(shards), and no `Vec<RunReport>` ever
 /// materializes.
 ///
-/// Workers share no simulation state whatsoever — each [`GroupRun`] is
-/// built, run, and freed by exactly one worker — so preemption and
+/// Workers share no simulation state whatsoever — each shard is built,
+/// run, and freed by exactly one worker — so preemption and
 /// completion order cannot influence any simulated quantity, and the
 /// index-ordered fold keeps the merged bytes thread-count-invariant.
 /// On a construction error the lowest failing shard index wins (shard
@@ -653,17 +571,8 @@ fn run_sharded_inner(
     lanes: usize,
     factory: &PartitionFactory,
 ) -> Result<RunReport, ShardError> {
-    if shards == 0 || !spec.partitions.is_multiple_of(shards) {
-        return Err(ShardError::UnevenShards {
-            partitions: spec.partitions,
-            shards,
-        });
-    }
-    if spec.horizon == SimTime::ZERO {
-        return Err(ShardError::ZeroHorizon);
-    }
-    let sub = spec.base.try_partition(shards)?;
-    let per_shard = spec.partitions / shards;
+    // A split no shard can run on fails here, before any lane starts.
+    shard_rack(spec, shards)?;
     let lanes = lanes.clamp(1, shards as usize);
 
     let merge = Mutex::new(StreamedMerge::new(spec.name.clone(), shards as usize));
@@ -677,7 +586,7 @@ fn run_sharded_inner(
         if s >= shards as usize {
             break;
         }
-        match run_one_shard(spec, sub, per_shard, s as u16, factory) {
+        match run_shard(spec, shards, s as u16, factory) {
             Ok(report) => {
                 let _t = mind_obs::profile::scope("shard.merge");
                 merge
@@ -713,22 +622,12 @@ fn run_sharded_inner(
         .finish())
 }
 
-// The Send audit, enforced at compile time: a shard's whole execution
-// state — sub-cluster, event queues, partition workloads, RNGs — must be
-// movable to its worker thread. `Workload: Send` (the trait's supertrait)
-// closes the only open edge; everything else is plain owned data.
-const _: fn() = || {
-    fn assert_send<T: Send>() {}
-    assert_send::<MindCluster>();
-    assert_send::<GroupRun>();
-};
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::trace::TraceOp;
     use mind_core::system::AccessKind;
-    use mind_sim::SimRng;
+    use mind_sim::{SimRng, SimTime};
 
     /// A single-threaded tenant touching its own pages; writes stay on
     /// one blade, so the confinement contract holds.
@@ -760,7 +659,7 @@ mod tests {
         }
     }
 
-    fn spec(partitions: u16, horizon_us: u64) -> ShardSpec {
+    fn spec(partitions: u16) -> ShardSpec {
         ShardSpec {
             name: "shard-test".to_string(),
             base: MindConfig {
@@ -779,7 +678,6 @@ mod tests {
                 warmup_ops_per_thread: 40,
                 ..Default::default()
             },
-            horizon: SimTime::from_micros(horizon_us),
             domain_per_thread: false,
         }
     }
@@ -807,7 +705,7 @@ mod tests {
 
     #[test]
     fn one_shard_matches_serialized_reference_exactly() {
-        let s = spec(4, 50);
+        let s = spec(4);
         let fused = run_group(&s, &factory).expect("confined scenario");
         let sharded = run_sharded(&s, 1, &factory).expect("confined scenario");
         assert_eq!(key(&fused), key(&sharded));
@@ -818,7 +716,7 @@ mod tests {
 
     #[test]
     fn sharded_partitions_reproduce_the_fused_run() {
-        let s = spec(4, 50);
+        let s = spec(4);
         let fused = run_group(&s, &factory).expect("confined scenario");
         assert_eq!(fused.invalidations, 0, "scenario must be confined");
         for shards in [2u16, 4] {
@@ -835,7 +733,7 @@ mod tests {
         // Same scenario, but every tenant in its own protection domain
         // (the multi-tenant isolation shape). Pid values differ between
         // the fused and sharded runs; nothing timing-visible does.
-        let mut s = spec(4, 50);
+        let mut s = spec(4);
         s.domain_per_thread = true;
         let fused = run_group(&s, &factory).expect("confined scenario");
         assert_eq!(fused.invalidations, 0, "scenario must be confined");
@@ -853,7 +751,7 @@ mod tests {
         // The multi-core contract: byte-identical reports across thread
         // counts, including counts that do not divide the shard count and
         // counts past it (clamped).
-        let s = spec(4, 50);
+        let s = spec(4);
         let reference = run_sharded_threads(&s, 4, 1, &factory).expect("confined scenario");
         for threads in [2usize, 3, 4, 16] {
             let got = run_sharded_threads(&s, 4, threads, &factory).expect("confined scenario");
@@ -868,7 +766,7 @@ mod tests {
     fn cluster_mode_sharded_partitions_reproduce_the_fused_run() {
         // The engine arbitrates per partition, so confined scenarios keep
         // the fused ≡ sharded contract in cluster mode too.
-        let mut s = spec(4, 50);
+        let mut s = spec(4);
         s.run = s
             .run
             .with_batch_ops(8)
@@ -888,7 +786,7 @@ mod tests {
 
     #[test]
     fn cluster_mode_thread_count_never_changes_the_result() {
-        let mut s = spec(4, 50);
+        let mut s = spec(4);
         s.run = s
             .run
             .with_batch_ops(8)
@@ -900,25 +798,6 @@ mod tests {
             assert_eq!(key(&reference), key(&got), "threads = {threads}");
             assert_eq!(reference.metrics, got.metrics, "threads = {threads}");
             assert_eq!(reference.mops.to_bits(), got.mops.to_bits());
-        }
-    }
-
-    #[test]
-    fn cluster_mode_horizon_length_never_changes_the_result() {
-        let mut s = spec(2, 1000);
-        s.run = s
-            .run
-            .with_batch_ops(8)
-            .with_window(4)
-            .with_concurrency(crate::runner::Concurrency::Cluster);
-        let reference = run_sharded(&s, 2, &factory).expect("confined scenario");
-        for horizon_us in [1u64, 333] {
-            let mut alt = spec(2, horizon_us);
-            alt.run = s.run;
-            alt.name = s.name.clone();
-            let got = run_sharded(&alt, 2, &factory).expect("confined scenario");
-            assert_eq!(key(&reference), key(&got), "horizon {horizon_us}us");
-            assert_eq!(reference.metrics, got.metrics);
         }
     }
 
@@ -943,7 +822,7 @@ mod tests {
                 }
             }
         }
-        let mut s = spec(2, 50);
+        let mut s = spec(2);
         s.domain_per_thread = true;
         let err = run_group(&s, &|_| Box::new(TwoRegions)).unwrap_err();
         assert_eq!(
@@ -958,21 +837,8 @@ mod tests {
     }
 
     #[test]
-    fn horizon_length_never_changes_the_result() {
-        let s = spec(2, 1000);
-        let reference = run_sharded(&s, 2, &factory).expect("confined scenario");
-        for horizon_us in [1u64, 7, 333, 1_000_000] {
-            let mut alt = spec(2, horizon_us);
-            alt.name = s.name.clone();
-            let got = run_sharded(&alt, 2, &factory).expect("confined scenario");
-            assert_eq!(key(&reference), key(&got), "horizon {horizon_us}us");
-            assert_eq!(reference.metrics, got.metrics);
-        }
-    }
-
-    #[test]
     fn interleaved_placement_rejected() {
-        let mut s = spec(2, 50);
+        let mut s = spec(2);
         s.run.interleave = true;
         let err = run_group(&s, &factory).unwrap_err();
         assert_eq!(err, ShardError::InterleavedPlacement);
@@ -981,7 +847,7 @@ mod tests {
 
     #[test]
     fn uneven_shard_split_rejected() {
-        let s = spec(4, 50);
+        let s = spec(4);
         let err = run_sharded(&s, 3, &factory).unwrap_err();
         assert_eq!(
             err,
@@ -994,15 +860,8 @@ mod tests {
     }
 
     #[test]
-    fn zero_horizon_rejected() {
-        let mut s = spec(2, 50);
-        s.horizon = SimTime::ZERO;
-        assert_eq!(run_sharded(&s, 2, &factory).unwrap_err(), ShardError::ZeroHorizon);
-    }
-
-    #[test]
     fn zero_threads_per_blade_rejected() {
-        let mut s = spec(2, 50);
+        let mut s = spec(2);
         s.run.threads_per_blade = 0;
         assert_eq!(run_group(&s, &factory).unwrap_err(), ShardError::ZeroThreadsPerBlade);
         assert_eq!(run_sharded(&s, 2, &factory).unwrap_err(), ShardError::ZeroThreadsPerBlade);
@@ -1013,7 +872,7 @@ mod tests {
 
     #[test]
     fn asymmetric_rack_surfaces_partition_error() {
-        let mut s = spec(4, 50);
+        let mut s = spec(4);
         s.base.n_compute = 3;
         let err = run_sharded(&s, 2, &factory).unwrap_err();
         assert!(
@@ -1026,7 +885,7 @@ mod tests {
     fn over_utilized_directory_rejected() {
         // One tenant spanning many pages against a directory too small to
         // hold the initial regions at ≤ ½ utilization.
-        let mut s = spec(2, 50);
+        let mut s = spec(2);
         s.base.dir_capacity = 2;
         s.base.rule_capacity = 2;
         let err = run_group(&s, &factory).unwrap_err();

@@ -156,7 +156,6 @@ fn run_equals_a_group_run_of_one_partition() {
             base: rack,
             partitions: 1,
             run: cfg,
-            horizon: SimTime::from_micros(50),
             domain_per_thread: false,
         };
         let group = run_group(&spec, &|_| workload.build()).expect("one partition always fits");
@@ -586,9 +585,8 @@ fn cluster_window_one_json_is_byte_identical_to_turnwise() {
 }
 
 /// Turn size composes with sharding: at every batch size, the sharded
-/// windowed replay merges to the same report as the fused serialized
-/// reference. Batch size regroups each thread's schedule —
-/// identically on every shard — so the conservative windows still line up.
+/// replay merges to the same report as the fused serialized reference.
+/// Batch size regroups each thread's schedule identically on every shard.
 #[test]
 fn sharded_replay_matches_fused_at_every_batch_size() {
     let factory = |p: u16| {
@@ -622,7 +620,6 @@ fn sharded_replay_matches_fused_at_every_batch_size() {
                 ..Default::default()
             }
             .with_batch_ops(batch_ops),
-            horizon: SimTime::from_micros(50),
             domain_per_thread: false,
         };
         let fused = runner_json(run_group(&spec, &factory).expect("confined scenario"));

@@ -115,7 +115,6 @@ fn table() -> Vec<Scenario> {
                 ..Default::default()
             }
             .with_batch_ops(8),
-            horizon: SimTime::from_micros(50),
             domain_per_thread: true,
         };
         let factory = tenant_partitions(TenantGroupConfig {

@@ -1,7 +1,7 @@
 //! The sharded simulation's core guarantee: replaying a partitioned
-//! scenario as `shards` independent sub-clusters advanced through
-//! conservative time windows renders **byte-identical** BENCH JSON to the
-//! serialized fused reference — for `shards = 1` unconditionally, and for
+//! scenario as `shards` independent sub-clusters, each run to completion
+//! on its own, renders **byte-identical** BENCH JSON to the serialized
+//! fused reference — for `shards = 1` unconditionally, and for
 //! `shards > 1` whenever the scenario honours the confinement contract
 //! spelled out in `mind_workloads::shard` (symmetric partitions, slice
 //! confinement, zero invalidations, directory utilization at or below
@@ -24,12 +24,11 @@ use proptest::prelude::*;
 use mind::core::cluster::MindConfig;
 use mind::harness::{report, Engine, Scenario, ScenarioOutput, ScenarioResult, WorkloadSpec};
 use mind::service::{tenant_partitions, TenantGroupConfig};
-use mind::sim::{EventQueue, SimRng, SimTime};
 use mind::workloads::kvs::KvsConfig;
 use mind::workloads::micro::MicroConfig;
 use mind::workloads::runner::{RunConfig, RunReport};
 use mind::workloads::shard::PartitionFactory;
-use mind::workloads::{run_group, run_sharded, run_sharded_threads, ShardSpec};
+use mind::workloads::{run_group, run_sharded_threads, ShardSpec};
 
 /// A four-partition rack whose resources divide evenly into 1, 2, or 4
 /// shards; the directory is sized so even fully split regions stay well
@@ -61,7 +60,6 @@ fn spec(name: &str, threads_per_partition: u16, domain_per_thread: bool) -> Shar
             ..Default::default()
         }
         .with_batch_ops(8),
-        horizon: SimTime::from_micros(50),
         domain_per_thread,
     }
 }
@@ -185,90 +183,12 @@ fn sharded_runs_nested_in_a_parallel_engine_render_identical_bench_json() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The conservative-window drain never executes an event out of
-    /// timestamp order: within every horizon window, pops are
-    /// nondecreasing in time and never pass the window's horizon, and the
-    /// clock never regresses across windows — even while handlers keep
-    /// rescheduling follow-up events at or after the current time,
-    /// exactly as a partition's turn loop does.
+    /// The merge never depends on OS-thread completion order: any thread
+    /// count — dividing the shard count or not, larger than it or not —
+    /// merges to the same report. (Thread counts shift which worker owns
+    /// which shards and in which order they finish; none of it may show.)
     #[test]
-    fn windowed_drain_pops_stay_in_timestamp_order(
-        seed in 0u64..10_000,
-        horizon_ns in 1u64..5_000,
-        n_events in 1usize..64,
-    ) {
-        let mut rng = SimRng::new(seed);
-        let mut queue: EventQueue<u32> = EventQueue::new();
-        for id in 0..n_events as u32 {
-            queue.schedule(SimTime::from_nanos(rng.gen_below(10_000)), id);
-        }
-        let step = SimTime::from_nanos(horizon_ns);
-        let mut horizon = step;
-        let mut clock = SimTime::ZERO;
-        let mut reschedules_left = n_events;
-        let mut popped = 0usize;
-        while !queue.is_empty() {
-            let mut window_clock = SimTime::ZERO;
-            while let Some(at) = queue.peek_time() {
-                if at > horizon {
-                    break;
-                }
-                let ev = queue.pop().expect("peeked event exists");
-                prop_assert!(ev.at <= horizon, "event executed past the horizon");
-                prop_assert!(ev.at >= window_clock, "pops regressed within a window");
-                prop_assert!(ev.at >= clock, "the clock went backwards across windows");
-                window_clock = ev.at;
-                clock = ev.at;
-                popped += 1;
-                if reschedules_left > 0 && rng.gen_bool(0.5) {
-                    reschedules_left -= 1;
-                    queue.schedule(ev.at + SimTime::from_nanos(rng.gen_below(3_000)), ev.event);
-                }
-            }
-            horizon += step;
-        }
-        prop_assert_eq!(popped, n_events + (n_events - reschedules_left));
-    }
-
-    /// The window length is a scheduling knob, never a semantic one: any
-    /// horizon merges to the same report as the fused reference.
-    #[test]
-    fn random_horizons_never_change_the_merged_report(
-        horizon_us in 1u64..2_000,
-        shard_choice in 0usize..3,
-    ) {
-        let shards = [1u16, 2, 4][shard_choice];
-        let factory = tenant_partitions(TenantGroupConfig {
-            tenants_per_group: 2,
-            pages_per_tenant: 8,
-            read_ratio: 0.7,
-            seed: 9,
-        });
-        let mut s = spec("shard-equiv/horizon", 2, true);
-        s.run.ops_per_thread = 60;
-        s.run.warmup_ops_per_thread = 10;
-        s.horizon = SimTime::from_micros(horizon_us);
-        let fused = bench_json(run_group(&s, &factory).expect("confined scenario"));
-        let merged = bench_json(run_sharded(&s, shards, &factory).expect("confined scenario"));
-        prop_assert_eq!(
-            merged,
-            fused,
-            "horizon {}us diverged at shards = {}",
-            horizon_us,
-            shards
-        );
-    }
-
-    /// The window-epoch merge never depends on OS-thread completion
-    /// order: any thread count — dividing the shard count or not, larger
-    /// than it or not — merges to the same report, at any window length.
-    /// (Thread counts shift which worker owns which shards and how often
-    /// the barrier rotates the finishing order; none of it may show.)
-    #[test]
-    fn random_thread_counts_never_change_the_merged_report(
-        threads in 1usize..9,
-        horizon_us in 1u64..500,
-    ) {
+    fn random_thread_counts_never_change_the_merged_report(threads in 1usize..9) {
         let factory = tenant_partitions(TenantGroupConfig {
             tenants_per_group: 2,
             pages_per_tenant: 8,
@@ -278,15 +198,8 @@ proptest! {
         let mut s = spec("shard-equiv/threads", 2, true);
         s.run.ops_per_thread = 60;
         s.run.warmup_ops_per_thread = 10;
-        s.horizon = SimTime::from_micros(horizon_us);
         let reference = bench_json(run_sharded_threads(&s, 4, 1, &factory).expect("confined"));
         let merged = bench_json(run_sharded_threads(&s, 4, threads, &factory).expect("confined"));
-        prop_assert_eq!(
-            merged,
-            reference,
-            "threads = {} diverged at horizon {}us",
-            threads,
-            horizon_us
-        );
+        prop_assert_eq!(merged, reference, "threads = {} diverged", threads);
     }
 }

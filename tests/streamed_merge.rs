@@ -8,9 +8,9 @@
 //!
 //! - **End to end**: `run_sharded_threads` (lazy shard build, worker
 //!   lanes, `StreamedMerge` fold) against a reference that materializes
-//!   every shard's report in memory and merges them through
-//!   `merge_reports` — the exact shape the executor had before the
-//!   streaming fold existed.
+//!   every shard's report in memory (`run_shard`, one shard at a time)
+//!   and merges them through `merge_reports` — the exact shape the
+//!   executor had before the streaming fold existed.
 //! - **The reorder buffer in isolation**: a proptest offers the same
 //!   reports to `StreamedMerge` in arbitrary completion orders and
 //!   checks the fused bytes never move — fold order is a function of
@@ -24,11 +24,13 @@ use mind::core::cluster::MindConfig;
 use mind::harness::{report, ScenarioOutput, ScenarioResult, WorkloadSpec};
 use mind::obs::{TraceConfig, TraceMode};
 use mind::service::{tenant_partitions, TenantGroupConfig};
-use mind::sim::{SimRng, SimTime};
+use mind::sim::SimRng;
 use mind::workloads::micro::MicroConfig;
 use mind::workloads::runner::{RunConfig, RunReport};
-use mind::workloads::shard::{GroupRun, PartitionFactory};
-use mind::workloads::{merge_reports, run_sharded_threads, ShardSpec, StreamedMerge, Workload};
+use mind::workloads::shard::PartitionFactory;
+use mind::workloads::{
+    merge_reports, run_shard, run_sharded_threads, ShardSpec, StreamedMerge, Workload,
+};
 
 /// A four-partition rack whose resources divide evenly into 1, 2, or 4
 /// shards (mirrors `tests/shard_equivalence.rs`).
@@ -64,7 +66,6 @@ fn spec(name: &str, threads_per_partition: u16, domain_per_thread: bool, traced:
         }
         .with_batch_ops(8)
         .with_trace(TraceConfig::with_mode(mode)),
-        horizon: SimTime::from_micros(50),
         domain_per_thread,
     }
 }
@@ -78,47 +79,11 @@ fn bench_json(report: RunReport) -> String {
     report::suite_json("streamed_merge", &[result]).render()
 }
 
-/// Runs shard `s` to completion through the same conservative-horizon
-/// loop the streamed executor uses, with trace lanes rebased onto the
-/// fused rack's global blade indices. `TraceMode::On` records only the
-/// grouping-invariant event set (shard-epoch marks are `Full`-only), so
-/// this public-API loop reproduces the executor's per-shard report
-/// byte for byte.
-fn run_shard_in_memory(
-    spec: &ShardSpec,
-    sub: MindConfig,
-    per_shard: u16,
-    s: u16,
-    factory: &PartitionFactory,
-) -> RunReport {
-    let mut group = GroupRun::new(
-        format!("{}/shard{s}", spec.name),
-        sub,
-        s * per_shard,
-        per_shard,
-        spec.run,
-        spec.domain_per_thread,
-        factory,
-    )
-    .expect("confined scenario");
-    let mut horizon = spec.horizon;
-    while !group.advance_until(horizon) {
-        horizon += spec.horizon;
-    }
-    let mut report = group.finish();
-    if let Some(t) = &mut report.trace {
-        t.rebase_lanes(s as u32 * sub.n_compute as u32);
-    }
-    report
-}
-
 /// The in-memory reference: every shard report materialized in a `Vec`,
-/// then merged at once in index order.
+/// to be merged at once in index order.
 fn shard_reports(spec: &ShardSpec, shards: u16, factory: &PartitionFactory) -> Vec<RunReport> {
-    let sub = spec.base.try_partition(shards).expect("symmetric rack");
-    let per_shard = spec.partitions / shards;
     (0..shards)
-        .map(|s| run_shard_in_memory(spec, sub, per_shard, s, factory))
+        .map(|s| run_shard(spec, shards, s, factory).expect("confined scenario"))
         .collect()
 }
 

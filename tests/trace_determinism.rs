@@ -51,7 +51,6 @@ fn traced_spec(name: &str) -> ShardSpec {
             ..Default::default()
         }
         .with_batch_ops(8),
-        horizon: SimTime::from_micros(50),
         domain_per_thread: false,
     }
 }
