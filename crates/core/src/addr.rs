@@ -73,13 +73,6 @@ impl Vma {
     pub fn pages(&self) -> u64 {
         (self.len + PAGE_SIZE - 1) >> PAGE_SHIFT
     }
-
-    /// Iterates the page-aligned base addresses covered by the vma.
-    pub fn page_bases(&self) -> impl Iterator<Item = u64> {
-        let start = self.base >> PAGE_SHIFT;
-        let end = (self.end() + PAGE_SIZE - 1) >> PAGE_SHIFT;
-        (start..end).map(|p| p << PAGE_SHIFT)
-    }
 }
 
 /// Rounds `len` up to the next power of two (minimum one page).
@@ -120,8 +113,6 @@ mod tests {
         assert_eq!(Vma::new(0x1000, 1).pages(), 1);
         assert_eq!(Vma::new(0x1000, 4096).pages(), 1);
         assert_eq!(Vma::new(0x1000, 4097).pages(), 2);
-        let bases: Vec<u64> = Vma::new(0x1000, 0x2000).page_bases().collect();
-        assert_eq!(bases, vec![0x1000, 0x2000]);
     }
 
     #[test]

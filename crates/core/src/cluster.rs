@@ -530,16 +530,7 @@ impl MindCluster {
         pa_base: u64,
     ) -> Result<usize, SysError> {
         // Flush coherence state so stale copies cannot outlive the move.
-        let mut addr = base;
-        while addr < base + len {
-            match self.engine.directory().region_of(addr) {
-                Some((rbase, rk)) => {
-                    self.engine.reset_region(now, rbase, rk);
-                    addr = rbase + (1u64 << rk);
-                }
-                None => addr += PAGE_SIZE,
-            }
-        }
+        self.engine.reset_range(now, base, base + len);
         self.engine
             .translation
             .add_outlier(base, len, dst_blade, pa_base)
@@ -578,18 +569,12 @@ impl MindCluster {
         self.engine.rule_count()
     }
 
-    /// Bytes allocated per memory blade (Figure 8 right).
-    pub fn allocated_per_blade(&self) -> Vec<u64> {
-        self.controller.allocator().allocated_per_blade()
-    }
-
     /// Fraction of the rack's disaggregated memory currently allocated,
     /// in `[0, 1]` — the pressure signal a serving layer's admission
     /// control reads before admitting a tenant.
     pub fn memory_utilization(&self) -> f64 {
-        let allocated: u64 = self.allocated_per_blade().iter().sum();
         let capacity = self.cfg.n_memory as u64 * self.cfg.memory_blade_bytes;
-        allocated as f64 / capacity as f64
+        self.controller.allocator().allocated() as f64 / capacity as f64
     }
 
     /// Protection TCAM entries installed for one protection domain

@@ -1014,6 +1014,16 @@ impl CoherenceEngine {
         done
     }
 
+    /// [`CoherenceEngine::reset_region`] on every region overlapping
+    /// `[base, end)`, ascending: `munmap`, `mprotect` and `migrate` teardown.
+    pub(crate) fn reset_range(&mut self, now: SimTime, base: u64, end: u64) {
+        let mut addr = base;
+        while let Some((rbase, rk)) = self.directory.next_region(addr, end) {
+            self.reset_region(now, rbase, rk);
+            addr = rbase + (1u64 << rk);
+        }
+    }
+
     /// Drops what the memory blades store for `[base, base + len)`: the
     /// control plane freed the extent, and its next owner must read zeros.
     pub fn free_backing(&mut self, base: u64, len: u64) {

@@ -122,6 +122,8 @@ pub struct Controller {
     control: ControlPlane,
     rr_next_blade: u16,
     n_compute: u16,
+    /// Exited processes' cleared blade lists, for the next `exec`s to reuse.
+    spare_blades: Vec<Vec<u16>>,
 }
 
 impl Controller {
@@ -141,6 +143,7 @@ impl Controller {
             control: ControlPlane::new(syscall_cost, rule_install_cost),
             rr_next_blade: 0,
             n_compute,
+            spare_blades: Vec::new(),
         }
     }
 
@@ -155,7 +158,7 @@ impl Controller {
                 pid,
                 first: None,
                 rest: Vec::new(),
-                blades: Vec::new(),
+                blades: self.spare_blades.pop().unwrap_or_default(),
             },
         );
         pid
@@ -250,16 +253,7 @@ impl Controller {
         engine.protection.revoke(pid, reserved);
         self.control.remove_rule();
         // Tear down directory entries covering the vma, flushing caches.
-        let mut addr = reserved.base;
-        while addr < reserved.end() {
-            match engine.directory().region_of(addr) {
-                Some((rbase, rk)) => {
-                    engine.reset_region(now, rbase, rk);
-                    addr = rbase + (1u64 << rk);
-                }
-                None => addr += mind_blade::PAGE_SIZE,
-            }
-        }
+        engine.reset_range(now, reserved.base, reserved.end());
         self.galloc.dealloc(base);
         engine.free_backing(reserved.base, reserved.len);
         Ok(())
@@ -290,16 +284,7 @@ impl Controller {
             .grant(pid, reserved, pc)
             .map_err(|_| SysError::NoMem)?;
         self.control.install_rule();
-        let mut addr = reserved.base;
-        while addr < reserved.end() {
-            match engine.directory().region_of(addr) {
-                Some((rbase, rk)) => {
-                    engine.reset_region(now, rbase, rk);
-                    addr = rbase + (1u64 << rk);
-                }
-                None => addr += mind_blade::PAGE_SIZE,
-            }
-        }
+        engine.reset_range(now, reserved.base, reserved.end());
         if let Some(m) = self.processes.get_mut(&pid).and_then(|p| p.mapping_mut(base)) {
             m.pc = pc;
         }
@@ -319,18 +304,15 @@ impl Controller {
             let Some(oldest) = p.first else { break };
             self.munmap(engine, now, pid, oldest.base)?;
         }
-        self.processes.remove(&pid);
+        let mut blades = self.processes.remove(&pid).expect("checked above").blades;
+        blades.clear();
+        self.spare_blades.push(blades);
         Ok(())
     }
 
     /// Looks up a process.
     pub fn process(&self, pid: Pid) -> Option<&Process> {
         self.processes.get(&pid)
-    }
-
-    /// Live processes.
-    pub fn process_count(&self) -> usize {
-        self.processes.len()
     }
 
     /// The allocator (for fairness reporting).
@@ -401,7 +383,7 @@ mod tests {
         let a = ctl.exec();
         let b = ctl.exec();
         assert_ne!(a, b);
-        assert_eq!(ctl.process_count(), 2);
+        assert_eq!(ctl.processes.len(), 2);
         assert_eq!(ctl.control_plane().syscalls_handled(), 2);
     }
 
@@ -523,7 +505,7 @@ mod tests {
         ctl.mmap(&mut eng, pid, 1 << 16, PermClass::ReadOnly)
             .unwrap();
         ctl.exit(&mut eng, SimTime::ZERO, pid).unwrap();
-        assert_eq!(ctl.process_count(), 0);
+        assert_eq!(ctl.processes.len(), 0);
         assert_eq!(ctl.allocator().live_allocations(), 0);
         assert_eq!(ctl.grants().count(), 0);
     }

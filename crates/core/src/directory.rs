@@ -447,6 +447,20 @@ impl RegionDirectory {
         self.probe(addr).map(|r| r.bounds())
     }
 
+    /// The first region overlapping `[addr, end)`, skipping untracked space by
+    /// the smallest populated size class (every region base is a multiple).
+    pub(crate) fn next_region(&self, mut addr: u64, end: u64) -> Option<(u64, u8)> {
+        while addr < end {
+            if let Some(found) = self.region_of(addr) {
+                return Some(found);
+            }
+            // An empty directory has no smallest class: the shift fails.
+            let step = 1u64.checked_shl(self.classes.trailing_zeros())?;
+            addr = (addr & !(step - 1)).checked_add(step)?;
+        }
+        None
+    }
+
     /// The entry behind a live handle.
     ///
     /// # Panics
@@ -997,6 +1011,20 @@ mod tests {
                     assert_eq!(d.lookup(probe).map(|r| r.bounds()), expected);
                     assert_eq!(d.lookup(probe).map(|r| r.bounds()), expected, "memo hit");
                 }
+                // The teardown walk finds what the per-page loop it replaced
+                // did, in its order (a reset removes only regions behind it).
+                let (end, mut by_page, mut at) = (addr + (64 << PAGE_SHIFT), vec![], addr);
+                while at < end {
+                    let found = d.region_of(at);
+                    by_page.extend(found);
+                    at = found.map_or(at + (1 << PAGE_SHIFT), |(base, k)| base + (1u64 << k));
+                }
+                let (mut walked, mut at) = (vec![], addr);
+                while let Some((base, k)) = d.next_region(at, end) {
+                    walked.push((base, k));
+                    at = base + (1u64 << k);
+                }
+                assert_eq!(walked, by_page, "seed {seed} step {step}");
                 let classes: u64 = oracle.0.values().fold(0, |m, &k| m | 1u64 << k);
                 assert_eq!(d.classes, classes, "populated-class mask");
                 let mut ranked: Vec<u8> = (0..64).filter(|k| classes >> k & 1 == 1).collect();

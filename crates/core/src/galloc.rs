@@ -233,6 +233,11 @@ impl GlobalAllocator {
         self.blades.iter().map(|b| b.allocated()).collect()
     }
 
+    /// Bytes allocated across all blades.
+    pub fn allocated(&self) -> u64 {
+        self.blades.iter().map(|b| b.allocated()).sum()
+    }
+
     /// Total live allocations.
     pub fn live_allocations(&self) -> usize {
         self.allocations.len()

@@ -200,8 +200,8 @@ enum Event {
     Arrival,
     /// A tenant's lifetime ended.
     Departure(TenantId),
-    /// A tenant's next open-loop request.
-    Request(TenantId),
+    /// A tenant's next open-loop request, and the slot it was admitted to.
+    Request(TenantId, u32),
     /// A dispatch quantum boundary.
     Dispatch,
     /// An elasticity epoch boundary.
@@ -224,7 +224,9 @@ pub struct MemoryService {
     /// Live tenants in a dense slot table; a departed tenant's slot is
     /// handed to the next admission.
     slots: Vec<Option<Tenant>>,
-    free_slots: Vec<u32>,
+    /// Vacant slots, each with its last tenant's cleared queue, blade list
+    /// and latency histogram, which the next admission reuses.
+    vacant: Vec<(u32, VecDeque<PendingRequest>, Vec<u16>, Histogram)>,
     /// The live tenants as `(id, slot)`, ascending by id. Ids are handed
     /// out in admission order, so an admission appends.
     live: Vec<(TenantId, u32)>,
@@ -272,7 +274,7 @@ impl MemoryService {
             rng: SimRng::new(cfg.seed),
             cfg,
             slots: Vec::new(),
-            free_slots: Vec::new(),
+            vacant: Vec::new(),
             live: Vec::new(),
             ready: Default::default(),
             queued: [0; 3],
@@ -382,10 +384,13 @@ impl MemoryService {
             self.cfg.class_patterns[qos.index()],
             self.rng.fork(),
         );
-        let slot = self.free_slots.pop().unwrap_or_else(|| {
+        let (slot, queue, mut blades, latency) = self.vacant.pop().unwrap_or_else(|| {
             self.slots.push(None);
-            self.slots.len() as u32 - 1
+            let queue = VecDeque::with_capacity(self.cfg.max_queue_depth);
+            let blades = Vec::with_capacity(self.cfg.rack.n_compute as usize);
+            (self.slots.len() as u32 - 1, queue, blades, Histogram::new())
         });
+        blades.push(first_blade);
         self.live.push((id, slot));
         self.slots[slot as usize] = Some(Tenant {
             id,
@@ -396,11 +401,11 @@ impl MemoryService {
             rate_hz,
             arrived_at: now,
             workload,
-            queue: VecDeque::new(),
-            blades: vec![first_blade],
+            queue,
+            blades,
             blades_peak: 1,
             next_blade: 0,
-            latency: Histogram::new(),
+            latency,
             ops: 0,
             rejected: 0,
             ops_this_epoch: 0,
@@ -420,7 +425,6 @@ impl MemoryService {
         let mut t = self.slots[slot as usize]
             .take()
             .expect("listed tenant is live");
-        self.free_slots.push(slot);
         let ci = t.qos.index();
         let dropped = t.queue.len() as u64;
         if let Ok(at) = Self::position(&self.ready[ci], id) {
@@ -437,6 +441,9 @@ impl MemoryService {
             "departed tenant's TCAM entries reclaimed"
         );
         let slo = t.slo(now, true);
+        t.blades.clear();
+        t.latency.clear();
+        self.vacant.push((slot, t.queue, t.blades, t.latency));
         self.slos.push(slo);
         self.departed += 1;
         self.trace_control(now, EventKind::TenantDepart, ci as u64, 0);
@@ -663,12 +670,12 @@ impl MemoryService {
                 Event::Departure(id) => {
                     self.depart(at, id);
                 }
-                Event::Request(id) => {
-                    if let Some(slot) = self.slot_of(id) {
+                Event::Request(id, slot) => {
+                    if self.slots[slot as usize].as_ref().is_some_and(|t| t.id == id) {
                         self.enqueue(at, slot);
                         let rate = tenant_in(&mut self.slots, slot).rate_hz;
                         let gap = self.exp_gap_rate(rate);
-                        self.queue.schedule(at + gap, Event::Request(id));
+                        self.queue.schedule(at + gap, Event::Request(id, slot));
                     }
                 }
                 Event::Dispatch => {
@@ -693,8 +700,9 @@ impl MemoryService {
             + self.rng.gen_f64() * (self.cfg.max_rate_hz - self.cfg.min_rate_hz);
         let lifetime = self.exp_gap(self.cfg.mean_lifetime.as_nanos() as f64);
         if let Ok(id) = self.admit(now, qos, pages, rate_hz) {
+            let slot = self.live.last().expect("just admitted").1;
             let first_request = self.exp_gap_rate(rate_hz);
-            self.queue.schedule(now + first_request, Event::Request(id));
+            self.queue.schedule(now + first_request, Event::Request(id, slot));
             self.queue.schedule(now + lifetime, Event::Departure(id));
         }
     }

@@ -37,6 +37,13 @@ impl Histogram {
         }
     }
 
+    /// Empties the histogram in place: equal to [`Histogram::new`], with
+    /// the bucket array kept for the next owner instead of reallocated.
+    pub fn clear(&mut self) {
+        self.buckets.fill(0);
+        (self.count, self.sum, self.min, self.max) = (0, 0, u64::MAX, 0);
+    }
+
     fn bucket_of(value: u64) -> usize {
         if value < MINOR as u64 {
             return value as usize;
@@ -203,11 +210,6 @@ impl Metrics {
         *self.values.entry(name).or_insert(0) += n;
     }
 
-    /// Increments metric `name`.
-    pub fn incr(&mut self, name: &'static str) {
-        self.add(name, 1);
-    }
-
     /// Reads metric `name` (0 when absent).
     pub fn get(&self, name: &str) -> u64 {
         self.values.get(name).copied().unwrap_or(0)
@@ -312,6 +314,40 @@ mod tests {
     }
 
     #[test]
+    fn a_cleared_histogram_is_a_new_one() {
+        let mut cleared = Histogram::new();
+        for v in [3u64, 40, 500, 6_000, 70_000, u32::MAX as u64] {
+            cleared.record(v);
+        }
+        cleared.clear();
+        let fresh = Histogram::new();
+        let summary = |h: &Histogram| {
+            let quantiles: Vec<u64> = (0..=20).map(|i| h.quantile(i as f64 / 20.0)).collect();
+            (h.count(), h.mean(), h.min(), h.max(), quantiles)
+        };
+        assert_eq!(summary(&cleared), summary(&fresh), "empty");
+        let mut other = Histogram::new();
+        for v in [7u64, 90, 1_234, 55_555] {
+            other.record(v * 3);
+        }
+        let (mut into_cleared, mut into_fresh) = (other.clone(), other.clone());
+        into_cleared.merge(&cleared);
+        into_fresh.merge(&fresh);
+        assert_eq!(summary(&into_cleared), summary(&into_fresh), "merged in");
+        for v in [7u64, 90, 1_234, 55_555] {
+            cleared.record(v);
+        }
+        let mut refilled = Histogram::new();
+        for v in [7u64, 90, 1_234, 55_555] {
+            refilled.record(v);
+        }
+        cleared.merge(&other);
+        refilled.merge(&other);
+        assert_eq!(summary(&cleared), summary(&refilled), "refilled and merged");
+        assert_eq!(cleared.buckets, refilled.buckets);
+    }
+
+    #[test]
     fn bucket_low_is_inverse_lower_bound() {
         for v in [0u64, 1, 15, 16, 17, 100, 1_000, 123_456, u32::MAX as u64] {
             let b = Histogram::bucket_of(v);
@@ -353,7 +389,7 @@ mod tests {
     #[test]
     fn metrics_accumulate_and_merge() {
         let mut m = Metrics::new();
-        m.incr("invalidations");
+        m.add("invalidations", 1);
         m.add("invalidations", 2);
         m.add("remote_accesses", 7);
         assert_eq!(m.get("invalidations"), 3);

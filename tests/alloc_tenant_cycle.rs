@@ -1,5 +1,7 @@
 //! Allocation gate of a tenant's control-plane life cycle: `exec`, one
-//! `mmap_in`, a store so that the exit has a page to write back, `exit`.
+//! `mmap_in`, threads placed on both blades and one retired again, the
+//! rack's memory pressure read as admission control reads it, a store so
+//! that the exit has a page to write back, `exit`.
 //!
 //! `mind_obs::mem::alloc_counts()` is process-wide, so this is the only
 //! test in its target: a sibling test thread's allocations would land in
@@ -27,6 +29,10 @@ fn churn(cycles: u64) -> u64 {
         now += SimTime::from_nanos(100);
         let pid = rack.exec().unwrap();
         let base = rack.mmap_in(pid, 1 << 16, 0..2).unwrap();
+        let first = rack.place_thread(pid).unwrap();
+        rack.place_thread(pid).unwrap();
+        assert_eq!(rack.unplace_thread(pid, first), Ok(true));
+        assert!(rack.memory_utilization() > 0.0);
         rack.access_as(now, (cycle % 2) as u16, pid, base, AccessKind::Write)
             .unwrap();
         rack.exit(now, pid).unwrap();

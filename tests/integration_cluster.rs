@@ -41,7 +41,8 @@ fn allocation_balances_and_reports_fairness() {
     for _ in 0..32 {
         c.mmap(pid, 1 << 20).unwrap();
     }
-    let loads: Vec<f64> = c.allocated_per_blade().iter().map(|&x| x as f64).collect();
+    let per_blade = c.controller().allocator().allocated_per_blade();
+    let loads: Vec<f64> = per_blade.iter().map(|&x| x as f64).collect();
     assert!(jains_index(&loads) > 0.99, "balanced: {loads:?}");
 }
 

@@ -58,6 +58,7 @@ proptest! {
             let total: u64 = galloc.allocated_per_blade().iter().sum();
             let expect: u64 = live.iter().map(|&(_, s)| s).sum();
             prop_assert_eq!(total, expect, "byte accounting");
+            prop_assert_eq!(galloc.allocated(), total, "the allocator total is the per-blade sum");
         }
         for (base, _) in live {
             galloc.dealloc(base);

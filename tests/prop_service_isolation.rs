@@ -37,6 +37,58 @@ fn a_new_tenant_reads_zeros_where_a_departed_one_wrote() {
     );
 }
 
+/// A departed tenant's slot keeps its queue, blade list and latency
+/// histogram for the next admission, cleared: the tenant admitted into it
+/// draws the same requests and gets the same SLO record as one admitted
+/// into a fresh slot while its predecessor was still live. The predecessor
+/// leaves requests queued, a grown blade set and recorded latencies.
+#[test]
+fn a_recycled_slot_serves_its_tenant_like_a_fresh_one() {
+    let run = |recycled: bool| {
+        let mut svc = MemoryService::new(ServiceConfig {
+            blade_capacity_hz: 1_000.0,
+            ..ServiceConfig::default()
+        });
+        let mut now = SimTime::ZERO;
+        let first = svc.admit(now, QosClass::Gold, 64, 1_000.0).unwrap();
+        for _ in 0..40 {
+            svc.submit(now, first);
+        }
+        for _ in 0..5 {
+            now += SimTime::from_micros(20);
+            svc.dispatch(now);
+        }
+        svc.rebalance();
+        assert!(svc.tenant(first).unwrap().blades.len() > 1);
+        assert!(!svc.tenant(first).unwrap().queue.is_empty());
+        let second = if recycled {
+            svc.depart(now, first).unwrap();
+            svc.admit(now, QosClass::Silver, 32, 1_000.0).unwrap()
+        } else {
+            let second = svc.admit(now, QosClass::Silver, 32, 1_000.0).unwrap();
+            svc.depart(now, first).unwrap();
+            second
+        };
+        // Well after the predecessor's write-backs.
+        now += SimTime::from_millis(1);
+        let mut requests = Vec::new();
+        for _ in 0..60 {
+            now += SimTime::from_micros(20);
+            for _ in 0..3 {
+                svc.submit(now, second);
+                let r = *svc.tenant(second).unwrap().queue.back().unwrap();
+                requests.push((r.enqueued_at, r.op));
+            }
+            svc.dispatch(now);
+        }
+        svc.rebalance();
+        let blades = svc.tenant(second).unwrap().blades.clone();
+        let slo = svc.depart(now, second).unwrap();
+        (requests, blades, format!("{slo:?}"))
+    };
+    assert_eq!(run(true), run(false));
+}
+
 /// How many pages of `[base, base + pages * 4 KiB)` a memory blade holds
 /// bytes for.
 fn stored_pages(svc: &MemoryService, base: u64, pages: u64) -> usize {
