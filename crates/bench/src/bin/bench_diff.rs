@@ -10,6 +10,8 @@
 //! `--quick` run against a full one) are not compared at all: exit 2,
 //! "modes differ", instead of a difference per value.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 

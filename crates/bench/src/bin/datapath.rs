@@ -32,6 +32,8 @@
 //! there and the gate prints a skip note instead of failing. The RSS
 //! gate is parallelism-independent and always applies.
 
+#![forbid(unsafe_code)]
+
 use mind_bench::figures::datapath::{SHARD_COUNTS, SHARD_THREADS, XXL_THREADS};
 
 /// Minimum accepted multi-thread/single-thread shard-speedup ratio under

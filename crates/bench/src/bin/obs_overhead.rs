@@ -15,6 +15,8 @@
 //! and noisy in the absolute, but the two quantities differ by ~2-3
 //! orders of magnitude, so the ratio gate is stable even on loaded hosts.
 
+#![forbid(unsafe_code)]
+
 use std::hint::black_box;
 use std::time::Instant;
 

@@ -3,6 +3,8 @@
 //! reclamation, elastic blade assignment) in one parallel invocation,
 //! writing `BENCH_service.json`. Pass `--quick` for the CI-sized variant.
 
+#![forbid(unsafe_code)]
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let figures = mind_bench::figures::matching("service");

@@ -15,6 +15,8 @@
 //!   substring (e.g. `--filter service_qos` for a single figure, or
 //!   `--filter fig5` for a family). Unfiltered output is unaffected.
 
+#![forbid(unsafe_code)]
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");

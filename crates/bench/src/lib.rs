@@ -21,6 +21,8 @@
 //! preserved; absolute seconds are not comparable to the paper's testbed
 //! (and are not meant to be).
 
+#![forbid(unsafe_code)]
+
 pub mod figures;
 
 /// Prints a header row followed by aligned columns.

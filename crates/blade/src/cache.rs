@@ -173,6 +173,17 @@ impl DramCache {
         }
     }
 
+    /// Drops every page and zeroes the counters, keeping the page table's
+    /// and the frame slab's storage: the cache is as [`DramCache::new`]
+    /// made it.
+    pub fn clear(&mut self) {
+        self.pt.clear();
+        self.frames.clear();
+        (self.lru_head, self.lru_tail) = (NO_FRAME, NO_FRAME);
+        (self.hits, self.misses, self.upgrades) = (0, 0, 0);
+        (self.evictions, self.dirty_evictions, self.flushed_pages) = (0, 0, 0);
+    }
+
     /// Capacity in pages.
     pub fn capacity_pages(&self) -> u32 {
         self.pt.n_frames()

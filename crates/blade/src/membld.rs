@@ -51,6 +51,13 @@ impl MemoryBlade {
         }
     }
 
+    /// Forgets every page and zeroes the traffic counters, keeping the
+    /// store's storage: the blade is as [`MemoryBlade::new`] made it.
+    pub fn clear(&mut self) {
+        self.pages.clear();
+        (self.reads, self.writes) = (0, 0);
+    }
+
     /// Capacity in pages.
     pub fn capacity_pages(&self) -> u64 {
         self.capacity_pages

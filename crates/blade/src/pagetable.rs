@@ -142,14 +142,27 @@ impl PageTable {
     /// Panics if `n_frames` exceeds 2^31 (8 TB of blade DRAM).
     pub fn new(n_frames: u32) -> Self {
         assert!(n_frames <= WRITABLE, "frame ids must fit 31 bits");
-        PageTable {
+        let mut table = PageTable {
             leaves: FastMap::default(),
             mapped: 0,
-            free_frames: (0..n_frames).rev().collect(),
+            free_frames: Vec::with_capacity(n_frames as usize),
             n_frames,
             tlb_shootdowns: 0,
             key_scratch: Vec::new(),
-        }
+        };
+        table.clear();
+        table
+    }
+
+    /// Unmaps every page and frees every frame, counting no shootdowns and
+    /// keeping the storage: the table is as [`PageTable::new`] made it,
+    /// frames handed out from 0 again.
+    pub(crate) fn clear(&mut self) {
+        self.leaves.clear();
+        self.mapped = 0;
+        self.free_frames.clear();
+        self.free_frames.extend((0..self.n_frames).rev());
+        self.tlb_shootdowns = 0;
     }
 
     /// Total local frames.

@@ -215,7 +215,7 @@ impl MindCluster {
             cfg.latency,
             cfg.coherence,
         );
-        engine.set_trace(mind_obs::TraceBuf::new(cfg.trace));
+        engine.trace = mind_obs::TraceBuf::new(cfg.trace);
         let controller = Controller::new(
             cfg.n_compute,
             cfg.n_memory,
@@ -232,6 +232,16 @@ impl MindCluster {
             clock_high_watermark: SimTime::ZERO,
             batch_engine: None,
         }
+    }
+
+    /// Returns the rack to exactly what `MindCluster::new(*self.config())`
+    /// builds, keeping every table's storage. The windowed-batch engine
+    /// stays: each windowed batch empties it before use.
+    pub fn reset(&mut self) {
+        self.engine.reset(mind_obs::TraceBuf::new(self.cfg.trace));
+        self.controller.reset(self.cfg.syscall_cost, self.cfg.rule_install_cost);
+        self.splitter.reset();
+        (self.default_pid, self.clock_high_watermark) = (None, SimTime::ZERO);
     }
 
     /// The configuration in force.
@@ -1114,6 +1124,72 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(CX5_NIC_DEPTH), run(0));
+    }
+
+    /// What one life observes that grows every table a rack owns: bytes
+    /// moved between blades, a migration, packet loss, false invalidations
+    /// over several splitting epochs, a failed blade, a failover, a windowed
+    /// batch, `munmap`, `exit`, and a grant, a stored page and `variant` more
+    /// tenants left behind. `variant` also moves addresses and draws and
+    /// stretches time, so a longer life leaves state a shorter one would not.
+    fn life(c: &mut MindCluster, variant: u64) -> Vec<String> {
+        let at = |us: u64| SimTime::from_micros(us * (1 + variant));
+        let (a, b, d) = (c.exec().unwrap(), c.exec().unwrap(), c.exec().unwrap());
+        let (base, other) = (c.mmap(a, 1 << 20).unwrap(), c.mmap(b, 1 << 16).unwrap());
+        let kept = c.mmap(d, 1 << 16).unwrap();
+        let mut log = vec![format!("{a} {b} {d} {base:#x} {other:#x} {kept:#x} {:?}", c.place_thread(a))];
+        let page = base + (variant << 12);
+        c.write_bytes(at(1), 0, a, page, &variant.to_le_bytes()).unwrap();
+        c.write_bytes(at(2), 0, d, kept + (variant << 12), b"kept").unwrap();
+        log.push(format!("{:?}", c.read_bytes(at(40), 1, a, page, 8)));
+        c.migrate(at(80), base + ((1 + variant) << 16), 1 << 16, 1, 1 << 25).unwrap();
+        for i in 0..400u64 {
+            if i == 200 {
+                c.inject_loss(0.2, variant);
+            }
+            let vaddr = base + (((i * 3 + variant) % 4) << 12);
+            let out = c.access_as(at(100 + i * 600), (i % 2) as u16, a, vaddr, AccessKind::Write);
+            log.push(format!("{out:?}"));
+        }
+        c.fail_blade(1);
+        log.push(format!("{:?}", c.access_as(at(250_000), 1, a, base, AccessKind::Read)));
+        log.push(format!("{:?}", c.switch_failover(at(251_000))));
+        log.extend((0..3).map(|p| format!("{:?}", c.read_bytes(at(251_500), 0, d, kept + (p << 12), 8))));
+        let mut batch = OpBatch::fixed().with_window(4);
+        batch.extend((0..16).map(|i| crate::system::MemOp {
+            at: at(252_000 + i),
+            blade: 0,
+            pdid: None,
+            vaddr: base + (i << 12),
+            kind: AccessKind::Read,
+        }));
+        c.run_batch(at(252_000), &mut batch);
+        log.extend((0..16).map(|i| format!("{:?} {:?}", batch.result(i), batch.completion(i))));
+        c.munmap(at(260_000), b, other).unwrap();
+        c.exit(at(261_000), a).unwrap();
+        for _ in 0..variant {
+            let pid = c.exec().unwrap();
+            log.push(format!("{pid} {:?}", c.mmap(pid, 1 << 12)));
+        }
+        let (entries, rules, used) = (c.directory_entries(), c.match_action_rules(), c.memory_utilization());
+        log.push(format!("{:?} {entries} {rules} {used}", c.metrics_snapshot()));
+        log.push(format!("{:?} {}", c.directory_series().points(), c.splitter().epochs_run()));
+        log
+    }
+
+    /// After a longer life and `reset`, a life observes on the rack what it
+    /// observes on a new one, trace included, under TSO and PSO's store buffers.
+    #[test]
+    fn a_reset_rack_is_a_new_rack() {
+        for consistency in [ConsistencyModel::Tso, ConsistencyModel::Pso] {
+            let mut cfg = MindConfig::small().consistency(consistency);
+            cfg.trace = mind_obs::TraceConfig::with_mode(mind_obs::TraceMode::On);
+            let (mut reused, mut fresh) = (MindCluster::new(cfg), MindCluster::new(cfg));
+            life(&mut reused, 2);
+            reused.reset();
+            assert_eq!(life(&mut reused, 1), life(&mut fresh, 1), "{consistency:?}");
+            assert_eq!(reused.take_trace(), fresh.take_trace(), "{consistency:?}");
+        }
     }
 
     #[test]

@@ -188,7 +188,7 @@ pub struct CoherenceEngine {
     /// Reusable invalidation-outcome buffer (per-victim cache scans).
     inval_scratch: InvalidationOutcome,
     /// Deterministic event sink (disabled unless the owning cluster
-    /// installs a live one via [`CoherenceEngine::set_trace`]).
+    /// installs a live one).
     pub(crate) trace: TraceBuf,
 }
 
@@ -240,9 +240,21 @@ impl CoherenceEngine {
         }
     }
 
-    /// Installs the event sink (called by the owning cluster at build
-    /// time; the default is a disabled sink).
-    pub fn set_trace(&mut self, trace: TraceBuf) {
+    /// The engine as [`CoherenceEngine::new`] built it, with `trace`
+    /// installed, keeping every table's, queue's and blade's storage.
+    pub(crate) fn reset(&mut self, trace: TraceBuf) {
+        self.fabric.clear();
+        self.pipeline = Pipeline::new(self.lat.switch_pipeline, self.lat.switch_recirculation);
+        self.directory.reset();
+        self.translation.reset();
+        self.protection.reset();
+        self.caches.iter_mut().for_each(DramCache::clear);
+        self.inv_queues.fill(InvalidationQueue::new());
+        self.memory.iter_mut().for_each(MemoryBlade::clear);
+        self.failed.fill(false);
+        self.pso_buffer.iter_mut().for_each(std::collections::VecDeque::clear);
+        self.acks.clear();
+        self.ctrs = Counters::default();
         self.trace = trace;
     }
 
@@ -332,7 +344,7 @@ impl CoherenceEngine {
     /// its cache contents are lost (fault-injection hook, §4.4).
     pub fn fail_blade(&mut self, blade: u16) {
         self.failed[blade as usize] = true;
-        self.caches[blade as usize] = DramCache::new(self.caches[blade as usize].capacity_pages());
+        self.caches[blade as usize].clear();
     }
 
     /// Performs one memory access. This is the full MIND data path —

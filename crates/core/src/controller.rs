@@ -147,6 +147,15 @@ impl Controller {
         }
     }
 
+    /// Forgets every process and allocation and restarts the control plane
+    /// at the given costs, keeping the tables' (and the spare lists') storage.
+    pub(crate) fn reset(&mut self, syscall_cost: SimTime, rule_install_cost: SimTime) {
+        self.galloc.reset();
+        self.processes.clear();
+        (self.next_pid, self.rr_next_blade) = (1, 0);
+        self.control = ControlPlane::new(syscall_cost, rule_install_cost);
+    }
+
     /// `exec`: creates a process; the PID doubles as its protection domain.
     pub fn exec(&mut self) -> Pid {
         self.control.handle_syscall();

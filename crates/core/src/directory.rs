@@ -277,6 +277,16 @@ impl RegionDirectory {
         }
     }
 
+    /// The directory as [`RegionDirectory::new`] made it, keeping the slot
+    /// store's and the work lists' storage.
+    pub(crate) fn reset(&mut self) {
+        let mut old = std::mem::replace(self, Self::new(self.capacity(), self.initial_region_log2));
+        old.slots.clear();
+        old.by_count.clear();
+        old.touched.clear();
+        (self.slots, self.by_count, self.touched) = (old.slots, old.by_count, old.touched);
+    }
+
     /// Directory entries installed.
     pub fn entries(&self) -> usize {
         self.slots.used()

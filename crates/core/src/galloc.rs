@@ -150,6 +150,13 @@ impl GlobalAllocator {
         }
     }
 
+    /// Frees every allocation, keeping the record table's storage.
+    pub(crate) fn reset(&mut self) {
+        let span = self.blade_span;
+        self.blades.fill_with(|| BladeAllocator::new(span));
+        self.allocations.clear();
+    }
+
     /// Bytes of virtual address space per blade.
     pub fn blade_span(&self) -> u64 {
         self.blade_span

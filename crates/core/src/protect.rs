@@ -171,6 +171,12 @@ impl ProtectionTable {
         }
     }
 
+    /// Revokes every grant and zeroes the counters, keeping the map's storage.
+    pub(crate) fn reset(&mut self) {
+        self.rows.clear();
+        (self.used, self.checks, self.denials) = (0, 0, 0);
+    }
+
     /// Grants `pc` to `<pdid, vma>`; splits unaligned vmas into
     /// power-of-two pieces and coalesces buddies afterwards.
     ///

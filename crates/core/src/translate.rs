@@ -47,6 +47,11 @@ impl TranslationTable {
         }
     }
 
+    /// Removes every outlier entry, keeping the TCAM's storage.
+    pub(crate) fn reset(&mut self) {
+        self.outliers.clear();
+    }
+
     /// Translates a global virtual address to its physical location.
     ///
     /// Outlier TCAM entries (most specific) take precedence over the
@@ -120,14 +125,6 @@ impl TranslationTable {
             installed += 1;
         }
         Ok(installed)
-    }
-
-    /// Removes the outlier entries covering `[va_base, va_base + len)`.
-    /// Returns the number of entries removed.
-    pub fn remove_outlier(&mut self, va_base: u64, len: u64) -> usize {
-        pow2_cover(va_base, len)
-            .filter(|&(base, k)| self.outliers.remove(&TcamEntry::new(0, base, k)).is_some())
-            .count()
     }
 
     /// Total match-action rules consumed by translation: one per blade
@@ -231,17 +228,6 @@ mod tests {
         assert_eq!(t.translate(va).unwrap().blade, 1);
         assert_eq!(t.translate(va + 0x4000).unwrap().blade, 3);
         assert_eq!(t.translate(va + 0x5000).unwrap().blade, 1);
-    }
-
-    #[test]
-    fn remove_outlier_restores_partition() {
-        let mut t = table();
-        let va = VA_BASE + 0x40_0000;
-        t.add_outlier(va, 1 << 13, 2, 0).unwrap();
-        assert_eq!(t.translate(va).unwrap().blade, 2);
-        assert_eq!(t.remove_outlier(va, 1 << 13), 1);
-        assert_eq!(t.translate(va).unwrap().blade, 0);
-        assert_eq!(t.outlier_count(), 0);
     }
 
     #[test]

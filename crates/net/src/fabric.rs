@@ -100,6 +100,18 @@ impl Fabric {
         }
     }
 
+    /// Returns the fabric to what [`Fabric::new`] built, keeping its link
+    /// tables: idle links, no loss injection, zeroed counters.
+    pub fn clear(&mut self) {
+        let idle = Link::from_config(&self.cfg);
+        for links in self.compute.iter_mut().chain(&mut self.memory) {
+            (links.up, links.down) = (idle.clone(), idle.clone());
+        }
+        self.set_loss(0.0, 0);
+        (self.packets_sent, self.packets_lost) = (0, 0);
+        (self.multicast_copies, self.multicast_pruned) = (0, 0);
+    }
+
     /// The latency configuration in force.
     pub fn config(&self) -> &LatencyConfig {
         &self.cfg

@@ -23,6 +23,10 @@
 //! `MIND_PROFILE` environment knobs ([`mind_sim::env`]); the disabled
 //! paths reduce to a branch on a cached flag.
 
+#![deny(unsafe_code)]
+
+// The counting global allocator is the one place that needs `unsafe`.
+#[allow(unsafe_code)]
 pub mod mem;
 pub mod profile;
 pub mod timeseries;

@@ -134,17 +134,6 @@ impl<E: Copy> EventQueue<E> {
         Some(next)
     }
 
-    /// Returns the timestamp of the next event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if self.vacant {
-            // The earliest pending entry is one of the vacant root's
-            // children.
-            self.heap.iter().skip(1).take(2).map(|s| s.at).min()
-        } else {
-            self.heap.first().map(|s| s.at)
-        }
-    }
-
     /// Places `item` at the vacant root and sifts it down: the fused half
     /// of a pop-then-schedule.
     fn sift_down_from_root(&mut self, item: Scheduled<E>) {
@@ -242,10 +231,6 @@ mod tests {
             self.now = at;
             Some(Scheduled { at, seq, event })
         }
-
-        fn peek_time(&self) -> Option<SimTime> {
-            self.heap.peek().map(|Reverse((at, _, _))| *at)
-        }
     }
 
     /// Seeded mixed traffic at three queue sizes, every observable compared
@@ -258,7 +243,7 @@ mod tests {
             let mut rng = SimRng::new(seed);
             let mut q: EventQueue<u32> = EventQueue::new();
             let mut oracle = HeapOracle::default();
-            let (mut fused, mut unfused, mut vacant_peeks) = (0, 0, 0);
+            let (mut fused, mut unfused, mut vacant_steps) = (0, 0, 0);
             let mut last_was_pop = false;
             for step in 0..60_000 {
                 let ctx = format!("seed {seed} step {step}");
@@ -308,8 +293,7 @@ mod tests {
                     }
                     _ => {}
                 }
-                vacant_peeks += last_was_pop as u32;
-                assert_eq!(q.peek_time(), oracle.peek_time(), "{ctx}: peek_time");
+                vacant_steps += last_was_pop as u32;
                 assert_eq!(q.len(), oracle.heap.len(), "{ctx}: len");
                 assert_eq!(q.is_empty(), oracle.heap.is_empty(), "{ctx}: is_empty");
                 assert_eq!(q.now(), oracle.now, "{ctx}: now");
@@ -322,8 +306,8 @@ mod tests {
             assert_eq!(q.pop(), None);
             assert!(q.is_empty());
             assert!(
-                fused > 5_000 && unfused > 2_000 && vacant_peeks > 5_000,
-                "seed {seed}: fused {fused}, unfused {unfused}, vacant peeks {vacant_peeks}"
+                fused > 5_000 && unfused > 2_000 && vacant_steps > 5_000,
+                "seed {seed}: fused {fused}, unfused {unfused}, vacant steps {vacant_steps}"
             );
         }
     }
@@ -335,7 +319,7 @@ mod tests {
         q.schedule(SimTime::from_nanos(60), 2);
         q.pop();
         q.clear();
-        assert!(q.is_empty() && q.peek_time().is_none());
+        assert!(q.is_empty());
         assert_eq!(q.now(), SimTime::ZERO);
         // Scheduling before the old clock must not trip the past check.
         q.schedule(SimTime::from_nanos(5), 3);
@@ -378,6 +362,5 @@ mod tests {
         let mut q: EventQueue<()> = EventQueue::new();
         assert!(q.is_empty());
         assert!(q.pop().is_none());
-        assert!(q.peek_time().is_none());
     }
 }

@@ -56,6 +56,15 @@ impl<T> SlotStore<T> {
         }
     }
 
+    /// Frees every slot, keeping the storage: the store is as
+    /// [`SlotStore::new`] made it.
+    pub fn clear(&mut self) {
+        self.slots.clear();
+        self.free_list.clear();
+        self.used_map.clear();
+        self.high_watermark = 0;
+    }
+
     /// Total slots.
     pub fn capacity(&self) -> usize {
         self.capacity

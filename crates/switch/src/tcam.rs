@@ -118,6 +118,13 @@ impl<V> Tcam<V> {
         }
     }
 
+    /// Removes every entry and zeroes the lookup count, keeping each
+    /// level's storage: the TCAM is as [`Tcam::new`] made it.
+    pub fn clear(&mut self) {
+        self.levels.iter_mut().for_each(FastMap::clear);
+        (self.populated, self.used, self.lookups) = (0, 0, 0);
+    }
+
     /// Entries currently installed.
     pub fn used(&self) -> usize {
         self.used

@@ -215,7 +215,7 @@ fn blade_of(thread: u16, cfg: RunConfig, n_blades: u16) -> u16 {
 
 /// Integer accumulators for one measured window — the exact state two
 /// partitioned runs merge by addition.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct Accum {
     pub(crate) total_ops: u64,
     pub(crate) remote: u64,
@@ -234,32 +234,11 @@ pub(crate) struct Accum {
 }
 
 impl Accum {
-    pub(crate) fn new() -> Self {
-        Accum {
-            total_ops: 0,
-            remote: 0,
-            invals: 0,
-            flushed: 0,
-            sum_fault: 0,
-            sum_network: 0,
-            sum_inv_queue: 0,
-            sum_inv_tlb: 0,
-            sum_software: 0,
-            sum_overlapped: 0,
-            sum_remote_lat: 0,
-            latency: Histogram::new(),
-            series: None,
-        }
-    }
-
     /// Accumulators that additionally record the windowed telemetry
     /// series when `trace` is enabled.
     pub(crate) fn with_trace(trace: TraceConfig) -> Self {
-        let mut acc = Accum::new();
-        if trace.enabled() {
-            acc.series = Some(WindowSeries::new(trace.interval));
-        }
-        acc
+        let series = trace.enabled().then(|| WindowSeries::new(trace.interval));
+        Accum { series, ..Accum::default() }
     }
 
     /// Folds one executed batch into the accumulators, in op order.
@@ -399,7 +378,7 @@ impl ReportMerger {
             folded: 0,
             warmup_end: SimTime::ZERO,
             end_clock: SimTime::ZERO,
-            acc: Accum::new(),
+            acc: Accum::default(),
             metrics: Metrics::new(),
             window_metrics: Metrics::new(),
             trace: None,
@@ -646,6 +625,7 @@ pub(crate) struct Source {
 /// The op streams of a replay: `partitions × threads_per_part` sources in
 /// partition-major order, each partition a workload with its own region
 /// bases.
+#[derive(Default)]
 struct Streams {
     sources: Vec<Source>,
     threads_per_part: u32,
@@ -678,10 +658,10 @@ impl Streams {
     }
 }
 
-/// The schedule state of one replay. It owns who issues next, what each
-/// source still owes and what has been accounted; the system and the
-/// workloads are handed to [`Replay::run`], so one value drives [`run`]'s
-/// generic system and the sharded executor's sub-cluster alike.
+/// The schedule state of a replay. It owns who issues next and what each
+/// source still owes; the system and the workloads are handed to
+/// [`Replay::run`], so one value drives [`run`]'s generic system and the
+/// sharded executor's sub-clusters alike, run after run.
 pub(crate) struct Replay {
     cfg: RunConfig,
     streams: Streams,
@@ -699,65 +679,70 @@ pub(crate) struct Replay {
     /// mode.
     drivers: Vec<ClusterDriver>,
     batch: OpBatch,
-    acc: Accum,
 }
 
 impl Replay {
-    /// A replay of `sources` (see [`Streams`] for their order) on
-    /// `system`, all sources ready at time zero.
-    pub(crate) fn new<S: MemorySystem + ?Sized>(
+    /// A replay under `cfg` with no sources yet: [`Replay::arm`] gives it
+    /// some.
+    pub(crate) fn new(cfg: RunConfig) -> Self {
+        Replay {
+            cfg,
+            streams: Streams::default(),
+            queue: EventQueue::new(),
+            resume: EventQueue::new(),
+            left: Vec::new(),
+            drivers: Vec::new(),
+            batch: OpBatch::chained(cfg.think_time).with_window(cfg.window),
+        }
+    }
+
+    /// Readies a run of `sources` (see [`Streams`] for their order) on
+    /// `system`, all ready at time zero, over the storage earlier runs grew.
+    pub(crate) fn arm<S: MemorySystem + ?Sized>(
+        &mut self,
         system: &S,
-        cfg: RunConfig,
         sources: Vec<Source>,
         threads_per_part: u32,
         bases: Vec<Vec<u64>>,
-    ) -> Self {
-        let warmup = cfg.warmup_ops_per_thread;
-        let mut drivers = Vec::new();
+    ) {
+        let (cfg, warmup) = (self.cfg, self.cfg.warmup_ops_per_thread);
+        let ops_buf = std::mem::take(&mut self.streams.ops_buf);
+        self.streams = Streams { sources, threads_per_part, bases, ops_buf };
+        self.drivers.clear();
         if cfg.concurrency == Concurrency::Cluster && cfg.window > 1 {
             // A system without an issue engine stays turnwise.
-            drivers.extend((0..bases.len()).filter_map(|_| {
+            self.drivers.extend((0..self.streams.bases.len()).filter_map(|_| {
                 let eng = system.cluster_engine(cfg.window, threads_per_part)?;
                 Some(ClusterDriver::new(eng, threads_per_part, warmup > 0))
             }));
         }
-        let (mut queue, mut resume) = (EventQueue::new(), EventQueue::new());
-        if drivers.is_empty() {
+        let n = self.streams.sources.len();
+        self.queue.clear();
+        self.resume.clear();
+        if self.drivers.is_empty() {
             // Without warmup the seeds are the measured phase's.
-            let first = if warmup > 0 { &mut queue } else { &mut resume };
-            for s in 0..sources.len() as u32 {
+            let first = if warmup > 0 { &mut self.queue } else { &mut self.resume };
+            for s in 0..n as u32 {
                 first.schedule(SimTime::ZERO, s);
             }
         }
-        Replay {
-            cfg,
-            left: vec![warmup; sources.len()],
-            streams: Streams {
-                sources,
-                threads_per_part,
-                bases,
-                ops_buf: Vec::new(),
-            },
-            queue,
-            resume,
-            drivers,
-            batch: OpBatch::chained(cfg.think_time).with_window(cfg.window),
-            acc: Accum::with_trace(cfg.trace),
-        }
+        self.left.clear();
+        self.left.resize(n, warmup);
     }
 
     /// Replays to completion and reports the measured window: warm up
     /// until every source has drained, snapshot the baseline metrics at
     /// that barrier, re-seed the sources at their post-warmup clocks and
     /// measure until every source has drained again. `system` and
-    /// `workloads` must be the ones the replay was built for.
+    /// `workloads` must be the ones the replay was armed for.
     pub(crate) fn run<S: MemorySystem + ?Sized, P: DerefMut<Target: Workload>>(
-        mut self,
+        &mut self,
         system: &mut S,
         workloads: &mut [P],
         name: String,
     ) -> RunReport {
-        let warmup_end = self.drain_phase(system, workloads, false);
+        let mut acc = Accum::with_trace(self.cfg.trace);
+        let warmup_end = self.drain_phase(system, workloads, None);
         let baseline = system.metrics();
         let measured = self.cfg.ops_per_thread;
         self.left.fill(measured);
@@ -769,30 +754,24 @@ impl Replay {
         for driver in &mut self.drivers {
             driver.start_measured(measured > 0);
         }
-        let end_clock = warmup_end.max(self.drain_phase(system, workloads, true));
+        let end_clock = warmup_end.max(self.drain_phase(system, workloads, Some(&mut acc)));
         let metrics = system.metrics();
         let window_metrics = metrics.diff(&baseline);
-        let mut report = finish_report(
-            name,
-            warmup_end,
-            end_clock,
-            self.acc,
-            metrics,
-            window_metrics,
-        );
+        let mut report = finish_report(name, warmup_end, end_clock, acc, metrics, window_metrics);
         report.trace = system.take_trace();
         report
     }
 
     /// Runs the current phase until no source owes it an op, in timestamp
-    /// order (ties by schedule order), accounting only when `measuring`.
-    /// Returns the latest source clock the phase reached — a completion
-    /// plus think time — or [`SimTime::ZERO`] if nothing ran.
+    /// order (ties by schedule order), accounting into `acc` when measuring
+    /// (`None` is the warmup). Returns the latest source clock the phase
+    /// reached — a completion plus think time — or [`SimTime::ZERO`] if
+    /// nothing ran.
     fn drain_phase<S: MemorySystem + ?Sized, P: DerefMut<Target: Workload>>(
         &mut self,
         system: &mut S,
         workloads: &mut [P],
-        measuring: bool,
+        mut acc: Option<&mut Accum>,
     ) -> SimTime {
         let mut latest = SimTime::ZERO;
         if self.drivers.is_empty() {
@@ -802,15 +781,15 @@ impl Replay {
                 let s = due.event;
                 let n = batch_ops.min(self.left[s as usize]);
                 let next = self.turn(system, workloads, due.at, s, n as usize);
-                if measuring {
+                if let Some(acc) = acc.as_deref_mut() {
                     // One accounting flush per turn, in op order.
-                    self.acc.record_batch(&self.batch);
+                    acc.record_batch(&self.batch);
                 }
                 latest = latest.max(next);
                 self.left[s as usize] -= n;
                 if self.left[s as usize] > 0 {
                     self.queue.schedule(next, s);
-                } else if !measuring {
+                } else if acc.is_none() {
                     self.resume.schedule(next, s);
                 }
             }
@@ -825,7 +804,7 @@ impl Replay {
             let mut fill = |src: u32, n: usize, out: &mut Vec<MemOp>| {
                 streams.fill(workloads, first + src, n, out)
             };
-            let acc = measuring.then_some(&mut self.acc);
+            let acc = acc.as_deref_mut();
             latest = latest.max(driver.pump(system, &self.cfg, left, &mut fill, acc));
         }
         latest
@@ -900,11 +879,9 @@ pub fn run<S: MemorySystem + ?Sized, W: Workload + ?Sized>(
         .collect();
 
     let name = workload.name();
-    Replay::new(system, cfg, sources, n_threads as u32, vec![bases]).run(
-        system,
-        std::slice::from_mut(&mut workload),
-        name,
-    )
+    let mut replay = Replay::new(cfg);
+    replay.arm(system, sources, n_threads as u32, vec![bases]);
+    replay.run(system, std::slice::from_mut(&mut workload), name)
 }
 
 #[cfg(test)]

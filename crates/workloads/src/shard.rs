@@ -16,12 +16,13 @@
 //!
 //! Shards share nothing: what a shard does depends only on its own state,
 //! so nothing ever synchronizes them. Scoped worker threads *claim* shard
-//! indices from a shared cursor; each worker **builds its shard lazily,
-//! replays it to completion, and streams its report into a running
-//! accumulator** ([`StreamedMerge`]) before claiming the next index. At
-//! no point does more than one sub-cluster (plus a bounded reorder buffer
-//! of finished reports) live per worker lane. Peak memory is therefore
-//! O(lanes × one shard), not O(all shards): the property that makes
+//! indices from a shared cursor; each worker **builds one rack at its
+//! first claim and resets it for every later one** ([`MindCluster::reset`]
+//! keeps the tables' storage), fills it with the claimed shard, replays it
+//! to completion, and streams its report into a running accumulator
+//! ([`StreamedMerge`]) before claiming the next index. Each lane holds one
+//! rack (plus a bounded reorder buffer of finished reports), so peak memory
+//! is O(lanes × one shard), not O(all shards): the property that makes
 //! 10⁶-tenant scenarios affordable.
 //!
 //! The merge folds per-shard reports **in shard-index order, never
@@ -140,6 +141,13 @@ pub enum ShardError {
         /// Requested shard count.
         shards: u16,
     },
+    /// [`run_shard`] was asked for a shard the split does not have.
+    ShardOutOfRange {
+        /// The requested shard index.
+        shard: u16,
+        /// Shards in the split.
+        shards: u16,
+    },
     /// Initial directory utilization exceeds the determinism contract's
     /// ½ ceiling (the epoch merge phase would engage, a global coupling).
     DirectoryOverUtilized {
@@ -182,6 +190,9 @@ impl fmt::Display for ShardError {
                 f,
                 "{partitions} partitions do not divide into {shards} shards"
             ),
+            ShardError::ShardOutOfRange { shard, shards } => {
+                write!(f, "shard {shard} is out of range for {shards} shards")
+            }
             ShardError::DirectoryOverUtilized { entries, capacity } => write!(
                 f,
                 "initial directory utilization {entries}/{capacity} exceeds the \
@@ -234,34 +245,33 @@ pub struct ShardSpec {
 /// already demanded).
 pub type PartitionFactory<'a> = dyn Fn(u16) -> Box<dyn Workload> + Sync + 'a;
 
+/// A worker lane's rack and replay, kept between the shards it claims.
+type Lane = Option<(MindCluster, Replay)>;
+
 /// Replays one group of `spec`'s partitions co-hosted on one cluster —
 /// the whole scenario (the fused reference) or one shard of it — to
-/// completion: assembles a cluster of `cfg` hosting the global partitions
+/// completion: fills a rack of `cfg` with the global partitions
 /// `first..first + partitions` (per partition, one process, threads
 /// pinned to its compute slice, regions `mmap_in`-confined to its memory
-/// slice), checks confinement, and hands cluster and partition workloads
-/// to a [`Replay`]. The report's trace, if any, carries this group's
-/// *local* lane indices.
+/// slice), checks confinement, and hands rack and partition workloads to
+/// a [`Replay`]. Rack and replay are `lane`'s, reset, or new ones when it
+/// holds none. The report's trace, if any, carries this group's *local*
+/// lane indices.
 ///
 /// # Errors
 ///
-/// Returns the [`ShardError`] naming the violated invariant if the
-/// partitions are not symmetric, do not fit their compute or memory
-/// slices, `run.interleave` is set (interleaved thread placement is
-/// not partition-confined), `run.threads_per_blade` is zero,
-/// `domain_per_thread` is set and a partition does not expose exactly
-/// one region per thread, or the initial directory utilization exceeds
-/// the contract's ½ ceiling.
+/// As [`run_shard`], less the checks of the shard split itself.
 fn replay_group(
     spec: &ShardSpec,
     name: String,
     cfg: MindConfig,
+    lane: &mut Lane,
     first: u16,
     partitions: u16,
     factory: &PartitionFactory,
 ) -> Result<RunReport, ShardError> {
     let (run, domain_per_thread) = (spec.run, spec.domain_per_thread);
-    let (mut cluster, mut workloads, replay) = {
+    let (cluster, replay, mut workloads) = {
         let _t = mind_obs::profile::scope("shard.build");
         if run.interleave {
             return Err(ShardError::InterleavedPlacement);
@@ -270,8 +280,11 @@ fn replay_group(
             return Err(ShardError::ZeroThreadsPerBlade);
         }
         let layout = PartitionLayout::try_new(&cfg, partitions)?;
-        let dir_capacity = cfg.dir_capacity;
-        let mut cluster = MindCluster::new(cfg);
+        if let Some((cluster, _)) = lane {
+            cluster.reset();
+        }
+        let (cluster, replay) =
+            lane.get_or_insert_with(|| (MindCluster::new(cfg), Replay::new(run)));
         let mut workloads = Vec::with_capacity(partitions as usize);
         let mut sources = Vec::new();
         let mut all_bases = Vec::with_capacity(partitions as usize);
@@ -344,18 +357,18 @@ fn replay_group(
         // the region population at ≤ ½ utilization is over-committed from
         // the start, and that is the misconfiguration signal worth naming.
         let entries = total_regions.max(cluster.directory_entries());
-        if entries * 2 > dir_capacity {
+        if entries * 2 > cfg.dir_capacity {
             return Err(ShardError::DirectoryOverUtilized {
                 entries,
-                capacity: dir_capacity,
+                capacity: cfg.dir_capacity,
             });
         }
 
-        let replay = Replay::new(&cluster, run, sources, tpp as u32, all_bases);
-        (cluster, workloads, replay)
+        replay.arm(cluster, sources, tpp as u32, all_bases);
+        (cluster, replay, workloads)
     };
     let _t = mind_obs::profile::scope("shard.advance");
-    Ok(replay.run(&mut cluster, &mut workloads, name))
+    Ok(replay.run(cluster, &mut workloads, name))
 }
 
 /// The serialized reference: every partition fused on one rack, replayed
@@ -366,7 +379,8 @@ fn replay_group(
 /// Returns the [`ShardError`] naming the violated confinement invariant
 /// (see [`run_shard`]).
 pub fn run_group(spec: &ShardSpec, factory: &PartitionFactory) -> Result<RunReport, ShardError> {
-    replay_group(spec, spec.name.clone(), spec.base, 0, spec.partitions, factory)
+    let name = spec.name.clone();
+    replay_group(spec, name, spec.base, &mut None, 0, spec.partitions, factory)
 }
 
 /// The sub-rack one of `shards` shards runs on and the partitions it
@@ -392,25 +406,35 @@ fn shard_rack(spec: &ShardSpec, shards: u16) -> Result<(MindConfig, u16), ShardE
 /// # Errors
 ///
 /// Returns the [`ShardError`] naming the violated invariant: an uneven
-/// shard split, an asymmetric rack partition, partitions that are not
-/// symmetric or do not fit their compute or memory slices, interleaved
-/// thread placement (not partition-confined), zero `threads_per_blade`,
-/// `domain_per_thread` without exactly one region per thread, or an
-/// initial directory utilization past the contract's ½ ceiling.
-///
-/// # Panics
-///
-/// Panics if `s` is not below `shards`.
+/// shard split, a shard index `s` not below `shards`, an asymmetric rack
+/// partition, partitions that are not symmetric or do not fit their
+/// compute or memory slices, interleaved thread placement (not
+/// partition-confined), zero `threads_per_blade`, `domain_per_thread`
+/// without exactly one region per thread, or an initial directory
+/// utilization past the contract's ½ ceiling.
 pub fn run_shard(
     spec: &ShardSpec,
     shards: u16,
     s: u16,
     factory: &PartitionFactory,
 ) -> Result<RunReport, ShardError> {
+    run_shard_on(spec, shards, s, factory, &mut None)
+}
+
+/// [`run_shard`] on `lane`'s rack and replay storage.
+fn run_shard_on(
+    spec: &ShardSpec,
+    shards: u16,
+    s: u16,
+    factory: &PartitionFactory,
+    lane: &mut Lane,
+) -> Result<RunReport, ShardError> {
     let (sub, per_shard) = shard_rack(spec, shards)?;
-    assert!(s < shards, "shard {s} out of range {shards}");
+    if s >= shards {
+        return Err(ShardError::ShardOutOfRange { shard: s, shards });
+    }
     let name = format!("{}/shard{s}", spec.name);
-    let mut report = replay_group(spec, name, sub, s * per_shard, per_shard, factory)?;
+    let mut report = replay_group(spec, name, sub, lane, s * per_shard, per_shard, factory)?;
     if let Some(t) = &mut report.trace {
         t.rebase_lanes(s as u32 * sub.n_compute as u32);
     }
@@ -552,14 +576,14 @@ impl StreamedMerge {
 }
 
 /// The shard driver behind both public entry points: `lanes` worker
-/// threads claim shard indices from a shared cursor, each building its
-/// shard lazily, running it to completion, and streaming the finished
-/// report into a [`StreamedMerge`] — so peak memory is O(lanes) live
-/// sub-clusters, never O(shards), and no `Vec<RunReport>` ever
-/// materializes.
+/// threads claim shard indices from a shared cursor. A lane builds one
+/// rack at its first claim and resets it for every later one, fills it
+/// with the claimed shard, runs it to completion, and streams the finished
+/// report into a [`StreamedMerge`] — so peak memory is O(lanes × one
+/// shard), never O(shards), and no `Vec<RunReport>` ever materializes.
 ///
-/// Workers share no simulation state whatsoever — each shard is built,
-/// run, and freed by exactly one worker — so preemption and
+/// Workers share no simulation state whatsoever — a reset rack is a new
+/// rack, and each lane's rack hosts one shard at a time — so preemption and
 /// completion order cannot influence any simulated quantity, and the
 /// index-ordered fold keeps the merged bytes thread-count-invariant.
 /// On a construction error the lowest failing shard index wins (shard
@@ -578,7 +602,7 @@ fn run_sharded_inner(
     let merge = Mutex::new(StreamedMerge::new(spec.name.clone(), shards as usize));
     let cursor = AtomicUsize::new(0);
     let failed: Mutex<Option<(u16, ShardError)>> = Mutex::new(None);
-    let run_lane = || loop {
+    let run_lane = |mut lane: Lane| loop {
         if failed.lock().expect("no panic holds the error slot").is_some() {
             break;
         }
@@ -586,7 +610,7 @@ fn run_sharded_inner(
         if s >= shards as usize {
             break;
         }
-        match run_shard(spec, shards, s as u16, factory) {
+        match run_shard_on(spec, shards, s as u16, factory, &mut lane) {
             Ok(report) => {
                 let _t = mind_obs::profile::scope("shard.merge");
                 merge
@@ -604,11 +628,11 @@ fn run_sharded_inner(
         }
     };
     if lanes == 1 {
-        run_lane();
+        run_lane(None);
     } else {
         std::thread::scope(|scope| {
             for _ in 0..lanes {
-                scope.spawn(run_lane);
+                scope.spawn(move || run_lane(None));
             }
         });
     }
@@ -857,6 +881,13 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("do not divide"), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_shard_rejected() {
+        let err = run_shard(&spec(4), 2, 2, &factory).unwrap_err();
+        assert_eq!(err, ShardError::ShardOutOfRange { shard: 2, shards: 2 });
+        assert!(err.to_string().contains("out of range"), "{err}");
     }
 
     #[test]

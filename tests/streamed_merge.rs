@@ -6,11 +6,11 @@
 //!
 //! Two layers are covered:
 //!
-//! - **End to end**: `run_sharded_threads` (lazy shard build, worker
-//!   lanes, `StreamedMerge` fold) against a reference that materializes
-//!   every shard's report in memory (`run_shard`, one shard at a time)
-//!   and merges them through `merge_reports` — the exact shape the
-//!   executor had before the streaming fold existed.
+//! - **End to end**: `run_sharded_threads` (worker lanes, each resetting
+//!   one rack per claimed shard, `StreamedMerge` fold) against a reference
+//!   that materializes every shard's report in memory (`run_shard`, one
+//!   new rack per shard) and merges them through `merge_reports` — the
+//!   exact shape the executor had before the streaming fold existed.
 //! - **The reorder buffer in isolation**: a proptest offers the same
 //!   reports to `StreamedMerge` in arbitrary completion orders and
 //!   checks the fused bytes never move — fold order is a function of
