@@ -136,12 +136,12 @@ impl Frame {
 /// The LRU DRAM page cache.
 ///
 /// Layout: the page table maps page → frame id; `frames` holds per-frame
-/// state indexed by frame id (grown lazily as frames are first used); the
-/// frames form an intrusive doubly-linked LRU list (`lru_head` = next
-/// victim, `lru_tail` = most recently used). The page table is the only
-/// record of residency; region-range operations walk a region's resident
-/// pages in it (see [`PageTable::unmap_range`]). Eviction order is exactly
-/// least-recently-touched.
+/// state indexed by frame id (reserved at the capacity, filled as frames
+/// are first used); the frames form an intrusive doubly-linked LRU list
+/// (`lru_head` = next victim, `lru_tail` = most recently used). The page
+/// table is the only record of residency; region-range operations walk a
+/// region's resident pages in it (see [`PageTable::unmap_range`]).
+/// Eviction order is exactly least-recently-touched.
 #[derive(Debug, Clone)]
 pub struct DramCache {
     pt: PageTable,
@@ -161,7 +161,7 @@ impl DramCache {
     pub fn new(capacity_pages: u32) -> Self {
         DramCache {
             pt: PageTable::new(capacity_pages),
-            frames: Vec::new(),
+            frames: Vec::with_capacity(capacity_pages as usize),
             lru_head: NO_FRAME,
             lru_tail: NO_FRAME,
             hits: 0,
@@ -883,5 +883,21 @@ mod tests {
         c.insert(0x1000, false, None); // Evicts 0x2000.
         assert_eq!(c.access(0x1000, false), CacheLookup::Hit);
         assert_eq!(c.resident_pages(), 1);
+    }
+
+    /// The frame slab is reserved at the capacity it models: filling the
+    /// cache, evicting through it and clearing it never moves the slab.
+    #[test]
+    fn filling_to_capacity_never_moves_the_frame_slab() {
+        let mut c = DramCache::new(300);
+        let slab = c.frames.as_ptr();
+        for page in 0..301u64 {
+            c.insert(page << PAGE_SHIFT, false, None);
+            assert_eq!(c.frames.as_ptr(), slab, "moved at page {page}");
+        }
+        assert_eq!(c.resident_pages(), 300);
+        c.clear();
+        c.insert(0, true, None);
+        assert_eq!(c.frames.as_ptr(), slab);
     }
 }

@@ -15,7 +15,7 @@ use crate::addr::Vma;
 use crate::coherence::{AccessError, CoherenceConfig, CoherenceEngine};
 use crate::engine::{ClusterEngine, ClusterStep};
 use crate::controller::{Controller, Pid, SysError};
-use crate::failure::{switch_failover, FailoverReport};
+use crate::failure::{switch_failover, FailoverError, FailoverReport};
 use crate::protect::PermClass;
 use crate::split::{BoundedSplitting, SplitConfig};
 use crate::system::{AccessKind, AccessOutcome, ConsistencyModel, MemorySystem, OpBatch};
@@ -224,9 +224,9 @@ impl MindCluster {
             cfg.rule_install_cost,
         );
         MindCluster {
+            splitter: BoundedSplitting::with_capacity(cfg.split, engine.directory().capacity()),
             engine,
             controller,
-            splitter: BoundedSplitting::new(cfg.split),
             cfg,
             default_pid: None,
             clock_high_watermark: SimTime::ZERO,
@@ -523,8 +523,8 @@ impl MindCluster {
     }
 
     /// Fails over to the backup switch (§4.4): replays control-plane state
-    /// and cold-starts coherence.
-    pub fn switch_failover(&mut self, now: SimTime) -> FailoverReport {
+    /// and cold-starts coherence; see [`switch_failover`] for the error.
+    pub fn switch_failover(&mut self, now: SimTime) -> Result<FailoverReport, FailoverError> {
         switch_failover(&mut self.controller, &mut self.engine, now)
     }
 

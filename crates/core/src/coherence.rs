@@ -208,7 +208,7 @@ impl CoherenceEngine {
         cfg: CoherenceConfig,
     ) -> Self {
         let dir_capacity = if cfg.consistency.infinite_directory() {
-            usize::MAX / 2
+            mind_switch::sram::UNBOUNDED_SLOTS
         } else {
             dir_capacity
         };

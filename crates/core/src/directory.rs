@@ -12,7 +12,7 @@
 use mind_blade::PAGE_SHIFT;
 use mind_net::node::BladeSet;
 use mind_sim::SimTime;
-use mind_switch::sram::{SlotStore, SramFull};
+use mind_switch::sram::{reserved_slots, SlotStore, SramFull};
 
 /// Coherence states (§2.1). MIND runs MSI; the Exclusive and Owned states
 /// appear only when the switch is configured with the MESI/MOESI
@@ -241,7 +241,7 @@ pub struct RegionDirectory {
     /// Bases whose epoch counters went zero → nonzero since the last drain.
     /// Keeps per-epoch maintenance O(active regions), not O(capacity); may
     /// hold stale or duplicate bases (split/merge/remove churn), which the
-    /// drain filters out.
+    /// drain filters out. Reserved at the slot capacity, like the slab.
     touched: Vec<u64>,
     initial_region_log2: u8,
     /// Bumped on every change to the region *map* (create/split/merge/
@@ -266,7 +266,7 @@ impl RegionDirectory {
             by_count: Vec::new(),
             pair_head: NO_SLOT,
             memo: [None; MEMO_WAYS],
-            touched: Vec::new(),
+            touched: Vec::with_capacity(reserved_slots(capacity)),
             initial_region_log2,
             generation: 0,
             splits: 0,
@@ -278,9 +278,11 @@ impl RegionDirectory {
     }
 
     /// The directory as [`RegionDirectory::new`] made it, keeping the slot
-    /// store's and the work lists' storage.
+    /// store's and the work lists' storage. The stand-in is built at
+    /// capacity 0, so it reserves nothing; the kept store carries the
+    /// capacity.
     pub(crate) fn reset(&mut self) {
-        let mut old = std::mem::replace(self, Self::new(self.capacity(), self.initial_region_log2));
+        let mut old = std::mem::replace(self, Self::new(0, self.initial_region_log2));
         old.slots.clear();
         old.by_count.clear();
         old.touched.clear();

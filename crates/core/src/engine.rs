@@ -97,10 +97,13 @@ impl ClusterEngine {
     /// `nic_depth` ops each (`0` = unbounded).
     pub fn new(window: u32, nic_depth: u32, sources: u32) -> Self {
         let sources = sources.max(1) as usize;
+        // A source is pending at most once: one queue slot each.
+        let mut queue = EventQueue::new();
+        queue.reserve(sources);
         ClusterEngine {
             window: InFlightWindow::new(window.max(1) as usize * sources)
                 .with_nic_depth(nic_depth),
-            queue: EventQueue::new(),
+            queue,
             ready0: vec![SimTime::ZERO; sources],
         }
     }
@@ -111,6 +114,7 @@ impl ClusterEngine {
     pub fn reset(&mut self, slots: u32, sources: u32) {
         self.window.reset(slots as usize);
         self.queue.clear();
+        self.queue.reserve(sources as usize);
         self.ready0.clear();
         self.ready0.resize(sources as usize, SimTime::ZERO);
     }

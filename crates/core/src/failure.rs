@@ -40,6 +40,29 @@ pub struct FailoverReport {
     pub backup_was_current: bool,
 }
 
+/// Why a switch failover could not rebuild the backup's data plane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FailoverError {
+    /// The backup's protection TCAM ran out of rows while the grant log
+    /// was replayed into it.
+    BackupTcamFull,
+}
+
+impl std::fmt::Display for FailoverError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FailoverError::BackupTcamFull => {
+                write!(
+                    f,
+                    "backup protection TCAM cannot hold the replicated grant log"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for FailoverError {}
+
 /// Fails over from the primary switch to the backup: replays control-plane
 /// state into a fresh data plane and cold-starts coherence.
 ///
@@ -48,11 +71,15 @@ pub struct FailoverReport {
 /// replayed from the controller's grant log, empty directory, and all
 /// compute-blade caches flushed (their dirty data written back so no updates
 /// are lost).
+///
+/// Returns [`FailoverError::BackupTcamFull`] if the grant log does not fit
+/// the backup's protection TCAM; coherence has then already cold-started
+/// and the grants replayed before the full one stay installed.
 pub fn switch_failover(
     controller: &mut Controller,
     engine: &mut CoherenceEngine,
     now: SimTime,
-) -> FailoverReport {
+) -> Result<FailoverReport, FailoverError> {
     let backup_was_current = controller.control_plane().backup_is_current();
     controller.control_plane_mut().replicate_to_backup();
 
@@ -90,16 +117,16 @@ pub fn switch_failover(
         engine
             .protection
             .grant(g.pdid, g.vma, g.pc)
-            .expect("backup TCAM has the same capacity as the primary");
+            .map_err(|_| FailoverError::BackupTcamFull)?;
         replayed += 1;
     }
 
-    FailoverReport {
+    Ok(FailoverReport {
         rules_replayed: replayed,
         directory_entries_dropped: dropped,
         pages_flushed,
         backup_was_current,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -147,7 +174,7 @@ mod tests {
             .unwrap();
         assert!(eng.directory().entries() > 0);
 
-        let report = switch_failover(&mut ctl, &mut eng, SimTime::from_millis(5));
+        let report = switch_failover(&mut ctl, &mut eng, SimTime::from_millis(5)).unwrap();
         assert_eq!(report.rules_replayed, 1);
         assert!(report.directory_entries_dropped >= 1);
         assert!(report.pages_flushed >= 1, "dirty page not lost");
@@ -168,19 +195,43 @@ mod tests {
         // Replicate, then mutate: backup is stale at failure time.
         ctl.control_plane_mut().replicate_to_backup();
         ctl.mmap(&mut eng, pid, 4096, PermClass::ReadOnly).unwrap();
-        let report = switch_failover(&mut ctl, &mut eng, SimTime::ZERO);
+        let report = switch_failover(&mut ctl, &mut eng, SimTime::ZERO).unwrap();
         assert!(!report.backup_was_current);
         // A second failover right after is current.
-        let report2 = switch_failover(&mut ctl, &mut eng, SimTime::ZERO);
+        let report2 = switch_failover(&mut ctl, &mut eng, SimTime::ZERO).unwrap();
         assert!(report2.backup_was_current);
     }
 
     #[test]
     fn failover_on_idle_system_is_trivial() {
         let (mut ctl, mut eng) = setup();
-        let report = switch_failover(&mut ctl, &mut eng, SimTime::ZERO);
+        let report = switch_failover(&mut ctl, &mut eng, SimTime::ZERO).unwrap();
         assert_eq!(report.rules_replayed, 0);
         assert_eq!(report.directory_entries_dropped, 0);
         assert_eq!(report.pages_flushed, 0);
+    }
+
+    #[test]
+    fn a_grant_log_the_backup_tcam_cannot_hold_is_an_error() {
+        let (mut ctl, mut eng) = setup();
+        let pid = ctl.exec();
+        ctl.mmap(&mut eng, pid, 1 << 16, PermClass::ReadWrite)
+            .unwrap();
+        // The data plane lost the logged grant, and other domains' rows
+        // took every TCAM row it held.
+        let logged = ctl.grants().next().unwrap();
+        eng.protection.revoke(pid, logged.vma);
+        let mut other = pid + 1;
+        while eng
+            .protection
+            .grant(other, logged.vma, PermClass::ReadOnly)
+            .is_ok()
+        {
+            other += 1;
+        }
+        assert_eq!(
+            switch_failover(&mut ctl, &mut eng, SimTime::ZERO),
+            Err(FailoverError::BackupTcamFull)
+        );
     }
 }

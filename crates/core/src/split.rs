@@ -20,6 +20,7 @@
 use mind_blade::PAGE_SHIFT;
 use mind_sim::stats::TimeSeries;
 use mind_sim::SimTime;
+use mind_switch::sram::reserved_slots;
 
 use crate::directory::{EpochCounter, RegionDirectory};
 
@@ -102,8 +103,17 @@ pub struct BoundedSplitting {
 }
 
 impl BoundedSplitting {
-    /// Creates a driver; the first epoch ends at `epoch_len`.
+    /// Creates a driver that reserves nothing; the first epoch ends at
+    /// `epoch_len`.
     pub fn new(cfg: SplitConfig) -> Self {
+        Self::with_capacity(cfg, 0)
+    }
+
+    /// A driver for a directory of `dir_capacity` slots. Its working sets
+    /// hold at most one item per directory entry, so each is reserved at
+    /// that capacity.
+    pub fn with_capacity(cfg: SplitConfig, dir_capacity: usize) -> Self {
+        let reserved = reserved_slots(dir_capacity);
         BoundedSplitting {
             c: cfg.c,
             next_epoch: cfg.epoch_len,
@@ -111,9 +121,9 @@ impl BoundedSplitting {
             epochs_run: 0,
             entries_series: TimeSeries::new(),
             last_report: EpochReport::default(),
-            counters: Vec::new(),
-            hot: Vec::new(),
-            candidates: Vec::new(),
+            counters: Vec::with_capacity(reserved),
+            hot: Vec::with_capacity(reserved),
+            candidates: Vec::with_capacity(reserved),
         }
     }
 

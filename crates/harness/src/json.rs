@@ -5,7 +5,14 @@
 //! the property the engine's byte-identical-output guarantee depends on.
 //! Floats render via Rust's shortest-roundtrip `Display` (never `NaN`/
 //! `inf`, which have no JSON spelling; they render as `null`).
+//!
+//! Keys and string values are `Cow<'static, str>`: a report names its
+//! fields and metrics with string literals and `&'static str` metric
+//! names, which the tree borrows, so building a document allocates one
+//! vector per object or array and a string only where the text is not
+//! static (scenario and workload names).
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A JSON value.
@@ -20,21 +27,21 @@ pub enum Json {
     /// A float; non-finite values render as `null`.
     Num(f64),
     /// A string.
-    Str(String),
+    Str(Cow<'static, str>),
     /// An array.
     Arr(Vec<Json>),
     /// An object; insertion-ordered.
-    Obj(Vec<(String, Json)>),
+    Obj(Vec<(Cow<'static, str>, Json)>),
 }
 
 impl Json {
     /// An object from key/value pairs.
-    pub fn obj(pairs: impl IntoIterator<Item = (impl Into<String>, Json)>) -> Json {
+    pub fn obj(pairs: impl IntoIterator<Item = (impl Into<Cow<'static, str>>, Json)>) -> Json {
         Json::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
     }
 
     /// A string value.
-    pub fn str(s: impl Into<String>) -> Json {
+    pub fn str(s: impl Into<Cow<'static, str>>) -> Json {
         Json::Str(s.into())
     }
 

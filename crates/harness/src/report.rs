@@ -41,6 +41,7 @@
 //! }
 //! ```
 
+use std::borrow::Cow;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
@@ -117,11 +118,7 @@ fn series_json(s: &WindowSeries) -> Json {
 }
 
 fn metrics_json(m: &Metrics) -> Json {
-    Json::Obj(
-        m.iter()
-            .map(|(k, v)| (k.to_string(), Json::Int(v as i128)))
-            .collect(),
-    )
+    Json::obj(m.iter().map(|(k, v)| (k, Json::Int(v as i128))))
 }
 
 /// The latency-percentile block: p50, p99, and the deep-tail p99.9 that
@@ -155,7 +152,7 @@ fn tenant_json(t: &TenantSlo) -> Json {
 /// A service scenario's report as JSON: churn totals, per-class SLO
 /// aggregates, and the per-tenant records.
 pub fn service_json(s: &ServiceReport) -> Json {
-    let mut pairs: Vec<(String, Json)> = obj_pairs([
+    let mut pairs = obj_pairs([
         ("duration_ns", Json::Int(s.duration.as_nanos() as i128)),
         ("tenants_admitted", Json::Int(s.tenants_admitted as i128)),
         ("tenants_rejected", Json::Int(s.tenants_rejected as i128)),
@@ -196,29 +193,34 @@ pub fn service_json(s: &ServiceReport) -> Json {
         // (`QosClass::ALL` order matches the array).
         pairs.push((
             "timeseries".into(),
-            Json::Obj(
+            Json::obj(
                 mind_service::QosClass::ALL
                     .iter()
                     .zip(series.iter())
-                    .map(|(qos, s)| (qos.label().to_string(), series_json(s)))
-                    .collect(),
+                    .map(|(qos, s)| (qos.label(), series_json(s))),
             ),
         ));
     }
     Json::Obj(pairs)
 }
 
-/// Converts a `Json::obj`-style pair list into the owned form used when a
-/// document needs optional trailing sections.
-fn obj_pairs<const N: usize>(pairs: [(&str, Json); N]) -> Vec<(String, Json)> {
-    pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect()
+/// A `Json::obj`-style pair list with room for one optional trailing
+/// section, for a document that may append it.
+fn obj_pairs<const N: usize>(pairs: [(&'static str, Json); N]) -> Vec<(Cow<'static, str>, Json)> {
+    let mut out = Vec::with_capacity(N + 1);
+    out.extend(pairs.into_iter().map(|(k, v)| (k.into(), v)));
+    out
 }
+
+/// The most pairs [`result_json`] writes: one allocation holds them all.
+const RESULT_PAIRS: usize = 17;
 
 /// One scenario result as JSON.
 pub fn result_json(result: &ScenarioResult) -> Json {
-    let mut pairs: Vec<(String, Json)> = vec![("name".into(), Json::str(&result.name))];
+    let mut pairs = Vec::with_capacity(RESULT_PAIRS);
+    pairs.push(("name".into(), Json::str(result.name.clone())));
     if let Some(report) = &result.output.report {
-        pairs.push(("workload".into(), Json::str(&report.name)));
+        pairs.push(("workload".into(), Json::str(report.name.clone())));
         pairs.push(("runtime_ns".into(), Json::Int(report.runtime.as_nanos() as i128)));
         pairs.push(("total_ops".into(), Json::Int(report.total_ops as i128)));
         pairs.push(("mops".into(), Json::Num(report.mops)));
@@ -261,7 +263,7 @@ pub fn result_json(result: &ScenarioResult) -> Json {
                     .output
                     .values
                     .iter()
-                    .map(|(k, v)| (k.clone(), Json::Num(*v)))
+                    .map(|(k, v)| (k.clone().into(), Json::Num(*v)))
                     .collect(),
             ),
         ));
@@ -276,7 +278,7 @@ pub fn result_json(result: &ScenarioResult) -> Json {
                     .iter()
                     .map(|(k, points)| {
                         (
-                            k.clone(),
+                            k.clone().into(),
                             Json::Arr(
                                 points
                                     .iter()
@@ -332,13 +334,15 @@ pub fn aggregate_json(results: &[ScenarioResult]) -> Json {
     let geomean = |xs: &[f64]| -> f64 {
         (xs.iter().map(|x| x.max(1e-12).ln()).sum::<f64>() / xs.len() as f64).exp()
     };
-    let mut pairs: Vec<(String, Json)> = vec![
+    // Five counts, two optional pairs of recovery sections, the metrics.
+    let mut pairs = Vec::with_capacity(10);
+    pairs.extend([
         ("replayed_scenarios".into(), Json::Int(replayed)),
         ("total_ops".into(), Json::Int(total_ops)),
         ("runtime_ns_sum".into(), Json::Int(runtime_ns_sum)),
         ("service_scenarios".into(), Json::Int(service_scenarios)),
         ("service_ops".into(), Json::Int(service_ops)),
-    ];
+    ]);
     if !recoveries.is_empty() {
         // Geomean and worst-case recovery per window depth: ≥ 1.0 means
         // intra-batch RTT overlap fully bought back the coarse-quantum
@@ -348,7 +352,7 @@ pub fn aggregate_json(results: &[ScenarioResult]) -> Json {
             Json::Obj(
                 recoveries
                     .iter()
-                    .map(|(window, xs)| (window.to_string(), Json::Num(geomean(xs))))
+                    .map(|(window, xs)| (window.to_string().into(), Json::Num(geomean(xs))))
                     .collect(),
             ),
         ));
@@ -359,7 +363,7 @@ pub fn aggregate_json(results: &[ScenarioResult]) -> Json {
                     .iter()
                     .map(|(window, xs)| {
                         (
-                            window.to_string(),
+                            window.to_string().into(),
                             Json::Num(xs.iter().copied().fold(f64::MAX, f64::min)),
                         )
                     })
@@ -376,7 +380,7 @@ pub fn aggregate_json(results: &[ScenarioResult]) -> Json {
             Json::Obj(
                 xturn_recoveries
                     .iter()
-                    .map(|(window, xs)| (window.to_string(), Json::Num(geomean(xs))))
+                    .map(|(window, xs)| (window.to_string().into(), Json::Num(geomean(xs))))
                     .collect(),
             ),
         ));
@@ -387,7 +391,7 @@ pub fn aggregate_json(results: &[ScenarioResult]) -> Json {
                     .iter()
                     .map(|(window, xs)| {
                         (
-                            window.to_string(),
+                            window.to_string().into(),
                             Json::Num(xs.iter().copied().fold(f64::MAX, f64::min)),
                         )
                     })
@@ -404,7 +408,7 @@ pub fn suite_json(suite: &str, results: &[ScenarioResult]) -> Json {
     Json::obj([
         ("schema_version", Json::Int(SCHEMA_VERSION)),
         ("generator", Json::str(generator())),
-        ("suite", Json::str(suite)),
+        ("suite", Json::str(suite.to_owned())),
         (
             "scenarios",
             Json::Arr(results.iter().map(result_json).collect()),
@@ -419,7 +423,7 @@ fn written_suite_json(suite: &str, quick: bool, results: &[ScenarioResult]) -> J
     let mut doc = suite_json(suite, results);
     if let Json::Obj(pairs) = &mut doc {
         let mode = if quick { "quick" } else { "full" };
-        pairs.insert(2, ("mode".to_string(), Json::str(mode)));
+        pairs.insert(2, ("mode".into(), Json::str(mode)));
     }
     doc
 }
@@ -478,7 +482,7 @@ pub fn trace_json(suite: &str, results: &[ScenarioResult]) -> String {
     out.push_str(",\"suite\":");
     // `render()` appends a trailing newline (documents end with one);
     // trim it for inline embedding.
-    out.push_str(Json::str(suite).render().trim_end());
+    out.push_str(Json::str(suite.to_owned()).render().trim_end());
     out.push_str(",\"dropped\":");
     out.push_str(&dropped.to_string());
     out.push_str(",\"traceEvents\":[\n");

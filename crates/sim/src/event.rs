@@ -88,6 +88,17 @@ impl<E: Copy> EventQueue<E> {
         self.now = SimTime::ZERO;
     }
 
+    /// Reserves room for at least `additional` more pending events, so a
+    /// queue that holds one event per source need not grow while it runs.
+    pub fn reserve(&mut self, additional: usize) {
+        self.heap.reserve(additional);
+    }
+
+    /// The number of pending events the queue holds without growing.
+    pub fn capacity(&self) -> usize {
+        self.heap.capacity()
+    }
+
     /// Current simulation time: the timestamp of the last popped event.
     pub fn now(&self) -> SimTime {
         self.now

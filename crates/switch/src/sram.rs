@@ -23,11 +23,26 @@ impl std::fmt::Display for SramFull {
 
 impl std::error::Error for SramFull {}
 
+/// The capacity that models an unbounded SRAM (the paper's MIND-PSO+
+/// simulation).
+pub const UNBOUNDED_SLOTS: usize = usize::MAX / 2;
+
+/// The slots a store of `capacity` reserves when it is built: every one
+/// it models, except for an unbounded store ([`UNBOUNDED_SLOTS`]), whose
+/// slab grows on demand.
+pub fn reserved_slots(capacity: usize) -> usize {
+    if capacity >= UNBOUNDED_SLOTS {
+        0
+    } else {
+        capacity
+    }
+}
+
 /// A fixed-capacity slot store keyed by region base address.
 ///
-/// Slot storage grows lazily up to `capacity`, so modelling an effectively
-/// unbounded SRAM (the paper's MIND-PSO+ simulation) costs no memory up
-/// front.
+/// The slot slab is reserved at `capacity` ([`reserved_slots`]), so filling
+/// the store never moves it; the `used` map is not presized, since a map
+/// sized for every slot would touch all of its pages up front.
 ///
 /// A slot index is a *handle*: [`SlotStore::slot_of`] resolves a base to
 /// its slot once, and [`SlotStore::at`] / [`SlotStore::at_mut`] then reach
@@ -48,7 +63,7 @@ impl<T> SlotStore<T> {
     /// Creates a store with `capacity` slots, all initially free.
     pub fn new(capacity: usize) -> Self {
         SlotStore {
-            slots: Vec::new(),
+            slots: Vec::with_capacity(reserved_slots(capacity)),
             free_list: Vec::new(),
             used_map: FastMap::default(),
             capacity,
@@ -279,6 +294,28 @@ mod tests {
         let mut pairs: Vec<(u64, i32)> = s.iter().map(|(b, &v)| (b, v)).collect();
         pairs.sort_unstable();
         assert_eq!(pairs, vec![(0x1000, 1), (0x2000, 2), (0x3000, 3)]);
+    }
+
+    #[test]
+    fn filling_to_capacity_never_moves_the_slab() {
+        let mut s = SlotStore::new(200);
+        let slab = s.slots.as_ptr();
+        for base in 0..200u64 {
+            s.insert(base, base).unwrap();
+            assert_eq!(s.slots.as_ptr(), slab, "moved at slot {base}");
+        }
+        assert_eq!(s.insert(200, 200), Err(SramFull));
+        s.clear();
+        s.insert(7, 7).unwrap();
+        assert_eq!(s.slots.as_ptr(), slab);
+    }
+
+    #[test]
+    fn an_unbounded_store_reserves_nothing() {
+        let mut s = SlotStore::new(UNBOUNDED_SLOTS);
+        assert_eq!(s.slots.capacity(), 0);
+        s.insert(1, ()).unwrap();
+        assert_eq!(s.free(), UNBOUNDED_SLOTS - 1);
     }
 
     #[test]

@@ -720,6 +720,9 @@ impl Replay {
         self.queue.clear();
         self.resume.clear();
         if self.drivers.is_empty() {
+            // A source is pending in each queue at most once.
+            self.queue.reserve(n);
+            self.resume.reserve(n);
             // Without warmup the seeds are the measured phase's.
             let first = if warmup > 0 { &mut self.queue } else { &mut self.resume };
             for s in 0..n as u32 {
@@ -1365,5 +1368,20 @@ mod tests {
             m.metrics.get("accesses"),
             a.metrics.get("accesses") + b.metrics.get("accesses")
         );
+    }
+
+    /// Each source is pending in a queue at most once, so arming reserves
+    /// a slot per source in both the warmup and the measured queue.
+    #[test]
+    fn arming_reserves_a_queue_slot_per_source() {
+        let sys = MindCluster::new(MindConfig::small());
+        let n = 37u16;
+        let sources = (0..n)
+            .map(|thread| Source { part: 0, thread, blade: thread % 2, pdid: None })
+            .collect();
+        let mut replay = Replay::new(RunConfig::default());
+        replay.arm(&sys, sources, n as u32, vec![vec![0]]);
+        assert!(replay.queue.capacity() >= n as usize, "warmup queue");
+        assert!(replay.resume.capacity() >= n as usize, "measured queue");
     }
 }

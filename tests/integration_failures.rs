@@ -95,7 +95,9 @@ fn switch_failover_preserves_data_and_permissions() {
     c.write_bytes(ms(1), 0, p1, v1, b"survives failover")
         .unwrap();
 
-    let report = c.switch_failover(ms(2));
+    let report = c
+        .switch_failover(ms(2))
+        .expect("the backup holds every grant");
     assert!(report.rules_replayed >= 1);
     assert!(report.pages_flushed >= 1, "dirty data flushed before drop");
 
@@ -115,7 +117,8 @@ fn failover_mid_write_traffic_stays_coherent() {
         c.write_bytes(ms(1 + i), (i % 2) as u16, pid, base + i * 4096, &[i as u8])
             .unwrap();
     }
-    c.switch_failover(ms(40));
+    c.switch_failover(ms(40))
+        .expect("the backup holds every grant");
     for i in 0..16u64 {
         let got = c
             .read_bytes(ms(50 + i), ((i + 1) % 2) as u16, pid, base + i * 4096, 1)
