@@ -64,8 +64,8 @@ use mind_core::system::ConsistencyModel;
 use mind_harness::{Scenario, ScenarioOutput, ScenarioResult, SystemSpec, WorkloadSpec};
 use mind_service::{population_spec, tenant_partitions, TenantGroupConfig};
 use mind_workloads::micro::MicroConfig;
+use mind_workloads::run_sharded_threads;
 use mind_workloads::runner::{self, Concurrency, RunConfig, RunReport};
-use mind_workloads::{run_group, run_sharded_threads};
 
 use super::scaled_ops;
 use crate::print_table;
@@ -405,7 +405,7 @@ pub fn build(quick: bool) -> Vec<Scenario> {
         // against it before any wall-clock pass is trusted. Thread
         // counts are asserted explicitly — the multi-core driver's
         // contract is that they are invisible in the output.
-        let reference = run_group(&spec, &factory).expect("confined population");
+        let reference = run_sharded_threads(&spec, 1, 1, &factory).expect("confined population");
         assert_eq!(reference.invalidations, 0, "population must be confined");
         for &shards in &SHARD_COUNTS {
             for &threads in &SHARD_THREADS {

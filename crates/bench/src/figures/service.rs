@@ -14,7 +14,7 @@ use mind_service::{
     population_spec, tenant_partitions, AccessPattern, ServiceConfig, TenantGroupConfig,
 };
 use mind_sim::SimTime;
-use mind_workloads::{run_group, run_sharded};
+use mind_workloads::{run_sharded, run_sharded_threads};
 
 use crate::print_table;
 
@@ -299,7 +299,8 @@ pub fn scale_build(quick: bool) -> Vec<Scenario> {
                     if tenants_per_group == SCALE_GROUPS[0] {
                         // Affordable only here: the fused serialized
                         // reference, asserting the contract end to end.
-                        let fused = run_group(&spec, &factory).expect("confined population");
+                        let fused = run_sharded_threads(&spec, 1, 1, &factory)
+                            .expect("confined population");
                         assert_eq!(fused.runtime, merged.runtime, "sharded replay diverged");
                         assert_eq!(fused.total_ops, merged.total_ops);
                         assert_eq!(fused.mops.to_bits(), merged.mops.to_bits());

@@ -10,9 +10,12 @@
 //! exercises are disjoint from every other partition's, so running each
 //! partition on its own sub-cluster reproduces the fused run's per-op
 //! timings bit for bit. `mind_workloads::shard` builds the sharded
-//! executor on top of this layout; this module owns the arithmetic.
+//! executor on top of [`MindConfig::try_partition`], the one place the
+//! slice arithmetic lives: a rack split `n` ways is `n` copies of
+//! `try_partition(n)`, and partition `p` owns that sub-rack's width of
+//! blades starting at `p` times it.
 //!
-//! The layout is deliberately *symmetric*: every partition gets the same
+//! The split is deliberately *symmetric*: every partition gets the same
 //! number of compute and memory blades, and [`MindConfig::partition`]
 //! scales the switch-resource capacities (directory slots, match-action
 //! rules) by the same factor, keeping per-partition pressure — and hence
@@ -20,7 +23,6 @@
 //! sub-clusters.
 
 use std::fmt;
-use std::ops::Range;
 
 use crate::cluster::MindConfig;
 
@@ -67,59 +69,6 @@ impl fmt::Display for PartitionError {
 
 impl std::error::Error for PartitionError {}
 
-/// How a rack's blades divide into `partitions` symmetric slices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartitionLayout {
-    /// Number of partitions.
-    pub partitions: u16,
-    /// Compute blades per partition.
-    pub compute_per_partition: u16,
-    /// Memory blades per partition.
-    pub memory_per_partition: u16,
-}
-
-impl PartitionLayout {
-    /// Computes the layout of `cfg` divided into `partitions` slices,
-    /// reporting which symmetry invariant failed: `partitions` zero or
-    /// not dividing both blade counts evenly — asymmetric partitions would
-    /// not be interchangeable with the sub-clusters
-    /// [`MindConfig::partition`] builds.
-    pub fn try_new(cfg: &MindConfig, partitions: u16) -> Result<Self, PartitionError> {
-        if partitions == 0 {
-            return Err(PartitionError::ZeroPartitions);
-        }
-        if !cfg.n_compute.is_multiple_of(partitions) {
-            return Err(PartitionError::UnevenCompute {
-                blades: cfg.n_compute,
-                partitions,
-            });
-        }
-        if !cfg.n_memory.is_multiple_of(partitions) {
-            return Err(PartitionError::UnevenMemory {
-                blades: cfg.n_memory,
-                partitions,
-            });
-        }
-        Ok(PartitionLayout {
-            partitions,
-            compute_per_partition: cfg.n_compute / partitions,
-            memory_per_partition: cfg.n_memory / partitions,
-        })
-    }
-
-    /// The compute blades owned by partition `p`.
-    pub fn compute_slice(&self, p: u16) -> Range<u16> {
-        assert!(p < self.partitions, "partition {p} out of range");
-        p * self.compute_per_partition..(p + 1) * self.compute_per_partition
-    }
-
-    /// The memory blades owned by partition `p`.
-    pub fn memory_slice(&self, p: u16) -> Range<u16> {
-        assert!(p < self.partitions, "partition {p} out of range");
-        p * self.memory_per_partition..(p + 1) * self.memory_per_partition
-    }
-}
-
 impl MindConfig {
     /// The sub-cluster configuration hosting `1/factor` of this rack: blade
     /// counts and switch-resource capacities divide by `factor`; per-blade
@@ -141,10 +90,24 @@ impl MindConfig {
     }
 
     /// The sub-cluster configuration hosting `1/factor` of this rack,
-    /// reporting which divisibility invariant failed instead of
-    /// panicking.
+    /// reporting which invariant failed (zero `factor`, or a blade count or
+    /// capacity it does not divide) instead of panicking.
     pub fn try_partition(&self, factor: u16) -> Result<MindConfig, PartitionError> {
-        let layout = PartitionLayout::try_new(self, factor)?;
+        if factor == 0 {
+            return Err(PartitionError::ZeroPartitions);
+        }
+        if !self.n_compute.is_multiple_of(factor) {
+            return Err(PartitionError::UnevenCompute {
+                blades: self.n_compute,
+                partitions: factor,
+            });
+        }
+        if !self.n_memory.is_multiple_of(factor) {
+            return Err(PartitionError::UnevenMemory {
+                blades: self.n_memory,
+                partitions: factor,
+            });
+        }
         if !self.dir_capacity.is_multiple_of(factor as usize) {
             return Err(PartitionError::UnevenDirCapacity {
                 capacity: self.dir_capacity,
@@ -158,8 +121,8 @@ impl MindConfig {
             });
         }
         Ok(MindConfig {
-            n_compute: layout.compute_per_partition,
-            n_memory: layout.memory_per_partition,
+            n_compute: self.n_compute / factor,
+            n_memory: self.n_memory / factor,
             dir_capacity: self.dir_capacity / factor as usize,
             rule_capacity: self.rule_capacity / factor as usize,
             ..*self
@@ -179,19 +142,6 @@ mod tests {
             rule_capacity: 8_000,
             ..MindConfig::small()
         }
-    }
-
-    #[test]
-    fn slices_tile_the_rack_disjointly() {
-        let layout = PartitionLayout::try_new(&cfg(8, 4), 4).expect("8 and 4 divide by 4");
-        let mut compute = Vec::new();
-        let mut memory = Vec::new();
-        for p in 0..4 {
-            compute.extend(layout.compute_slice(p));
-            memory.extend(layout.memory_slice(p));
-        }
-        assert_eq!(compute, (0..8).collect::<Vec<u16>>());
-        assert_eq!(memory, (0..4).collect::<Vec<u16>>());
     }
 
     #[test]
@@ -233,19 +183,14 @@ mod tests {
 
     #[test]
     fn try_new_names_the_failed_invariant() {
+        assert_eq!(cfg(8, 4).try_partition(0).unwrap_err(), PartitionError::ZeroPartitions);
+        let err = cfg(6, 4).try_partition(4).unwrap_err();
+        assert_eq!(err, PartitionError::UnevenCompute { blades: 6, partitions: 4 });
+        assert!(err.to_string().contains("6 compute blades"), "{err}");
         assert_eq!(
-            PartitionLayout::try_new(&cfg(8, 4), 0),
-            Err(PartitionError::ZeroPartitions)
+            cfg(8, 6).try_partition(4).unwrap_err(),
+            PartitionError::UnevenMemory { blades: 6, partitions: 4 }
         );
-        assert_eq!(
-            PartitionLayout::try_new(&cfg(6, 4), 4),
-            Err(PartitionError::UnevenCompute { blades: 6, partitions: 4 })
-        );
-        assert_eq!(
-            PartitionLayout::try_new(&cfg(8, 6), 4),
-            Err(PartitionError::UnevenMemory { blades: 6, partitions: 4 })
-        );
-        assert!(PartitionLayout::try_new(&cfg(8, 4), 4).is_ok());
     }
 
     #[test]
@@ -264,7 +209,5 @@ mod tests {
         );
         base.rule_capacity = 8_000;
         assert!(base.try_partition(4).is_ok());
-        let display = format!("{}", PartitionError::UnevenCompute { blades: 6, partitions: 4 });
-        assert!(display.contains("6 compute blades"), "{display}");
     }
 }

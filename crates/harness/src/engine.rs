@@ -8,25 +8,14 @@
 //! configuration and seeds. Threads only decide *when* a scenario runs,
 //! never *what* it computes; reassembling results by index erases the
 //! scheduling order. `MIND_THREADS=1` forces a serial run (the reference
-//! ordering the determinism tests compare against).
-//!
-//! While a table runs, the engine claims its extra workers from the
-//! process-wide [`mind_sim::threads`] budget. The worker count itself is
-//! an explicit override (`MIND_THREADS` or [`Engine::new`]) and is
-//! honoured verbatim; the claim exists so *nested* polite consumers —
-//! a scenario calling `mind_workloads::shard::run_sharded` inside a
-//! worker — see no headroom and degrade to their sequential path instead
-//! of multiplying the two thread counts.
+//! ordering the determinism tests compare against). A scenario that runs a
+//! sharded replay inside a worker brings its own lane count
+//! (`mind_workloads::shard`); the two counts multiply.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use mind_sim::threads;
-
 use crate::scenario::{Scenario, ScenarioResult};
-
-/// Environment variable overriding the worker count.
-pub const THREADS_ENV: &str = mind_sim::env::THREADS_ENV;
 
 /// Executes scenario tables.
 #[derive(Debug, Clone, Copy)]
@@ -85,13 +74,8 @@ impl Engine {
         let slots: Vec<Mutex<Option<ScenarioResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let cursor = AtomicUsize::new(0);
 
-        // Account the extra workers in the process-wide ledger for the
-        // duration of the table (released on drop).
-        let workers = self.threads.min(n);
-        let _claim = threads::budget().claim(workers - 1);
-
         std::thread::scope(|scope| {
-            for _ in 0..workers {
+            for _ in 0..self.threads.min(n) {
                 scope.spawn(|| loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     if i >= n {

@@ -260,7 +260,14 @@ pub struct MemoryService {
 impl MemoryService {
     /// Builds the service (rack included) from its configuration. Tracing
     /// and telemetry follow the rack's [`MindConfig::trace`] settings.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dispatch_quantum` or `elastic_epoch` is zero: `run` would
+    /// reschedule that period's event at the instant it fired, forever.
     pub fn new(cfg: ServiceConfig) -> Self {
+        assert!(cfg.dispatch_quantum > SimTime::ZERO, "dispatch_quantum must be non-zero");
+        assert!(cfg.elastic_epoch > SimTime::ZERO, "elastic_epoch must be non-zero");
         let class_series = if cfg.rack.trace.enabled() {
             Some(std::array::from_fn(|_| {
                 WindowSeries::new(cfg.rack.trace.interval)
@@ -841,6 +848,18 @@ mod tests {
             mean_lifetime: SimTime::from_millis(15),
             ..Default::default()
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "dispatch_quantum")]
+    fn zero_dispatch_quantum_panics_naming_the_field() {
+        MemoryService::new(ServiceConfig { dispatch_quantum: SimTime::ZERO, ..quick_cfg() });
+    }
+
+    #[test]
+    #[should_panic(expected = "elastic_epoch")]
+    fn zero_elastic_epoch_panics_naming_the_field() {
+        MemoryService::new(ServiceConfig { elastic_epoch: SimTime::ZERO, ..quick_cfg() });
     }
 
     /// Overlapped quanta serve the same requests (the window changes

@@ -10,8 +10,8 @@
 //! population as symmetric [`TenantGroup`] partitions (one group per
 //! partition, one tenant per thread, patterns cycling per tenant exactly
 //! like the service's QoS-diverse populations) for
-//! `mind_workloads::shard::run_sharded` — the path the ROADMAP's
-//! 10⁴–10⁶-tenant scenarios go through.
+//! `mind_workloads::shard::run_sharded_threads` — the path 10⁴–10⁶-tenant
+//! scenarios go through.
 //!
 //! Every tenant is single-threaded, so writes stay on one compute blade
 //! and the population satisfies the sharding determinism contract (no
@@ -146,7 +146,7 @@ impl Workload for TenantGroup {
 }
 
 /// A [`mind_workloads::shard::PartitionFactory`] over this population:
-/// pass `&tenant_partitions(cfg)` to `run_group` / `run_sharded`.
+/// pass `&tenant_partitions(cfg)` to `run_sharded_threads`.
 pub fn tenant_partitions(cfg: TenantGroupConfig) -> impl Fn(u16) -> Box<dyn Workload> + Sync {
     move |group| Box::new(TenantGroup::new(&cfg, group))
 }
@@ -278,7 +278,8 @@ mod tests {
         };
         let spec = population_spec("pop-small", 4, pop);
         let factory = tenant_partitions(pop);
-        let fused = mind_workloads::run_group(&spec, &factory).expect("confined population");
+        let fused =
+            mind_workloads::run_sharded_threads(&spec, 1, 1, &factory).expect("confined population");
         assert_eq!(fused.invalidations, 0, "single-threaded tenants never share");
         let sharded = mind_workloads::run_sharded(&spec, 4, &factory).expect("confined population");
         assert_eq!(fused.total_ops, sharded.total_ops);

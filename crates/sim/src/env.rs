@@ -2,11 +2,10 @@
 //!
 //! Every `MIND_*` environment variable the workspace honours is parsed
 //! here, in one place, with one policy per knob — instead of ad-hoc
-//! `std::env::var` calls scattered across the harness engine, the shard
-//! executor, and the thread budget. Each accessor comes in two layers: a
-//! pure `parse_*` function over an `Option<&str>` (unit-tested without
-//! touching process state) and a thin reader that applies it to the
-//! process environment.
+//! `std::env::var` calls scattered across the harness engine and the shard
+//! executor. Each accessor comes in two layers: a pure `parse_*` function
+//! over an `Option<&str>` (unit-tested without touching process state) and
+//! a thin reader that applies it to the process environment.
 //!
 //! Knobs that configure process-wide singletons ([`trace_level`],
 //! [`profile_enabled`]) are read once and cached: the observability layer
@@ -19,10 +18,8 @@ use std::sync::OnceLock;
 
 /// Harness engine worker count (`mind_harness::Engine::from_env`).
 pub const THREADS_ENV: &str = "MIND_THREADS";
-/// Shard-executor OS-thread override (`mind_workloads::shard`).
+/// Shard-executor worker-lane count (`mind_workloads::shard::run_sharded`).
 pub const SHARD_THREADS_ENV: &str = "MIND_SHARD_THREADS";
-/// Process-wide thread-budget total ([`crate::threads::budget`]).
-pub const BUDGET_ENV: &str = "MIND_THREAD_BUDGET";
 /// Trace level for the observability layer (`mind_obs`).
 pub const TRACE_ENV: &str = "MIND_TRACE";
 /// Wall-clock self-profiling switch (`mind_obs::profile`).
@@ -76,27 +73,15 @@ pub fn threads() -> usize {
     parse_threads(std::env::var(THREADS_ENV).ok().as_deref())
 }
 
-/// Parse policy for [`SHARD_THREADS_ENV`]: an explicit positive override,
-/// else `None` (the shard executor then negotiates politely with the
-/// thread budget).
+/// Parse policy for [`SHARD_THREADS_ENV`]: an explicit positive count,
+/// else `None` (the shard executor then runs one lane).
 pub fn parse_shard_threads(var: Option<&str>) -> Option<usize> {
     parse_positive(var)
 }
 
-/// Shard-executor OS-thread override from the environment.
+/// Shard-executor worker-lane count from the environment.
 pub fn shard_threads() -> Option<usize> {
     parse_shard_threads(std::env::var(SHARD_THREADS_ENV).ok().as_deref())
-}
-
-/// Parse policy for [`BUDGET_ENV`]: the positive integer, else the
-/// machine's available parallelism.
-pub fn parse_thread_budget(var: Option<&str>) -> usize {
-    parse_positive(var).unwrap_or_else(available_parallelism)
-}
-
-/// Thread-budget total from the environment.
-pub fn thread_budget() -> usize {
-    parse_thread_budget(std::env::var(BUDGET_ENV).ok().as_deref())
 }
 
 /// Parse policy for [`TRACE_ENV`]: `1`/`on`/`true` enable the
@@ -163,12 +148,6 @@ mod tests {
         assert_eq!(parse_shard_threads(Some("2")), Some(2));
         assert_eq!(parse_shard_threads(Some("0")), None);
         assert_eq!(parse_shard_threads(None), None, "no machine fallback");
-    }
-
-    #[test]
-    fn budget_falls_back_to_machine_parallelism() {
-        assert_eq!(parse_thread_budget(Some("7")), 7);
-        assert!(parse_thread_budget(None) >= 1);
     }
 
     #[test]

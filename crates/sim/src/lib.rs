@@ -19,10 +19,8 @@ pub mod hash;
 pub mod intern;
 pub mod rng;
 pub mod stats;
-pub mod threads;
 pub mod time;
 
 pub use event::EventQueue;
 pub use rng::SimRng;
-pub use threads::{ThreadBudget, ThreadReservation};
 pub use time::SimTime;

@@ -20,9 +20,9 @@
 //! [`runner`] replays any [`trace::Workload`] against any
 //! [`mind_core::system::MemorySystem`], maintaining per-thread virtual
 //! clocks and aggregating the latency breakdowns the figures report.
-//! [`shard`] scales that replay to partitioned multi-tenant scenarios: a
-//! fused serialized reference and a deterministic sharded executor over
-//! per-partition sub-clusters, merged exactly.
+//! [`shard`] scales that replay to partitioned multi-tenant scenarios: one
+//! deterministic executor over per-partition sub-clusters, merged exactly,
+//! whose one-shard run is the fused rack.
 
 #![forbid(unsafe_code)]
 
@@ -35,9 +35,6 @@ pub mod shard;
 pub mod tf;
 pub mod trace;
 
-pub use runner::{merge_reports, run, Concurrency, ReportMerger, RunConfig, RunReport};
-pub use shard::{
-    run_group, run_shard, run_sharded, run_sharded_threads, ShardError, ShardSpec, StreamedMerge,
-    SHARD_THREADS_ENV,
-};
+pub use runner::{run, Concurrency, RunConfig, RunReport};
+pub use shard::{run_shard, run_sharded, run_sharded_threads, ShardError, ShardSpec, StreamedMerge};
 pub use trace::{TraceOp, Workload};

@@ -143,7 +143,7 @@ impl RunConfig {
 /// Aggregated results of one replay.
 ///
 /// All rates and means are derived from the integer fields below by
-/// [`merge_reports`]' shared arithmetic, so reports over disjoint
+/// one shared arithmetic (`finish_report`), so reports over disjoint
 /// partitions merge exactly: integers add, histograms and metrics merge
 /// bucket-wise, and the floats are recomputed from the sums.
 #[derive(Debug, Clone)]
@@ -299,7 +299,8 @@ impl Accum {
 
 /// Builds the report from accumulated integers — the single place the
 /// derived floats are computed, shared by [`run`], the sharded executor,
-/// and [`merge_reports`] so a merge of one report reproduces it exactly.
+/// and its merge ([`crate::shard::StreamedMerge`]) so a merge of one report
+/// reproduces it exactly.
 pub(crate) fn finish_report(
     name: String,
     warmup_end: SimTime,
@@ -340,135 +341,6 @@ pub(crate) fn finish_report(
         timeseries,
         trace: None,
     }
-}
-
-/// Streaming accumulator behind [`merge_reports`]: reports from disjoint
-/// partitions fold in one at a time and are *consumed*, so a caller
-/// merging `n` partitions holds one accumulator plus at most one
-/// in-flight report instead of all `n` — the constant-memory half of the
-/// sharded executor's streamed merge.
-///
-/// The fold arithmetic is the byte-identity contract: integers and
-/// histograms add, the measured window spans `[max warmup_end, max
-/// end-of-run]` (max is commutative and associative, so fold order never
-/// changes it), timeseries buckets add, and every derived rate is
-/// recomputed from the folded integers by [`finish_report`]'s shared
-/// arithmetic only at [`finish`](Self::finish). Trace merge *extends*
-/// event vectors, so trace bytes depend on fold order — callers that
-/// carry traces must fold in partition-index order (the sharded
-/// executor's reorder buffer, `mind_workloads::shard::StreamedMerge`,
-/// exists to guarantee exactly that).
-#[derive(Debug)]
-pub struct ReportMerger {
-    name: String,
-    folded: usize,
-    warmup_end: SimTime,
-    end_clock: SimTime,
-    acc: Accum,
-    metrics: Metrics,
-    window_metrics: Metrics,
-    trace: Option<TraceData>,
-}
-
-impl ReportMerger {
-    /// An empty accumulator for the merged report named `name`.
-    pub fn new(name: impl Into<String>) -> Self {
-        ReportMerger {
-            name: name.into(),
-            folded: 0,
-            warmup_end: SimTime::ZERO,
-            end_clock: SimTime::ZERO,
-            acc: Accum::default(),
-            metrics: Metrics::new(),
-            window_metrics: Metrics::new(),
-            trace: None,
-        }
-    }
-
-    /// Folds one partition's report into the accumulator, consuming it
-    /// (the report's buffers — histogram, timeseries, trace — are either
-    /// absorbed or freed here, never retained whole).
-    pub fn fold(&mut self, r: RunReport) {
-        self.warmup_end = self.warmup_end.max(r.warmup_end);
-        self.end_clock = self.end_clock.max(r.warmup_end + r.runtime);
-        self.acc.total_ops += r.total_ops;
-        self.acc.remote += r.remote_ops;
-        self.acc.invals += r.invalidations;
-        self.acc.flushed += r.flushed_pages;
-        self.acc.sum_fault += r.sum_fault_ns;
-        self.acc.sum_network += r.sum_network_ns;
-        self.acc.sum_inv_queue += r.sum_inv_queue_ns;
-        self.acc.sum_inv_tlb += r.sum_inv_tlb_ns;
-        self.acc.sum_software += r.sum_software_ns;
-        self.acc.sum_overlapped += r.sum_overlapped_ns;
-        self.acc.sum_remote_lat += r.sum_remote_lat_ns;
-        self.acc.latency.merge(&r.latency);
-        self.metrics.merge(&r.metrics);
-        self.window_metrics.merge(&r.window_metrics);
-        if let Some(series) = r.timeseries {
-            match &mut self.acc.series {
-                Some(mine) => mine.merge(&series),
-                None => self.acc.series = Some(series),
-            }
-        }
-        if let Some(t) = r.trace {
-            match &mut self.trace {
-                Some(mine) => mine.merge(t),
-                None => self.trace = Some(t),
-            }
-        }
-        self.folded += 1;
-    }
-
-    /// How many reports have been folded so far.
-    pub fn folded(&self) -> usize {
-        self.folded
-    }
-
-    /// Finishes the merge: recomputes every derived float from the folded
-    /// integers through [`finish_report`]'s shared arithmetic.
-    ///
-    /// # Panics
-    ///
-    /// Panics if nothing was folded.
-    pub fn finish(self) -> RunReport {
-        assert!(self.folded > 0, "nothing to merge");
-        let mut merged = finish_report(
-            self.name,
-            self.warmup_end,
-            self.end_clock,
-            self.acc,
-            self.metrics,
-            self.window_metrics,
-        );
-        merged.trace = self.trace;
-        merged
-    }
-}
-
-/// Merges reports from disjoint partitions into the report the fused run
-/// over their union would produce: integers and histograms add, the
-/// measured window spans `[max warmup_end, max end-of-run]`, and every
-/// derived rate is recomputed from the merged integers through the same
-/// arithmetic as a direct run. Merging a single report reproduces it
-/// exactly — the `shards = 1` identity the sharded executor is checked
-/// against.
-///
-/// This is the in-memory reference form of [`ReportMerger`]: it folds the
-/// slice element-by-element through the identical streaming arithmetic,
-/// so the streamed and in-memory merges agree byte-for-byte by shared
-/// code, not by parallel implementations.
-///
-/// # Panics
-///
-/// Panics if `reports` is empty.
-pub fn merge_reports(name: impl Into<String>, reports: &[RunReport]) -> RunReport {
-    assert!(!reports.is_empty(), "nothing to merge");
-    let mut merger = ReportMerger::new(name);
-    for r in reports {
-        merger.fold(r.clone());
-    }
-    merger.finish()
 }
 
 /// Drives a set of issue streams (threads) through a system's
@@ -851,13 +723,15 @@ impl Replay {
 ///
 /// # Panics
 ///
-/// Panics if the workload's threads do not fit on the system's compute
-/// blades under `threads_per_blade`, or if the system refuses an access.
+/// Panics if `threads_per_blade` is zero, if the workload's threads do not
+/// fit on the system's compute blades under `threads_per_blade`, or if the
+/// system refuses an access.
 pub fn run<S: MemorySystem + ?Sized, W: Workload + ?Sized>(
     system: &mut S,
     mut workload: &mut W,
     cfg: RunConfig,
 ) -> RunReport {
+    assert!(cfg.threads_per_blade > 0, "threads_per_blade must be at least 1");
     let n_threads = workload.n_threads();
     let blades_needed = n_threads.div_ceil(cfg.threads_per_blade);
     assert!(
@@ -1307,67 +1181,14 @@ mod tests {
     }
 
     #[test]
-    fn merge_of_one_report_is_identity() {
+    #[should_panic(expected = "threads_per_blade")]
+    fn zero_threads_per_blade_panics_naming_the_field() {
         let mut sys = MindCluster::new(MindConfig::small());
         let mut wl = PingPong {
             threads: 2,
-            rng: SimRng::new(5),
+            rng: SimRng::new(1),
         };
-        let cfg = RunConfig {
-            ops_per_thread: 300,
-            warmup_ops_per_thread: 50,
-            ..Default::default()
-        };
-        let a = run(&mut sys, &mut wl, cfg);
-        let m = merge_reports(a.name.clone(), std::slice::from_ref(&a));
-        assert_eq!(m.runtime, a.runtime);
-        assert_eq!(m.warmup_end, a.warmup_end);
-        assert_eq!(m.total_ops, a.total_ops);
-        assert_eq!(m.remote_ops, a.remote_ops);
-        assert_eq!(m.mops.to_bits(), a.mops.to_bits(), "floats recomputed bit-identically");
-        assert_eq!(m.mean_remote_ns.to_bits(), a.mean_remote_ns.to_bits());
-        assert_eq!(m.remote_per_op.to_bits(), a.remote_per_op.to_bits());
-        assert_eq!(m.latency.quantile(0.999), a.latency.quantile(0.999));
-        assert_eq!(m.metrics, a.metrics);
-        assert_eq!(m.window_metrics, a.window_metrics);
-    }
-
-    #[test]
-    fn merge_sums_integers_and_spans_windows() {
-        let mk = |seed: u64, ops: u64| {
-            let mut sys = MindCluster::new(MindConfig::small());
-            let mut wl = PingPong {
-                threads: 1,
-                rng: SimRng::new(seed),
-            };
-            run(
-                &mut sys,
-                &mut wl,
-                RunConfig {
-                    ops_per_thread: ops,
-                    warmup_ops_per_thread: 20,
-                    ..Default::default()
-                },
-            )
-        };
-        let a = mk(1, 200);
-        let b = mk(2, 300);
-        let m = merge_reports("merged", [a.clone(), b.clone()].as_slice());
-        assert_eq!(m.name, "merged");
-        assert_eq!(m.total_ops, a.total_ops + b.total_ops);
-        assert_eq!(m.remote_ops, a.remote_ops + b.remote_ops);
-        assert_eq!(m.invalidations, a.invalidations + b.invalidations);
-        assert_eq!(m.latency.count(), a.latency.count() + b.latency.count());
-        assert_eq!(m.warmup_end, a.warmup_end.max(b.warmup_end));
-        assert_eq!(
-            m.warmup_end + m.runtime,
-            (a.warmup_end + a.runtime).max(b.warmup_end + b.runtime),
-            "merged window ends at the latest partition end"
-        );
-        assert_eq!(
-            m.metrics.get("accesses"),
-            a.metrics.get("accesses") + b.metrics.get("accesses")
-        );
+        run(&mut sys, &mut wl, RunConfig { threads_per_blade: 0, ..Default::default() });
     }
 
     /// Each source is pending in a queue at most once, so arming reserves

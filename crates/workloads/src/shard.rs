@@ -2,15 +2,15 @@
 //!
 //! Big multi-tenant scenarios decompose into *partitions* — symmetric
 //! tenant groups confined to disjoint blade slices (see
-//! [`mind_core::shard`]). This module replays such scenarios two ways:
-//!
-//! - [`run_group`]: the **serialized reference** — every partition on one
-//!   fused rack, replayed straight through;
-//! - [`run_sharded`]: the same partitions split across `shards`
-//!   sub-clusters, each replayed to completion on its own ([`run_shard`])
-//!   and streamed through [`StreamedMerge`] into one report in
-//!   shard-index order, byte-identical to an in-memory
-//!   [`crate::runner::merge_reports`] over the same per-shard reports.
+//! [`mind_core::shard`]). This module replays such a scenario one way:
+//! [`run_sharded_threads`] splits the partitions across `shards`
+//! sub-clusters, worker lanes replay each shard to completion on its own
+//! ([`run_shard`]), and [`StreamedMerge`] folds the per-shard reports into
+//! one report in shard-index order. [`run_sharded`] is the same call with
+//! the lane count taken from `MIND_SHARD_THREADS`, one lane when unset.
+//! The one-shard run, `run_sharded_threads(spec, 1, 1, ..)`, is the fused
+//! rack — every partition on one cluster, replayed straight through — and
+//! the reference sharded runs are checked against.
 //!
 //! ## Multi-core, constant-memory execution
 //!
@@ -28,20 +28,17 @@
 //! The merge folds per-shard reports **in shard-index order, never
 //! completion order**: [`StreamedMerge`] buffers any report that arrives
 //! ahead of a lower-index shard and folds it the moment the gap closes,
-//! so the merged report is byte-identical whatever the thread count or
-//! completion schedule (proptested in `tests/streamed_merge.rs`). The
-//! driver picks its thread count from the process-wide
-//! [`mind_sim::threads`] budget (override with [`SHARD_THREADS_ENV`], or
-//! call [`run_sharded_threads`] for an exact count), degrading to the
-//! sequential single-lane path when the budget is spent — a scheduling
+//! so the merged report is byte-identical whatever the lane count or
+//! completion schedule (proptested in `tests/streamed_merge.rs`). The lane
+//! count is the caller's — a number, never negotiated — and a scheduling
 //! decision only, never a semantic one.
 //!
 //! ## Determinism contract
 //!
-//! `run_sharded(spec, 1, ..)` is byte-identical to `run_group(spec, ..)`:
-//! the one shard is the fused rack, and a merge of one report is the
-//! identity. For `shards > 1` the merged report is byte-identical to
-//! the fused reference whenever the scenario is *confined*:
+//! The one-shard run is the fused rack: its shard hosts every partition,
+//! and a merge of one report is the identity. For `shards > 1` the merged
+//! report is byte-identical to the one-shard run whenever the scenario is
+//! *confined*:
 //!
 //! 1. partitions are structurally symmetric (same thread count and region
 //!    list shape), so [`MindConfig::partition`] gives every shard the
@@ -65,27 +62,26 @@
 //! Structural violations of the contract (asymmetric partitions, slices
 //! that do not fit, initial directory utilization past the ½ ceiling) are
 //! rejected up front with a typed [`ShardError`] naming the invariant,
-//! instead of aborting mid-replay.
+//! instead of aborting mid-replay. Whether a scenario runs does not depend
+//! on its shard count: every partition's slice comes from
+//! [`MindConfig::try_partition`], which checks blade counts and switch
+//! capacities alike.
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use mind_core::cluster::{MindCluster, MindConfig};
 use mind_core::controller::Pid;
-use mind_core::shard::{PartitionError, PartitionLayout};
-use mind_sim::threads;
+use mind_core::shard::PartitionError;
+use mind_obs::TraceData;
+use mind_sim::stats::Metrics;
+use mind_sim::SimTime;
 
-use crate::runner::{Replay, ReportMerger, RunConfig, RunReport, Source};
+use crate::runner::{finish_report, Accum, Replay, RunConfig, RunReport, Source};
 use crate::trace::Workload;
-
-/// Environment variable overriding the shard-thread count [`run_sharded`]
-/// uses (exact, like an explicit [`run_sharded_threads`] call). Unset,
-/// the driver asks the process-wide [`mind_sim::threads`] budget for one
-/// thread per shard and runs with whatever is granted. Parsed by
-/// [`mind_sim::env::shard_threads`].
-pub const SHARD_THREADS_ENV: &str = mind_sim::env::SHARD_THREADS_ENV;
 
 /// Why a partitioned scenario cannot be (de)composed: each variant names
 /// the confinement invariant that failed, so callers see *what* to fix
@@ -211,8 +207,7 @@ impl From<PartitionError> for ShardError {
 }
 
 /// A partitioned scenario: `partitions` symmetric tenant groups over a
-/// fused rack `base`, replayable fused ([`run_group`]) or sharded
-/// ([`run_sharded`]).
+/// fused rack `base`, replayed by [`run_sharded_threads`].
 #[derive(Debug, Clone)]
 pub struct ShardSpec {
     /// Scenario name carried into the merged report.
@@ -220,7 +215,7 @@ pub struct ShardSpec {
     /// The fused rack hosting all partitions.
     pub base: MindConfig,
     /// Number of partitions; must divide the rack per
-    /// [`PartitionLayout`].
+    /// [`MindConfig::try_partition`].
     pub partitions: u16,
     /// Per-thread replay parameters (shared by every partition).
     pub run: RunConfig,
@@ -248,15 +243,21 @@ pub type PartitionFactory<'a> = dyn Fn(u16) -> Box<dyn Workload> + Sync + 'a;
 /// A worker lane's rack and replay, kept between the shards it claims.
 type Lane = Option<(MindCluster, Replay)>;
 
-/// Replays one group of `spec`'s partitions co-hosted on one cluster —
-/// the whole scenario (the fused reference) or one shard of it — to
-/// completion: fills a rack of `cfg` with the global partitions
-/// `first..first + partitions` (per partition, one process, threads
-/// pinned to its compute slice, regions `mmap_in`-confined to its memory
-/// slice), checks confinement, and hands rack and partition workloads to
-/// a [`Replay`]. Rack and replay are `lane`'s, reset, or new ones when it
-/// holds none. The report's trace, if any, carries this group's *local*
-/// lane indices.
+/// Partition `p`'s compute and memory blades when every partition is a
+/// `slice`-sized sub-rack (a [`MindConfig::try_partition`] of its rack).
+fn blades_of(slice: &MindConfig, p: u16) -> (Range<u16>, Range<u16>) {
+    let (c, m) = (slice.n_compute, slice.n_memory);
+    (p * c..(p + 1) * c, p * m..(p + 1) * m)
+}
+
+/// Replays one shard of `spec`'s partitions co-hosted on one cluster (the
+/// whole scenario when there is one shard) to completion: fills a rack of
+/// `cfg` with the global partitions `first..first + partitions` (per
+/// partition, one process, threads pinned to its compute slice, regions
+/// `mmap_in`-confined to its memory slice), checks confinement, and hands
+/// rack and partition workloads to a [`Replay`]. Rack and replay are
+/// `lane`'s, reset, or new ones when it holds none. The report's trace, if
+/// any, carries this group's *local* lane indices.
 ///
 /// # Errors
 ///
@@ -279,7 +280,7 @@ fn replay_group(
         if run.threads_per_blade == 0 {
             return Err(ShardError::ZeroThreadsPerBlade);
         }
-        let layout = PartitionLayout::try_new(&cfg, partitions)?;
+        let slice = cfg.try_partition(partitions)?;
         if let Some((cluster, _)) = lane {
             cluster.reset();
         }
@@ -316,12 +317,12 @@ fn replay_group(
             } else {
                 vec![cluster.exec().expect("exec cannot fail")]
             };
-            let slice = layout.memory_slice(lp);
+            let (compute, memory) = blades_of(&slice, lp);
             total_regions += regions.len();
             let mut bases = Vec::with_capacity(regions.len());
             for (r, len) in regions.into_iter().enumerate() {
                 let pid = pids[if domain_per_thread { r } else { 0 }];
-                let base = cluster.mmap_in(pid, len, slice.clone()).map_err(|_| {
+                let base = cluster.mmap_in(pid, len, memory.clone()).map_err(|_| {
                     ShardError::MemorySliceOverflow {
                         partition: first + lp,
                         region_bytes: len,
@@ -331,11 +332,10 @@ fn replay_group(
             }
             // Thread `t` runs on the partition's compute slice, in its own
             // domain or the partition's one.
-            let compute_lo = layout.compute_slice(lp).start;
             sources.extend((0..nt).map(|t| Source {
                 part: lp as u32,
                 thread: t,
-                blade: compute_lo + t / run.threads_per_blade,
+                blade: compute.start + t / run.threads_per_blade,
                 pdid: Some(pids[if domain_per_thread { t as usize } else { 0 }]),
             }));
             workloads.push(workload);
@@ -343,10 +343,10 @@ fn replay_group(
         }
         let tpp = threads_per_partition.expect("at least one partition");
         let blades_needed = tpp.div_ceil(run.threads_per_blade);
-        if blades_needed > layout.compute_per_partition {
+        if blades_needed > slice.n_compute {
             return Err(ShardError::ComputeSliceOverflow {
                 needed: blades_needed,
-                available: layout.compute_per_partition,
+                available: slice.n_compute,
             });
         }
         // Contract condition 4, checked where it is cheap and actionable:
@@ -371,18 +371,6 @@ fn replay_group(
     Ok(replay.run(cluster, &mut workloads, name))
 }
 
-/// The serialized reference: every partition fused on one rack, replayed
-/// straight through in a single pass.
-///
-/// # Errors
-///
-/// Returns the [`ShardError`] naming the violated confinement invariant
-/// (see [`run_shard`]).
-pub fn run_group(spec: &ShardSpec, factory: &PartitionFactory) -> Result<RunReport, ShardError> {
-    let name = spec.name.clone();
-    replay_group(spec, name, spec.base, &mut None, 0, spec.partitions, factory)
-}
-
 /// The sub-rack one of `shards` shards runs on and the partitions it
 /// hosts.
 fn shard_rack(spec: &ShardSpec, shards: u16) -> Result<(MindConfig, u16), ShardError> {
@@ -397,11 +385,11 @@ fn shard_rack(spec: &ShardSpec, shards: u16) -> Result<(MindConfig, u16), ShardE
 
 /// Shard `s` of the scenario split `shards` ways, built, replayed to
 /// completion and reported on its own: what one worker lane of
-/// [`run_sharded`] does per claimed index. Trace lanes are rebased onto
-/// the fused rack's global blade indices (shard `s` owns blades starting
-/// at `s × sub.n_compute`, so the merged trace is grouping-invariant);
-/// merging every shard's report in index order
-/// ([`crate::runner::merge_reports`]) is the sharded result.
+/// [`run_sharded_threads`] does per claimed index. Trace lanes are rebased
+/// onto the fused rack's global blade indices (shard `s` owns the compute
+/// blades [`MindConfig::try_partition`] gives its slice, so the merged
+/// trace is grouping-invariant); offering every shard's report to a
+/// [`StreamedMerge`] is the sharded result.
 ///
 /// # Errors
 ///
@@ -436,21 +424,13 @@ fn run_shard_on(
     let name = format!("{}/shard{s}", spec.name);
     let mut report = replay_group(spec, name, sub, lane, s * per_shard, per_shard, factory)?;
     if let Some(t) = &mut report.trace {
-        t.rebase_lanes(s as u32 * sub.n_compute as u32);
+        t.rebase_lanes(blades_of(&sub, s).0.start as u32);
     }
     Ok(report)
 }
 
-/// Replays the scenario as `shards` independent sub-clusters — in
-/// parallel on OS threads when the process-wide thread budget has
-/// headroom — and merges the per-shard reports in shard-index order. See
-/// the module docs for when the result is byte-identical to
-/// [`run_group`]; it is *always* byte-identical across thread counts.
-///
-/// The thread count is [`SHARD_THREADS_ENV`] when set, otherwise one
-/// thread per shard capped by what [`mind_sim::threads::budget`] has left
-/// (an engine already saturating the machine degrades this to the
-/// sequential path). For an explicit count use [`run_sharded_threads`].
+/// [`run_sharded_threads`] on the lane count `MIND_SHARD_THREADS` names,
+/// or on one lane when it is unset.
 ///
 /// # Errors
 ///
@@ -460,136 +440,31 @@ pub fn run_sharded(
     shards: u16,
     factory: &PartitionFactory,
 ) -> Result<RunReport, ShardError> {
-    match mind_sim::env::shard_threads() {
-        Some(n) => run_sharded_threads(spec, shards, n, factory),
-        None => {
-            let grant = threads::budget().reserve((shards as usize).saturating_sub(1));
-            run_sharded_inner(spec, shards, grant.lanes(), factory)
-        }
-    }
+    let lanes = mind_sim::env::shard_threads().unwrap_or(1);
+    run_sharded_threads(spec, shards, lanes, factory)
 }
 
-/// [`run_sharded`] with an explicit thread count (clamped to the shard
-/// count; 1 runs the sequential reference path). The count is honoured
-/// verbatim — it is *claimed* from the process-wide budget rather than
-/// negotiated, so concurrent polite consumers back off instead.
+/// Replays the scenario as `shards` independent sub-clusters on `lanes`
+/// worker threads (clamped to `1..=shards`) and merges the per-shard
+/// reports in shard-index order. One shard is the fused rack; see the
+/// module docs for when more shards reproduce it byte for byte. The
+/// result is *always* byte-identical across lane counts.
+///
+/// Lanes claim shard indices from a shared cursor. A lane builds one rack
+/// at its first claim and resets it for every later one, fills it with
+/// the claimed shard, runs it to completion, and streams the finished
+/// report into a [`StreamedMerge`] — so peak memory is O(lanes × one
+/// shard), never O(shards), and no `Vec<RunReport>` ever materializes.
+/// Lanes share no simulation state — a reset rack is a new rack — so
+/// preemption and completion order cannot influence any simulated
+/// quantity. On a construction error the lowest failing shard index wins
+/// (shard construction is deterministic per index, so the reported error
+/// is too) and lanes stop claiming.
 ///
 /// # Errors
 ///
-/// As [`run_sharded`].
+/// As [`run_shard`], for the lowest shard index that fails.
 pub fn run_sharded_threads(
-    spec: &ShardSpec,
-    shards: u16,
-    threads_wanted: usize,
-    factory: &PartitionFactory,
-) -> Result<RunReport, ShardError> {
-    let lanes = threads_wanted.max(1).min(shards.max(1) as usize);
-    let _claim = threads::budget().claim(lanes - 1);
-    run_sharded_inner(spec, shards, lanes, factory)
-}
-
-/// The shard-index-order streaming merge: per-shard reports are folded
-/// into a running [`ReportMerger`] the moment every lower-index shard has
-/// been folded, whatever order they *arrive* in. Reports that complete
-/// ahead of a lower-index shard wait in a reorder buffer bounded by the
-/// number of concurrently-running lanes — never by the shard count — so
-/// merging `n` shards holds one accumulator plus O(lanes) buffered
-/// reports instead of all `n`.
-///
-/// Fold order is the whole point: integer, histogram, and timeseries
-/// folds are order-independent by construction, but trace merge extends
-/// event vectors, so only an index-order fold reproduces the in-memory
-/// [`crate::runner::merge_reports`] bytes. The reorder buffer makes the
-/// fold order a function of shard *indices* alone; completion order,
-/// thread count, and OS scheduling cannot reach it (proptested in
-/// `tests/streamed_merge.rs`).
-pub struct StreamedMerge {
-    merger: ReportMerger,
-    /// Reports that arrived ahead of a lower-index shard, keyed by shard.
-    pending: BTreeMap<usize, RunReport>,
-    /// The next shard index the merger will fold.
-    next: usize,
-    /// Total shards this merge expects.
-    total: usize,
-}
-
-impl StreamedMerge {
-    /// An empty merge expecting `total` shards for the report named
-    /// `name`.
-    pub fn new(name: impl Into<String>, total: usize) -> Self {
-        StreamedMerge {
-            merger: ReportMerger::new(name),
-            pending: BTreeMap::new(),
-            next: 0,
-            total,
-        }
-    }
-
-    /// Offers shard `shard`'s finished report: folds it immediately if
-    /// every lower-index shard is already folded (then drains any
-    /// now-contiguous buffered successors), otherwise buffers it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range or was already offered.
-    pub fn offer(&mut self, shard: usize, report: RunReport) {
-        assert!(shard < self.total, "shard {shard} out of range {}", self.total);
-        assert!(
-            shard >= self.next && !self.pending.contains_key(&shard),
-            "shard {shard} offered twice"
-        );
-        if shard != self.next {
-            self.pending.insert(shard, report);
-            return;
-        }
-        self.merger.fold(report);
-        self.next += 1;
-        while let Some(r) = self.pending.remove(&self.next) {
-            self.merger.fold(r);
-            self.next += 1;
-        }
-    }
-
-    /// Shards folded into the accumulator so far (buffered ones excluded).
-    pub fn folded(&self) -> usize {
-        self.merger.folded()
-    }
-
-    /// Reports currently waiting in the reorder buffer.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Finishes the merge into the fused report.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless every expected shard was offered.
-    pub fn finish(self) -> RunReport {
-        assert_eq!(
-            self.merger.folded(),
-            self.total,
-            "streamed merge finished before every shard was offered"
-        );
-        self.merger.finish()
-    }
-}
-
-/// The shard driver behind both public entry points: `lanes` worker
-/// threads claim shard indices from a shared cursor. A lane builds one
-/// rack at its first claim and resets it for every later one, fills it
-/// with the claimed shard, runs it to completion, and streams the finished
-/// report into a [`StreamedMerge`] — so peak memory is O(lanes × one
-/// shard), never O(shards), and no `Vec<RunReport>` ever materializes.
-///
-/// Workers share no simulation state whatsoever — a reset rack is a new
-/// rack, and each lane's rack hosts one shard at a time — so preemption and
-/// completion order cannot influence any simulated quantity, and the
-/// index-ordered fold keeps the merged bytes thread-count-invariant.
-/// On a construction error the lowest failing shard index wins (shard
-/// construction is deterministic per index, so the reported error is
-/// too) and workers stop claiming.
-fn run_sharded_inner(
     spec: &ShardSpec,
     shards: u16,
     lanes: usize,
@@ -646,12 +521,155 @@ fn run_sharded_inner(
         .finish())
 }
 
+/// The shard-index-order streaming merge of per-shard reports: the only
+/// way reports from disjoint partitions combine. A report is folded the
+/// moment every lower-index shard has been folded, whatever order they
+/// *arrive* in, and *consumed* (its histogram, timeseries and trace are
+/// absorbed or freed, never retained whole). Reports that complete ahead
+/// of a lower-index shard wait in a reorder buffer bounded by the number
+/// of concurrently-running lanes — never by the shard count — so merging
+/// `n` shards holds one accumulator plus O(lanes) buffered reports.
+///
+/// The fold arithmetic is the byte-identity contract: integers and
+/// histograms add, the measured window spans `[max warmup_end, max
+/// end-of-run]`, timeseries buckets add, and every derived rate is
+/// recomputed from the folded integers by the arithmetic a direct run
+/// uses, only at [`finish`](Self::finish) — so a merge of one report
+/// reproduces it exactly. Fold order is the point of the buffer: the
+/// integer, histogram and timeseries folds are order-independent, but
+/// trace merge extends event vectors, so only an index-order fold gives
+/// one set of bytes. The buffer makes the fold order a function of shard
+/// *indices* alone; completion order, lane count and OS scheduling cannot
+/// reach it (proptested in `tests/streamed_merge.rs`).
+pub struct StreamedMerge {
+    name: String,
+    warmup_end: SimTime,
+    end_clock: SimTime,
+    acc: Accum,
+    metrics: Metrics,
+    window_metrics: Metrics,
+    trace: Option<TraceData>,
+    /// Reports that arrived ahead of a lower-index shard, keyed by shard.
+    pending: BTreeMap<usize, RunReport>,
+    /// The next shard index to fold; every lower one is folded.
+    next: usize,
+    /// Total shards this merge expects.
+    total: usize,
+}
+
+impl StreamedMerge {
+    /// An empty merge expecting `total` shards for the report named
+    /// `name`.
+    pub fn new(name: impl Into<String>, total: usize) -> Self {
+        StreamedMerge {
+            name: name.into(),
+            warmup_end: SimTime::ZERO,
+            end_clock: SimTime::ZERO,
+            acc: Accum::default(),
+            metrics: Metrics::new(),
+            window_metrics: Metrics::new(),
+            trace: None,
+            pending: BTreeMap::new(),
+            next: 0,
+            total,
+        }
+    }
+
+    /// Offers shard `shard`'s finished report: folds it immediately if
+    /// every lower-index shard is already folded (then drains any
+    /// now-contiguous buffered successors), otherwise buffers it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard` is out of range or was already offered.
+    pub fn offer(&mut self, shard: usize, report: RunReport) {
+        assert!(shard < self.total, "shard {shard} out of range {}", self.total);
+        assert!(
+            shard >= self.next && !self.pending.contains_key(&shard),
+            "shard {shard} offered twice"
+        );
+        if shard != self.next {
+            self.pending.insert(shard, report);
+            return;
+        }
+        self.fold(report);
+        while let Some(r) = self.pending.remove(&self.next) {
+            self.fold(r);
+        }
+    }
+
+    /// Folds the next shard's report into the accumulator.
+    fn fold(&mut self, r: RunReport) {
+        self.warmup_end = self.warmup_end.max(r.warmup_end);
+        self.end_clock = self.end_clock.max(r.warmup_end + r.runtime);
+        self.acc.total_ops += r.total_ops;
+        self.acc.remote += r.remote_ops;
+        self.acc.invals += r.invalidations;
+        self.acc.flushed += r.flushed_pages;
+        self.acc.sum_fault += r.sum_fault_ns;
+        self.acc.sum_network += r.sum_network_ns;
+        self.acc.sum_inv_queue += r.sum_inv_queue_ns;
+        self.acc.sum_inv_tlb += r.sum_inv_tlb_ns;
+        self.acc.sum_software += r.sum_software_ns;
+        self.acc.sum_overlapped += r.sum_overlapped_ns;
+        self.acc.sum_remote_lat += r.sum_remote_lat_ns;
+        self.acc.latency.merge(&r.latency);
+        self.metrics.merge(&r.metrics);
+        self.window_metrics.merge(&r.window_metrics);
+        if let Some(series) = r.timeseries {
+            match &mut self.acc.series {
+                Some(mine) => mine.merge(&series),
+                None => self.acc.series = Some(series),
+            }
+        }
+        if let Some(t) = r.trace {
+            match &mut self.trace {
+                Some(mine) => mine.merge(t),
+                None => self.trace = Some(t),
+            }
+        }
+        self.next += 1;
+    }
+
+    /// Shards folded into the accumulator so far (buffered ones excluded).
+    pub fn folded(&self) -> usize {
+        self.next
+    }
+
+    /// Reports currently waiting in the reorder buffer.
+    pub fn pending(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Finishes the merge into the fused report.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every expected shard was offered.
+    pub fn finish(self) -> RunReport {
+        assert_eq!(
+            self.next, self.total,
+            "streamed merge finished before every shard was offered"
+        );
+        let mut merged = finish_report(
+            self.name,
+            self.warmup_end,
+            self.end_clock,
+            self.acc,
+            self.metrics,
+            self.window_metrics,
+        );
+        merged.trace = self.trace;
+        merged
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::trace::TraceOp;
     use mind_core::system::AccessKind;
-    use mind_sim::{SimRng, SimTime};
+    use mind_sim::SimRng;
 
     /// A single-threaded tenant touching its own pages; writes stay on
     /// one blade, so the confinement contract holds.
@@ -713,6 +731,11 @@ mod tests {
         })
     }
 
+    /// The fused reference: every partition on one rack.
+    fn fused(s: &ShardSpec) -> RunReport {
+        run_sharded_threads(s, 1, 1, &factory).expect("confined scenario")
+    }
+
     fn key(r: &RunReport) -> (SimTime, SimTime, u64, u64, u64, u64, u128, u128, u64) {
         (
             r.runtime,
@@ -729,19 +752,20 @@ mod tests {
 
     #[test]
     fn one_shard_matches_serialized_reference_exactly() {
+        // The one-shard run is the whole rack's own report, merged alone.
         let s = spec(4);
-        let fused = run_group(&s, &factory).expect("confined scenario");
-        let sharded = run_sharded(&s, 1, &factory).expect("confined scenario");
-        assert_eq!(key(&fused), key(&sharded));
-        assert_eq!(fused.mops.to_bits(), sharded.mops.to_bits());
-        assert_eq!(fused.metrics, sharded.metrics);
-        assert_eq!(fused.window_metrics, sharded.window_metrics);
+        let whole = run_shard(&s, 1, 0, &factory).expect("confined scenario");
+        let merged = fused(&s);
+        assert_eq!(key(&whole), key(&merged));
+        assert_eq!(whole.mops.to_bits(), merged.mops.to_bits());
+        assert_eq!(whole.metrics, merged.metrics);
+        assert_eq!(whole.window_metrics, merged.window_metrics);
     }
 
     #[test]
     fn sharded_partitions_reproduce_the_fused_run() {
         let s = spec(4);
-        let fused = run_group(&s, &factory).expect("confined scenario");
+        let fused = fused(&s);
         assert_eq!(fused.invalidations, 0, "scenario must be confined");
         for shards in [2u16, 4] {
             let sharded = run_sharded(&s, shards, &factory).expect("confined scenario");
@@ -759,7 +783,7 @@ mod tests {
         // the fused and sharded runs; nothing timing-visible does.
         let mut s = spec(4);
         s.domain_per_thread = true;
-        let fused = run_group(&s, &factory).expect("confined scenario");
+        let fused = fused(&s);
         assert_eq!(fused.invalidations, 0, "scenario must be confined");
         for shards in [2u16, 4] {
             let sharded = run_sharded(&s, shards, &factory).expect("confined scenario");
@@ -796,7 +820,7 @@ mod tests {
             .with_batch_ops(8)
             .with_window(4)
             .with_concurrency(crate::runner::Concurrency::Cluster);
-        let fused = run_group(&s, &factory).expect("confined scenario");
+        let fused = fused(&s);
         assert_eq!(fused.invalidations, 0, "scenario must be confined");
         assert!(fused.total_ops > 0);
         for shards in [2u16, 4] {
@@ -848,7 +872,7 @@ mod tests {
         }
         let mut s = spec(2);
         s.domain_per_thread = true;
-        let err = run_group(&s, &|_| Box::new(TwoRegions)).unwrap_err();
+        let err = run_sharded_threads(&s, 1, 1, &|_| Box::new(TwoRegions)).unwrap_err();
         assert_eq!(
             err,
             ShardError::RegionPerThread {
@@ -864,7 +888,7 @@ mod tests {
     fn interleaved_placement_rejected() {
         let mut s = spec(2);
         s.run.interleave = true;
-        let err = run_group(&s, &factory).unwrap_err();
+        let err = run_sharded_threads(&s, 1, 1, &factory).unwrap_err();
         assert_eq!(err, ShardError::InterleavedPlacement);
         assert!(err.to_string().contains("not partition-confined"), "{err}");
     }
@@ -894,7 +918,7 @@ mod tests {
     fn zero_threads_per_blade_rejected() {
         let mut s = spec(2);
         s.run.threads_per_blade = 0;
-        assert_eq!(run_group(&s, &factory).unwrap_err(), ShardError::ZeroThreadsPerBlade);
+        assert_eq!(run_sharded(&s, 1, &factory).unwrap_err(), ShardError::ZeroThreadsPerBlade);
         assert_eq!(run_sharded(&s, 2, &factory).unwrap_err(), ShardError::ZeroThreadsPerBlade);
         let err = run_sharded_threads(&s, 2, 2, &factory).unwrap_err();
         assert_eq!(err, ShardError::ZeroThreadsPerBlade);
@@ -910,6 +934,100 @@ mod tests {
             matches!(err, ShardError::Partition(PartitionError::UnevenCompute { .. })),
             "{err:?}"
         );
+        s.base.n_compute = 4;
+        s.partitions = 0;
+        let err = run_sharded_threads(&s, 1, 1, &factory).unwrap_err();
+        assert_eq!(err, ShardError::Partition(PartitionError::ZeroPartitions));
+    }
+
+    /// Whether a spec runs must not depend on its shard count: a switch
+    /// capacity the partitions do not divide is refused at every count.
+    fn assert_refused_at_every_shard_count(s: &ShardSpec, want: fn(PartitionError) -> bool) {
+        for shards in [1u16, 2, 4] {
+            let err = run_sharded_threads(s, shards, 1, &factory).unwrap_err();
+            assert!(matches!(err, ShardError::Partition(e) if want(e)), "{shards}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn uneven_dir_capacity_is_refused_at_every_shard_count() {
+        let mut s = spec(4);
+        s.base.dir_capacity = 4_098;
+        assert_refused_at_every_shard_count(&s, |e| {
+            matches!(e, PartitionError::UnevenDirCapacity { .. })
+        });
+    }
+
+    #[test]
+    fn uneven_rule_capacity_is_refused_at_every_shard_count() {
+        let mut s = spec(4);
+        s.base.rule_capacity = 4_098;
+        assert_refused_at_every_shard_count(&s, |e| {
+            matches!(e, PartitionError::UnevenRuleCapacity { .. })
+        });
+    }
+
+    #[test]
+    fn slices_tile_the_rack_disjointly() {
+        let base = MindConfig { n_compute: 8, n_memory: 4, ..spec(4).base };
+        let slice = base.try_partition(4).expect("8 and 4 divide by 4");
+        let (mut compute, mut memory) = (Vec::new(), Vec::new());
+        for p in 0..4 {
+            let (c, m) = blades_of(&slice, p);
+            compute.extend(c);
+            memory.extend(m);
+        }
+        assert_eq!(compute, (0..8).collect::<Vec<u16>>());
+        assert_eq!(memory, (0..4).collect::<Vec<u16>>());
+    }
+
+    /// One tenant replayed by the plain runner on a rack of its own.
+    fn direct(seed: u64, ops: u64) -> RunReport {
+        let mut sys = MindCluster::new(MindConfig::small());
+        let mut wl = Tenant { pages: 32, rng: SimRng::new(seed) };
+        let cfg = RunConfig { ops_per_thread: ops, warmup_ops_per_thread: 20, ..Default::default() };
+        crate::runner::run(&mut sys, &mut wl, cfg)
+    }
+
+    fn merged(name: &str, reports: Vec<RunReport>) -> RunReport {
+        let mut merge = StreamedMerge::new(name, reports.len());
+        for (s, r) in reports.into_iter().enumerate() {
+            merge.offer(s, r);
+        }
+        merge.finish()
+    }
+
+    #[test]
+    fn merge_of_one_report_is_identity() {
+        let a = direct(5, 300);
+        let m = merged(&a.name, vec![a.clone()]);
+        assert_eq!(key(&m), key(&a));
+        assert_eq!(m.mops.to_bits(), a.mops.to_bits(), "floats recomputed bit-identically");
+        assert_eq!(m.mean_remote_ns.to_bits(), a.mean_remote_ns.to_bits());
+        assert_eq!(m.remote_per_op.to_bits(), a.remote_per_op.to_bits());
+        assert_eq!(m.metrics, a.metrics);
+        assert_eq!(m.window_metrics, a.window_metrics);
+    }
+
+    #[test]
+    fn merge_sums_integers_and_spans_windows() {
+        let (a, b) = (direct(1, 200), direct(2, 300));
+        let m = merged("merged", vec![a.clone(), b.clone()]);
+        assert_eq!(m.name, "merged");
+        assert_eq!(m.total_ops, a.total_ops + b.total_ops);
+        assert_eq!(m.remote_ops, a.remote_ops + b.remote_ops);
+        assert_eq!(m.invalidations, a.invalidations + b.invalidations);
+        assert_eq!(m.latency.count(), a.latency.count() + b.latency.count());
+        assert_eq!(m.warmup_end, a.warmup_end.max(b.warmup_end));
+        assert_eq!(
+            m.warmup_end + m.runtime,
+            (a.warmup_end + a.runtime).max(b.warmup_end + b.runtime),
+            "merged window ends at the latest partition end"
+        );
+        assert_eq!(
+            m.metrics.get("accesses"),
+            a.metrics.get("accesses") + b.metrics.get("accesses")
+        );
     }
 
     #[test]
@@ -919,7 +1037,7 @@ mod tests {
         let mut s = spec(2);
         s.base.dir_capacity = 2;
         s.base.rule_capacity = 2;
-        let err = run_group(&s, &factory).unwrap_err();
+        let err = run_sharded_threads(&s, 1, 1, &factory).unwrap_err();
         assert!(
             matches!(err, ShardError::DirectoryOverUtilized { .. }),
             "{err:?}"

@@ -23,7 +23,7 @@ use mind::workloads::kvs::KvsConfig;
 use mind::workloads::memcached::MemcachedConfig;
 use mind::workloads::micro::MicroConfig;
 use mind::workloads::runner::{self, Concurrency, RunConfig};
-use mind::workloads::{run_group, run_sharded, ShardSpec};
+use mind::workloads::{run_sharded, run_sharded_threads, ShardSpec};
 
 const BATCH_SIZES: [u64; 3] = [1, 8, 64];
 
@@ -158,7 +158,8 @@ fn run_equals_a_group_run_of_one_partition() {
             run: cfg,
             domain_per_thread: false,
         };
-        let group = run_group(&spec, &|_| workload.build()).expect("one partition always fits");
+        let group = run_sharded_threads(&spec, 1, 1, &|_| workload.build())
+            .expect("one partition always fits");
         assert_eq!(direct.runtime, group.runtime, "w{window}");
         assert_eq!(direct.warmup_end, group.warmup_end, "w{window}");
         assert_eq!(direct.total_ops, group.total_ops, "w{window}");
@@ -622,7 +623,8 @@ fn sharded_replay_matches_fused_at_every_batch_size() {
             .with_batch_ops(batch_ops),
             domain_per_thread: false,
         };
-        let fused = runner_json(run_group(&spec, &factory).expect("confined scenario"));
+        let fused =
+            runner_json(run_sharded_threads(&spec, 1, 1, &factory).expect("confined scenario"));
         let sharded = runner_json(run_sharded(&spec, 2, &factory).expect("confined scenario"));
         assert_eq!(
             sharded, fused,

@@ -1,8 +1,8 @@
 //! The sharded simulation's core guarantee: replaying a partitioned
 //! scenario as `shards` independent sub-clusters, each run to completion
-//! on its own, renders **byte-identical** BENCH JSON to the serialized
-//! fused reference — for `shards = 1` unconditionally, and for
-//! `shards > 1` whenever the scenario honours the confinement contract
+//! on its own, renders **byte-identical** BENCH JSON to the one-shard
+//! run — the fused rack, every partition on one cluster — whenever the
+//! scenario honours the confinement contract
 //! spelled out in `mind_workloads::shard` (symmetric partitions, slice
 //! confinement, zero invalidations, directory utilization at or below
 //! one half).
@@ -28,7 +28,7 @@ use mind::workloads::kvs::KvsConfig;
 use mind::workloads::micro::MicroConfig;
 use mind::workloads::runner::{RunConfig, RunReport};
 use mind::workloads::shard::PartitionFactory;
-use mind::workloads::{run_group, run_sharded_threads, ShardSpec};
+use mind::workloads::{run_sharded_threads, ShardSpec};
 
 /// A four-partition rack whose resources divide evenly into 1, 2, or 4
 /// shards; the directory is sized so even fully split regions stay well
@@ -77,7 +77,7 @@ fn bench_json(report: RunReport) -> String {
 /// cell, compared on the full rendered BENCH JSON (values, metrics,
 /// series — everything).
 fn assert_shards_reproduce_fused(spec: &ShardSpec, factory: &PartitionFactory) {
-    let fused = run_group(spec, factory).expect("confined scenario");
+    let fused = run_sharded_threads(spec, 1, 1, factory).expect("confined scenario");
     assert_eq!(
         fused.invalidations, 0,
         "{}: scenario must be confined for the contract to hold",
@@ -150,8 +150,8 @@ fn sharded_runs_nested_in_a_parallel_engine_render_identical_bench_json() {
     // multi-threaded sharded replay, executed under the environment-sized
     // engine (the CI matrix sets MIND_THREADS to 1 and 4) and under a
     // serial engine. The rendered suite JSON must match byte for byte —
-    // engine workers, shard threads, and the budget's arbitration between
-    // them are all scheduling-only.
+    // engine workers and the shard lanes nested inside them are both
+    // scheduling-only.
     let table = || -> Vec<Scenario> {
         [1usize, 2, 4]
             .into_iter()

@@ -1,16 +1,16 @@
 //! The streamed constant-memory merge contract: folding per-shard
 //! reports into a running accumulator **as each shard completes** must
-//! render byte-identical output to the in-memory path that collects
-//! every report first and merges the whole `Vec` at once — for every
-//! shard count × thread count cell, traced and untraced.
+//! render byte-identical output to the path that collects every report
+//! first and then offers them in index order — for every shard count ×
+//! thread count cell, traced and untraced.
 //!
 //! Two layers are covered:
 //!
 //! - **End to end**: `run_sharded_threads` (worker lanes, each resetting
 //!   one rack per claimed shard, `StreamedMerge` fold) against a reference
 //!   that materializes every shard's report in memory (`run_shard`, one
-//!   new rack per shard) and merges them through `merge_reports` — the
-//!   exact shape the executor had before the streaming fold existed.
+//!   new rack per shard) and only then offers them to a `StreamedMerge` in
+//!   index order.
 //! - **The reorder buffer in isolation**: a proptest offers the same
 //!   reports to `StreamedMerge` in arbitrary completion orders and
 //!   checks the fused bytes never move — fold order is a function of
@@ -28,9 +28,7 @@ use mind::sim::SimRng;
 use mind::workloads::micro::MicroConfig;
 use mind::workloads::runner::{RunConfig, RunReport};
 use mind::workloads::shard::PartitionFactory;
-use mind::workloads::{
-    merge_reports, run_shard, run_sharded_threads, ShardSpec, StreamedMerge, Workload,
-};
+use mind::workloads::{run_shard, run_sharded_threads, ShardSpec, StreamedMerge, Workload};
 
 /// A four-partition rack whose resources divide evenly into 1, 2, or 4
 /// shards (mirrors `tests/shard_equivalence.rs`).
@@ -87,6 +85,15 @@ fn shard_reports(spec: &ShardSpec, shards: u16, factory: &PartitionFactory) -> V
         .collect()
 }
 
+/// Collect-then-merge: `reports` offered in index order.
+fn merge_in_order(name: &str, reports: &[RunReport]) -> RunReport {
+    let mut merge = StreamedMerge::new(name, reports.len());
+    for (s, r) in reports.iter().enumerate() {
+        merge.offer(s, r.clone());
+    }
+    merge.finish()
+}
+
 fn assert_reports_identical(label: &str, reference: &RunReport, streamed: &RunReport) {
     assert_eq!(
         reference.trace, streamed.trace,
@@ -104,7 +111,7 @@ fn assert_reports_identical(label: &str, reference: &RunReport, streamed: &RunRe
 fn assert_streamed_matches_in_memory(spec: &ShardSpec, factory: &PartitionFactory) {
     for shards in [1u16, 2, 4] {
         let reports = shard_reports(spec, shards, factory);
-        let reference = merge_reports(spec.name.clone(), &reports);
+        let reference = merge_in_order(&spec.name, &reports);
         assert!(reference.total_ops > 0, "{}: the run did work", spec.name);
         if spec.run.trace.enabled() {
             assert!(
@@ -195,7 +202,7 @@ proptest! {
         s.run.warmup_ops_per_thread = 10;
         let shards = 4u16;
         let reports = shard_reports(&s, shards, &factory);
-        let reference = merge_reports(s.name.clone(), &reports);
+        let reference = merge_in_order(&s.name, &reports);
 
         // A seeded Fisher-Yates permutation stands in for an arbitrary
         // completion order.

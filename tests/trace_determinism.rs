@@ -23,7 +23,7 @@ use mind::service::{MemoryService, ServiceConfig};
 use mind::sim::{SimRng, SimTime};
 use mind::workloads::micro::MicroConfig;
 use mind::workloads::runner::{Concurrency, RunConfig, RunReport};
-use mind::workloads::{run_group, run_sharded_threads, ShardSpec};
+use mind::workloads::{run_sharded_threads, ShardSpec};
 
 /// A four-partition rack that divides evenly into 1, 2, or 4 shards,
 /// with tracing pinned on in both the rack config (drives the cluster's
@@ -90,7 +90,7 @@ fn bench_json(report: RunReport) -> String {
 fn trace_json_is_byte_identical_across_every_shard_thread_cell() {
     let spec = traced_spec("trace/micro");
     let factory: &mind::workloads::shard::PartitionFactory = &micro_factory;
-    let fused = run_group(&spec, factory).expect("confined scenario");
+    let fused = run_sharded_threads(&spec, 1, 1, factory).expect("confined scenario");
     let trace = fused.trace.as_ref().expect("tracing pinned on");
     assert!(!trace.events.is_empty(), "the run recorded events");
     assert_eq!(trace.dropped, 0, "capacity valve untouched");
@@ -118,7 +118,7 @@ fn trace_json_is_byte_identical_across_every_shard_thread_cell() {
 fn timeseries_is_byte_identical_across_every_shard_thread_cell() {
     let spec = traced_spec("trace/timeseries");
     let factory: &mind::workloads::shard::PartitionFactory = &micro_factory;
-    let fused = run_group(&spec, factory).expect("confined scenario");
+    let fused = run_sharded_threads(&spec, 1, 1, factory).expect("confined scenario");
     let series = fused.timeseries.as_ref().expect("tracing pinned on");
     assert!(series.total_ops() > 0, "telemetry recorded the run");
     let reference = bench_json(fused);
@@ -155,7 +155,7 @@ fn cluster_trace_and_timeseries_are_byte_identical_across_cells() {
         .with_window(8)
         .with_concurrency(Concurrency::Cluster);
     let factory: &mind::workloads::shard::PartitionFactory = &micro_factory;
-    let fused = run_group(&spec, factory).expect("confined scenario");
+    let fused = run_sharded_threads(&spec, 1, 1, factory).expect("confined scenario");
     let trace = fused.trace.as_ref().expect("tracing pinned on");
     assert!(
         trace
@@ -201,7 +201,7 @@ fn tracing_off_reports_carry_no_observability_sections() {
     spec.base.trace = TraceConfig::with_mode(TraceMode::Off);
     spec.run.trace = TraceConfig::with_mode(TraceMode::Off);
     let factory: &mind::workloads::shard::PartitionFactory = &micro_factory;
-    let report = run_group(&spec, factory).expect("confined scenario");
+    let report = run_sharded_threads(&spec, 1, 1, factory).expect("confined scenario");
     assert!(report.trace.is_none(), "no trace when off");
     assert!(report.timeseries.is_none(), "no telemetry when off");
     let json = bench_json(report);
