@@ -14,15 +14,19 @@
 //! One piece of schedule state, [`Replay`], carries every replay in the
 //! crate, and a replay is a straight line: warm up until every source has
 //! drained, snapshot the baseline metrics, measure until every source has
-//! drained, report. The turn and the op-fill routine exist once. [`run`] is
-//! its one-partition case; the sharded executor puts partition validation
-//! in front of the same state.
+//! drained, report. The replay owns each source's op stream: it generates
+//! up to [`CHUNK`] ops ahead per source, never past what the source owes
+//! the phase, and both the turn and the cluster engine's driver read from
+//! that one buffer. By the [`Workload`] contract a thread's stream depends
+//! on neither chunk sizes nor the order threads are asked in, so generating
+//! ahead changes nothing simulated. [`run`] is the one-partition case; the
+//! sharded executor puts partition validation in front of the same state.
 
-use std::ops::DerefMut;
+use std::ops::{DerefMut, Range};
 
 use mind_core::engine::{ClusterEngine, ClusterStep};
 use mind_core::protect::Pdid;
-use mind_core::system::{AccessOutcome, MemOp, MemorySystem, OpBatch};
+use mind_core::system::{AccessKind, AccessOutcome, MemOp, MemorySystem, OpBatch};
 use mind_obs::{TraceConfig, TraceData, WindowSeries};
 use mind_sim::stats::{Histogram, Metrics};
 use mind_sim::{EventQueue, SimTime};
@@ -351,20 +355,16 @@ pub(crate) fn finish_report(
 /// `think_time` after its previous *issue* (the issue pipeline's per-op
 /// cost, the chaining rule of a windowed turnwise batch — but with no
 /// per-turn drain barrier, which is exactly the cross-turn overlap this
-/// discipline adds). Ops are generated `batch_ops` at a time into per-source buffers
-/// through a caller-supplied `fill` closure, so workload generation order
-/// per source is identical to the turnwise runner's.
+/// discipline adds).
 ///
 /// The driver holds only what is the engine's: the [`Replay`] owns the
-/// phase protocol, the ops each source still owes and the phase clocks.
-/// Each source resumes the measured phase think time after its last
-/// warmup issue — the same accounting boundaries as turnwise, with
+/// phase protocol, the ops each source still owes, their streams and the
+/// phase clocks. Each source resumes the measured phase think time after
+/// its last warmup issue — the same accounting boundaries as turnwise, with
 /// in-flight window state (and the overlap frontier) persisting across the
 /// phase line.
 pub(crate) struct ClusterDriver {
     eng: ClusterEngine,
-    bufs: Vec<Vec<MemOp>>,
-    pos: Vec<usize>,
     /// Per-source resume time for the measured phase: last warmup issue
     /// plus think time ([`SimTime::ZERO`] for sources without warmup).
     resume: Vec<SimTime>,
@@ -379,23 +379,13 @@ impl ClusterDriver {
                 eng.seed(SimTime::ZERO, src);
             }
         }
-        let n = sources as usize;
-        ClusterDriver {
-            eng,
-            bufs: vec![Vec::new(); n],
-            pos: vec![0; n],
-            resume: vec![SimTime::ZERO; n],
-        }
+        ClusterDriver { eng, resume: vec![SimTime::ZERO; sources as usize] }
     }
 
     /// Seeds the measured phase (unless it is empty): every source resumes
     /// think time after its last warmup issue, on a fresh event queue
     /// (resume times may precede the warmup queue's final pop).
     fn start_measured(&mut self, seed: bool) {
-        for buf in &mut self.bufs {
-            buf.clear();
-        }
-        self.pos.fill(0);
         self.eng.begin_phase();
         if seed {
             for src in 0..self.eng.sources() {
@@ -407,36 +397,28 @@ impl ClusterDriver {
     /// The event loop of one phase: pops ready sources in deterministic
     /// order, offers each source's next op to the system's gates, defers
     /// gated sources to their release times, and streams issued ops until
-    /// every source has issued the `left` it owes. Returns the latest
-    /// completion plus think time ([`SimTime::ZERO`] when nothing issued).
-    /// `acc: None` is the warmup phase (nothing is recorded); `Some` is
-    /// measured.
+    /// every source has issued what it owes. The engine's source `src` is
+    /// source `first + src` of `streams`. Returns the latest completion
+    /// plus think time ([`SimTime::ZERO`] when nothing issued). `acc: None`
+    /// is the warmup phase (nothing is recorded); `Some` is measured.
     ///
     /// # Panics
     ///
     /// Panics when the system refuses an access: trace replay treats any
     /// refusal as fatal.
-    fn pump<S: MemorySystem + ?Sized>(
+    fn pump<S: MemorySystem + ?Sized, P: DerefMut<Target: Workload>>(
         &mut self,
         system: &mut S,
-        cfg: &RunConfig,
-        left: &mut [u64],
-        fill: &mut dyn FnMut(u32, usize, &mut Vec<MemOp>),
+        gap: SimTime,
+        streams: &mut Streams,
+        workloads: &mut [P],
+        first: u32,
         mut acc: Option<&mut Accum>,
     ) -> SimTime {
-        let (batch_ops, gap) = (cfg.batch_ops.max(1), cfg.think_time);
         let mut latest = SimTime::ZERO;
         while let Some((now, src)) = self.eng.next_ready() {
-            let s = src as usize;
-            if self.pos[s] == self.bufs[s].len() {
-                let n = batch_ops.min(left[s]) as usize;
-                debug_assert!(n > 0, "exhausted source popped");
-                self.bufs[s].clear();
-                fill(src, n, &mut self.bufs[s]);
-                debug_assert_eq!(self.bufs[s].len(), n, "fill produced {n} ops");
-                self.pos[s] = 0;
-            }
-            let op = self.bufs[s][self.pos[s]];
+            let s = (first + src) as usize;
+            let op = streams.peek(workloads, s);
             let ready0 = self.eng.ready0(src);
             // Read in place: moving the step out of the `Option` copies
             // its hundred bytes with wide loads that stall on the narrow
@@ -462,17 +444,16 @@ impl ClusterDriver {
                     complete_at,
                     region: _,
                 } => {
-                    self.pos[s] += 1;
-                    left[s] -= 1;
+                    streams.advance(s);
                     if let Some(acc) = acc.as_deref_mut() {
                         acc.record_op(outcome, complete_at);
                     }
                     latest = latest.max(complete_at + gap);
                     let next = now + gap;
-                    if left[s] > 0 {
+                    if streams.cursors[s].owed > 0 {
                         self.eng.seed(next, src);
                     } else {
-                        self.resume[s] = next;
+                        self.resume[src as usize] = next;
                     }
                 }
             }
@@ -494,46 +475,161 @@ pub(crate) struct Source {
     pub(crate) pdid: Option<Pdid>,
 }
 
+impl Source {
+    /// `op` as this source issues it: on its blade, in its domain, at its
+    /// partition's region `bases`.
+    fn resolve(&self, bases: &[u64], op: &TraceOp) -> MemOp {
+        MemOp {
+            at: SimTime::ZERO,
+            blade: self.blade,
+            pdid: self.pdid,
+            vaddr: bases[op.region as usize] + op.offset,
+            kind: op.kind,
+        }
+    }
+}
+
+/// The most ops one [`Workload::fill_ops`] call generates ahead for a
+/// source.
+const CHUNK: usize = 64;
+
+/// Where a source stands in the current phase.
+#[derive(Clone, Default)]
+struct Cursor {
+    /// Ops the source still owes the phase, generated or not.
+    owed: u64,
+    /// The slots of the flat buffer it generated and has not yet taken.
+    held: Range<u32>,
+}
+
 /// The op streams of a replay: `partitions × threads_per_part` sources in
 /// partition-major order, each partition a workload with its own region
-/// bases.
+/// bases, and where each source stands in the current phase.
+///
+/// A source's next ops are generated ahead, a chunk at a time, into its
+/// [`CHUNK`] slots of one flat buffer, already resolved. A refill never
+/// generates past what the source owes, so the buffer is empty at every
+/// phase line. A turn that takes a whole chunk or all its source owes
+/// fills its batch directly, so a replay of only such turns never
+/// allocates the buffer.
 #[derive(Default)]
 struct Streams {
     sources: Vec<Source>,
     threads_per_part: u32,
     /// Per partition, the system address of each workload region.
     bases: Vec<Vec<u64>>,
+    cursors: Vec<Cursor>,
+    /// [`CHUNK`] slots per source, sized by the first refill a run needs.
+    ahead: Vec<MemOp>,
     ops_buf: Vec<TraceOp>,
 }
 
 impl Streams {
-    /// Appends source `s`'s next `n` operations to `out`, resolved to its
-    /// blade, its domain and its partition's addresses.
-    fn fill<P: DerefMut<Target: Workload>>(
+    /// Readies `sources`, each owing `owed`, over the storage earlier runs
+    /// grew.
+    fn arm(&mut self, sources: Vec<Source>, per_part: u32, bases: Vec<Vec<u64>>, owed: u64) {
+        self.cursors.clear();
+        self.cursors.resize(sources.len(), Cursor::default());
+        (self.sources, self.threads_per_part, self.bases) = (sources, per_part, bases);
+        self.owe(owed);
+    }
+
+    /// Starts a phase in which every source owes `owed` ops.
+    fn owe(&mut self, owed: u64) {
+        for cursor in &mut self.cursors {
+            debug_assert!(cursor.held.is_empty(), "generated past the phase line");
+            cursor.owed = owed;
+        }
+    }
+
+    /// Generates source `s`'s next `n` operations into `ops_buf`.
+    fn generate<P: DerefMut<Target: Workload>>(
         &mut self,
         workloads: &mut [P],
-        s: u32,
+        s: usize,
         n: usize,
-        out: &mut impl Extend<MemOp>,
-    ) {
-        let src = self.sources[s as usize];
+    ) -> Source {
+        let src = self.sources[s];
         self.ops_buf.clear();
         workloads[src.part as usize].fill_ops(src.thread, n, &mut self.ops_buf);
-        let bases = &self.bases[src.part as usize];
-        out.extend(self.ops_buf.iter().map(|op| MemOp {
-            at: SimTime::ZERO,
-            blade: src.blade,
-            pdid: src.pdid,
-            vaddr: bases[op.region as usize] + op.offset,
-            kind: op.kind,
-        }));
+        src
+    }
+
+    /// Refills source `s`, which holds nothing, with its next chunk.
+    fn refill<P: DerefMut<Target: Workload>>(&mut self, workloads: &mut [P], s: usize) {
+        let n = self.cursors[s].owed.min(CHUNK as u64) as usize;
+        let src = self.generate(workloads, s, n);
+        let slots = self.sources.len() * CHUNK;
+        if self.ahead.len() < slots {
+            let kind = AccessKind::Read;
+            let unused = MemOp { at: SimTime::ZERO, blade: 0, pdid: None, vaddr: 0, kind };
+            self.ahead.resize(slots, unused);
+        }
+        let (bases, at) = (&self.bases[src.part as usize], s * CHUNK);
+        for (slot, op) in self.ahead[at..at + n].iter_mut().zip(&self.ops_buf) {
+            *slot = src.resolve(bases, op);
+        }
+        self.cursors[s].held = at as u32..(at + n) as u32;
+    }
+
+    /// Source `s`'s next operation, which stays next until
+    /// [`Streams::advance`] takes it.
+    fn peek<P: DerefMut<Target: Workload>>(&mut self, workloads: &mut [P], s: usize) -> MemOp {
+        if self.cursors[s].held.is_empty() {
+            self.refill(workloads, s);
+        }
+        self.ahead[self.cursors[s].held.start as usize]
+    }
+
+    /// Takes source `s`'s next operation.
+    fn advance(&mut self, s: usize) {
+        let cursor = &mut self.cursors[s];
+        cursor.held.start += 1;
+        cursor.owed -= 1;
+    }
+
+    /// Takes source `s`'s next `n` operations (at most what it owes) into
+    /// `batch`.
+    fn take<P: DerefMut<Target: Workload>>(
+        &mut self,
+        workloads: &mut [P],
+        s: usize,
+        n: usize,
+        batch: &mut OpBatch,
+    ) {
+        let rest = n - self.take_held(s, n, batch);
+        if rest == 0 {
+            return;
+        }
+        if rest as u64 >= self.cursors[s].owed.min(CHUNK as u64) {
+            // A whole chunk or all the source owes: straight into the batch.
+            let src = self.generate(workloads, s, rest);
+            let bases = &self.bases[src.part as usize];
+            batch.extend(self.ops_buf.iter().map(|op| src.resolve(bases, op)));
+            self.cursors[s].owed -= rest as u64;
+        } else {
+            self.refill(workloads, s);
+            self.take_held(s, rest, batch);
+        }
+    }
+
+    /// Takes up to `n` of the ops source `s` holds into `batch`; returns
+    /// how many.
+    fn take_held(&mut self, s: usize, n: usize, batch: &mut OpBatch) -> usize {
+        let cursor = &mut self.cursors[s];
+        let k = cursor.held.len().min(n);
+        batch.extend(self.ahead[cursor.held.start as usize..][..k].iter().copied());
+        cursor.held.start += k as u32;
+        cursor.owed -= k as u64;
+        k
     }
 }
 
-/// The schedule state of a replay. It owns who issues next and what each
-/// source still owes; the system and the workloads are handed to
-/// [`Replay::run`], so one value drives [`run`]'s generic system and the
-/// sharded executor's sub-clusters alike, run after run.
+/// The schedule state of a replay. It owns who issues next and each
+/// source's stream, what the source still owes included; the system and
+/// the workloads are handed to [`Replay::run`], so one value drives
+/// [`run`]'s generic system and the sharded executor's sub-clusters alike,
+/// run after run.
 pub(crate) struct Replay {
     cfg: RunConfig,
     streams: Streams,
@@ -542,8 +638,6 @@ pub(crate) struct Replay {
     /// Turnwise: sources that finished warmup, at their post-warmup
     /// clocks in completion order — the measured phase's queue.
     resume: EventQueue<u32>,
-    /// Ops each source still owes the current phase.
-    left: Vec<u64>,
     /// Cluster mode ([`Concurrency::Cluster`], `window > 1`, a system with
     /// an issue gate): one event-driven issue engine *per partition*, so the gates a partition's threads share — its slot
     /// pool, its blades' NICs, its region serialization — are identical
@@ -562,7 +656,6 @@ impl Replay {
             streams: Streams::default(),
             queue: EventQueue::new(),
             resume: EventQueue::new(),
-            left: Vec::new(),
             drivers: Vec::new(),
             batch: OpBatch::chained(cfg.think_time).with_window(cfg.window),
         }
@@ -578,8 +671,7 @@ impl Replay {
         bases: Vec<Vec<u64>>,
     ) {
         let (cfg, warmup) = (self.cfg, self.cfg.warmup_ops_per_thread);
-        let ops_buf = std::mem::take(&mut self.streams.ops_buf);
-        self.streams = Streams { sources, threads_per_part, bases, ops_buf };
+        self.streams.arm(sources, threads_per_part, bases, warmup);
         self.drivers.clear();
         if cfg.concurrency == Concurrency::Cluster && cfg.window > 1 {
             // A system without an issue engine stays turnwise.
@@ -601,8 +693,6 @@ impl Replay {
                 first.schedule(SimTime::ZERO, s);
             }
         }
-        self.left.clear();
-        self.left.resize(n, warmup);
     }
 
     /// Replays to completion and reports the measured window: warm up
@@ -620,7 +710,7 @@ impl Replay {
         let warmup_end = self.drain_phase(system, workloads, None);
         let baseline = system.metrics();
         let measured = self.cfg.ops_per_thread;
-        self.left.fill(measured);
+        self.streams.owe(measured);
         // A zero-op measured phase seeds nobody: the drained warmup queue
         // stays the phase's queue.
         if measured > 0 {
@@ -654,15 +744,13 @@ impl Replay {
             let batch_ops = self.cfg.batch_ops.max(1);
             while let Some(due) = self.queue.pop() {
                 let s = due.event;
-                let n = batch_ops.min(self.left[s as usize]);
-                let next = self.turn(system, workloads, due.at, s, n as usize);
+                let next = self.turn(system, workloads, due.at, s as usize, batch_ops);
                 if let Some(acc) = acc.as_deref_mut() {
                     // One accounting flush per turn, in op order.
                     acc.record_batch(&self.batch);
                 }
                 latest = latest.max(next);
-                self.left[s as usize] -= n;
-                if self.left[s as usize] > 0 {
+                if self.streams.cursors[s as usize].owed > 0 {
                     self.queue.schedule(next, s);
                 } else if acc.is_none() {
                     self.resume.schedule(next, s);
@@ -671,33 +759,29 @@ impl Replay {
             return latest;
         }
         // Cluster mode: each partition's engine driver in turn.
-        let streams = &mut self.streams;
-        let tpp = streams.threads_per_part;
+        let (gap, tpp) = (self.cfg.think_time, self.streams.threads_per_part);
         for (part, driver) in self.drivers.iter_mut().enumerate() {
             let first = part as u32 * tpp;
-            let left = &mut self.left[first as usize..(first + tpp) as usize];
-            let mut fill = |src: u32, n: usize, out: &mut Vec<MemOp>| {
-                streams.fill(workloads, first + src, n, out)
-            };
             let acc = acc.as_deref_mut();
-            latest = latest.max(driver.pump(system, &self.cfg, left, &mut fill, acc));
+            latest = latest.max(driver.pump(system, gap, &mut self.streams, workloads, first, acc));
         }
         latest
     }
 
-    /// One scheduling turn: source `s`'s next `n` ops as a single chained
-    /// batch starting at `clock`. Returns the source's clock after its
-    /// last completion plus think time.
+    /// One scheduling turn: source `s`'s next `batch_ops` ops (fewer if it
+    /// owes fewer) as a single chained batch starting at `clock`. Returns
+    /// the source's clock after its last completion plus think time.
     fn turn<S: MemorySystem + ?Sized, P: DerefMut<Target: Workload>>(
         &mut self,
         system: &mut S,
         workloads: &mut [P],
         clock: SimTime,
-        s: u32,
-        n: usize,
+        s: usize,
+        batch_ops: u64,
     ) -> SimTime {
+        let n = batch_ops.min(self.streams.cursors[s].owed) as usize;
         self.batch.clear();
-        self.streams.fill(workloads, s, n, &mut self.batch);
+        self.streams.take(workloads, s, n, &mut self.batch);
         system.execute_batch(clock, &mut self.batch);
         // Trace replay treats any refusal as fatal, whichever op of the
         // turn it hit (warmup included).
@@ -765,15 +849,19 @@ pub fn run<S: MemorySystem + ?Sized, W: Workload + ?Sized>(
 mod tests {
     use super::*;
     use mind_core::cluster::{MindCluster, MindConfig};
-    use mind_core::system::AccessKind;
     use mind_sim::SimRng;
 
-    use crate::trace::TraceOp;
-
-    /// A trivially deterministic workload for runner tests.
+    /// A trivially deterministic workload for runner tests: every thread
+    /// reads and writes the same four pages, from its own RNG fork.
     struct PingPong {
-        threads: u16,
-        rng: SimRng,
+        rngs: Vec<SimRng>,
+    }
+
+    impl PingPong {
+        fn new(threads: u16, seed: u64) -> Self {
+            let mut root = SimRng::new(seed);
+            PingPong { rngs: (0..threads).map(|_| root.fork()).collect() }
+        }
     }
 
     impl Workload for PingPong {
@@ -784,14 +872,15 @@ mod tests {
             vec![1 << 20]
         }
         fn n_threads(&self) -> u16 {
-            self.threads
+            self.rngs.len() as u16
         }
-        fn next_op(&mut self, _thread: u16) -> TraceOp {
-            let page = self.rng.gen_below(4);
+        fn next_op(&mut self, thread: u16) -> TraceOp {
+            let rng = &mut self.rngs[thread as usize];
+            let page = rng.gen_below(4);
             TraceOp {
                 region: 0,
                 offset: page << 12,
-                kind: if self.rng.gen_bool(0.5) {
+                kind: if rng.gen_bool(0.5) {
                     AccessKind::Write
                 } else {
                     AccessKind::Read
@@ -803,10 +892,7 @@ mod tests {
     #[test]
     fn runner_executes_all_ops() {
         let mut sys = MindCluster::new(MindConfig::small());
-        let mut wl = PingPong {
-            threads: 2,
-            rng: SimRng::new(1),
-        };
+        let mut wl = PingPong::new(2, 1);
         let report = run(
             &mut sys,
             &mut wl,
@@ -848,10 +934,7 @@ mod tests {
         // 500 ops per thread at batch 64: the last turn per thread is a
         // partial batch of 500 % 64 = 52 ops; warmup (100) ends with 36.
         let mut sys = MindCluster::new(MindConfig::small());
-        let mut wl = PingPong {
-            threads: 2,
-            rng: SimRng::new(1),
-        };
+        let mut wl = PingPong::new(2, 1);
         let report = run(
             &mut sys,
             &mut wl,
@@ -869,11 +952,17 @@ mod tests {
 
     /// A wide-footprint workload whose consecutive ops hit distinct
     /// directory regions — the independent faults an in-flight window can
-    /// overlap.
+    /// overlap. Each thread walks its own residue class of the strides, so
+    /// no two threads touch the same page.
     struct Strided {
-        threads: u16,
         pages: u64,
-        cursor: u64,
+        cursors: Vec<u64>,
+    }
+
+    impl Strided {
+        fn new(threads: u16, pages: u64) -> Self {
+            Strided { pages, cursors: vec![0; threads as usize] }
+        }
     }
 
     impl Workload for Strided {
@@ -884,13 +973,15 @@ mod tests {
             vec![self.pages << 12]
         }
         fn n_threads(&self) -> u16 {
-            self.threads
+            self.cursors.len() as u16
         }
-        fn next_op(&mut self, _thread: u16) -> TraceOp {
+        fn next_op(&mut self, thread: u16) -> TraceOp {
             // Stride by 8 pages (two 16 KB initial regions) so successive
             // faults land in different regions.
-            let page = (self.cursor * 8) % self.pages;
-            self.cursor += 1;
+            let threads = self.cursors.len() as u64;
+            let cursor = &mut self.cursors[thread as usize];
+            let page = ((*cursor * threads + thread as u64) * 8) % self.pages;
+            *cursor += 1;
             TraceOp {
                 region: 0,
                 offset: page << 12,
@@ -903,11 +994,7 @@ mod tests {
     fn windowed_run_overlaps_fabric_time_and_never_slows() {
         let mk = |window: u32| {
             let mut sys = MindCluster::new(MindConfig::small());
-            let mut wl = Strided {
-                threads: 1,
-                pages: 4096,
-                cursor: 0,
-            };
+            let mut wl = Strided::new(1, 4096);
             run(
                 &mut sys,
                 &mut wl,
@@ -948,11 +1035,7 @@ mod tests {
         // the cluster engine streams all four continuously.
         let mk = |concurrency: Concurrency| {
             let mut sys = MindCluster::new(MindConfig::small());
-            let mut wl = Strided {
-                threads: 2,
-                pages: 4096,
-                cursor: 0,
-            };
+            let mut wl = Strided::new(2, 4096);
             run(
                 &mut sys,
                 &mut wl,
@@ -991,10 +1074,7 @@ mod tests {
         // so a serialized cluster run is byte-identical to the reference.
         let mk = |concurrency: Concurrency| {
             let mut sys = MindCluster::new(MindConfig::small());
-            let mut wl = PingPong {
-                threads: 2,
-                rng: SimRng::new(9),
-            };
+            let mut wl = PingPong::new(2, 9);
             run(
                 &mut sys,
                 &mut wl,
@@ -1025,10 +1105,7 @@ mod tests {
         for concurrency in [Concurrency::Turnwise, Concurrency::Cluster] {
             for (warmup, window) in [(0, 1), (0, 4), (40, 1), (40, 4)] {
                 let mut sys = MindCluster::new(MindConfig::small());
-                let mut wl = PingPong {
-                    threads: 2,
-                    rng: SimRng::new(3),
-                };
+                let mut wl = PingPong::new(2, 3);
                 let cfg = RunConfig {
                     ops_per_thread: 0,
                     warmup_ops_per_thread: warmup,
@@ -1055,10 +1132,7 @@ mod tests {
     fn cluster_mode_is_deterministic() {
         let mk = || {
             let mut sys = MindCluster::new(MindConfig::small());
-            let mut wl = PingPong {
-                threads: 2,
-                rng: SimRng::new(7),
-            };
+            let mut wl = PingPong::new(2, 7);
             run(
                 &mut sys,
                 &mut wl,
@@ -1090,11 +1164,7 @@ mod tests {
                 nic_depth,
                 ..MindConfig::small()
             });
-            let mut wl = Strided {
-                threads: 2,
-                pages: 4096,
-                cursor: 0,
-            };
+            let mut wl = Strided::new(2, 4096);
             run(
                 &mut sys,
                 &mut wl,
@@ -1125,10 +1195,7 @@ mod tests {
     fn windowed_run_is_deterministic() {
         let mk = || {
             let mut sys = MindCluster::new(MindConfig::small());
-            let mut wl = PingPong {
-                threads: 2,
-                rng: SimRng::new(7),
-            };
+            let mut wl = PingPong::new(2, 7);
             run(
                 &mut sys,
                 &mut wl,
@@ -1146,10 +1213,7 @@ mod tests {
     fn runner_is_deterministic() {
         let mk = || {
             let mut sys = MindCluster::new(MindConfig::small());
-            let mut wl = PingPong {
-                threads: 2,
-                rng: SimRng::new(7),
-            };
+            let mut wl = PingPong::new(2, 7);
             run(&mut sys, &mut wl, RunConfig::default())
         };
         let a = mk();
@@ -1166,10 +1230,7 @@ mod tests {
     #[should_panic(expected = "blades")]
     fn too_many_threads_rejected() {
         let mut sys = MindCluster::new(MindConfig::small()); // 2 blades.
-        let mut wl = PingPong {
-            threads: 6,
-            rng: SimRng::new(1),
-        };
+        let mut wl = PingPong::new(6, 1);
         run(
             &mut sys,
             &mut wl,
@@ -1184,10 +1245,7 @@ mod tests {
     #[should_panic(expected = "threads_per_blade")]
     fn zero_threads_per_blade_panics_naming_the_field() {
         let mut sys = MindCluster::new(MindConfig::small());
-        let mut wl = PingPong {
-            threads: 2,
-            rng: SimRng::new(1),
-        };
+        let mut wl = PingPong::new(2, 1);
         run(&mut sys, &mut wl, RunConfig { threads_per_blade: 0, ..Default::default() });
     }
 

@@ -17,10 +17,12 @@ pub struct TraceOp {
 
 /// A deterministic workload generator.
 ///
-/// Generators produce each thread's next operation on demand; all
-/// randomness derives from per-thread forks of a seed RNG, so the operation
-/// stream of a thread is independent of global interleaving — the property
-/// that makes cross-system comparisons exact.
+/// Generators produce each thread's next operation on demand. A thread's
+/// operation stream **must** be independent of global interleaving: all
+/// randomness derives from per-thread forks of a seed RNG, and no state is
+/// shared between threads. That property makes cross-system comparisons
+/// exact, and it lets the runner generate each thread's ops ahead of
+/// issue, in chunks, in whatever order its threads come due.
 ///
 /// `Send` is a supertrait so a whole replay — generator included — can be
 /// moved onto a worker thread: the multi-core sharded executor advances
@@ -43,12 +45,13 @@ pub trait Workload: Send {
     fn next_op(&mut self, thread: u16) -> TraceOp;
 
     /// Appends `thread`'s next `n` operations to `out` — the batched form
-    /// a scheduling turn is generated with.
+    /// the runner generates every op with.
     ///
     /// The default implementation loops [`Workload::next_op`]; overrides
     /// may hoist per-op work (RNG borrows, config reads) out of the loop
-    /// but **must** produce the exact op stream of `n` scalar calls —
-    /// batch size must never change what a thread executes.
+    /// but **must** produce the exact op stream of `n` scalar calls.
+    /// Neither the batch size nor the order in which threads are asked may
+    /// change a thread's stream.
     fn fill_ops(&mut self, thread: u16, n: usize, out: &mut Vec<TraceOp>) {
         out.reserve(n);
         for _ in 0..n {
