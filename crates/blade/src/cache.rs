@@ -148,12 +148,7 @@ pub struct DramCache {
     frames: Vec<Frame>,
     lru_head: u32,
     lru_tail: u32,
-    hits: u64,
-    misses: u64,
-    upgrades: u64,
     evictions: u64,
-    dirty_evictions: u64,
-    flushed_pages: u64,
 }
 
 impl DramCache {
@@ -164,24 +159,17 @@ impl DramCache {
             frames: Vec::with_capacity(capacity_pages as usize),
             lru_head: NO_FRAME,
             lru_tail: NO_FRAME,
-            hits: 0,
-            misses: 0,
-            upgrades: 0,
             evictions: 0,
-            dirty_evictions: 0,
-            flushed_pages: 0,
         }
     }
 
-    /// Drops every page and zeroes the counters, keeping the page table's
-    /// and the frame slab's storage: the cache is as [`DramCache::new`]
-    /// made it.
+    /// Drops every page and zeroes the eviction count, keeping the page
+    /// table's and the frame slab's storage: the cache is as
+    /// [`DramCache::new`] made it.
     pub fn clear(&mut self) {
         self.pt.clear();
         self.frames.clear();
-        (self.lru_head, self.lru_tail) = (NO_FRAME, NO_FRAME);
-        (self.hits, self.misses, self.upgrades) = (0, 0, 0);
-        (self.evictions, self.dirty_evictions, self.flushed_pages) = (0, 0, 0);
+        (self.lru_head, self.lru_tail, self.evictions) = (NO_FRAME, NO_FRAME, 0);
     }
 
     /// Capacity in pages.
@@ -194,8 +182,8 @@ impl DramCache {
         self.pt.mapped()
     }
 
-    /// Looks `page` up without touching anything: no LRU bump, no
-    /// counters.
+    /// Looks `page` up without touching anything: no LRU bump, no dirty
+    /// mark.
     pub fn probe(&self, page: u64) -> CacheProbe {
         debug_assert_eq!(page % PAGE_SIZE, 0, "page-aligned address expected");
         CacheProbe {
@@ -248,54 +236,26 @@ impl DramCache {
         }
     }
 
-    /// Probes the cache for an access to `page` (page-aligned VA).
-    ///
-    /// On a [`CacheLookup::Hit`] with `is_write`, marks the page dirty.
-    /// Updates LRU recency on hits.
+    /// Probes the cache for an access to `page` (page-aligned VA):
+    /// [`DramCache::access_probed`] without the frame and its tag.
     pub fn access(&mut self, page: u64, is_write: bool) -> CacheLookup {
-        debug_assert_eq!(page % PAGE_SIZE, 0, "page-aligned address expected");
-        match self.pt.lookup(page) {
-            None => {
-                self.misses += 1;
-                CacheLookup::Miss
-            }
-            Some(pte) if is_write && !pte.writable => {
-                self.upgrades += 1;
-                CacheLookup::NeedUpgrade
-            }
-            Some(pte) => {
-                self.hits += 1;
-                if is_write {
-                    self.frames[pte.frame as usize].dirty = true;
-                }
-                self.touch(pte.frame);
-                CacheLookup::Hit
-            }
+        match self.access_probed(self.probe(page), is_write) {
+            TaggedLookup::Hit { .. } => CacheLookup::Hit,
+            TaggedLookup::Miss => CacheLookup::Miss,
+            TaggedLookup::NeedUpgrade => CacheLookup::NeedUpgrade,
         }
     }
 
-    /// [`DramCache::access`] that also returns the hit frame's id and
-    /// owner tag (one page-table lookup for probe + ownership together).
-    pub fn access_tagged(&mut self, page: u64, is_write: bool) -> TaggedLookup {
-        self.access_probed(self.probe(page), is_write)
-    }
-
-    /// [`DramCache::access_tagged`] of the probed page without a second
-    /// lookup. The cache must not have been mutated since the probe
-    /// (checked in debug builds).
+    /// The access to the probed page, without a second lookup: on a hit
+    /// with `is_write`, marks the page dirty, and on every hit updates LRU
+    /// recency and returns the frame's id and owner tag. The cache must not
+    /// have been mutated since the probe (checked in debug builds).
     pub fn access_probed(&mut self, probe: CacheProbe, is_write: bool) -> TaggedLookup {
         debug_assert_eq!(probe, self.probe(probe.page), "stale cache probe");
         match probe.pte {
-            None => {
-                self.misses += 1;
-                TaggedLookup::Miss
-            }
-            Some(pte) if is_write && !pte.writable => {
-                self.upgrades += 1;
-                TaggedLookup::NeedUpgrade
-            }
+            None => TaggedLookup::Miss,
+            Some(pte) if is_write && !pte.writable => TaggedLookup::NeedUpgrade,
             Some(pte) => {
-                self.hits += 1;
                 let frame = &mut self.frames[pte.frame as usize];
                 if is_write {
                     frame.dirty = true;
@@ -311,13 +271,14 @@ impl DramCache {
     }
 
     /// Sets the owner tag of a frame returned by
-    /// [`DramCache::access_tagged`].
+    /// [`DramCache::access_probed`].
     pub fn set_frame_tag(&mut self, frame: u32, tag: u64) {
         self.frames[frame as usize].tag = tag;
     }
 
     /// The owner tag of a resident page (0 until set).
-    pub fn page_tag(&self, page: u64) -> Option<u64> {
+    #[cfg(test)]
+    fn page_tag(&self, page: u64) -> Option<u64> {
         let pte = self.pt.lookup(page)?;
         Some(self.frames[pte.frame as usize].tag)
     }
@@ -338,7 +299,7 @@ impl DramCache {
     }
 
     /// Inserts a page with explicit permission and dirty flags and its
-    /// owner tag (see [`DramCache::access_tagged`]).
+    /// owner tag (see [`DramCache::access_probed`]).
     ///
     /// # Panics
     ///
@@ -407,9 +368,6 @@ impl DramCache {
         let frame = std::mem::replace(&mut self.frames[f as usize], Frame::vacant());
         self.pt.unmap(frame.page);
         self.evictions += 1;
-        if frame.dirty {
-            self.dirty_evictions += 1;
-        }
         Some(Evicted {
             page: frame.page,
             dirty: frame.dirty,
@@ -457,7 +415,6 @@ impl DramCache {
     ) {
         out.clear();
         let frames = &mut self.frames;
-        let mut flushed_pages = 0;
         if downgrade_to_shared {
             self.pt
                 .downgrade_range(region_base, size_log2, |page, pte| {
@@ -467,7 +424,6 @@ impl DramCache {
                         // write-back.
                         out.flushed.push((page, frame.data.clone()));
                         frame.dirty = false;
-                        flushed_pages += 1;
                     }
                     out.downgraded += pte.writable as u32;
                 });
@@ -479,16 +435,15 @@ impl DramCache {
                 if frame.dirty {
                     // An unmapped page hands its bytes to the write-back.
                     out.flushed.push((page, frame.data));
-                    flushed_pages += 1;
                 }
                 out.unmapped += 1;
             });
         }
-        self.flushed_pages += flushed_pages;
     }
 
     /// Number of resident pages within a region.
-    pub fn resident_in_region(&self, region_base: u64, size_log2: u8) -> usize {
+    #[cfg(test)]
+    fn resident_in_region(&self, region_base: u64, size_log2: u8) -> usize {
         let mut resident = 0;
         self.pt
             .for_each_in_range(region_base, size_log2, |_, _| resident += 1);
@@ -496,7 +451,8 @@ impl DramCache {
     }
 
     /// Number of *dirty* resident pages within a region.
-    pub fn dirty_in_region(&self, region_base: u64, size_log2: u8) -> usize {
+    #[cfg(test)]
+    fn dirty_in_region(&self, region_base: u64, size_log2: u8) -> usize {
         let mut dirty = 0;
         self.pt.for_each_in_range(region_base, size_log2, |_, pte| {
             dirty += self.frames[pte.frame as usize].dirty as usize;
@@ -550,34 +506,9 @@ impl DramCache {
         }
     }
 
-    /// Cache hits served.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Misses (page faults that fetch remotely).
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Write-upgrade faults (S→M on a resident page).
-    pub fn upgrades(&self) -> u64 {
-        self.upgrades
-    }
-
     /// Evictions performed.
     pub fn evictions(&self) -> u64 {
         self.evictions
-    }
-
-    /// Evictions that required a dirty write-back.
-    pub fn dirty_evictions(&self) -> u64 {
-        self.dirty_evictions
-    }
-
-    /// Pages flushed by invalidations.
-    pub fn flushed_pages(&self) -> u64 {
-        self.flushed_pages
     }
 
     /// TLB shootdowns incurred (from unmaps/downgrades).
@@ -596,7 +527,7 @@ mod tests {
         let mut c = DramCache::new(1);
         c.insert_with(0x1000, false, false, 7, None);
         assert_eq!(c.page_tag(0x1000), Some(7), "tagged at insert");
-        match c.access_tagged(0x1000, false) {
+        match c.access_probed(c.probe(0x1000), false) {
             TaggedLookup::Hit { frame, tag } => {
                 assert_eq!(tag, 7);
                 c.set_frame_tag(frame, 9);
@@ -609,8 +540,9 @@ mod tests {
         assert_eq!(c.page_tag(0x1000), None, "evicted");
         assert_eq!(c.page_tag(0x2000), Some(0), "fresh frame untagged");
         // Tagged probe mirrors the plain probe's misses and upgrades.
-        assert_eq!(c.access_tagged(0x3000, false), TaggedLookup::Miss);
-        assert_eq!(c.access_tagged(0x2000, true), TaggedLookup::NeedUpgrade);
+        assert_eq!(c.access_probed(c.probe(0x3000), false), TaggedLookup::Miss);
+        let upgrade = c.access_probed(c.probe(0x2000), true);
+        assert_eq!(upgrade, TaggedLookup::NeedUpgrade);
     }
 
     #[test]
@@ -623,7 +555,6 @@ mod tests {
         assert!(!probe.would_fault(false) && probe.would_fault(true));
         assert!(c.probe(0x3000).would_fault(false), "absent page");
         assert!(!c.probe(0x2000).would_fault(true), "writable page");
-        assert_eq!(c.hits() + c.misses(), 0, "probes count nothing");
         // The probe did not bump 0x1000: it is still the LRU victim.
         assert!(matches!(
             c.access_probed(c.probe(0x2000), true),
@@ -734,8 +665,6 @@ mod tests {
         assert_eq!(c.access(0x1000, false), CacheLookup::Miss);
         c.insert(0x1000, false, None);
         assert_eq!(c.access(0x1000, false), CacheLookup::Hit);
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
     }
 
     #[test]
@@ -746,7 +675,6 @@ mod tests {
         c.grant_write(0x1000);
         assert_eq!(c.access(0x1000, true), CacheLookup::Hit);
         assert!(c.is_writable(0x1000));
-        assert_eq!(c.upgrades(), 1);
     }
 
     #[test]
@@ -769,7 +697,6 @@ mod tests {
         c.access(0x1000, true); // Mark dirty.
         let evicted = c.insert(0x2000, false, None).unwrap();
         assert!(evicted.dirty);
-        assert_eq!(c.dirty_evictions(), 1);
     }
 
     #[test]
@@ -791,7 +718,6 @@ mod tests {
         assert_eq!(out.downgraded, 0);
         assert!(!c.contains(0x0000) && !c.contains(0x1000) && !c.contains(0x2000));
         assert!(c.contains(0x8000), "outside region untouched");
-        assert_eq!(c.flushed_pages(), 2);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! MIND memory blades store pages and serve one-sided RDMA reads/writes with
 //! *no CPU involvement* (paper §6.2): after registering its physical memory
 //! with the NIC at boot, all requests are handled by the NIC. The model here
-//! is therefore just a bounded page store with traffic counters — any
-//! latency is charged by the fabric and the NIC service constant.
+//! is therefore just a bounded page store — any latency is charged by the
+//! fabric and the NIC service constant.
 
 use mind_sim::hash::FastMap;
 
@@ -36,8 +36,6 @@ impl std::error::Error for OutOfRange {}
 pub struct MemoryBlade {
     capacity_pages: u64,
     pages: FastMap<u64, PageData>,
-    reads: u64,
-    writes: u64,
 }
 
 impl MemoryBlade {
@@ -46,16 +44,13 @@ impl MemoryBlade {
         MemoryBlade {
             capacity_pages: capacity_bytes >> PAGE_SHIFT,
             pages: FastMap::default(),
-            reads: 0,
-            writes: 0,
         }
     }
 
-    /// Forgets every page and zeroes the traffic counters, keeping the
-    /// store's storage: the blade is as [`MemoryBlade::new`] made it.
+    /// Forgets every page, keeping the store's storage: the blade is as
+    /// [`MemoryBlade::new`] made it.
     pub fn clear(&mut self) {
         self.pages.clear();
-        (self.reads, self.writes) = (0, 0);
     }
 
     /// Capacity in pages.
@@ -77,32 +72,26 @@ impl MemoryBlade {
     /// Serves a one-sided RDMA read of physical page `ppage`.
     ///
     /// Never-written pages read as zeros (fresh DRAM in the model).
-    pub fn read_page(&mut self, ppage: u64) -> Result<PageData, OutOfRange> {
+    pub fn read_page(&self, ppage: u64) -> Result<PageData, OutOfRange> {
         self.check(ppage)?;
-        self.reads += 1;
         Ok(self.pages.get(&ppage).cloned().unwrap_or_default())
     }
 
     /// Serves a read without carrying data (pure-simulation fast path).
-    pub fn read_page_nodata(&mut self, ppage: u64) -> Result<(), OutOfRange> {
-        self.check(ppage)?;
-        self.reads += 1;
-        Ok(())
+    pub fn read_page_nodata(&self, ppage: u64) -> Result<(), OutOfRange> {
+        self.check(ppage)
     }
 
     /// Serves a one-sided RDMA write (flush / eviction write-back).
     pub fn write_page(&mut self, ppage: u64, data: PageData) -> Result<(), OutOfRange> {
         self.check(ppage)?;
-        self.writes += 1;
         self.pages.insert(ppage, data);
         Ok(())
     }
 
     /// Serves a write without data (pure-simulation fast path).
-    pub fn write_page_nodata(&mut self, ppage: u64) -> Result<(), OutOfRange> {
-        self.check(ppage)?;
-        self.writes += 1;
-        Ok(())
+    pub fn write_page_nodata(&self, ppage: u64) -> Result<(), OutOfRange> {
+        self.check(ppage)
     }
 
     /// Forgets the `pages` physical pages from `first`: their extent was
@@ -120,7 +109,7 @@ impl MemoryBlade {
     }
 
     /// The stored contents of `ppage`, if any (an inspection, not an RDMA
-    /// read: counts no traffic).
+    /// read: no range check, and a never-written page is `None`).
     pub fn peek(&self, ppage: u64) -> Option<&PageData> {
         self.pages.get(&ppage)
     }
@@ -128,16 +117,6 @@ impl MemoryBlade {
     /// Pages currently holding written data (sparse occupancy).
     pub fn pages_populated(&self) -> usize {
         self.pages.len()
-    }
-
-    /// RDMA reads served.
-    pub fn reads(&self) -> u64 {
-        self.reads
-    }
-
-    /// RDMA writes served.
-    pub fn writes(&self) -> u64 {
-        self.writes
     }
 }
 
@@ -147,10 +126,9 @@ mod tests {
 
     #[test]
     fn fresh_pages_read_zero() {
-        let mut mb = MemoryBlade::new(1 << 20); // 256 pages.
+        let mb = MemoryBlade::new(1 << 20); // 256 pages.
         let page = mb.read_page(5).unwrap();
         assert!(page.bytes().iter().all(|&b| b == 0));
-        assert_eq!(mb.reads(), 1);
     }
 
     #[test]
@@ -178,7 +156,6 @@ mod tests {
         mb.free_range(40, 1); // Narrower: the range is.
         assert_eq!(mb.pages_populated(), 1, "page 3 was outside both");
         assert_eq!(mb.read_page(7).unwrap(), PageData::zeroed());
-        assert_eq!((mb.reads(), mb.writes()), (1, 4), "peek and free are not traffic");
     }
 
     #[test]
@@ -193,11 +170,10 @@ mod tests {
 
     #[test]
     fn nodata_paths_count_traffic() {
-        let mut mb = MemoryBlade::new(1 << 20);
+        let mb = MemoryBlade::new(1 << 20);
         mb.read_page_nodata(0).unwrap();
         mb.write_page_nodata(0).unwrap();
-        assert_eq!(mb.reads(), 1);
-        assert_eq!(mb.writes(), 1);
+        assert!(mb.write_page_nodata(256).is_err(), "range still checked");
         assert_eq!(mb.pages_populated(), 0, "nodata writes store nothing");
     }
 }

@@ -345,6 +345,7 @@ impl PageTable {
 
     /// Hands every mapped page of `[base, base + 2^size_log2)` and its entry
     /// to `each` (unspecified order).
+    #[cfg(test)]
     pub fn for_each_in_range(&self, base: u64, size_log2: u8, mut each: impl FnMut(u64, Pte)) {
         let range = PageRange::new(base, size_log2);
         let mut visit = |key: u64, leaf: &Leaf| {

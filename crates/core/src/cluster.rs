@@ -1127,11 +1127,13 @@ mod tests {
     }
 
     /// What one life observes that grows every table a rack owns: bytes
-    /// moved between blades, a migration, packet loss, false invalidations
-    /// over several splitting epochs, a failed blade, a failover, a windowed
-    /// batch, `munmap`, `exit`, and a grant, a stored page and `variant` more
-    /// tenants left behind. `variant` also moves addresses and draws and
-    /// stretches time, so a longer life leaves state a shorter one would not.
+    /// moved between blades, a migration, false invalidations over several
+    /// splitting epochs, retransmitted invalidations under packet loss, a
+    /// failed blade, a failover, a windowed batch that evicts, `munmap`,
+    /// `exit`, and a grant, a stored page and `variant` more tenants left
+    /// behind; then the caches' residency, the outlier routes and the live
+    /// allocations. `variant` also moves addresses and draws and stretches
+    /// time, so a longer life leaves state a shorter one would not.
     fn life(c: &mut MindCluster, variant: u64) -> Vec<String> {
         let at = |us: u64| SimTime::from_micros(us * (1 + variant));
         let (a, b, d) = (c.exec().unwrap(), c.exec().unwrap(), c.exec().unwrap());
@@ -1150,6 +1152,11 @@ mod tests {
             let vaddr = base + (((i * 3 + variant) % 4) << 12);
             let out = c.access_as(at(100 + i * 600), (i % 2) as u16, a, vaddr, AccessKind::Write);
             log.push(format!("{out:?}"));
+        }
+        // Both blades write one page while packets drop: rounds retransmit.
+        for i in 0..8u64 {
+            let (blade, t) = ((i % 2) as u16, at(240_000 + i * 600));
+            log.push(format!("{:?}", c.access_as(t, blade, a, base, AccessKind::Write)));
         }
         c.fail_blade(1);
         log.push(format!("{:?}", c.access_as(at(250_000), 1, a, base, AccessKind::Read)));
@@ -1174,6 +1181,10 @@ mod tests {
         let (entries, rules, used) = (c.directory_entries(), c.match_action_rules(), c.memory_utilization());
         log.push(format!("{:?} {entries} {rules} {used}", c.metrics_snapshot()));
         log.push(format!("{:?} {}", c.directory_series().points(), c.splitter().epochs_run()));
+        let (engine, live) = (&c.engine, c.controller.allocator().live_allocations());
+        let resident = [0, 1].map(|b| engine.cache(b).resident_pages());
+        let route = |k: u64| engine.translation.translate(base + (k << 16));
+        log.push(format!("{resident:?} {:?} {live}", [0, 1, 2, 3].map(route)));
         log
     }
 
@@ -1184,8 +1195,11 @@ mod tests {
         for consistency in [ConsistencyModel::Tso, ConsistencyModel::Pso] {
             let mut cfg = MindConfig::small().consistency(consistency);
             cfg.trace = mind_obs::TraceConfig::with_mode(mind_obs::TraceMode::On);
+            cfg.cache_pages = 8; // The windowed batch's 16 pages evict.
             let (mut reused, mut fresh) = (MindCluster::new(cfg), MindCluster::new(cfg));
             life(&mut reused, 2);
+            let m = reused.metrics_snapshot();
+            assert!(m.get("evictions") > 0 && m.get("retransmissions") > 0);
             reused.reset();
             assert_eq!(life(&mut reused, 1), life(&mut fresh, 1), "{consistency:?}");
             assert_eq!(reused.take_trace(), fresh.take_trace(), "{consistency:?}");

@@ -300,9 +300,9 @@ impl CoherenceEngine {
     }
 
     /// What the memory blades store for the page holding `vaddr`, if
-    /// anything (an inspection: no traffic, no counters).
+    /// anything (an inspection: no packet, no simulated time).
     pub fn stored_page(&self, vaddr: u64) -> Option<&PageData> {
-        let pa = self.translation.resolve(page_base(vaddr))?;
+        let pa = self.translation.translate(page_base(vaddr))?;
         self.memory.get(pa.blade as usize)?.peek(pa.page())
     }
 
@@ -312,7 +312,7 @@ impl CoherenceEngine {
     }
 
     /// What `blade`'s cache holds for the page of `vaddr`. Non-mutating:
-    /// no LRU bump, no counters — the cluster engine's issue gates read it
+    /// no LRU bump, no dirty mark — the cluster engine's issue gates read it
     /// ([`CacheProbe::would_fault`]: a miss or a write upgrade leaves the
     /// blade and consults the switch directory), and
     /// [`CoherenceEngine::issue_probed`] takes it.
@@ -1051,7 +1051,7 @@ impl CoherenceEngine {
             return;
         }
         for page in (base..base + len).step_by(PAGE_SIZE as usize) {
-            let Some(pa) = self.translation.resolve(page) else {
+            let Some(pa) = self.translation.translate(page) else {
                 continue;
             };
             if let Some(blade) = self.memory.get_mut(pa.blade as usize) {
@@ -1126,6 +1126,12 @@ impl CoherenceEngine {
         let evictions: u64 = self.caches.iter().map(|c| c.evictions()).sum();
         m.add("evictions", evictions);
         m
+    }
+
+    /// Dirty pages flushed to the memory blades so far (the
+    /// `flushed_pages` metric).
+    pub(crate) fn flushed_pages(&self) -> u64 {
+        self.ctrs.flushed_pages
     }
 
     /// Translation + protection match-action rule count (Figure 8 center).

@@ -250,8 +250,6 @@ pub struct RegionDirectory {
     splits: u64,
     merges: u64,
     forced_merges: u64,
-    total_false_inv: u64,
-    total_invalidations: u64,
 }
 
 impl RegionDirectory {
@@ -272,8 +270,6 @@ impl RegionDirectory {
             splits: 0,
             merges: 0,
             forced_merges: 0,
-            total_false_inv: 0,
-            total_invalidations: 0,
         }
     }
 
@@ -499,7 +495,8 @@ impl RegionDirectory {
     }
 
     /// Mutable entry access.
-    pub fn entry_mut(&mut self, base: u64) -> Option<&mut DirEntry> {
+    #[cfg(test)]
+    fn entry_mut(&mut self, base: u64) -> Option<&mut DirEntry> {
         self.slots.get_mut(base)
     }
 
@@ -674,8 +671,8 @@ impl RegionDirectory {
     }
 
     /// Records invalidation traffic for the region at `base`
-    /// (bounded-splitting signal); only the lifetime totals move when no
-    /// region starts there.
+    /// (bounded-splitting signal); nothing moves when no region starts
+    /// there.
     pub fn record_invalidation(&mut self, base: u64, false_invalidations: u32) {
         self.record_invalidation_in(self.slots.slot_of(base), base, false_invalidations);
     }
@@ -691,8 +688,6 @@ impl RegionDirectory {
     }
 
     fn record_invalidation_in(&mut self, slot: Option<usize>, base: u64, false_invalidations: u32) {
-        self.total_invalidations += 1;
-        self.total_false_inv += false_invalidations as u64;
         let Some(slot) = slot else { return };
         let e = self.slots.at_mut(slot);
         if e.epoch_invalidations == 0 && e.epoch_false_inv == 0 {
@@ -759,16 +754,6 @@ impl RegionDirectory {
     /// Merges forced by SRAM pressure.
     pub fn forced_merges(&self) -> u64 {
         self.forced_merges
-    }
-
-    /// Lifetime false invalidations.
-    pub fn total_false_invalidations(&self) -> u64 {
-        self.total_false_inv
-    }
-
-    /// Lifetime invalidation rounds.
-    pub fn total_invalidations(&self) -> u64 {
-        self.total_invalidations
     }
 
     /// Highest simultaneous entry count.
@@ -1097,11 +1082,9 @@ mod tests {
         // Same generation: the memo answers, with the same handle.
         assert_eq!(d.lookup(0x1_2FFF), Some(r));
         assert_eq!(d.ensure(0x1_3000).unwrap(), r);
-        // A region that does not start at the recorded base only moves the
-        // lifetime totals.
+        // A base that starts no region records nothing.
         d.record_invalidation(0x9_0000, 4);
-        assert_eq!(d.total_invalidations(), 3);
-        assert_eq!(d.total_false_invalidations(), 7);
+        assert_eq!(d.drain_epoch_counters().len(), 1);
     }
 
     #[test]
@@ -1290,8 +1273,6 @@ mod tests {
                 invalidations: 2,
             }]
         );
-        assert_eq!(d.total_false_invalidations(), 5);
-        assert_eq!(d.total_invalidations(), 2);
         // Second drain: no activity since the first, so nothing is listed.
         let again = d.drain_epoch_counters();
         assert!(again.is_empty());

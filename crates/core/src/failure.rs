@@ -99,12 +99,12 @@ pub fn switch_failover(
             (b, k)
         })
         .collect();
-    let flushed_before = engine.metrics().get("flushed_pages");
+    let flushed_before = engine.flushed_pages();
     let dropped = bases.len();
     for (base, k) in bases {
         engine.reset_region(now, base, k);
     }
-    let pages_flushed = engine.metrics().get("flushed_pages") - flushed_before;
+    let pages_flushed = engine.flushed_pages() - flushed_before;
 
     // Replay protection rules from the replicated grant log. (Translation
     // needs no replay: the blade-range partition is config, not state.)
@@ -177,7 +177,7 @@ mod tests {
         let report = switch_failover(&mut ctl, &mut eng, SimTime::from_millis(5)).unwrap();
         assert_eq!(report.rules_replayed, 1);
         assert!(report.directory_entries_dropped >= 1);
-        assert!(report.pages_flushed >= 1, "dirty page not lost");
+        assert_eq!(report.pages_flushed, 1, "dirty page not lost");
         assert_eq!(eng.directory().entries(), 0);
 
         // Post-failover: permissions still enforced, accesses still work.

@@ -155,8 +155,6 @@ pub struct ProtectionTable {
     rows: FastMap<Pdid, Rows>,
     capacity: usize,
     used: usize,
-    checks: u64,
-    denials: u64,
 }
 
 impl ProtectionTable {
@@ -166,15 +164,13 @@ impl ProtectionTable {
             rows: FastMap::default(),
             capacity: tcam_capacity,
             used: 0,
-            checks: 0,
-            denials: 0,
         }
     }
 
-    /// Revokes every grant and zeroes the counters, keeping the map's storage.
+    /// Revokes every grant, keeping the map's storage.
     pub(crate) fn reset(&mut self) {
         self.rows.clear();
-        (self.used, self.checks, self.denials) = (0, 0, 0);
+        self.used = 0;
     }
 
     /// Grants `pc` to `<pdid, vma>`; splits unaligned vmas into
@@ -357,16 +353,10 @@ impl ProtectionTable {
     }
 
     /// Checks whether `<pdid>` may perform `kind` at `vaddr` — the data-
-    /// plane TCAM parallel range match.
-    pub fn check(&mut self, pdid: Pdid, vaddr: u64, kind: AccessKind) -> bool {
-        self.checks += 1;
-        let allowed = self
-            .matching(pdid, vaddr)
-            .is_some_and(|row| row.pc().allows(kind));
-        if !allowed {
-            self.denials += 1;
-        }
-        allowed
+    /// plane TCAM parallel range match, a read of the table.
+    pub fn check(&self, pdid: Pdid, vaddr: u64, kind: AccessKind) -> bool {
+        self.matching(pdid, vaddr)
+            .is_some_and(|row| row.pc().allows(kind))
     }
 
     /// Installed TCAM entries (Figure 8 center counts these).
@@ -379,16 +369,6 @@ impl ProtectionTable {
     /// the domain's owner departs.
     pub fn entries_for(&self, pdid: Pdid) -> usize {
         self.rows.get(&pdid).map_or(0, Rows::len)
-    }
-
-    /// Checks performed.
-    pub fn checks(&self) -> u64 {
-        self.checks
-    }
-
-    /// Checks denied.
-    pub fn denials(&self) -> u64 {
-        self.denials
     }
 }
 
@@ -429,8 +409,6 @@ mod tests {
         assert!(p.check(7, 0x7FFF, AccessKind::Read));
         assert!(!p.check(7, 0x8000, AccessKind::Read), "past the vma");
         assert!(!p.check(8, 0x4000, AccessKind::Read), "other domain");
-        assert_eq!(p.denials(), 2);
-        assert_eq!(p.checks(), 4);
     }
 
     #[test]

@@ -56,24 +56,16 @@ impl TranslationTable {
     ///
     /// Outlier TCAM entries (most specific) take precedence over the
     /// blade-range partition. Returns `None` for addresses outside the
-    /// space.
-    pub fn translate(&mut self, vaddr: u64) -> Option<PhysAddr> {
-        let redirected = Self::redirect(self.outliers.lookup(0, vaddr), vaddr);
-        redirected.or_else(|| self.partition_of(vaddr))
-    }
-
-    /// [`TranslationTable::translate`] as the control plane sees it: the
-    /// same answer without counting a data-plane TCAM lookup.
-    pub fn resolve(&self, vaddr: u64) -> Option<PhysAddr> {
-        Self::redirect(self.outliers.peek_lookup(0, vaddr), vaddr)
-            .or_else(|| self.partition_of(vaddr))
-    }
-
-    fn redirect(hit: Option<(TcamEntry, &OutlierTarget)>, vaddr: u64) -> Option<PhysAddr> {
-        hit.map(|(entry, target)| PhysAddr {
-            blade: target.blade,
-            offset: target.pa_base + (vaddr - entry.base),
-        })
+    /// space. A read: the data plane and the control plane ask the same
+    /// table.
+    pub fn translate(&self, vaddr: u64) -> Option<PhysAddr> {
+        match self.outliers.lookup(0, vaddr) {
+            Some((entry, target)) => Some(PhysAddr {
+                blade: target.blade,
+                offset: target.pa_base + (vaddr - entry.base),
+            }),
+            None => self.partition_of(vaddr),
+        }
     }
 
     /// The range-partition translation alone — pure arithmetic, no TCAM.
@@ -150,7 +142,7 @@ mod tests {
 
     #[test]
     fn range_partition_translation() {
-        let mut t = table();
+        let t = table();
         let pa = t.translate(VA_BASE + 5).unwrap();
         assert_eq!(
             pa,
@@ -187,7 +179,7 @@ mod tests {
 
     #[test]
     fn out_of_space_addresses_fail() {
-        let mut t = table();
+        let t = table();
         assert!(t.translate(0).is_none());
         assert!(t.translate(VA_BASE - 1).is_none());
         assert!(t.translate(VA_BASE + 4 * (1 << 30)).is_none());
@@ -242,6 +234,24 @@ mod tests {
         let b = t.translate(va + 0x1000).unwrap();
         assert_eq!(a.offset, 0x100_0000 + 0x0FFF);
         assert_eq!(b.offset, 0x100_0000 + 0x1000);
+    }
+
+    /// A data-plane lookup is a read: translation and protection answer
+    /// through shared references, so readers can hold both tables at once.
+    #[test]
+    fn data_plane_lookups_take_shared_references() {
+        use crate::{addr::Vma, protect::*, system::AccessKind};
+        let (mut t, mut p, va) = (table(), ProtectionTable::new(64), VA_BASE + 0x10_0000);
+        t.add_outlier(va, 1 << 14, 2, 0x5000).unwrap();
+        let vma = Vma::new(va, 1 << 14);
+        p.grant(7, vma, PermClass::ReadOnly).unwrap();
+        let (t, p) = (&t, &p);
+        let route = |vaddr| t.translate(vaddr).map(|pa| (pa.blade, pa.offset));
+        assert_eq!(route(va + 8), Some((2, 0x5008)));
+        assert_eq!(route(va + (1 << 14)), Some((0, 0x10_4000)));
+        assert!(p.check(7, va, AccessKind::Read));
+        assert!(!p.check(7, va, AccessKind::Write), "read-only");
+        assert!(!p.check(8, va, AccessKind::Read), "other domain");
     }
 
     #[test]

@@ -66,9 +66,6 @@ pub struct Fabric {
     all_compute_group: MulticastGroup,
     loss_rate: f64,
     loss_rng: SimRng,
-    packets_sent: u64,
-    packets_lost: u64,
-    multicast_copies: u64,
     multicast_pruned: u64,
 }
 
@@ -93,23 +90,19 @@ impl Fabric {
             all_compute_group: MulticastGroup::new(members),
             loss_rate: 0.0,
             loss_rng: SimRng::new(0),
-            packets_sent: 0,
-            packets_lost: 0,
-            multicast_copies: 0,
             multicast_pruned: 0,
         }
     }
 
     /// Returns the fabric to what [`Fabric::new`] built, keeping its link
-    /// tables: idle links, no loss injection, zeroed counters.
+    /// tables: idle links, no loss injection, no pruned copies.
     pub fn clear(&mut self) {
         let idle = Link::from_config(&self.cfg);
         for links in self.compute.iter_mut().chain(&mut self.memory) {
             (links.up, links.down) = (idle.clone(), idle.clone());
         }
         self.set_loss(0.0, 0);
-        (self.packets_sent, self.packets_lost) = (0, 0);
-        (self.multicast_copies, self.multicast_pruned) = (0, 0);
+        self.multicast_pruned = 0;
     }
 
     /// The latency configuration in force.
@@ -170,15 +163,12 @@ impl Fabric {
     ///
     /// Panics if an endpoint blade index does not exist in the rack.
     pub fn send(&mut self, now: SimTime, packet: &Packet) -> SimTime {
-        self.packets_sent += 1;
         self.deliver(now, packet)
     }
 
     /// Like [`Fabric::send`] but subject to loss injection.
     pub fn try_send(&mut self, now: SimTime, packet: &Packet) -> Delivery {
-        self.packets_sent += 1;
         if self.loss_rate > 0.0 && self.loss_rng.gen_bool(self.loss_rate) {
-            self.packets_lost += 1;
             return Delivery::Lost;
         }
         Delivery::Delivered(self.deliver(now, packet))
@@ -213,21 +203,9 @@ impl Fabric {
     /// Multicasts an invalidation from the switch to the all-compute group,
     /// pruning copies for blades outside `sharers` in the egress pipeline.
     ///
-    /// Returns `(blade, arrival)` for every blade that actually receives a
-    /// copy. Pruned copies consume no link bandwidth.
-    pub fn multicast_from_switch(
-        &mut self,
-        now: SimTime,
-        sharers: BladeSet,
-        bytes: u32,
-    ) -> Vec<(u16, SimTime)> {
-        let mut deliveries = Vec::new();
-        self.multicast_from_switch_into(now, sharers, bytes, &mut deliveries);
-        deliveries
-    }
-
-    /// [`Fabric::multicast_from_switch`] writing into a reusable delivery
-    /// buffer (cleared first) instead of allocating one per round.
+    /// Writes `(blade, arrival)` for every blade that actually receives a
+    /// copy into `deliveries` (cleared first, so one buffer serves every
+    /// round). Pruned copies consume no link bandwidth.
     pub fn multicast_from_switch_into(
         &mut self,
         now: SimTime,
@@ -240,15 +218,12 @@ impl Fabric {
         let members = self.all_compute_group.members();
         for blade in members.iter() {
             if sharers.contains(blade) {
-                self.packets_sent += 1;
                 // Loss injection applies per replicated copy.
                 if self.loss_rate > 0.0 && self.loss_rng.gen_bool(self.loss_rate) {
-                    self.packets_lost += 1;
                     continue;
                 }
                 let links = &mut self.compute[blade as usize];
                 let arrive = links.down.transfer(after_pipeline, bytes);
-                self.multicast_copies += 1;
                 deliveries.push((blade, arrive));
             } else {
                 self.multicast_pruned += 1;
@@ -259,21 +234,6 @@ impl Fabric {
     /// The rack-wide "all compute blades" multicast group.
     pub fn all_compute_group(&self) -> &MulticastGroup {
         &self.all_compute_group
-    }
-
-    /// Total packets offered to the fabric.
-    pub fn packets_sent(&self) -> u64 {
-        self.packets_sent
-    }
-
-    /// Packets dropped by loss injection.
-    pub fn packets_lost(&self) -> u64 {
-        self.packets_lost
-    }
-
-    /// Multicast copies delivered (post-pruning).
-    pub fn multicast_copies(&self) -> u64 {
-        self.multicast_copies
     }
 
     /// Multicast copies pruned in the egress pipeline.
@@ -334,10 +294,10 @@ mod tests {
     fn multicast_prunes_non_sharers() {
         let mut fabric = Fabric::new(4, 1, LatencyConfig::default());
         let sharers: BladeSet = [1u16, 3].into_iter().collect();
-        let deliveries = fabric.multicast_from_switch(SimTime::ZERO, sharers, 82);
+        let mut deliveries = vec![(9, SimTime::ZERO)];
+        fabric.multicast_from_switch_into(SimTime::ZERO, sharers, 82, &mut deliveries);
         let blades: Vec<u16> = deliveries.iter().map(|&(b, _)| b).collect();
-        assert_eq!(blades, vec![1, 3]);
-        assert_eq!(fabric.multicast_copies(), 2);
+        assert_eq!(blades, vec![1, 3], "the buffer is cleared first");
         assert_eq!(fabric.multicast_pruned(), 2);
     }
 
@@ -346,7 +306,8 @@ mod tests {
         let cfg = LatencyConfig::default();
         let mut fabric = Fabric::new(2, 1, cfg);
         let sharers: BladeSet = [0u16, 1].into_iter().collect();
-        let deliveries = fabric.multicast_from_switch(SimTime::ZERO, sharers, 82);
+        let mut deliveries = Vec::new();
+        fabric.multicast_from_switch_into(SimTime::ZERO, sharers, 82, &mut deliveries);
         // Replication happens in the egress stage: both copies see the same
         // single pipeline traversal, then independent down-links.
         let expect = cfg.switch_pipeline + cfg.hop(82);
@@ -379,7 +340,6 @@ mod tests {
         fabric.set_loss(1.0, 42);
         let pkt = read_req(NodeId::Compute(0), NodeId::Memory(0));
         assert_eq!(fabric.try_send(SimTime::ZERO, &pkt), Delivery::Lost);
-        assert_eq!(fabric.packets_lost(), 1);
     }
 
     #[test]

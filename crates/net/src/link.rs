@@ -96,8 +96,6 @@ pub struct Link {
     latency: SimTime,
     bandwidth_bytes_per_ns: f64,
     free_at: SimTime,
-    bytes_carried: u64,
-    packets_carried: u64,
     /// `(bytes, serialization ns)` of the last distinct wire sizes carried,
     /// replaced in turn. Starts out true: no bytes take no time.
     serialization_memo: [(u32, u64); REMEMBERED_SIZES],
@@ -112,8 +110,6 @@ impl Link {
             latency,
             bandwidth_bytes_per_ns,
             free_at: SimTime::ZERO,
-            bytes_carried: 0,
-            packets_carried: 0,
             serialization_memo: [(0, 0); REMEMBERED_SIZES],
             memo_turn: 0,
         }
@@ -142,24 +138,12 @@ impl Link {
         let serialize = SimTime::from_nanos(self.remembered_serialization_ns(bytes));
         // The link is busy while the packet serializes onto the wire.
         self.free_at = depart + serialize;
-        self.bytes_carried += bytes as u64;
-        self.packets_carried += 1;
         depart + serialize + self.latency
     }
 
     /// Earliest time a new transfer could start serializing.
     pub fn free_at(&self) -> SimTime {
         self.free_at
-    }
-
-    /// Total bytes carried (for utilization reporting).
-    pub fn bytes_carried(&self) -> u64 {
-        self.bytes_carried
-    }
-
-    /// Total packets carried.
-    pub fn packets_carried(&self) -> u64 {
-        self.packets_carried
     }
 }
 
@@ -289,15 +273,6 @@ mod tests {
         // Long after the first transfer drained.
         let late = link.transfer(SimTime::from_nanos(10_000), 100);
         assert_eq!(late.as_nanos(), 10_000 + 100 + 10);
-    }
-
-    #[test]
-    fn link_accounts_traffic() {
-        let mut link = Link::new(SimTime::ZERO, 12.5);
-        link.transfer(SimTime::ZERO, 4096);
-        link.transfer(SimTime::ZERO, 58);
-        assert_eq!(link.bytes_carried(), 4154);
-        assert_eq!(link.packets_carried(), 2);
     }
 
     #[test]

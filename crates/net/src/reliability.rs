@@ -50,7 +50,6 @@ pub struct AckTracker {
     rounds: FastMap<RoundId, Round>,
     next_round: RoundId,
     retransmissions: u64,
-    resets: u64,
 }
 
 impl AckTracker {
@@ -62,15 +61,15 @@ impl AckTracker {
             rounds: FastMap::default(),
             next_round: 0,
             retransmissions: 0,
-            resets: 0,
         }
     }
 
-    /// Forgets every round and zeroes the counters, keeping the round
-    /// table's storage: the tracker is as [`AckTracker::new`] made it.
+    /// Forgets every round and zeroes the retransmission count, keeping
+    /// the round table's storage: the tracker is as [`AckTracker::new`]
+    /// made it.
     pub fn clear(&mut self) {
         self.rounds.clear();
-        (self.next_round, self.retransmissions, self.resets) = (0, 0, 0);
+        (self.next_round, self.retransmissions) = (0, 0);
     }
 
     /// Begins tracking an invalidation round covering `sharers` for `vaddr`.
@@ -133,7 +132,6 @@ impl AckTracker {
             if r.retries_left == 0 {
                 let vaddr = r.vaddr;
                 self.rounds.remove(&id);
-                self.resets += 1;
                 actions.push(ReliabilityAction::Reset { round: id, vaddr });
             } else {
                 r.retries_left -= 1;
@@ -151,16 +149,6 @@ impl AckTracker {
     /// Total retransmissions performed.
     pub fn retransmissions(&self) -> u64 {
         self.retransmissions
-    }
-
-    /// Total resets issued.
-    pub fn resets(&self) -> u64 {
-        self.resets
-    }
-
-    /// Number of rounds in flight.
-    pub fn in_flight(&self) -> usize {
-        self.rounds.len()
     }
 }
 
@@ -245,7 +233,6 @@ mod tests {
             }]
         );
         assert!(!t.is_pending(id));
-        assert_eq!(t.resets(), 1);
     }
 
     #[test]
@@ -272,7 +259,7 @@ mod tests {
             })
             .collect();
         assert_eq!(rounds, vec![a, b], "expiry order is round-id order");
-        assert_eq!(t.in_flight(), 2);
+        assert!(t.is_pending(a) && t.is_pending(b), "both retransmit");
     }
 
     #[test]

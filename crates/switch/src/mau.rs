@@ -39,44 +39,27 @@ impl std::error::Error for OpBudgetExceeded {}
 /// of the simulated program.
 #[derive(Debug, Clone)]
 pub struct MauStage {
-    name: &'static str,
     op_budget: u32,
-    packets: u64,
 }
 
 impl MauStage {
     /// Default per-packet ALU op budget of an RMT stage.
     pub const DEFAULT_OP_BUDGET: u32 = 4;
 
-    /// Creates a stage.
-    pub fn new(name: &'static str, op_budget: u32) -> Self {
-        MauStage {
-            name,
-            op_budget,
-            packets: 0,
-        }
-    }
-
-    /// Stage name.
-    pub fn name(&self) -> &'static str {
-        self.name
+    /// Creates a stage offering `op_budget` ALU ops per packet.
+    pub fn new(op_budget: u32) -> Self {
+        MauStage { op_budget }
     }
 
     /// Runs a packet program consuming `ops` ALU operations.
-    pub fn execute(&mut self, ops: u32) -> Result<(), OpBudgetExceeded> {
+    pub fn execute(&self, ops: u32) -> Result<(), OpBudgetExceeded> {
         if ops > self.op_budget {
             return Err(OpBudgetExceeded {
                 needed: ops,
                 budget: self.op_budget,
             });
         }
-        self.packets += 1;
         Ok(())
-    }
-
-    /// Packets processed by this stage.
-    pub fn packets(&self) -> u64 {
-        self.packets
     }
 }
 
@@ -159,13 +142,12 @@ mod tests {
 
     #[test]
     fn stage_enforces_op_budget() {
-        let mut mau = MauStage::new("dir-lookup", MauStage::DEFAULT_OP_BUDGET);
+        let mau = MauStage::new(MauStage::DEFAULT_OP_BUDGET);
         assert!(mau.execute(3).is_ok());
         assert!(mau.execute(4).is_ok());
         let err = mau.execute(5).unwrap_err();
         assert_eq!(err.needed, 5);
         assert_eq!(err.budget, 4);
-        assert_eq!(mau.packets(), 2, "failed programs do not count");
     }
 
     #[test]
@@ -173,11 +155,10 @@ mod tests {
         // Lookup (1 op) + state-transition decision (3 ops) + entry update
         // (2 ops) = 6 ops: more than one RMT stage offers. This is the
         // hardware fact that forces MIND's two-MAU + recirculation design.
-        let mut mau = MauStage::new("combined", MauStage::DEFAULT_OP_BUDGET);
+        let mau = MauStage::new(MauStage::DEFAULT_OP_BUDGET);
         assert!(mau.execute(6).is_err());
         // Split across two stages + recirculated update, each fits.
-        let mut lookup = MauStage::new("lookup", MauStage::DEFAULT_OP_BUDGET);
-        let mut stt = MauStage::new("stt", MauStage::DEFAULT_OP_BUDGET);
+        let (lookup, stt) = (mau.clone(), mau);
         assert!(lookup.execute(1).is_ok());
         assert!(stt.execute(3).is_ok());
         assert!(lookup.execute(2).is_ok()); // Recirculated update pass.

@@ -5,7 +5,7 @@
 //! MAU, then *recirculates* so the first MAU can apply the entry update the
 //! second MAU decided. Invalidations are generated in the egress pipeline
 //! via multicast. The pipeline charges time per traversal and per
-//! recirculation and keeps counters for reporting.
+//! recirculation, and counts recirculations for reporting.
 
 use mind_sim::SimTime;
 
@@ -18,7 +18,6 @@ pub struct Pipeline {
     recirculation_time: SimTime,
     lookup_mau: MauStage,
     stt_mau: MauStage,
-    traversals: u64,
     recirculations: u64,
 }
 
@@ -29,18 +28,10 @@ impl Pipeline {
         Pipeline {
             traversal_time,
             recirculation_time,
-            lookup_mau: MauStage::new("directory-lookup", MauStage::DEFAULT_OP_BUDGET),
-            stt_mau: MauStage::new("state-transition", MauStage::DEFAULT_OP_BUDGET),
-            traversals: 0,
+            lookup_mau: MauStage::new(MauStage::DEFAULT_OP_BUDGET),
+            stt_mau: MauStage::new(MauStage::DEFAULT_OP_BUDGET),
             recirculations: 0,
         }
-    }
-
-    /// A plain forwarding traversal (translation + protection only, no
-    /// directory update). Returns the pipeline delay.
-    pub fn forward(&mut self) -> SimTime {
-        self.traversals += 1;
-        self.traversal_time
     }
 
     /// A directory state transition: lookup MAU, STT MAU, then one
@@ -59,14 +50,8 @@ impl Pipeline {
         // Recirculate; pass 2 applies the update in the lookup MAU (2 ops:
         // state write + sharer-list update).
         self.lookup_mau.execute(2)?;
-        self.traversals += 1;
         self.recirculations += 1;
         Ok(self.traversal_time + self.recirculation_time)
-    }
-
-    /// Total pipeline traversals.
-    pub fn traversals(&self) -> u64 {
-        self.traversals
     }
 
     /// Total recirculations.
@@ -84,36 +69,19 @@ mod tests {
     }
 
     #[test]
-    fn forward_charges_one_traversal() {
-        let mut p = pipeline();
-        assert_eq!(p.forward(), SimTime::from_nanos(400));
-        assert_eq!(p.traversals(), 1);
-        assert_eq!(p.recirculations(), 0);
-    }
-
-    #[test]
     fn transition_charges_recirculation() {
         let mut p = pipeline();
         let t = p.directory_transition().unwrap();
         assert_eq!(t, SimTime::from_nanos(1_000));
-        assert_eq!(p.traversals(), 1);
         assert_eq!(p.recirculations(), 1);
-        // Lookup MAU sees the packet twice (initial + recirculated).
-        assert_eq!(p.lookup_mau.packets(), 2);
-        assert_eq!(p.stt_mau.packets(), 1);
     }
 
     #[test]
     fn counters_accumulate() {
         let mut p = pipeline();
-        for _ in 0..10 {
-            p.forward();
-        }
         for _ in 0..5 {
             p.directory_transition().unwrap();
         }
-        assert_eq!(p.traversals(), 15);
         assert_eq!(p.recirculations(), 5);
-        assert_eq!(p.lookup_mau.packets(), 10);
     }
 }

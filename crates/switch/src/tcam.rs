@@ -91,7 +91,6 @@ pub struct Tcam<V> {
     populated: u64,
     capacity: usize,
     used: usize,
-    lookups: u64,
 }
 
 /// Error returned when the TCAM is out of entries.
@@ -114,15 +113,14 @@ impl<V> Tcam<V> {
             populated: 0,
             capacity,
             used: 0,
-            lookups: 0,
         }
     }
 
-    /// Removes every entry and zeroes the lookup count, keeping each
-    /// level's storage: the TCAM is as [`Tcam::new`] made it.
+    /// Removes every entry, keeping each level's storage: the TCAM is as
+    /// [`Tcam::new`] made it.
     pub fn clear(&mut self) {
         self.levels.iter_mut().for_each(FastMap::clear);
-        (self.populated, self.used, self.lookups) = (0, 0, 0);
+        (self.populated, self.used) = (0, 0);
     }
 
     /// Entries currently installed.
@@ -138,11 +136,6 @@ impl<V> Tcam<V> {
     /// Remaining free entries.
     pub fn free(&self) -> usize {
         self.capacity - self.used
-    }
-
-    /// Total lookups performed (for reporting).
-    pub fn lookups(&self) -> u64 {
-        self.lookups
     }
 
     /// Installs an entry, replacing any existing entry for the same range.
@@ -176,17 +169,9 @@ impl<V> Tcam<V> {
     }
 
     /// Longest-prefix-match lookup: returns the most specific (smallest)
-    /// range containing `addr` under context `ctx`.
-    pub fn lookup(&mut self, ctx: u64, addr: u64) -> Option<(TcamEntry, &V)> {
-        self.lookups += 1;
-        self.peek_lookup(ctx, addr)
-    }
-
-    /// Counter-free longest-prefix-match lookup: the result of
-    /// [`Tcam::lookup`] without bumping the lookup statistics. Batched
-    /// datapaths use it to pre-resolve entries a batch will reuse (the
-    /// per-op accounting happens at use time, not resolve time).
-    pub fn peek_lookup(&self, ctx: u64, addr: u64) -> Option<(TcamEntry, &V)> {
+    /// range containing `addr` under context `ctx`. A read: it probes the
+    /// populated levels, most specific first, and changes nothing.
+    pub fn lookup(&self, ctx: u64, addr: u64) -> Option<(TcamEntry, &V)> {
         let mut levels = self.populated;
         while levels != 0 {
             let k = levels.trailing_zeros() as u8;
@@ -393,14 +378,6 @@ mod tests {
         let _ = pow2_cover(0x1000, 0);
     }
 
-    #[test]
-    fn lookup_counter_increments() {
-        let mut tcam: Tcam<()> = Tcam::new(4);
-        tcam.lookup(0, 0);
-        tcam.lookup(0, 1);
-        assert_eq!(tcam.lookups(), 2);
-    }
-
     /// The walk the populated-level mask replaced: every prefix level,
     /// most specific first.
     fn full_walk(tcam: &Tcam<u32>, ctx: u64, addr: u64) -> Option<(TcamEntry, u32)> {
@@ -428,16 +405,15 @@ mod tests {
             let mut rng = SimRng::new(seed);
             let mut tcam: Tcam<u32> = Tcam::new(64);
             let mut installed: Vec<TcamEntry> = Vec::new();
-            let probe_all = |tcam: &mut Tcam<u32>, rng: &mut SimRng| {
+            let probe_all = |tcam: &Tcam<u32>, rng: &mut SimRng| {
                 for _ in 0..32 {
                     let (ctx, addr) = (rng.gen_below(3), rng.gen_below(1 << 24));
                     let expected = full_walk(tcam, ctx, addr);
-                    assert_eq!(tcam.peek_lookup(ctx, addr).map(|(e, &v)| (e, v)), expected);
                     assert_eq!(tcam.lookup(ctx, addr).map(|(e, &v)| (e, v)), expected);
                 }
             };
             assert_eq!(tcam.populated, 0);
-            probe_all(&mut tcam, &mut rng);
+            probe_all(&tcam, &mut rng);
             for step in 0..600u32 {
                 // Fill for the first half of the run, drain in the second.
                 if rng.gen_bool(if step < 300 { 0.7 } else { 0.3 }) {
@@ -458,28 +434,14 @@ mod tests {
                     "level mask tracks the entries"
                 );
                 assert_eq!(tcam.used(), installed.len());
-                probe_all(&mut tcam, &mut rng);
+                probe_all(&tcam, &mut rng);
             }
             for entry in installed.drain(..) {
                 tcam.remove(&entry);
             }
             assert_eq!(tcam.populated, 0, "emptied table probes nothing");
-            probe_all(&mut tcam, &mut rng);
-            let before = tcam.lookups();
+            probe_all(&tcam, &mut rng);
             assert!(tcam.lookup(0, 0x1234).is_none());
-            assert_eq!(tcam.lookups(), before + 1, "an empty walk still counts");
         }
-    }
-
-    #[test]
-    fn peek_lookup_matches_lookup_without_counting() {
-        let mut tcam = Tcam::new(16);
-        tcam.insert(TcamEntry::new(0, 0x0, 20), "outer").unwrap();
-        tcam.insert(TcamEntry::new(0, 0x4000, 12), "inner").unwrap();
-        let peeked = tcam.peek_lookup(0, 0x4010).map(|(e, &v)| (e, v));
-        assert_eq!(tcam.lookups(), 0, "peek is counter-free");
-        let looked = tcam.lookup(0, 0x4010).map(|(e, &v)| (e, v));
-        assert_eq!(peeked, looked);
-        assert!(tcam.peek_lookup(0, 0x20_0000).is_none());
     }
 }

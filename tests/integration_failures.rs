@@ -99,7 +99,7 @@ fn switch_failover_preserves_data_and_permissions() {
         .switch_failover(ms(2))
         .expect("the backup holds every grant");
     assert!(report.rules_replayed >= 1);
-    assert!(report.pages_flushed >= 1, "dirty data flushed before drop");
+    assert_eq!(report.pages_flushed, 1, "dirty data flushed before drop");
 
     // Data survives (flushed to memory blades), permissions survive
     // (replayed from the control-plane log), isolation survives.
