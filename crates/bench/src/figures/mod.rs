@@ -193,7 +193,7 @@ pub fn run_main(name: &str) -> Vec<ScenarioResult> {
 /// disabled runs produce no trace files, so the default BENCH output set
 /// is unchanged.
 fn write_trace_if_enabled(suite: &str, results: &[ScenarioResult]) {
-    if mind_sim::env::trace_level().enabled() {
+    if mind_sim::env::trace_level() {
         let path = report::write_trace(suite, results).expect("write TRACE json");
         println!("wrote {}", path.display());
     }

@@ -22,9 +22,6 @@ pub struct QueuedService {
 #[derive(Debug, Clone)]
 pub struct InvalidationQueue {
     busy_until: SimTime,
-    processed: u64,
-    total_queue_delay: SimTime,
-    max_queue_delay: SimTime,
 }
 
 impl InvalidationQueue {
@@ -32,9 +29,6 @@ impl InvalidationQueue {
     pub fn new() -> Self {
         InvalidationQueue {
             busy_until: SimTime::ZERO,
-            processed: 0,
-            total_queue_delay: SimTime::ZERO,
-            max_queue_delay: SimTime::ZERO,
         }
     }
 
@@ -53,34 +47,11 @@ impl InvalidationQueue {
         let start = arrival.max(self.busy_until);
         let done = start + service;
         self.busy_until = done;
-        let queue_delay = start - arrival;
-        self.processed += 1;
-        self.total_queue_delay += queue_delay;
-        self.max_queue_delay = self.max_queue_delay.max(queue_delay);
         QueuedService {
             start,
             done,
-            queue_delay,
+            queue_delay: start - arrival,
         }
-    }
-
-    /// Invalidations processed.
-    pub fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// Mean queueing delay across processed invalidations.
-    pub fn mean_queue_delay(&self) -> SimTime {
-        if self.processed == 0 {
-            SimTime::ZERO
-        } else {
-            self.total_queue_delay / self.processed
-        }
-    }
-
-    /// Worst-case queueing delay observed.
-    pub fn max_queue_delay(&self) -> SimTime {
-        self.max_queue_delay
     }
 
     /// When the handler next goes idle.
@@ -117,9 +88,7 @@ mod tests {
         assert_eq!(a.queue_delay, SimTime::ZERO);
         assert_eq!(b.queue_delay, SimTime::from_micros(2));
         assert_eq!(c.queue_delay, SimTime::from_micros(4));
-        assert_eq!(q.processed(), 3);
-        assert_eq!(q.mean_queue_delay(), SimTime::from_micros(2));
-        assert_eq!(q.max_queue_delay(), SimTime::from_micros(4));
+        assert_eq!(q.busy_until(), SimTime::from_micros(6));
     }
 
     #[test]
@@ -145,13 +114,11 @@ mod tests {
         assert_eq!(second.start, first.done, "FIFO by enqueue order");
         assert_eq!(second.queue_delay, SimTime::from_micros(8));
         assert_eq!(q.busy_until(), SimTime::from_micros(13));
-        assert_eq!(q.max_queue_delay(), SimTime::from_micros(8));
     }
 
     #[test]
     fn empty_queue_stats() {
         let q = InvalidationQueue::new();
-        assert_eq!(q.mean_queue_delay(), SimTime::ZERO);
         assert_eq!(q.busy_until(), SimTime::ZERO);
     }
 }

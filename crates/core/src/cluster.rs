@@ -77,10 +77,6 @@ pub struct MindConfig {
     pub coherence: CoherenceConfig,
     /// Calibrated network/blade latencies.
     pub latency: LatencyConfig,
-    /// Control-plane cost per intercepted syscall.
-    pub syscall_cost: SimTime,
-    /// Control-plane cost per rule install over PCIe.
-    pub rule_install_cost: SimTime,
     /// Per-blade RNIC issue queue depth: how many remote operations one
     /// compute blade's NIC keeps in flight at once — the third gate of
     /// [`MindCluster::issue_clustered`] (after the slot pool and
@@ -119,8 +115,6 @@ impl Default for MindConfig {
             split: SplitConfig::default(),
             coherence: CoherenceConfig::default(),
             latency: LatencyConfig::default(),
-            syscall_cost: SimTime::from_micros(15),
-            rule_install_cost: SimTime::from_micros(2),
             nic_depth: CX5_NIC_DEPTH,
             trace: mind_obs::TraceConfig::default(),
         }
@@ -216,13 +210,7 @@ impl MindCluster {
             cfg.coherence,
         );
         engine.trace = mind_obs::TraceBuf::new(cfg.trace);
-        let controller = Controller::new(
-            cfg.n_compute,
-            cfg.n_memory,
-            cfg.blade_span,
-            cfg.syscall_cost,
-            cfg.rule_install_cost,
-        );
+        let controller = Controller::new(cfg.n_compute, cfg.n_memory, cfg.blade_span);
         MindCluster {
             splitter: BoundedSplitting::with_capacity(cfg.split, engine.directory().capacity()),
             engine,
@@ -239,7 +227,7 @@ impl MindCluster {
     /// stays: each windowed batch empties it before use.
     pub fn reset(&mut self) {
         self.engine.reset(mind_obs::TraceBuf::new(self.cfg.trace));
-        self.controller.reset(self.cfg.syscall_cost, self.cfg.rule_install_cost);
+        self.controller.reset();
         self.splitter.reset();
         (self.default_pid, self.clock_high_watermark) = (None, SimTime::ZERO);
     }

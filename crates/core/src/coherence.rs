@@ -2,9 +2,12 @@
 //!
 //! The switch data plane intercepts page-fault RDMA requests addressed by
 //! virtual address, runs protection + translation + the directory state
-//! machine (two MAUs and a recirculation, Figure 4), multicasts invalidation
-//! requests with sharer-list egress pruning, and forwards the fetch to the
-//! right memory blade. Placing the directory *in* the data path gives:
+//! machine, multicasts invalidation requests with sharer-list egress
+//! pruning, and forwards the fetch to the right memory blade. A directory
+//! transition takes two MAUs and a recirculation (Figure 4); the engine
+//! charges it as one fixed delay, `switch_pipeline + switch_recirculation`,
+//! and counts it in `pipeline_recirculations`. Placing the directory *in*
+//! the data path gives:
 //!
 //! - common transitions (I→S/M, S→S, S→M) one round trip (~9 µs),
 //! - the expensive M→S/M transitions two sequential round trips (~18 µs),
@@ -25,7 +28,6 @@ use mind_net::reliability::AckTracker;
 use mind_obs::{EventKind, TraceBuf};
 use mind_sim::stats::Metrics;
 use mind_sim::SimTime;
-use mind_switch::pipeline::Pipeline;
 
 use crate::directory::{MsiState, RegionDirectory};
 use crate::protect::{Pdid, ProtectionTable};
@@ -143,6 +145,16 @@ struct InvalRound {
     reset: bool,
 }
 
+/// ALU ops an RMT match-action stage runs per packet (§6.3).
+const MAU_OP_BUDGET: u32 = 4;
+
+// A directory transition is a lookup (1 op), an STT match (3 ops) and an
+// entry update (2 ops). The whole program does not fit one stage, but each
+// pass does: the lookup MAU, then the STT MAU, then a recirculation back to
+// the lookup MAU for the update (Figure 4). Hence one recirculation per
+// transition.
+const _: () = assert!(1 + 3 + 2 > MAU_OP_BUDGET && 3 <= MAU_OP_BUDGET && 2 <= MAU_OP_BUDGET);
+
 /// The engine's event counters.
 #[derive(Debug, Default, Clone, Copy)]
 struct Counters {
@@ -158,6 +170,8 @@ struct Counters {
     resets: u64,
     denials: u64,
     async_writes: u64,
+    /// Directory transitions, each one recirculation (Figure 4).
+    recirculations: u64,
 }
 
 /// The in-network memory management engine: switch data plane + blades.
@@ -166,7 +180,6 @@ pub struct CoherenceEngine {
     cfg: CoherenceConfig,
     lat: LatencyConfig,
     fabric: Fabric,
-    pipeline: Pipeline,
     pub(crate) directory: RegionDirectory,
     pub(crate) translation: TranslationTable,
     pub(crate) protection: ProtectionTable,
@@ -216,7 +229,6 @@ impl CoherenceEngine {
             cfg,
             lat,
             fabric: Fabric::new(n_compute, n_memory, lat),
-            pipeline: Pipeline::new(lat.switch_pipeline, lat.switch_recirculation),
             directory: RegionDirectory::new(dir_capacity, initial_region_log2),
             translation: TranslationTable::new(n_memory, blade_span, tcam_capacity),
             protection: ProtectionTable::new(tcam_capacity),
@@ -244,7 +256,6 @@ impl CoherenceEngine {
     /// installed, keeping every table's, queue's and blade's storage.
     pub(crate) fn reset(&mut self, trace: TraceBuf) {
         self.fabric.clear();
-        self.pipeline = Pipeline::new(self.lat.switch_pipeline, self.lat.switch_recirculation);
         self.directory.reset();
         self.translation.reset();
         self.protection.reset();
@@ -517,10 +528,10 @@ impl CoherenceEngine {
             }
         };
         let (base, k) = region.bounds();
-        let dt = self
-            .pipeline
-            .directory_transition()
-            .expect("MIND's pipeline program fits the MAU budget");
+        // One traversal of the lookup and STT MAUs, then one recirculation
+        // for the lookup MAU to apply the update (see `MAU_OP_BUDGET`).
+        self.ctrs.recirculations += 1;
+        let dt = self.lat.switch_pipeline + self.lat.switch_recirculation;
         let entry = self.directory.entry_at(region);
         // Transitions on a region serialize at the directory.
         let t_dir = entry.admit_transition(t_switch + dt);
@@ -1118,7 +1129,7 @@ impl CoherenceEngine {
         m.add("directory_splits", self.directory.splits());
         m.add("directory_merges", self.directory.merges());
         m.add("forced_merges", self.directory.forced_merges());
-        m.add("pipeline_recirculations", self.pipeline.recirculations());
+        m.add("pipeline_recirculations", c.recirculations);
         m.add("multicast_pruned", self.fabric.multicast_pruned());
         m.add("retransmissions", self.acks.retransmissions());
         let tlb: u64 = self.caches.iter().map(|c| c.tlb_shootdowns()).sum();

@@ -129,31 +129,25 @@ pub struct Controller {
 impl Controller {
     /// Creates a controller for a rack with `n_compute` compute blades and
     /// `n_memory` memory blades of `blade_span` VA bytes each.
-    pub fn new(
-        n_compute: u16,
-        n_memory: u16,
-        blade_span: u64,
-        syscall_cost: SimTime,
-        rule_install_cost: SimTime,
-    ) -> Self {
+    pub fn new(n_compute: u16, n_memory: u16, blade_span: u64) -> Self {
         Controller {
             galloc: GlobalAllocator::new(n_memory, blade_span),
             processes: FastMap::default(),
             next_pid: 1,
-            control: ControlPlane::new(syscall_cost, rule_install_cost),
+            control: ControlPlane::default(),
             rr_next_blade: 0,
             n_compute,
             spare_blades: Vec::new(),
         }
     }
 
-    /// Forgets every process and allocation and restarts the control plane
-    /// at the given costs, keeping the tables' (and the spare lists') storage.
-    pub(crate) fn reset(&mut self, syscall_cost: SimTime, rule_install_cost: SimTime) {
+    /// Forgets every process and allocation and restarts the control plane,
+    /// keeping the tables' (and the spare lists') storage.
+    pub(crate) fn reset(&mut self) {
         self.galloc.reset();
         self.processes.clear();
         (self.next_pid, self.rr_next_blade) = (1, 0);
-        self.control = ControlPlane::new(syscall_cost, rule_install_cost);
+        self.control = ControlPlane::default();
     }
 
     /// `exec`: creates a process; the PID doubles as its protection domain.
@@ -364,13 +358,7 @@ mod tests {
     use crate::system::AccessKind;
 
     fn setup() -> (Controller, CoherenceEngine) {
-        let ctl = Controller::new(
-            4,
-            2,
-            1 << 30,
-            SimTime::from_micros(15),
-            SimTime::from_micros(2),
-        );
+        let ctl = Controller::new(4, 2, 1 << 30);
         let engine = CoherenceEngine::new(
             4,
             2,
@@ -447,13 +435,7 @@ mod tests {
         }
         assert_eq!(ctl.allocator().allocated_per_blade()[0], 0);
         // An exhausted slice reports ENOMEM even though other blades fit.
-        let mut small = Controller::new(
-            1,
-            2,
-            1 << 16,
-            SimTime::from_micros(15),
-            SimTime::from_micros(2),
-        );
+        let mut small = Controller::new(1, 2, 1 << 16);
         let pid = small.exec();
         small
             .mmap_in(&mut eng, pid, 1 << 16, PermClass::ReadWrite, 0..1)
@@ -543,13 +525,7 @@ mod tests {
 
     #[test]
     fn enomem_when_memory_exhausted() {
-        let mut ctl = Controller::new(
-            1,
-            1,
-            1 << 16,
-            SimTime::from_micros(15),
-            SimTime::from_micros(2),
-        );
+        let mut ctl = Controller::new(1, 1, 1 << 16);
         let mut eng = CoherenceEngine::new(
             1,
             1,

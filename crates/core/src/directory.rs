@@ -697,19 +697,12 @@ impl RegionDirectory {
         e.epoch_false_inv += false_invalidations;
     }
 
-    /// Takes and resets the per-epoch counters, returning one
-    /// [`EpochCounter`] per region *with activity this epoch*, sorted by
-    /// base. Regions that saw no invalidation traffic are not listed —
-    /// draining costs O(active regions), so the epoch driver stays cheap
-    /// even when the directory tracks tens of thousands of idle regions.
-    pub fn drain_epoch_counters(&mut self) -> Vec<EpochCounter> {
-        let mut out = Vec::new();
-        self.drain_epoch_counters_into(&mut out);
-        out
-    }
-
-    /// [`RegionDirectory::drain_epoch_counters`] writing into a reusable
-    /// buffer (cleared first) instead of allocating one.
+    /// Takes and resets the per-epoch counters, writing into `out` (cleared
+    /// first) one [`EpochCounter`] per region *with activity this epoch*,
+    /// sorted by base. Regions that saw no invalidation traffic are not
+    /// listed — draining costs O(active regions), so the epoch driver stays
+    /// cheap even when the directory tracks tens of thousands of idle
+    /// regions.
     pub fn drain_epoch_counters_into(&mut self, out: &mut Vec<EpochCounter>) {
         out.clear();
         self.touched.sort_unstable();
@@ -994,7 +987,7 @@ mod tests {
                     }
                     _ => {
                         if rng.gen_bool(0.05) {
-                            d.drain_epoch_counters();
+                            d.drain_epoch_counters_into(&mut Vec::new());
                         }
                     }
                 }
@@ -1084,7 +1077,9 @@ mod tests {
         assert_eq!(d.ensure(0x1_3000).unwrap(), r);
         // A base that starts no region records nothing.
         d.record_invalidation(0x9_0000, 4);
-        assert_eq!(d.drain_epoch_counters().len(), 1);
+        let mut drained = Vec::new();
+        d.drain_epoch_counters_into(&mut drained);
+        assert_eq!(drained.len(), 1);
     }
 
     #[test]
@@ -1263,7 +1258,8 @@ mod tests {
         let (base, _) = d.ensure_region(0x1_0000).unwrap();
         d.record_invalidation(base, 3);
         d.record_invalidation(base, 2);
-        let drained = d.drain_epoch_counters();
+        let mut drained = Vec::new();
+        d.drain_epoch_counters_into(&mut drained);
         assert_eq!(
             drained,
             vec![EpochCounter {
@@ -1274,8 +1270,8 @@ mod tests {
             }]
         );
         // Second drain: no activity since the first, so nothing is listed.
-        let again = d.drain_epoch_counters();
-        assert!(again.is_empty());
+        d.drain_epoch_counters_into(&mut drained);
+        assert!(drained.is_empty());
     }
 
     #[test]
@@ -1285,7 +1281,8 @@ mod tests {
         let (_b, _) = d.ensure_region(0x8_0000).unwrap();
         d.record_invalidation(a, 0);
         d.record_invalidation(a, 4);
-        let drained = d.drain_epoch_counters();
+        let mut drained = Vec::new();
+        d.drain_epoch_counters_into(&mut drained);
         assert_eq!(drained.len(), 1, "idle region not listed");
         assert_eq!(drained[0].base, a);
         assert_eq!(drained[0].invalidations, 2);
@@ -1294,7 +1291,7 @@ mod tests {
         let (l, _r) = d.split(a).unwrap();
         d.record_invalidation(l, 1);
         let parent = d.merge(l).unwrap();
-        let drained = d.drain_epoch_counters();
+        d.drain_epoch_counters_into(&mut drained);
         assert_eq!(drained.len(), 1);
         assert_eq!(drained[0].base, parent);
         assert_eq!(drained[0].invalidations, 1);

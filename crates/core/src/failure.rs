@@ -140,13 +140,7 @@ mod tests {
     use crate::system::AccessKind;
 
     fn setup() -> (Controller, CoherenceEngine) {
-        let ctl = Controller::new(
-            2,
-            2,
-            1 << 30,
-            SimTime::from_micros(15),
-            SimTime::from_micros(2),
-        );
+        let ctl = Controller::new(2, 2, 1 << 30);
         let engine = CoherenceEngine::new(
             2,
             2,

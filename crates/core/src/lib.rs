@@ -22,8 +22,8 @@
 //! - [`split`]: the Bounded Splitting algorithm that dynamically sizes the
 //!   regions each directory entry tracks (§5);
 //! - [`coherence`]: the in-network MSI protocol with multicast
-//!   invalidations, two-MAU recirculated transitions, and false-invalidation
-//!   accounting (§4.3.2, §6.3);
+//!   invalidations, the fixed pipeline-plus-recirculation delay of each
+//!   directory transition, and false-invalidation accounting (§4.3.2, §6.3);
 //! - [`controller`]: the switch control plane — processes, system-call
 //!   intercepts, epoch driver (§6.3);
 //! - [`failure`]: ACK/timeout/reset handling (§4.4);

@@ -19,8 +19,6 @@
 //! required for STT entries would be quite small"), which
 //! [`SttTable::rows`] lets the ablation harness report.
 
-use mind_switch::mau::ExactTable;
-
 use crate::directory::MsiState;
 use crate::system::AccessKind;
 
@@ -48,7 +46,7 @@ impl Protocol {
 }
 
 /// The requester's relation to the region's current holders.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Role {
     /// The requester is the region's exclusive owner (M/E/O).
     Owner,
@@ -119,51 +117,32 @@ fn key_index(state: MsiState, is_write: bool, role: Role) -> usize {
     (state as usize * 2 + is_write as usize) * ROLES.len() + role as usize
 }
 
-/// A protocol's full materialized table, stored in an MAU exact-match
-/// table with capacity accounting like the real ASIC.
+/// A protocol's full materialized table, as the second MAU holds it.
 #[derive(Debug)]
 pub struct SttTable {
-    protocol: Protocol,
-    /// The MAU table: what the rows cost the switch ([`SttTable::rows`]).
-    table: ExactTable<(MsiState, bool, Role), SttRow>,
-    /// The same rows indexed by [`key_index`], which is how the simulator
-    /// resolves a fault: the key space is tiny, so no hasher is needed.
+    /// The rows indexed by [`key_index`]; `None` where the combination
+    /// cannot occur. The key space is tiny, so no hasher is needed.
     rows_by_key: [Option<SttRow>; KEYS],
 }
 
 impl SttTable {
     /// Materializes the table for `protocol`.
     pub fn new(protocol: Protocol) -> Self {
-        // Generous MAU capacity; real tables need tens of rows.
-        let mut table = ExactTable::new("state-transition", 256);
         let mut rows_by_key = [None; KEYS];
         for state in STATES {
             for is_write in [false, true] {
                 for role in ROLES {
-                    if let Some(row) = Self::row(protocol, state, is_write, role) {
-                        table
-                            .insert((state, is_write, role), row)
-                            .expect("STT fits its MAU table");
-                        rows_by_key[key_index(state, is_write, role)] = Some(row);
-                    }
+                    rows_by_key[key_index(state, is_write, role)] =
+                        Self::row(protocol, state, is_write, role);
                 }
             }
         }
-        SttTable {
-            protocol,
-            table,
-            rows_by_key,
-        }
-    }
-
-    /// The protocol this table implements.
-    pub fn protocol(&self) -> Protocol {
-        self.protocol
+        SttTable { rows_by_key }
     }
 
     /// Number of materialized rows (switch storage cost, §8).
     pub fn rows(&self) -> usize {
-        self.table.len()
+        self.rows_by_key.iter().filter(|row| row.is_some()).count()
     }
 
     /// Looks up the transition for a fault.
@@ -320,9 +299,9 @@ mod tests {
         assert!(r.flush_dirty);
     }
 
-    /// The array the simulator resolves through against the MAU table that
-    /// accounts the rows: the same row or the same absence for every key of
-    /// every protocol, and no two keys in one place.
+    /// The array the simulator resolves through against the protocol's
+    /// definition of its rows: the same row or the same absence for every
+    /// key of every protocol, and no two keys in one place.
     #[test]
     fn dense_lookup_agrees_with_the_mau_table() {
         let mut places = std::collections::HashSet::new();
@@ -333,9 +312,9 @@ mod tests {
                 for (is_write, kind) in [(false, AccessKind::Read), (true, AccessKind::Write)] {
                     for role in ROLES {
                         let by_key = stt.rows_by_key[key_index(state, is_write, role)];
-                        let by_hash = stt.table.get(&(state, is_write, role)).copied();
-                        assert_eq!(by_key, by_hash, "{protocol:?} {state:?}/{kind:?}/{role:?}");
-                        if let Some(row) = by_hash {
+                        let defined = SttTable::row(protocol, state, is_write, role);
+                        assert_eq!(by_key, defined, "{protocol:?} {state:?}/{kind:?}/{role:?}");
+                        if let Some(row) = defined {
                             assert_eq!(stt.lookup(state, kind, role), row);
                             present += 1;
                         }
@@ -351,14 +330,13 @@ mod tests {
     #[test]
     fn msi_has_no_exclusive_or_owned_rows() {
         let stt = SttTable::new(Protocol::Msi);
-        assert!(stt
-            .table
-            .get(&(MsiState::Exclusive, false, Role::Other))
-            .is_none());
-        assert!(stt
-            .table
-            .get(&(MsiState::Owned, false, Role::Other))
-            .is_none());
+        for state in [MsiState::Exclusive, MsiState::Owned] {
+            for is_write in [false, true] {
+                for role in ROLES {
+                    assert_eq!(stt.rows_by_key[key_index(state, is_write, role)], None);
+                }
+            }
+        }
     }
 
     #[test]

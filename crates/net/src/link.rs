@@ -41,8 +41,6 @@ pub struct LatencyConfig {
     /// Invalidation-handler service time per request at a compute blade
     /// (used for the queueing-delay component in Figure 7 right).
     pub invalidation_service: SimTime,
-    /// Control-plane CPU handling of one intercepted system call.
-    pub ctrl_syscall: SimTime,
 }
 
 impl Default for LatencyConfig {
@@ -57,7 +55,6 @@ impl Default for LatencyConfig {
             local_dram: SimTime::from_nanos(80),
             tlb_shootdown: SimTime::from_nanos(2_500),
             invalidation_service: SimTime::from_nanos(800),
-            ctrl_syscall: SimTime::from_micros(15),
         }
     }
 }

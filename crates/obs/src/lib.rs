@@ -38,7 +38,6 @@ pub mod trace;
 #[global_allocator]
 static COUNTING_ALLOC: mem::CountingAlloc = mem::CountingAlloc;
 
-pub use mind_sim::env::TraceLevel;
 pub use timeseries::{SeriesBucket, WindowSeries};
 pub use trace::{
     chrome_process_name, EventKind, TraceBuf, TraceConfig, TraceData, TraceEvent, TraceMode,

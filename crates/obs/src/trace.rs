@@ -19,7 +19,6 @@
 //! rebased to global blade indices at merge time
 //! ([`TraceData::rebase_lanes`]).
 
-use mind_sim::env::TraceLevel;
 use mind_sim::SimTime;
 
 /// Default per-system event capacity (a safety valve, not a budget):
@@ -41,17 +40,6 @@ pub enum TraceMode {
     Off,
     /// The grouping-invariant event set, regardless of the environment.
     On,
-}
-
-impl TraceMode {
-    /// The effective level this mode resolves to.
-    pub fn resolve(self) -> TraceLevel {
-        match self {
-            TraceMode::Env => mind_sim::env::trace_level(),
-            TraceMode::Off => TraceLevel::Off,
-            TraceMode::On => TraceLevel::On,
-        }
-    }
 }
 
 /// Tracing configuration, embedded in system configs (`MindConfig`) and
@@ -86,14 +74,14 @@ impl TraceConfig {
         }
     }
 
-    /// The effective level.
-    pub fn level(&self) -> TraceLevel {
-        self.mode.resolve()
-    }
-
-    /// Whether any tracing is active.
+    /// Whether tracing is on, the environment resolved for
+    /// [`TraceMode::Env`].
     pub fn enabled(&self) -> bool {
-        self.level().enabled()
+        match self.mode {
+            TraceMode::Env => mind_sim::env::trace_level(),
+            TraceMode::Off => false,
+            TraceMode::On => true,
+        }
     }
 }
 
@@ -262,19 +250,18 @@ impl std::fmt::Display for Micros {
 /// shard-by-shard.
 #[derive(Debug, Default)]
 pub struct TraceBuf {
-    level: TraceLevel,
+    enabled: bool,
     capacity: usize,
     events: Vec<TraceEvent>,
     dropped: u64,
 }
 
 impl TraceBuf {
-    /// A sink for the given config (empty and branch-only when the
-    /// resolved level is [`TraceLevel::Off`]).
+    /// A sink for the given config (empty and branch-only when tracing is
+    /// off).
     pub fn new(cfg: TraceConfig) -> Self {
-        let level = cfg.level();
         TraceBuf {
-            level,
+            enabled: cfg.enabled(),
             capacity: cfg.capacity,
             events: Vec::new(),
             dropped: 0,
@@ -290,12 +277,7 @@ impl TraceBuf {
     /// with non-trivial argument computation should branch on this.
     #[inline(always)]
     pub fn enabled(&self) -> bool {
-        self.level != TraceLevel::Off
-    }
-
-    /// The sink's resolved level.
-    pub fn level(&self) -> TraceLevel {
-        self.level
+        self.enabled
     }
 
     /// Events recorded so far.
@@ -319,7 +301,7 @@ impl TraceBuf {
         a0: u64,
         a1: u64,
     ) {
-        if self.level == TraceLevel::Off {
+        if !self.enabled {
             return;
         }
         if self.events.len() >= self.capacity {
@@ -340,7 +322,7 @@ impl TraceBuf {
     /// `None` when the sink is disabled (so reports omit trace sections
     /// entirely rather than carrying empty ones).
     pub fn take(&mut self) -> Option<TraceData> {
-        if self.level == TraceLevel::Off {
+        if !self.enabled {
             return None;
         }
         Some(TraceData {

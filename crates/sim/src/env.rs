@@ -27,30 +27,6 @@ pub const PROFILE_ENV: &str = "MIND_PROFILE";
 /// Output directory for `BENCH_*.json` / `TRACE_*.json` reports.
 pub const BENCH_DIR_ENV: &str = "MIND_BENCH_DIR";
 
-/// Whether the deterministic trace layer records.
-///
-/// Everything recorded at [`On`] is *grouping-invariant* — the same
-/// events with the same virtual timestamps regardless of `MIND_THREADS`,
-/// `MIND_SHARD_THREADS`, or the shard count — so rendered traces are
-/// byte-identical across every execution cell.
-///
-/// [`On`]: TraceLevel::On
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
-pub enum TraceLevel {
-    /// No events recorded; the instrumented paths reduce to a branch.
-    #[default]
-    Off,
-    /// The grouping-invariant event set (datapath, window, service).
-    On,
-}
-
-impl TraceLevel {
-    /// Whether any tracing is active.
-    pub fn enabled(self) -> bool {
-        self != TraceLevel::Off
-    }
-}
-
 /// Parses a positive integer knob; `None` when absent, unparseable, or
 /// zero.
 fn parse_positive(var: Option<&str>) -> Option<usize> {
@@ -84,20 +60,25 @@ pub fn shard_threads() -> Option<usize> {
     parse_shard_threads(std::env::var(SHARD_THREADS_ENV).ok().as_deref())
 }
 
-/// Parse policy for [`TRACE_ENV`]: `1`/`on`/`true` enable the
-/// grouping-invariant set, everything else (including absence) is off.
-pub fn parse_trace_level(var: Option<&str>) -> TraceLevel {
-    match var.map(|s| s.trim().to_ascii_lowercase()).as_deref() {
-        Some("1") | Some("on") | Some("true") => TraceLevel::On,
-        _ => TraceLevel::Off,
-    }
+/// Parse policy for [`TRACE_ENV`]: `1`/`on`/`true` turn the deterministic
+/// trace layer on, everything else (including absence) leaves it off.
+///
+/// Everything traced is *grouping-invariant* — the same events with the
+/// same virtual timestamps regardless of `MIND_THREADS`,
+/// `MIND_SHARD_THREADS`, or the shard count — so rendered traces are
+/// byte-identical across every execution cell.
+pub fn parse_trace_level(var: Option<&str>) -> bool {
+    matches!(
+        var.map(|s| s.trim().to_ascii_lowercase()).as_deref(),
+        Some("1" | "on" | "true")
+    )
 }
 
-/// Trace level from the environment, read once per process and cached
-/// (the hot-path gate must be a load, not a syscall).
-pub fn trace_level() -> TraceLevel {
-    static LEVEL: OnceLock<TraceLevel> = OnceLock::new();
-    *LEVEL.get_or_init(|| parse_trace_level(std::env::var(TRACE_ENV).ok().as_deref()))
+/// Whether tracing is on in the environment, read once per process and
+/// cached (the hot-path gate must be a load, not a syscall).
+pub fn trace_level() -> bool {
+    static ON: OnceLock<bool> = OnceLock::new();
+    *ON.get_or_init(|| parse_trace_level(std::env::var(TRACE_ENV).ok().as_deref()))
 }
 
 /// Parse policy for [`PROFILE_ENV`]: any value but `0`/`off`/empty
@@ -152,27 +133,20 @@ mod tests {
 
     #[test]
     fn trace_level_parses_the_documented_values() {
-        assert_eq!(parse_trace_level(None), TraceLevel::Off);
-        assert_eq!(parse_trace_level(Some("0")), TraceLevel::Off);
-        assert_eq!(parse_trace_level(Some("off")), TraceLevel::Off);
-        assert_eq!(parse_trace_level(Some("1")), TraceLevel::On);
-        assert_eq!(parse_trace_level(Some("on")), TraceLevel::On);
-        assert_eq!(parse_trace_level(Some("TRUE")), TraceLevel::On);
-        assert_eq!(parse_trace_level(Some("garbage")), TraceLevel::Off);
+        assert!(!parse_trace_level(None));
+        assert!(!parse_trace_level(Some("0")));
+        assert!(!parse_trace_level(Some("off")));
+        assert!(parse_trace_level(Some("1")));
+        assert!(parse_trace_level(Some("on")));
+        assert!(parse_trace_level(Some("TRUE")));
+        assert!(!parse_trace_level(Some("garbage")));
     }
 
     /// The retired shard-mark level's spellings are no longer values.
     #[test]
     fn retired_full_spellings_are_off_like_any_unrecognised_value() {
-        assert_eq!(parse_trace_level(Some("2")), TraceLevel::Off);
-        assert_eq!(parse_trace_level(Some("full")), TraceLevel::Off);
-    }
-
-    #[test]
-    fn trace_level_ordering_matches_verbosity() {
-        assert!(TraceLevel::Off < TraceLevel::On);
-        assert!(!TraceLevel::Off.enabled());
-        assert!(TraceLevel::On.enabled());
+        assert!(!parse_trace_level(Some("2")));
+        assert!(!parse_trace_level(Some("full")));
     }
 
     #[test]

@@ -5,19 +5,15 @@
 //! allocation, and the bounded-splitting epoch driver (paper Figure 2). It
 //! also replicates its state to a backup switch for fault tolerance (§4.4);
 //! since control-plane state only changes on metadata operations, the
-//! replication overhead is small. This module accounts for control-plane
-//! work and models the primary/backup version handshake.
-
-use mind_sim::SimTime;
+//! replication overhead is small. This module counts control-plane work and
+//! models the primary/backup version handshake; control-plane operations
+//! take no simulated time.
 
 /// The switch control plane (general-purpose CPU + DRAM).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ControlPlane {
-    syscall_cost: SimTime,
-    rule_install_cost: SimTime,
     syscalls_handled: u64,
     rules_installed: u64,
-    rules_removed: u64,
     /// Monotone version of control-plane state; bumped on every mutation.
     version: u64,
     /// Version most recently replicated to the backup switch.
@@ -26,40 +22,22 @@ pub struct ControlPlane {
 }
 
 impl ControlPlane {
-    /// Creates a control plane with the given operation costs.
-    pub fn new(syscall_cost: SimTime, rule_install_cost: SimTime) -> Self {
-        ControlPlane {
-            syscall_cost,
-            rule_install_cost,
-            syscalls_handled: 0,
-            rules_installed: 0,
-            rules_removed: 0,
-            version: 0,
-            replicated_version: 0,
-            replications: 0,
-        }
-    }
-
-    /// Handles one intercepted system call; returns the CPU time consumed.
-    pub fn handle_syscall(&mut self) -> SimTime {
+    /// Handles one intercepted system call.
+    pub fn handle_syscall(&mut self) {
         self.syscalls_handled += 1;
         self.version += 1;
-        self.syscall_cost
     }
 
-    /// Accounts for installing one data-plane rule (match-action entry or
-    /// directory slot) over PCIe; returns the cost.
-    pub fn install_rule(&mut self) -> SimTime {
+    /// Installs one data-plane rule (match-action entry or directory slot)
+    /// over PCIe.
+    pub fn install_rule(&mut self) {
         self.rules_installed += 1;
         self.version += 1;
-        self.rule_install_cost
     }
 
-    /// Accounts for removing one data-plane rule.
-    pub fn remove_rule(&mut self) -> SimTime {
-        self.rules_removed += 1;
+    /// Removes one data-plane rule.
+    pub fn remove_rule(&mut self) {
         self.version += 1;
-        self.rule_install_cost
     }
 
     /// Replicates state to the backup switch; returns the number of
@@ -95,11 +73,6 @@ impl ControlPlane {
         self.rules_installed
     }
 
-    /// Rules removed from the data plane.
-    pub fn rules_removed(&self) -> u64 {
-        self.rules_removed
-    }
-
     /// Current state version.
     pub fn version(&self) -> u64 {
         self.version
@@ -115,32 +88,27 @@ impl ControlPlane {
 mod tests {
     use super::*;
 
-    fn cp() -> ControlPlane {
-        ControlPlane::new(SimTime::from_micros(15), SimTime::from_micros(2))
-    }
-
     #[test]
-    fn syscalls_cost_time_and_bump_version() {
-        let mut c = cp();
-        assert_eq!(c.handle_syscall(), SimTime::from_micros(15));
+    fn syscalls_bump_version() {
+        let mut c = ControlPlane::default();
+        c.handle_syscall();
         assert_eq!(c.syscalls_handled(), 1);
         assert_eq!(c.version(), 1);
     }
 
     #[test]
     fn rule_lifecycle_counted() {
-        let mut c = cp();
+        let mut c = ControlPlane::default();
         c.install_rule();
         c.install_rule();
         c.remove_rule();
         assert_eq!(c.rules_installed(), 2);
-        assert_eq!(c.rules_removed(), 1);
         assert_eq!(c.version(), 3);
     }
 
     #[test]
     fn replication_ships_deltas_once() {
-        let mut c = cp();
+        let mut c = ControlPlane::default();
         c.handle_syscall();
         c.install_rule();
         assert!(!c.backup_is_current());
@@ -152,7 +120,7 @@ mod tests {
 
     #[test]
     fn failover_returns_replicated_version() {
-        let mut c = cp();
+        let mut c = ControlPlane::default();
         c.handle_syscall();
         c.replicate_to_backup();
         c.install_rule(); // Not yet replicated.

@@ -4,11 +4,11 @@
 //! management must fit into (paper §2.1, §6.3): a TCAM supporting
 //! longest-prefix-match over power-of-two ranges with a hard entry capacity
 //! ([`tcam`]), SRAM partitioned into fixed-size directory slots with a free
-//! list ([`sram`]), match-action stages with limited per-packet compute that
-//! force directory transitions to be split across two MAUs plus a
-//! recirculation ([`mau`], [`pipeline`]), and a control-plane CPU that
-//! installs rules and can replicate its state to a backup switch
-//! ([`control`]).
+//! list ([`sram`]), and a control-plane CPU that installs rules and can
+//! replicate its state to a backup switch ([`control`]). The match-action
+//! pipeline is not modelled here: its one effect, the fixed delay and count
+//! of a directory transition's recirculation (Figure 4), is charged by
+//! `mind-core`'s coherence engine.
 //!
 //! The crate deliberately contains *mechanism only*; MIND's policies
 //! (translation layout, protection classes, the MSI protocol, bounded
@@ -19,13 +19,9 @@
 #![forbid(unsafe_code)]
 
 pub mod control;
-pub mod mau;
-pub mod pipeline;
 pub mod sram;
 pub mod tcam;
 
 pub use control::ControlPlane;
-pub use mau::{ExactTable, MauStage};
-pub use pipeline::Pipeline;
 pub use sram::SlotStore;
 pub use tcam::{pow2_cover, Tcam, TcamEntry};

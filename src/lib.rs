@@ -10,7 +10,7 @@
 //! | [`sim`] | §7 methodology | deterministic event loop, RNG, stats |
 //! | [`obs`] | §7 methodology | deterministic tracing, windowed telemetry, wall-clock profiling |
 //! | [`net`] | §2, §4.4 | rack fabric, links, multicast, reliability |
-//! | [`switch`] | §2.1, §6.3 | TCAM, SRAM slots, MAU pipeline |
+//! | [`switch`] | §2.1, §6.3 | TCAM, SRAM slots, control plane |
 //! | [`blade`] | §6.1, §6.2 | compute-blade cache, memory blade |
 //! | [`core`] | §4–§6 | translation, protection, coherence, splitting |
 //! | [`baselines`] | §7 | GAM and FastSwap comparison systems |

@@ -185,11 +185,15 @@ fn pipeline_recirculates_per_transition() {
     let (mut c, pid, base) = rack();
     c.access_as(ms(1), 0, pid, base, AccessKind::Read).unwrap();
     c.access_as(ms(2), 1, pid, base, AccessKind::Write).unwrap();
-    let m = c.metrics_snapshot();
-    assert!(
-        m.get("pipeline_recirculations") >= 2,
+    assert_eq!(
+        c.metrics_snapshot().get("pipeline_recirculations"),
+        2,
         "each directory transition recirculates once (Figure 4)"
     );
+    // A local hit never reaches the switch pipeline.
+    let out = c.access_as(ms(3), 1, pid, base, AccessKind::Read).unwrap();
+    assert!(!out.remote);
+    assert_eq!(c.metrics_snapshot().get("pipeline_recirculations"), 2);
 }
 
 #[test]
