@@ -2,11 +2,10 @@
 //! value and exits non-zero if any deterministic value differs or exists
 //! in only one of them.
 //!
-//! The harness writer prints one key or array element per line, so the
-//! comparison is line-based: each scalar is keyed by the path of object
-//! keys and array positions above it. Ignored: `generator`, and the
-//! host-lane keys — anything at or under a key that contains `wall_secs`,
-//! `speedup` or `peak_rss_mb`. Two files whose `mode` headers differ (a
+//! Each scalar is keyed by the path of object keys and array positions
+//! above it, as `mind_harness::report::read_values` reads the file.
+//! Ignored: `generator`, and the host-lane keys — anything at or under a
+//! key that contains `wall_secs`, `speedup` or `peak_rss_mb`. Two files whose `mode` headers differ (a
 //! `--quick` run against a full one) are not compared at all: exit 2,
 //! "modes differ", instead of a difference per value.
 
@@ -15,47 +14,16 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
+use mind_harness::report;
+
 /// Key fragments that mark a host-time or host-memory value.
 const HOST_LANE: [&str; 3] = ["wall_secs", "speedup", "peak_rss_mb"];
 
-/// Every compared scalar of a rendered BENCH document, by path.
+/// Every compared scalar of a rendered BENCH document, by path: what
+/// [`report::read_values`] reads, less `generator` and the host lane.
 fn values(text: &str) -> BTreeMap<String, String> {
-    let mut out = BTreeMap::new();
-    // The open containers: (name, elements seen so far).
-    let mut stack: Vec<(String, usize)> = Vec::new();
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        if line == "}" || line == "]" {
-            stack.pop();
-            continue;
-        }
-        let (key, value) = match line.strip_prefix('"').and_then(|l| l.split_once("\": ")) {
-            Some((key, value)) => (key.to_string(), value),
-            // An array element: keyed by its position.
-            None => {
-                let position = stack.last_mut().map_or(0, |(_, seen)| {
-                    *seen += 1;
-                    *seen - 1
-                });
-                (position.to_string(), line)
-            }
-        };
-        if value == "{" || value == "[" {
-            stack.push((key, 0));
-            continue;
-        }
-        // The document's own braces are the outermost container.
-        let mut path: String = stack
-            .iter()
-            .skip(1)
-            .map(|(name, _)| format!("{name}/"))
-            .collect();
-        path.push_str(&key);
-        if key == "generator" || HOST_LANE.iter().any(|lane| path.contains(lane)) {
-            continue;
-        }
-        out.insert(path, value.to_string());
-    }
+    let mut out = report::read_values(text);
+    out.retain(|path, _| path != "generator" && !HOST_LANE.iter().any(|lane| path.contains(lane)));
     out
 }
 

@@ -54,8 +54,10 @@ fn host_cores() -> usize {
 }
 
 fn main() {
-    let results = mind_bench::figures::run_main("datapath");
-    if !std::env::args().any(|a| a == "--quick") {
+    let quick = std::env::args().any(|a| a == "--quick");
+    let figures = mind_bench::figures::matching("datapath");
+    let results = mind_bench::figures::run_suite("datapath", &figures, quick);
+    if !quick {
         return;
     }
     let mut failed = false;

@@ -3,10 +3,11 @@
 //! Concatenates every figure's scenario table (see
 //! `mind_bench::figures::all`), fans the combined table across the
 //! engine's workers (`MIND_THREADS`, default `available_parallelism`),
-//! prints each figure's paper-style rows, and writes the combined
-//! `BENCH_suite.json` perf report — per-scenario metrics plus the
-//! `Metrics::merge` suite aggregate. Output is byte-identical for any
-//! worker count.
+//! writes the combined `BENCH_suite.json` perf report — per-scenario
+//! metrics plus the `Metrics::merge` suite aggregate — and prints each
+//! figure's declared columns from that file, one row per scenario, every
+//! cell a BENCH value verbatim. Output is byte-identical for any worker
+//! count.
 //!
 //! Flags:
 //! - `--quick`: the CI-sized variant (smaller op budgets, shorter spans);

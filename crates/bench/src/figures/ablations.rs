@@ -2,14 +2,13 @@
 //! placement.
 
 use mind_core::cluster::MindConfig;
-use mind_core::stt::{Protocol, SttTable};
+use mind_core::stt::Protocol;
 use mind_core::system::ConsistencyModel;
-use mind_harness::{footprint_pages, Scenario, ScenarioResult, SystemSpec, WorkloadSpec, REAL_WORKLOADS};
+use mind_harness::{footprint_pages, Scenario, SystemSpec, WorkloadSpec, REAL_WORKLOADS};
 use mind_workloads::kvs::KvsConfig;
 use mind_workloads::runner::RunConfig;
 
 use super::scaled_ops;
-use crate::print_table;
 
 // ---- Coherence protocols: MSI vs MESI vs MOESI ----
 //
@@ -54,44 +53,6 @@ pub fn protocols_build(quick: bool) -> Vec<Scenario> {
     table
 }
 
-/// Prints the protocol ablation.
-pub fn protocols_present(results: &[ScenarioResult]) {
-    let mut next = results.iter();
-    for wl_name in REAL_WORKLOADS {
-        let mut msi_runtime = None;
-        let rows: Vec<Vec<String>> = PROTOCOLS
-            .iter()
-            .map(|&protocol| {
-                let report = next.next().expect("table shape").report();
-                let base = *msi_runtime.get_or_insert(report.runtime);
-                vec![
-                    protocol.name().to_string(),
-                    format!(
-                        "{:.3}",
-                        base.as_nanos() as f64 / report.runtime.as_nanos() as f64
-                    ),
-                    report.metrics.get("upgrades").to_string(),
-                    report.metrics.get("flushed_pages").to_string(),
-                    report.metrics.get("invalidation_rounds").to_string(),
-                    SttTable::new(protocol).rows().to_string(),
-                ]
-            })
-            .collect();
-        print_table(
-            &format!("§8 ablation — {wl_name}: coherence protocol (perf normalized to MSI)"),
-            &[
-                "protocol",
-                "perf",
-                "upgrades",
-                "flushed",
-                "inv rounds",
-                "STT rows",
-            ],
-            &rows,
-        );
-    }
-}
-
 // ---- Thread placement: sharers split vs co-located ----
 //
 // A partitioned KVS under YCSB-A where threads `t` and `t + n/2` share a
@@ -130,41 +91,4 @@ pub fn placement_build(quick: bool) -> Vec<Scenario> {
             )
         })
         .collect()
-}
-
-/// Prints the placement ablation.
-pub fn placement_present(results: &[ScenarioResult]) {
-    let stat = |r: &ScenarioResult| {
-        let report = r.report();
-        (
-            report.mops,
-            report.window_metrics.get("invalidation_rounds"),
-            report.window_metrics.get("flushed_pages"),
-        )
-    };
-    let (g_mops, g_inv, g_flush) = stat(&results[0]);
-    let (c_mops, c_inv, c_flush) = stat(&results[1]);
-    print_table(
-        "§8 ablation — thread placement (KVS YCSB-A, sharers in pairs, 2 blades)",
-        &["placement", "MOPS", "inv rounds", "flushed"],
-        &[
-            vec![
-                "sharers split".into(),
-                format!("{g_mops:.3}"),
-                g_inv.to_string(),
-                g_flush.to_string(),
-            ],
-            vec![
-                "sharers co-located".into(),
-                format!("{c_mops:.3}"),
-                c_inv.to_string(),
-                c_flush.to_string(),
-            ],
-        ],
-    );
-    println!(
-        "\nco-location speedup: {:.2}x — invalidations between co-located\n\
-         threads never leave the blade (§8 'Thread management')",
-        c_mops / g_mops
-    );
 }

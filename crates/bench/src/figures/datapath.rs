@@ -61,14 +61,13 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use mind_core::system::ConsistencyModel;
-use mind_harness::{Scenario, ScenarioOutput, ScenarioResult, SystemSpec, WorkloadSpec};
+use mind_harness::{Scenario, ScenarioOutput, SystemSpec, WorkloadSpec};
 use mind_service::{population_spec, tenant_partitions, TenantGroupConfig};
 use mind_workloads::micro::MicroConfig;
 use mind_workloads::run_sharded_threads;
 use mind_workloads::runner::{self, Concurrency, RunConfig, RunReport};
 
 use super::scaled_ops;
-use crate::print_table;
 
 /// Batch sizes swept (1 = the earliest thread is re-picked after every op).
 pub const BATCH_SIZES: [u64; 4] = [1, 8, 64, 256];
@@ -117,10 +116,8 @@ static MEASURE_LOCK: Mutex<()> = Mutex::new(());
 /// One hot-path regime of the sweep.
 #[derive(Clone, Copy)]
 struct Regime {
-    /// Short key used in scenario names and the report table.
+    /// Short key used in scenario names.
     key: &'static str,
-    /// What the regime stresses.
-    title: &'static str,
     micro: MicroConfig,
     n_compute: u16,
     threads_per_blade: u16,
@@ -133,7 +130,6 @@ fn regimes() -> [Regime; 3] {
     [
         Regime {
             key: "remote",
-            title: "fault-dominated (footprint >> cache)",
             micro: MicroConfig {
                 n_threads: 4,
                 read_ratio: 0.5,
@@ -147,7 +143,6 @@ fn regimes() -> [Regime; 3] {
         },
         Regime {
             key: "resident",
-            title: "cache-resident (local hits)",
             micro: MicroConfig {
                 n_threads: 8,
                 read_ratio: 0.9,
@@ -161,7 +156,6 @@ fn regimes() -> [Regime; 3] {
         },
         Regime {
             key: "contended",
-            title: "invalidation-heavy (small hot shared region)",
             micro: MicroConfig {
                 n_threads: 8,
                 read_ratio: 0.3,
@@ -477,178 +471,4 @@ pub fn build(quick: bool) -> Vec<Scenario> {
     table.push(population_point("xl", 16, 8192, XL_SHARDS, &SHARD_THREADS));
     table.push(population_point("xxl", XXL_SHARDS, 16_384, XXL_SHARDS, &XXL_THREADS));
     table
-}
-
-/// Prints the datapath sweep tables.
-pub fn present(results: &[ScenarioResult]) {
-    let rows: Vec<Vec<String>> = results
-        .iter()
-        .zip(regimes())
-        .map(|(r, regime)| {
-            let mut cells = vec![regime.key.to_string()];
-            for &batch in &BATCH_SIZES {
-                cells.push(format!("{:.3}", r.value(&format!("sim_mops_b{batch}"))));
-            }
-            cells
-        })
-        .collect();
-    print_table(
-        "datapath — simulated MOPS vs batch_ops (turn size) at window 1",
-        &["regime", "b=1", "b=8", "b=64", "b=256"],
-        &rows,
-    );
-    let rows: Vec<Vec<String>> = results
-        .iter()
-        .zip(regimes())
-        .map(|(r, regime)| {
-            let mut cells = vec![
-                regime.key.to_string(),
-                format!("{:.3}", r.value("sim_mops_b1")),
-                format!("{:.3}", r.value("sim_mops_b64")),
-            ];
-            for &window in &WINDOWS {
-                cells.push(format!("{:.3}", r.value(&format!("sim_mops_b64_w{window}"))));
-            }
-            for &window in &WINDOWS {
-                cells.push(format!(
-                    "{:.2}x",
-                    r.value(&format!("overlap_recovery_w{window}"))
-                ));
-            }
-            cells
-        })
-        .collect();
-    let mut headers = vec!["regime".to_string(), "b=1".to_string(), "b64/w1".to_string()];
-    headers.extend(WINDOWS.iter().map(|w| format!("b64/w{w}")));
-    headers.extend(WINDOWS.iter().map(|w| format!("recov w{w}")));
-    let headers: Vec<&str> = headers.iter().map(String::as_str).collect();
-    print_table(
-        "datapath — RTT overlap within a turn: simulated MOPS at batch 64 vs window \
-         (recovery is vs the b=1 serialized baseline)",
-        &headers,
-        &rows,
-    );
-    let rows: Vec<Vec<String>> = results
-        .iter()
-        .zip(regimes())
-        .map(|(r, regime)| {
-            let mut cells = vec![regime.key.to_string()];
-            for &window in &WINDOWS {
-                cells.push(format!(
-                    "{:.3}",
-                    r.value(&format!("sim_mops_b64_xturn_w{window}"))
-                ));
-            }
-            for &window in &WINDOWS {
-                cells.push(format!(
-                    "{:.2}x",
-                    r.value(&format!("overlap_recovery_w{window}"))
-                ));
-                cells.push(format!(
-                    "{:.2}x",
-                    r.value(&format!("xturn_recovery_w{window}"))
-                ));
-            }
-            cells
-        })
-        .collect();
-    let mut headers = vec!["regime".to_string()];
-    headers.extend(WINDOWS.iter().map(|w| format!("xturn b64/w{w}")));
-    for w in &WINDOWS {
-        headers.push(format!("turn recov w{w}"));
-        headers.push(format!("xturn recov w{w}"));
-    }
-    let headers: Vec<&str> = headers.iter().map(String::as_str).collect();
-    print_table(
-        "datapath — no turn barrier: cluster-mode MOPS at batch 64 \
-         (xturn recovery vs the b=1 serialized baseline, next to the turnwise figure)",
-        &headers,
-        &rows,
-    );
-    for regime in regimes() {
-        println!("   {:<10} {}", regime.key, regime.title);
-    }
-
-    // The sharded scaling point rides as the table's last scenarios.
-    if let Some(r) = results.iter().find(|r| r.name.ends_with("/shards")) {
-        let mut cells = vec![
-            format!("{:.0}", r.value("shard_tenants")),
-            format!("{:.0}", r.value("shard_total_ops")),
-        ];
-        for &shards in &SHARD_COUNTS {
-            cells.push(format!("{:.2}s", r.value(&format!("shard_wall_secs_s{shards}"))));
-        }
-        cells.push(format!("{:.2}x", r.value("shard_speedup_s2")));
-        cells.push(format!("{:.2}x", r.value("shard_speedup_s4")));
-        print_table(
-            "datapath — sharded large-scenario replay (byte-identical to the fused \
-             reference; wall seconds, speedup vs shards=1)",
-            &["tenants", "ops", "s=1", "s=2", "s=4", "speedup s2", "speedup s4"],
-            &[cells],
-        );
-        let top_shards = *SHARD_COUNTS.last().expect("non-empty");
-        let mut cells = vec![format!("s={top_shards}")];
-        for &threads in &SHARD_THREADS {
-            cells.push(format!(
-                "{:.2}s",
-                r.value(&format!("shard_wall_secs_s{top_shards}_t{threads}"))
-            ));
-        }
-        for &threads in &SHARD_THREADS {
-            cells.push(format!(
-                "{:.2}x",
-                r.value(&format!("shard_speedup_s{top_shards}_t{threads}"))
-            ));
-        }
-        print_table(
-            "datapath — multi-core shard execution (OS threads over the same shards; \
-             byte-identical output, speedup vs shards=1 single-threaded)",
-            &["cell", "t=1", "t=2", "t=4", "speedup t1", "speedup t2", "speedup t4"],
-            &[cells],
-        );
-    }
-    if let Some(r) = results.iter().find(|r| r.name.ends_with("/shards_xl")) {
-        let mut cells = vec![
-            format!("{:.0}", r.value("shard_xl_tenants")),
-            format!("{:.0}", r.value("shard_xl_shards")),
-            format!("{:.0}", r.value("shard_xl_total_ops")),
-        ];
-        for &threads in &SHARD_THREADS {
-            cells.push(format!(
-                "{:.2}s",
-                r.value(&format!("shard_xl_wall_secs_t{threads}"))
-            ));
-        }
-        print_table(
-            "datapath — 131 072-tenant sharded replay (no affordable fused reference; \
-             byte-identical across thread counts; wall seconds per thread count)",
-            &["tenants", "shards", "ops", "t=1", "t=2", "t=4"],
-            &[cells],
-        );
-    }
-    if let Some(r) = results.iter().find(|r| r.name.ends_with("/shards_xxl")) {
-        let mut cells = vec![
-            format!("{:.0}", r.value("shard_xxl_tenants")),
-            format!("{:.0}", r.value("shard_xxl_shards")),
-            format!("{:.0}", r.value("shard_xxl_total_ops")),
-        ];
-        for &threads in &XXL_THREADS {
-            cells.push(format!(
-                "{:.2}s",
-                r.value(&format!("shard_xxl_wall_secs_t{threads}"))
-            ));
-        }
-        for &threads in &XXL_THREADS {
-            cells.push(format!(
-                "{:.0}M",
-                r.value(&format!("shard_xxl_peak_rss_mb_t{threads}"))
-            ));
-        }
-        print_table(
-            "datapath — 1 048 576-tenant streamed sharded replay (byte-identical across \
-             thread counts; wall seconds and peak RSS per thread count)",
-            &["tenants", "shards", "ops", "t=1", "t=4", "rss t=1", "rss t=4"],
-            &[cells],
-        );
-    }
 }

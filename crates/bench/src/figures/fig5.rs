@@ -2,13 +2,11 @@
 //! inter-blade; right: Native-KVS throughput).
 
 use mind_core::system::ConsistencyModel;
-use mind_harness::{Scenario, ScenarioResult, SystemSpec, WorkloadSpec, REAL_WORKLOADS};
-use mind_sim::SimTime;
+use mind_harness::{Scenario, SystemSpec, WorkloadSpec, REAL_WORKLOADS};
 use mind_workloads::kvs::KvsConfig;
 use mind_workloads::runner::RunConfig;
 
 use super::scaled_ops;
-use crate::print_table;
 
 fn replay_cfg(ops_per_thread: u64, threads_per_blade: u16) -> RunConfig {
     RunConfig {
@@ -17,14 +15,6 @@ fn replay_cfg(ops_per_thread: u64, threads_per_blade: u16) -> RunConfig {
         threads_per_blade,
         ..Default::default()
     }
-}
-
-/// Normalized performance: `baseline / runtime` (Figure 5's y-axis).
-fn norm(baseline: SimTime, runtime: SimTime) -> String {
-    format!(
-        "{:.3}",
-        baseline.as_nanos() as f64 / runtime.as_nanos() as f64
-    )
 }
 
 // ---- Figure 5 (left): intra-blade scaling ----
@@ -61,29 +51,6 @@ pub fn intra_build(quick: bool) -> Vec<Scenario> {
         }
     }
     table
-}
-
-/// Prints Figure 5 (left).
-pub fn intra_present(results: &[ScenarioResult]) {
-    let mut next = results.iter();
-    for wl_name in REAL_WORKLOADS {
-        let mut rows = Vec::new();
-        let mut baseline = None;
-        for &threads in &INTRA_THREADS {
-            let mut cells = vec![threads.to_string()];
-            for _ in 0..3 {
-                let runtime = next.next().expect("table shape").report().runtime;
-                let base = *baseline.get_or_insert(runtime); // MIND @ 1 thread.
-                cells.push(norm(base, runtime));
-            }
-            rows.push(cells);
-        }
-        print_table(
-            &format!("Figure 5 (left) — {wl_name}: normalized perf vs #threads, 1 blade"),
-            &["threads", "MIND", "FastSwap", "GAM"],
-            &rows,
-        );
-    }
 }
 
 // ---- Figure 5 (center): inter-blade scaling ----
@@ -126,29 +93,6 @@ pub fn inter_build(quick: bool) -> Vec<Scenario> {
         }
     }
     table
-}
-
-/// Prints Figure 5 (center).
-pub fn inter_present(results: &[ScenarioResult]) {
-    let mut next = results.iter();
-    for wl_name in REAL_WORKLOADS {
-        let mut rows = Vec::new();
-        let mut baseline = None;
-        for &blades in &INTER_BLADES {
-            let mut cells = vec![blades.to_string()];
-            for _ in 0..4 {
-                let runtime = next.next().expect("table shape").report().runtime;
-                let base = *baseline.get_or_insert(runtime); // MIND @ 1 blade.
-                cells.push(norm(base, runtime));
-            }
-            rows.push(cells);
-        }
-        print_table(
-            &format!("Figure 5 (center) — {wl_name}: normalized perf vs #blades"),
-            &["blades", "MIND", "MIND-PSO", "MIND-PSO+", "GAM"],
-            &rows,
-        );
-    }
 }
 
 // ---- Figure 5 (right): Native-KVS throughput (MOPS) ----
@@ -209,46 +153,4 @@ pub fn kvs_build(quick: bool) -> Vec<Scenario> {
         }
     }
     table
-}
-
-/// Prints Figure 5 (right).
-pub fn kvs_present(results: &[ScenarioResult]) {
-    let mut next = results.iter();
-    for mix in KVS_MIXES {
-        let rows: Vec<Vec<String>> = KVS_SINGLE_THREADS
-            .iter()
-            .map(|&threads| {
-                let mind = next.next().expect("table shape").report().mops;
-                let fastswap = next.next().expect("table shape").report().mops;
-                vec![
-                    threads.to_string(),
-                    format!("{mind:.3}"),
-                    format!("{fastswap:.3}"),
-                ]
-            })
-            .collect();
-        print_table(
-            &format!("Figure 5 (right) — Native-KVS YCSB-{mix}, single blade (MOPS)"),
-            &["threads", "MIND", "FastSwap"],
-            &rows,
-        );
-    }
-    for mix in KVS_MIXES {
-        let rows: Vec<Vec<String>> = KVS_MULTI_THREADS
-            .iter()
-            .map(|&threads| {
-                let mind = next.next().expect("table shape").report().mops;
-                vec![
-                    threads.to_string(),
-                    (threads / 10).to_string(),
-                    format!("{mind:.3}"),
-                ]
-            })
-            .collect();
-        print_table(
-            &format!("Figure 5 (right) — Native-KVS YCSB-{mix}, multiple blades (MOPS, MIND)"),
-            &["threads", "blades", "MIND"],
-            &rows,
-        );
-    }
 }

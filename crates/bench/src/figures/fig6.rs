@@ -4,14 +4,17 @@
 //! fraction of total memory accesses for TF / GC / MA / MC at 1–8 compute
 //! blades. Expected shape (paper): all three rates grow with blade count;
 //! GC's growth is much steeper than TF's; MA and MC trigger over 10× more
-//! invalidations and page flushes than either.
+//! invalidations and page flushes than either. Here remote accesses grow
+//! for every workload, GC's more steeply than TF's, but invalidations and
+//! flushes grow only for MA and MC: TF's and GC's stay small and flat (TF's
+//! flushes fall from 2 to 8 blades). `tests/figure_claims.rs` asserts what
+//! holds.
 
 use mind_core::system::ConsistencyModel;
-use mind_harness::{Scenario, ScenarioResult, SystemSpec, WorkloadSpec, REAL_WORKLOADS};
+use mind_harness::{Scenario, SystemSpec, WorkloadSpec, REAL_WORKLOADS};
 use mind_workloads::runner::RunConfig;
 
 use super::scaled_ops;
-use crate::print_table;
 
 const THREADS_PER_BLADE: u16 = 10;
 const BLADES: [u16; 4] = [1, 2, 4, 8];
@@ -41,28 +44,4 @@ pub fn build(quick: bool) -> Vec<Scenario> {
         }
     }
     table
-}
-
-/// Prints Figure 6.
-pub fn present(results: &[ScenarioResult]) {
-    let mut next = results.iter();
-    for wl_name in REAL_WORKLOADS {
-        let rows: Vec<Vec<String>> = BLADES
-            .iter()
-            .map(|&blades| {
-                let report = next.next().expect("table shape").report();
-                vec![
-                    blades.to_string(),
-                    format!("{:.2e}", report.remote_per_op),
-                    format!("{:.2e}", report.invalidations_per_op),
-                    format!("{:.2e}", report.flushed_per_op),
-                ]
-            })
-            .collect();
-        print_table(
-            &format!("Figure 6 — {wl_name}: occurrence per access vs #blades"),
-            &["blades", "remote", "invalidations", "flushed"],
-            &rows,
-        );
-    }
 }

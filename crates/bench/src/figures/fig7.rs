@@ -3,13 +3,12 @@
 
 use mind_core::cluster::{MindCluster, MindConfig};
 use mind_core::system::{AccessKind, ConsistencyModel};
-use mind_harness::{Scenario, ScenarioOutput, ScenarioResult, SystemSpec, WorkloadSpec};
+use mind_harness::{Scenario, ScenarioOutput, SystemSpec, WorkloadSpec};
 use mind_sim::SimTime;
 use mind_workloads::micro::MicroConfig;
 use mind_workloads::runner::RunConfig;
 
 use super::scaled_ops;
-use crate::print_table;
 
 // ---- Figure 7 (left): MSI transition latency ----
 //
@@ -129,38 +128,6 @@ pub fn transitions_build(quick: bool) -> Vec<Scenario> {
     table
 }
 
-/// Prints Figure 7 (left).
-pub fn transitions_present(results: &[ScenarioResult]) {
-    let mut next = results.iter();
-    let rows: Vec<Vec<String>> = TRANSITION_RACKS
-        .iter()
-        .map(|&blades| {
-            let mut cells = vec![format!("{blades}C")];
-            for _ in TRANSITIONS {
-                cells.push(format!(
-                    "{:.1}",
-                    next.next().expect("table shape").value("latency_us")
-                ));
-            }
-            cells
-        })
-        .collect();
-    print_table(
-        "Figure 7 (left) — MSI transition latency (us)",
-        &[
-            "rack",
-            "S->S",
-            "I->S",
-            "I->M",
-            "S->M (inval)",
-            "M->S (inval)",
-            "M->M (inval)",
-        ],
-        &rows,
-    );
-    println!("\npaper (2C): S->S 8.5  I->S/M 9.3-9.4  S->M 8.6  M->S/M 18.0");
-}
-
 // ---- Figure 7 (center): 4 KB IOPS vs sharing ratio ----
 //
 // 8 compute blades × 1 thread over the §7.2 microbenchmark (uniform
@@ -226,28 +193,6 @@ pub fn throughput_build(quick: bool) -> Vec<Scenario> {
     table
 }
 
-/// Prints Figure 7 (center).
-pub fn throughput_present(results: &[ScenarioResult]) {
-    let mut next = results.iter();
-    let rows: Vec<Vec<String>> = SHARING_RATIOS
-        .iter()
-        .map(|&sharing| {
-            let mut cells = vec![format!("{sharing:.2}")];
-            for _ in READ_RATIOS {
-                // 4 KB IOPS: page-granularity operations per second.
-                let report = next.next().expect("table shape").report();
-                cells.push(format!("{:.2e}", report.mops * 1e6));
-            }
-            cells
-        })
-        .collect();
-    print_table(
-        "Figure 7 (center) — 4KB IOPS, sharing ratio (rows) x read ratio (cols)",
-        &["sharing", "R=1.0", "R=0.75", "R=0.5", "R=0.25", "R=0.0"],
-        &rows,
-    );
-}
-
 // ---- Figure 7 (right): latency breakdown at sharing ratio 1 ----
 //
 // Mean per-remote-access latency decomposed into page-fault handling,
@@ -278,44 +223,4 @@ pub fn breakdown_build(quick: bool) -> Vec<Scenario> {
         }
     }
     table
-}
-
-/// Prints Figure 7 (right).
-pub fn breakdown_present(results: &[ScenarioResult]) {
-    let mut next = results.iter();
-    for &read_ratio in &BREAKDOWN_READ_RATIOS {
-        let rows: Vec<Vec<String>> = BREAKDOWN_BLADES
-            .iter()
-            .map(|&blades| {
-                let report = next.next().expect("table shape").report();
-                let remotes = (report.remote_per_op * report.total_ops as f64).max(1.0);
-                let us = |ns: u128| ns as f64 / remotes / 1000.0;
-                let fault = us(report.sum_fault_ns);
-                let net = us(report.sum_network_ns);
-                let invq = us(report.sum_inv_queue_ns);
-                let invtlb = us(report.sum_inv_tlb_ns);
-                vec![
-                    blades.to_string(),
-                    format!("{fault:.2}"),
-                    format!("{net:.2}"),
-                    format!("{invq:.2}"),
-                    format!("{invtlb:.2}"),
-                    format!("{:.2}", fault + net + invq + invtlb),
-                ]
-            })
-            .collect();
-        print_table(
-            &format!("Figure 7 (right) — latency breakdown per remote access (us), R={read_ratio}"),
-            &[
-                "blades",
-                "PgFault",
-                "Network",
-                "Inv(queue)",
-                "Inv(TLB)",
-                "total",
-            ],
-            &rows,
-        );
-    }
-    println!("\npaper totals at 8 blades: R=0 31.6  R=0.5 20.5  R=1 15.1 (us)");
 }

@@ -4,14 +4,11 @@
 use mind_core::cluster::{scaled_dir_capacity, MindCluster, MindConfig};
 use mind_core::galloc::GlobalAllocator;
 use mind_core::system::ConsistencyModel;
-use mind_harness::{
-    footprint_pages, Scenario, ScenarioOutput, ScenarioResult, WorkloadSpec, REAL_WORKLOADS,
-};
+use mind_harness::{footprint_pages, Scenario, ScenarioOutput, WorkloadSpec, REAL_WORKLOADS};
 use mind_sim::stats::jains_index;
 use mind_workloads::runner::{run, RunConfig};
 
 use super::scaled_ops;
-use crate::print_table;
 
 // ---- Figure 8 (left): directory entries over time ----
 //
@@ -67,47 +64,6 @@ pub fn directory_build(quick: bool) -> Vec<Scenario> {
         .collect()
 }
 
-/// Prints Figure 8 (left).
-pub fn directory_present(results: &[ScenarioResult]) {
-    for (result, wl_name) in results.iter().zip(REAL_WORKLOADS) {
-        let capacity = result.value("dir_capacity");
-        let points = &result
-            .output
-            .series
-            .iter()
-            .find(|(k, _)| k == "directory_entries")
-            .expect("directory series")
-            .1;
-        // Sample up to 12 evenly spaced epochs.
-        let step = (points.len() / 12).max(1);
-        let rows: Vec<Vec<String>> = points
-            .iter()
-            .step_by(step)
-            .map(|&(t_ms, v)| {
-                vec![
-                    format!("{t_ms:.1}"),
-                    format!("{v:.0}"),
-                    format!("{:.0}%", v / capacity * 100.0),
-                ]
-            })
-            .collect();
-        print_table(
-            &format!(
-                "Figure 8 (left) — {wl_name}: directory entries over time (limit = {capacity:.0})"
-            ),
-            &["t(ms)", "entries", "of limit"],
-            &rows,
-        );
-        let report = result.report();
-        println!(
-            "  watermark={}  forced_merges={}  runtime={}",
-            report.metrics.get("directory_watermark"),
-            report.metrics.get("forced_merges"),
-            report.runtime
-        );
-    }
-}
-
 // ---- Figure 8 (center): match-action rules vs rack size ----
 //
 // Compares MIND's translation+protection rule count against page-table
@@ -117,7 +73,6 @@ pub fn directory_present(results: &[ScenarioResult]) {
 // grow linearly with dataset size, crossing the ~45 k switch limit for
 // 2 MB pages.
 
-const RULE_LIMIT: u64 = 45_000;
 const RULE_BLADES: [u16; 4] = [1, 2, 4, 8];
 /// MA and MC share allocations; group them as the paper does.
 const GROUPS: [(&str, &str); 3] = [("TF", "TF"), ("GC", "GC"), ("MA&C", "MA")];
@@ -171,34 +126,6 @@ pub fn rules_build(quick: bool) -> Vec<Scenario> {
         }
     }
     table
-}
-
-/// Prints Figure 8 (center).
-pub fn rules_present(results: &[ScenarioResult]) {
-    let mut next = results.iter();
-    for (label, _) in GROUPS {
-        let rows: Vec<Vec<String>> = RULE_BLADES
-            .iter()
-            .map(|&blades| {
-                let r = next.next().expect("table shape");
-                let rules_2mb = r.value("rules_2mb") as u64;
-                vec![
-                    blades.to_string(),
-                    format!("{} ({} vmas)", r.value("mind_rules"), r.value("vma_count")),
-                    rules_2mb.to_string(),
-                    (r.value("rules_1gb") as u64).to_string(),
-                    if rules_2mb > RULE_LIMIT { "2MB over" } else { "ok" }.to_string(),
-                ]
-            })
-            .collect();
-        print_table(
-            &format!(
-                "Figure 8 (center) — {label}: match-action rules vs #blades (limit {RULE_LIMIT})"
-            ),
-            &["blades", "MIND", "2MB pages", "1GB pages", "capacity"],
-            &rows,
-        );
-    }
 }
 
 // ---- Figure 8 (right): allocation fairness across memory blades ----
@@ -299,28 +226,4 @@ pub fn fairness_build(_quick: bool) -> Vec<Scenario> {
         }
     }
     table
-}
-
-/// Prints Figure 8 (right).
-pub fn fairness_present(results: &[ScenarioResult]) {
-    let mut next = results.iter();
-    for (label, _) in GROUPS {
-        let rows: Vec<Vec<String>> = RULE_BLADES
-            .iter()
-            .map(|&blades| {
-                let r = next.next().expect("table shape");
-                vec![
-                    blades.to_string(),
-                    format!("{:.3}", r.value("mind")),
-                    format!("{:.3}", r.value("pages_2mb")),
-                    format!("{:.3}", r.value("pages_1gb")),
-                ]
-            })
-            .collect();
-        print_table(
-            &format!("Figure 8 (right) — {label}: Jain's fairness of blade load"),
-            &["blades", "MIND", "2MB pages", "1GB pages"],
-            &rows,
-        );
-    }
 }

@@ -4,12 +4,11 @@
 use mind_core::cluster::{scaled_cache_pages, scaled_dir_capacity, MindConfig};
 use mind_core::split::SplitConfig;
 use mind_core::system::ConsistencyModel;
-use mind_harness::{footprint_pages, Scenario, ScenarioResult, SystemSpec, WorkloadSpec};
+use mind_harness::{footprint_pages, Scenario, SystemSpec, WorkloadSpec};
 use mind_sim::SimTime;
 use mind_workloads::runner::RunConfig;
 
 use super::scaled_ops;
-use crate::print_table;
 
 const THREADS_PER_BLADE: u16 = 10;
 const BLADES: u16 = 8;
@@ -99,43 +98,6 @@ pub fn tradeoff_build(quick: bool) -> Vec<Scenario> {
     table
 }
 
-/// Prints Figure 9 (left).
-pub fn tradeoff_present(results: &[ScenarioResult]) {
-    let mut next = results.iter();
-    for wl_name in WORKLOADS {
-        let points: Vec<(&str, u64, u64)> = FIXED_GRANULARITIES
-            .iter()
-            .map(|&(label, _)| label)
-            .chain(["BS"])
-            .map(|label| {
-                let report = next.next().expect("table shape").report();
-                (
-                    label,
-                    report.metrics.get("false_invalidations"),
-                    report.metrics.get("directory_watermark"),
-                )
-            })
-            .collect();
-        let norm = points[0].1.max(1) as f64;
-        let rows: Vec<Vec<String>> = points
-            .iter()
-            .map(|&(label, false_inv, entries)| {
-                vec![
-                    label.to_string(),
-                    false_inv.to_string(),
-                    format!("{:.3}", false_inv as f64 / norm),
-                    entries.to_string(),
-                ]
-            })
-            .collect();
-        print_table(
-            &format!("Figure 9 (left) — {wl_name}: region granularity tradeoff"),
-            &["region", "false inv", "norm (vs 2MB)", "dir entries"],
-            &rows,
-        );
-    }
-}
-
 // ---- Figure 9 (right): epoch and initial-region-size sensitivity ----
 //
 // Sweeps (a) the epoch length and (b) the initial region size, reporting
@@ -197,55 +159,4 @@ pub fn sensitivity_build(quick: bool) -> Vec<Scenario> {
         }
     }
     table
-}
-
-/// Prints Figure 9 (right).
-pub fn sensitivity_present(results: &[ScenarioResult]) {
-    let per_wl = EPOCHS_US.len() + FIXED_GRANULARITIES.len();
-    for (w, wl_name) in WORKLOADS.iter().enumerate() {
-        let block = &results[w * per_wl..(w + 1) * per_wl];
-        let stat = |r: &ScenarioResult| {
-            (
-                r.report().metrics.get("false_invalidations"),
-                r.report().metrics.get("directory_entries"),
-            )
-        };
-        // The 2 ms epoch entry is the default configuration — the
-        // normalization baseline for both sweeps.
-        let (base_f, _) = stat(&block[EPOCHS_US.len() - 1]);
-        let row = |label: &str, f: u64, entries: u64| {
-            vec![
-                label.to_string(),
-                f.to_string(),
-                format!("{:.3}", f as f64 / base_f.max(1) as f64),
-                entries.to_string(),
-            ]
-        };
-        let rows: Vec<Vec<String>> = EPOCHS_US
-            .iter()
-            .zip(block)
-            .map(|(&(label, _), r)| {
-                let (f, entries) = stat(r);
-                row(label, f, entries)
-            })
-            .collect();
-        print_table(
-            &format!("Figure 9 (right, a) — {wl_name}: epoch-size sensitivity"),
-            &["epoch", "false inv", "norm (vs 2ms)", "entries@end"],
-            &rows,
-        );
-        let rows: Vec<Vec<String>> = FIXED_GRANULARITIES
-            .iter()
-            .zip(&block[EPOCHS_US.len()..])
-            .map(|(&(label, _), r)| {
-                let (f, entries) = stat(r);
-                row(label, f, entries)
-            })
-            .collect();
-        print_table(
-            &format!("Figure 9 (right, b) — {wl_name}: initial-region-size sensitivity"),
-            &["initial", "false inv", "norm (vs 16KB)", "entries@end"],
-            &rows,
-        );
-    }
 }

@@ -9,14 +9,12 @@
 //! arriving, leaving, and contending at once — and judged by the numbers
 //! an operator owes each tenant (p50/p99/p99.9, throughput, rejects).
 
-use mind_harness::{Scenario, ScenarioOutput, ScenarioResult, ServiceSpec};
+use mind_harness::{Scenario, ScenarioOutput, ServiceSpec};
 use mind_service::{
     population_spec, tenant_partitions, AccessPattern, ServiceConfig, TenantGroupConfig,
 };
 use mind_sim::SimTime;
 use mind_workloads::{run_sharded, run_sharded_threads};
-
-use crate::print_table;
 
 /// Simulated span per scenario; the quick (CI) variant shortens the run
 /// but keeps every sweep point.
@@ -26,10 +24,6 @@ fn span(quick: bool) -> SimTime {
     } else {
         SimTime::from_millis(250)
     }
-}
-
-fn us(ns: u64) -> String {
-    format!("{:.1}", ns as f64 / 1e3)
 }
 
 // ---- service_qos: per-class SLOs vs offered load ----
@@ -90,47 +84,6 @@ pub fn qos_build(quick: bool) -> Vec<Scenario> {
     scenarios
 }
 
-/// Prints the QoS figure.
-pub fn qos_present(results: &[ScenarioResult]) {
-    let labels: Vec<String> = QOS_LOADS
-        .iter()
-        .map(|factor| format!("{factor}x load"))
-        .chain(std::iter::once(format!(
-            "2x load, window {QOS_OVERLAP_WINDOW} (overlapped quanta)"
-        )))
-        .collect();
-    for (result, label) in results.iter().zip(&labels) {
-        let report = result.service();
-        let rows: Vec<Vec<String>> = report
-            .classes
-            .iter()
-            .zip(&QOS_PATTERNS)
-            .map(|(c, pattern)| {
-                vec![
-                    format!("{} ({})", c.qos.label(), pattern.label()),
-                    c.tenants_admitted.to_string(),
-                    c.ops.to_string(),
-                    format!("{:.3}", c.mops),
-                    us(c.p50_ns),
-                    us(c.p99_ns),
-                    us(c.p999_ns),
-                    c.rejected_requests.to_string(),
-                ]
-            })
-            .collect();
-        print_table(
-            &format!(
-                "service — QoS classes at {label} ({} tenants, {} ops)",
-                report.tenants_admitted, report.total_ops
-            ),
-            &[
-                "class", "tenants", "ops", "MOPS", "p50(us)", "p99(us)", "p99.9(us)", "rejected",
-            ],
-            &rows,
-        );
-    }
-}
-
 // ---- service_churn: tenant lifecycle under increasing arrival rates ----
 //
 // Short-lived tenants arriving ever faster. Expected shape: admissions
@@ -158,34 +111,6 @@ pub fn churn_build(quick: bool) -> Vec<Scenario> {
             )
         })
         .collect()
-}
-
-/// Prints the churn figure.
-pub fn churn_present(results: &[ScenarioResult]) {
-    let rows: Vec<Vec<String>> = results
-        .iter()
-        .zip(&CHURN_ARRIVALS)
-        .map(|(result, &rate)| {
-            let r = result.service();
-            vec![
-                format!("{rate}"),
-                r.tenants_admitted.to_string(),
-                r.tenants_rejected.to_string(),
-                r.tenants_departed.to_string(),
-                r.tenants_live.to_string(),
-                r.peak_live_tenants.to_string(),
-                format!("{:.3}", r.memory_utilization),
-                r.match_action_rules.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        "service — tenant churn vs arrival rate (20 ms mean lifetime)",
-        &[
-            "arrivals/s", "admitted", "refused", "departed", "live", "peak", "mem util", "rules",
-        ],
-        &rows,
-    );
 }
 
 // ---- service_elastic: blade footprint vs offered load ----
@@ -218,35 +143,6 @@ pub fn elastic_build(quick: bool) -> Vec<Scenario> {
             )
         })
         .collect()
-}
-
-/// Prints the elasticity figure.
-pub fn elastic_present(results: &[ScenarioResult]) {
-    let rows: Vec<Vec<String>> = results
-        .iter()
-        .zip(&ELASTIC_RATES)
-        .map(|(result, &rate)| {
-            let r = result.service();
-            let n = r.tenants.len().max(1) as f64;
-            let mean_peak: f64 = r.tenants.iter().map(|t| t.blades_peak as f64).sum::<f64>() / n;
-            let max_peak = r.tenants.iter().map(|t| t.blades_peak).max().unwrap_or(0);
-            vec![
-                format!("{rate}"),
-                r.tenants_admitted.to_string(),
-                format!("{mean_peak:.2}"),
-                max_peak.to_string(),
-                r.total_ops.to_string(),
-                format!("{:.3}", r.total_ops as f64 / r.duration.as_secs_f64() / 1e6),
-            ]
-        })
-        .collect();
-    print_table(
-        "service — elastic blade assignment vs per-tenant offered load (20 k/s per blade)",
-        &[
-            "req/s/tenant", "tenants", "mean peak blades", "max peak", "ops", "MOPS",
-        ],
-        &rows,
-    );
 }
 
 // ---- service_scale: 10^5-tenant static populations, sharded ----
@@ -317,31 +213,4 @@ pub fn scale_build(quick: bool) -> Vec<Scenario> {
             )
         })
         .collect()
-}
-
-/// Prints the population-scale figure.
-pub fn scale_present(results: &[ScenarioResult]) {
-    let rows: Vec<Vec<String>> = results
-        .iter()
-        .map(|r| {
-            vec![
-                format!("{:.0}", r.value("tenants")),
-                format!("{:.0}", r.value("total_ops")),
-                format!("{:.3}", r.value("sim_runtime_ns") / 1e6),
-                format!("{:.3}", r.value("sim_mops")),
-                format!("{:.2}", r.value("remote_per_op")),
-                us(r.value("p999_ns") as u64),
-            ]
-        })
-        .collect();
-    print_table(
-        &format!(
-            "service — sharded static populations ({SCALE_SHARDS} shards, multi-core; \
-             smallest point asserted byte-identical to the fused reference)"
-        ),
-        &[
-            "tenants", "ops", "sim ms", "sim MOPS", "remote/op", "p99.9(us)",
-        ],
-        &rows,
-    );
 }

@@ -3,11 +3,11 @@
 //! Every table and figure in the paper's evaluation (§7–§8) is described
 //! in [`figures`] as a *scenario table* — pure data (system spec +
 //! workload spec + run parameters) executed by the
-//! [`mind_harness::Engine`] — plus a presentation function that prints the
-//! corresponding rows. The `suite` binary runs every figure in a single
-//! parallel invocation and emits `BENCH_suite.json` (`--filter <name>`
-//! runs one figure or a family); `service` and `datapath` are the two
-//! tables with a binary of their own.
+//! [`mind_harness::Engine`] — plus the BENCH columns it prints, which
+//! [`figures::render`] draws verbatim from the written file. The `suite`
+//! binary runs every figure in a single parallel invocation and emits
+//! `BENCH_suite.json` (`--filter <name>` runs one figure or a family);
+//! `service` and `datapath` are the two tables with a binary of their own.
 //!
 //! ## Scaling
 //!
@@ -24,25 +24,3 @@
 #![forbid(unsafe_code)]
 
 pub mod figures;
-
-/// Prints a header row followed by aligned columns.
-pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
-        }
-    }
-    let line = |cells: &[String]| {
-        let mut s = String::new();
-        for (i, c) in cells.iter().enumerate() {
-            s.push_str(&format!("{:>w$}  ", c, w = widths[i]));
-        }
-        println!("{}", s.trim_end());
-    };
-    line(&header.iter().map(|s| s.to_string()).collect::<Vec<_>>());
-    for row in rows {
-        line(row);
-    }
-}

@@ -16,8 +16,7 @@
 //!   these two savings).
 //!
 //! The row count stays in the tens (§8: "the number of TCAM entries
-//! required for STT entries would be quite small"), which
-//! [`SttTable::rows`] lets the ablation harness report.
+//! required for STT entries would be quite small"); a unit test checks it.
 
 use crate::directory::MsiState;
 use crate::system::AccessKind;
@@ -141,7 +140,8 @@ impl SttTable {
     }
 
     /// Number of materialized rows (switch storage cost, §8).
-    pub fn rows(&self) -> usize {
+    #[cfg(test)]
+    fn rows(&self) -> usize {
         self.rows_by_key.iter().filter(|row| row.is_some()).count()
     }
 

@@ -42,6 +42,7 @@
 //! ```
 
 use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
@@ -305,12 +306,10 @@ pub fn aggregate_json(results: &[ScenarioResult]) -> Json {
     let mut service_ops = 0i128;
     // Overlap recoveries (`overlap_recovery_w<W>` values): simulated MOPS
     // at the windowed batch point over the batch-1 serialized baseline.
-    let mut recoveries: std::collections::BTreeMap<&str, Vec<f64>> =
-        std::collections::BTreeMap::new();
+    let mut recoveries: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
     // Cross-turn recoveries (`xturn_recovery_w<W>` values): the same
     // ratio with the cluster engine overlapping across turns and threads.
-    let mut xturn_recoveries: std::collections::BTreeMap<&str, Vec<f64>> =
-        std::collections::BTreeMap::new();
+    let mut xturn_recoveries: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
     for result in results {
         if let Some(report) = &result.output.report {
             merged.merge(&report.window_metrics);
@@ -426,6 +425,74 @@ fn written_suite_json(suite: &str, quick: bool, results: &[ScenarioResult]) -> J
         pairs.insert(2, ("mode".into(), Json::str(mode)));
     }
     doc
+}
+
+/// Every scalar of a rendered BENCH document, keyed by its path: the
+/// object keys and array positions above it joined with `/`, outermost
+/// first, without the document's own braces (`mode`,
+/// `scenarios/3/latency_ns/fault`, `scenarios/0/series/x/1/0`). Each value
+/// is the document's text verbatim — strings keep their quotes — and an
+/// empty container is the scalar `[]` or `{}`.
+///
+/// The writer ([`Json::render`]) puts one key or array element on a line,
+/// so the reader is line-based and needs no JSON parser.
+pub fn read_values(text: &str) -> BTreeMap<String, String> {
+    let mut out = BTreeMap::new();
+    // The open containers: (name, elements seen so far).
+    let mut stack: Vec<(String, usize)> = Vec::new();
+    for line in text.lines() {
+        let line = line.trim().trim_end_matches(',');
+        if line == "}" || line == "]" {
+            stack.pop();
+            continue;
+        }
+        let (key, value) = match line.strip_prefix('"').and_then(|l| l.split_once("\": ")) {
+            Some((key, value)) => (key.to_string(), value),
+            // An array element: keyed by its position.
+            None => {
+                let position = stack.last_mut().map_or(0, |(_, seen)| {
+                    *seen += 1;
+                    *seen - 1
+                });
+                (position.to_string(), line)
+            }
+        };
+        if value == "{" || value == "[" {
+            stack.push((key, 0));
+            continue;
+        }
+        let mut path: String = stack
+            .iter()
+            .skip(1)
+            .map(|(name, _)| format!("{name}/"))
+            .collect();
+        path.push_str(&key);
+        out.insert(path, value.to_string());
+    }
+    out
+}
+
+/// The scenarios of a document [`read_values`] read, in document order:
+/// each one's values keyed by their path below `scenarios/<i>/` (`name`,
+/// `mops`, `service/classes/0/p99_ns`, …).
+pub fn scenario_values(values: &BTreeMap<String, String>) -> Vec<BTreeMap<&str, &str>> {
+    let mut out: Vec<BTreeMap<&str, &str>> = Vec::new();
+    for (path, value) in values {
+        let Some((index, rest)) = path
+            .strip_prefix("scenarios/")
+            .and_then(|p| p.split_once('/'))
+        else {
+            continue;
+        };
+        let Ok(index) = index.parse::<usize>() else {
+            continue;
+        };
+        if out.len() <= index {
+            out.resize_with(index + 1, BTreeMap::new);
+        }
+        out[index].insert(rest, value);
+    }
+    out
 }
 
 /// The output directory for BENCH/TRACE files: `$MIND_BENCH_DIR` if set,
@@ -548,6 +615,45 @@ mod tests {
         assert!(quick.contains("\",\n  \"mode\": \"quick\",\n  \"suite\": \"t\""), "{quick}");
         let plain = suite_json("t", &results).render();
         assert_eq!(quick.replace("  \"mode\": \"quick\",\n", ""), plain);
+    }
+
+    /// Every scalar of `doc`, keyed by the path the writer nests it at.
+    fn scalars(doc: &Json, path: String, out: &mut BTreeMap<String, String>) {
+        let child = |key: &str| match path.as_str() {
+            "" => key.to_string(),
+            _ => format!("{path}/{key}"),
+        };
+        match doc {
+            Json::Arr(items) if !items.is_empty() => {
+                for (i, item) in items.iter().enumerate() {
+                    scalars(item, child(&i.to_string()), out);
+                }
+            }
+            Json::Obj(pairs) if !pairs.is_empty() => {
+                for (key, value) in pairs {
+                    scalars(value, child(key), out);
+                }
+            }
+            scalar => {
+                out.insert(path, scalar.render().trim_end().to_string());
+            }
+        }
+    }
+
+    #[test]
+    fn the_reader_returns_every_scalar_at_its_written_path() {
+        let results = [custom_result(), service_result(), replay_result()];
+        let doc = suite_json("t", &results);
+        let mut written = BTreeMap::new();
+        scalars(&doc, String::new(), &mut written);
+        let read = read_values(&doc.render());
+        assert_eq!(read, written);
+        // A nested array element: the `ts` series' first point's y.
+        assert_eq!(read["scenarios/0/series/ts/0/1"], "2");
+        let scenarios = scenario_values(&read);
+        assert_eq!(scenarios.len(), results.len());
+        assert_eq!(scenarios[1]["service/classes/0/class"], "\"Gold\"");
+        assert_eq!(scenarios[2]["name"], "\"r\"");
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The paper's figure claims, checked against the committed
-//! `BENCH_suite.json`.
+//! `BENCH_suite.json` through the harness's one BENCH reader
+//! (`mind_harness::report::read_values`).
 //!
 //! Figure 7 (left), as `fig7.rs` documents it (paper §7.2): transitions
 //! without invalidations (S→S, I→S, I→M) cost one round trip; S→M overlaps
@@ -8,6 +9,9 @@
 //! blades.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
+
+use mind_harness::report::{read_values, scenario_values};
 
 const RACKS: [u16; 3] = [2, 4, 8];
 const TRANSITIONS: [&str; 6] = [
@@ -18,33 +22,40 @@ const TRANSITIONS: [&str; 6] = [
     "M->S (inval)",
     "M->M (inval)",
 ];
+const WORKLOADS: [&str; 4] = ["TF", "GC", "MA", "MC"];
+const BLADES: [u16; 4] = [1, 2, 4, 8];
 
-/// `(blades, transition) → latency_us` of every `fig7_transitions` row.
-/// The report writer prints one key a line, and a row's `latency_us`
-/// follows its `name`.
-fn fig7_transitions() -> BTreeMap<(u16, String), f64> {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_suite.json");
-    let text = std::fs::read_to_string(path).expect("the committed BENCH_suite.json");
-    let mut out = BTreeMap::new();
-    let mut row = None;
-    for line in text.lines().map(|l| l.trim().trim_end_matches(',')) {
-        if let Some(name) = line.strip_prefix("\"name\": \"") {
-            row = name
-                .trim_end_matches('"')
-                .strip_prefix("fig7_transitions/")
-                .and_then(|rest| rest.split_once("C/"))
-                .map(|(blades, t)| (blades.parse().expect("blade count"), t.to_string()));
-        } else if let (Some(key), Some(us)) = (&row, line.strip_prefix("\"latency_us\": ")) {
-            out.insert(key.clone(), us.parse().expect("latency_us"));
-            row = None;
-        }
-    }
-    assert_eq!(out.len(), RACKS.len() * TRANSITIONS.len(), "{out:?}");
-    out
+/// The value at `path` of every scenario of the committed
+/// `BENCH_suite.json` named `<figure>/<label>`, by label.
+fn column(figure: &str, path: &str) -> BTreeMap<String, f64> {
+    static VALUES: OnceLock<BTreeMap<String, String>> = OnceLock::new();
+    let values = VALUES.get_or_init(|| {
+        let file = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_suite.json");
+        read_values(&std::fs::read_to_string(file).expect("the committed BENCH_suite.json"))
+    });
+    let prefix = format!("\"{figure}/");
+    scenario_values(values)
+        .into_iter()
+        .filter_map(|scenario| {
+            let label = scenario
+                .get("name")?
+                .strip_prefix(&prefix)?
+                .trim_end_matches('"');
+            let value = scenario.get(path)?.parse().expect("a number");
+            Some((label.to_string(), value))
+        })
+        .collect()
 }
 
-fn latency(rows: &BTreeMap<(u16, String), f64>, blades: u16, transition: &str) -> f64 {
-    rows[&(blades, transition.to_string())]
+/// `(blades, transition) → latency_us` of every `fig7_transitions` row.
+fn fig7_transitions() -> BTreeMap<String, f64> {
+    let rows = column("fig7_transitions", "values/latency_us");
+    assert_eq!(rows.len(), RACKS.len() * TRANSITIONS.len(), "{rows:?}");
+    rows
+}
+
+fn latency(rows: &BTreeMap<String, f64>, blades: u16, transition: &str) -> f64 {
+    rows[&format!("{blades}C/{transition}")]
 }
 
 #[test]
@@ -63,7 +74,10 @@ fn fig7_s_to_m_overlaps_its_invalidation_with_the_fetch() {
     for blades in RACKS {
         let i_s = latency(&rows, blades, "I->S");
         let s_m = latency(&rows, blades, "S->M (inval)");
-        assert!((s_m - i_s).abs() <= 0.1 * i_s, "{blades} blades: S->M {s_m} vs I->S {i_s}");
+        assert!(
+            (s_m - i_s).abs() <= 0.1 * i_s,
+            "{blades} blades: S->M {s_m} vs I->S {i_s}"
+        );
     }
 }
 
@@ -74,7 +88,10 @@ fn fig7_transitions_out_of_modified_take_two_round_trips() {
         let i_s = latency(&rows, blades, "I->S");
         for t in ["M->S (inval)", "M->M (inval)"] {
             let ratio = latency(&rows, blades, t) / i_s;
-            assert!((1.8..=2.5).contains(&ratio), "{blades} blades: {t} is {ratio:.2}x I->S");
+            assert!(
+                (1.8..=2.5).contains(&ratio),
+                "{blades} blades: {t} is {ratio:.2}x I->S"
+            );
         }
     }
 }
@@ -88,4 +105,88 @@ fn fig7_multicast_keeps_transitions_flat_in_blade_count() {
             assert_eq!(latency(&rows, blades, t), at_two, "{t} at {blades} blades");
         }
     }
+}
+
+/// One Figure 6 rate per `(workload, blades)`.
+fn fig6(path: &str) -> impl Fn(&str, u16) -> f64 {
+    let rows = column("fig6_invalidation", path);
+    assert_eq!(
+        rows.len(),
+        WORKLOADS.len() * BLADES.len(),
+        "{path}: {rows:?}"
+    );
+    move |workload, blades| rows[&format!("{workload}/b{blades}")]
+}
+
+/// Figure 6 (§7.3): remote accesses per access grow with blade count for
+/// every workload, and GC's grow much more steeply than TF's. The paper
+/// says all three rates grow; here that holds for MA and MC only: TF's and
+/// GC's invalidation and flush rates are small and not monotone (TF's
+/// flushes per access fall from 0.00055 at 2 blades to 0.0003 at 8).
+#[test]
+fn fig6_remote_accesses_grow_with_blade_count_steepest_for_gc() {
+    let remote = fig6("remote_per_op");
+    for workload in WORKLOADS {
+        for pair in BLADES.windows(2) {
+            let (fewer, more) = (remote(workload, pair[0]), remote(workload, pair[1]));
+            assert!(
+                fewer < more,
+                "{workload}: b{} {fewer} !< b{} {more}",
+                pair[0],
+                pair[1]
+            );
+        }
+    }
+    let rise = |workload| remote(workload, 8) / remote(workload, 1);
+    assert!(
+        rise("GC") > rise("TF"),
+        "GC x{} vs TF x{}",
+        rise("GC"),
+        rise("TF")
+    );
+    for path in ["invalidations_per_op", "flushed_per_op"] {
+        let rate = fig6(path);
+        for workload in ["MA", "MC"] {
+            assert!(
+                BLADES
+                    .windows(2)
+                    .all(|p| rate(workload, p[0]) < rate(workload, p[1])),
+                "{workload}: {path} does not grow with blade count"
+            );
+        }
+    }
+}
+
+/// Figure 6: from 2 blades on, MA and MC trigger at least 10x the
+/// invalidations and page flushes per access of GC and TF.
+#[test]
+fn fig6_ma_and_mc_invalidate_and_flush_ten_times_more() {
+    for path in ["invalidations_per_op", "flushed_per_op"] {
+        let rate = fig6(path);
+        for blades in &BLADES[1..] {
+            for heavy in ["MA", "MC"] {
+                for light in ["GC", "TF"] {
+                    let (h, l) = (rate(heavy, *blades), rate(light, *blades));
+                    assert!(
+                        h >= 10.0 * l,
+                        "b{blades} {path}: {heavy} {h} < 10x {light} {l}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// §8 "Thread management": co-locating the two sharers of each partition
+/// keeps their invalidations inside one blade, so no round leaves it and
+/// throughput rises.
+#[test]
+fn ablation_colocated_sharers_beat_split_sharers_without_invalidation_rounds() {
+    let mops = column("ablation_placement", "mops");
+    let rounds = column("ablation_placement", "window_metrics/invalidation_rounds");
+    assert!(
+        mops["sharers-colocated"] > mops["sharers-split"],
+        "{mops:?}"
+    );
+    assert_eq!(rounds["sharers-colocated"], 0.0, "{rounds:?}");
 }

@@ -4,7 +4,7 @@
 
 use mind_core::cluster::{MindCluster, MindConfig};
 use mind_core::directory::MsiState;
-use mind_core::system::AccessKind;
+use mind_core::system::{AccessKind, ConsistencyModel};
 use mind_sim::SimTime;
 
 fn rack() -> (MindCluster, u64, u64) {
@@ -274,4 +274,52 @@ fn moesi_downgrade_skips_writeback() {
     assert!(c.metrics_snapshot().get("flushed_pages") >= 1);
     let got = c.read_bytes(ms(4), 0, pid, base, 11).unwrap();
     assert_eq!(&got, b"new owner!!");
+}
+
+/// §4.4: under TSO the requester of a write waits for its data *and* every
+/// invalidation ACK, so the write completes no earlier than the end of its
+/// invalidation round (the traced `invalidation` span, admit to last ACK).
+#[test]
+fn a_write_completes_no_earlier_than_its_last_ack() {
+    use mind_obs::{EventKind, TraceConfig, TraceMode};
+
+    for blades in [2u16, 4, 8] {
+        let mut c = MindCluster::new(
+            MindConfig {
+                n_compute: blades,
+                trace: TraceConfig::with_mode(TraceMode::On),
+                ..MindConfig::small()
+            }
+            .consistency(ConsistencyModel::Tso),
+        );
+        let pid = c.exec().unwrap();
+        let page = c.mmap(pid, 1 << 20).unwrap();
+        for b in 1..blades {
+            c.access_as(
+                ms(1) + SimTime::from_micros(20 * b as u64),
+                b,
+                pid,
+                page,
+                AccessKind::Read,
+            )
+            .unwrap();
+        }
+        let now = ms(2);
+        let write = c.access_as(now, 0, pid, page, AccessKind::Write).unwrap();
+        let done = now + write.latency.total();
+        let last_ack = c
+            .take_trace()
+            .expect("tracing is on")
+            .events
+            .iter()
+            .filter(|e| e.lane == 0 && e.kind == EventKind::Invalidation)
+            .map(|e| e.ts + e.dur)
+            .max()
+            .expect("the write invalidated the readers");
+        let (done, last_ack) = (done.as_nanos(), last_ack.as_nanos());
+        assert!(
+            done >= last_ack,
+            "{blades} blades: done {done} ns < last ACK {last_ack} ns"
+        );
+    }
 }
