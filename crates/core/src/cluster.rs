@@ -212,7 +212,7 @@ impl MindCluster {
         engine.trace = mind_obs::TraceBuf::new(cfg.trace);
         let controller = Controller::new(cfg.n_compute, cfg.n_memory, cfg.blade_span);
         MindCluster {
-            splitter: BoundedSplitting::with_capacity(cfg.split, engine.directory().capacity()),
+            splitter: BoundedSplitting::new(cfg.split),
             engine,
             controller,
             cfg,
@@ -1161,7 +1161,9 @@ mod tests {
         c.run_batch(at(252_000), &mut batch);
         log.extend((0..16).map(|i| format!("{:?} {:?}", batch.result(i), batch.completion(i))));
         c.munmap(at(260_000), b, other).unwrap();
+        // Pids are recycled, last freed first: the next default is `b`, not 1.
         c.exit(at(261_000), a).unwrap();
+        c.exit(at(261_000), b).unwrap();
         for _ in 0..variant {
             let pid = c.exec().unwrap();
             log.push(format!("{pid} {:?}", c.mmap(pid, 1 << 12)));

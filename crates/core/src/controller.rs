@@ -12,16 +12,18 @@
 //! PID, sharing the address space through the in-switch tables; placement is
 //! round-robin (the paper does not innovate on scheduling, §6.1).
 
-use mind_sim::hash::FastMap;
+use mind_sim::slab::IdSlab;
 use mind_sim::SimTime;
 use mind_switch::control::ControlPlane;
 
 use crate::addr::Vma;
 use crate::coherence::CoherenceEngine;
 use crate::galloc::GlobalAllocator;
-use crate::protect::{Pdid, PermClass};
+use crate::protect::{slot, Pdid, PermClass};
 
 /// Process identifier. For unmodified applications `PDID = PID` (§4.2).
+/// A pid is its record's id in the process slab plus one ([`slot`] maps
+/// it back), so 0 is never issued; an exited process's pid is reissued.
 pub type Pid = u64;
 
 /// Linux-compatible errors returned by syscalls.
@@ -56,10 +58,8 @@ struct Mapping {
 }
 
 /// Control-plane record of a process (`task_struct` + `mm_struct`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Process {
-    /// Process id (also the protection domain id).
-    pub pid: Pid,
     /// Live vmas in allocation order: `first`, then `rest`. A process with
     /// one vma — every service tenant — keeps it inline and owns no heap.
     first: Option<Mapping>,
@@ -117,8 +117,8 @@ pub struct GrantRecord {
 #[derive(Debug)]
 pub struct Controller {
     galloc: GlobalAllocator,
-    processes: FastMap<Pid, Process>,
-    next_pid: Pid,
+    /// Live processes, each at its pid's [`slot`].
+    processes: IdSlab<Process>,
     control: ControlPlane,
     rr_next_blade: u16,
     n_compute: u16,
@@ -132,8 +132,7 @@ impl Controller {
     pub fn new(n_compute: u16, n_memory: u16, blade_span: u64) -> Self {
         Controller {
             galloc: GlobalAllocator::new(n_memory, blade_span),
-            processes: FastMap::default(),
-            next_pid: 1,
+            processes: IdSlab::default(),
             control: ControlPlane::default(),
             rr_next_blade: 0,
             n_compute,
@@ -142,36 +141,28 @@ impl Controller {
     }
 
     /// Forgets every process and allocation and restarts the control plane,
-    /// keeping the tables' (and the spare lists') storage.
+    /// keeping the tables' (and the spare lists') storage: the next pid is 1.
     pub(crate) fn reset(&mut self) {
         self.galloc.reset();
         self.processes.clear();
-        (self.next_pid, self.rr_next_blade) = (1, 0);
+        self.rr_next_blade = 0;
         self.control = ControlPlane::default();
     }
 
     /// `exec`: creates a process; the PID doubles as its protection domain.
+    /// The pid of the process that exited last is issued first.
     pub fn exec(&mut self) -> Pid {
         self.control.handle_syscall();
-        let pid = self.next_pid;
-        self.next_pid += 1;
-        self.processes.insert(
-            pid,
-            Process {
-                pid,
-                first: None,
-                rest: Vec::new(),
-                blades: self.spare_blades.pop().unwrap_or_default(),
-            },
-        );
-        pid
+        let blades = self.spare_blades.pop().unwrap_or_default();
+        let id = self.processes.insert(Process { blades, ..Process::default() });
+        id as Pid + 1
     }
 
     /// Places a new thread of `pid` on a compute blade, round-robin (§6.1).
     pub fn place_thread(&mut self, pid: Pid) -> Result<u16, SysError> {
         let blade = self.rr_next_blade;
         self.rr_next_blade = (self.rr_next_blade + 1) % self.n_compute;
-        let p = self.processes.get_mut(&pid).ok_or(SysError::NoProcess)?;
+        let p = self.processes.get_mut(slot(pid)).ok_or(SysError::NoProcess)?;
         p.blades.push(blade);
         Ok(blade)
     }
@@ -179,7 +170,7 @@ impl Controller {
     /// Retires one thread of `pid` from `blade` (elastic shrink): removes
     /// one matching registration. Returns whether one was found.
     pub fn unplace_thread(&mut self, pid: Pid, blade: u16) -> Result<bool, SysError> {
-        let p = self.processes.get_mut(&pid).ok_or(SysError::NoProcess)?;
+        let p = self.processes.get_mut(slot(pid)).ok_or(SysError::NoProcess)?;
         match p.blades.iter().position(|&b| b == blade) {
             Some(idx) => {
                 p.blades.remove(idx);
@@ -215,7 +206,7 @@ impl Controller {
         blades: std::ops::Range<u16>,
     ) -> Result<Vma, SysError> {
         self.control.handle_syscall();
-        if !self.processes.contains_key(&pid) {
+        if self.processes.get(slot(pid)).is_none() {
             return Err(SysError::NoProcess);
         }
         let vma = self.galloc.alloc_in(len, blades).ok_or(SysError::NoMem)?;
@@ -231,7 +222,7 @@ impl Controller {
         }
         self.control.install_rule();
         self.processes
-            .get_mut(&pid)
+            .get_mut(slot(pid))
             .expect("checked above")
             .map(Mapping { base: vma.base, pc });
         Ok(vma)
@@ -247,7 +238,7 @@ impl Controller {
         base: u64,
     ) -> Result<(), SysError> {
         self.control.handle_syscall();
-        let p = self.processes.get_mut(&pid).ok_or(SysError::NoProcess)?;
+        let p = self.processes.get_mut(slot(pid)).ok_or(SysError::NoProcess)?;
         if !p.unmap(base) {
             return Err(SysError::Fault);
         }
@@ -276,7 +267,7 @@ impl Controller {
         pc: PermClass,
     ) -> Result<(), SysError> {
         self.control.handle_syscall();
-        if !self.processes.contains_key(&pid) {
+        if self.processes.get(slot(pid)).is_none() {
             return Err(SysError::NoProcess);
         }
         let reserved_len = self.galloc.reserved_size(base).ok_or(SysError::Fault)?;
@@ -288,7 +279,7 @@ impl Controller {
             .map_err(|_| SysError::NoMem)?;
         self.control.install_rule();
         engine.reset_range(now, reserved.base, reserved.end());
-        if let Some(m) = self.processes.get_mut(&pid).and_then(|p| p.mapping_mut(base)) {
+        if let Some(m) = self.processes.get_mut(slot(pid)).and_then(|p| p.mapping_mut(base)) {
             m.pc = pc;
         }
         Ok(())
@@ -303,11 +294,11 @@ impl Controller {
     ) -> Result<(), SysError> {
         self.control.handle_syscall();
         loop {
-            let p = self.processes.get(&pid).ok_or(SysError::NoProcess)?;
+            let p = self.processes.get(slot(pid)).ok_or(SysError::NoProcess)?;
             let Some(oldest) = p.first else { break };
             self.munmap(engine, now, pid, oldest.base)?;
         }
-        let mut blades = self.processes.remove(&pid).expect("checked above").blades;
+        let mut blades = self.processes.remove(slot(pid)).expect("checked above").blades;
         blades.clear();
         self.spare_blades.push(blades);
         Ok(())
@@ -315,7 +306,7 @@ impl Controller {
 
     /// Looks up a process.
     pub fn process(&self, pid: Pid) -> Option<&Process> {
-        self.processes.get(&pid)
+        self.processes.get(slot(pid))
     }
 
     /// The allocator (for fairness reporting).
@@ -334,13 +325,14 @@ impl Controller {
     }
 
     /// The grant log the backup switch reconstructs protection from: every
-    /// live vma of every process, each process's in allocation order.
+    /// live vma of every process, in pid order, each process's in
+    /// allocation order.
     pub fn grants(&self) -> impl Iterator<Item = GrantRecord> + '_ {
-        self.processes.values().flat_map(move |p| {
+        self.processes.iter().flat_map(move |(id, p)| {
             p.mappings().map(move |m| {
                 let reserved = self.galloc.reserved_size(m.base);
                 GrantRecord {
-                    pdid: p.pid,
+                    pdid: id as Pid + 1,
                     vma: Vma::new(m.base, reserved.expect("a live vma is allocated")),
                     pc: m.pc,
                 }
@@ -350,28 +342,24 @@ impl Controller {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use mind_net::link::LatencyConfig;
 
     use crate::coherence::CoherenceConfig;
     use crate::system::AccessKind;
 
+    /// A controller and engine over `n_compute` compute blades and
+    /// `n_memory` memory blades of `span` bytes, with `slots` directory
+    /// slots and as many TCAM rows.
+    pub(crate) fn rig(n_compute: u16, n_memory: u16, span: u64, slots: usize) -> (Controller, CoherenceEngine) {
+        let (lat, cfg) = (LatencyConfig::default(), CoherenceConfig::default());
+        let engine = CoherenceEngine::new(n_compute, n_memory, 1024, span, span, slots, 14, slots, lat, cfg);
+        (Controller::new(n_compute, n_memory, span), engine)
+    }
+
     fn setup() -> (Controller, CoherenceEngine) {
-        let ctl = Controller::new(4, 2, 1 << 30);
-        let engine = CoherenceEngine::new(
-            4,
-            2,
-            1024,
-            1 << 30,
-            1 << 30,
-            1000,
-            14,
-            1000,
-            LatencyConfig::default(),
-            CoherenceConfig::default(),
-        );
-        (ctl, engine)
+        rig(4, 2, 1 << 30, 1000)
     }
 
     #[test]
@@ -380,7 +368,7 @@ mod tests {
         let a = ctl.exec();
         let b = ctl.exec();
         assert_ne!(a, b);
-        assert_eq!(ctl.processes.len(), 2);
+        assert_eq!(ctl.processes.iter().count(), 2);
         assert_eq!(ctl.control_plane().syscalls_handled(), 2);
     }
 
@@ -496,7 +484,7 @@ mod tests {
         ctl.mmap(&mut eng, pid, 1 << 16, PermClass::ReadOnly)
             .unwrap();
         ctl.exit(&mut eng, SimTime::ZERO, pid).unwrap();
-        assert_eq!(ctl.processes.len(), 0);
+        assert_eq!(ctl.processes.iter().count(), 0);
         assert_eq!(ctl.allocator().live_allocations(), 0);
         assert_eq!(ctl.grants().count(), 0);
     }
@@ -524,20 +512,23 @@ mod tests {
     }
 
     #[test]
+    fn an_exited_pid_is_issued_again_without_its_grants() {
+        let (mut ctl, mut eng) = setup();
+        let (old, kept) = (ctl.exec(), ctl.exec());
+        let vma = ctl.mmap(&mut eng, old, 4096, PermClass::ReadWrite).unwrap();
+        let live = ctl.mmap(&mut eng, kept, 4096, PermClass::ReadOnly).unwrap();
+        ctl.exit(&mut eng, SimTime::ZERO, old).unwrap();
+        let pid = ctl.exec();
+        assert_eq!(pid, old, "the freed pid first");
+        assert!(!eng.protection.check(pid, vma.base, AccessKind::Read));
+        let log: Vec<_> = ctl.grants().map(|g| (g.pdid, g.vma.base)).collect();
+        assert_eq!(log, [(kept, live.base)], "only live grants");
+        assert_eq!(ctl.exec(), 3, "a new pid once none is free");
+    }
+
+    #[test]
     fn enomem_when_memory_exhausted() {
-        let mut ctl = Controller::new(1, 1, 1 << 16);
-        let mut eng = CoherenceEngine::new(
-            1,
-            1,
-            64,
-            1 << 16,
-            1 << 16,
-            100,
-            14,
-            100,
-            LatencyConfig::default(),
-            CoherenceConfig::default(),
-        );
+        let (mut ctl, mut eng) = rig(1, 1, 1 << 16, 100);
         let pid = ctl.exec();
         assert!(ctl
             .mmap(&mut eng, pid, 1 << 16, PermClass::ReadWrite)

@@ -12,7 +12,7 @@
 use mind_blade::PAGE_SHIFT;
 use mind_net::node::BladeSet;
 use mind_sim::SimTime;
-use mind_switch::sram::{reserved_slots, SlotStore, SramFull};
+use mind_switch::sram::{reserve_slots, SlotStore, SramFull};
 
 /// Coherence states (§2.1). MIND runs MSI; the Exclusive and Owned states
 /// appear only when the switch is configured with the MESI/MOESI
@@ -241,7 +241,7 @@ pub struct RegionDirectory {
     /// Bases whose epoch counters went zero → nonzero since the last drain.
     /// Keeps per-epoch maintenance O(active regions), not O(capacity); may
     /// hold stale or duplicate bases (split/merge/remove churn), which the
-    /// drain filters out. Reserved at the slot capacity, like the slab.
+    /// drain filters out. Reserved at the slot capacity by the first touch.
     touched: Vec<u64>,
     initial_region_log2: u8,
     /// Bumped on every change to the region *map* (create/split/merge/
@@ -264,7 +264,7 @@ impl RegionDirectory {
             by_count: Vec::new(),
             pair_head: NO_SLOT,
             memo: [None; MEMO_WAYS],
-            touched: Vec::with_capacity(reserved_slots(capacity)),
+            touched: Vec::new(),
             initial_region_log2,
             generation: 0,
             splits: 0,
@@ -275,8 +275,8 @@ impl RegionDirectory {
 
     /// The directory as [`RegionDirectory::new`] made it, keeping the slot
     /// store's and the work lists' storage. The stand-in is built at
-    /// capacity 0, so it reserves nothing; the kept store carries the
-    /// capacity.
+    /// capacity 0, so its store reserves nothing; the kept store carries
+    /// the capacity.
     pub(crate) fn reset(&mut self) {
         let mut old = std::mem::replace(self, Self::new(0, self.initial_region_log2));
         old.slots.clear();
@@ -637,7 +637,7 @@ impl RegionDirectory {
         let merged = a.merged_with(b);
         let parent_base = base & !(1u64 << k);
         if merged.epoch_invalidations != 0 || merged.epoch_false_inv != 0 {
-            self.touched.push(parent_base);
+            self.touch(parent_base);
         }
         self.uninstall(base);
         self.uninstall(buddy_base);
@@ -690,11 +690,18 @@ impl RegionDirectory {
     fn record_invalidation_in(&mut self, slot: Option<usize>, base: u64, false_invalidations: u32) {
         let Some(slot) = slot else { return };
         let e = self.slots.at_mut(slot);
-        if e.epoch_invalidations == 0 && e.epoch_false_inv == 0 {
-            self.touched.push(base);
-        }
+        let first = e.epoch_invalidations == 0 && e.epoch_false_inv == 0;
         e.epoch_invalidations += 1;
         e.epoch_false_inv += false_invalidations;
+        if first {
+            self.touch(base);
+        }
+    }
+
+    /// Lists `base` for the next drain.
+    fn touch(&mut self, base: u64) {
+        reserve_slots(&mut self.touched, self.slots.capacity());
+        self.touched.push(base);
     }
 
     /// Takes and resets the per-epoch counters, writing into `out` (cleared
@@ -702,9 +709,13 @@ impl RegionDirectory {
     /// sorted by base. Regions that saw no invalidation traffic are not
     /// listed — draining costs O(active regions), so the epoch driver stays
     /// cheap even when the directory tracks tens of thousands of idle
-    /// regions.
+    /// regions. The first drain that lists anything reserves `out` at the
+    /// slot capacity.
     pub fn drain_epoch_counters_into(&mut self, out: &mut Vec<EpochCounter>) {
         out.clear();
+        if !self.touched.is_empty() {
+            reserve_slots(out, self.slots.capacity());
+        }
         self.touched.sort_unstable();
         self.touched.dedup();
         for i in 0..self.touched.len() {

@@ -132,28 +132,14 @@ pub fn switch_failover(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mind_net::link::LatencyConfig;
     use mind_sim::SimTime;
 
-    use crate::coherence::CoherenceConfig;
+    use crate::controller::tests::rig;
     use crate::protect::PermClass;
     use crate::system::AccessKind;
 
     fn setup() -> (Controller, CoherenceEngine) {
-        let ctl = Controller::new(2, 2, 1 << 30);
-        let engine = CoherenceEngine::new(
-            2,
-            2,
-            256,
-            1 << 30,
-            1 << 30,
-            1000,
-            14,
-            1000,
-            LatencyConfig::default(),
-            CoherenceConfig::default(),
-        );
-        (ctl, engine)
+        rig(2, 2, 1 << 30, 1000)
     }
 
     #[test]

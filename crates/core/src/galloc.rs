@@ -12,7 +12,9 @@
 //! - **TCAM-friendly sizing**: only power-of-two sized, size-aligned areas
 //!   are carved so each vma is one TCAM protection entry (§4.2).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+
+use mind_sim::hash::FastMap;
 
 use crate::addr::{pow2_alloc_size, Vma, VA_BASE};
 
@@ -107,18 +109,6 @@ impl BladeAllocator {
         self.free.insert(start, len);
         self.allocated -= size;
     }
-
-    /// Number of free extents (fragmentation indicator).
-    pub fn fragments(&self) -> usize {
-        self.free.len()
-    }
-}
-
-/// A completed allocation record.
-#[derive(Debug, Clone, Copy)]
-struct Allocation {
-    blade: u16,
-    size: u64,
 }
 
 /// The rack-wide allocator: balanced placement across blades plus per-blade
@@ -127,7 +117,9 @@ struct Allocation {
 pub struct GlobalAllocator {
     blades: Vec<BladeAllocator>,
     blade_span: u64,
-    allocations: HashMap<u64, Allocation>,
+    /// The log2 of each live vma's reserved size, by base; its blade is
+    /// [`GlobalAllocator::blade_of`] the base.
+    allocations: FastMap<u64, u8>,
 }
 
 impl GlobalAllocator {
@@ -146,7 +138,7 @@ impl GlobalAllocator {
                 .map(|_| BladeAllocator::new(blade_span))
                 .collect(),
             blade_span,
-            allocations: HashMap::new(),
+            allocations: FastMap::default(),
         }
     }
 
@@ -199,7 +191,7 @@ impl GlobalAllocator {
                 .min()?;
             if let Some(offset) = self.blades[blade as usize].alloc(size) {
                 let base = VA_BASE + blade as u64 * self.blade_span + offset;
-                self.allocations.insert(base, Allocation { blade, size });
+                self.allocations.insert(base, size.trailing_zeros() as u8);
                 return Some(Vma::new(base, len));
             }
             tried = Some((load, blade));
@@ -208,17 +200,18 @@ impl GlobalAllocator {
 
     /// Frees the vma based at `base`; returns `false` if unknown.
     pub fn dealloc(&mut self, base: u64) -> bool {
-        let Some(a) = self.allocations.remove(&base) else {
+        let Some(size_log2) = self.allocations.remove(&base) else {
             return false;
         };
-        let offset = base - VA_BASE - a.blade as u64 * self.blade_span;
-        self.blades[a.blade as usize].free(offset, a.size);
+        let blade = (base - VA_BASE) / self.blade_span;
+        let offset = (base - VA_BASE) % self.blade_span;
+        self.blades[blade as usize].free(offset, 1 << size_log2);
         true
     }
 
     /// The power-of-two size actually reserved for the vma at `base`.
     pub fn reserved_size(&self, base: u64) -> Option<u64> {
-        self.allocations.get(&base).map(|a| a.size)
+        self.allocations.get(&base).map(|&size_log2| 1 << size_log2)
     }
 
     /// The memory blade owning virtual address `vaddr` under the range
@@ -287,9 +280,9 @@ mod tests {
         let d = b.alloc(4096).unwrap();
         b.free(a, 4096);
         b.free(d, 4096);
-        assert_eq!(b.fragments(), 2, "hole at 0 + tail");
+        assert_eq!(b.free.len(), 2, "hole at 0 + tail");
         b.free(c, 4096);
-        assert_eq!(b.fragments(), 1, "all free space coalesced");
+        assert_eq!(b.free.len(), 1, "all free space coalesced");
         assert_eq!(b.allocated(), 0);
     }
 

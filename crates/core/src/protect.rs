@@ -18,14 +18,16 @@
 //! Grants within a domain are **disjoint by invariant** (see
 //! [`ProtectionTable::grant`]), so a lookup has at most one match and LPM
 //! priority is vacuous. The table therefore stores each domain's entries as
-//! packed 8-byte [`Row`]s keyed by PDID rather than sharing a
+//! packed 8-byte [`Row`]s in a slab indexed by PDID rather than sharing a
 //! level-indexed TCAM map: a million-tenant population holds one `Row`
 //! per tenant after coalescing (the [`Rows::One`] inline case — no heap
 //! allocation at all), instead of a hash entry in a 49-level shared map.
-//! Lookups scan the domain's own rows — O(rows-in-domain), and
-//! coalescing keeps that a handful.
+//! A rack recycles pids, so the slab is as long as the most processes
+//! ever live at once. Lookups scan the domain's own rows —
+//! O(rows-in-domain), and coalescing keeps that a handful.
 
-use mind_sim::hash::FastMap;
+use std::ops::Range;
+
 use mind_switch::tcam::{pow2_cover, TcamFull, VA_BITS};
 
 use crate::addr::Vma;
@@ -33,6 +35,11 @@ use crate::system::AccessKind;
 
 /// Protection domain identifier (PID for unmodified applications).
 pub type Pdid = u64;
+
+/// The domain ids a table holds rows for: pids, which Linux issues from 1
+/// up to below `PID_MAX_LIMIT` (2^22 on 64-bit hosts). A grant to any
+/// other id is refused as if the table were full, and grows nothing.
+pub(crate) const PDIDS: Range<Pdid> = 1..1 << 22;
 
 /// Permission classes, mirroring Linux memory permissions for unmodified
 /// applications (richer classes are possible, §4.2).
@@ -118,9 +125,10 @@ impl Row {
 
 /// A domain's installed rows. Coalescing drives most domains to a single
 /// entry, so the one-row case is stored inline — a million-tenant table
-/// costs one map slot and zero side allocations per tenant.
+/// costs one slab slot and zero side allocations per tenant.
 #[derive(Debug, Clone)]
 enum Rows {
+    Empty,
     One(Row),
     Many(Vec<Row>),
 }
@@ -128,31 +136,33 @@ enum Rows {
 impl Rows {
     fn iter(&self) -> std::slice::Iter<'_, Row> {
         match self {
+            Rows::Empty => [].iter(),
             Rows::One(row) => std::slice::from_ref(row).iter(),
             Rows::Many(rows) => rows.iter(),
         }
     }
 
-    fn len(&self) -> usize {
-        match self {
-            Rows::One(_) => 1,
-            Rows::Many(rows) => rows.len(),
-        }
-    }
-
     fn push(&mut self, row: Row) {
         match self {
+            Rows::Empty => *self = Rows::One(row),
             Rows::One(first) => *self = Rows::Many(vec![*first, row]),
             Rows::Many(rows) => rows.push(row),
         }
     }
 }
 
+/// The slab index of a domain (or process) id: the id minus one, so 0
+/// maps past every slab.
+pub(crate) fn slot(pdid: Pdid) -> usize {
+    usize::try_from(pdid).map_or(usize::MAX, |id| id.wrapping_sub(1))
+}
+
 /// The in-switch protection table.
 #[derive(Debug, Clone)]
 pub struct ProtectionTable {
-    /// Per-domain packed rows; a domain with no grants holds no slot.
-    rows: FastMap<Pdid, Rows>,
+    /// Per-domain packed rows, indexed by [`slot`]; a domain past the end
+    /// has no grants.
+    rows: Vec<Rows>,
     capacity: usize,
     used: usize,
 }
@@ -161,13 +171,13 @@ impl ProtectionTable {
     /// Creates a table with `tcam_capacity` entries.
     pub fn new(tcam_capacity: usize) -> Self {
         ProtectionTable {
-            rows: FastMap::default(),
+            rows: Vec::new(),
             capacity: tcam_capacity,
             used: 0,
         }
     }
 
-    /// Revokes every grant, keeping the map's storage.
+    /// Revokes every grant, keeping the slab's storage.
     pub(crate) fn reset(&mut self) {
         self.rows.clear();
         self.used = 0;
@@ -176,7 +186,8 @@ impl ProtectionTable {
     /// Grants `pc` to `<pdid, vma>`; splits unaligned vmas into
     /// power-of-two pieces and coalesces buddies afterwards.
     ///
-    /// Rolls back on TCAM exhaustion.
+    /// Rolls back on TCAM exhaustion. A `pdid` no pid can be (0, or 2^22,
+    /// Linux's `PID_MAX_LIMIT`, and up) gets `Err(TcamFull)` too.
     ///
     /// # Panics
     ///
@@ -214,7 +225,7 @@ impl ProtectionTable {
     /// cold path, and only scans the domain's own rows).
     fn overlaps(&self, pdid: Pdid, vma: Vma) -> bool {
         let end = vma.base + vma.len;
-        self.rows.get(&pdid).is_some_and(|rows| {
+        self.rows.get(slot(pdid)).is_some_and(|rows| {
             rows.iter().any(|r| {
                 let rbase = r.base();
                 let rend = rbase + (1u64 << r.size_log2());
@@ -225,29 +236,26 @@ impl ProtectionTable {
 
     /// Installs one row under `pdid`, or reports the table full.
     fn insert_row(&mut self, pdid: Pdid, row: Row) -> Result<(), TcamFull> {
-        if self.used >= self.capacity {
+        if self.used >= self.capacity || !PDIDS.contains(&pdid) {
             return Err(TcamFull);
         }
-        match self.rows.entry(pdid) {
-            std::collections::hash_map::Entry::Occupied(mut slot) => slot.get_mut().push(row),
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(Rows::One(row));
-            }
+        if slot(pdid) >= self.rows.len() {
+            self.rows.resize(slot(pdid) + 1, Rows::Empty);
         }
+        self.rows[slot(pdid)].push(row);
         self.used += 1;
         Ok(())
     }
 
     /// Removes the row covering exactly `[base, base + 2^k)`, returning
-    /// its class. Drops the domain's map slot when its last row goes.
+    /// its class.
     fn remove_row(&mut self, pdid: Pdid, base: u64, k: u8) -> Option<PermClass> {
-        let rows = self.rows.get_mut(&pdid)?;
-        let (pc, now_empty) = match rows {
-            Rows::One(row) => {
-                if !row.is(base, k) {
-                    return None;
-                }
-                (row.pc(), true)
+        let rows = self.rows.get_mut(slot(pdid))?;
+        let pc = match rows {
+            Rows::One(row) if row.is(base, k) => {
+                let pc = row.pc();
+                *rows = Rows::Empty;
+                pc
             }
             Rows::Many(many) => {
                 let i = many.iter().position(|r| r.is(base, k))?;
@@ -256,12 +264,10 @@ impl ProtectionTable {
                     let only = many[0];
                     *rows = Rows::One(only);
                 }
-                (pc, false)
+                pc
             }
+            _ => return None,
         };
-        if now_empty {
-            self.rows.remove(&pdid);
-        }
         self.used -= 1;
         Some(pc)
     }
@@ -269,8 +275,7 @@ impl ProtectionTable {
     /// The class of the row covering exactly `[base, base + 2^k)`, if
     /// installed.
     fn class_of(&self, pdid: Pdid, base: u64, k: u8) -> Option<PermClass> {
-        self.rows
-            .get(&pdid)?
+        self.rows.get(slot(pdid))?
             .iter()
             .find(|r| r.is(base, k))
             .map(|r| r.pc())
@@ -279,8 +284,7 @@ impl ProtectionTable {
     /// The domain's row covering `vaddr`, if any. Disjointness makes the
     /// first match the only match.
     fn matching(&self, pdid: Pdid, vaddr: u64) -> Option<Row> {
-        self.rows
-            .get(&pdid)?
+        self.rows.get(slot(pdid))?
             .iter()
             .copied()
             .find(|r| r.matches(vaddr))
@@ -368,7 +372,7 @@ impl ProtectionTable {
     /// quantity a multi-tenant control plane must drive back to zero when
     /// the domain's owner departs.
     pub fn entries_for(&self, pdid: Pdid) -> usize {
-        self.rows.get(&pdid).map_or(0, Rows::len)
+        self.rows.get(slot(pdid)).map_or(0, |rows| rows.iter().len())
     }
 }
 
@@ -557,6 +561,18 @@ mod tests {
         let err = p.grant(1, Vma::new(0x1000, 0x3000), PermClass::ReadOnly);
         assert!(err.is_err());
         assert_eq!(p.rule_count(), 0);
+    }
+
+    #[test]
+    fn a_domain_id_no_exec_issues_is_refused_and_grows_nothing() {
+        let mut p = ProtectionTable::new(64);
+        let vma = Vma::new(0x4000, 0x4000);
+        for pdid in [0, u64::MAX] {
+            assert!(!p.check(pdid, vma.base, AccessKind::Read));
+            assert_eq!(p.grant(pdid, vma, PermClass::ReadWrite), Err(TcamFull));
+            assert_eq!(p.revoke(pdid, vma), 0);
+        }
+        assert_eq!((p.rows.capacity(), p.rule_count()), (0, 0), "nothing allocated");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use mind_blade::PAGE_SHIFT;
 use mind_sim::stats::TimeSeries;
 use mind_sim::SimTime;
-use mind_switch::sram::reserved_slots;
+use mind_switch::sram::reserve_slots;
 
 use crate::directory::{EpochCounter, RegionDirectory};
 
@@ -96,7 +96,9 @@ pub struct BoundedSplitting {
     last_report: EpochReport,
     /// Per-epoch working sets, kept so that an epoch allocates nothing: the
     /// drained activity counters, the split list `(f, base)` and the merge
-    /// list (left bases).
+    /// list (left bases). Each holds at most one item per directory entry,
+    /// so each is reserved at the directory's capacity when it first has
+    /// work: a rack that never invalidates or merges holds none of them.
     counters: Vec<EpochCounter>,
     hot: Vec<(u32, u64)>,
     candidates: Vec<u64>,
@@ -106,14 +108,6 @@ impl BoundedSplitting {
     /// Creates a driver that reserves nothing; the first epoch ends at
     /// `epoch_len`.
     pub fn new(cfg: SplitConfig) -> Self {
-        Self::with_capacity(cfg, 0)
-    }
-
-    /// A driver for a directory of `dir_capacity` slots. Its working sets
-    /// hold at most one item per directory entry, so each is reserved at
-    /// that capacity.
-    pub fn with_capacity(cfg: SplitConfig, dir_capacity: usize) -> Self {
-        let reserved = reserved_slots(dir_capacity);
         BoundedSplitting {
             c: cfg.c,
             next_epoch: cfg.epoch_len,
@@ -121,9 +115,9 @@ impl BoundedSplitting {
             epochs_run: 0,
             entries_series: TimeSeries::new(),
             last_report: EpochReport::default(),
-            counters: Vec::with_capacity(reserved),
-            hot: Vec::with_capacity(reserved),
-            candidates: Vec::with_capacity(reserved),
+            counters: Vec::new(),
+            hot: Vec::new(),
+            candidates: Vec::new(),
         }
     }
 
@@ -173,8 +167,9 @@ impl BoundedSplitting {
         // Split phase: regions whose false-invalidation count exceeded t,
         // hottest first so limited SRAM goes to the worst offenders.
         let mut splits = 0;
-        if self.cfg.enable_split {
+        if self.cfg.enable_split && !counters.is_empty() {
             let hot = &mut self.hot;
+            reserve_slots(hot, dir.capacity());
             hot.clear();
             hot.extend(
                 counters
@@ -210,6 +205,7 @@ impl BoundedSplitting {
             // they run in base order.
             let is_active = |base: u64| counters.binary_search_by_key(&base, |c| c.base).is_ok();
             let candidates = &mut self.candidates;
+            reserve_slots(candidates, dir.capacity());
             candidates.clear();
             candidates.extend(
                 dir.mergeable_pairs()

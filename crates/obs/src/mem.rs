@@ -5,12 +5,15 @@
 //! never in BENCH JSON or trace files:
 //!
 //! - **Allocation counters**: a [`CountingAlloc`] global allocator wraps
-//!   the system allocator with two relaxed atomic counters (allocation
-//!   count and requested bytes). Always on — the cost is two uncontended
+//!   the system allocator with relaxed atomic counters (allocation
+//!   count, requested bytes, live bytes and their high-water mark).
+//!   Always on — the cost is a few uncontended
 //!   atomic adds per allocation, invisible next to the allocation itself
 //!   and covered by the `obs_overhead` gate — so hot-path allocation
 //!   regressions (a scratch buffer that stopped being reused, a string
 //!   key materialized per sample) show up as count deltas in CI logs.
+//!   The live bytes make a memory footprint an exact number for a seed
+//!   rather than a noisy RSS.
 //! - **Peak RSS**: `VmHWM` from `/proc/self/status`, resettable via
 //!   `/proc/self/clear_refs` so a scenario can measure its own
 //!   high-water mark. Linux-only; elsewhere the probes return `None` /
@@ -21,11 +24,22 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+static PEAK_LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 
-/// The system allocator behind two relaxed counters; installed as the
+/// The system allocator behind relaxed counters; installed as the
 /// process global allocator by this crate so every binary in the
 /// workspace reports allocation deltas for free.
 pub struct CountingAlloc;
+
+/// Counts `bytes` more requested bytes live, and raises the high-water
+/// mark to the new total.
+fn grow_live(bytes: u64) {
+    let live = LIVE_BYTES.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    if live > PEAK_LIVE_BYTES.load(Ordering::Relaxed) {
+        PEAK_LIVE_BYTES.fetch_max(live, Ordering::Relaxed);
+    }
+}
 
 // SAFETY: defers every operation to `System` unchanged; the counters are
 // plain relaxed atomics with no effect on the returned memory.
@@ -33,25 +47,31 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        grow_live(layout.size() as u64);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        grow_live(layout.size() as u64);
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A grow-in-place still pressures the allocator; count it, and
         // charge only the growth so byte totals stay an upper bound on
-        // traffic rather than double-counting the moved prefix.
+        // traffic rather than double-counting the moved prefix. The old
+        // block stops being live as the new one starts.
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         ALLOC_BYTES.fetch_add(new_size.saturating_sub(layout.size()) as u64, Ordering::Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        grow_live(new_size as u64);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -60,6 +80,20 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// deltas around a region of interest).
 pub fn alloc_counts() -> (u64, u64) {
     (ALLOCS.load(Ordering::Relaxed), ALLOC_BYTES.load(Ordering::Relaxed))
+}
+
+/// Requested bytes allocated and not yet freed, process-wide, and their
+/// high-water mark since start or the last [`reset_peak_live`]. Exact
+/// for a seed when one thread allocates, unlike RSS, which also counts
+/// what the system allocator keeps after a free.
+pub fn live_bytes() -> (u64, u64) {
+    (LIVE_BYTES.load(Ordering::Relaxed), PEAK_LIVE_BYTES.load(Ordering::Relaxed))
+}
+
+/// Lowers the live-bytes high-water mark to the bytes live now, so a
+/// later [`live_bytes`] reads the peak of just the region in between.
+pub fn reset_peak_live() {
+    PEAK_LIVE_BYTES.store(LIVE_BYTES.load(Ordering::Relaxed), Ordering::Relaxed);
 }
 
 /// Reads one `kB`-suffixed field from `/proc/self/status`, in bytes.
@@ -127,5 +161,15 @@ mod tests {
         drop(v);
         let (a2, b2) = alloc_counts();
         assert!(a2 >= a1 && b2 >= b1, "counters never go backwards");
+    }
+
+    #[test]
+    fn the_live_peak_covers_a_block_while_it_lives() {
+        reset_peak_live();
+        let v: Vec<u8> = Vec::with_capacity(1 << 20);
+        let (live, peak) = live_bytes();
+        assert!(peak >= live && live >= 1 << 20, "live {live}, peak {peak}");
+        drop(v);
+        assert!(live_bytes().1 >= 1 << 20, "a free keeps the peak");
     }
 }

@@ -18,6 +18,7 @@ pub mod event;
 pub mod hash;
 pub mod intern;
 pub mod rng;
+pub mod slab;
 pub mod stats;
 pub mod time;
 

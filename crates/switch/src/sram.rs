@@ -38,6 +38,15 @@ pub fn reserved_slots(capacity: usize) -> usize {
     }
 }
 
+/// Reserves [`reserved_slots`] of `capacity` in a work list that has no
+/// storage yet, so a list is one allocation made by its first use, and a
+/// list that is never used holds none.
+pub fn reserve_slots<T>(list: &mut Vec<T>, capacity: usize) {
+    if list.capacity() == 0 {
+        list.reserve_exact(reserved_slots(capacity));
+    }
+}
+
 /// A fixed-capacity slot store keyed by region base address.
 ///
 /// The slot slab is reserved at `capacity` ([`reserved_slots`]), so filling

@@ -323,3 +323,139 @@ fn a_write_completes_no_earlier_than_its_last_ack() {
         );
     }
 }
+
+/// The STT's `sequential` rows (§4.4): leaving a dirty exclusive state,
+/// the fetch waits for the invalidation round's last ACK, so the access
+/// completes no earlier than the least a fetch takes after that ACK.
+#[test]
+fn a_sequential_rows_fetch_starts_no_earlier_than_its_last_ack() {
+    use mind_core::stt::{Protocol, Role, SttTable};
+    use mind_obs::{EventKind, TraceConfig, TraceMode};
+    use AccessKind::{Read, Write};
+
+    // Accesses (blade, kind) that set a region up, then the access under
+    // test: by protocol they reach M, E and O, and leave each by a read and
+    // a write.
+    type Access = (u16, AccessKind);
+    let cases: [(&[Access], Access); 7] = [
+        (&[(0, Write)], (1, Read)),
+        (&[(0, Write)], (1, Write)),
+        (&[(0, Read)], (1, Read)),
+        (&[(0, Read)], (1, Write)),
+        (&[(0, Write), (1, Read)], (0, Write)),
+        (&[(0, Write), (1, Read)], (1, Write)),
+        (&[(0, Write), (1, Read)], (2, Write)),
+    ];
+    let mut checked = 0;
+    for protocol in [Protocol::Msi, Protocol::Mesi, Protocol::Moesi] {
+        let stt = SttTable::new(protocol);
+        for (setup, (blade, kind)) in cases {
+            let cfg = MindConfig {
+                n_compute: 4,
+                trace: TraceConfig::with_mode(TraceMode::On),
+                ..MindConfig::small()
+            };
+            let mut c = MindCluster::new(cfg.protocol(protocol).consistency(ConsistencyModel::Tso));
+            let pid = c.exec().unwrap();
+            let page = c.mmap(pid, 1 << 20).unwrap();
+            for (i, &(b, k)) in setup.iter().enumerate() {
+                c.access_as(ms(1 + i as u64), b, pid, page, k).unwrap();
+            }
+            let (base, _) = c.engine().directory().region_of(page).unwrap();
+            let e = c.engine().directory().entry(base).unwrap();
+            let role = match e.owner() {
+                Some(owner) if owner == blade => Role::Owner,
+                _ if e.sharers.contains(blade) => Role::Sharer,
+                _ => Role::Other,
+            };
+            // Leaving a dirty exclusive state: M or E by another blade, or O
+            // by a write. The STT marks exactly these rows sequential.
+            let state = e.state;
+            let leaves_dirty = match state {
+                MsiState::Modified | MsiState::Exclusive => role != Role::Owner,
+                MsiState::Owned => kind.is_write(),
+                _ => false,
+            };
+            if !leaves_dirty && !stt.lookup(state, kind, role).sequential {
+                continue;
+            }
+            // A fetch is a read request to the page's holder, its service
+            // there and the page's way back: two hops at least. A requester
+            // that holds the page waits only for a one-hop grant.
+            let lat = c.config().latency;
+            let least = if c.engine().cache(blade).contains(page) {
+                lat.hop_latency
+            } else {
+                lat.hop_latency + lat.memory_service + lat.hop_latency
+            };
+            c.take_trace();
+            let now = ms(10);
+            let out = c.access_as(now, blade, pid, page, kind).unwrap();
+            let last_ack = c
+                .take_trace()
+                .expect("tracing is on")
+                .events
+                .iter()
+                .filter(|e| e.lane == blade as u32 && e.kind == EventKind::Invalidation)
+                .map(|e| e.ts + e.dur)
+                .max()
+                .expect("a sequential row invalidates");
+            let done = now + out.latency.total();
+            assert!(
+                done >= last_ack + least,
+                "{protocol:?} {state:?} {kind:?} by {role:?}: done {} ns, last ACK {} ns, fetch {} ns",
+                done.as_nanos(),
+                last_ack.as_nanos(),
+                least.as_nanos()
+            );
+            checked += 1;
+        }
+    }
+    // MSI leaves M by a read and a write; MESI leaves E too; MOESI adds
+    // the three writes to an Owned region.
+    assert_eq!(checked, 2 + 4 + 7);
+}
+
+/// The directory against the blade cache: a page the owner of an
+/// Exclusive or Modified region faults in is mapped writable, so the
+/// owner's next write to it is a hit, as both states promise.
+#[test]
+fn a_page_an_e_or_m_owner_faults_in_is_mapped_writable() {
+    use mind_core::stt::Protocol;
+    use mind_sim::SimRng;
+
+    for protocol in [Protocol::Msi, Protocol::Mesi, Protocol::Moesi] {
+        let cfg = MindConfig {
+            n_compute: 4,
+            ..MindConfig::small()
+        };
+        let mut c = MindCluster::new(cfg.protocol(protocol));
+        let pid = c.exec().unwrap();
+        let base = c.mmap(pid, 1 << 20).unwrap();
+        let mut rng = SimRng::new(7);
+        let mut owned = 0;
+        for i in 0..4_000u64 {
+            // 64 pages in 16 regions; each region's home blade issues most
+            // of its accesses, so regions sit in E and M often.
+            let page = base + rng.gen_below(64) * 4096;
+            let home = ((page - base) >> 14) as u16 % 4;
+            let blade = if rng.gen_bool(0.8) { home } else { rng.gen_below(4) as u16 };
+            let kind = if rng.gen_bool(0.7) { AccessKind::Read } else { AccessKind::Write };
+            let now = ms(1) + SimTime::from_micros(50 * i);
+            if !c.access_as(now, blade, pid, page, kind).unwrap().remote {
+                continue;
+            }
+            let (rbase, _) = c.engine().directory().region_of(page).unwrap();
+            let e = c.engine().directory().entry(rbase).unwrap();
+            if matches!(e.state, MsiState::Exclusive | MsiState::Modified) && e.owner() == Some(blade) {
+                let state = e.state;
+                assert!(
+                    c.engine().cache(blade).is_writable(page),
+                    "{protocol:?}: access {i}, {kind:?} by the {state:?} owner, blade {blade}, mapped read-only"
+                );
+                owned += 1;
+            }
+        }
+        assert!(owned > 100, "{protocol:?}: only {owned} faults left an owner");
+    }
+}
