@@ -1,5 +1,14 @@
 //! Figure 8: switch-resource behaviour (left: directory occupancy over
 //! time; center: match-action rule counts; right: allocation fairness).
+//!
+//! Expected shapes (paper) are given per panel below. Here TF's directory
+//! peaks under 10 % of capacity and MA's and MC's reach 70 % or more, but
+//! GC's reaches 93 % in quick mode rather than staying well below. MIND's
+//! rule count stays under 2 % of one rule per 2 MB page, yet grows with the
+//! rack (TF: 10 rules at 1 blade, 73 at 8) rather than staying nearly
+//! constant. The 2 MB-page rules cross the ~45 k switch limit only at full
+//! size: quick mode shrinks the heap 8×, so they stop near 6 k.
+//! `tests/figure_claims.rs` asserts what holds.
 
 use mind_core::cluster::{scaled_dir_capacity, MindCluster, MindConfig};
 use mind_core::galloc::GlobalAllocator;

@@ -7,12 +7,13 @@
 //! scenarios, and the simulation itself is a pure function of its
 //! configuration and seeds. Threads only decide *when* a scenario runs,
 //! never *what* it computes; reassembling results by index erases the
-//! scheduling order. `MIND_THREADS=1` forces a serial run (the reference
-//! ordering the determinism tests compare against). A scenario that runs a
+//! scheduling order. `n` workers are the calling thread plus `n − 1`
+//! scoped threads ([`mind_sim::pool::run_lanes`]); `MIND_THREADS=1` is the
+//! same loop on the caller alone, the serial reference ordering the
+//! determinism tests compare against. A scenario that runs a
 //! sharded replay inside a worker brings its own lane count
 //! (`mind_workloads::shard`); the two counts multiply.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use crate::scenario::{Scenario, ScenarioResult};
@@ -24,7 +25,8 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// An engine with an explicit worker count (min 1).
+    /// An engine with an explicit worker count (min 1), the caller
+    /// included.
     pub fn new(threads: usize) -> Self {
         Engine {
             threads: threads.max(1),
@@ -56,47 +58,25 @@ impl Engine {
     fn run_inner(&self, scenarios: Vec<Scenario>) -> Vec<ScenarioResult> {
         let _table_timer = mind_obs::profile::scope("engine.table");
         let n = scenarios.len();
-        if self.threads == 1 || n <= 1 {
-            return scenarios
-                .iter()
-                .map(|s| {
-                    let _t = mind_obs::profile::scope("engine.scenario");
-                    s.execute()
-                })
-                .collect();
-        }
-
-        // Work-stealing by index: a shared cursor hands out scenarios, and
-        // each worker writes its result into the slot of the scenario's
-        // index — output order is the table order, not completion order.
-        let jobs: Vec<Mutex<Option<Scenario>>> =
-            scenarios.into_iter().map(|s| Mutex::new(Some(s))).collect();
-        let slots: Vec<Mutex<Option<ScenarioResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let cursor = AtomicUsize::new(0);
-
-        std::thread::scope(|scope| {
-            for _ in 0..self.threads.min(n) {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let job = jobs[i].lock().unwrap().take().expect("job taken once");
-                    let _t = mind_obs::profile::scope("engine.scenario");
-                    let result = job.execute();
-                    drop(_t);
-                    *slots[i].lock().unwrap() = Some(result);
-                });
-            }
+        // Workers take scenarios off the table's own iterator and write
+        // each result into the slot of its index: output order is the
+        // table order, not completion order.
+        let jobs = Mutex::new(scenarios.into_iter().enumerate());
+        let slots = Mutex::new((0..n).map(|_| None).collect::<Vec<_>>());
+        mind_sim::pool::run_lanes(self.threads.min(n), || loop {
+            let Some((i, job)) = jobs.lock().expect("no panic holds the jobs").next() else {
+                break;
+            };
+            let _t = mind_obs::profile::scope("engine.scenario");
+            let result = job.execute();
+            drop(_t);
+            slots.lock().expect("no panic holds the slots")[i] = Some(result);
         });
-
         slots
+            .into_inner()
+            .expect("workers joined")
             .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap()
-                    .expect("every scenario executed")
-            })
+            .map(|slot| slot.expect("every scenario executed"))
             .collect()
     }
 }
@@ -105,6 +85,8 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::scenario::ScenarioOutput;
+    use std::sync::{Arc, Barrier};
+    use std::thread::{self, ThreadId};
 
     fn table(n: usize) -> Vec<Scenario> {
         (0..n)
@@ -132,6 +114,40 @@ mod tests {
                 assert_eq!(r.name, format!("s{i}"));
                 assert_eq!(r.value("i"), i as f64);
             }
+        }
+    }
+
+    /// The threads that ran each of `n` scenarios on `threads` workers;
+    /// with `meet`, a scenario waits until the other one has started too,
+    /// so two workers must hold a scenario each at once.
+    fn scenario_threads(threads: usize, n: usize, meet: bool) -> Vec<ThreadId> {
+        let ran = Arc::new(Mutex::new(Vec::new()));
+        let barrier = Arc::new(Barrier::new(2));
+        let table = (0..n)
+            .map(|i| {
+                let (ran, barrier) = (ran.clone(), barrier.clone());
+                Scenario::custom(format!("s{i}"), move || {
+                    ran.lock().unwrap().push(thread::current().id());
+                    if meet {
+                        barrier.wait();
+                    }
+                    ScenarioOutput::default()
+                })
+            })
+            .collect();
+        Engine::new(threads).run(table);
+        Arc::into_inner(ran).unwrap().into_inner().unwrap()
+    }
+
+    #[test]
+    fn the_caller_is_one_of_the_workers() {
+        let caller = thread::current().id();
+        let two = scenario_threads(2, 2, true);
+        assert_eq!(two.len(), 2);
+        assert_eq!(two.iter().filter(|&&t| t == caller).count(), 1, "{two:?}");
+        for (threads, n) in [(1, 4), (4, 1)] {
+            let ran = scenario_threads(threads, n, false);
+            assert!(ran.iter().all(|&t| t == caller), "{threads} workers, {n} scenarios");
         }
     }
 

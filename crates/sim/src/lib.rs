@@ -17,6 +17,7 @@ pub mod env;
 pub mod event;
 pub mod hash;
 pub mod intern;
+pub mod pool;
 pub mod rng;
 pub mod slab;
 pub mod stats;

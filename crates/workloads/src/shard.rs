@@ -15,8 +15,9 @@
 //! ## Multi-core, constant-memory execution
 //!
 //! Shards share nothing: what a shard does depends only on its own state,
-//! so nothing ever synchronizes them. Scoped worker threads *claim* shard
-//! indices from a shared cursor; each worker **builds one rack at its
+//! so nothing ever synchronizes them. Lanes — the calling thread plus
+//! `lanes − 1` scoped threads ([`mind_sim::pool::run_lanes`]) — *claim*
+//! shard indices from a shared cursor; each lane **builds one rack at its
 //! first claim and resets it for every later one** ([`MindCluster::reset`]
 //! keeps the tables' storage), fills it with the claimed shard, replays it
 //! to completion, and streams its report into a running accumulator
@@ -445,10 +446,11 @@ pub fn run_sharded(
 }
 
 /// Replays the scenario as `shards` independent sub-clusters on `lanes`
-/// worker threads (clamped to `1..=shards`) and merges the per-shard
-/// reports in shard-index order. One shard is the fused rack; see the
-/// module docs for when more shards reproduce it byte for byte. The
-/// result is *always* byte-identical across lane counts.
+/// lanes (clamped to `1..=shards`) and merges the per-shard reports in
+/// shard-index order. The lanes are the calling thread and `lanes − 1`
+/// scoped threads, so one lane runs on the caller alone. One shard is the
+/// fused rack; see the module docs for when more shards reproduce it byte
+/// for byte. The result is *always* byte-identical across lane counts.
 ///
 /// Lanes claim shard indices from a shared cursor. A lane builds one rack
 /// at its first claim and resets it for every later one, fills it with
@@ -477,48 +479,32 @@ pub fn run_sharded_threads(
     let merge = Mutex::new(StreamedMerge::new(spec.name.clone(), shards as usize));
     let cursor = AtomicUsize::new(0);
     let failed: Mutex<Option<(u16, ShardError)>> = Mutex::new(None);
-    let run_lane = |mut lane: Lane| loop {
-        if failed.lock().expect("no panic holds the error slot").is_some() {
-            break;
-        }
-        let s = cursor.fetch_add(1, Ordering::Relaxed);
-        if s >= shards as usize {
-            break;
-        }
-        match run_shard_on(spec, shards, s as u16, factory, &mut lane) {
-            Ok(report) => {
-                let _t = mind_obs::profile::scope("shard.merge");
-                merge
-                    .lock()
-                    .expect("no panic holds the streamed merge")
-                    .offer(s, report);
-            }
-            Err(e) => {
-                let mut slot = failed.lock().expect("no panic holds the error slot");
-                if slot.is_none_or(|(lowest, _)| (s as u16) < lowest) {
-                    *slot = Some((s as u16, e));
-                }
+    mind_sim::pool::run_lanes(lanes, || {
+        let mut lane: Lane = None;
+        while failed.lock().expect("no panic holds the error slot").is_none() {
+            let s = cursor.fetch_add(1, Ordering::Relaxed);
+            if s >= shards as usize {
                 break;
             }
-        }
-    };
-    if lanes == 1 {
-        run_lane(None);
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..lanes {
-                scope.spawn(move || run_lane(None));
+            match run_shard_on(spec, shards, s as u16, factory, &mut lane) {
+                Ok(report) => {
+                    let _t = mind_obs::profile::scope("shard.merge");
+                    merge.lock().expect("no panic holds the streamed merge").offer(s, report);
+                }
+                Err(e) => {
+                    let mut slot = failed.lock().expect("no panic holds the error slot");
+                    if slot.is_none_or(|(lowest, _)| (s as u16) < lowest) {
+                        *slot = Some((s as u16, e));
+                    }
+                }
             }
-        });
-    }
+        }
+    });
 
     if let Some((_, e)) = failed.into_inner().expect("workers joined") {
         return Err(e);
     }
-    Ok(merge
-        .into_inner()
-        .expect("workers joined")
-        .finish())
+    Ok(merge.into_inner().expect("workers joined").finish())
 }
 
 /// The shard-index-order streaming merge of per-shard reports: the only
@@ -670,6 +656,8 @@ mod tests {
     use crate::trace::TraceOp;
     use mind_core::system::AccessKind;
     use mind_sim::SimRng;
+    use std::sync::Barrier;
+    use std::thread::{self, ThreadId};
 
     /// A single-threaded tenant touching its own pages; writes stay on
     /// one blade, so the confinement contract holds.
@@ -750,30 +738,57 @@ mod tests {
         )
     }
 
+    /// Asserts `got` reproduces `want` bit for bit.
+    fn assert_same(want: &RunReport, got: &RunReport, what: &str) {
+        assert_eq!(key(want), key(got), "{what}");
+        assert_eq!(want.metrics, got.metrics, "{what}");
+        assert_eq!(want.window_metrics, got.window_metrics, "{what}");
+        assert_eq!(want.mops.to_bits(), got.mops.to_bits(), "{what}");
+    }
+
+    /// Asserts `s` split 2 and 4 ways reproduces its fused run, which
+    /// must be confined.
+    fn assert_shards_reproduce_fused(s: &ShardSpec) {
+        let fused = fused(s);
+        assert_eq!(fused.invalidations, 0, "scenario must be confined");
+        assert!(fused.total_ops > 0);
+        for shards in [2u16, 4] {
+            let sharded = run_sharded(s, shards, &factory).expect("confined scenario");
+            assert_same(&fused, &sharded, &format!("shards = {shards}"));
+        }
+    }
+
+    /// Asserts `s` in 4 shards reports what one lane reports on every
+    /// count in `lanes`.
+    fn assert_lanes_never_change_the_result(s: &ShardSpec, lanes: &[usize]) {
+        let reference = run_sharded_threads(s, 4, 1, &factory).expect("confined scenario");
+        for &n in lanes {
+            let got = run_sharded_threads(s, 4, n, &factory).expect("confined scenario");
+            assert_same(&reference, &got, &format!("{n} lanes"));
+        }
+    }
+
+    /// `s` replayed in cluster mode, 8-op batches in windows of 4.
+    fn cluster_mode(mut s: ShardSpec) -> ShardSpec {
+        s.run = s
+            .run
+            .with_batch_ops(8)
+            .with_window(4)
+            .with_concurrency(crate::runner::Concurrency::Cluster);
+        s
+    }
+
     #[test]
     fn one_shard_matches_serialized_reference_exactly() {
         // The one-shard run is the whole rack's own report, merged alone.
         let s = spec(4);
         let whole = run_shard(&s, 1, 0, &factory).expect("confined scenario");
-        let merged = fused(&s);
-        assert_eq!(key(&whole), key(&merged));
-        assert_eq!(whole.mops.to_bits(), merged.mops.to_bits());
-        assert_eq!(whole.metrics, merged.metrics);
-        assert_eq!(whole.window_metrics, merged.window_metrics);
+        assert_same(&whole, &fused(&s), "one shard");
     }
 
     #[test]
     fn sharded_partitions_reproduce_the_fused_run() {
-        let s = spec(4);
-        let fused = fused(&s);
-        assert_eq!(fused.invalidations, 0, "scenario must be confined");
-        for shards in [2u16, 4] {
-            let sharded = run_sharded(&s, shards, &factory).expect("confined scenario");
-            assert_eq!(key(&fused), key(&sharded), "shards = {shards}");
-            assert_eq!(fused.metrics, sharded.metrics, "shards = {shards}");
-            assert_eq!(fused.window_metrics, sharded.window_metrics);
-            assert_eq!(fused.mops.to_bits(), sharded.mops.to_bits());
-        }
+        assert_shards_reproduce_fused(&spec(4));
     }
 
     #[test]
@@ -781,72 +796,53 @@ mod tests {
         // Same scenario, but every tenant in its own protection domain
         // (the multi-tenant isolation shape). Pid values differ between
         // the fused and sharded runs; nothing timing-visible does.
-        let mut s = spec(4);
-        s.domain_per_thread = true;
-        let fused = fused(&s);
-        assert_eq!(fused.invalidations, 0, "scenario must be confined");
-        for shards in [2u16, 4] {
-            let sharded = run_sharded(&s, shards, &factory).expect("confined scenario");
-            assert_eq!(key(&fused), key(&sharded), "shards = {shards}");
-            assert_eq!(fused.metrics, sharded.metrics, "shards = {shards}");
-            assert_eq!(fused.window_metrics, sharded.window_metrics);
-            assert_eq!(fused.mops.to_bits(), sharded.mops.to_bits());
-        }
+        assert_shards_reproduce_fused(&ShardSpec { domain_per_thread: true, ..spec(4) });
     }
 
     #[test]
     fn thread_count_never_changes_the_result() {
-        // The multi-core contract: byte-identical reports across thread
+        // The multi-core contract: byte-identical reports across lane
         // counts, including counts that do not divide the shard count and
         // counts past it (clamped).
-        let s = spec(4);
-        let reference = run_sharded_threads(&s, 4, 1, &factory).expect("confined scenario");
-        for threads in [2usize, 3, 4, 16] {
-            let got = run_sharded_threads(&s, 4, threads, &factory).expect("confined scenario");
-            assert_eq!(key(&reference), key(&got), "threads = {threads}");
-            assert_eq!(reference.metrics, got.metrics, "threads = {threads}");
-            assert_eq!(reference.window_metrics, got.window_metrics);
-            assert_eq!(reference.mops.to_bits(), got.mops.to_bits());
-        }
+        assert_lanes_never_change_the_result(&spec(4), &[2, 3, 4, 16]);
+    }
+
+    /// The threads that built each shard's one partition when `lanes`
+    /// lanes replay two shards; with `meet`, a lane that built one waits
+    /// until the other shard is built too, so two lanes must hold a shard
+    /// each at once.
+    fn shard_threads(lanes: usize, meet: Option<&Barrier>) -> Vec<ThreadId> {
+        let threads = Mutex::new(Vec::new());
+        let factory = |p| {
+            threads.lock().unwrap().push(thread::current().id());
+            if let Some(barrier) = meet {
+                barrier.wait();
+            }
+            factory(p)
+        };
+        run_sharded_threads(&spec(2), 2, lanes, &factory).expect("confined scenario");
+        threads.into_inner().unwrap()
+    }
+
+    #[test]
+    fn the_caller_is_one_of_the_lanes() {
+        let caller = thread::current().id();
+        let two = shard_threads(2, Some(&Barrier::new(2)));
+        assert_eq!(two.len(), 2);
+        assert_eq!(two.iter().filter(|&&t| t == caller).count(), 1, "{two:?}");
+        assert!(shard_threads(1, None).iter().all(|&t| t == caller));
     }
 
     #[test]
     fn cluster_mode_sharded_partitions_reproduce_the_fused_run() {
         // The engine arbitrates per partition, so confined scenarios keep
         // the fused ≡ sharded contract in cluster mode too.
-        let mut s = spec(4);
-        s.run = s
-            .run
-            .with_batch_ops(8)
-            .with_window(4)
-            .with_concurrency(crate::runner::Concurrency::Cluster);
-        let fused = fused(&s);
-        assert_eq!(fused.invalidations, 0, "scenario must be confined");
-        assert!(fused.total_ops > 0);
-        for shards in [2u16, 4] {
-            let sharded = run_sharded(&s, shards, &factory).expect("confined scenario");
-            assert_eq!(key(&fused), key(&sharded), "shards = {shards}");
-            assert_eq!(fused.metrics, sharded.metrics, "shards = {shards}");
-            assert_eq!(fused.window_metrics, sharded.window_metrics);
-            assert_eq!(fused.mops.to_bits(), sharded.mops.to_bits());
-        }
+        assert_shards_reproduce_fused(&cluster_mode(spec(4)));
     }
 
     #[test]
     fn cluster_mode_thread_count_never_changes_the_result() {
-        let mut s = spec(4);
-        s.run = s
-            .run
-            .with_batch_ops(8)
-            .with_window(4)
-            .with_concurrency(crate::runner::Concurrency::Cluster);
-        let reference = run_sharded_threads(&s, 4, 1, &factory).expect("confined scenario");
-        for threads in [2usize, 4] {
-            let got = run_sharded_threads(&s, 4, threads, &factory).expect("confined scenario");
-            assert_eq!(key(&reference), key(&got), "threads = {threads}");
-            assert_eq!(reference.metrics, got.metrics, "threads = {threads}");
-            assert_eq!(reference.mops.to_bits(), got.mops.to_bits());
-        }
+        assert_lanes_never_change_the_result(&cluster_mode(spec(4)), &[2, 4]);
     }
 
     #[test]
@@ -1001,12 +997,9 @@ mod tests {
     fn merge_of_one_report_is_identity() {
         let a = direct(5, 300);
         let m = merged(&a.name, vec![a.clone()]);
-        assert_eq!(key(&m), key(&a));
-        assert_eq!(m.mops.to_bits(), a.mops.to_bits(), "floats recomputed bit-identically");
+        assert_same(&a, &m, "floats recomputed bit-identically");
         assert_eq!(m.mean_remote_ns.to_bits(), a.mean_remote_ns.to_bits());
         assert_eq!(m.remote_per_op.to_bits(), a.remote_per_op.to_bits());
-        assert_eq!(m.metrics, a.metrics);
-        assert_eq!(m.window_metrics, a.window_metrics);
     }
 
     #[test]

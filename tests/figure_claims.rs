@@ -190,3 +190,69 @@ fn ablation_colocated_sharers_beat_split_sharers_without_invalidation_rounds() {
     );
     assert_eq!(rounds["sharers-colocated"], 0.0, "{rounds:?}");
 }
+
+/// Figure 8 (left), as `fig8.rs` documents it: no workload's directory
+/// outgrows the switch's capacity; TF stays well below it while MA and MC
+/// press against it.
+#[test]
+fn fig8_directory_stays_within_capacity_tf_far_below_ma_mc_near_it() {
+    let peak = column("fig8_directory", "metrics/directory_watermark");
+    let capacity = column("fig8_directory", "values/dir_capacity");
+    assert_eq!(peak.len(), WORKLOADS.len(), "{peak:?}");
+    let share = |workload: &str| peak[workload] / capacity[workload];
+    for workload in WORKLOADS {
+        let (p, c) = (peak[workload], capacity[workload]);
+        assert!(p <= c, "{workload}: {p} entries of {c}");
+    }
+    assert!(share("TF") < 0.10, "TF at {:.3} of capacity", share("TF"));
+    for workload in ["MA", "MC"] {
+        assert!(share(workload) >= 0.70, "{workload} at {:.3} of capacity", share(workload));
+    }
+}
+
+const GROUPS: [&str; 3] = ["TF", "GC", "MA&C"];
+
+/// One Figure 8 (center or right) value per `(group, blades)`.
+fn fig8(figure: &str, path: &str) -> impl Fn(&str, u16) -> f64 {
+    let rows = column(figure, path);
+    assert_eq!(rows.len(), GROUPS.len() * BLADES.len(), "{figure} {path}: {rows:?}");
+    move |group, blades| rows[&format!("{group}/b{blades}")]
+}
+
+/// Figure 8 (center): MIND's translation and protection rules stay a
+/// small fraction of one rule per 2 MB page, which grows with the rack's
+/// dataset.
+#[test]
+fn fig8_mind_needs_under_two_percent_of_the_2mb_page_rules() {
+    let mind = fig8("fig8_rules", "values/mind_rules");
+    let pages = fig8("fig8_rules", "values/rules_2mb");
+    for group in GROUPS {
+        for blades in BLADES {
+            let share = mind(group, blades) / pages(group, blades);
+            assert!(share < 0.02, "{group} b{blades}: MIND needs {share:.4} of the 2 MB rules");
+        }
+        let growth = pages(group, 8) / pages(group, 1);
+        assert!(growth >= 7.0, "{group}: 2 MB rules grow {growth:.2}x from b1 to b8");
+    }
+}
+
+/// Figure 8 (right): MIND's vma placement balances memory blades, 2 MB
+/// pages balance almost perfectly, and 1 GB pages pile small vmas onto one
+/// blade once there is more than one.
+#[test]
+fn fig8_mind_and_2mb_pages_balance_blades_1gb_pages_do_not() {
+    let mind = fig8("fig8_fairness", "values/mind");
+    let pages_2mb = fig8("fig8_fairness", "values/pages_2mb");
+    let pages_1gb = fig8("fig8_fairness", "values/pages_1gb");
+    for group in GROUPS {
+        for blades in BLADES {
+            let m = mind(group, blades);
+            let (two, one) = (pages_2mb(group, blades), pages_1gb(group, blades));
+            assert!(m >= 0.90, "{group} b{blades}: MIND {m}");
+            assert!(two >= 0.999, "{group} b{blades}: 2 MB pages {two}");
+            if blades >= 2 {
+                assert!(one <= 0.5 && one < m, "{group} b{blades}: 1 GB pages {one}, MIND {m}");
+            }
+        }
+    }
+}
