@@ -3,7 +3,7 @@
 //! in only one of them.
 //!
 //! Each scalar is keyed by the path of object keys and array positions
-//! above it, as `mind_harness::report::read_values` reads the file.
+//! above it, as `mind_bench::compared_values` reads the file.
 //! Ignored: `generator`, and the host-lane keys — anything at or under a
 //! key that contains `wall_secs`, `speedup` or `peak_rss_mb`. Two files whose `mode` headers differ (a
 //! `--quick` run against a full one) are not compared at all: exit 2,
@@ -11,21 +11,9 @@
 
 #![forbid(unsafe_code)]
 
-use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use mind_harness::report;
-
-/// Key fragments that mark a host-time or host-memory value.
-const HOST_LANE: [&str; 3] = ["wall_secs", "speedup", "peak_rss_mb"];
-
-/// Every compared scalar of a rendered BENCH document, by path: what
-/// [`report::read_values`] reads, less `generator` and the host lane.
-fn values(text: &str) -> BTreeMap<String, String> {
-    let mut out = report::read_values(text);
-    out.retain(|path, _| path != "generator" && !HOST_LANE.iter().any(|lane| path.contains(lane)));
-    out
-}
+use mind_bench::compared_values;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -34,7 +22,7 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     let read = |path: &String| match std::fs::read_to_string(path) {
-        Ok(text) => Some(values(&text)),
+        Ok(text) => Some(compared_values(&text)),
         Err(e) => {
             eprintln!("bench_diff: {path}: {e}");
             None

@@ -23,4 +23,22 @@
 
 #![forbid(unsafe_code)]
 
+use std::collections::BTreeMap;
+
+use mind_harness::report;
+
 pub mod figures;
+
+/// Key fragments that mark a host-time or host-memory value: two runs of
+/// one commit need not agree on them, so no comparison reads them.
+const HOST_LANE: [&str; 3] = ["wall_secs", "speedup", "peak_rss_mb"];
+
+/// Every compared scalar of a rendered BENCH document, by path: what
+/// [`report::read_values`] reads, less `generator` and the host lane
+/// (any key containing `wall_secs`, `speedup` or `peak_rss_mb`) — what
+/// `bench_diff` and `tests/figure_claims.rs` compare.
+pub fn compared_values(text: &str) -> BTreeMap<String, String> {
+    let mut out = report::read_values(text);
+    out.retain(|path, _| path != "generator" && !HOST_LANE.iter().any(|lane| path.contains(lane)));
+    out
+}

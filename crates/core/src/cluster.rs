@@ -5,6 +5,11 @@
 //! process/memory system calls, byte-granularity reads/writes (functional
 //! shared memory), trace-replay access (the [`MemorySystem`] trait used by
 //! the evaluation harness), and metric/series accessors for the figures.
+//!
+//! A batch runs one of two ways: at window 1 the serialized schedule every
+//! system shares ([`OpBatch::run_serialized`]), and at a deeper window as
+//! issue streams through [`MindCluster::issue_clustered`], the one gate
+//! over the [`ClusterEngine`]'s pool.
 
 use mind_blade::{page_base, PAGE_SIZE};
 use mind_net::link::LatencyConfig;
@@ -190,7 +195,8 @@ pub struct MindCluster {
     default_pid: Option<Pid>,
     clock_high_watermark: SimTime,
     /// The issue streams of the windowed batch in progress, reset for each
-    /// one ([`MindCluster::run_batch`] at `window > 1`); built by the first.
+    /// one ([`MemorySystem::execute_batch`] at `window > 1`); built by the
+    /// first.
     batch_engine: Option<ClusterEngine>,
 }
 
@@ -331,51 +337,11 @@ impl MindCluster {
         self.engine.access(now, blade, pid, vaddr, kind)
     }
 
-    /// Executes an [`OpBatch`]: a schedule — which ops, ready when — not a
-    /// second way to execute them. This is the executor behind
-    /// [`MemorySystem::execute_batch`] and the service dispatcher's quantum
-    /// grants.
-    ///
-    /// At `batch.window() <= 1` each op goes through
-    /// [`MindCluster::access_as`] at its issue time, and a chained batch of
-    /// `n` ops equals `n` such calls chained by hand. A deeper window keeps
-    /// up to `window` ops of the batch in flight: every op is then offered
-    /// to [`MindCluster::issue_clustered`] — the gate cluster-mode replay
-    /// uses, over a pool of `window` slots — and the call returns when the
-    /// last op has *issued* (completions are in the batch records; the
-    /// caller decides whether to wait for them).
-    ///
-    /// Ops with `pdid: None` run as the default replay process.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an op has no protection domain and no process has been
-    /// `exec`ed.
-    pub fn run_batch(&mut self, now: SimTime, batch: &mut OpBatch) {
-        if batch.window() > 1 {
-            return self.run_batch_windowed(now, batch);
-        }
-        let mut t = now;
-        for i in 0..batch.len() {
-            let op = batch.op(i);
-            let at = if batch.is_chained() { t } else { op.at };
-            let pdid = op
-                .pdid
-                .or(self.default_pid)
-                .expect("exec a process before replay");
-            let result = self.access_as(at, op.blade, pdid, op.vaddr, op.kind);
-            // A refused chained op contributes no service time: the next
-            // op issues after the gap alone.
-            // (Read in place: `result` is a hundred bytes just written.)
-            let service = result.as_ref().map_or(SimTime::ZERO, |o| o.latency.total());
-            t = at + service + batch.gap();
-            batch.record(i, at, result);
-        }
-    }
-
-    /// [`MindCluster::run_batch`] at `batch.window() > 1`: the batch as
-    /// issue streams through the one gate, [`MindCluster::issue_clustered`],
-    /// over a pool of exactly `batch.window()` slots. A chained batch is
+    /// [`MemorySystem::execute_batch`] at `batch.window() > 1`: the batch
+    /// as issue streams through the one gate,
+    /// [`MindCluster::issue_clustered`], over a pool of exactly
+    /// `batch.window()` slots; the call returns when the last op has
+    /// *issued* (completions are in the batch records). A chained batch is
     /// one stream — its next op is ready `gap` after the previous *issue*
     /// (the issue pipeline's per-op cost), the rule the replay runner's
     /// cluster mode uses; a fixed batch is one stream per op, ready at its
@@ -383,7 +349,10 @@ impl MindCluster {
     /// ready order and a gated op holds back nobody but itself. A refused
     /// op occupies no slot, and a chained stream moves on from its issue
     /// time.
-    fn run_batch_windowed(&mut self, now: SimTime, batch: &mut OpBatch) {
+    // Out of line: inlined beside the serialized loop, it slowed the
+    // window-1 replays that never take this branch.
+    #[inline(never)]
+    fn execute_windowed(&mut self, now: SimTime, batch: &mut OpBatch) {
         let (chained, gap, n) = (batch.is_chained(), batch.gap(), batch.len());
         let mut eng = self
             .batch_engine
@@ -636,13 +605,12 @@ impl MindCluster {
         ready0: SimTime,
         op: &crate::system::MemOp,
     ) -> ClusterStep {
-        let window = eng.window_mut();
         // Nothing below touches a blade cache before `issue_probed`: the
-        // gates read the window, the directory and the fabric, and `tick`
+        // gates read the engine, the directory and the fabric, and `tick`
         // is handed the directory alone.
         let probe = self.engine.probe_cache(op.blade, op.vaddr);
         let consults = probe.would_fault(op.kind.is_write());
-        let gates = window.sweep(now, op.blade, consults.then(|| page_base(op.vaddr)));
+        let gates = eng.sweep(now, op.blade, consults.then(|| page_base(op.vaddr)));
         let slot = gates.slot_free_at;
         let mut region = SimTime::ZERO;
         let mut nic = gates.nic_free_at;
@@ -655,7 +623,7 @@ impl MindCluster {
         if consults {
             // Same-region serialization: directory transitions on one
             // region serialize cluster-wide — behind in-flight
-            // transitions (the pooled window's gate) and behind an entry
+            // transitions (the pool's region gate) and behind an entry
             // still mid-transition from earlier rounds (`busy_until`,
             // §4.4; deferring beats queueing at `admit_transition`).
             region = gates
@@ -677,7 +645,7 @@ impl MindCluster {
                     op.blade as u32,
                     mind_obs::EventKind::NicStall,
                     nic_stall,
-                    window.nic_depth() as u64,
+                    eng.nic_depth() as u64,
                     gates.nic_in_flight as u64,
                 );
             }
@@ -691,7 +659,7 @@ impl MindCluster {
                     op.blade as u32,
                     mind_obs::EventKind::WindowStall,
                     stall,
-                    window.in_flight() as u64,
+                    eng.in_flight() as u64,
                     0,
                 );
             }
@@ -706,22 +674,21 @@ impl MindCluster {
             .issue_probed(now, op.blade, pdid, op.kind, probe)
         {
             Ok(issued) => {
-                let window = eng.window_mut();
                 let mut outcome = issued.outcome;
-                let hidden = window
+                let hidden = eng
                     .frontier()
                     .min(issued.complete_at)
                     .saturating_sub(now)
                     .min(outcome.latency.network);
                 outcome.latency.network = outcome.latency.network.saturating_sub(hidden);
                 outcome.latency.overlapped = hidden;
-                window.admit(issued.complete_at, issued.region, op.blade);
+                eng.admit(issued.complete_at, issued.region, op.blade);
                 self.engine.trace.record(
                     now,
                     op.blade as u32,
                     mind_obs::EventKind::WindowAdmit,
                     SimTime::ZERO,
-                    window.in_flight() as u64,
+                    eng.in_flight() as u64,
                     0,
                 );
                 ClusterStep::Issued {
@@ -760,15 +727,33 @@ impl MemorySystem for MindCluster {
         self.mmap(pid, len).expect("trace allocation fits the rack")
     }
 
-    fn advance_to(&mut self, now: SimTime) {
-        self.tick(now);
-    }
-
-    /// [`MindCluster::run_batch`]: the default loop plus per-op
-    /// protection domains and typed refusals, and at `window > 1` the
-    /// issue gate's overlap.
+    /// Executes an [`OpBatch`]: a schedule — which ops, ready when — not a
+    /// second way to execute them. The service dispatcher grants each
+    /// quantum through here too.
+    ///
+    /// At `batch.window() <= 1` this is the default's serialized schedule
+    /// ([`OpBatch::run_serialized`]) over [`MindCluster::access_as`], with
+    /// per-op protection domains (`None`: the default replay process) and
+    /// typed refusals. A deeper window keeps up to `window` ops of the
+    /// batch in flight through [`MindCluster::issue_clustered`], the gate
+    /// cluster-mode replay uses, over a pool of `window` slots, and
+    /// returns once the last op has issued.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an op has no protection domain and no process has been
+    /// `exec`ed.
     fn execute_batch(&mut self, now: SimTime, batch: &mut OpBatch) {
-        self.run_batch(now, batch);
+        if batch.window() > 1 {
+            return self.execute_windowed(now, batch);
+        }
+        batch.run_serialized(now, |at, op| {
+            let pdid = op
+                .pdid
+                .or(self.default_pid)
+                .expect("exec a process before replay");
+            self.access_as(at, op.blade, pdid, op.vaddr, op.kind)
+        });
     }
 
     fn take_trace(&mut self) -> Option<mind_obs::TraceData> {
@@ -852,7 +837,7 @@ mod tests {
                 kind: AccessKind::Read,
             });
         }
-        c.run_batch(SimTime::from_micros(100), &mut batch);
+        c.execute_batch(SimTime::from_micros(100), &mut batch);
         for i in 0..batch.len() {
             assert!(batch.result(i).is_ok());
             if i > 0 {
@@ -888,7 +873,7 @@ mod tests {
                 kind: AccessKind::Read,
             });
         }
-        c.run_batch(SimTime::ZERO, &mut batch);
+        c.execute_batch(SimTime::ZERO, &mut batch);
         assert!(
             matches!(batch.result(0), Err(AccessError::BladeFailed)),
             "failed blade's op recorded as an error: {:?}",
@@ -1106,7 +1091,7 @@ mod tests {
                     },
                 });
             }
-            c.run_batch(SimTime::ZERO, &mut batch);
+            c.execute_batch(SimTime::ZERO, &mut batch);
             (0..batch.len())
                 .map(|i| (batch.op(i).at, batch.outcome(i).latency.total()))
                 .collect::<Vec<_>>()
@@ -1158,7 +1143,7 @@ mod tests {
             vaddr: base + (i << 12),
             kind: AccessKind::Read,
         }));
-        c.run_batch(at(252_000), &mut batch);
+        c.execute_batch(at(252_000), &mut batch);
         log.extend((0..16).map(|i| format!("{:?} {:?}", batch.result(i), batch.completion(i))));
         c.munmap(at(260_000), b, other).unwrap();
         // Pids are recycled, last freed first: the next default is `b`, not 1.

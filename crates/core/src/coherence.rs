@@ -66,7 +66,7 @@ impl std::error::Error for AccessError {}
 /// update, Figure 4 #3), exactly as the monolithic access path always did.
 /// What it *returns* is new: an explicit completion record. The
 /// **completion phase** is the caller's — retiring the record from an
-/// in-flight window ([`crate::window::InFlightWindow`]), which is what
+/// issue engine's pool ([`crate::engine::ClusterEngine`]), which is what
 /// lets up to `W` independent faults overlap their fabric round trips
 /// while [`region`](IssuedAccess::region) lets same-region transitions
 /// serialize at issue.

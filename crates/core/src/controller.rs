@@ -168,10 +168,11 @@ impl Controller {
     }
 
     /// Retires one thread of `pid` from `blade` (elastic shrink): removes
-    /// one matching registration. Returns whether one was found.
+    /// the most recent matching registration, so undoing a placement
+    /// leaves the rest in placement order. Returns whether one was found.
     pub fn unplace_thread(&mut self, pid: Pid, blade: u16) -> Result<bool, SysError> {
         let p = self.processes.get_mut(slot(pid)).ok_or(SysError::NoProcess)?;
-        match p.blades.iter().position(|&b| b == blade) {
+        match p.blades.iter().rposition(|&b| b == blade) {
             Some(idx) => {
                 p.blades.remove(idx);
                 Ok(true)
@@ -389,7 +390,7 @@ pub(crate) mod tests {
             ctl.place_thread(pid).unwrap(); // Blades 0,1,2,3,0.
         }
         assert_eq!(ctl.unplace_thread(pid, 0), Ok(true));
-        assert_eq!(ctl.process(pid).unwrap().blades, vec![1, 2, 3, 0]);
+        assert_eq!(ctl.process(pid).unwrap().blades, vec![0, 1, 2, 3]);
         assert_eq!(ctl.unplace_thread(pid, 0), Ok(true));
         assert_eq!(ctl.unplace_thread(pid, 0), Ok(false), "none left");
         assert_eq!(ctl.unplace_thread(999, 0), Err(SysError::NoProcess));

@@ -31,12 +31,10 @@
 //!   simulated rack together;
 //! - [`system`]: the [`system::MemorySystem`] trait shared with the
 //!   baseline systems (GAM, FastSwap) for apples-to-apples evaluation;
-//! - [`window`]: the per-batch in-flight window that lets the
+//! - [`engine`]: the event-driven issue engine that lets the
 //!   issue/complete datapath overlap independent page-fault round trips
-//!   (memory-level parallelism) while same-region transitions serialize;
-//! - [`engine`]: the cluster-wide event-driven issue engine that
-//!   generalizes the window's arbitration across every compute thread at
-//!   once — slot pool, cluster-wide region serialization, and a per-NIC
+//!   (memory-level parallelism) for one windowed batch or every compute
+//!   thread at once — slot pool, region serialization, and a per-NIC
 //!   issue-bandwidth gate;
 //! - [`shard`]: blade-slice partition layout and sub-cluster configs for
 //!   the deterministic sharded simulation (see `mind_workloads::shard`).
@@ -79,7 +77,6 @@ pub mod split;
 pub mod stt;
 pub mod system;
 pub mod translate;
-pub mod window;
 
 pub use addr::{PhysAddr, Vma};
 pub use cluster::{MindCluster, MindConfig, CX5_NIC_DEPTH};
@@ -87,4 +84,3 @@ pub use engine::{ClusterEngine, ClusterStep};
 pub use system::{
     AccessKind, AccessOutcome, ConsistencyModel, LatencyBreakdown, MemOp, MemorySystem, OpBatch,
 };
-pub use window::InFlightWindow;

@@ -4,7 +4,9 @@
 //! traces against each (the paper captures accesses with Intel PIN and
 //! replays them through an emulator, §7). [`MemorySystem`] is that replay
 //! interface: an access at a simulated time returns a latency breakdown the
-//! harness uses to advance per-thread clocks.
+//! harness uses to advance per-thread clocks. An [`OpBatch`] hands a system
+//! a schedule of accesses at once; its one serialized schedule,
+//! [`OpBatch::run_serialized`], is every system's window-1 executor.
 
 use mind_sim::stats::Metrics;
 use mind_sim::SimTime;
@@ -256,21 +258,44 @@ impl OpBatch {
         &self.results
     }
 
-    /// Records the `i`-th op's issue time and result. Serialized executors
-    /// record ops in order, exactly once each.
-    pub fn record(&mut self, i: usize, at: SimTime, result: Result<AccessOutcome, AccessError>) {
+    /// The serialized schedule: issues every op through `issue(at, op)`,
+    /// one at a time and in op order — a chained op when its predecessor
+    /// completes plus the gap, a fixed op at its preset time — recording
+    /// each op's issue time and result. A refused chained op contributes
+    /// no service time: the next op issues after the gap alone. Every
+    /// system's `window <= 1` batch runs through here.
+    pub fn run_serialized(
+        &mut self,
+        now: SimTime,
+        mut issue: impl FnMut(SimTime, &MemOp) -> Result<AccessOutcome, AccessError>,
+    ) {
+        let mut t = now;
+        for i in 0..self.ops.len() {
+            let op = self.ops[i];
+            let at = if self.chained { t } else { op.at };
+            let result = issue(at, &op);
+            // (Read in place: `result` is a hundred bytes just written.)
+            let service = result.as_ref().map_or(SimTime::ZERO, |o| o.latency.total());
+            t = at + service + self.gap;
+            self.record(i, at, result);
+        }
+    }
+
+    /// Records the `i`-th op's issue time and result, in op order, exactly
+    /// once each.
+    fn record(&mut self, i: usize, at: SimTime, result: Result<AccessOutcome, AccessError>) {
         debug_assert_eq!(i, self.results.len(), "results recorded in op order");
         self.ops[i].at = at;
         self.results.push(result);
         self.regions.push(None);
     }
 
-    /// [`OpBatch::record`] plus the directory region the op transitioned,
-    /// in any order — the windowed executor's form: it issues a fixed
-    /// batch in ready order, and the region lets callers audit the
-    /// same-region serialization from the batch records alone. The first
-    /// call gives every op a placeholder record; the executor records
-    /// every op exactly once before it returns.
+    /// Records the `i`-th op's issue time, result and the directory region
+    /// it transitioned, in any order — the windowed executor's form: it
+    /// issues a fixed batch in ready order, and the region lets callers
+    /// audit the same-region serialization from the batch records alone.
+    /// The first call gives every op a placeholder record; the executor
+    /// records every op exactly once before it returns.
     pub fn record_with_region(
         &mut self,
         i: usize,
@@ -337,52 +362,6 @@ impl Extend<MemOp> for OpBatch {
     }
 }
 
-impl<T: MemorySystem + ?Sized> MemorySystem for Box<T> {
-    fn access(&mut self, now: SimTime, blade: u16, vaddr: u64, kind: AccessKind) -> AccessOutcome {
-        (**self).access(now, blade, vaddr, kind)
-    }
-
-    fn n_compute(&self) -> u16 {
-        (**self).n_compute()
-    }
-
-    fn metrics(&self) -> Metrics {
-        (**self).metrics()
-    }
-
-    fn alloc(&mut self, len: u64) -> u64 {
-        (**self).alloc(len)
-    }
-
-    fn advance_to(&mut self, now: SimTime) {
-        (**self).advance_to(now)
-    }
-
-    /// Forwards to the inner system's implementation, preserving its
-    /// override through trait objects.
-    fn execute_batch(&mut self, now: SimTime, batch: &mut OpBatch) {
-        (**self).execute_batch(now, batch)
-    }
-
-    fn take_trace(&mut self) -> Option<mind_obs::TraceData> {
-        (**self).take_trace()
-    }
-
-    fn cluster_engine(&self, window: u32, sources: u32) -> Option<ClusterEngine> {
-        (**self).cluster_engine(window, sources)
-    }
-
-    fn cluster_issue(
-        &mut self,
-        eng: &mut ClusterEngine,
-        now: SimTime,
-        ready0: SimTime,
-        op: &MemOp,
-    ) -> Option<ClusterStep> {
-        (**self).cluster_issue(eng, now, ready0, op)
-    }
-}
-
 /// A system that can replay a memory-access trace.
 ///
 /// Implementations: `MindCluster` (this crate), `GamSystem` and
@@ -407,10 +386,6 @@ pub trait MemorySystem {
     /// replays the same addresses (the paper's PIN-trace methodology, §7).
     fn alloc(&mut self, len: u64) -> u64;
 
-    /// Gives the system an opportunity to run periodic work (e.g. MIND's
-    /// bounded-splitting epoch) up to time `now`.
-    fn advance_to(&mut self, _now: SimTime) {}
-
     /// Drains the system's deterministic trace, if it records one.
     ///
     /// `None` means tracing is off (or unsupported — the default); the
@@ -422,27 +397,19 @@ pub trait MemorySystem {
     /// Executes a batch of operations starting at `now`, recording each
     /// op's issue time and outcome into the batch.
     ///
-    /// The default implementation is the schedule and nothing more: each
-    /// op goes through [`access`] at its issue time — a chained op when
-    /// its predecessor completes plus the gap, a fixed op at its preset
-    /// time — so GAM and FastSwap work unmodified. It runs serialized
-    /// whatever the batch's in-flight window (overlap needs an issue
-    /// gate). An override (MIND's, for per-op protection domains, typed
-    /// refusals and the window) must issue the same ops at the same times
-    /// at `window <= 1`; at a deeper window it returns once every op has
+    /// The default implementation is the schedule and nothing more:
+    /// [`OpBatch::run_serialized`] over [`access`], so GAM and FastSwap
+    /// work unmodified. It runs serialized whatever the batch's in-flight
+    /// window (overlap needs an issue gate). MIND's override runs the same
+    /// schedule over its per-op protection domains and typed refusals at
+    /// `window <= 1`; at a deeper window it returns once every op has
     /// issued, with completions in the batch records.
     ///
     /// [`access`]: MemorySystem::access
     fn execute_batch(&mut self, now: SimTime, batch: &mut OpBatch) {
-        let mut t = now;
-        for i in 0..batch.len() {
-            let op = batch.op(i);
-            let at = if batch.is_chained() { t } else { op.at };
-            self.advance_to(at);
-            let outcome = self.access(at, op.blade, op.vaddr, op.kind);
-            batch.record(i, at, Ok(outcome));
-            t = at + outcome.latency.total() + batch.gap();
-        }
+        batch.run_serialized(now, |at, op| {
+            Ok(self.access(at, op.blade, op.vaddr, op.kind))
+        });
     }
 
     /// Builds the system's issue engine for `sources` concurrent streams

@@ -304,12 +304,12 @@ pub fn aggregate_json(results: &[ScenarioResult]) -> Json {
     let mut runtime_ns_sum = 0i128;
     let mut service_scenarios = 0i128;
     let mut service_ops = 0i128;
-    // Overlap recoveries (`overlap_recovery_w<W>` values): simulated MOPS
-    // at the windowed batch point over the batch-1 serialized baseline.
-    let mut recoveries: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
-    // Cross-turn recoveries (`xturn_recovery_w<W>` values): the same
-    // ratio with the cluster engine overlapping across turns and threads.
-    let mut xturn_recoveries: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
+    // Recoveries per prefix, then per window depth: `overlap_recovery_w<W>`
+    // values are simulated MOPS at the windowed batch point over the
+    // batch-1 serialized baseline, `xturn_recovery_w<W>` the same ratio
+    // with the cluster engine overlapping across turns and threads.
+    const RECOVERIES: [&str; 2] = ["overlap_recovery", "xturn_recovery"];
+    let mut recoveries: [BTreeMap<&str, Vec<f64>>; 2] = Default::default();
     for result in results {
         if let Some(report) = &result.output.report {
             merged.merge(&report.window_metrics);
@@ -322,11 +322,10 @@ pub fn aggregate_json(results: &[ScenarioResult]) -> Json {
             service_ops += service.total_ops as i128;
         }
         for (key, value) in &result.output.values {
-            if let Some(window) = key.strip_prefix("overlap_recovery_") {
-                recoveries.entry(window).or_default().push(*value);
-            }
-            if let Some(window) = key.strip_prefix("xturn_recovery_") {
-                xturn_recoveries.entry(window).or_default().push(*value);
+            for (prefix, by_window) in RECOVERIES.iter().zip(&mut recoveries) {
+                if let Some(window) = key.strip_prefix(prefix).and_then(|k| k.strip_prefix('_')) {
+                    by_window.entry(window).or_default().push(*value);
+                }
             }
         }
     }
@@ -342,61 +341,25 @@ pub fn aggregate_json(results: &[ScenarioResult]) -> Json {
         ("service_scenarios".into(), Json::Int(service_scenarios)),
         ("service_ops".into(), Json::Int(service_ops)),
     ]);
-    if !recoveries.is_empty() {
-        // Geomean and worst-case recovery per window depth: ≥ 1.0 means
-        // intra-batch RTT overlap fully bought back the coarse-quantum
-        // simulated-MOPS loss relative to the batch-1 baseline.
-        pairs.push((
-            "overlap_recovery".into(),
-            Json::Obj(
-                recoveries
-                    .iter()
-                    .map(|(window, xs)| (window.to_string().into(), Json::Num(geomean(xs))))
-                    .collect(),
-            ),
-        ));
-        pairs.push((
-            "overlap_recovery_min".into(),
-            Json::Obj(
-                recoveries
-                    .iter()
-                    .map(|(window, xs)| {
-                        (
-                            window.to_string().into(),
-                            Json::Num(xs.iter().copied().fold(f64::MAX, f64::min)),
-                        )
-                    })
-                    .collect(),
-            ),
-        ));
-    }
-    if !xturn_recoveries.is_empty() {
-        // Geomean and worst-case cross-turn recovery per window depth:
-        // sitting above `overlap_recovery` for the same depth means the
-        // cluster engine's cross-turn overlap beat the per-batch window.
-        pairs.push((
-            "xturn_recovery".into(),
-            Json::Obj(
-                xturn_recoveries
-                    .iter()
-                    .map(|(window, xs)| (window.to_string().into(), Json::Num(geomean(xs))))
-                    .collect(),
-            ),
-        ));
-        pairs.push((
-            "xturn_recovery_min".into(),
-            Json::Obj(
-                xturn_recoveries
-                    .iter()
-                    .map(|(window, xs)| {
-                        (
-                            window.to_string().into(),
-                            Json::Num(xs.iter().copied().fold(f64::MAX, f64::min)),
-                        )
-                    })
-                    .collect(),
-            ),
-        ));
+    for (prefix, by_window) in RECOVERIES.iter().zip(&recoveries) {
+        if by_window.is_empty() {
+            continue;
+        }
+        // Geomean and worst case per window depth. An overlap recovery
+        // ≥ 1.0 means intra-batch RTT overlap fully bought back the
+        // coarse-quantum simulated-MOPS loss relative to the batch-1
+        // baseline; a cross-turn recovery above it for the same depth
+        // means the cluster engine's cross-turn overlap beat the
+        // per-batch window.
+        let per_window = |f: fn(&[f64]) -> f64| {
+            let by = by_window
+                .iter()
+                .map(|(w, xs)| (w.to_string().into(), Json::Num(f(xs))));
+            Json::Obj(by.collect())
+        };
+        let min = |xs: &[f64]| xs.iter().copied().fold(f64::MAX, f64::min);
+        pairs.push((prefix.to_string().into(), per_window(geomean)));
+        pairs.push((format!("{prefix}_min").into(), per_window(min)));
     }
     pairs.push(("window_metrics".into(), metrics_json(&merged)));
     Json::Obj(pairs)

@@ -20,8 +20,9 @@ use std::collections::VecDeque;
 
 use mind_core::addr::pow2_alloc_size;
 use mind_core::cluster::{MindCluster, MindConfig};
+use mind_core::controller::Pid;
 use mind_core::protect::PermClass;
-use mind_core::system::{MemOp, OpBatch};
+use mind_core::system::{MemOp, MemorySystem, OpBatch};
 use mind_obs::{EventKind, TraceData, WindowSeries};
 use mind_sim::stats::{Histogram, Metrics};
 use mind_sim::{EventQueue, SimRng, SimTime};
@@ -72,7 +73,7 @@ pub struct ServiceConfig {
     /// quantum's grants the rack keeps in flight at once. At `1` (the
     /// default) every grant issues at the quantum boundary. A deeper
     /// window offers the grants to the rack's issue gate
-    /// ([`MindCluster::run_batch`]) over a pool of `window` slots they
+    /// ([`MindCluster::issue_clustered`]) over a pool of `window` slots they
     /// share: up to `window` independent faults overlap their fabric RTTs,
     /// a grant that finds the pool, its blade's RNIC
     /// ([`MindConfig::nic_depth`]) or its directory region busy issues when
@@ -215,6 +216,16 @@ fn tenant_in(slots: &mut [Option<Tenant>], slot: u32) -> &mut Tenant {
         .expect("listed tenant is live")
 }
 
+/// The compute blades the live process `pid` runs on, in placement order:
+/// the controller's thread roster is a tenant's one blade list.
+fn blades_of(cluster: &MindCluster, pid: Pid) -> &[u16] {
+    &cluster
+        .controller()
+        .process(pid)
+        .expect("tenant is live")
+        .blades
+}
+
 /// The multi-tenant memory service.
 #[derive(Debug)]
 pub struct MemoryService {
@@ -224,9 +235,9 @@ pub struct MemoryService {
     /// Live tenants in a dense slot table; a departed tenant's slot is
     /// handed to the next admission.
     slots: Vec<Option<Tenant>>,
-    /// Vacant slots, each with its last tenant's cleared queue, blade list
-    /// and latency histogram, which the next admission reuses.
-    vacant: Vec<(u32, VecDeque<PendingRequest>, Vec<u16>, Histogram)>,
+    /// Vacant slots, each with its last tenant's cleared queue and latency
+    /// histogram, which the next admission reuses.
+    vacant: Vec<(u32, VecDeque<PendingRequest>, Histogram)>,
     /// The live tenants as `(id, slot)`, ascending by id. Ids are handed
     /// out in admission order, so an admission appends.
     live: Vec<(TenantId, u32)>,
@@ -337,6 +348,12 @@ impl MemoryService {
         self.slots[self.slot_of(id)? as usize].as_ref()
     }
 
+    /// The compute blades a live tenant runs on, in placement order (at
+    /// least one).
+    pub fn blades(&self, id: TenantId) -> Option<&[u16]> {
+        Some(blades_of(&self.cluster, self.tenant(id)?.pid))
+    }
+
     /// Where `id` sits in `list` (ascending by id), or where it would go.
     fn position(list: &[(TenantId, u32)], id: TenantId) -> Result<usize, usize> {
         list.binary_search_by_key(&id, |&(listed, _)| listed)
@@ -382,7 +399,7 @@ impl MemoryService {
                 return Err(AdmitError::RackFull);
             }
         };
-        let first_blade = self.cluster.place_thread(pid).expect("pid exists");
+        self.cluster.place_thread(pid).expect("pid exists");
         let id = self.next_tenant_id;
         self.next_tenant_id += 1;
         let workload = TenantWorkload::with_pattern(
@@ -391,13 +408,11 @@ impl MemoryService {
             self.cfg.class_patterns[qos.index()],
             self.rng.fork(),
         );
-        let (slot, queue, mut blades, latency) = self.vacant.pop().unwrap_or_else(|| {
+        let (slot, queue, latency) = self.vacant.pop().unwrap_or_else(|| {
             self.slots.push(None);
             let queue = VecDeque::with_capacity(self.cfg.max_queue_depth);
-            let blades = Vec::with_capacity(self.cfg.rack.n_compute as usize);
-            (self.slots.len() as u32 - 1, queue, blades, Histogram::new())
+            (self.slots.len() as u32 - 1, queue, Histogram::new())
         });
-        blades.push(first_blade);
         self.live.push((id, slot));
         self.slots[slot as usize] = Some(Tenant {
             id,
@@ -409,7 +424,6 @@ impl MemoryService {
             arrived_at: now,
             workload,
             queue,
-            blades,
             blades_peak: 1,
             next_blade: 0,
             latency,
@@ -448,9 +462,8 @@ impl MemoryService {
             "departed tenant's TCAM entries reclaimed"
         );
         let slo = t.slo(now, true);
-        t.blades.clear();
         t.latency.clear();
-        self.vacant.push((slot, t.queue, t.blades, t.latency));
+        self.vacant.push((slot, t.queue, t.latency));
         self.slos.push(slo);
         self.departed += 1;
         self.trace_control(now, EventKind::TenantDepart, ci as u64, 0);
@@ -534,7 +547,7 @@ impl MemoryService {
                 budget -= 1;
                 batch.push(MemOp {
                     at: now,
-                    blade: t.pick_blade(),
+                    blade: t.pick_blade(blades_of(&self.cluster, t.pid)),
                     pdid: Some(t.pid),
                     vaddr: t.region_base + req.op.offset,
                     kind: req.op.kind,
@@ -552,7 +565,7 @@ impl MemoryService {
         }
 
         // Execution pass: the whole quantum through the datapath at once.
-        self.cluster.run_batch(now, &mut batch);
+        self.cluster.execute_batch(now, &mut batch);
 
         // Accounting pass, in grant order. End-to-end latency is derived
         // from each grant's completion record (recorded issue time +
@@ -606,38 +619,36 @@ impl MemoryService {
             let t = tenant_in(&mut self.slots, slot);
             let target = elastic::target_blades(t.ops_this_epoch, epoch, capacity_hz, n_compute);
             t.ops_this_epoch = 0;
-            while (t.blades.len() as u16) < target {
-                // place_thread round-robins over the whole rack, so within
-                // n_compute attempts a blade not yet assigned appears.
-                // Probes that land on an already-held blade are undone so
-                // the controller's thread roster mirrors the real set.
-                let mut grown = false;
-                for _ in 0..n_compute {
-                    let blade = self.cluster.place_thread(t.pid).expect("tenant is live");
-                    if t.blades.contains(&blade) {
-                        self.cluster
-                            .unplace_thread(t.pid, blade)
-                            .expect("tenant is live");
-                    } else {
-                        t.blades.push(blade);
-                        grown = true;
-                        break;
-                    }
-                }
-                if !grown {
-                    break; // Already on every blade.
-                }
-            }
-            if (t.blades.len() as u16) > target {
-                for &blade in &t.blades[target as usize..] {
+            // place_thread round-robins over the whole rack, so within
+            // n_compute probes in a row a blade not yet held appears; fewer
+            // mean the tenant is already on every blade. A probe that lands
+            // on a held blade is undone, which retires the registration it
+            // just made.
+            let mut misses = 0;
+            while (blades_of(&self.cluster, t.pid).len() as u16) < target && misses < n_compute {
+                let blade = self.cluster.place_thread(t.pid).expect("tenant is live");
+                let held = blades_of(&self.cluster, t.pid);
+                misses = if held[..held.len() - 1].contains(&blade) {
                     self.cluster
                         .unplace_thread(t.pid, blade)
                         .expect("tenant is live");
-                }
-                t.blades.truncate(target as usize);
+                    misses + 1
+                } else {
+                    0
+                };
+            }
+            while (blades_of(&self.cluster, t.pid).len() as u16) > target {
+                let &blade = blades_of(&self.cluster, t.pid)
+                    .last()
+                    .expect("held > target");
+                self.cluster
+                    .unplace_thread(t.pid, blade)
+                    .expect("tenant is live");
                 t.next_blade = 0;
             }
-            t.blades_peak = t.blades_peak.max(t.blades.len() as u16);
+            t.blades_peak = t
+                .blades_peak
+                .max(blades_of(&self.cluster, t.pid).len() as u16);
         }
     }
 
@@ -928,7 +939,7 @@ mod tests {
             let id = svc
                 .admit(SimTime::ZERO, QosClass::Gold, 64, 1_000.0)
                 .unwrap();
-            let blade = svc.tenant(id).unwrap().blades[0];
+            let blade = svc.blades(id).unwrap()[0];
             svc.cluster_mut().fail_blade(blade);
             for _ in 0..4 {
                 assert!(svc.submit(SimTime::from_micros(1), id));
@@ -1162,7 +1173,7 @@ mod tests {
         let id = svc
             .admit(SimTime::ZERO, QosClass::Gold, 64, 50_000.0)
             .unwrap();
-        assert_eq!(svc.tenant(id).unwrap().blades.len(), 1);
+        assert_eq!(svc.blades(id).unwrap().len(), 1);
         // Simulate a busy epoch: many served ops, then rebalance.
         for _ in 0..200 {
             svc.submit(SimTime::from_micros(1), id);
@@ -1171,24 +1182,18 @@ mod tests {
             svc.dispatch(SimTime::from_micros(2 + i));
         }
         svc.rebalance();
-        let grown = svc.tenant(id).unwrap().blades.len();
+        let grown = svc.blades(id).unwrap().len();
         assert!(grown > 1, "busy tenant grew to {grown} blades");
-        // The controller's thread roster mirrors the tenant's blade set
-        // exactly (probe and shrink registrations are undone).
-        let pid = svc.tenant(id).unwrap().pid;
-        let roster = |svc: &MemoryService| {
-            let mut r = svc.cluster().controller().process(pid).unwrap().blades.clone();
-            r.sort_unstable();
-            r
-        };
-        let mut held = svc.tenant(id).unwrap().blades.clone();
-        held.sort_unstable();
-        assert_eq!(roster(&svc), held);
+        // The controller's thread roster is the tenant's blade list, in
+        // placement order: probe registrations are undone.
+        let first = svc.blades(id).unwrap()[0];
+        let n = cfg.rack.n_compute;
+        let expected: Vec<u16> = (0..grown as u16).map(|i| (first + i) % n).collect();
+        assert_eq!(svc.blades(id).unwrap(), expected);
         // An idle epoch shrinks it back.
         svc.rebalance();
-        assert_eq!(svc.tenant(id).unwrap().blades.len(), 1);
-        assert_eq!(roster(&svc).len(), 1, "shrink retired roster entries");
-        assert!(svc.tenant(id).unwrap().blades_peak >= grown as u16);
+        assert_eq!(svc.blades(id).unwrap(), [first], "shrink retired roster");
+        assert_eq!(svc.tenant(id).unwrap().blades_peak, grown as u16);
     }
 
     #[test]

@@ -200,11 +200,9 @@ pub struct Tenant {
     pub workload: TenantWorkload,
     /// Open-loop queue awaiting dispatch.
     pub queue: VecDeque<PendingRequest>,
-    /// Compute blades currently assigned (at least one).
-    pub blades: Vec<u16>,
     /// Peak blade-count watermark.
     pub blades_peak: u16,
-    /// Round-robin cursor over `blades`.
+    /// Round-robin cursor over the tenant's blades.
     pub next_blade: usize,
     /// End-to-end request latency (queueing + memory access), ns.
     pub latency: Histogram,
@@ -217,11 +215,12 @@ pub struct Tenant {
 }
 
 impl Tenant {
-    /// The blade the next dispatched request runs on (round-robin over the
-    /// tenant's assigned blades).
-    pub fn pick_blade(&mut self) -> u16 {
-        let blade = self.blades[self.next_blade % self.blades.len()];
-        self.next_blade = (self.next_blade + 1) % self.blades.len();
+    /// The blade the next dispatched request runs on (round-robin over
+    /// `blades`, the tenant's assigned blades: its process's thread roster
+    /// in the controller).
+    pub fn pick_blade(&mut self, blades: &[u16]) -> u16 {
+        let blade = blades[self.next_blade % blades.len()];
+        self.next_blade = (self.next_blade + 1) % blades.len();
         blade
     }
 
@@ -353,7 +352,7 @@ mod tests {
         }
     }
 
-    fn tenant_with_blades(blades: Vec<u16>) -> Tenant {
+    fn tenant() -> Tenant {
         Tenant {
             id: 1,
             pid: 10,
@@ -364,8 +363,7 @@ mod tests {
             arrived_at: SimTime::ZERO,
             workload: TenantWorkload::new(16, 0.5, SimRng::new(1)),
             queue: VecDeque::new(),
-            blades_peak: blades.len() as u16,
-            blades,
+            blades_peak: 1,
             next_blade: 0,
             latency: Histogram::new(),
             ops: 0,
@@ -376,14 +374,14 @@ mod tests {
 
     #[test]
     fn pick_blade_round_robins() {
-        let mut t = tenant_with_blades(vec![0, 2, 3]);
-        let picks: Vec<u16> = (0..6).map(|_| t.pick_blade()).collect();
+        let mut t = tenant();
+        let picks: Vec<u16> = (0..6).map(|_| t.pick_blade(&[0, 2, 3])).collect();
         assert_eq!(picks, vec![0, 2, 3, 0, 2, 3]);
     }
 
     #[test]
     fn slo_reports_throughput_over_lifetime() {
-        let mut t = tenant_with_blades(vec![0]);
+        let mut t = tenant();
         t.ops = 2_000_000;
         for v in [100u64, 200, 400] {
             t.latency.record(v);

@@ -26,10 +26,10 @@ fn life_cycle(svc: &mut MemoryService, now: &mut SimTime, cycle: u64) {
     let t = svc.tenant(id).unwrap();
     assert_eq!(t.queue.len(), cfg.max_queue_depth - cfg.slots_per_quantum as usize);
     svc.rebalance();
-    let grown = svc.tenant(id).unwrap().blades.len();
+    let grown = svc.blades(id).unwrap().len();
     assert_eq!(grown, cfg.rack.n_compute as usize, "a busy epoch grows");
     svc.rebalance();
-    assert_eq!(svc.tenant(id).unwrap().blades.len(), 1, "an idle epoch shrinks");
+    assert_eq!(svc.blades(id).unwrap().len(), 1, "an idle epoch shrinks");
     let slo = svc.depart(*now, id).unwrap();
     assert_eq!(slo.ops, cfg.slots_per_quantum as u64);
 }

@@ -15,7 +15,7 @@ use proptest::prelude::*;
 
 use mind::core::cluster::{MindCluster, MindConfig};
 use mind::core::engine::{ClusterEngine, ClusterStep};
-use mind::core::system::{AccessKind, ConsistencyModel, MemOp, OpBatch};
+use mind::core::system::{AccessKind, ConsistencyModel, MemOp, MemorySystem, OpBatch};
 use mind::harness::{report, ScenarioResult, SystemSpec, WorkloadSpec};
 use mind::service::{MemoryService, ServiceConfig};
 use mind::sim::SimTime;
@@ -316,7 +316,7 @@ proptest! {
             });
         }
         let ready: Vec<SimTime> = batch.ops().iter().map(|op| op.at).collect();
-        cluster.run_batch(SimTime::ZERO, &mut batch);
+        cluster.execute_batch(SimTime::ZERO, &mut batch);
         for (i, &ready) in ready.iter().enumerate() {
             prop_assert!(batch.result(i).is_ok());
             if chained {
@@ -494,7 +494,7 @@ proptest! {
                 kind: AccessKind::Read,
             });
         }
-        cluster.run_batch(SimTime::ZERO, &mut batch);
+        cluster.execute_batch(SimTime::ZERO, &mut batch);
         for i in 1..batch.len() {
             prop_assert!(batch.op(i).at >= batch.completion(i - 1));
             prop_assert_eq!(batch.outcome(i).latency.overlapped, SimTime::ZERO);
@@ -522,7 +522,7 @@ fn a_region_gated_grant_does_not_block_the_grant_behind_it() {
             kind: AccessKind::Read,
         });
     }
-    cluster.run_batch(SimTime::ZERO, &mut batch);
+    cluster.execute_batch(SimTime::ZERO, &mut batch);
     let region = batch.region(0).expect("a fault transitions its region");
     assert_eq!(batch.region(1), Some(region), "ops 0 and 1 share a region");
     assert_ne!(batch.region(2), Some(region));

@@ -1,6 +1,6 @@
-//! The paper's figure claims, checked against the committed
-//! `BENCH_suite.json` through the harness's one BENCH reader
-//! (`mind_harness::report::read_values`).
+//! The paper's figure claims, checked on a fresh in-process run of the
+//! quick suite's figure and ablation tables, which must also equal the
+//! committed `BENCH_suite.json` value by value.
 //!
 //! Figure 7 (left), as `fig7.rs` documents it (paper §7.2): transitions
 //! without invalidations (S→S, I→S, I→M) cost one round trip; S→M overlaps
@@ -11,7 +11,9 @@
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
-use mind_harness::report::{read_values, scenario_values};
+use mind_bench::{compared_values, figures};
+use mind_harness::report::{self, scenario_values};
+use mind_harness::Engine;
 
 const RACKS: [u16; 3] = [2, 4, 8];
 const TRANSITIONS: [&str; 6] = [
@@ -25,16 +27,72 @@ const TRANSITIONS: [&str; 6] = [
 const WORKLOADS: [&str; 4] = ["TF", "GC", "MA", "MC"];
 const BLADES: [u16; 4] = [1, 2, 4, 8];
 
-/// The value at `path` of every scenario of the committed
-/// `BENCH_suite.json` named `<figure>/<label>`, by label.
-fn column(figure: &str, path: &str) -> BTreeMap<String, f64> {
+/// Every compared value of the quick suite's figure and ablation tables
+/// (`fig*`, `ablation_*`), run in process and read back as `bench_diff`
+/// reads a BENCH file. The serving and datapath tables are left to CI's
+/// fresh `suite` run: they take most of the quick suite's time.
+fn fresh() -> &'static BTreeMap<String, String> {
     static VALUES: OnceLock<BTreeMap<String, String>> = OnceLock::new();
-    let values = VALUES.get_or_init(|| {
-        let file = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_suite.json");
-        read_values(&std::fs::read_to_string(file).expect("the committed BENCH_suite.json"))
-    });
+    VALUES.get_or_init(|| {
+        let table = figures::all()
+            .into_iter()
+            .filter(|f| f.name.starts_with("fig") || f.name.starts_with("ablation_"))
+            .flat_map(|f| (f.build)(true))
+            .collect();
+        let results = Engine::from_env().run(table);
+        compared_values(&report::suite_json("suite", &results).render())
+    })
+}
+
+/// Each freshly run scenario has the values its namesake in the committed
+/// `BENCH_suite.json` has, so a model change shows in tier-1, not only in
+/// CI's `bench_diff`.
+#[test]
+fn fresh_figures_equal_the_committed_bench_suite() {
+    let file = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_suite.json");
+    let text = std::fs::read_to_string(file).expect("the committed BENCH_suite.json");
+    let committed = compared_values(&text);
+    assert_eq!(
+        committed["mode"], "\"quick\"",
+        "the committed suite is the quick table"
+    );
+    let committed: BTreeMap<&str, BTreeMap<&str, &str>> = scenario_values(&committed)
+        .into_iter()
+        .map(|scenario| (scenario["name"], scenario))
+        .collect();
+    let scenarios = scenario_values(fresh());
+    assert!(scenarios.len() > 250, "{} scenarios", scenarios.len());
+    let mut differences = Vec::new();
+    for scenario in &scenarios {
+        let name = scenario["name"];
+        let Some(old) = committed.get(name) else {
+            differences.push(format!("{name}: not in the committed suite"));
+            continue;
+        };
+        for (path, value) in scenario {
+            match old.get(path) {
+                Some(other) if other == value => {}
+                other => {
+                    differences.push(format!("{name} {path}: fresh {value}, committed {other:?}"))
+                }
+            }
+        }
+        let missing = old.keys().filter(|path| !scenario.contains_key(*path));
+        differences.extend(missing.map(|path| format!("{name} {path}: only committed")));
+    }
+    assert!(
+        differences.is_empty(),
+        "{} differences, the first: {:#?}",
+        differences.len(),
+        &differences[..differences.len().min(20)]
+    );
+}
+
+/// The value at `path` of every freshly run scenario named
+/// `<figure>/<label>`, by label.
+fn column(figure: &str, path: &str) -> BTreeMap<String, f64> {
     let prefix = format!("\"{figure}/");
-    scenario_values(values)
+    scenario_values(fresh())
         .into_iter()
         .filter_map(|scenario| {
             let label = scenario

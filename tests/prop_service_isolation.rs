@@ -59,7 +59,7 @@ fn a_recycled_slot_serves_its_tenant_like_a_fresh_one() {
             svc.dispatch(now);
         }
         svc.rebalance();
-        assert!(svc.tenant(first).unwrap().blades.len() > 1);
+        assert!(svc.blades(first).unwrap().len() > 1);
         assert!(!svc.tenant(first).unwrap().queue.is_empty());
         let second = if recycled {
             svc.depart(now, first).unwrap();
@@ -82,7 +82,7 @@ fn a_recycled_slot_serves_its_tenant_like_a_fresh_one() {
             svc.dispatch(now);
         }
         svc.rebalance();
-        let blades = svc.tenant(second).unwrap().blades.clone();
+        let blades = svc.blades(second).unwrap().to_vec();
         let slo = svc.depart(now, second).unwrap();
         (requests, blades, format!("{slo:?}"))
     };
