@@ -358,9 +358,10 @@ impl CoherenceEngine {
         self.caches[blade as usize].clear();
     }
 
-    /// Performs one memory access. This is the full MIND data path —
-    /// the issue phase of [`CoherenceEngine::issue`] with the completion
-    /// record discarded, for callers that serialize anyway.
+    /// Performs one memory access. This is the full MIND data path — the
+    /// issue phase of [`CoherenceEngine::issue_probed`] on a fresh probe,
+    /// with the completion record discarded, for callers that serialize
+    /// anyway.
     pub fn access(
         &mut self,
         now: SimTime,
@@ -369,27 +370,17 @@ impl CoherenceEngine {
         vaddr: u64,
         kind: AccessKind,
     ) -> Result<AccessOutcome, AccessError> {
-        self.issue(now, blade, pdid, vaddr, kind).map(|ia| ia.outcome)
-    }
-
-    /// The issue phase: resolves protection, translation, and directory
-    /// state, commits the transition, and returns the completion record
-    /// an in-flight window arbitrates on (see [`IssuedAccess`]).
-    pub fn issue(
-        &mut self,
-        now: SimTime,
-        blade: u16,
-        pdid: Pdid,
-        vaddr: u64,
-        kind: AccessKind,
-    ) -> Result<IssuedAccess, AccessError> {
         let probe = self.probe_cache(blade, vaddr);
         self.issue_probed(now, blade, pdid, kind, probe)
+            .map(|ia| ia.outcome)
     }
 
-    /// [`CoherenceEngine::issue`] of the page `probe` looked up in
+    /// The issue phase of an access to the page `probe` looked up in
     /// `blade`'s cache ([`CoherenceEngine::probe_cache`]), without looking
-    /// again. That cache must not have been mutated in between.
+    /// again; that cache must not have been mutated in between. Resolves
+    /// protection, translation, and directory state, commits the
+    /// transition, and returns the completion record an in-flight window
+    /// arbitrates on (see [`IssuedAccess`]).
     pub fn issue_probed(
         &mut self,
         now: SimTime,
@@ -573,7 +564,7 @@ impl CoherenceEngine {
         };
         let fetch_done = if need_data {
             match row.fetch {
-                FetchSource::Memory => self.fetch(fetch_at, blade, page, true)?,
+                FetchSource::Memory => self.fetch(fetch_at, blade, page)?,
                 FetchSource::OwnerCache => {
                     let supplier = owner.expect("OwnerCache rows require an owner");
                     self.fetch_from_owner(fetch_at, blade, supplier)
@@ -770,13 +761,7 @@ impl CoherenceEngine {
 
     /// Fetches `page` from its memory blade to `blade`, starting at the
     /// switch at `t_switch`. Returns the arrival time of the page.
-    fn fetch(
-        &mut self,
-        t_switch: SimTime,
-        blade: u16,
-        page: u64,
-        _carry: bool,
-    ) -> Result<SimTime, AccessError> {
+    fn fetch(&mut self, t_switch: SimTime, blade: u16, page: u64) -> Result<SimTime, AccessError> {
         let pa = self.translation.translate(page).ok_or(AccessError::BadAddress)?;
         if pa.blade >= self.n_memory() {
             return Err(AccessError::BadAddress);
@@ -1090,7 +1075,7 @@ impl CoherenceEngine {
             0,
         );
         let done = match kind {
-            AccessKind::Read => self.fetch(t_switch, blade, page, false)?,
+            AccessKind::Read => self.fetch(t_switch, blade, page)?,
             AccessKind::Write => self.writeback(t_switch, blade, page, None)?,
         };
         let network = done.saturating_sub(t_switch) + self.lat.hop_latency;

@@ -91,7 +91,8 @@ impl TraceConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum EventKind {
-    /// One access through `CoherenceEngine::issue`; spans the access's
+    /// One access through `CoherenceEngine::issue_probed` (which
+    /// `CoherenceEngine::access` also goes through); spans the access's
     /// full latency. Args: `remote` (0/1), `invalidations`.
     Issue = 0,
     /// A directory state-machine transition admitted at the switch.

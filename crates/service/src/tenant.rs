@@ -8,6 +8,7 @@
 //! throughput, rejects) is cut when it departs.
 
 use std::collections::VecDeque;
+use std::fmt;
 
 use mind_core::controller::Pid;
 use mind_core::system::AccessKind;
@@ -41,16 +42,13 @@ pub enum AccessPattern {
     Scan,
 }
 
-impl AccessPattern {
-    /// Short label for reports and workload names. Interned so
-    /// population-scale callers can hold or format it without a per-call
-    /// (or worse, per-tenant) allocation — the label vocabulary is a
-    /// handful of pattern names.
-    pub fn label(&self) -> &'static str {
+/// The short label workload names carry: `uniform`, `zipf<theta>`, `scan`.
+impl fmt::Display for AccessPattern {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            AccessPattern::Uniform => "uniform",
-            AccessPattern::Zipfian(theta) => mind_sim::intern::intern(&format!("zipf{theta}")),
-            AccessPattern::Scan => "scan",
+            AccessPattern::Uniform => f.write_str("uniform"),
+            AccessPattern::Zipfian(theta) => write!(f, "zipf{theta}"),
+            AccessPattern::Scan => f.write_str("scan"),
         }
     }
 }
@@ -144,9 +142,7 @@ impl Workload for TenantWorkload {
     fn name(&self) -> String {
         format!(
             "tenant(p={},r={},{})",
-            self.pages,
-            self.read_ratio,
-            self.pattern.label()
+            self.pages, self.read_ratio, self.pattern
         )
     }
 

@@ -16,7 +16,6 @@
 pub mod env;
 pub mod event;
 pub mod hash;
-pub mod intern;
 pub mod pool;
 pub mod rng;
 pub mod slab;

@@ -103,61 +103,40 @@ impl Workload for KvsWorkload {
 
     fn next_op(&mut self, thread: u16) -> TraceOp {
         let rng = &mut self.rngs[thread as usize];
-        let own = thread % self.cfg.n_partitions;
-        let region = if rng.gen_bool(self.cfg.locality) || self.cfg.n_partitions == 1 {
-            own
-        } else {
-            // Cross-partition access (remote key lookup).
-            let mut other = rng.gen_below(self.cfg.n_partitions as u64) as u16;
-            if other == own {
-                other = (other + 1) % self.cfg.n_partitions;
-            }
-            other
-        };
-        let page = self.zipf.sample(rng);
-        let kind = if rng.gen_bool(self.cfg.mix.update_fraction()) {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
-        TraceOp {
-            region,
-            offset: page << 12,
-            kind,
-        }
+        draw(&self.cfg, &self.zipf, thread, rng)
     }
 
     fn fill_ops(&mut self, thread: u16, n: usize, out: &mut Vec<TraceOp>) {
-        // Batched generation with the per-op borrows hoisted; RNG-call
-        // order is identical to `n` scalar `next_op` calls.
-        let cfg = self.cfg;
-        let own = thread % cfg.n_partitions;
-        let update_fraction = cfg.mix.update_fraction();
-        let zipf = &self.zipf;
-        let rng = &mut self.rngs[thread as usize];
-        out.reserve(n);
-        for _ in 0..n {
-            let region = if rng.gen_bool(cfg.locality) || cfg.n_partitions == 1 {
-                own
-            } else {
-                let mut other = rng.gen_below(cfg.n_partitions as u64) as u16;
-                if other == own {
-                    other = (other + 1) % cfg.n_partitions;
-                }
-                other
-            };
-            let page = zipf.sample(rng);
-            let kind = if rng.gen_bool(update_fraction) {
-                AccessKind::Write
-            } else {
-                AccessKind::Read
-            };
-            out.push(TraceOp {
-                region,
-                offset: page << 12,
-                kind,
-            });
+        // One RNG borrow and config read for the whole run of ops.
+        let (cfg, zipf, rng) = (&self.cfg, &self.zipf, &mut self.rngs[thread as usize]);
+        out.extend((0..n).map(|_| draw(cfg, zipf, thread, rng)));
+    }
+}
+
+/// Thread `thread`'s next op, drawn from its RNG `rng`: the one generator
+/// body behind [`Workload::next_op`] and [`Workload::fill_ops`].
+fn draw(cfg: &KvsConfig, zipf: &Zipfian, thread: u16, rng: &mut SimRng) -> TraceOp {
+    let own = thread % cfg.n_partitions;
+    let region = if rng.gen_bool(cfg.locality) || cfg.n_partitions == 1 {
+        own
+    } else {
+        // Cross-partition access (remote key lookup).
+        let mut other = rng.gen_below(cfg.n_partitions as u64) as u16;
+        if other == own {
+            other = (other + 1) % cfg.n_partitions;
         }
+        other
+    };
+    let page = zipf.sample(rng);
+    let kind = if rng.gen_bool(cfg.mix.update_fraction()) {
+        AccessKind::Write
+    } else {
+        AccessKind::Read
+    };
+    TraceOp {
+        region,
+        offset: page << 12,
+        kind,
     }
 }
 

@@ -84,51 +84,34 @@ impl Workload for MicroWorkload {
     }
 
     fn next_op(&mut self, thread: u16) -> TraceOp {
-        let rng = &mut self.rngs[thread as usize];
-        let shared = rng.gen_bool(self.cfg.sharing_ratio);
-        let (region, pages) = if shared {
-            (0u16, self.cfg.shared_pages)
-        } else {
-            (1 + thread, self.cfg.private_pages)
-        };
-        let page = rng.gen_below(pages);
-        let kind = if rng.gen_bool(self.cfg.read_ratio) {
-            AccessKind::Read
-        } else {
-            AccessKind::Write
-        };
-        TraceOp {
-            region,
-            offset: page << 12,
-            kind,
-        }
+        draw(&self.cfg, thread, &mut self.rngs[thread as usize])
     }
 
     fn fill_ops(&mut self, thread: u16, n: usize, out: &mut Vec<TraceOp>) {
-        // Batched generation: one RNG borrow and config read for the whole
-        // run of ops. Stream-identical to `n` scalar `next_op` calls.
-        let cfg = self.cfg;
-        let private_region = 1 + thread;
-        let rng = &mut self.rngs[thread as usize];
-        out.reserve(n);
-        for _ in 0..n {
-            let (region, pages) = if rng.gen_bool(cfg.sharing_ratio) {
-                (0u16, cfg.shared_pages)
-            } else {
-                (private_region, cfg.private_pages)
-            };
-            let page = rng.gen_below(pages);
-            let kind = if rng.gen_bool(cfg.read_ratio) {
-                AccessKind::Read
-            } else {
-                AccessKind::Write
-            };
-            out.push(TraceOp {
-                region,
-                offset: page << 12,
-                kind,
-            });
-        }
+        // One RNG borrow and config read for the whole run of ops.
+        let (cfg, rng) = (&self.cfg, &mut self.rngs[thread as usize]);
+        out.extend((0..n).map(|_| draw(cfg, thread, rng)));
+    }
+}
+
+/// Thread `thread`'s next op, drawn from its RNG `rng`: the one generator
+/// body behind [`Workload::next_op`] and [`Workload::fill_ops`].
+fn draw(cfg: &MicroConfig, thread: u16, rng: &mut SimRng) -> TraceOp {
+    let (region, pages) = if rng.gen_bool(cfg.sharing_ratio) {
+        (0u16, cfg.shared_pages)
+    } else {
+        (1 + thread, cfg.private_pages)
+    };
+    let page = rng.gen_below(pages);
+    let kind = if rng.gen_bool(cfg.read_ratio) {
+        AccessKind::Read
+    } else {
+        AccessKind::Write
+    };
+    TraceOp {
+        region,
+        offset: page << 12,
+        kind,
     }
 }
 

@@ -147,10 +147,10 @@ impl RunConfig {
 /// Aggregated results of one replay.
 ///
 /// All rates and means are derived from the integer fields below by
-/// one shared arithmetic (`finish_report`), so reports over disjoint
+/// one shared arithmetic (`RunReport::finish`), so reports over disjoint
 /// partitions merge exactly: integers add, histograms and metrics merge
 /// bucket-wise, and the floats are recomputed from the sums.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunReport {
     /// Workload name; owned so swept scenarios carry their parameters.
     pub name: String,
@@ -217,35 +217,19 @@ fn blade_of(thread: u16, cfg: RunConfig, n_blades: u16) -> u16 {
     }
 }
 
-/// Integer accumulators for one measured window — the exact state two
-/// partitioned runs merge by addition.
-#[derive(Debug, Default)]
-pub(crate) struct Accum {
-    pub(crate) total_ops: u64,
-    pub(crate) remote: u64,
-    pub(crate) invals: u64,
-    pub(crate) flushed: u64,
-    pub(crate) sum_fault: u128,
-    pub(crate) sum_network: u128,
-    pub(crate) sum_inv_queue: u128,
-    pub(crate) sum_inv_tlb: u128,
-    pub(crate) sum_software: u128,
-    pub(crate) sum_overlapped: u128,
-    pub(crate) sum_remote_lat: u128,
-    pub(crate) latency: Histogram,
-    /// Windowed telemetry, present only when the run traces.
-    pub(crate) series: Option<WindowSeries>,
-}
-
-impl Accum {
-    /// Accumulators that additionally record the windowed telemetry
-    /// series when `trace` is enabled.
-    pub(crate) fn with_trace(trace: TraceConfig) -> Self {
-        let series = trace.enabled().then(|| WindowSeries::new(trace.interval));
-        Accum { series, ..Accum::default() }
+impl RunReport {
+    /// A report with nothing recorded yet, which also records the windowed
+    /// telemetry series when `trace` is enabled.
+    pub(crate) fn empty(name: String, trace: TraceConfig) -> Self {
+        let timeseries = trace.enabled().then(|| WindowSeries::new(trace.interval));
+        RunReport {
+            name,
+            timeseries,
+            ..RunReport::default()
+        }
     }
 
-    /// Folds one executed batch into the accumulators, in op order.
+    /// Records one executed batch, in op order.
     ///
     /// # Panics
     ///
@@ -258,27 +242,27 @@ impl Accum {
         }
     }
 
-    /// Folds one completed operation into the accumulators — the per-op
-    /// half of [`record_batch`](Self::record_batch), used directly by the
-    /// cluster engine's driver where ops complete stream-wise rather than
+    /// Records one completed operation — the per-op half of
+    /// [`record_batch`](Self::record_batch), used directly by the cluster
+    /// engine's driver where ops complete stream-wise rather than
     /// batch-wise.
     pub(crate) fn record_op(&mut self, outcome: &AccessOutcome, complete_at: SimTime) {
         let total_ns = outcome.latency.total().as_nanos();
         self.total_ops += 1;
         if outcome.remote {
-            self.remote += 1;
-            self.sum_remote_lat += total_ns as u128;
+            self.remote_ops += 1;
+            self.sum_remote_lat_ns += total_ns as u128;
         }
         self.latency.record(total_ns);
-        self.invals += outcome.invalidations as u64;
-        self.flushed += outcome.flushed_pages as u64;
-        self.sum_fault += outcome.latency.fault.as_nanos() as u128;
-        self.sum_network += outcome.latency.network.as_nanos() as u128;
-        self.sum_inv_queue += outcome.latency.inv_queue.as_nanos() as u128;
-        self.sum_inv_tlb += outcome.latency.inv_tlb.as_nanos() as u128;
-        self.sum_software += outcome.latency.software.as_nanos() as u128;
-        self.sum_overlapped += outcome.latency.overlapped.as_nanos() as u128;
-        if let Some(series) = &mut self.series {
+        self.invalidations += outcome.invalidations as u64;
+        self.flushed_pages += outcome.flushed_pages as u64;
+        self.sum_fault_ns += outcome.latency.fault.as_nanos() as u128;
+        self.sum_network_ns += outcome.latency.network.as_nanos() as u128;
+        self.sum_inv_queue_ns += outcome.latency.inv_queue.as_nanos() as u128;
+        self.sum_inv_tlb_ns += outcome.latency.inv_tlb.as_nanos() as u128;
+        self.sum_software_ns += outcome.latency.software.as_nanos() as u128;
+        self.sum_overlapped_ns += outcome.latency.overlapped.as_nanos() as u128;
+        if let Some(series) = &mut self.timeseries {
             // Bucket by virtual completion time (identical across
             // execution cells); stall = the directory-busy share.
             let stall = outcome.latency.inv_queue + outcome.latency.inv_tlb;
@@ -295,55 +279,62 @@ impl Accum {
     /// Records nanoseconds an issue waited on its blade's RNIC queue into
     /// the telemetry series (no-op when the run is untraced).
     pub(crate) fn record_nic_stall(&mut self, at: SimTime, stall: SimTime) {
-        if let Some(series) = &mut self.series {
+        if let Some(series) = &mut self.timeseries {
             series.record_nic_stall(at, stall.as_nanos());
         }
     }
-}
 
-/// Builds the report from accumulated integers — the single place the
-/// derived floats are computed, shared by [`run`], the sharded executor,
-/// and its merge ([`crate::shard::StreamedMerge`]) so a merge of one report
-/// reproduces it exactly.
-pub(crate) fn finish_report(
-    name: String,
-    warmup_end: SimTime,
-    end_clock: SimTime,
-    acc: Accum,
-    metrics: Metrics,
-    window_metrics: Metrics,
-) -> RunReport {
-    let runtime = end_clock.saturating_sub(warmup_end);
-    let secs = runtime.as_secs_f64().max(1e-12);
-    // A window without ops (or without remote ops) reports zero, not 0/0.
-    let per = |sum: f64, of: u64| if of > 0 { sum / of as f64 } else { 0.0 };
-    let mut acc = acc;
-    let timeseries = acc.series.take();
-    RunReport {
-        name,
-        runtime,
-        warmup_end,
-        total_ops: acc.total_ops,
-        remote_ops: acc.remote,
-        invalidations: acc.invals,
-        flushed_pages: acc.flushed,
-        sum_remote_lat_ns: acc.sum_remote_lat,
-        mops: acc.total_ops as f64 / secs / 1e6,
-        remote_per_op: per(acc.remote as f64, acc.total_ops),
-        invalidations_per_op: per(acc.invals as f64, acc.total_ops),
-        flushed_per_op: per(acc.flushed as f64, acc.total_ops),
-        sum_fault_ns: acc.sum_fault,
-        sum_network_ns: acc.sum_network,
-        sum_inv_queue_ns: acc.sum_inv_queue,
-        sum_inv_tlb_ns: acc.sum_inv_tlb,
-        sum_software_ns: acc.sum_software,
-        sum_overlapped_ns: acc.sum_overlapped,
-        mean_remote_ns: per(acc.sum_remote_lat as f64, acc.remote),
-        latency: acc.latency,
-        metrics,
-        window_metrics,
-        timeseries,
-        trace: None,
+    /// Folds a report of a disjoint partition into this one: integers
+    /// add, histograms, metrics and timeseries merge bucket-wise, traces
+    /// extend, and the warmup ends at the later of the two. The derived
+    /// fields are stale until [`finish`](Self::finish).
+    pub(crate) fn merge(&mut self, other: RunReport) {
+        self.warmup_end = self.warmup_end.max(other.warmup_end);
+        self.total_ops += other.total_ops;
+        self.remote_ops += other.remote_ops;
+        self.invalidations += other.invalidations;
+        self.flushed_pages += other.flushed_pages;
+        self.sum_remote_lat_ns += other.sum_remote_lat_ns;
+        self.sum_fault_ns += other.sum_fault_ns;
+        self.sum_network_ns += other.sum_network_ns;
+        self.sum_inv_queue_ns += other.sum_inv_queue_ns;
+        self.sum_inv_tlb_ns += other.sum_inv_tlb_ns;
+        self.sum_software_ns += other.sum_software_ns;
+        self.sum_overlapped_ns += other.sum_overlapped_ns;
+        self.latency.merge(&other.latency);
+        self.metrics.merge(&other.metrics);
+        self.window_metrics.merge(&other.window_metrics);
+        if let Some(series) = other.timeseries {
+            match &mut self.timeseries {
+                Some(mine) => mine.merge(&series),
+                None => self.timeseries = Some(series),
+            }
+        }
+        if let Some(t) = other.trace {
+            match &mut self.trace {
+                Some(mine) => mine.merge(t),
+                None => self.trace = Some(t),
+            }
+        }
+    }
+
+    /// The report of a measured window ending at `end_clock` — the single
+    /// place the runtime and the derived floats are computed, shared by
+    /// [`run`], the sharded executor, and its merge
+    /// ([`crate::shard::StreamedMerge`]), so a merge of one report
+    /// reproduces it exactly.
+    pub(crate) fn finish(mut self, end_clock: SimTime) -> Self {
+        self.runtime = end_clock.saturating_sub(self.warmup_end);
+        let secs = self.runtime.as_secs_f64().max(1e-12);
+        // A window without ops (or without remote ops) reports zero, not 0/0.
+        let per = |sum: f64, of: u64| if of > 0 { sum / of as f64 } else { 0.0 };
+        let ops = self.total_ops;
+        self.mops = ops as f64 / secs / 1e6;
+        self.remote_per_op = per(self.remote_ops as f64, ops);
+        self.invalidations_per_op = per(self.invalidations as f64, ops);
+        self.flushed_per_op = per(self.flushed_pages as f64, ops);
+        self.mean_remote_ns = per(self.sum_remote_lat_ns as f64, self.remote_ops);
+        self
     }
 }
 
@@ -399,8 +390,8 @@ impl ClusterDriver {
     /// gated sources to their release times, and streams issued ops until
     /// every source has issued what it owes. The engine's source `src` is
     /// source `first + src` of `streams`. Returns the latest completion
-    /// plus think time ([`SimTime::ZERO`] when nothing issued). `acc: None`
-    /// is the warmup phase (nothing is recorded); `Some` is measured.
+    /// plus think time ([`SimTime::ZERO`] when nothing issued). `report:
+    /// None` is the warmup phase (nothing is recorded); `Some` is measured.
     ///
     /// # Panics
     ///
@@ -413,7 +404,7 @@ impl ClusterDriver {
         streams: &mut Streams,
         workloads: &mut [P],
         first: u32,
-        mut acc: Option<&mut Accum>,
+        mut report: Option<&mut RunReport>,
     ) -> SimTime {
         let mut latest = SimTime::ZERO;
         while let Some((now, src)) = self.eng.next_ready() {
@@ -430,8 +421,8 @@ impl ClusterDriver {
             {
                 ClusterStep::Gated { until, nic_stall } => {
                     if nic_stall > SimTime::ZERO {
-                        if let Some(acc) = acc.as_deref_mut() {
-                            acc.record_nic_stall(now, nic_stall);
+                        if let Some(report) = report.as_deref_mut() {
+                            report.record_nic_stall(now, nic_stall);
                         }
                     }
                     self.eng.defer(until, src);
@@ -445,8 +436,8 @@ impl ClusterDriver {
                     region: _,
                 } => {
                     streams.advance(s);
-                    if let Some(acc) = acc.as_deref_mut() {
-                        acc.record_op(outcome, complete_at);
+                    if let Some(report) = report.as_deref_mut() {
+                        report.record_op(outcome, complete_at);
                     }
                     latest = latest.max(complete_at + gap);
                     let next = now + gap;
@@ -706,8 +697,8 @@ impl Replay {
         workloads: &mut [P],
         name: String,
     ) -> RunReport {
-        let mut acc = Accum::with_trace(self.cfg.trace);
-        let warmup_end = self.drain_phase(system, workloads, None);
+        let mut report = RunReport::empty(name, self.cfg.trace);
+        report.warmup_end = self.drain_phase(system, workloads, None);
         let baseline = system.metrics();
         let measured = self.cfg.ops_per_thread;
         self.streams.owe(measured);
@@ -719,16 +710,16 @@ impl Replay {
         for driver in &mut self.drivers {
             driver.start_measured(measured > 0);
         }
-        let end_clock = warmup_end.max(self.drain_phase(system, workloads, Some(&mut acc)));
-        let metrics = system.metrics();
-        let window_metrics = metrics.diff(&baseline);
-        let mut report = finish_report(name, warmup_end, end_clock, acc, metrics, window_metrics);
+        let measured_end = self.drain_phase(system, workloads, Some(&mut report));
+        report.metrics = system.metrics();
+        report.window_metrics = report.metrics.diff(&baseline);
         report.trace = system.take_trace();
-        report
+        let end_clock = report.warmup_end.max(measured_end);
+        report.finish(end_clock)
     }
 
     /// Runs the current phase until no source owes it an op, in timestamp
-    /// order (ties by schedule order), accounting into `acc` when measuring
+    /// order (ties by schedule order), recording into `report` when measuring
     /// (`None` is the warmup). Returns the latest source clock the phase
     /// reached — a completion plus think time — or [`SimTime::ZERO`] if
     /// nothing ran.
@@ -736,7 +727,7 @@ impl Replay {
         &mut self,
         system: &mut S,
         workloads: &mut [P],
-        mut acc: Option<&mut Accum>,
+        mut report: Option<&mut RunReport>,
     ) -> SimTime {
         let mut latest = SimTime::ZERO;
         if self.drivers.is_empty() {
@@ -745,14 +736,14 @@ impl Replay {
             while let Some(due) = self.queue.pop() {
                 let s = due.event;
                 let next = self.turn(system, workloads, due.at, s as usize, batch_ops);
-                if let Some(acc) = acc.as_deref_mut() {
+                if let Some(report) = report.as_deref_mut() {
                     // One accounting flush per turn, in op order.
-                    acc.record_batch(&self.batch);
+                    report.record_batch(&self.batch);
                 }
                 latest = latest.max(next);
                 if self.streams.cursors[s as usize].owed > 0 {
                     self.queue.schedule(next, s);
-                } else if acc.is_none() {
+                } else if report.is_none() {
                     self.resume.schedule(next, s);
                 }
             }
@@ -762,8 +753,9 @@ impl Replay {
         let (gap, tpp) = (self.cfg.think_time, self.streams.threads_per_part);
         for (part, driver) in self.drivers.iter_mut().enumerate() {
             let first = part as u32 * tpp;
-            let acc = acc.as_deref_mut();
-            latest = latest.max(driver.pump(system, gap, &mut self.streams, workloads, first, acc));
+            let report = report.as_deref_mut();
+            latest =
+                latest.max(driver.pump(system, gap, &mut self.streams, workloads, first, report));
         }
         latest
     }

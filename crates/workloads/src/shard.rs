@@ -20,7 +20,7 @@
 //! shard indices from a shared cursor; each lane **builds one rack at its
 //! first claim and resets it for every later one** ([`MindCluster::reset`]
 //! keeps the tables' storage), fills it with the claimed shard, replays it
-//! to completion, and streams its report into a running accumulator
+//! to completion, and streams its report into one running report
 //! ([`StreamedMerge`]) before claiming the next index. Each lane holds one
 //! rack (plus a bounded reorder buffer of finished reports), so peak memory
 //! is O(lanes × one shard), not O(all shards): the property that makes
@@ -77,11 +77,9 @@ use std::sync::Mutex;
 use mind_core::cluster::{MindCluster, MindConfig};
 use mind_core::controller::Pid;
 use mind_core::shard::PartitionError;
-use mind_obs::TraceData;
-use mind_sim::stats::Metrics;
 use mind_sim::SimTime;
 
-use crate::runner::{finish_report, Accum, Replay, RunConfig, RunReport, Source};
+use crate::runner::{Replay, RunConfig, RunReport, Source};
 use crate::trace::Workload;
 
 /// Why a partitioned scenario cannot be (de)composed: each variant names
@@ -514,7 +512,7 @@ pub fn run_sharded_threads(
 /// absorbed or freed, never retained whole). Reports that complete ahead
 /// of a lower-index shard wait in a reorder buffer bounded by the number
 /// of concurrently-running lanes — never by the shard count — so merging
-/// `n` shards holds one accumulator plus O(lanes) buffered reports.
+/// `n` shards holds one report plus O(lanes) buffered reports.
 ///
 /// The fold arithmetic is the byte-identity contract: integers and
 /// histograms add, the measured window spans `[max warmup_end, max
@@ -528,13 +526,11 @@ pub fn run_sharded_threads(
 /// *indices* alone; completion order, lane count and OS scheduling cannot
 /// reach it (proptested in `tests/streamed_merge.rs`).
 pub struct StreamedMerge {
-    name: String,
-    warmup_end: SimTime,
+    /// The shards folded so far; its derived fields are stale until
+    /// [`finish`](Self::finish).
+    merged: RunReport,
+    /// The latest end of a folded shard's measured window.
     end_clock: SimTime,
-    acc: Accum,
-    metrics: Metrics,
-    window_metrics: Metrics,
-    trace: Option<TraceData>,
     /// Reports that arrived ahead of a lower-index shard, keyed by shard.
     pending: BTreeMap<usize, RunReport>,
     /// The next shard index to fold; every lower one is folded.
@@ -548,13 +544,11 @@ impl StreamedMerge {
     /// `name`.
     pub fn new(name: impl Into<String>, total: usize) -> Self {
         StreamedMerge {
-            name: name.into(),
-            warmup_end: SimTime::ZERO,
+            merged: RunReport {
+                name: name.into(),
+                ..RunReport::default()
+            },
             end_clock: SimTime::ZERO,
-            acc: Accum::default(),
-            metrics: Metrics::new(),
-            window_metrics: Metrics::new(),
-            trace: None,
             pending: BTreeMap::new(),
             next: 0,
             total,
@@ -584,40 +578,14 @@ impl StreamedMerge {
         }
     }
 
-    /// Folds the next shard's report into the accumulator.
+    /// Folds the next shard's report into the merged one.
     fn fold(&mut self, r: RunReport) {
-        self.warmup_end = self.warmup_end.max(r.warmup_end);
         self.end_clock = self.end_clock.max(r.warmup_end + r.runtime);
-        self.acc.total_ops += r.total_ops;
-        self.acc.remote += r.remote_ops;
-        self.acc.invals += r.invalidations;
-        self.acc.flushed += r.flushed_pages;
-        self.acc.sum_fault += r.sum_fault_ns;
-        self.acc.sum_network += r.sum_network_ns;
-        self.acc.sum_inv_queue += r.sum_inv_queue_ns;
-        self.acc.sum_inv_tlb += r.sum_inv_tlb_ns;
-        self.acc.sum_software += r.sum_software_ns;
-        self.acc.sum_overlapped += r.sum_overlapped_ns;
-        self.acc.sum_remote_lat += r.sum_remote_lat_ns;
-        self.acc.latency.merge(&r.latency);
-        self.metrics.merge(&r.metrics);
-        self.window_metrics.merge(&r.window_metrics);
-        if let Some(series) = r.timeseries {
-            match &mut self.acc.series {
-                Some(mine) => mine.merge(&series),
-                None => self.acc.series = Some(series),
-            }
-        }
-        if let Some(t) = r.trace {
-            match &mut self.trace {
-                Some(mine) => mine.merge(t),
-                None => self.trace = Some(t),
-            }
-        }
+        self.merged.merge(r);
         self.next += 1;
     }
 
-    /// Shards folded into the accumulator so far (buffered ones excluded).
+    /// Shards folded into the merged report so far (buffered ones excluded).
     pub fn folded(&self) -> usize {
         self.next
     }
@@ -637,16 +605,7 @@ impl StreamedMerge {
             self.next, self.total,
             "streamed merge finished before every shard was offered"
         );
-        let mut merged = finish_report(
-            self.name,
-            self.warmup_end,
-            self.end_clock,
-            self.acc,
-            self.metrics,
-            self.window_metrics,
-        );
-        merged.trace = self.trace;
-        merged
+        self.merged.finish(self.end_clock)
     }
 }
 

@@ -140,3 +140,31 @@ fn loss_free_runs_have_no_reliability_activity() {
     assert_eq!(m.get("retransmissions"), 0);
     assert_eq!(m.get("resets"), 0);
 }
+
+#[test]
+fn a_reset_region_stays_busy_until_its_round_ends() {
+    let mut c = MindCluster::new(MindConfig {
+        n_compute: 3,
+        ..MindConfig::small()
+    });
+    let pid = c.exec().unwrap();
+    let base = c.mmap(pid, 1 << 16).unwrap();
+    // Blade 1 holds a clean Shared copy, then dies silently. A dirty one
+    // would be flushed by the reset, and that flush's fabric booking
+    // would delay the next access on its own.
+    c.access_as(ms(1), 1, pid, base, AccessKind::Read).unwrap();
+    c.fail_blade(1);
+    // Blade 0's write waits out every retry and ends in the reset.
+    c.access_as(ms(2), 0, pid, base, AccessKind::Write).unwrap();
+    // A read just after must queue behind the region the reset recreated.
+    let at = ms(2) + SimTime::from_micros(1);
+    let out = c.access_as(at, 2, pid, base, AccessKind::Read).unwrap();
+    let cfg = c.config().coherence;
+    let round = cfg.ack_timeout * (cfg.max_retries as u64 + 1);
+    assert!(
+        at + out.latency.total() >= ms(2) + round,
+        "read done at {} before the reset round's {}",
+        at + out.latency.total(),
+        ms(2) + round
+    );
+}

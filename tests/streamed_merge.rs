@@ -1,5 +1,5 @@
 //! The streamed constant-memory merge contract: folding per-shard
-//! reports into a running accumulator **as each shard completes** must
+//! reports into one running report **as each shard completes** must
 //! render byte-identical output to the path that collects every report
 //! first and then offers them in index order — for every shard count ×
 //! thread count cell, traced and untraced.
