@@ -85,9 +85,13 @@ pub fn alloc_counts() -> (u64, u64) {
 /// Requested bytes allocated and not yet freed, process-wide, and their
 /// high-water mark since start or the last [`reset_peak_live`]. Exact
 /// for a seed when one thread allocates, unlike RSS, which also counts
-/// what the system allocator keeps after a free.
+/// what the system allocator keeps after a free. The peak is never below
+/// the live total returned with it: an allocation adds to the total
+/// before it raises the mark, and a reset stores a total read earlier,
+/// so while other threads allocate the stored mark can lag the total.
 pub fn live_bytes() -> (u64, u64) {
-    (LIVE_BYTES.load(Ordering::Relaxed), PEAK_LIVE_BYTES.load(Ordering::Relaxed))
+    let live = LIVE_BYTES.load(Ordering::Relaxed);
+    (live, PEAK_LIVE_BYTES.load(Ordering::Relaxed).max(live))
 }
 
 /// Lowers the live-bytes high-water mark to the bytes live now, so a

@@ -174,6 +174,8 @@ mod tests {
         for _ in 0..1000 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
+        let mut c = a.clone();
+        assert_eq!(a.next_u64(), c.next_u64(), "a clone continues the stream");
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! completion order**: [`StreamedMerge`] buffers any report that arrives
 //! ahead of a lower-index shard and folds it the moment the gap closes,
 //! so the merged report is byte-identical whatever the lane count or
-//! completion schedule (proptested in `tests/streamed_merge.rs`). The lane
+//! completion schedule (proptested in `tests/equivalence.rs`). The lane
 //! count is the caller's — a number, never negotiated — and a scheduling
 //! decision only, never a semantic one.
 //!
@@ -524,7 +524,7 @@ pub fn run_sharded_threads(
 /// trace merge extends event vectors, so only an index-order fold gives
 /// one set of bytes. The buffer makes the fold order a function of shard
 /// *indices* alone; completion order, lane count and OS scheduling cannot
-/// reach it (proptested in `tests/streamed_merge.rs`).
+/// reach it (proptested in `tests/equivalence.rs`).
 pub struct StreamedMerge {
     /// The shards folded so far; its derived fields are stale until
     /// [`finish`](Self::finish).

@@ -1,53 +1,24 @@
 //! Batching is a schedule, not a second datapath: `batch_ops` decides how
 //! many ops a thread issues per turn and nothing about how each op
-//! executes. What is checked here are the invariants that follow — a
-//! single thread's replay does not depend on its turn size, on any
-//! system; [`runner::run`] and a one-partition group run are the same
-//! replay; the issue gate bounds and serializes what it says it does,
-//! for a windowed batch and for a cluster-mode replay; one thread in one
-//! turn is the same schedule under both disciplines; `window <= 1` and
-//! cluster mode at window 1 are the serialized schedule; sharding composes
-//! with every turn size. (Behaviour across
-//! commits is pinned by the `sim_digest` goldens, not by comparing paths
-//! within one commit.)
+//! executes. What is checked here are the invariants that follow — the
+//! issue gate bounds and serializes what it says it does, for a windowed
+//! batch and for a cluster-mode replay; window 1 fully serializes; deeper
+//! windows keep the work and never slow the run; the baselines take every
+//! turn size. (Where two schedules must give the same bytes, the cell is
+//! in `tests/equivalence.rs`; behaviour across commits is pinned by the
+//! `sim_digest` goldens, not by comparing paths within one commit.)
 
 use proptest::prelude::*;
 
 use mind::core::cluster::{MindCluster, MindConfig};
 use mind::core::engine::{ClusterEngine, ClusterStep};
 use mind::core::system::{AccessKind, ConsistencyModel, MemOp, MemorySystem, OpBatch};
-use mind::harness::{report, ScenarioResult, SystemSpec, WorkloadSpec};
-use mind::service::{MemoryService, ServiceConfig};
+use mind::harness::{report, ScenarioOutput, ScenarioResult, SystemSpec, WorkloadSpec};
 use mind::sim::SimTime;
-use mind::workloads::kvs::KvsConfig;
-use mind::workloads::memcached::MemcachedConfig;
 use mind::workloads::micro::MicroConfig;
-use mind::workloads::runner::{self, Concurrency, RunConfig};
-use mind::workloads::{run_sharded, run_sharded_threads, ShardSpec};
+use mind::workloads::runner::{self, RunConfig};
 
 const BATCH_SIZES: [u64; 3] = [1, 8, 64];
-
-fn workloads() -> Vec<WorkloadSpec> {
-    vec![
-        WorkloadSpec::Micro(MicroConfig {
-            n_threads: 4,
-            shared_pages: 2_048,
-            private_pages: 256,
-            ..Default::default()
-        }),
-        WorkloadSpec::Kvs(KvsConfig {
-            partition_pages: 128,
-            ..KvsConfig::ycsb_a(4)
-        }),
-        WorkloadSpec::Memcached(MemcachedConfig {
-            n_threads: 4,
-            value_pages: 1_024,
-            bucket_pages: 128,
-            meta_pages: 32,
-            ..MemcachedConfig::workload_a()
-        }),
-    ]
-}
 
 fn run_cfg(batch_ops: u64) -> RunConfig {
     RunConfig {
@@ -59,181 +30,18 @@ fn run_cfg(batch_ops: u64) -> RunConfig {
     .with_batch_ops(batch_ops)
 }
 
-/// Renders a report as suite JSON for byte comparison.
-fn runner_json(report: mind::workloads::RunReport) -> String {
-    let result = ScenarioResult {
-        name: report.name.clone(),
-        output: mind::harness::ScenarioOutput::from_report(report),
-    };
-    report::suite_json("batch_equivalence", &[result]).render()
-}
-
-/// Replays `workload` on `system` and renders the BENCH JSON.
-fn replay_json_on(system: &SystemSpec, workload: &WorkloadSpec, cfg: RunConfig) -> String {
+/// Renders one turnwise MIND replay as BENCH JSON at the given turn size
+/// and in-flight window depth.
+fn replay_json(workload: &WorkloadSpec, batch_ops: u64, window: u32) -> String {
+    let system = SystemSpec::mind_scaled(&workload.regions(), 2, ConsistencyModel::Tso);
     let mut sys = system.build();
     let mut wl = workload.build();
-    runner_json(runner::run(sys.as_mut(), wl.as_mut(), cfg))
-}
-
-/// Renders one MIND replay as BENCH JSON at the given turn size, in-flight
-/// window depth and cross-thread discipline.
-fn replay_json(
-    workload: &WorkloadSpec,
-    batch_ops: u64,
-    window: u32,
-    concurrency: Concurrency,
-) -> String {
-    let system = SystemSpec::mind_scaled(&workload.regions(), 2, ConsistencyModel::Tso);
-    let cfg = run_cfg(batch_ops)
-        .with_window(window)
-        .with_concurrency(concurrency);
-    replay_json_on(&system, workload, cfg)
-}
-
-/// Chained issue makes a single thread's schedule independent of its turn
-/// size: op `i + 1` issues at op `i`'s completion plus the gap whether or
-/// not a turn boundary falls between them. So one thread renders the same
-/// BENCH JSON at every `batch_ops`, on every system.
-#[test]
-fn single_thread_json_is_independent_of_batch_size() {
-    let workload = WorkloadSpec::Micro(MicroConfig {
-        n_threads: 1,
-        shared_pages: 1_024,
-        private_pages: 256,
-        ..Default::default()
-    });
-    let regions = workload.regions();
-    for system in [
-        SystemSpec::mind_scaled(&regions, 1, ConsistencyModel::Tso),
-        SystemSpec::gam_scaled(&regions, 1, 1),
-        SystemSpec::fastswap_scaled(&regions),
-    ] {
-        let render = |batch_ops: u64| {
-            let cfg = RunConfig {
-                threads_per_blade: 1,
-                ..run_cfg(batch_ops)
-            };
-            replay_json_on(&system, &workload, cfg)
-        };
-        let reference = render(1);
-        assert!(reference.contains("\"metrics\""), "report carries full metrics");
-        for batch_ops in [8u64, 64] {
-            assert_eq!(
-                render(batch_ops),
-                reference,
-                "turn size {batch_ops} changed a single thread's replay on {}",
-                system.label()
-            );
-        }
-    }
-}
-
-/// [`runner::run`] is the one-partition case of the group replay: the same
-/// workload as a single partition of a [`ShardSpec`] replays to the same
-/// runtime, op count, latency distribution and measured-window metrics —
-/// turnwise and through the cluster engine.
-#[test]
-fn run_equals_a_group_run_of_one_partition() {
-    let workload = WorkloadSpec::Micro(MicroConfig {
-        n_threads: 4,
-        shared_pages: 512,
-        private_pages: 64,
-        ..Default::default()
-    });
-    let rack = MindConfig::scaled_to(
-        workload.regions().iter().map(|len| len >> 12).sum(),
-        2,
-    );
-    for (window, concurrency) in [(1, Concurrency::Turnwise), (4, Concurrency::Cluster)] {
-        let cfg = run_cfg(8).with_window(window).with_concurrency(concurrency);
-        let direct = {
-            let mut sys = MindCluster::new(rack);
-            let mut wl = workload.build();
-            runner::run(&mut sys, wl.as_mut(), cfg)
-        };
-        let spec = ShardSpec {
-            name: "equiv/one-partition".into(),
-            base: rack,
-            partitions: 1,
-            run: cfg,
-            domain_per_thread: false,
-        };
-        let group = run_sharded_threads(&spec, 1, 1, &|_| workload.build())
-            .expect("one partition always fits");
-        assert_eq!(direct.runtime, group.runtime, "w{window}");
-        assert_eq!(direct.warmup_end, group.warmup_end, "w{window}");
-        assert_eq!(direct.total_ops, group.total_ops, "w{window}");
-        let latency = |r: &mind::workloads::RunReport| {
-            let quantiles = [0.5, 0.9, 0.99, 0.999, 1.0].map(|q| r.latency.quantile(q));
-            (r.latency.count(), quantiles, r.latency.mean().to_bits())
-        };
-        assert_eq!(latency(&direct), latency(&group), "w{window}");
-        assert_eq!(direct.window_metrics, group.window_metrics, "w{window}");
-        assert_eq!(direct.sum_overlapped_ns, group.sum_overlapped_ns, "w{window}");
-    }
-}
-
-/// Tracing is observation, never behaviour: pinning the trace mode off
-/// renders byte-identical BENCH JSON to the default environment-resolved
-/// config (the instrumentation's disabled path adds no sections and
-/// changes no values), and with tracing *on* the report gains its
-/// windowed `timeseries` section.
-#[test]
-fn tracing_never_changes_replay_json() {
-    use mind::obs::{TraceConfig, TraceMode};
-
-    let workload = WorkloadSpec::Micro(MicroConfig {
-        n_threads: 4,
-        shared_pages: 2_048,
-        private_pages: 256,
-        ..Default::default()
-    });
-    let with_trace = |trace: TraceConfig| -> String {
-        let system = SystemSpec::mind_scaled(&workload.regions(), 2, ConsistencyModel::Tso)
-            .with_trace(trace);
-        let cfg = RunConfig {
-            trace,
-            ..run_cfg(8)
-        };
-        replay_json_on(&system, &workload, cfg)
+    let report = runner::run(sys.as_mut(), wl.as_mut(), run_cfg(batch_ops).with_window(window));
+    let result = ScenarioResult {
+        name: report.name.clone(),
+        output: ScenarioOutput::from_report(report),
     };
-
-    // Off is the default in this environment (no MIND_TRACE): pinning it
-    // must be invisible.
-    let pinned_off = with_trace(TraceConfig::with_mode(TraceMode::Off));
-    let env_default = with_trace(TraceConfig::default());
-    assert_eq!(pinned_off, env_default, "disabled tracing must be inert");
-    assert!(!pinned_off.contains("\"timeseries\""), "no telemetry when off");
-
-    let on = with_trace(TraceConfig::with_mode(TraceMode::On));
-    assert!(on.contains("\"timeseries\""), "telemetry present when on");
-}
-
-/// `window: 0` and `window: 1` both spell the serialized schedule — one
-/// op in flight per issuer — for the replay suite and for the service's
-/// quanta.
-#[test]
-fn window_one_json_is_byte_identical_to_the_serialized_path() {
-    for workload in workloads() {
-        for batch_ops in [8u64, 64] {
-            assert_eq!(
-                replay_json(&workload, batch_ops, 1, Concurrency::Turnwise),
-                replay_json(&workload, batch_ops, 0, Concurrency::Turnwise),
-                "window 1 diverged from window 0 at batch_ops {batch_ops} for {:?}",
-                workload.build().name()
-            );
-        }
-    }
-    let cfg = ServiceConfig {
-        duration: SimTime::from_millis(30),
-        ..Default::default()
-    };
-    let service_json = |window: u32| {
-        let report = MemoryService::new(ServiceConfig { window, ..cfg }).run();
-        assert!(report.total_ops > 0, "the run served requests");
-        report::service_json(&report).render()
-    };
-    assert_eq!(service_json(1), service_json(0), "service window 1 vs 0");
+    report::suite_json("batch_equivalence", &[result]).render()
 }
 
 /// Deeper windows change timing, never the work: every op still executes
@@ -252,12 +60,12 @@ fn overlapped_windows_preserve_work_and_never_slow_the_run() {
         let rest = &json[json.find(&tag).expect("key present") + tag.len()..];
         rest[..rest.find([',', '\n']).unwrap()].trim().parse().unwrap()
     };
-    let serialized = replay_json(&workload, 64, 1, Concurrency::Turnwise);
+    let serialized = replay_json(&workload, 64, 1);
     let base_runtime = parse(&serialized, "runtime_ns");
     let base_ops = parse(&serialized, "total_ops");
     assert_eq!(parse(&serialized, "overlapped"), 0, "window 1 hides nothing");
     for window in [4u32, 16] {
-        let overlapped = replay_json(&workload, 64, window, Concurrency::Turnwise);
+        let overlapped = replay_json(&workload, 64, window);
         assert_eq!(parse(&overlapped, "total_ops"), base_ops, "w{window}");
         assert!(
             parse(&overlapped, "runtime_ns") <= base_runtime,
@@ -532,105 +340,6 @@ fn a_region_gated_grant_does_not_block_the_grant_behind_it() {
         "the second fault on the region waits for the first"
     );
     assert_eq!(batch.op(2).at, SimTime::ZERO, "the independent grant does not wait");
-}
-
-/// The degenerate point of the two scheduling disciplines: one thread
-/// replayed in a single turn, no warm-up, is one issue stream over a pool
-/// of `window` slots either way, so [`Concurrency::Turnwise`] and
-/// [`Concurrency::Cluster`] render the same BENCH JSON byte for byte.
-#[test]
-fn one_thread_in_one_turn_is_the_same_schedule_under_both_disciplines() {
-    let workload = WorkloadSpec::Micro(MicroConfig {
-        n_threads: 1,
-        shared_pages: 1_024,
-        private_pages: 256,
-        ..Default::default()
-    });
-    let system = SystemSpec::mind_scaled(&workload.regions(), 1, ConsistencyModel::Tso);
-    for window in [4u32, 16] {
-        let render = |concurrency: Concurrency| {
-            let cfg = RunConfig {
-                ops_per_thread: 1_500,
-                threads_per_blade: 1,
-                ..Default::default()
-            }
-            .with_batch_ops(1_500)
-            .with_window(window)
-            .with_concurrency(concurrency);
-            replay_json_on(&system, &workload, cfg)
-        };
-        let turnwise = render(Concurrency::Turnwise);
-        assert!(turnwise.contains("\"metrics\""), "report carries full metrics");
-        assert_eq!(turnwise, render(Concurrency::Cluster), "window {window}");
-    }
-}
-
-/// The cluster engine's determinism anchor: at window 1 cluster mode
-/// keeps the turnwise discipline, so a serialized cluster-mode replay
-/// renders the exact BENCH JSON of the turnwise reference — for every
-/// workload and batch size.
-#[test]
-fn cluster_window_one_json_is_byte_identical_to_turnwise() {
-    for workload in workloads() {
-        for batch_ops in [8u64, 64] {
-            let turnwise = replay_json(&workload, batch_ops, 1, Concurrency::Turnwise);
-            let cluster = replay_json(&workload, batch_ops, 1, Concurrency::Cluster);
-            assert_eq!(
-                cluster, turnwise,
-                "serialized cluster mode diverged from the turnwise reference \
-                 at batch_ops {batch_ops} for {:?}",
-                workload.build().name()
-            );
-        }
-    }
-}
-
-/// Turn size composes with sharding: at every batch size, the sharded
-/// replay merges to the same report as the fused serialized reference.
-/// Batch size regroups each thread's schedule identically on every shard.
-#[test]
-fn sharded_replay_matches_fused_at_every_batch_size() {
-    let factory = |p: u16| {
-        WorkloadSpec::Micro(MicroConfig {
-            n_threads: 2,
-            shared_pages: 256,
-            private_pages: 64,
-            seed: 31 + p as u64,
-            ..Default::default()
-        })
-        .build()
-    };
-    for batch_ops in BATCH_SIZES {
-        let spec = ShardSpec {
-            name: format!("equiv/sharded/b{batch_ops}"),
-            base: MindConfig {
-                n_compute: 2,
-                n_memory: 2,
-                cache_pages: 1_024,
-                blade_span: 1 << 26,
-                memory_blade_bytes: 1 << 26,
-                dir_capacity: 8_192,
-                rule_capacity: 4_096,
-                ..MindConfig::default()
-            },
-            partitions: 2,
-            run: RunConfig {
-                ops_per_thread: 300,
-                warmup_ops_per_thread: 60,
-                threads_per_blade: 2,
-                ..Default::default()
-            }
-            .with_batch_ops(batch_ops),
-            domain_per_thread: false,
-        };
-        let fused =
-            runner_json(run_sharded_threads(&spec, 1, 1, &factory).expect("confined scenario"));
-        let sharded = runner_json(run_sharded(&spec, 2, &factory).expect("confined scenario"));
-        assert_eq!(
-            sharded, fused,
-            "sharded replay diverged from the fused reference at batch_ops {batch_ops}"
-        );
-    }
 }
 
 /// Baselines replay every turn size through the trait's default

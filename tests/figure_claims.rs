@@ -39,7 +39,7 @@ fn fresh() -> &'static BTreeMap<String, String> {
             .filter(|f| f.name.starts_with("fig") || f.name.starts_with("ablation_"))
             .flat_map(|f| (f.build)(true))
             .collect();
-        let results = Engine::from_env().run(table);
+        let results = Engine::new(mind_sim::env::available_parallelism()).run(table);
         compared_values(&report::suite_json("suite", &results).render())
     })
 }
@@ -162,6 +162,31 @@ fn fig7_multicast_keeps_transitions_flat_in_blade_count() {
         for blades in RACKS {
             assert_eq!(latency(&rows, blades, t), at_two, "{t} at {blades} blades");
         }
+    }
+}
+
+/// Figure 5 (right), as `fig5.rs` states it: the KVS scales near-linearly
+/// within one blade on MIND and FastSwap; across blades read-only YCSB-C
+/// keeps scaling while YCSB-A's read-write contention stops it.
+#[test]
+fn fig5_kvs_scales_within_a_blade_and_only_read_only_scales_across_blades() {
+    let mops = column("fig5_kvs", "mops");
+    for mix in ["A", "C"] {
+        for system in ["MIND", "FastSwap"] {
+            let at = |t: &str| mops[&format!("YCSB-{mix}/{system}/{t}")];
+            let speedup = at("t10") / at("t1");
+            assert!(speedup >= 8.0, "YCSB-{mix} {system}: t10 is {speedup:.2}x t1");
+        }
+    }
+    let mind = |mix: &str, t: &str| mops[&format!("YCSB-{mix}/MIND/{t}")];
+    let steps = ["t10", "t20b2", "t40b4", "t80b8"];
+    for pair in steps.windows(2) {
+        let step = mind("C", pair[1]) / mind("C", pair[0]);
+        assert!(step >= 1.8, "YCSB-C: {} is {step:.2}x {}", pair[1], pair[0]);
+    }
+    for t in &steps[1..] {
+        let (a, single) = (mind("A", t), mind("A", "t10"));
+        assert!(a < 0.5 * single, "YCSB-A: {t} at {a} MOPS against {single} at t10");
     }
 }
 
