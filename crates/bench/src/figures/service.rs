@@ -14,7 +14,7 @@ use mind_service::{
     population_spec, tenant_partitions, AccessPattern, ServiceConfig, TenantGroupConfig,
 };
 use mind_sim::SimTime;
-use mind_workloads::{run_sharded, run_sharded_threads};
+use mind_workloads::run_sharded_threads;
 
 /// Simulated span per scenario; the quick (CI) variant shortens the run
 /// but keeps every sweep point.
@@ -189,8 +189,8 @@ pub fn scale_build(quick: bool) -> Vec<Scenario> {
                     };
                     let spec = population_spec("service_scale", 16, population);
                     let factory = tenant_partitions(population);
-                    let merged =
-                        run_sharded(&spec, SCALE_SHARDS, &factory).expect("confined population");
+                    let merged = run_sharded_threads(&spec, SCALE_SHARDS, 1, &factory)
+                        .expect("confined population");
                     assert_eq!(merged.invalidations, 0, "population must be confined");
                     if tenants_per_group == SCALE_GROUPS[0] {
                         // Affordable only here: the fused serialized

@@ -368,15 +368,15 @@ impl MindCluster {
         while let Some((at, src)) = eng.next_ready() {
             let i = if chained { head } else { src as usize };
             let ready0 = eng.ready0(src);
-            let (result, region) = match self.issue_clustered(&mut eng, at, ready0, &batch.op(i)) {
+            let result = match self.issue_clustered(&mut eng, at, ready0, &batch.op(i)) {
                 ClusterStep::Gated { until, .. } => {
                     eng.defer(until, src);
                     continue;
                 }
-                ClusterStep::Issued { outcome, region, .. } => (Ok(outcome), region),
-                ClusterStep::Refused(e) => (Err(e), None),
+                ClusterStep::Issued { outcome, .. } => Ok(outcome),
+                ClusterStep::Refused(e) => Err(e),
             };
-            batch.record_with_region(i, at, result, region);
+            batch.record(i, at, result);
             if chained {
                 head += 1;
                 if head < n {

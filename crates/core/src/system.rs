@@ -174,9 +174,6 @@ pub struct MemOp {
 pub struct OpBatch {
     ops: Vec<MemOp>,
     results: Vec<Result<AccessOutcome, AccessError>>,
-    /// Directory region each op transitioned (recorded by the windowed
-    /// executor; `None` for local hits, bypasses, and window 1).
-    regions: Vec<Option<(u64, u8)>>,
     gap: SimTime,
     chained: bool,
     window: u32,
@@ -230,7 +227,6 @@ impl OpBatch {
     pub fn clear(&mut self) {
         self.ops.clear();
         self.results.clear();
-        self.regions.clear();
     }
 
     /// Operations queued.
@@ -281,45 +277,23 @@ impl OpBatch {
         }
     }
 
-    /// Records the `i`-th op's issue time and result, in op order, exactly
-    /// once each.
-    fn record(&mut self, i: usize, at: SimTime, result: Result<AccessOutcome, AccessError>) {
-        debug_assert_eq!(i, self.results.len(), "results recorded in op order");
-        self.ops[i].at = at;
-        self.results.push(result);
-        self.regions.push(None);
-    }
-
-    /// Records the `i`-th op's issue time, result and the directory region
-    /// it transitioned, in any order — the windowed executor's form: it
-    /// issues a fixed batch in ready order, and the region lets callers
-    /// audit the same-region serialization from the batch records alone.
-    /// The first call gives every op a placeholder record; the executor
-    /// records every op exactly once before it returns.
-    pub fn record_with_region(
+    /// Records the `i`-th op's issue time and result, exactly once each.
+    /// The serialized schedule records in op order; the windowed executor
+    /// issues a fixed batch in ready order, so an op recorded ahead of a
+    /// lower one gives every op a placeholder record first.
+    pub(crate) fn record(
         &mut self,
         i: usize,
         at: SimTime,
         result: Result<AccessOutcome, AccessError>,
-        region: Option<(u64, u8)>,
     ) {
-        if self.results.len() < self.ops.len() {
-            self.results.resize(self.ops.len(), Ok(AccessOutcome::default()));
-            self.regions.resize(self.ops.len(), None);
-        }
         self.ops[i].at = at;
-        self.results[i] = result;
-        self.regions[i] = region;
-    }
-
-    /// The directory region `(base, size_log2)` the `i`-th op transitioned,
-    /// if the executor recorded one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch has not been executed through op `i`.
-    pub fn region(&self, i: usize) -> Option<(u64, u8)> {
-        self.regions[i]
+        if i == self.results.len() {
+            self.results.push(result);
+        } else {
+            self.results.resize(self.ops.len(), Ok(AccessOutcome::default()));
+            self.results[i] = result;
+        }
     }
 
     /// The `i`-th op's completion time: its recorded issue time plus its
@@ -542,8 +516,7 @@ mod tests {
         b = b.with_window(16);
         assert_eq!(b.window(), 16);
         b.push(op(0x1000));
-        b.record_with_region(0, SimTime::ZERO, Ok(AccessOutcome::default()), Some((0x1000, 14)));
-        assert_eq!(b.region(0), Some((0x1000, 14)));
+        b.record(0, SimTime::ZERO, Ok(AccessOutcome::default()));
         assert_eq!(b.completion(0), SimTime::ZERO);
         b.clear();
         assert_eq!(b.window(), 16, "window survives clear");

@@ -6,10 +6,10 @@
 //! - [`trace`] — structured event tracing with virtual-time timestamps
 //!   and stable event ids. The default event set is *grouping-invariant*:
 //!   the same events, in the same canonical order, whatever
-//!   `MIND_THREADS`/`MIND_SHARD_THREADS`/shard-count cell executed the
-//!   run — so a rendered `TRACE_*.json` is itself a replay artifact, not
-//!   just a debugging aid (and a substrate for protocol-conformance
-//!   checking, ROADMAP item 5).
+//!   `MIND_THREADS`/shard-lane/shard-count cell executed the run — so a
+//!   rendered `TRACE_*.json` is itself a replay artifact, not just a
+//!   debugging aid (and a substrate for protocol-conformance checking,
+//!   ROADMAP item 5).
 //! - [`timeseries`] — windowed counters and latency histograms over the
 //!   virtual clock (per-interval MOPS, fault rate, invalidation stalls,
 //!   p99), additive under merge and therefore identical across execution

@@ -281,7 +281,8 @@ mod tests {
         let fused =
             mind_workloads::run_sharded_threads(&spec, 1, 1, &factory).expect("confined population");
         assert_eq!(fused.invalidations, 0, "single-threaded tenants never share");
-        let sharded = mind_workloads::run_sharded(&spec, 4, &factory).expect("confined population");
+        let sharded =
+            mind_workloads::run_sharded_threads(&spec, 4, 1, &factory).expect("confined population");
         assert_eq!(fused.total_ops, sharded.total_ops);
         assert_eq!(fused.runtime, sharded.runtime);
         assert_eq!(fused.mops.to_bits(), sharded.mops.to_bits());

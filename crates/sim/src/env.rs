@@ -10,15 +10,17 @@
 //! Knobs that configure process-wide singletons ([`trace_level`],
 //! [`profile_enabled`]) are read once and cached: the observability layer
 //! consults them on hot paths, and a mid-process flip could never apply
-//! retroactively anyway. Worker-count knobs are re-read on each call,
-//! matching their historical semantics (each `Engine::from_env` or
-//! `run_sharded` invocation sees the current environment).
+//! retroactively anyway. The worker-count knob is re-read on each call
+//! (each `Engine::from_env` sees the current environment).
 
 use std::sync::OnceLock;
 
 /// Harness engine worker count (`mind_harness::Engine::from_env`).
 pub const THREADS_ENV: &str = "MIND_THREADS";
-/// Shard-executor worker-lane count (`mind_workloads::shard::run_sharded`).
+/// The shard executor's former lane-count knob. No library code reads it:
+/// the lane count is an argument of
+/// `mind_workloads::shard::run_sharded_threads`. Kept because the repo
+/// benchmark (`src/bin/benchmark`) still pins it.
 pub const SHARD_THREADS_ENV: &str = "MIND_SHARD_THREADS";
 /// Trace level for the observability layer (`mind_obs`).
 pub const TRACE_ENV: &str = "MIND_TRACE";
@@ -49,24 +51,13 @@ pub fn threads() -> usize {
     parse_threads(std::env::var(THREADS_ENV).ok().as_deref())
 }
 
-/// Parse policy for [`SHARD_THREADS_ENV`]: an explicit positive count,
-/// else `None` (the shard executor then runs one lane).
-pub fn parse_shard_threads(var: Option<&str>) -> Option<usize> {
-    parse_positive(var)
-}
-
-/// Shard-executor worker-lane count from the environment.
-pub fn shard_threads() -> Option<usize> {
-    parse_shard_threads(std::env::var(SHARD_THREADS_ENV).ok().as_deref())
-}
-
 /// Parse policy for [`TRACE_ENV`]: `1`/`on`/`true` turn the deterministic
 /// trace layer on, everything else (including absence) leaves it off.
 ///
 /// Everything traced is *grouping-invariant* — the same events with the
-/// same virtual timestamps regardless of `MIND_THREADS`,
-/// `MIND_SHARD_THREADS`, or the shard count — so rendered traces are
-/// byte-identical across every execution cell.
+/// same virtual timestamps regardless of `MIND_THREADS`, the shard lane
+/// count, or the shard count — so rendered traces are byte-identical
+/// across every execution cell.
 pub fn parse_trace_level(var: Option<&str>) -> bool {
     matches!(
         var.map(|s| s.trim().to_ascii_lowercase()).as_deref(),
@@ -122,13 +113,6 @@ mod tests {
         assert!(parse_threads(Some("not-a-number")) >= 1);
         assert!(parse_threads(Some("0")) >= 1);
         assert!(parse_threads(None) >= 1);
-    }
-
-    #[test]
-    fn shard_threads_are_an_explicit_override_only() {
-        assert_eq!(parse_shard_threads(Some("2")), Some(2));
-        assert_eq!(parse_shard_threads(Some("0")), None);
-        assert_eq!(parse_shard_threads(None), None, "no machine fallback");
     }
 
     #[test]

@@ -36,5 +36,5 @@ pub mod tf;
 pub mod trace;
 
 pub use runner::{run, Concurrency, RunConfig, RunReport};
-pub use shard::{run_shard, run_sharded, run_sharded_threads, ShardError, ShardSpec, StreamedMerge};
+pub use shard::{run_shard, run_sharded_threads, ShardError, ShardSpec};
 pub use trace::{TraceOp, Workload};

@@ -284,11 +284,16 @@ impl RunReport {
         }
     }
 
-    /// Folds a report of a disjoint partition into this one: integers
-    /// add, histograms, metrics and timeseries merge bucket-wise, traces
-    /// extend, and the warmup ends at the later of the two. The derived
-    /// fields are stale until [`finish`](Self::finish).
-    pub(crate) fn merge(&mut self, other: RunReport) {
+    /// Folds the finished report of a disjoint partition into this one,
+    /// leaving a finished report: integers add, histograms, metrics and
+    /// timeseries merge bucket-wise, traces extend, and the measured
+    /// window spans `[max warmup_end, max(warmup_end + runtime)]`. The
+    /// derived floats are recomputed from the folded integers, so folding
+    /// one report into an empty one gives that report back, and every
+    /// fold order gives the same report up to the order of trace events
+    /// (which every renderer canonicalizes).
+    pub fn merge(&mut self, other: RunReport) {
+        let end_clock = (self.warmup_end + self.runtime).max(other.warmup_end + other.runtime);
         self.warmup_end = self.warmup_end.max(other.warmup_end);
         self.total_ops += other.total_ops;
         self.remote_ops += other.remote_ops;
@@ -316,14 +321,14 @@ impl RunReport {
                 None => self.trace = Some(t),
             }
         }
+        self.finish(end_clock);
     }
 
-    /// The report of a measured window ending at `end_clock` — the single
-    /// place the runtime and the derived floats are computed, shared by
-    /// [`run`], the sharded executor, and its merge
-    /// ([`crate::shard::StreamedMerge`]), so a merge of one report
-    /// reproduces it exactly.
-    pub(crate) fn finish(mut self, end_clock: SimTime) -> Self {
+    /// Ends the measured window at `end_clock` — the single place the
+    /// runtime and the derived floats are computed, shared by [`run`] and
+    /// [`merge`](Self::merge), so a merge of one report reproduces it
+    /// exactly.
+    fn finish(&mut self, end_clock: SimTime) {
         self.runtime = end_clock.saturating_sub(self.warmup_end);
         let secs = self.runtime.as_secs_f64().max(1e-12);
         // A window without ops (or without remote ops) reports zero, not 0/0.
@@ -334,7 +339,6 @@ impl RunReport {
         self.invalidations_per_op = per(self.invalidations as f64, ops);
         self.flushed_per_op = per(self.flushed_pages as f64, ops);
         self.mean_remote_ns = per(self.sum_remote_lat_ns as f64, self.remote_ops);
-        self
     }
 }
 
@@ -714,8 +718,8 @@ impl Replay {
         report.metrics = system.metrics();
         report.window_metrics = report.metrics.diff(&baseline);
         report.trace = system.take_trace();
-        let end_clock = report.warmup_end.max(measured_end);
-        report.finish(end_clock)
+        report.finish(report.warmup_end.max(measured_end));
+        report
     }
 
     /// Runs the current phase until no source owes it an op, in timestamp

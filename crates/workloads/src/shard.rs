@@ -5,12 +5,11 @@
 //! [`mind_core::shard`]). This module replays such a scenario one way:
 //! [`run_sharded_threads`] splits the partitions across `shards`
 //! sub-clusters, worker lanes replay each shard to completion on its own
-//! ([`run_shard`]), and [`StreamedMerge`] folds the per-shard reports into
-//! one report in shard-index order. [`run_sharded`] is the same call with
-//! the lane count taken from `MIND_SHARD_THREADS`, one lane when unset.
-//! The one-shard run, `run_sharded_threads(spec, 1, 1, ..)`, is the fused
-//! rack — every partition on one cluster, replayed straight through — and
-//! the reference sharded runs are checked against.
+//! ([`run_shard`]), and each finished report is folded into one report
+//! with [`RunReport::merge`]. The one-shard run,
+//! `run_sharded_threads(spec, 1, 1, ..)`, is the fused rack — every
+//! partition on one cluster, replayed straight through — and the reference
+//! sharded runs are checked against.
 //!
 //! ## Multi-core, constant-memory execution
 //!
@@ -20,19 +19,19 @@
 //! shard indices from a shared cursor; each lane **builds one rack at its
 //! first claim and resets it for every later one** ([`MindCluster::reset`]
 //! keeps the tables' storage), fills it with the claimed shard, replays it
-//! to completion, and streams its report into one running report
-//! ([`StreamedMerge`]) before claiming the next index. Each lane holds one
-//! rack (plus a bounded reorder buffer of finished reports), so peak memory
-//! is O(lanes × one shard), not O(all shards): the property that makes
-//! 10⁶-tenant scenarios affordable.
+//! to completion, and folds its report into the one running report before
+//! claiming the next index. Each lane holds one rack and nothing else, so
+//! peak memory is O(lanes × one shard), not O(all shards): the property
+//! that makes 10⁶-tenant scenarios affordable.
 //!
-//! The merge folds per-shard reports **in shard-index order, never
-//! completion order**: [`StreamedMerge`] buffers any report that arrives
-//! ahead of a lower-index shard and folds it the moment the gap closes,
-//! so the merged report is byte-identical whatever the lane count or
-//! completion schedule (proptested in `tests/equivalence.rs`). The lane
-//! count is the caller's — a number, never negotiated — and a scheduling
-//! decision only, never a semantic one.
+//! Lanes fold reports **in completion order**, and that order is free:
+//! every fold is a sum, a max or a bucket-wise add, so it commutes, and
+//! the one vector whose order follows the fold — the trace events — is
+//! canonicalized ([`mind_obs::TraceData::canonicalize`]) before any trace
+//! is rendered. The merged report therefore renders the same bytes
+//! whatever the lane count or completion schedule (proptested in
+//! `tests/equivalence.rs`). The lane count is the caller's argument and a
+//! scheduling decision only, never a semantic one.
 //!
 //! ## Determinism contract
 //!
@@ -68,7 +67,6 @@
 //! [`MindConfig::try_partition`], which checks blade counts and switch
 //! capacities alike.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -77,7 +75,6 @@ use std::sync::Mutex;
 use mind_core::cluster::{MindCluster, MindConfig};
 use mind_core::controller::Pid;
 use mind_core::shard::PartitionError;
-use mind_sim::SimTime;
 
 use crate::runner::{Replay, RunConfig, RunReport, Source};
 use crate::trace::Workload;
@@ -387,8 +384,8 @@ fn shard_rack(spec: &ShardSpec, shards: u16) -> Result<(MindConfig, u16), ShardE
 /// [`run_sharded_threads`] does per claimed index. Trace lanes are rebased
 /// onto the fused rack's global blade indices (shard `s` owns the compute
 /// blades [`MindConfig::try_partition`] gives its slice, so the merged
-/// trace is grouping-invariant); offering every shard's report to a
-/// [`StreamedMerge`] is the sharded result.
+/// trace is grouping-invariant); merging every shard's report
+/// ([`RunReport::merge`]) is the sharded result.
 ///
 /// # Errors
 ///
@@ -428,38 +425,23 @@ fn run_shard_on(
     Ok(report)
 }
 
-/// [`run_sharded_threads`] on the lane count `MIND_SHARD_THREADS` names,
-/// or on one lane when it is unset.
-///
-/// # Errors
-///
-/// As [`run_shard`], for the lowest shard index that fails.
-pub fn run_sharded(
-    spec: &ShardSpec,
-    shards: u16,
-    factory: &PartitionFactory,
-) -> Result<RunReport, ShardError> {
-    let lanes = mind_sim::env::shard_threads().unwrap_or(1);
-    run_sharded_threads(spec, shards, lanes, factory)
-}
-
 /// Replays the scenario as `shards` independent sub-clusters on `lanes`
-/// lanes (clamped to `1..=shards`) and merges the per-shard reports in
-/// shard-index order. The lanes are the calling thread and `lanes − 1`
-/// scoped threads, so one lane runs on the caller alone. One shard is the
-/// fused rack; see the module docs for when more shards reproduce it byte
-/// for byte. The result is *always* byte-identical across lane counts.
+/// lanes (clamped to `1..=shards`) and merges the per-shard reports. The
+/// lanes are the calling thread and `lanes − 1` scoped threads, so one
+/// lane runs on the caller alone. One shard is the fused rack; see the
+/// module docs for when more shards reproduce it byte for byte. The
+/// result renders the same bytes at every lane count.
 ///
 /// Lanes claim shard indices from a shared cursor. A lane builds one rack
 /// at its first claim and resets it for every later one, fills it with
-/// the claimed shard, runs it to completion, and streams the finished
-/// report into a [`StreamedMerge`] — so peak memory is O(lanes × one
-/// shard), never O(shards), and no `Vec<RunReport>` ever materializes.
-/// Lanes share no simulation state — a reset rack is a new rack — so
-/// preemption and completion order cannot influence any simulated
-/// quantity. On a construction error the lowest failing shard index wins
-/// (shard construction is deterministic per index, so the reported error
-/// is too) and lanes stop claiming.
+/// the claimed shard, runs it to completion, and folds the finished
+/// report into the one merged report as soon as it finishes — so peak
+/// memory is O(lanes × one shard), never O(shards), and no
+/// `Vec<RunReport>` ever materializes. Lanes share no simulation state — a
+/// reset rack is a new rack — so preemption and completion order cannot
+/// influence any simulated quantity. On a construction error the lowest
+/// failing shard index wins (shard construction is deterministic per
+/// index, so the reported error is too) and lanes stop claiming.
 ///
 /// # Errors
 ///
@@ -474,7 +456,10 @@ pub fn run_sharded_threads(
     shard_rack(spec, shards)?;
     let lanes = lanes.clamp(1, shards as usize);
 
-    let merge = Mutex::new(StreamedMerge::new(spec.name.clone(), shards as usize));
+    let merged = Mutex::new(RunReport {
+        name: spec.name.clone(),
+        ..RunReport::default()
+    });
     let cursor = AtomicUsize::new(0);
     let failed: Mutex<Option<(u16, ShardError)>> = Mutex::new(None);
     mind_sim::pool::run_lanes(lanes, || {
@@ -487,7 +472,7 @@ pub fn run_sharded_threads(
             match run_shard_on(spec, shards, s as u16, factory, &mut lane) {
                 Ok(report) => {
                     let _t = mind_obs::profile::scope("shard.merge");
-                    merge.lock().expect("no panic holds the streamed merge").offer(s, report);
+                    merged.lock().expect("no panic holds the merged report").merge(report);
                 }
                 Err(e) => {
                     let mut slot = failed.lock().expect("no panic holds the error slot");
@@ -502,111 +487,7 @@ pub fn run_sharded_threads(
     if let Some((_, e)) = failed.into_inner().expect("workers joined") {
         return Err(e);
     }
-    Ok(merge.into_inner().expect("workers joined").finish())
-}
-
-/// The shard-index-order streaming merge of per-shard reports: the only
-/// way reports from disjoint partitions combine. A report is folded the
-/// moment every lower-index shard has been folded, whatever order they
-/// *arrive* in, and *consumed* (its histogram, timeseries and trace are
-/// absorbed or freed, never retained whole). Reports that complete ahead
-/// of a lower-index shard wait in a reorder buffer bounded by the number
-/// of concurrently-running lanes — never by the shard count — so merging
-/// `n` shards holds one report plus O(lanes) buffered reports.
-///
-/// The fold arithmetic is the byte-identity contract: integers and
-/// histograms add, the measured window spans `[max warmup_end, max
-/// end-of-run]`, timeseries buckets add, and every derived rate is
-/// recomputed from the folded integers by the arithmetic a direct run
-/// uses, only at [`finish`](Self::finish) — so a merge of one report
-/// reproduces it exactly. Fold order is the point of the buffer: the
-/// integer, histogram and timeseries folds are order-independent, but
-/// trace merge extends event vectors, so only an index-order fold gives
-/// one set of bytes. The buffer makes the fold order a function of shard
-/// *indices* alone; completion order, lane count and OS scheduling cannot
-/// reach it (proptested in `tests/equivalence.rs`).
-pub struct StreamedMerge {
-    /// The shards folded so far; its derived fields are stale until
-    /// [`finish`](Self::finish).
-    merged: RunReport,
-    /// The latest end of a folded shard's measured window.
-    end_clock: SimTime,
-    /// Reports that arrived ahead of a lower-index shard, keyed by shard.
-    pending: BTreeMap<usize, RunReport>,
-    /// The next shard index to fold; every lower one is folded.
-    next: usize,
-    /// Total shards this merge expects.
-    total: usize,
-}
-
-impl StreamedMerge {
-    /// An empty merge expecting `total` shards for the report named
-    /// `name`.
-    pub fn new(name: impl Into<String>, total: usize) -> Self {
-        StreamedMerge {
-            merged: RunReport {
-                name: name.into(),
-                ..RunReport::default()
-            },
-            end_clock: SimTime::ZERO,
-            pending: BTreeMap::new(),
-            next: 0,
-            total,
-        }
-    }
-
-    /// Offers shard `shard`'s finished report: folds it immediately if
-    /// every lower-index shard is already folded (then drains any
-    /// now-contiguous buffered successors), otherwise buffers it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` is out of range or was already offered.
-    pub fn offer(&mut self, shard: usize, report: RunReport) {
-        assert!(shard < self.total, "shard {shard} out of range {}", self.total);
-        assert!(
-            shard >= self.next && !self.pending.contains_key(&shard),
-            "shard {shard} offered twice"
-        );
-        if shard != self.next {
-            self.pending.insert(shard, report);
-            return;
-        }
-        self.fold(report);
-        while let Some(r) = self.pending.remove(&self.next) {
-            self.fold(r);
-        }
-    }
-
-    /// Folds the next shard's report into the merged one.
-    fn fold(&mut self, r: RunReport) {
-        self.end_clock = self.end_clock.max(r.warmup_end + r.runtime);
-        self.merged.merge(r);
-        self.next += 1;
-    }
-
-    /// Shards folded into the merged report so far (buffered ones excluded).
-    pub fn folded(&self) -> usize {
-        self.next
-    }
-
-    /// Reports currently waiting in the reorder buffer.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Finishes the merge into the fused report.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless every expected shard was offered.
-    pub fn finish(self) -> RunReport {
-        assert_eq!(
-            self.next, self.total,
-            "streamed merge finished before every shard was offered"
-        );
-        self.merged.finish(self.end_clock)
-    }
+    Ok(merged.into_inner().expect("workers joined"))
 }
 
 #[cfg(test)]
@@ -614,7 +495,7 @@ mod tests {
     use super::*;
     use crate::trace::TraceOp;
     use mind_core::system::AccessKind;
-    use mind_sim::SimRng;
+    use mind_sim::{SimRng, SimTime};
     use std::sync::Barrier;
     use std::thread::{self, ThreadId};
 
@@ -678,11 +559,6 @@ mod tests {
         })
     }
 
-    /// The fused reference: every partition on one rack.
-    fn fused(s: &ShardSpec) -> RunReport {
-        run_sharded_threads(s, 1, 1, &factory).expect("confined scenario")
-    }
-
     fn key(r: &RunReport) -> (SimTime, SimTime, u64, u64, u64, u64, u128, u128, u64) {
         (
             r.runtime,
@@ -705,65 +581,13 @@ mod tests {
         assert_eq!(want.mops.to_bits(), got.mops.to_bits(), "{what}");
     }
 
-    /// Asserts `s` split 2 and 4 ways reproduces its fused run, which
-    /// must be confined.
-    fn assert_shards_reproduce_fused(s: &ShardSpec) {
-        let fused = fused(s);
-        assert_eq!(fused.invalidations, 0, "scenario must be confined");
-        assert!(fused.total_ops > 0);
-        for shards in [2u16, 4] {
-            let sharded = run_sharded(s, shards, &factory).expect("confined scenario");
-            assert_same(&fused, &sharded, &format!("shards = {shards}"));
-        }
-    }
-
-    /// Asserts `s` in 4 shards reports what one lane reports on every
-    /// count in `lanes`.
-    fn assert_lanes_never_change_the_result(s: &ShardSpec, lanes: &[usize]) {
-        let reference = run_sharded_threads(s, 4, 1, &factory).expect("confined scenario");
-        for &n in lanes {
-            let got = run_sharded_threads(s, 4, n, &factory).expect("confined scenario");
-            assert_same(&reference, &got, &format!("{n} lanes"));
-        }
-    }
-
-    /// `s` replayed in cluster mode, 8-op batches in windows of 4.
-    fn cluster_mode(mut s: ShardSpec) -> ShardSpec {
-        s.run = s
-            .run
-            .with_batch_ops(8)
-            .with_window(4)
-            .with_concurrency(crate::runner::Concurrency::Cluster);
-        s
-    }
-
     #[test]
     fn one_shard_matches_serialized_reference_exactly() {
         // The one-shard run is the whole rack's own report, merged alone.
         let s = spec(4);
         let whole = run_shard(&s, 1, 0, &factory).expect("confined scenario");
-        assert_same(&whole, &fused(&s), "one shard");
-    }
-
-    #[test]
-    fn sharded_partitions_reproduce_the_fused_run() {
-        assert_shards_reproduce_fused(&spec(4));
-    }
-
-    #[test]
-    fn per_thread_domains_reproduce_the_fused_run() {
-        // Same scenario, but every tenant in its own protection domain
-        // (the multi-tenant isolation shape). Pid values differ between
-        // the fused and sharded runs; nothing timing-visible does.
-        assert_shards_reproduce_fused(&ShardSpec { domain_per_thread: true, ..spec(4) });
-    }
-
-    #[test]
-    fn thread_count_never_changes_the_result() {
-        // The multi-core contract: byte-identical reports across lane
-        // counts, including counts that do not divide the shard count and
-        // counts past it (clamped).
-        assert_lanes_never_change_the_result(&spec(4), &[2, 3, 4, 16]);
+        let fused = run_sharded_threads(&s, 1, 1, &factory).expect("confined scenario");
+        assert_same(&whole, &fused, "one shard");
     }
 
     /// The threads that built each shard's one partition when `lanes`
@@ -790,18 +614,6 @@ mod tests {
         assert_eq!(two.len(), 2);
         assert_eq!(two.iter().filter(|&&t| t == caller).count(), 1, "{two:?}");
         assert!(shard_threads(1, None).iter().all(|&t| t == caller));
-    }
-
-    #[test]
-    fn cluster_mode_sharded_partitions_reproduce_the_fused_run() {
-        // The engine arbitrates per partition, so confined scenarios keep
-        // the fused ≡ sharded contract in cluster mode too.
-        assert_shards_reproduce_fused(&cluster_mode(spec(4)));
-    }
-
-    #[test]
-    fn cluster_mode_thread_count_never_changes_the_result() {
-        assert_lanes_never_change_the_result(&cluster_mode(spec(4)), &[2, 4]);
     }
 
     #[test]
@@ -851,7 +663,7 @@ mod tests {
     #[test]
     fn uneven_shard_split_rejected() {
         let s = spec(4);
-        let err = run_sharded(&s, 3, &factory).unwrap_err();
+        let err = run_sharded_threads(&s, 3, 1, &factory).unwrap_err();
         assert_eq!(
             err,
             ShardError::UnevenShards {
@@ -873,8 +685,8 @@ mod tests {
     fn zero_threads_per_blade_rejected() {
         let mut s = spec(2);
         s.run.threads_per_blade = 0;
-        assert_eq!(run_sharded(&s, 1, &factory).unwrap_err(), ShardError::ZeroThreadsPerBlade);
-        assert_eq!(run_sharded(&s, 2, &factory).unwrap_err(), ShardError::ZeroThreadsPerBlade);
+        assert_eq!(run_sharded_threads(&s, 1, 1, &factory).unwrap_err(), ShardError::ZeroThreadsPerBlade);
+        assert_eq!(run_sharded_threads(&s, 2, 1, &factory).unwrap_err(), ShardError::ZeroThreadsPerBlade);
         let err = run_sharded_threads(&s, 2, 2, &factory).unwrap_err();
         assert_eq!(err, ShardError::ZeroThreadsPerBlade);
         assert!(err.to_string().contains("threads_per_blade"), "{err}");
@@ -884,7 +696,7 @@ mod tests {
     fn asymmetric_rack_surfaces_partition_error() {
         let mut s = spec(4);
         s.base.n_compute = 3;
-        let err = run_sharded(&s, 2, &factory).unwrap_err();
+        let err = run_sharded_threads(&s, 2, 1, &factory).unwrap_err();
         assert!(
             matches!(err, ShardError::Partition(PartitionError::UnevenCompute { .. })),
             "{err:?}"
@@ -945,11 +757,14 @@ mod tests {
     }
 
     fn merged(name: &str, reports: Vec<RunReport>) -> RunReport {
-        let mut merge = StreamedMerge::new(name, reports.len());
-        for (s, r) in reports.into_iter().enumerate() {
-            merge.offer(s, r);
+        let mut merged = RunReport {
+            name: name.to_string(),
+            ..RunReport::default()
+        };
+        for r in reports {
+            merged.merge(r);
         }
-        merge.finish()
+        merged
     }
 
     #[test]

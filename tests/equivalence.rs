@@ -26,7 +26,7 @@ use mind::workloads::memcached::MemcachedConfig;
 use mind::workloads::micro::{MicroConfig, MicroWorkload};
 use mind::workloads::runner::{self, Concurrency, RunConfig, RunReport};
 use mind::workloads::shard::PartitionFactory;
-use mind::workloads::{run_shard, run_sharded_threads, ShardSpec, StreamedMerge};
+use mind::workloads::{run_shard, run_sharded_threads, ShardSpec};
 
 fn trace(on: bool) -> TraceConfig {
     TraceConfig::with_mode(if on { TraceMode::On } else { TraceMode::Off })
@@ -144,13 +144,16 @@ fn shard_reports(spec: &ShardSpec, shards: u16, factory: &PartitionFactory) -> V
         .collect()
 }
 
-/// Collect-then-merge: `reports` offered to a `StreamedMerge` in index order.
-fn merge_in_order(name: &str, reports: &[RunReport]) -> RunReport {
-    let mut merge = StreamedMerge::new(name, reports.len());
-    for (s, r) in reports.iter().enumerate() {
-        merge.offer(s, r.clone());
+/// Collect-then-merge: `reports` folded with `RunReport::merge`, in order.
+fn merge_all(name: &str, reports: impl IntoIterator<Item = RunReport>) -> RunReport {
+    let mut merged = RunReport {
+        name: name.to_string(),
+        ..RunReport::default()
+    };
+    for r in reports {
+        merged.merge(r);
     }
-    merge.finish()
+    merged
 }
 
 /// Renders `report` after checking that it carries a trace (events, none
@@ -219,7 +222,7 @@ fn check_row(row: Row, cells: Cells) {
         }
         if cells != Cells::Lanes {
             let cell = format!("{label} collect-then-merge at shards = {shards}");
-            let merged = merge_in_order(label, &shard_reports(&spec, shards, &*factory));
+            let merged = merge_all(label, shard_reports(&spec, shards, &*factory));
             let rendered = observed(&cell, traced, merged);
             assert_eq!(rendered, reference, "{cell} diverged from the fused run");
         }
@@ -335,25 +338,22 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The reorder buffer makes the fold order a function of shard
-    /// indices alone: offering the same per-shard reports in *any*
-    /// completion order fuses to the same bytes as the index-order
-    /// in-memory merge. Runs traced because trace merge (vector
-    /// extension) is the one fold that is order-sensitive — integer
-    /// folds would pass this trivially. Along the way the accounting
-    /// invariant holds: everything offered is either folded or parked
-    /// in the buffer.
+    /// Fold order is free: folding the same per-shard reports in *any*
+    /// order renders the same BENCH bytes and the same canonicalized
+    /// trace as the index-order fold. Runs traced because the trace is
+    /// the one fold whose order shows (events extend a vector) until it
+    /// is canonicalized — integer folds would pass this trivially.
     #[test]
-    fn reorder_buffer_fold_is_completion_order_invariant(seed in 0u64..10_000) {
+    fn fold_order_never_changes_the_merged_report(seed in 0u64..10_000) {
         let factory = factory("service");
-        let mut s = spec("equiv/reorder", 8, true);
+        let mut s = spec("equiv/fold-order", 8, true);
         s.base.trace = trace(true);
         s.run.trace = trace(true);
         s.run.ops_per_thread = 60;
         s.run.warmup_ops_per_thread = 10;
         let shards = 4u16;
         let reports = shard_reports(&s, shards, &*factory);
-        let reference = merge_in_order(&s.name, &reports);
+        let reference = merge_all(&s.name, reports.clone());
 
         // A seeded Fisher-Yates permutation stands in for an arbitrary
         // completion order.
@@ -364,27 +364,22 @@ proptest! {
             order.swap(i, j);
         }
 
-        let mut merge = StreamedMerge::new(s.name.clone(), shards as usize);
-        for (offered, &shard) in order.iter().enumerate() {
-            merge.offer(shard, reports[shard].clone());
-            prop_assert_eq!(
-                merge.folded() + merge.pending(),
-                offered + 1,
-                "every offered report is folded or buffered"
-            );
-        }
-        prop_assert_eq!(merge.pending(), 0, "a complete offer set drains the buffer");
-        let streamed = merge.finish();
+        let folded = merge_all(&s.name, order.iter().map(|&i| reports[i].clone()));
+        let canonical = |r: &RunReport| {
+            let mut trace = r.trace.clone().expect("traced");
+            trace.canonicalize();
+            trace
+        };
         prop_assert_eq!(
-            streamed.trace.clone(),
-            reference.trace.clone(),
-            "trace fold depended on completion order {:?}",
+            canonical(&folded),
+            canonical(&reference),
+            "canonical trace depended on fold order {:?}",
             order
         );
         prop_assert_eq!(
-            render(streamed),
+            render(folded),
             render(reference),
-            "merged bytes depended on completion order {:?}",
+            "merged bytes depended on fold order {:?}",
             order
         );
     }
