@@ -694,7 +694,6 @@ impl MindCluster {
                 ClusterStep::Issued {
                     outcome,
                     complete_at: issued.complete_at,
-                    region: issued.region,
                 }
             }
             Err(e) => ClusterStep::Refused(e),

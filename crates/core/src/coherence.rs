@@ -1,20 +1,34 @@
-//! The in-network MSI coherence protocol (paper §4.3.2, §6.3).
+//! The in-network coherence protocol (paper §4.3.2, §6.3).
 //!
 //! The switch data plane intercepts page-fault RDMA requests addressed by
-//! virtual address, runs protection + translation + the directory state
-//! machine, multicasts invalidation requests with sharer-list egress
-//! pruning, and forwards the fetch to the right memory blade. A directory
-//! transition takes two MAUs and a recirculation (Figure 4); the engine
-//! charges it as one fixed delay, `switch_pipeline + switch_recirculation`,
-//! and counts it in `pipeline_recirculations`. Placing the directory *in*
-//! the data path gives:
+//! virtual address, checks protection, runs the directory state machine,
+//! multicasts invalidation requests with sharer-list egress pruning, and
+//! forwards the fetch to the right memory blade. The switch computes no
+//! transition: the whole coherence function is an exact-match STT row plus
+//! one recirculated entry update (Figure 4). So a fault runs these steps,
+//! in this order:
 //!
-//! - common transitions (I→S/M, S→S, S→M) one round trip (~9 µs),
-//! - the expensive M→S/M transitions two sequential round trips (~18 µs),
+//! 1. **protect** — the TCAM range match on `<PDID, vaddr>` (§4.2);
+//! 2. **ensure** — resolve or create the page's directory region;
+//! 3. **plan** — `Transition::plan` reads the entry and its STT row and
+//!    returns the transition as a value: the victims, the fetch source and
+//!    the next `(state, sharers, owner)`. It reads no clock and mutates
+//!    nothing;
+//! 4. **charge** — the invalidation round and the fetch, on the fabric;
+//! 5. **apply** — `Transition::apply` writes the next entry (the
+//!    recirculated pass). A round that ended in the §4.4 reset applies a
+//!    fresh-fetch plan to the recreated entry through the same `apply`;
+//! 6. **install** — the page, or the write permission, at the requester;
+//! 7. **account** — counters, trace events and the latency attribution.
 //!
-//! matching Figure 7 (left). The engine also accounts false invalidations —
-//! dirty pages flushed only because they share a directory region with the
-//! requested page (§4.3.1) — which feed the bounded-splitting algorithm.
+//! The lookup, STT and update passes are charged as one fixed delay,
+//! `switch_pipeline + switch_recirculation`, and counted in
+//! `pipeline_recirculations`. Common transitions (I→S/M, S→S, S→M) take one
+//! round trip (~9 µs), the M→S/M transitions two sequential round trips
+//! (~18 µs), matching Figure 7 (left). The engine also accounts false
+//! invalidations — dirty pages flushed only because they share a directory
+//! region with the requested page (§4.3.1) — which feed the
+//! bounded-splitting algorithm.
 
 use mind_blade::{
     page_base, CacheProbe, DramCache, InvalidationOutcome, InvalidationQueue, MemoryBlade,
@@ -24,14 +38,14 @@ use mind_net::fabric::Fabric;
 use mind_net::link::LatencyConfig;
 use mind_net::node::{BladeSet, NodeId};
 use mind_net::packet::{Packet, PacketKind};
-use mind_net::reliability::AckTracker;
+use mind_net::reliability::{AckTracker, ReliabilityAction};
 use mind_obs::{EventKind, TraceBuf};
 use mind_sim::stats::Metrics;
 use mind_sim::SimTime;
 
-use crate::directory::{MsiState, RegionDirectory};
+use crate::directory::{DirEntry, MsiState, RegionDirectory};
 use crate::protect::{Pdid, ProtectionTable};
-use crate::stt::{FetchSource, InvalScope, Protocol, Role, SttTable};
+use crate::stt::{FetchSource, InvalScope, Protocol, Role, SttRow, SttTable};
 use crate::system::{AccessKind, AccessOutcome, ConsistencyModel, LatencyBreakdown};
 use crate::translate::TranslationTable;
 
@@ -60,24 +74,20 @@ impl std::error::Error for AccessError {}
 
 /// A resolved, in-flight access: the **issue phase**'s product.
 ///
-/// The issue phase runs the whole switch data path — protection,
-/// translation, the directory state machine, invalidation rounds — and
-/// commits the resulting state transitions (the recirculated directory
-/// update, Figure 4 #3), exactly as the monolithic access path always did.
-/// What it *returns* is new: an explicit completion record. The
-/// **completion phase** is the caller's — retiring the record from an
-/// issue engine's pool ([`crate::engine::ClusterEngine`]), which is what
-/// lets up to `W` independent faults overlap their fabric round trips
-/// while [`region`](IssuedAccess::region) lets same-region transitions
-/// serialize at issue.
+/// The issue phase runs the whole switch data path and commits its
+/// transition (the recirculated directory update, Figure 4 #3); it returns
+/// this completion record. The **completion phase** is the caller's:
+/// retiring the record from an issue engine's pool
+/// ([`crate::engine::ClusterEngine`]) lets up to `W` independent faults
+/// overlap their fabric round trips, while
+/// [`region`](IssuedAccess::region) lets same-region transitions serialize
+/// at issue.
 #[derive(Debug, Clone, Copy)]
 pub struct IssuedAccess {
     /// Latency attribution and protocol side effects, as
     /// [`CoherenceEngine::access`] reports them.
     pub outcome: AccessOutcome,
-    /// When the operation issued.
-    pub issued_at: SimTime,
-    /// When the operation completes (`issued_at` plus the outcome's total
+    /// When the operation completes (issue time plus the outcome's total
     /// latency): the time its in-flight slot frees.
     pub complete_at: SimTime,
     /// The directory region `(base, size_log2)` this access transitioned,
@@ -90,7 +100,6 @@ impl IssuedAccess {
     fn new(issued_at: SimTime, outcome: AccessOutcome, region: Option<(u64, u8)>) -> Self {
         IssuedAccess {
             outcome,
-            issued_at,
             complete_at: issued_at + outcome.latency.total(),
             region,
         }
@@ -143,6 +152,115 @@ struct InvalRound {
     crit_tlb: SimTime,
     /// Whether the round ended in a reset (§4.4).
     reset: bool,
+}
+
+/// Where a planned transition's page comes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fetch {
+    /// One-sided RDMA read from the home memory blade.
+    Memory,
+    /// Cache-to-cache transfer from this owner blade (MOESI).
+    Owner(u16),
+    /// No data: a permission grant to a requester that holds the page.
+    Grant,
+}
+
+/// One directory transition as a value: the STT row a fault matches and
+/// all the switch does about it, decided before any of it happens.
+#[derive(Debug, Clone, Copy)]
+struct Transition {
+    /// The matched row (the second MAU, Figure 4).
+    row: SttRow,
+    /// The holders the round reaches: the sharers less the requester when
+    /// the row invalidates, nobody otherwise.
+    victims: BladeSet,
+    /// Whether the victims keep read-only copies.
+    downgrade: bool,
+    /// Whether the victims flush their dirty pages to memory.
+    flush: bool,
+    fetch: Fetch,
+    /// Whether the fetch waits for the round's last ACK.
+    sequential: bool,
+    /// The entry's next `(state, sharers, owner_blade)`.
+    next: (MsiState, BladeSet, Option<u16>),
+}
+
+impl Transition {
+    /// The transition `blade`'s fault of `kind` makes on `entry`, a pure
+    /// function of the entry and the table. `need_data` is false for an
+    /// upgrade of a page the requester already caches.
+    fn plan(
+        entry: &DirEntry,
+        blade: u16,
+        kind: AccessKind,
+        need_data: bool,
+        stt: &SttTable,
+    ) -> Self {
+        // The requester's role keys the row: the ASIC cannot compute the
+        // transition, so the whole function is a table (§6.3).
+        let owner = entry.owner();
+        let role = if owner == Some(blade) {
+            Role::Owner
+        } else if entry.sharers.contains(blade) {
+            Role::Sharer
+        } else {
+            Role::Other
+        };
+        let row = stt.lookup(entry.state, kind, role);
+        let mut victims = BladeSet::EMPTY;
+        if row.inval != InvalScope::None {
+            victims = entry.sharers;
+            victims.remove(blade);
+        }
+        let fetch = match row.fetch {
+            _ if !need_data => Fetch::Grant,
+            FetchSource::Memory => Fetch::Memory,
+            FetchSource::OwnerCache => {
+                Fetch::Owner(owner.expect("OwnerCache rows require an owner"))
+            }
+        };
+        // Full invalidation leaves only the requester; downgrades keep the
+        // old holders as read-only sharers.
+        let sharers = match row.inval {
+            InvalScope::InvalidateOthers => BladeSet::singleton(blade),
+            _ => entry.sharers.union(BladeSet::singleton(blade)),
+        };
+        let next_owner = match row.next {
+            MsiState::Modified | MsiState::Exclusive => Some(blade),
+            // M→O keeps the *old* owner as the dirty-data supplier.
+            MsiState::Owned => owner.or(entry.owner_blade),
+            _ => None,
+        };
+        Transition {
+            row,
+            victims,
+            downgrade: row.inval == InvalScope::DowngradeOthers,
+            flush: row.flush_dirty,
+            fetch,
+            sequential: row.sequential && !victims.is_empty(),
+            next: (row.next, sharers, next_owner),
+        }
+    }
+
+    /// This plan as a fresh fetch into an empty region: what the §4.4 reset
+    /// leaves the requester once it removed the entry the round ran on.
+    fn fresh(self, blade: u16, kind: AccessKind) -> Self {
+        let state = match kind {
+            AccessKind::Read => MsiState::Shared,
+            AccessKind::Write => MsiState::Modified,
+        };
+        Transition {
+            next: (state, BladeSet::singleton(blade), Some(blade)),
+            ..self
+        }
+    }
+
+    /// Writes the next entry (the recirculated pass, Figure 4 #3), which
+    /// stays mid-transition until `busy_until`.
+    fn apply(&self, entry: &mut DirEntry, busy_until: SimTime) {
+        (entry.state, entry.sharers, entry.owner_blade) = self.next;
+        entry.busy_until = busy_until;
+    }
 }
 
 /// ALU ops an RMT match-action stage runs per packet (§6.3).
@@ -396,7 +514,7 @@ impl CoherenceEngine {
                     now,
                     blade as u32,
                     EventKind::Issue,
-                    ia.complete_at.saturating_sub(ia.issued_at),
+                    ia.complete_at.saturating_sub(now),
                     ia.outcome.remote as u64,
                     ia.outcome.invalidations as u64,
                 );
@@ -428,16 +546,7 @@ impl CoherenceEngine {
                 // no extra lookup.
                 if tag != pdid {
                     if !self.protection.check(pdid, page, kind) {
-                        self.ctrs.denials += 1;
-                        self.trace.record(
-                            now + self.lat.fault_handler,
-                            blade as u32,
-                            EventKind::TcamMiss,
-                            SimTime::ZERO,
-                            kind.is_write() as u64,
-                            0,
-                        );
-                        return Err(AccessError::PermissionDenied);
+                        return Err(self.deny(now + self.lat.fault_handler, blade, kind));
                     }
                     self.caches[blade as usize].set_frame_tag(frame, pdid);
                     self.ctrs.remote_accesses += 1;
@@ -468,7 +577,17 @@ impl CoherenceEngine {
         }
     }
 
-    /// The page-fault path: RDMA to the switch, coherence, fetch.
+    /// Refuses `blade`'s access at `at`: the protection TCAM holds no entry
+    /// for it (§4.2).
+    fn deny(&mut self, at: SimTime, blade: u16, kind: AccessKind) -> AccessError {
+        self.ctrs.denials += 1;
+        let is_write = kind.is_write() as u64;
+        self.trace.record(at, blade as u32, EventKind::TcamMiss, SimTime::ZERO, is_write, 0);
+        AccessError::PermissionDenied
+    }
+
+    /// The page-fault path: RDMA to the switch, then the module's steps in
+    /// order — protect, ensure, plan, charge, apply, install, account.
     fn page_fault(
         &mut self,
         now: SimTime,
@@ -480,7 +599,6 @@ impl CoherenceEngine {
     ) -> Result<IssuedAccess, AccessError> {
         self.ctrs.remote_accesses += 1;
         let t0 = now + self.lat.fault_handler;
-
         // One-sided RDMA request, addressed by virtual address, intercepted
         // by the switch data plane.
         let req = Packet::new(
@@ -493,221 +611,148 @@ impl CoherenceEngine {
         );
         let t_switch = self.fabric.send(t0, &req);
 
-        // Protection: TCAM parallel range match on <PDID, vaddr> (§4.2).
+        // Protect.
         if !self.protection.check(pdid, page, kind) {
-            self.ctrs.denials += 1;
-            self.trace.record(
-                t_switch,
-                blade as u32,
-                EventKind::TcamMiss,
-                SimTime::ZERO,
-                kind.is_write() as u64,
-                0,
-            );
-            return Err(AccessError::PermissionDenied);
+            return Err(self.deny(t_switch, blade, kind));
         }
 
-        // Directory lookup/transition: two MAUs + recirculation (Figure 4).
-        let region = match self.directory.ensure(page) {
-            Ok(r) => r,
-            // No directory slot: the access bypasses the cache and holds no
-            // region (nothing for an in-flight window to serialize on).
-            Err(_) => {
-                return self
-                    .bypass(t_switch, blade, page, kind)
-                    .map(|outcome| IssuedAccess::new(now, outcome, None))
-            }
+        // Ensure. With no directory slot the access bypasses the cache and
+        // holds no region (nothing for an in-flight window to serialize on).
+        let Ok(region) = self.directory.ensure(page) else {
+            return self
+                .bypass(t_switch, blade, page, kind)
+                .map(|outcome| IssuedAccess::new(now, outcome, None));
         };
         let (base, k) = region.bounds();
         // One traversal of the lookup and STT MAUs, then one recirculation
         // for the lookup MAU to apply the update (see `MAU_OP_BUDGET`).
-        self.ctrs.recirculations += 1;
-        let dt = self.lat.switch_pipeline + self.lat.switch_recirculation;
-        let entry = self.directory.entry_at(region);
         // Transitions on a region serialize at the directory.
+        self.ctrs.recirculations += 1;
+        let entry = self.directory.entry_at(region);
+        let dt = self.lat.switch_pipeline + self.lat.switch_recirculation;
         let t_dir = entry.admit_transition(t_switch + dt);
 
-        let state = entry.state;
-        let sharers = entry.sharers;
-        let owner = entry.owner();
+        // Plan.
+        let plan = Transition::plan(entry, blade, kind, need_data, &self.stt);
 
-        // Classify the requester and look up the materialized transition
-        // row in the second MAU (Figure 4, §6.3): the ASIC cannot compute
-        // the transition, so the whole function is a table.
-        let role = if owner == Some(blade) {
-            Role::Owner
-        } else if sharers.contains(blade) {
-            Role::Sharer
+        // Charge: the invalidation round, and the fetch after its last ACK
+        // when the plan is sequential.
+        let round = if plan.victims.is_empty() {
+            InvalRound::default()
         } else {
-            Role::Other
+            self.invalidate(t_dir, base, k, &plan, page)
         };
-        let row = self.stt.lookup(state, kind, role);
-
-        // Execute the row.
-        let mut round = InvalRound::default();
-        let victims = match row.inval {
-            InvalScope::None => BladeSet::EMPTY,
-            _ => {
-                let mut v = sharers;
-                v.remove(blade);
-                v
-            }
-        };
-        let downgrade = row.inval == InvalScope::DowngradeOthers;
-        if !victims.is_empty() {
-            round = self.invalidate(t_dir, base, k, victims, downgrade, row.flush_dirty, page);
-        }
-        let fetch_at = if row.sequential && !victims.is_empty() {
-            round.done_at
-        } else {
-            t_dir
-        };
-        let fetch_done = if need_data {
-            match row.fetch {
-                FetchSource::Memory => self.fetch(fetch_at, blade, page)?,
-                FetchSource::OwnerCache => {
-                    let supplier = owner.expect("OwnerCache rows require an owner");
-                    self.fetch_from_owner(fetch_at, blade, supplier)
-                }
-            }
-        } else {
-            self.grant(fetch_at, blade)
-        };
+        let fetch_at = if plan.sequential { round.done_at } else { t_dir };
         // The requester waits for its data and — under TSO — all ACKs.
-        let done = fetch_done.max(round.done_at);
+        let done = self.fetch(fetch_at, blade, page, plan.fetch)?.max(round.done_at);
 
-        // Apply the directory update (the recirculated pass, Figure 4 #3).
-        // The entry serializes only while the transition is in flight: for
-        // plain fetches that is the pipeline pass itself (the recirculated
-        // update commits the new state before the data even leaves the
-        // memory blade); a transition that issued invalidations holds the
-        // entry in a transient state until every ACK arrives (§4.4).
-        let new_busy = if round.requests > 0 {
-            round.done_at
-        } else {
-            t_dir
-        };
-        let mut held_region = (base, k);
-        if round.reset {
-            // Reset protocol removed the entry; recreate and treat the
-            // requester as a fresh fetch.
+        // Apply. The entry serializes only while the transition is in
+        // flight: for plain fetches that is the pipeline pass itself (the
+        // recirculated update commits the new state before the data even
+        // leaves the memory blade); a transition that issued invalidations
+        // holds the entry in a transient state until every ACK arrives
+        // (§4.4). The round's count goes to the region it ran on.
+        let busy = if round.requests > 0 { round.done_at } else { t_dir };
+        let held = if round.reset {
+            // The reset removed the entry: the requester fetches into a
+            // recreated one, and whatever region now starts at the old
+            // base (if any) takes the count.
             let recreated = self.directory.ensure(page).expect("slot freed by reset");
-            held_region = recreated.bounds();
-            let e = self.directory.entry_at_mut(recreated);
-            e.state = match kind {
-                AccessKind::Read => MsiState::Shared,
-                AccessKind::Write => MsiState::Modified,
-            };
-            e.sharers = BladeSet::singleton(blade);
-            e.owner_blade = Some(blade);
-            e.busy_until = new_busy;
-        } else {
-            let e = self.directory.entry_at_mut(region);
-            e.state = row.next;
-            e.sharers = match row.inval {
-                // Full invalidation leaves only the requester.
-                InvalScope::InvalidateOthers => BladeSet::singleton(blade),
-                // Downgrades keep the old holders as (read-only) sharers.
-                _ => {
-                    let mut s = sharers;
-                    s.insert(blade);
-                    s
-                }
-            };
-            e.owner_blade = match row.next {
-                MsiState::Modified | MsiState::Exclusive => Some(blade),
-                // M→O keeps the *old* owner as the dirty-data supplier.
-                MsiState::Owned => owner.or(e.owner_blade),
-                _ => None,
-            };
-            e.busy_until = new_busy;
-        }
-
-        // Install the page at the requester.
-        if need_data {
-            let data = if self.cfg.carry_data {
-                match self.supply_data(
-                    page,
-                    if row.fetch == FetchSource::OwnerCache {
-                        owner
-                    } else {
-                        None
-                    },
-                ) {
-                    Ok(d) => Some(d),
-                    Err(e) => return Err(e),
-                }
-            } else {
-                None
-            };
-            // MESI's Exclusive grant maps writable but *clean*; a plain
-            // write fault dirties immediately.
-            let dirty = row.insert_writable && kind.is_write();
-            let evicted = self.caches[blade as usize].insert_with(
-                page,
-                row.insert_writable,
-                dirty,
-                pdid,
-                data,
-            );
-            if let Some(ev) = evicted {
-                if ev.dirty {
-                    // The kernel picks and writes back the victim when the
-                    // fault begins (charged at t0 so the link stays
-                    // time-ordered); the write-back DMA overlaps the fetch
-                    // and does not extend the thread's latency.
-                    self.writeback(t0, blade, ev.page, ev.data)?;
-                }
+            plan.fresh(blade, kind).apply(self.directory.entry_at_mut(recreated), busy);
+            if round.requests > 0 {
+                self.directory.record_invalidation(base, round.false_inv);
             }
-        } else if kind.is_write() || row.insert_writable {
-            self.caches[blade as usize].grant_write(page);
-        }
+            recreated.bounds()
+        } else {
+            plan.apply(self.directory.entry_at_mut(region), busy);
+            if round.requests > 0 {
+                self.directory.record_invalidation_at(region, round.false_inv);
+            }
+            (base, k)
+        };
 
-        // Account the round.
+        // Install.
+        self.install(t0, blade, pdid, page, kind, &plan)?;
+
+        // Account.
         let ctrs = &mut self.ctrs;
         ctrs.inval_requests += round.requests as u64;
-        if round.requests > 0 {
-            ctrs.inval_rounds += 1;
-        }
+        ctrs.inval_rounds += (round.requests > 0) as u64;
         ctrs.flushed_pages += round.flushed as u64;
         ctrs.false_invalidations += round.false_inv as u64;
-        if round.requests > 0 {
-            if round.reset {
-                // The reset removed the entry the round ran on: whatever
-                // region starts at its base now (if any) takes the count.
-                self.directory.record_invalidation(base, round.false_inv);
-            } else {
-                self.directory
-                    .record_invalidation_at(region, round.false_inv);
-            }
-        }
         if self.trace.enabled() {
-            self.trace.record(
-                t_dir,
-                blade as u32,
-                EventKind::DirTransition,
-                SimTime::ZERO,
-                round.requests as u64,
-                round.flushed as u64,
-            );
-            if round.requests > 0 {
-                self.trace.record(
-                    t_dir,
-                    blade as u32,
-                    EventKind::Invalidation,
-                    round.done_at.saturating_sub(t_dir),
-                    round.requests as u64,
-                    round.false_inv as u64,
-                );
+            let (requests, flushed) = (round.requests as u64, round.flushed as u64);
+            let trace = &mut self.trace;
+            let ev = EventKind::DirTransition;
+            trace.record(t_dir, blade as u32, ev, SimTime::ZERO, requests, flushed);
+            if requests > 0 {
+                let wait = round.done_at.saturating_sub(t_dir);
+                let ev = EventKind::Invalidation;
+                trace.record(t_dir, blade as u32, ev, wait, requests, round.false_inv as u64);
             }
         }
+        let outcome = self.attribute(now, blade, kind, done, &round);
+        Ok(IssuedAccess::new(now, outcome, Some(held)))
+    }
 
-        // Latency attribution. Under PSO, writes are buffered at the blade
-        // and propagate asynchronously: the thread sees only the fault
-        // handler + write-buffer insertion, while the protocol completes in
-        // the background (its completion still serializes the region via
-        // busy_until). §7.1's MIND-PSO simulation.
-        let total_wait = done.saturating_sub(now);
+    /// Installs `page` at the requester as `plan` grants it: the fetched
+    /// page, or only the write permission for an upgrade.
+    fn install(
+        &mut self,
+        t0: SimTime,
+        blade: u16,
+        pdid: Pdid,
+        page: u64,
+        kind: AccessKind,
+        plan: &Transition,
+    ) -> Result<(), AccessError> {
+        let writable = plan.row.insert_writable;
+        let supplier = match plan.fetch {
+            Fetch::Memory => None,
+            Fetch::Owner(owner) => Some(owner),
+            Fetch::Grant => {
+                if kind.is_write() || writable {
+                    self.caches[blade as usize].grant_write(page);
+                }
+                return Ok(());
+            }
+        };
+        let data = match self.cfg.carry_data {
+            true => Some(self.supply_data(page, supplier)?),
+            false => None,
+        };
+        // MESI's Exclusive grant maps writable but *clean*; a plain write
+        // fault dirties immediately.
+        let dirty = writable && kind.is_write();
+        let evicted = self.caches[blade as usize].insert_with(page, writable, dirty, pdid, data);
+        if let Some(ev) = evicted.filter(|ev| ev.dirty) {
+            // The kernel picks and writes back the victim when the fault
+            // begins (charged at t0 so the link stays time-ordered); the
+            // write-back DMA overlaps the fetch and does not extend the
+            // thread's latency.
+            self.writeback(t0, blade, ev.page, ev.data)?;
+        }
+        Ok(())
+    }
+
+    /// What a fault whose transition finished at `done` costs its thread.
+    /// Under PSO, writes are buffered at the blade and propagate
+    /// asynchronously: the thread sees only the fault handler and the
+    /// write-buffer insertion, while the protocol completes in the
+    /// background (its completion still serializes the region via
+    /// `busy_until`). §7.1's MIND-PSO simulation.
+    fn attribute(
+        &mut self,
+        now: SimTime,
+        blade: u16,
+        kind: AccessKind,
+        done: SimTime,
+        round: &InvalRound,
+    ) -> AccessOutcome {
+        let mut latency = LatencyBreakdown {
+            fault: self.lat.fault_handler,
+            ..Default::default()
+        };
         if kind.is_write() && self.cfg.consistency.async_writes() {
             self.ctrs.async_writes += 1;
             // Bounded store buffer: drain completed writes, stall if full.
@@ -723,100 +768,59 @@ impl CoherenceEngine {
                 SimTime::ZERO
             };
             buf.push_back(done);
-            let outcome = AccessOutcome {
-                latency: LatencyBreakdown {
-                    fault: self.lat.fault_handler,
-                    dram: self.lat.local_dram + stall,
-                    ..Default::default()
-                },
-                remote: true,
-                invalidations: round.requests,
-                flushed_pages: round.flushed,
-                false_invalidations: round.false_inv,
-            };
-            return Ok(IssuedAccess::new(now, outcome, Some(held_region)));
+            latency.dram = self.lat.local_dram + stall;
+        } else {
+            let total_wait = done.saturating_sub(now);
+            latency.inv_queue = round.crit_queue.min(total_wait);
+            latency.inv_tlb = round.crit_tlb;
+            latency.network = total_wait
+                .saturating_sub(self.lat.fault_handler)
+                .saturating_sub(latency.inv_queue)
+                .saturating_sub(latency.inv_tlb);
         }
-
-        let inv_queue = round.crit_queue.min(total_wait);
-        let inv_tlb = round.crit_tlb;
-        let network = total_wait
-            .saturating_sub(self.lat.fault_handler)
-            .saturating_sub(inv_queue)
-            .saturating_sub(inv_tlb);
-        let outcome = AccessOutcome {
-            latency: LatencyBreakdown {
-                fault: self.lat.fault_handler,
-                network,
-                inv_queue,
-                inv_tlb,
-                ..Default::default()
-            },
+        AccessOutcome {
+            latency,
             remote: true,
             invalidations: round.requests,
             flushed_pages: round.flushed,
             false_invalidations: round.false_inv,
-        };
-        Ok(IssuedAccess::new(now, outcome, Some(held_region)))
+        }
     }
 
-    /// Fetches `page` from its memory blade to `blade`, starting at the
-    /// switch at `t_switch`. Returns the arrival time of the page.
-    fn fetch(&mut self, t_switch: SimTime, blade: u16, page: u64) -> Result<SimTime, AccessError> {
-        let pa = self.translation.translate(page).ok_or(AccessError::BadAddress)?;
-        if pa.blade >= self.n_memory() {
-            return Err(AccessError::BadAddress);
-        }
-        // Switch → memory blade (header-rewritten RDMA read, §6.3).
-        let fwd = Packet::new(
-            NodeId::Switch,
-            NodeId::Memory(pa.blade),
-            PacketKind::RdmaReadReq {
-                vaddr: page,
-                len: PAGE_SIZE as u32,
-            },
-        );
-        let t_mem = self.fabric.send(t_switch, &fwd) + self.lat.memory_service;
-        if !self.cfg.carry_data {
+    /// Carries a fetch from the switch at `t_switch` to `blade` and returns
+    /// when the page arrives: the read forwarded to the page's memory blade
+    /// (header-rewritten, §6.3) or redirected to the owner, whose NIC serves
+    /// it from its registered DRAM cache (MOESI's Owned state, §8), then the
+    /// page-sized response back through the switch; or a data-less grant.
+    fn fetch(
+        &mut self,
+        t_switch: SimTime,
+        blade: u16,
+        page: u64,
+        fetch: Fetch,
+    ) -> Result<SimTime, AccessError> {
+        let (src, vaddr, frame) = match fetch {
+            Fetch::Memory => {
+                let pa = self.translation.translate(page).ok_or(AccessError::BadAddress)?;
+                if pa.blade >= self.n_memory() {
+                    return Err(AccessError::BadAddress);
+                }
+                (NodeId::Memory(pa.blade), page, Some(pa))
+            }
+            Fetch::Owner(owner) => (NodeId::Compute(owner), 0, None),
+            Fetch::Grant => return Ok(self.grant(t_switch, blade)),
+        };
+        let len = PAGE_SIZE as u32;
+        let fwd = Packet::new(NodeId::Switch, src, PacketKind::RdmaReadReq { vaddr, len });
+        let t_src = self.fabric.send(t_switch, &fwd) + self.lat.memory_service;
+        if let Some(pa) = frame.filter(|_| !self.cfg.carry_data) {
             self.memory[pa.blade as usize]
                 .read_page_nodata(pa.page())
                 .map_err(|_| AccessError::BadAddress)?;
         }
-        // Memory blade → requester (page-sized response through the switch).
-        let resp = Packet::new(
-            NodeId::Memory(pa.blade),
-            NodeId::Compute(blade),
-            PacketKind::RdmaReadResp {
-                vaddr: page,
-                len: PAGE_SIZE as u32,
-            },
-        );
-        Ok(self.fabric.send(t_mem, &resp))
-    }
-
-    /// Cache-to-cache page transfer from the current owner (MOESI's Owned
-    /// state, §8): the switch redirects the fetch to the owner blade, whose
-    /// NIC serves the page from its registered DRAM cache.
-    fn fetch_from_owner(&mut self, t_switch: SimTime, blade: u16, owner: u16) -> SimTime {
-        // Switch → owner: redirected one-sided read.
-        let fwd = Packet::new(
-            NodeId::Switch,
-            NodeId::Compute(owner),
-            PacketKind::RdmaReadReq {
-                vaddr: 0,
-                len: PAGE_SIZE as u32,
-            },
-        );
-        let t_owner = self.fabric.send(t_switch, &fwd) + self.lat.memory_service;
-        // Owner → requester (page response through the switch).
-        let resp = Packet::new(
-            NodeId::Compute(owner),
-            NodeId::Compute(blade),
-            PacketKind::RdmaReadResp {
-                vaddr: 0,
-                len: PAGE_SIZE as u32,
-            },
-        );
-        self.fabric.send(t_owner, &resp)
+        let resp = PacketKind::RdmaReadResp { vaddr, len };
+        let resp = Packet::new(src, NodeId::Compute(blade), resp);
+        Ok(self.fabric.send(t_src, &resp))
     }
 
     /// Resolves the page contents for a data-carrying insert: the owner's
@@ -876,20 +880,18 @@ impl CoherenceEngine {
         Ok(arrive)
     }
 
-    /// Runs one invalidation round against `victims`, with ACK tracking,
-    /// retransmission on loss, and the reset protocol after exhausted
-    /// retries (§4.4).
-    #[allow(clippy::too_many_arguments)]
+    /// Runs `plan`'s invalidation round on the region `(base, k)`, with ACK
+    /// tracking, retransmission on loss, and the reset protocol after
+    /// exhausted retries (§4.4).
     fn invalidate(
         &mut self,
         t_switch: SimTime,
         base: u64,
         k: u8,
-        victims: BladeSet,
-        downgrade: bool,
-        flush_dirty: bool,
+        plan: &Transition,
         requested_page: u64,
     ) -> InvalRound {
+        let Transition { victims, downgrade, flush, .. } = *plan;
         debug_assert!(!victims.is_empty());
         let mut round = InvalRound::default();
         let inval_bytes = PacketKind::Invalidate {
@@ -919,7 +921,7 @@ impl CoherenceEngine {
                 }
                 // MOESI downgrades keep the dirty data at the old owner
                 // (no write-back); everything else flushes dirty pages.
-                if downgrade && !flush_dirty {
+                if downgrade && !flush {
                     self.caches[victim as usize]
                         .downgrade_region_keep_dirty_into(base, k, &mut outcome);
                 } else {
@@ -979,13 +981,8 @@ impl CoherenceEngine {
             // ACK timeout: the tracker decides between retransmission and
             // — after the retry budget — the reset protocol (§4.4).
             t += self.cfg.ack_timeout;
-            let mut do_reset = false;
-            for action in self.acks.poll(t) {
-                if let mind_net::reliability::ReliabilityAction::Reset { .. } = action {
-                    do_reset = true;
-                }
-            }
-            if do_reset {
+            let actions = self.acks.poll(t);
+            if actions.iter().any(|a| matches!(a, ReliabilityAction::Reset { .. })) {
                 let done = self.reset_region(t, base, k);
                 round.done_at = round.done_at.max(done);
                 round.reset = true;
@@ -1075,7 +1072,7 @@ impl CoherenceEngine {
             0,
         );
         let done = match kind {
-            AccessKind::Read => self.fetch(t_switch, blade, page)?,
+            AccessKind::Read => self.fetch(t_switch, blade, page, Fetch::Memory)?,
             AccessKind::Write => self.writeback(t_switch, blade, page, None)?,
         };
         let network = done.saturating_sub(t_switch) + self.lat.hop_latency;
@@ -1138,5 +1135,93 @@ impl CoherenceEngine {
     /// Protection TCAM entries installed for one protection domain.
     pub fn protection_entries_for(&self, pdid: crate::protect::Pdid) -> usize {
         self.protection.entries_for(pdid)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use MsiState::*;
+
+    /// Small-scope exhaustive check of the protocol, with no timed run:
+    /// MSI, MESI and MOESI × every reachable directory state and sharer
+    /// set over 3 blades (and owner, for Owned) × requester × read/write
+    /// × `need_data`. Every applied plan leaves one writer or only
+    /// readers, the requester holding the region, no holder dropped
+    /// without an invalidation, and the right owner.
+    #[test]
+    fn every_planned_transition_keeps_the_protocol_invariants() {
+        let kinds = [AccessKind::Read, AccessKind::Write];
+        let cases: Vec<_> = (0u16..3)
+            .flat_map(|b| kinds.into_iter().flat_map(move |k| [(b, k, false), (b, k, true)]))
+            .collect();
+        for (protocol, keys) in [(Protocol::Msi, 10), (Protocol::Mesi, 14), (Protocol::Moesi, 20)] {
+            let stt = SttTable::new(protocol);
+            let mut entries = Vec::new();
+            for state in [Invalid, Shared, Modified, Exclusive, Owned] {
+                for bits in 0u64..8 {
+                    let sharers: BladeSet = (0u16..3).filter(|&b| bits >> b & 1 == 1).collect();
+                    let reachable = match state {
+                        Invalid => sharers.is_empty(),
+                        Shared => !sharers.is_empty(),
+                        Modified => sharers.len() == 1,
+                        Exclusive => sharers.len() == 1 && protocol != Protocol::Msi,
+                        Owned => protocol == Protocol::Moesi,
+                    };
+                    let owners = match state {
+                        Owned => sharers.iter().map(Some).collect(),
+                        _ => vec![None],
+                    };
+                    for owner_blade in owners.into_iter().filter(|_| reachable) {
+                        let mut e = DirEntry::new(16);
+                        (e.state, e.sharers, e.owner_blade) = (state, sharers, owner_blade);
+                        entries.push(e);
+                    }
+                }
+            }
+            let mut seen = std::collections::HashSet::new();
+            let all = entries.iter().flat_map(|e| cases.iter().map(move |&c| (e, c)));
+            for (old, (blade, kind, need_data)) in all {
+                let case = format!("{protocol:?} {old:?}: {blade} {kind:?} {need_data}");
+                let plan = Transition::plan(old, blade, kind, need_data, &stt);
+                let role = match (old.owner() == Some(blade), old.sharers.contains(blade)) {
+                    (true, _) => Role::Owner,
+                    (_, true) => Role::Sharer,
+                    _ => Role::Other,
+                };
+                assert_eq!(plan.row, stt.lookup(old.state, kind, role), "{case}");
+                seen.insert((old.state as u8, kind.is_write(), role as u8));
+                let others = old.sharers.difference(BladeSet::singleton(blade));
+                let invalidates = plan.row.inval != InvalScope::None;
+                let victims = if invalidates { others } else { BladeSet::EMPTY };
+                assert_eq!(plan.victims, victims, "{case}");
+                assert_eq!(plan.fetch == Fetch::Grant, !need_data, "{case}");
+                if let Fetch::Owner(supplier) = plan.fetch {
+                    assert_eq!(Some(supplier), old.owner(), "{case}");
+                }
+
+                let mut e = old.clone();
+                plan.apply(&mut e, SimTime::ZERO);
+                assert!(e.sharers.contains(blade), "requester holds nothing: {case}");
+                let dropped = old.sharers.difference(plan.victims).difference(e.sharers);
+                assert!(dropped.is_empty(), "{dropped:?} dropped uninvalidated: {case}");
+                match e.state {
+                    // One writer: the requester, alone.
+                    Modified | Exclusive => {
+                        let sole = (BladeSet::singleton(blade), Some(blade));
+                        assert_eq!((e.sharers, e.owner()), sole, "{case}");
+                    }
+                    // Readers only; M→O keeps the old owner as supplier.
+                    Owned => {
+                        assert_eq!(e.owner_blade, old.owner(), "{case}");
+                        assert!(e.sharers.contains(e.owner_blade.unwrap()), "{case}");
+                    }
+                    _ => assert!(e.state == Shared && !plan.row.insert_writable, "{case}"),
+                }
+                assert!(!kind.is_write() || matches!(e.state, Modified | Exclusive), "{case}");
+            }
+            assert_eq!(seen.len(), keys, "{protocol:?}: reachable rows");
+            assert!(keys < stt.rows(), "no Sharer meets M/E, no Owner meets S");
+        }
     }
 }

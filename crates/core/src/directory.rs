@@ -98,7 +98,7 @@ impl PairLinks {
 }
 
 impl DirEntry {
-    fn new(size_log2: u8) -> Self {
+    pub(crate) fn new(size_log2: u8) -> Self {
         DirEntry {
             size_log2,
             state: MsiState::Invalid,

@@ -66,11 +66,6 @@ pub enum ClusterStep {
         outcome: AccessOutcome,
         /// When the operation completes (virtual time).
         complete_at: SimTime,
-        /// The directory region `(base, log2 size)` this op transitioned,
-        /// if it consulted the switch — the span the region gate
-        /// serializes cluster-wide until `complete_at` (`None` for local
-        /// hits, which hold no region).
-        region: Option<(u64, u8)>,
     },
     /// A gate held the operation; the source must be re-offered at
     /// `until`.

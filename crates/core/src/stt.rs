@@ -141,7 +141,7 @@ impl SttTable {
 
     /// Number of materialized rows (switch storage cost, §8).
     #[cfg(test)]
-    fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows_by_key.iter().filter(|row| row.is_some()).count()
     }
 

@@ -437,7 +437,6 @@ impl ClusterDriver {
                 ClusterStep::Issued {
                     ref outcome,
                     complete_at,
-                    region: _,
                 } => {
                     streams.advance(s);
                     if let Some(report) = report.as_deref_mut() {

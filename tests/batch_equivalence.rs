@@ -242,7 +242,14 @@ proptest! {
                     eng.defer(until, src);
                 }
                 ClusterStep::Refused(e) => prop_assert!(false, "granted access refused: {e}"),
-                ClusterStep::Issued { complete_at, region, .. } => {
+                ClusterStep::Issued { outcome, complete_at } => {
+                    // The region a remote op transitioned is the one
+                    // holding its page right after it issued.
+                    let region = cluster
+                        .engine()
+                        .directory()
+                        .region_of(op.vaddr)
+                        .filter(|_| outcome.remote);
                     // (a) When this op issued, its blade's RNIC had a free
                     // entry: fewer than `nic_depth` earlier ops from *any*
                     // source were still in flight there.
