@@ -130,9 +130,7 @@ impl GamSystem {
             caches: (0..cfg.n_compute)
                 .map(|_| DramCache::new(cfg.cache_pages))
                 .collect(),
-            home_queues: (0..cfg.n_compute)
-                .map(|_| InvalidationQueue::new())
-                .collect(),
+            home_queues: vec![InvalidationQueue::default(); cfg.n_compute as usize],
             memory: (0..cfg.n_memory)
                 .map(|_| MemoryBlade::new(cfg.memory_blade_bytes))
                 .collect(),

@@ -179,7 +179,7 @@ fn paged_fairness(vmas: &[u64], n: u16, chunk: u64) -> f64 {
 }
 
 fn mind_fairness(vmas: &[u64], n: u16) -> f64 {
-    let mut galloc = GlobalAllocator::new(n, 1 << 34);
+    let mut galloc = GlobalAllocator::build(n, 1 << 34, None);
     for &len in vmas {
         galloc.alloc(len).expect("fits");
     }

@@ -7,6 +7,8 @@
 //! back to memory blades), and — on receiving an invalidation for a region —
 //! flushes all dirty pages in the region and unmaps the rest (§6.1).
 
+use mind_sim::spare::reuse;
+
 use crate::page::{PageData, PAGE_SIZE};
 use crate::pagetable::{PageTable, Pte};
 
@@ -154,22 +156,21 @@ pub struct DramCache {
 impl DramCache {
     /// Creates a cache with room for `capacity_pages` pages.
     pub fn new(capacity_pages: u32) -> Self {
+        Self::build(capacity_pages, None)
+    }
+
+    /// [`DramCache::new`], in a spare's page table and frame slab.
+    pub fn build(capacity_pages: u32, spare: Option<Self>) -> Self {
+        let (pt, frames) = spare.map(|c| (c.pt, c.frames)).unzip();
+        let mut frames = reuse(frames);
+        frames.reserve_exact(capacity_pages as usize);
         DramCache {
-            pt: PageTable::new(capacity_pages),
-            frames: Vec::with_capacity(capacity_pages as usize),
+            pt: PageTable::build(capacity_pages, pt),
+            frames,
             lru_head: NO_FRAME,
             lru_tail: NO_FRAME,
             evictions: 0,
         }
-    }
-
-    /// Drops every page and zeroes the eviction count, keeping the page
-    /// table's and the frame slab's storage: the cache is as
-    /// [`DramCache::new`] made it.
-    pub fn clear(&mut self) {
-        self.pt.clear();
-        self.frames.clear();
-        (self.lru_head, self.lru_tail, self.evictions) = (NO_FRAME, NO_FRAME, 0);
     }
 
     /// Capacity in pages.
@@ -812,7 +813,7 @@ mod tests {
     }
 
     /// The frame slab is reserved at the capacity it models: filling the
-    /// cache, evicting through it and clearing it never moves the slab.
+    /// cache, evicting through it and rebuilding it never moves the slab.
     #[test]
     fn filling_to_capacity_never_moves_the_frame_slab() {
         let mut c = DramCache::new(300);
@@ -822,7 +823,7 @@ mod tests {
             assert_eq!(c.frames.as_ptr(), slab, "moved at page {page}");
         }
         assert_eq!(c.resident_pages(), 300);
-        c.clear();
+        let mut c = DramCache::build(300, Some(c));
         c.insert(0, true, None);
         assert_eq!(c.frames.as_ptr(), slab);
     }

@@ -18,20 +18,14 @@ pub struct QueuedService {
     pub queue_delay: SimTime,
 }
 
-/// FIFO single-server queue for the blade's invalidation handler.
-#[derive(Debug, Clone)]
+/// FIFO single-server queue for the blade's invalidation handler; the
+/// default queue is idle.
+#[derive(Debug, Clone, Default)]
 pub struct InvalidationQueue {
     busy_until: SimTime,
 }
 
 impl InvalidationQueue {
-    /// Creates an idle queue.
-    pub fn new() -> Self {
-        InvalidationQueue {
-            busy_until: SimTime::ZERO,
-        }
-    }
-
     /// Enqueues an invalidation arriving at `arrival` with the given
     /// service time (handler work + any TLB shootdowns + dirty flush DMA).
     ///
@@ -60,19 +54,13 @@ impl InvalidationQueue {
     }
 }
 
-impl Default for InvalidationQueue {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn idle_queue_serves_immediately() {
-        let mut q = InvalidationQueue::new();
+        let mut q = InvalidationQueue::default();
         let s = q.enqueue(SimTime::from_micros(5), SimTime::from_micros(1));
         assert_eq!(s.start, SimTime::from_micros(5));
         assert_eq!(s.done, SimTime::from_micros(6));
@@ -81,7 +69,7 @@ mod tests {
 
     #[test]
     fn concurrent_arrivals_queue_fifo() {
-        let mut q = InvalidationQueue::new();
+        let mut q = InvalidationQueue::default();
         let a = q.enqueue(SimTime::ZERO, SimTime::from_micros(2));
         let b = q.enqueue(SimTime::ZERO, SimTime::from_micros(2));
         let c = q.enqueue(SimTime::ZERO, SimTime::from_micros(2));
@@ -93,7 +81,7 @@ mod tests {
 
     #[test]
     fn late_arrival_after_drain_no_delay() {
-        let mut q = InvalidationQueue::new();
+        let mut q = InvalidationQueue::default();
         q.enqueue(SimTime::ZERO, SimTime::from_micros(3));
         let s = q.enqueue(SimTime::from_micros(10), SimTime::from_micros(1));
         assert_eq!(s.queue_delay, SimTime::ZERO);
@@ -106,7 +94,7 @@ mod tests {
     /// backwards at the handler.
     #[test]
     fn regressed_arrival_still_serves_fifo() {
-        let mut q = InvalidationQueue::new();
+        let mut q = InvalidationQueue::default();
         let first = q.enqueue(SimTime::from_micros(10), SimTime::from_micros(2));
         // Enqueued second, "arrives" earlier: waits behind the first.
         let second = q.enqueue(SimTime::from_micros(4), SimTime::from_micros(1));
@@ -118,7 +106,7 @@ mod tests {
 
     #[test]
     fn empty_queue_stats() {
-        let q = InvalidationQueue::new();
+        let q = InvalidationQueue::default();
         assert_eq!(q.busy_until(), SimTime::ZERO);
     }
 }

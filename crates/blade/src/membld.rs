@@ -47,12 +47,6 @@ impl MemoryBlade {
         }
     }
 
-    /// Forgets every page, keeping the store's storage: the blade is as
-    /// [`MemoryBlade::new`] made it.
-    pub fn clear(&mut self) {
-        self.pages.clear();
-    }
-
     /// Capacity in pages.
     pub fn capacity_pages(&self) -> u64 {
         self.capacity_pages

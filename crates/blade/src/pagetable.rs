@@ -18,6 +18,7 @@ use std::collections::hash_map::Entry;
 use std::ops::Range;
 
 use mind_sim::hash::FastMap;
+use mind_sim::spare::reuse;
 
 use crate::page::PAGE_SHIFT;
 
@@ -135,34 +136,26 @@ pub struct PageTable {
 }
 
 impl PageTable {
-    /// Creates a page table over `n_frames` local DRAM frames.
+    /// A page table over `n_frames` local DRAM frames, handed out from
+    /// frame 0, in a spare's maps and frame pool when there is one.
     ///
     /// # Panics
     ///
     /// Panics if `n_frames` exceeds 2^31 (8 TB of blade DRAM).
-    pub fn new(n_frames: u32) -> Self {
+    pub fn build(n_frames: u32, spare: Option<Self>) -> Self {
         assert!(n_frames <= WRITABLE, "frame ids must fit 31 bits");
-        let mut table = PageTable {
-            leaves: FastMap::default(),
+        let (leaves, free_frames) = spare.map(|t| (t.leaves, t.free_frames)).unzip();
+        let mut free_frames = reuse(free_frames);
+        free_frames.reserve_exact(n_frames as usize);
+        free_frames.extend((0..n_frames).rev());
+        PageTable {
+            leaves: reuse(leaves),
             mapped: 0,
-            free_frames: Vec::with_capacity(n_frames as usize),
+            free_frames,
             n_frames,
             tlb_shootdowns: 0,
             key_scratch: Vec::new(),
-        };
-        table.clear();
-        table
-    }
-
-    /// Unmaps every page and frees every frame, counting no shootdowns and
-    /// keeping the storage: the table is as [`PageTable::new`] made it,
-    /// frames handed out from 0 again.
-    pub(crate) fn clear(&mut self) {
-        self.leaves.clear();
-        self.mapped = 0;
-        self.free_frames.clear();
-        self.free_frames.extend((0..self.n_frames).rev());
-        self.tlb_shootdowns = 0;
+        }
     }
 
     /// Total local frames.
@@ -473,7 +466,7 @@ mod tests {
         for seed in 0..6u64 {
             let mut rng = SimRng::new(seed);
             let n_frames = [12, 40, 200][seed as usize % 3];
-            let mut pt = PageTable::new(n_frames);
+            let mut pt = PageTable::build(n_frames, None);
             let mut flat = FlatOracle::new(n_frames);
             let random_page = |rng: &mut SimRng| {
                 let cluster = clusters[rng.gen_below(clusters.len() as u64) as usize];
@@ -570,12 +563,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "fit 31 bits")]
     fn frame_ids_must_leave_room_for_the_permission_bit() {
-        PageTable::new((1 << 31) + 1);
+        PageTable::build((1 << 31) + 1, None);
     }
 
     #[test]
     fn refused_mapping_leaves_no_empty_leaf() {
-        let mut pt = PageTable::new(1);
+        let mut pt = PageTable::build(1, None);
         pt.map(0x1000, false).unwrap();
         assert!(pt.map(1 << 40, false).is_none());
         assert_eq!(pt.leaves.len(), 1);
@@ -584,7 +577,7 @@ mod tests {
 
     #[test]
     fn map_lookup_unmap_roundtrip() {
-        let mut pt = PageTable::new(2);
+        let mut pt = PageTable::build(2, None);
         let pte = pt.map(0x1000, true).unwrap();
         assert_eq!(pt.lookup(0x1000), Some(pte));
         assert!(pte.writable);
@@ -596,7 +589,7 @@ mod tests {
 
     #[test]
     fn frame_pool_exhaustion() {
-        let mut pt = PageTable::new(2);
+        let mut pt = PageTable::build(2, None);
         assert!(pt.map(0x1000, false).is_some());
         assert!(pt.map(0x2000, false).is_some());
         assert!(pt.map(0x3000, false).is_none(), "no frames left");
@@ -607,14 +600,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "already mapped")]
     fn double_map_panics() {
-        let mut pt = PageTable::new(2);
+        let mut pt = PageTable::build(2, None);
         pt.map(0x1000, false);
         pt.map(0x1000, true);
     }
 
     #[test]
     fn downgrade_counts_shootdown_once() {
-        let mut pt = PageTable::new(1);
+        let mut pt = PageTable::build(1, None);
         pt.map(0x1000, true);
         assert_eq!(pt.tlb_shootdowns(), 0);
         pt.downgrade(0x1000);
@@ -627,7 +620,7 @@ mod tests {
 
     #[test]
     fn unmap_counts_shootdown() {
-        let mut pt = PageTable::new(1);
+        let mut pt = PageTable::build(1, None);
         pt.map(0x1000, false);
         pt.unmap(0x1000);
         assert_eq!(pt.tlb_shootdowns(), 1);
@@ -637,7 +630,7 @@ mod tests {
 
     #[test]
     fn upgrade_sets_writable() {
-        let mut pt = PageTable::new(1);
+        let mut pt = PageTable::build(1, None);
         pt.map(0x1000, false);
         pt.upgrade(0x1000);
         assert!(pt.lookup(0x1000).unwrap().writable);
@@ -646,7 +639,7 @@ mod tests {
 
     #[test]
     fn distinct_frames_assigned() {
-        let mut pt = PageTable::new(3);
+        let mut pt = PageTable::build(3, None);
         let a = pt.map(0x1000, false).unwrap().frame;
         let b = pt.map(0x2000, false).unwrap().frame;
         let c = pt.map(0x3000, false).unwrap().frame;

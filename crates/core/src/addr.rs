@@ -75,13 +75,14 @@ impl Vma {
     }
 }
 
-/// Rounds `len` up to the next power of two (minimum one page).
+/// Rounds `len` up to the next power of two (minimum one page); `None`
+/// when that exceeds 2^63, the largest power of two a `u64` holds.
 ///
 /// MIND's control plane performs only power-of-two sized, size-aligned
 /// virtual allocations so each region is a single TCAM entry (§4.2); glibc
 /// requests are mostly power-of-two sized anyway.
-pub fn pow2_alloc_size(len: u64) -> u64 {
-    len.max(PAGE_SIZE).next_power_of_two()
+pub fn pow2_alloc_size(len: u64) -> Option<u64> {
+    len.max(PAGE_SIZE).checked_next_power_of_two()
 }
 
 #[cfg(test)]
@@ -123,11 +124,14 @@ mod tests {
 
     #[test]
     fn pow2_alloc_sizes() {
-        assert_eq!(pow2_alloc_size(1), PAGE_SIZE);
-        assert_eq!(pow2_alloc_size(4096), 4096);
-        assert_eq!(pow2_alloc_size(4097), 8192);
-        assert_eq!(pow2_alloc_size(1 << 20), 1 << 20);
-        assert_eq!(pow2_alloc_size((1 << 20) + 1), 1 << 21);
+        assert_eq!(pow2_alloc_size(1), Some(PAGE_SIZE));
+        assert_eq!(pow2_alloc_size(4096), Some(4096));
+        assert_eq!(pow2_alloc_size(4097), Some(8192));
+        assert_eq!(pow2_alloc_size(1 << 20), Some(1 << 20));
+        assert_eq!(pow2_alloc_size((1 << 20) + 1), Some(1 << 21));
+        assert_eq!(pow2_alloc_size(1 << 63), Some(1 << 63));
+        assert_eq!(pow2_alloc_size((1 << 63) + 1), None);
+        assert_eq!(pow2_alloc_size(u64::MAX), None);
     }
 
     #[test]

@@ -203,39 +203,28 @@ pub struct MindCluster {
 impl MindCluster {
     /// Builds the rack.
     pub fn new(cfg: MindConfig) -> Self {
-        let mut engine = CoherenceEngine::new(
-            cfg.n_compute,
-            cfg.n_memory,
-            cfg.cache_pages,
-            cfg.blade_span,
-            cfg.memory_blade_bytes,
-            cfg.dir_capacity,
-            cfg.split.initial_region_log2,
-            cfg.rule_capacity,
-            cfg.latency,
-            cfg.coherence,
-        );
-        engine.trace = mind_obs::TraceBuf::new(cfg.trace);
-        let controller = Controller::new(cfg.n_compute, cfg.n_memory, cfg.blade_span);
+        Self::build(cfg, None)
+    }
+
+    /// The rack `MindCluster::new(*self.config())` builds, built in this
+    /// rack's storage.
+    pub fn reset(self) -> Self {
+        Self::build(self.cfg, Some(self))
+    }
+
+    /// The one body that builds a rack, in the storage of a spare built
+    /// from the same `cfg`.
+    fn build(cfg: MindConfig, spare: Option<Self>) -> Self {
+        let (engine, controller) = spare.map(|c| (c.engine, c.controller)).unzip();
         MindCluster {
+            engine: CoherenceEngine::build(&cfg, engine),
+            controller: Controller::build(cfg.n_compute, cfg.n_memory, cfg.blade_span, controller),
             splitter: BoundedSplitting::new(cfg.split),
-            engine,
-            controller,
             cfg,
             default_pid: None,
             clock_high_watermark: SimTime::ZERO,
             batch_engine: None,
         }
-    }
-
-    /// Returns the rack to exactly what `MindCluster::new(*self.config())`
-    /// builds, keeping every table's storage. The windowed-batch engine
-    /// stays: each windowed batch empties it before use.
-    pub fn reset(&mut self) {
-        self.engine.reset(mind_obs::TraceBuf::new(self.cfg.trace));
-        self.controller.reset();
-        self.splitter.reset();
-        (self.default_pid, self.clock_high_watermark) = (None, SimTime::ZERO);
     }
 
     /// The configuration in force.
@@ -1048,6 +1037,9 @@ mod tests {
         assert!((c.memory_utilization() - 0.25).abs() < 1e-9);
         c.munmap(SimTime::ZERO, pid, base).unwrap();
         assert_eq!(c.memory_utilization(), 0.0);
+        // No power of two holds these lengths: ENOMEM, not a panic.
+        assert_eq!(c.mmap(pid, u64::MAX), Err(SysError::NoMem));
+        assert_eq!(c.mmap(pid, (1 << 63) + 1), Err(SysError::NoMem));
     }
 
     #[test]
@@ -1174,7 +1166,7 @@ mod tests {
             life(&mut reused, 2);
             let m = reused.metrics_snapshot();
             assert!(m.get("evictions") > 0 && m.get("retransmissions") > 0);
-            reused.reset();
+            reused = reused.reset();
             assert_eq!(life(&mut reused, 1), life(&mut fresh, 1), "{consistency:?}");
             assert_eq!(reused.take_trace(), fresh.take_trace(), "{consistency:?}");
         }

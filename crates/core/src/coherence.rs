@@ -40,9 +40,11 @@ use mind_net::node::{BladeSet, NodeId};
 use mind_net::packet::{Packet, PacketKind};
 use mind_net::reliability::{AckTracker, ReliabilityAction};
 use mind_obs::{EventKind, TraceBuf};
+use mind_sim::spare::{rebuild, reuse};
 use mind_sim::stats::Metrics;
 use mind_sim::SimTime;
 
+use crate::cluster::MindConfig;
 use crate::directory::{DirEntry, MsiState, RegionDirectory};
 use crate::protect::{Pdid, ProtectionTable};
 use crate::stt::{FetchSource, InvalScope, Protocol, Role, SttRow, SttTable};
@@ -324,67 +326,43 @@ pub struct CoherenceEngine {
 }
 
 impl CoherenceEngine {
-    /// Builds the engine for a rack.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        n_compute: u16,
-        n_memory: u16,
-        cache_pages: u32,
-        blade_span: u64,
-        memory_blade_bytes: u64,
-        dir_capacity: usize,
-        initial_region_log2: u8,
-        tcam_capacity: usize,
-        lat: LatencyConfig,
-        cfg: CoherenceConfig,
-    ) -> Self {
-        let dir_capacity = if cfg.consistency.infinite_directory() {
+    /// Builds the engine for a rack, tracing as `cfg.trace` says.
+    pub fn new(cfg: &MindConfig) -> Self {
+        Self::build(cfg, None)
+    }
+
+    /// [`CoherenceEngine::new`], in a spare's tables, caches and queues.
+    pub(crate) fn build(cfg: &MindConfig, spare: Option<Self>) -> Self {
+        let dir_capacity = if cfg.coherence.consistency.infinite_directory() {
             mind_switch::sram::UNBOUNDED_SLOTS
         } else {
-            dir_capacity
+            cfg.dir_capacity
+        };
+        let (n_compute, n_memory) = (cfg.n_compute as usize, cfg.n_memory as usize);
+        let (fabric, dir, translation, protection, caches, queues, memory, failed, pso) = match spare {
+            Some(e) => (Some(e.fabric), Some(e.directory), Some(e.translation), Some(e.protection),
+                Some(e.caches), Some(e.inv_queues), Some(e.memory), Some(e.failed), Some(e.pso_buffer)),
+            None => Default::default(),
         };
         CoherenceEngine {
-            cfg,
-            lat,
-            fabric: Fabric::new(n_compute, n_memory, lat),
-            directory: RegionDirectory::new(dir_capacity, initial_region_log2),
-            translation: TranslationTable::new(n_memory, blade_span, tcam_capacity),
-            protection: ProtectionTable::new(tcam_capacity),
-            caches: (0..n_compute)
-                .map(|_| DramCache::new(cache_pages))
-                .collect(),
-            inv_queues: (0..n_compute).map(|_| InvalidationQueue::new()).collect(),
-            memory: (0..n_memory)
-                .map(|_| MemoryBlade::new(memory_blade_bytes))
-                .collect(),
-            failed: vec![false; n_compute as usize],
-            pso_buffer: (0..n_compute)
-                .map(|_| std::collections::VecDeque::new())
-                .collect(),
-            stt: SttTable::new(cfg.protocol),
-            acks: AckTracker::new(cfg.ack_timeout, cfg.max_retries),
+            cfg: cfg.coherence,
+            lat: cfg.latency,
+            fabric: Fabric::build(cfg.n_compute, cfg.n_memory, cfg.latency, fabric),
+            directory: RegionDirectory::build(dir_capacity, cfg.split.initial_region_log2, dir),
+            translation: TranslationTable::build(cfg.n_memory, cfg.blade_span, cfg.rule_capacity, translation),
+            protection: ProtectionTable::build(cfg.rule_capacity, protection),
+            caches: rebuild(caches, n_compute, |c| DramCache::build(cfg.cache_pages, c)),
+            inv_queues: rebuild(queues, n_compute, |_| InvalidationQueue::default()),
+            memory: rebuild(memory, n_memory, |_| MemoryBlade::new(cfg.memory_blade_bytes)),
+            failed: rebuild(failed, n_compute, |_| false),
+            pso_buffer: rebuild(pso, n_compute, reuse),
+            stt: SttTable::new(cfg.coherence.protocol),
+            acks: AckTracker::new(cfg.coherence.ack_timeout, cfg.coherence.max_retries),
             ctrs: Counters::default(),
             deliveries_scratch: Vec::new(),
             inval_scratch: InvalidationOutcome::default(),
-            trace: TraceBuf::disabled(),
+            trace: TraceBuf::new(cfg.trace),
         }
-    }
-
-    /// The engine as [`CoherenceEngine::new`] built it, with `trace`
-    /// installed, keeping every table's, queue's and blade's storage.
-    pub(crate) fn reset(&mut self, trace: TraceBuf) {
-        self.fabric.clear();
-        self.directory.reset();
-        self.translation.reset();
-        self.protection.reset();
-        self.caches.iter_mut().for_each(DramCache::clear);
-        self.inv_queues.fill(InvalidationQueue::new());
-        self.memory.iter_mut().for_each(MemoryBlade::clear);
-        self.failed.fill(false);
-        self.pso_buffer.iter_mut().for_each(std::collections::VecDeque::clear);
-        self.acks.clear();
-        self.ctrs = Counters::default();
-        self.trace = trace;
     }
 
     /// Extracts the recorded trace, leaving the sink live (`None` when
@@ -473,7 +451,7 @@ impl CoherenceEngine {
     /// its cache contents are lost (fault-injection hook, §4.4).
     pub fn fail_blade(&mut self, blade: u16) {
         self.failed[blade as usize] = true;
-        self.caches[blade as usize].clear();
+        self.caches[blade as usize] = DramCache::new(self.cache(blade).capacity_pages());
     }
 
     /// Performs one memory access. This is the full MIND data path — the

@@ -13,6 +13,7 @@
 //! round-robin (the paper does not innovate on scheduling, §6.1).
 
 use mind_sim::slab::IdSlab;
+use mind_sim::spare::reuse;
 use mind_sim::SimTime;
 use mind_switch::control::ControlPlane;
 
@@ -127,26 +128,19 @@ pub struct Controller {
 }
 
 impl Controller {
-    /// Creates a controller for a rack with `n_compute` compute blades and
-    /// `n_memory` memory blades of `blade_span` VA bytes each.
-    pub fn new(n_compute: u16, n_memory: u16, blade_span: u64) -> Self {
+    /// A controller for a rack with `n_compute` compute blades and
+    /// `n_memory` memory blades of `blade_span` VA bytes each, in a spare's
+    /// tables when there is one.
+    pub fn build(n_compute: u16, n_memory: u16, blade_span: u64, spare: Option<Self>) -> Self {
+        let (galloc, processes) = spare.map(|c| (c.galloc, c.processes)).unzip();
         Controller {
-            galloc: GlobalAllocator::new(n_memory, blade_span),
-            processes: IdSlab::default(),
+            galloc: GlobalAllocator::build(n_memory, blade_span, galloc),
+            processes: reuse(processes),
             control: ControlPlane::default(),
             rr_next_blade: 0,
             n_compute,
             spare_blades: Vec::new(),
         }
-    }
-
-    /// Forgets every process and allocation and restarts the control plane,
-    /// keeping the tables' (and the spare lists') storage: the next pid is 1.
-    pub(crate) fn reset(&mut self) {
-        self.galloc.reset();
-        self.processes.clear();
-        self.rr_next_blade = 0;
-        self.control = ControlPlane::default();
     }
 
     /// `exec`: creates a process; the PID doubles as its protection domain.
@@ -159,10 +153,11 @@ impl Controller {
     }
 
     /// Places a new thread of `pid` on a compute blade, round-robin (§6.1).
+    /// A refused placement leaves the round-robin cursor where it was.
     pub fn place_thread(&mut self, pid: Pid) -> Result<u16, SysError> {
-        let blade = self.rr_next_blade;
-        self.rr_next_blade = (self.rr_next_blade + 1) % self.n_compute;
         let p = self.processes.get_mut(slot(pid)).ok_or(SysError::NoProcess)?;
+        let blade = self.rr_next_blade;
+        self.rr_next_blade = (blade + 1) % self.n_compute;
         p.blades.push(blade);
         Ok(blade)
     }
@@ -345,18 +340,19 @@ impl Controller {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use mind_net::link::LatencyConfig;
 
-    use crate::coherence::CoherenceConfig;
+    use crate::cluster::MindConfig;
     use crate::system::AccessKind;
 
     /// A controller and engine over `n_compute` compute blades and
     /// `n_memory` memory blades of `span` bytes, with `slots` directory
     /// slots and as many TCAM rows.
     pub(crate) fn rig(n_compute: u16, n_memory: u16, span: u64, slots: usize) -> (Controller, CoherenceEngine) {
-        let (lat, cfg) = (LatencyConfig::default(), CoherenceConfig::default());
-        let engine = CoherenceEngine::new(n_compute, n_memory, 1024, span, span, slots, 14, slots, lat, cfg);
-        (Controller::new(n_compute, n_memory, span), engine)
+        let cfg = MindConfig {
+            n_compute, n_memory, cache_pages: 1024, blade_span: span, memory_blade_bytes: span,
+            dir_capacity: slots, rule_capacity: slots, ..Default::default()
+        };
+        (Controller::build(n_compute, n_memory, span, None), CoherenceEngine::new(&cfg))
     }
 
     fn setup() -> (Controller, CoherenceEngine) {
@@ -379,7 +375,9 @@ pub(crate) mod tests {
         let pid = ctl.exec();
         let blades: Vec<u16> = (0..6).map(|_| ctl.place_thread(pid).unwrap()).collect();
         assert_eq!(blades, vec![0, 1, 2, 3, 0, 1]);
-        assert!(ctl.place_thread(999).is_err());
+        // A refused placement leaves the cursor on blade 2.
+        assert_eq!(ctl.place_thread(999), Err(SysError::NoProcess));
+        assert_eq!(ctl.place_thread(pid), Ok(2));
     }
 
     #[test]
@@ -424,7 +422,7 @@ pub(crate) mod tests {
         }
         assert_eq!(ctl.allocator().allocated_per_blade()[0], 0);
         // An exhausted slice reports ENOMEM even though other blades fit.
-        let mut small = Controller::new(1, 2, 1 << 16);
+        let mut small = Controller::build(1, 2, 1 << 16, None);
         let pid = small.exec();
         small
             .mmap_in(&mut eng, pid, 1 << 16, PermClass::ReadWrite, 0..1)

@@ -11,6 +11,7 @@
 
 use mind_blade::PAGE_SHIFT;
 use mind_net::node::BladeSet;
+use mind_sim::spare::reuse;
 use mind_sim::SimTime;
 use mind_switch::sram::{reserve_slots, SlotStore, SramFull};
 
@@ -256,33 +257,28 @@ impl RegionDirectory {
     /// Creates a directory with `capacity` SRAM slots and the given initial
     /// region size (16 KB default in MIND, §5).
     pub fn new(capacity: usize, initial_region_log2: u8) -> Self {
+        Self::build(capacity, initial_region_log2, None)
+    }
+
+    /// [`RegionDirectory::new`], in a spare's slot store and work lists.
+    pub(crate) fn build(capacity: usize, initial_region_log2: u8, spare: Option<Self>) -> Self {
         assert!(initial_region_log2 >= PAGE_SHIFT, "region below page size");
+        let (slots, lists) = spare.map(|d| (d.slots, (d.by_count, d.touched))).unzip();
+        let (by_count, touched) = lists.unzip();
         RegionDirectory {
-            slots: SlotStore::new(capacity),
+            slots: SlotStore::build(capacity, slots),
             class_count: [0; 64],
             classes: 0,
-            by_count: Vec::new(),
+            by_count: reuse(by_count),
             pair_head: NO_SLOT,
             memo: [None; MEMO_WAYS],
-            touched: Vec::new(),
+            touched: reuse(touched),
             initial_region_log2,
             generation: 0,
             splits: 0,
             merges: 0,
             forced_merges: 0,
         }
-    }
-
-    /// The directory as [`RegionDirectory::new`] made it, keeping the slot
-    /// store's and the work lists' storage. The stand-in is built at
-    /// capacity 0, so its store reserves nothing; the kept store carries
-    /// the capacity.
-    pub(crate) fn reset(&mut self) {
-        let mut old = std::mem::replace(self, Self::new(0, self.initial_region_log2));
-        old.slots.clear();
-        old.by_count.clear();
-        old.touched.clear();
-        (self.slots, self.by_count, self.touched) = (old.slots, old.by_count, old.touched);
     }
 
     /// Directory entries installed.

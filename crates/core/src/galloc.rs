@@ -15,6 +15,7 @@
 use std::collections::BTreeMap;
 
 use mind_sim::hash::FastMap;
+use mind_sim::spare::{rebuild, reuse};
 
 use crate::addr::{pow2_alloc_size, Vma, VA_BASE};
 
@@ -123,35 +124,23 @@ pub struct GlobalAllocator {
 }
 
 impl GlobalAllocator {
-    /// Creates an allocator over `n_blades` memory blades of `blade_span`
-    /// bytes each. The virtual address space is laid out as
+    /// An allocator over `n_blades` memory blades of `blade_span` bytes
+    /// each, in a spare's blade list and record table when there is one.
+    /// The virtual address space is laid out as
     /// `VA_BASE + blade * blade_span + offset`.
     ///
     /// # Panics
     ///
     /// Panics if `blade_span` is not a power of two (keeps blade-range
     /// translation a single shift/mask, as a switch pipeline requires).
-    pub fn new(n_blades: u16, blade_span: u64) -> Self {
+    pub fn build(n_blades: u16, blade_span: u64, spare: Option<Self>) -> Self {
         assert!(blade_span.is_power_of_two(), "blade span must be pow2");
+        let (blades, allocations) = spare.map(|g| (g.blades, g.allocations)).unzip();
         GlobalAllocator {
-            blades: (0..n_blades)
-                .map(|_| BladeAllocator::new(blade_span))
-                .collect(),
+            blades: rebuild(blades, n_blades as usize, |_| BladeAllocator::new(blade_span)),
             blade_span,
-            allocations: FastMap::default(),
+            allocations: reuse(allocations),
         }
-    }
-
-    /// Frees every allocation, keeping the record table's storage.
-    pub(crate) fn reset(&mut self) {
-        let span = self.blade_span;
-        self.blades.fill_with(|| BladeAllocator::new(span));
-        self.allocations.clear();
-    }
-
-    /// Bytes of virtual address space per blade.
-    pub fn blade_span(&self) -> u64 {
-        self.blade_span
     }
 
     /// Number of memory blades.
@@ -177,7 +166,7 @@ impl GlobalAllocator {
             "blade slice {blades:?} exceeds rack ({} blades)",
             self.n_blades()
         );
-        let size = pow2_alloc_size(len);
+        let size = pow2_alloc_size(len)?;
         // Least-allocated blade first (P2: global view); ties by index for
         // determinism. A blade that cannot fit the request keeps its load,
         // so "the next key above the last one tried" walks the same order a
@@ -305,7 +294,7 @@ mod tests {
 
     #[test]
     fn global_alloc_balances_across_blades() {
-        let mut g = GlobalAllocator::new(4, 1 << 30);
+        let mut g = GlobalAllocator::build(4, 1 << 30, None);
         // 64 equal allocations spread evenly.
         for _ in 0..64 {
             g.alloc(1 << 20).unwrap();
@@ -317,7 +306,7 @@ mod tests {
 
     #[test]
     fn global_alloc_balances_mixed_sizes() {
-        let mut g = GlobalAllocator::new(4, 1 << 30);
+        let mut g = GlobalAllocator::build(4, 1 << 30, None);
         let sizes = [1 << 20, 1 << 24, 1 << 16, 1 << 22, 1 << 24, 1 << 20];
         for (i, &s) in sizes.iter().cycle().take(60).enumerate() {
             let _ = i;
@@ -329,7 +318,7 @@ mod tests {
 
     #[test]
     fn va_layout_is_range_partitioned() {
-        let mut g = GlobalAllocator::new(2, 1 << 30);
+        let mut g = GlobalAllocator::build(2, 1 << 30, None);
         let v1 = g.alloc(4096).unwrap();
         let v2 = g.alloc(4096).unwrap();
         // Balanced placement sends the second allocation to the other blade.
@@ -342,7 +331,7 @@ mod tests {
 
     #[test]
     fn alloc_in_confines_and_balances_within_slice() {
-        let mut g = GlobalAllocator::new(4, 1 << 30);
+        let mut g = GlobalAllocator::build(4, 1 << 30, None);
         // Load blade 2 so the global least-loaded choice would avoid it...
         g.alloc_in(1 << 24, 2..3).unwrap();
         // ...yet slice-confined allocation must stay inside [2, 4) and
@@ -361,13 +350,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "blade slice")]
     fn alloc_in_rejects_out_of_range_slice() {
-        let mut g = GlobalAllocator::new(2, 1 << 20);
+        let mut g = GlobalAllocator::build(2, 1 << 20, None);
         g.alloc_in(4096, 1..3);
     }
 
     #[test]
     fn dealloc_returns_space() {
-        let mut g = GlobalAllocator::new(1, 1 << 20);
+        let mut g = GlobalAllocator::build(1, 1 << 20, None);
         let v = g.alloc(1 << 19).unwrap();
         assert!(g.alloc(1 << 20).is_none(), "not enough room");
         assert!(g.dealloc(v.base));
@@ -377,7 +366,7 @@ mod tests {
 
     #[test]
     fn reserved_size_is_pow2_rounded() {
-        let mut g = GlobalAllocator::new(1, 1 << 30);
+        let mut g = GlobalAllocator::build(1, 1 << 30, None);
         let v = g.alloc(5000).unwrap();
         assert_eq!(v.len, 5000, "vma keeps requested length");
         assert_eq!(g.reserved_size(v.base), Some(8192));
@@ -386,21 +375,21 @@ mod tests {
 
     #[test]
     fn vma_base_is_size_aligned_for_tcam() {
-        let mut g = GlobalAllocator::new(2, 1 << 30);
+        let mut g = GlobalAllocator::build(2, 1 << 30, None);
         for len in [4096u64, 10_000, 1 << 20, 3 << 20] {
             let v = g.alloc(len).unwrap();
-            let size = pow2_alloc_size(len);
+            let size = pow2_alloc_size(len).unwrap();
             assert_eq!(v.base % size, 0, "base aligned to reserved size");
         }
     }
 
     #[test]
     fn allocations_never_overlap() {
-        let mut g = GlobalAllocator::new(2, 1 << 24);
+        let mut g = GlobalAllocator::build(2, 1 << 24, None);
         let mut vmas: Vec<Vma> = Vec::new();
         for len in [4096u64, 8192, 4096, 1 << 20, 9000, 4096, 1 << 16] {
             let v = g.alloc(len).unwrap();
-            let size = pow2_alloc_size(len);
+            let size = pow2_alloc_size(len).unwrap();
             let reserved = Vma::new(v.base, size);
             for prev in &vmas {
                 assert!(!reserved.overlaps(prev), "{reserved:?} vs {prev:?}");

@@ -28,6 +28,7 @@
 
 use std::ops::Range;
 
+use mind_sim::spare::reuse;
 use mind_switch::tcam::{pow2_cover, TcamFull, VA_BITS};
 
 use crate::addr::Vma;
@@ -170,17 +171,16 @@ pub struct ProtectionTable {
 impl ProtectionTable {
     /// Creates a table with `tcam_capacity` entries.
     pub fn new(tcam_capacity: usize) -> Self {
+        Self::build(tcam_capacity, None)
+    }
+
+    /// [`ProtectionTable::new`], in a spare's slab.
+    pub(crate) fn build(tcam_capacity: usize, spare: Option<Self>) -> Self {
         ProtectionTable {
-            rows: Vec::new(),
+            rows: reuse(spare.map(|t| t.rows)),
             capacity: tcam_capacity,
             used: 0,
         }
-    }
-
-    /// Revokes every grant, keeping the slab's storage.
-    pub(crate) fn reset(&mut self) {
-        self.rows.clear();
-        self.used = 0;
     }
 
     /// Grants `pc` to `<pdid, vma>`; splits unaligned vmas into

@@ -121,12 +121,6 @@ impl BoundedSplitting {
         }
     }
 
-    /// Rewinds to before the first epoch, keeping the working sets' storage.
-    pub(crate) fn reset(&mut self) {
-        let old = std::mem::replace(self, BoundedSplitting::new(self.cfg));
-        (self.counters, self.hot, self.candidates) = (old.counters, old.hot, old.candidates);
-    }
-
     /// Configuration in force.
     pub fn config(&self) -> &SplitConfig {
         &self.cfg

@@ -39,17 +39,17 @@ impl TranslationTable {
     /// Creates the table for `n_blades` partitions of `blade_span` bytes,
     /// with `tcam_capacity` outlier entries available.
     pub fn new(n_blades: u16, blade_span: u64, tcam_capacity: usize) -> Self {
+        Self::build(n_blades, blade_span, tcam_capacity, None)
+    }
+
+    /// [`TranslationTable::new`], in a spare's TCAM.
+    pub(crate) fn build(n_blades: u16, blade_span: u64, tcam_capacity: usize, spare: Option<Self>) -> Self {
         assert!(blade_span.is_power_of_two(), "blade span must be pow2");
         TranslationTable {
             n_blades,
             span_log2: blade_span.trailing_zeros(),
-            outliers: Tcam::new(tcam_capacity),
+            outliers: Tcam::build(tcam_capacity, spare.map(|t| t.outliers)),
         }
-    }
-
-    /// Removes every outlier entry, keeping the TCAM's storage.
-    pub(crate) fn reset(&mut self) {
-        self.outliers.clear();
     }
 
     /// Translates a global virtual address to its physical location.

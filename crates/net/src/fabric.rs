@@ -7,6 +7,7 @@
 //! not lead to a blade in the embedded sharer list, so non-sharers consume
 //! no bandwidth (paper §4.3.2).
 
+use mind_sim::spare::rebuild;
 use mind_sim::{SimRng, SimTime};
 
 use crate::link::{LatencyConfig, Link};
@@ -77,47 +78,27 @@ impl Fabric {
     ///
     /// Panics if `n_compute` exceeds [`BladeSet::CAPACITY`].
     pub fn new(n_compute: u16, n_memory: u16, cfg: LatencyConfig) -> Self {
+        Self::build(n_compute, n_memory, cfg, None)
+    }
+
+    /// [`Fabric::new`], in a spare's link tables.
+    pub fn build(n_compute: u16, n_memory: u16, cfg: LatencyConfig, spare: Option<Self>) -> Self {
         assert!(n_compute <= BladeSet::CAPACITY, "too many compute blades");
-        let mk = || NodeLinks {
+        let idle = |_| NodeLinks {
             up: Link::from_config(&cfg),
             down: Link::from_config(&cfg),
         };
+        let (compute, memory) = spare.map(|f| (f.compute, f.memory)).unzip();
         let members: BladeSet = (0..n_compute).collect();
         Fabric {
             cfg,
-            compute: (0..n_compute).map(|_| mk()).collect(),
-            memory: (0..n_memory).map(|_| mk()).collect(),
+            compute: rebuild(compute, n_compute as usize, idle),
+            memory: rebuild(memory, n_memory as usize, idle),
             all_compute_group: MulticastGroup::new(members),
             loss_rate: 0.0,
             loss_rng: SimRng::new(0),
             multicast_pruned: 0,
         }
-    }
-
-    /// Returns the fabric to what [`Fabric::new`] built, keeping its link
-    /// tables: idle links, no loss injection, no pruned copies.
-    pub fn clear(&mut self) {
-        let idle = Link::from_config(&self.cfg);
-        for links in self.compute.iter_mut().chain(&mut self.memory) {
-            (links.up, links.down) = (idle.clone(), idle.clone());
-        }
-        self.set_loss(0.0, 0);
-        self.multicast_pruned = 0;
-    }
-
-    /// The latency configuration in force.
-    pub fn config(&self) -> &LatencyConfig {
-        &self.cfg
-    }
-
-    /// Number of compute blades.
-    pub fn n_compute(&self) -> u16 {
-        self.compute.len() as u16
-    }
-
-    /// Number of memory blades.
-    pub fn n_memory(&self) -> u16 {
-        self.memory.len() as u16
     }
 
     /// Enables random packet loss with probability `rate` (for testing the

@@ -64,14 +64,6 @@ impl AckTracker {
         }
     }
 
-    /// Forgets every round and zeroes the retransmission count, keeping
-    /// the round table's storage: the tracker is as [`AckTracker::new`]
-    /// made it.
-    pub fn clear(&mut self) {
-        self.rounds.clear();
-        (self.next_round, self.retransmissions) = (0, 0);
-    }
-
     /// Begins tracking an invalidation round covering `sharers` for `vaddr`.
     /// Returns the round id carried in the invalidation packets.
     ///

@@ -269,11 +269,6 @@ impl TraceBuf {
         }
     }
 
-    /// A permanently disabled sink.
-    pub fn disabled() -> Self {
-        TraceBuf::default()
-    }
-
     /// Whether this sink records anything. The hot-path gate: call sites
     /// with non-trivial argument computation should branch on this.
     #[inline(always)]

@@ -382,7 +382,7 @@ impl MemoryService {
         // Project the power-of-two extent the allocator will actually
         // reserve, not the raw ask — otherwise the class ceiling can be
         // silently overshot by up to 2x.
-        let footprint_frac = pow2_alloc_size(pages << 12) as f64 / capacity as f64;
+        let footprint_frac = pow2_alloc_size(pages << 12).unwrap_or(u64::MAX) as f64 / capacity as f64;
         if let Err(e) = admission::admit(self.cluster.memory_utilization(), footprint_frac, qos) {
             self.class_rejected_tenants[qos.index()] += 1;
             self.trace_control(now, EventKind::TenantReject, qos.index() as u64, 0);

@@ -19,6 +19,7 @@ pub mod hash;
 pub mod pool;
 pub mod rng;
 pub mod slab;
+pub mod spare;
 pub mod stats;
 pub mod time;
 

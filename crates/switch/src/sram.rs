@@ -10,6 +10,7 @@
 use std::collections::hash_map::Entry;
 
 use mind_sim::hash::FastMap;
+use mind_sim::spare::reuse;
 
 /// Error returned when no SRAM slots remain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,24 +70,19 @@ pub struct SlotStore<T> {
 }
 
 impl<T> SlotStore<T> {
-    /// Creates a store with `capacity` slots, all initially free.
-    pub fn new(capacity: usize) -> Self {
+    /// A store with `capacity` slots, all free, in a spare's slab and map
+    /// when there is one.
+    pub fn build(capacity: usize, spare: Option<Self>) -> Self {
+        let (slots, used_map) = spare.map(|s| (s.slots, s.used_map)).unzip();
+        let mut slots = reuse(slots);
+        slots.reserve_exact(reserved_slots(capacity));
         SlotStore {
-            slots: Vec::with_capacity(reserved_slots(capacity)),
+            slots,
             free_list: Vec::new(),
-            used_map: FastMap::default(),
+            used_map: reuse(used_map),
             capacity,
             high_watermark: 0,
         }
-    }
-
-    /// Frees every slot, keeping the storage: the store is as
-    /// [`SlotStore::new`] made it.
-    pub fn clear(&mut self) {
-        self.slots.clear();
-        self.free_list.clear();
-        self.used_map.clear();
-        self.high_watermark = 0;
     }
 
     /// Total slots.
@@ -231,7 +227,7 @@ mod tests {
 
     #[test]
     fn insert_get_remove_roundtrip() {
-        let mut s = SlotStore::new(4);
+        let mut s = SlotStore::build(4, None);
         s.insert(0x1000, "a").unwrap();
         s.insert(0x2000, "b").unwrap();
         assert_eq!(s.get(0x1000), Some(&"a"));
@@ -244,7 +240,7 @@ mod tests {
 
     #[test]
     fn capacity_exhaustion() {
-        let mut s = SlotStore::new(2);
+        let mut s = SlotStore::build(2, None);
         s.insert(1, ()).unwrap();
         s.insert(2, ()).unwrap();
         assert_eq!(s.insert(3, ()), Err(SramFull));
@@ -256,14 +252,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "already allocated")]
     fn double_insert_panics() {
-        let mut s = SlotStore::new(2);
+        let mut s = SlotStore::build(2, None);
         s.insert(1, ()).unwrap();
         let _ = s.insert(1, ());
     }
 
     #[test]
     fn slots_are_recycled() {
-        let mut s = SlotStore::new(1);
+        let mut s = SlotStore::build(1, None);
         for i in 0..100u64 {
             s.insert(i, i).unwrap();
             assert_eq!(s.remove(i), Some(i));
@@ -274,7 +270,7 @@ mod tests {
 
     #[test]
     fn get_mut_mutates_in_place() {
-        let mut s = SlotStore::new(2);
+        let mut s = SlotStore::build(2, None);
         s.insert(7, 10u32).unwrap();
         *s.get_mut(7).unwrap() += 5;
         assert_eq!(s.get(7), Some(&15));
@@ -283,7 +279,7 @@ mod tests {
 
     #[test]
     fn watermark_and_utilization() {
-        let mut s = SlotStore::new(4);
+        let mut s = SlotStore::build(4, None);
         s.insert(1, ()).unwrap();
         s.insert(2, ()).unwrap();
         s.insert(3, ()).unwrap();
@@ -295,7 +291,7 @@ mod tests {
 
     #[test]
     fn iteration_and_sorted_bases() {
-        let mut s = SlotStore::new(4);
+        let mut s = SlotStore::build(4, None);
         s.insert(0x3000, 3).unwrap();
         s.insert(0x1000, 1).unwrap();
         s.insert(0x2000, 2).unwrap();
@@ -307,21 +303,21 @@ mod tests {
 
     #[test]
     fn filling_to_capacity_never_moves_the_slab() {
-        let mut s = SlotStore::new(200);
+        let mut s = SlotStore::build(200, None);
         let slab = s.slots.as_ptr();
         for base in 0..200u64 {
             s.insert(base, base).unwrap();
             assert_eq!(s.slots.as_ptr(), slab, "moved at slot {base}");
         }
         assert_eq!(s.insert(200, 200), Err(SramFull));
-        s.clear();
+        let mut s = SlotStore::build(200, Some(s));
         s.insert(7, 7).unwrap();
         assert_eq!(s.slots.as_ptr(), slab);
     }
 
     #[test]
     fn an_unbounded_store_reserves_nothing() {
-        let mut s = SlotStore::new(UNBOUNDED_SLOTS);
+        let mut s = SlotStore::build(UNBOUNDED_SLOTS, None);
         assert_eq!(s.slots.capacity(), 0);
         s.insert(1, ()).unwrap();
         assert_eq!(s.free(), UNBOUNDED_SLOTS - 1);
@@ -329,7 +325,7 @@ mod tests {
 
     #[test]
     fn zero_capacity_store() {
-        let mut s: SlotStore<()> = SlotStore::new(0);
+        let mut s: SlotStore<()> = SlotStore::build(0, None);
         assert_eq!(s.insert(1, ()), Err(SramFull));
         assert_eq!(s.utilization(), 0.0);
     }

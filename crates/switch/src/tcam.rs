@@ -11,6 +11,7 @@
 //! allocating power-of-two aligned vmas and coalescing buddies.
 
 use mind_sim::hash::FastMap;
+use mind_sim::spare::{rebuild, reuse};
 
 /// Number of virtual-address bits the TCAM matches (48-bit canonical VAs).
 pub const VA_BITS: u8 = 48;
@@ -108,19 +109,17 @@ impl std::error::Error for TcamFull {}
 impl<V> Tcam<V> {
     /// Creates a TCAM holding at most `capacity` entries.
     pub fn new(capacity: usize) -> Self {
+        Self::build(capacity, None)
+    }
+
+    /// [`Tcam::new`], in a spare's level tables.
+    pub fn build(capacity: usize, spare: Option<Self>) -> Self {
         Tcam {
-            levels: (0..=VA_BITS).map(|_| FastMap::default()).collect(),
+            levels: rebuild(spare.map(|t| t.levels), VA_BITS as usize + 1, reuse),
             populated: 0,
             capacity,
             used: 0,
         }
-    }
-
-    /// Removes every entry, keeping each level's storage: the TCAM is as
-    /// [`Tcam::new`] made it.
-    pub fn clear(&mut self) {
-        self.levels.iter_mut().for_each(FastMap::clear);
-        (self.populated, self.used) = (0, 0);
     }
 
     /// Entries currently installed.

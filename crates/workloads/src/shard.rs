@@ -17,12 +17,12 @@
 //! so nothing ever synchronizes them. Lanes — the calling thread plus
 //! `lanes − 1` scoped threads ([`mind_sim::pool::run_lanes`]) — *claim*
 //! shard indices from a shared cursor; each lane **builds one rack at its
-//! first claim and resets it for every later one** ([`MindCluster::reset`]
-//! keeps the tables' storage), fills it with the claimed shard, replays it
-//! to completion, and folds its report into the one running report before
-//! claiming the next index. Each lane holds one rack and nothing else, so
-//! peak memory is O(lanes × one shard), not O(all shards): the property
-//! that makes 10⁶-tenant scenarios affordable.
+//! first claim and rebuilds it for every later one** ([`MindCluster::reset`]
+//! runs the constructor in the old rack's storage), fills it with the
+//! claimed shard, replays it to completion, and folds its report into the
+//! one running report before claiming the next index. Each lane holds one
+//! rack and nothing else, so peak memory is O(lanes × one shard), not
+//! O(all shards): the property that makes 10⁶-tenant scenarios affordable.
 //!
 //! Lanes fold reports **in completion order**, and that order is free:
 //! every fold is a sum, a max or a bucket-wise add, so it commutes, and
@@ -252,7 +252,7 @@ fn blades_of(slice: &MindConfig, p: u16) -> (Range<u16>, Range<u16>) {
 /// partition, one process, threads pinned to its compute slice, regions
 /// `mmap_in`-confined to its memory slice), checks confinement, and hands
 /// rack and partition workloads to a [`Replay`]. Rack and replay are
-/// `lane`'s, reset, or new ones when it holds none. The report's trace, if
+/// `lane`'s, rebuilt, or new ones when it holds none. The report's trace, if
 /// any, carries this group's *local* lane indices.
 ///
 /// # Errors
@@ -277,11 +277,11 @@ fn replay_group(
             return Err(ShardError::ZeroThreadsPerBlade);
         }
         let slice = cfg.try_partition(partitions)?;
-        if let Some((cluster, _)) = lane {
-            cluster.reset();
-        }
-        let (cluster, replay) =
-            lane.get_or_insert_with(|| (MindCluster::new(cfg), Replay::new(run)));
+        let next = match lane.take() {
+            Some((cluster, replay)) => (cluster.reset(), replay),
+            None => (MindCluster::new(cfg), Replay::new(run)),
+        };
+        let (cluster, replay) = lane.insert(next);
         let mut workloads = Vec::with_capacity(partitions as usize);
         let mut sources = Vec::new();
         let mut all_bases = Vec::with_capacity(partitions as usize);
@@ -433,7 +433,7 @@ fn run_shard_on(
 /// result renders the same bytes at every lane count.
 ///
 /// Lanes claim shard indices from a shared cursor. A lane builds one rack
-/// at its first claim and resets it for every later one, fills it with
+/// at its first claim and rebuilds it for every later one, fills it with
 /// the claimed shard, runs it to completion, and folds the finished
 /// report into the one merged report as soon as it finishes — so peak
 /// memory is O(lanes × one shard), never O(shards), and no

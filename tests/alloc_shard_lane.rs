@@ -39,8 +39,9 @@ fn a_shard_after_the_first_reuses_the_lanes_rack() {
     // then differ by six shards on a warm lane.
     lane_run(2);
     let per_shard = (lane_run(8) - lane_run(2)) / 6;
-    // A lane that builds a new rack and replay per shard makes 97
-    // allocations per shard here; one that resets them makes 25: the
-    // shard's workload, name, pids, region bases and report.
+    // A lane that builds a new rack per shard makes 67 allocations per
+    // shard here, and 74 with a new replay too; one that rebuilds its rack
+    // in the old rack's storage and keeps its replay makes 25: the shard's
+    // workload, name, pids, region bases and report.
     assert!(per_shard <= 25, "each later shard made {per_shard} allocations");
 }

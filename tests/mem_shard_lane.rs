@@ -1,8 +1,9 @@
 //! Memory gate of a shard lane: the heap one worker lane holds at its peak
 //! while it replays every shard of a tenant population. A lane builds one
-//! rack for its first shard and resets it for every later one, and the
-//! streamed merge folds each shard's report as it completes, so the peak
-//! does not depend on how many shards the lane replays.
+//! rack for its first shard and, for every later one, rebuilds it through
+//! the constructor in the old rack's storage, and each finished shard's
+//! report folds into the run's one report, so the peak does not depend on
+//! how many shards the lane replays.
 //!
 //! `mind_obs::mem::live_bytes()` is process-wide, so this is the only test
 //! in its target: a sibling test thread's allocations would land in the

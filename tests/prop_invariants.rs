@@ -38,7 +38,7 @@ proptest! {
     /// byte accounting exact, and frees restore capacity.
     #[test]
     fn allocator_disjoint_and_conserving(ops in prop::collection::vec((0u8..2, 1u64..(1 << 22)), 1..60)) {
-        let mut galloc = GlobalAllocator::new(4, 1 << 26);
+        let mut galloc = GlobalAllocator::build(4, 1 << 26, None);
         let mut live: Vec<(u64, u64)> = Vec::new();
         for (op, len) in ops {
             if op == 0 || live.is_empty() {
