@@ -193,7 +193,6 @@ pub struct MindCluster {
     controller: Controller,
     splitter: BoundedSplitting,
     default_pid: Option<Pid>,
-    clock_high_watermark: SimTime,
     /// The issue streams of the windowed batch in progress, reset for each
     /// one ([`MemorySystem::execute_batch`] at `window > 1`); built by the
     /// first.
@@ -222,7 +221,6 @@ impl MindCluster {
             splitter: BoundedSplitting::new(cfg.split),
             cfg,
             default_pid: None,
-            clock_high_watermark: SimTime::ZERO,
             batch_engine: None,
         }
     }
@@ -444,14 +442,13 @@ impl MindCluster {
 
     // ----- Periodic work & failure hooks -----
 
-    /// Advances the bounded-splitting epoch driver to `now`.
+    /// Runs the bounded-splitting epochs due by `now` (none for a past `now`).
     fn tick(&mut self, now: SimTime) {
-        self.clock_high_watermark = self.clock_high_watermark.max(now);
-        self.splitter
-            .advance_to(self.clock_high_watermark, self.engine.directory_mut());
+        self.splitter.advance_to(now, self.engine.directory_mut());
     }
 
-    /// Injects packet loss into the fabric (exercises §4.4 reliability).
+    /// Injects packet loss into the fabric (exercises the §4.4 ACK timeout,
+    /// retransmission and reset).
     pub fn inject_loss(&mut self, rate: f64, seed: u64) {
         self.engine.fabric_mut().set_loss(rate, seed);
     }
@@ -460,7 +457,7 @@ impl MindCluster {
     /// blade flushes its dirty pages for `[base, base + 2^k)` and the
     /// entry is removed. Returns when the flushes complete.
     pub fn reset_region(&mut self, now: SimTime, base: u64, k: u8) -> SimTime {
-        self.engine.reset_region(now, base, k)
+        self.engine.reset_region(now, base, k).0
     }
 
     /// Fails a compute blade (it stops ACKing invalidations; cache lost).

@@ -38,7 +38,6 @@ use mind_net::fabric::Fabric;
 use mind_net::link::LatencyConfig;
 use mind_net::node::{BladeSet, NodeId};
 use mind_net::packet::{Packet, PacketKind};
-use mind_net::reliability::{AckTracker, ReliabilityAction};
 use mind_obs::{EventKind, TraceBuf};
 use mind_sim::spare::{rebuild, reuse};
 use mind_sim::stats::Metrics;
@@ -142,7 +141,7 @@ impl Default for CoherenceConfig {
 struct InvalRound {
     /// When the last ACK reached the switch.
     done_at: SimTime,
-    /// Dirty pages flushed across victims.
+    /// Dirty pages flushed, by the victims and by the round's reset.
     flushed: u32,
     /// Of those, false invalidations (not the requested page).
     false_inv: u32,
@@ -245,13 +244,16 @@ impl Transition {
     }
 
     /// This plan as a fresh fetch into an empty region: what the §4.4 reset
-    /// leaves the requester once it removed the entry the round ran on.
+    /// leaves the requester once it removed the entry the round ran on and
+    /// flushed every copy, the requester's too. The page comes from memory
+    /// (stale only under rows that leave dirty data, which are sequential).
     fn fresh(self, blade: u16, kind: AccessKind) -> Self {
         let state = match kind {
             AccessKind::Read => MsiState::Shared,
             AccessKind::Write => MsiState::Modified,
         };
         Transition {
+            fetch: Fetch::Memory,
             next: (state, BladeSet::singleton(blade), Some(blade)),
             ..self
         }
@@ -290,6 +292,8 @@ struct Counters {
     resets: u64,
     denials: u64,
     async_writes: u64,
+    /// Invalidations resent to the sharers pending at an ACK timeout (§4.4).
+    retransmissions: u64,
     /// Directory transitions, each one recirculation (Figure 4).
     recirculations: u64,
 }
@@ -314,7 +318,6 @@ pub struct CoherenceEngine {
     pso_buffer: Vec<std::collections::VecDeque<SimTime>>,
     /// The materialized state-transition table in the second MAU (§6.3).
     stt: SttTable,
-    acks: AckTracker,
     ctrs: Counters,
     /// Reusable multicast-delivery buffer for invalidation rounds.
     deliveries_scratch: Vec<(u16, SimTime)>,
@@ -357,7 +360,6 @@ impl CoherenceEngine {
             failed: rebuild(failed, n_compute, |_| false),
             pso_buffer: rebuild(pso, n_compute, reuse),
             stt: SttTable::new(cfg.coherence.protocol),
-            acks: AckTracker::new(cfg.coherence.ack_timeout, cfg.coherence.max_retries),
             ctrs: Counters::default(),
             deliveries_scratch: Vec::new(),
             inval_scratch: InvalidationOutcome::default(),
@@ -615,11 +617,9 @@ impl CoherenceEngine {
 
         // Charge: the invalidation round, and the fetch after its last ACK
         // when the plan is sequential.
-        let round = if plan.victims.is_empty() {
-            InvalRound::default()
-        } else {
-            self.invalidate(t_dir, base, k, &plan, page)
-        };
+        let ran = !plan.victims.is_empty();
+        let round = self.invalidate(t_dir, base, k, &plan, page);
+        let plan = if round.reset { plan.fresh(blade, kind) } else { plan };
         let fetch_at = if plan.sequential { round.done_at } else { t_dir };
         // The requester waits for its data and — under TSO — all ACKs.
         let done = self.fetch(fetch_at, blade, page, plan.fetch)?.max(round.done_at);
@@ -629,21 +629,19 @@ impl CoherenceEngine {
         // recirculated update commits the new state before the data even
         // leaves the memory blade); a transition that issued invalidations
         // holds the entry in a transient state until every ACK arrives
-        // (§4.4). The round's count goes to the region it ran on.
-        let busy = if round.requests > 0 { round.done_at } else { t_dir };
+        // (§4.4), all its copies lost or not. Its count goes to its region.
+        let busy = if ran { round.done_at } else { t_dir };
         let held = if round.reset {
             // The reset removed the entry: the requester fetches into a
             // recreated one, and whatever region now starts at the old
             // base (if any) takes the count.
             let recreated = self.directory.ensure(page).expect("slot freed by reset");
-            plan.fresh(blade, kind).apply(self.directory.entry_at_mut(recreated), busy);
-            if round.requests > 0 {
-                self.directory.record_invalidation(base, round.false_inv);
-            }
+            plan.apply(self.directory.entry_at_mut(recreated), busy);
+            self.directory.record_invalidation(base, round.false_inv);
             recreated.bounds()
         } else {
             plan.apply(self.directory.entry_at_mut(region), busy);
-            if round.requests > 0 {
+            if ran {
                 self.directory.record_invalidation_at(region, round.false_inv);
             }
             (base, k)
@@ -655,15 +653,14 @@ impl CoherenceEngine {
         // Account.
         let ctrs = &mut self.ctrs;
         ctrs.inval_requests += round.requests as u64;
-        ctrs.inval_rounds += (round.requests > 0) as u64;
-        ctrs.flushed_pages += round.flushed as u64;
+        ctrs.inval_rounds += ran as u64;
         ctrs.false_invalidations += round.false_inv as u64;
         if self.trace.enabled() {
             let (requests, flushed) = (round.requests as u64, round.flushed as u64);
             let trace = &mut self.trace;
             let ev = EventKind::DirTransition;
             trace.record(t_dir, blade as u32, ev, SimTime::ZERO, requests, flushed);
-            if requests > 0 {
+            if ran {
                 let wait = round.done_at.saturating_sub(t_dir);
                 let ev = EventKind::Invalidation;
                 trace.record(t_dir, blade as u32, ev, wait, requests, round.false_inv as u64);
@@ -858,9 +855,9 @@ impl CoherenceEngine {
         Ok(arrive)
     }
 
-    /// Runs `plan`'s invalidation round on the region `(base, k)`, with ACK
-    /// tracking, retransmission on loss, and the reset protocol after
-    /// exhausted retries (§4.4).
+    /// Runs `plan`'s invalidation round, if any, on the region `(base, k)`
+    /// (§4.4): it waits for every victim's ACK, retransmits to the pending
+    /// ones at each ACK timeout, and resets after `max_retries` retransmissions.
     fn invalidate(
         &mut self,
         t_switch: SimTime,
@@ -870,7 +867,9 @@ impl CoherenceEngine {
         requested_page: u64,
     ) -> InvalRound {
         let Transition { victims, downgrade, flush, .. } = *plan;
-        debug_assert!(!victims.is_empty());
+        if victims.is_empty() {
+            return InvalRound::default();
+        }
         let mut round = InvalRound::default();
         let inval_bytes = PacketKind::Invalidate {
             region_base: base,
@@ -880,14 +879,12 @@ impl CoherenceEngine {
         }
         .wire_bytes();
 
-        let round_id = self.acks.begin(t_switch, base, victims);
-        let mut pending = victims;
-        let mut t = t_switch;
+        let (mut pending, mut retries, mut t) = (victims, 0, t_switch);
         // Reused across rounds and victims: no per-round allocations on
         // the invalidation hot path.
         let mut deliveries = std::mem::take(&mut self.deliveries_scratch);
         let mut outcome = std::mem::take(&mut self.inval_scratch);
-        while !pending.is_empty() {
+        loop {
             // Multicast to the remaining sharers; egress pruning drops
             // copies for blades outside `pending` (§4.3.2).
             self.fabric
@@ -927,6 +924,7 @@ impl CoherenceEngine {
                         flush_done = flush_done.max(done);
                     }
                     round.flushed += 1;
+                    self.ctrs.flushed_pages += 1;
                     if page != requested_page {
                         round.false_inv += 1;
                     }
@@ -942,10 +940,9 @@ impl CoherenceEngine {
                         flushed_pages: n_flushed,
                     },
                 );
-                let Some(ack_at) = self.fabric.try_send(flush_done, &ack).arrival() else {
+                let Some(ack_at) = self.fabric.try_send(flush_done, &ack) else {
                     continue; // Lost ACK: victim stays pending.
                 };
-                self.acks.ack(round_id, victim);
                 pending.remove(victim);
                 if ack_at >= round.done_at {
                     round.done_at = ack_at;
@@ -956,17 +953,19 @@ impl CoherenceEngine {
             if pending.is_empty() {
                 break;
             }
-            // ACK timeout: the tracker decides between retransmission and
-            // — after the retry budget — the reset protocol (§4.4).
+            // ACK timeout: retransmit to the pending victims, or, once the
+            // retry budget is spent, reset the region as part of this round.
             t += self.cfg.ack_timeout;
-            let actions = self.acks.poll(t);
-            if actions.iter().any(|a| matches!(a, ReliabilityAction::Reset { .. })) {
-                let done = self.reset_region(t, base, k);
+            if retries == self.cfg.max_retries {
+                let (done, flushed) = self.reset_region(t, base, k);
                 round.done_at = round.done_at.max(done);
+                round.flushed += flushed;
                 round.reset = true;
                 self.ctrs.resets += 1;
                 break;
             }
+            retries += 1;
+            self.ctrs.retransmissions += 1;
         }
         self.deliveries_scratch = deliveries;
         self.inval_scratch = outcome;
@@ -974,9 +973,10 @@ impl CoherenceEngine {
     }
 
     /// The reset protocol: force every live blade to flush its data for the
-    /// region and remove the directory entry (§4.4).
-    pub fn reset_region(&mut self, now: SimTime, base: u64, k: u8) -> SimTime {
-        let mut done = now;
+    /// region and remove the directory entry (§4.4). Returns when the
+    /// flushes complete, and how many pages they flushed.
+    pub fn reset_region(&mut self, now: SimTime, base: u64, k: u8) -> (SimTime, u32) {
+        let (mut done, mut flushed) = (now, 0);
         let mut outcome = std::mem::take(&mut self.inval_scratch);
         for b in 0..self.n_compute() {
             if self.failed[b as usize] {
@@ -989,12 +989,13 @@ impl CoherenceEngine {
                     t = fin;
                 }
                 self.ctrs.flushed_pages += 1;
+                flushed += 1;
             }
             done = done.max(t);
         }
         self.inval_scratch = outcome;
         self.directory.remove(base);
-        done
+        (done, flushed)
     }
 
     /// [`CoherenceEngine::reset_region`] on every region overlapping
@@ -1091,7 +1092,7 @@ impl CoherenceEngine {
         m.add("forced_merges", self.directory.forced_merges());
         m.add("pipeline_recirculations", c.recirculations);
         m.add("multicast_pruned", self.fabric.multicast_pruned());
-        m.add("retransmissions", self.acks.retransmissions());
+        m.add("retransmissions", c.retransmissions);
         let tlb: u64 = self.caches.iter().map(|c| c.tlb_shootdowns()).sum();
         m.add("tlb_shootdowns", tlb);
         let evictions: u64 = self.caches.iter().map(|c| c.evictions()).sum();

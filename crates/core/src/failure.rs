@@ -2,11 +2,11 @@
 //!
 //! Three mechanisms cooperate:
 //!
-//! 1. **Communication failures**: ACK/timeout retransmission lives in
-//!    `mind_net::reliability` and is driven by the coherence engine's
-//!    invalidation rounds; after the retry budget a *reset* flushes every
-//!    blade's data for the address and removes the directory entry,
-//!    preventing deadlock when a blade dies mid-transition.
+//! 1. **Communication failures**: each invalidation round of the
+//!    coherence engine waits for its sharers' ACKs and retransmits to the
+//!    ones still pending on timeout; after the retry budget a *reset*
+//!    flushes every blade's data for the address and removes the directory
+//!    entry, preventing deadlock when a blade dies mid-transition.
 //! 2. **Compute-blade failures**: injected via
 //!    [`crate::coherence::CoherenceEngine::fail_blade`]; a failed blade
 //!    stops ACKing, which funnels into the reset path.

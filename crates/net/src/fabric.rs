@@ -14,25 +14,6 @@ use crate::link::{LatencyConfig, Link};
 use crate::node::{BladeSet, NodeId};
 use crate::packet::Packet;
 
-/// Outcome of a (possibly lossy) packet send.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Delivery {
-    /// Arrives at the destination at the given time.
-    Delivered(SimTime),
-    /// Dropped in the fabric (loss injection); never arrives.
-    Lost,
-}
-
-impl Delivery {
-    /// The arrival time, if delivered.
-    pub fn arrival(self) -> Option<SimTime> {
-        match self {
-            Delivery::Delivered(t) => Some(t),
-            Delivery::Lost => None,
-        }
-    }
-}
-
 /// A named multicast group (the rack keeps one for "all compute blades").
 #[derive(Debug, Clone, Default)]
 pub struct MulticastGroup {
@@ -102,7 +83,7 @@ impl Fabric {
     }
 
     /// Enables random packet loss with probability `rate` (for testing the
-    /// §4.4 reliability machinery).
+    /// §4.4 ACK timeout, retransmission and reset).
     pub fn set_loss(&mut self, rate: f64, seed: u64) {
         assert!((0.0..=1.0).contains(&rate), "loss rate out of range");
         self.loss_rate = rate;
@@ -137,28 +118,14 @@ impl Fabric {
     /// packets take one hop. `send` models reliably-connected RDMA
     /// transfers (link-level retransmission is transparent), so it is
     /// exempt from loss injection; use [`Fabric::try_send`] for the
-    /// datagram-style coherence messages §4.4's ACK/timeout machinery
-    /// protects.
+    /// datagram-style coherence messages whose loss §4.4's ACK timeout
+    /// recovers from.
     ///
     /// # Panics
     ///
     /// Panics if an endpoint blade index does not exist in the rack.
     pub fn send(&mut self, now: SimTime, packet: &Packet) -> SimTime {
-        self.deliver(now, packet)
-    }
-
-    /// Like [`Fabric::send`] but subject to loss injection.
-    pub fn try_send(&mut self, now: SimTime, packet: &Packet) -> Delivery {
-        if self.loss_rate > 0.0 && self.loss_rng.gen_bool(self.loss_rate) {
-            return Delivery::Lost;
-        }
-        Delivery::Delivered(self.deliver(now, packet))
-    }
-
-    fn deliver(&mut self, now: SimTime, packet: &Packet) -> SimTime {
         let bytes = packet.wire_bytes();
-        let pipeline = self.cfg.switch_pipeline;
-
         let mut t = now;
         // First hop: src → switch (unless the switch itself originates).
         if packet.src != NodeId::Switch {
@@ -169,7 +136,7 @@ impl Fabric {
         }
         // Pipeline traversal for any packet passing the ASIC.
         if packet.kind.is_data_plane() {
-            t += pipeline;
+            t += self.cfg.switch_pipeline;
         }
         // Second hop: switch → dst (unless destined to the switch).
         if packet.dst != NodeId::Switch {
@@ -179,6 +146,15 @@ impl Fabric {
             t = links.down.transfer(t, bytes);
         }
         t
+    }
+
+    /// Like [`Fabric::send`] but subject to loss injection: the arrival
+    /// time, or `None` when the fabric dropped the packet.
+    pub fn try_send(&mut self, now: SimTime, packet: &Packet) -> Option<SimTime> {
+        if self.loss_rate > 0.0 && self.loss_rng.gen_bool(self.loss_rate) {
+            return None;
+        }
+        Some(self.send(now, packet))
     }
 
     /// Multicasts an invalidation from the switch to the all-compute group,
@@ -320,7 +296,7 @@ mod tests {
         let mut fabric = Fabric::new(1, 1, LatencyConfig::default());
         fabric.set_loss(1.0, 42);
         let pkt = read_req(NodeId::Compute(0), NodeId::Memory(0));
-        assert_eq!(fabric.try_send(SimTime::ZERO, &pkt), Delivery::Lost);
+        assert_eq!(fabric.try_send(SimTime::ZERO, &pkt), None);
     }
 
     #[test]
@@ -329,7 +305,7 @@ mod tests {
         fabric.set_loss(0.25, 7);
         let pkt = read_req(NodeId::Compute(0), NodeId::Memory(0));
         let lost = (0..10_000)
-            .filter(|_| fabric.try_send(SimTime::ZERO, &pkt) == Delivery::Lost)
+            .filter(|_| fabric.try_send(SimTime::ZERO, &pkt).is_none())
             .count();
         let frac = lost as f64 / 10_000.0;
         assert!((frac - 0.25).abs() < 0.03, "loss fraction {frac}");
@@ -337,11 +313,11 @@ mod tests {
 
     #[test]
     fn delivery_arrival_accessor() {
-        assert_eq!(Delivery::Lost.arrival(), None);
-        assert_eq!(
-            Delivery::Delivered(SimTime::from_nanos(5)).arrival(),
-            Some(SimTime::from_nanos(5))
-        );
+        // A delivered packet arrives when the reliable path would deliver it.
+        let pkt = read_req(NodeId::Compute(0), NodeId::Memory(0));
+        let sent = Fabric::new(1, 1, LatencyConfig::default()).send(SimTime::ZERO, &pkt);
+        let mut fabric = Fabric::new(1, 1, LatencyConfig::default());
+        assert_eq!(fabric.try_send(SimTime::ZERO, &pkt), Some(sent));
     }
 
     #[test]

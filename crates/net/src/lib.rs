@@ -6,8 +6,10 @@
 //! RDMA verbs and coherence messages ([`packet`]), links with propagation
 //! latency plus bandwidth-derived serialization and queueing ([`link`]), the
 //! star topology with native multicast and sharer-list egress pruning
-//! ([`fabric`]), and the ACK/timeout/retransmit reliability layer from paper
-//! §4.4 ([`reliability`]).
+//! ([`fabric`]). Coherence messages may be sent lossily
+//! ([`Fabric::try_send`]); the paper §4.4 ACK timeout, retransmission and
+//! reset that recover from a loss belong to the invalidation round that
+//! sent them, in `mind_core::coherence`.
 //!
 //! Latencies are calibrated against the paper's §7.2 measurements via
 //! [`link::LatencyConfig`]: a one-sided RDMA 4 KB page fetch through the
@@ -20,7 +22,6 @@ pub mod fabric;
 pub mod link;
 pub mod node;
 pub mod packet;
-pub mod reliability;
 
 pub use fabric::{Fabric, MulticastGroup};
 pub use link::{LatencyConfig, Link};

@@ -18,26 +18,6 @@ pub enum NodeId {
     Switch,
 }
 
-impl NodeId {
-    /// Whether this is a compute blade.
-    pub fn is_compute(self) -> bool {
-        matches!(self, NodeId::Compute(_))
-    }
-
-    /// Whether this is a memory blade.
-    pub fn is_memory(self) -> bool {
-        matches!(self, NodeId::Memory(_))
-    }
-
-    /// The blade index, if this is a blade.
-    pub fn blade_index(self) -> Option<u16> {
-        match self {
-            NodeId::Compute(i) | NodeId::Memory(i) => Some(i),
-            NodeId::Switch => None,
-        }
-    }
-}
-
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -177,15 +157,6 @@ impl fmt::Display for BladeSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn node_id_classification() {
-        assert!(NodeId::Compute(0).is_compute());
-        assert!(!NodeId::Compute(0).is_memory());
-        assert!(NodeId::Memory(3).is_memory());
-        assert_eq!(NodeId::Memory(3).blade_index(), Some(3));
-        assert_eq!(NodeId::Switch.blade_index(), None);
-    }
 
     #[test]
     fn node_id_display() {

@@ -4,11 +4,22 @@
 
 use mind_core::cluster::{MindCluster, MindConfig};
 use mind_core::coherence::AccessError;
+use mind_core::controller::Pid;
 use mind_core::system::AccessKind;
 use mind_sim::SimTime;
+use mind_workloads::micro::{MicroConfig, MicroWorkload};
+use mind_workloads::runner::{run, RunConfig};
 
 fn ms(n: u64) -> SimTime {
     SimTime::from_millis(n)
+}
+
+/// A small rack of `n_compute` blades with one process and a 64 KiB mapping.
+fn rack(n_compute: u16) -> (MindCluster, Pid, u64) {
+    let mut c = MindCluster::new(MindConfig { n_compute, ..MindConfig::small() });
+    let pid = c.exec().unwrap();
+    let base = c.mmap(pid, 1 << 16).unwrap();
+    (c, pid, base)
 }
 
 #[test]
@@ -44,9 +55,7 @@ fn packet_loss_retransmits_and_completes() {
 
 #[test]
 fn failed_blade_triggers_reset_and_releases_region() {
-    let mut c = MindCluster::new(MindConfig::small());
-    let pid = c.exec().unwrap();
-    let base = c.mmap(pid, 1 << 16).unwrap();
+    let (mut c, pid, base) = rack(2);
     // Blade 1 owns the page dirty, then dies silently.
     c.access_as(ms(1), 1, pid, base, AccessKind::Write).unwrap();
     c.fail_blade(1);
@@ -55,8 +64,9 @@ fn failed_blade_triggers_reset_and_releases_region() {
     let out = c.access_as(ms(2), 0, pid, base, AccessKind::Write).unwrap();
     assert!(out.remote);
     let m = c.metrics_snapshot();
-    assert!(m.get("resets") >= 1, "reset protocol fired");
-    assert!(m.get("retransmissions") >= 1, "retries preceded the reset");
+    assert_eq!(m.get("resets"), 1, "reset protocol fired");
+    let retries = c.config().coherence.max_retries as u64;
+    assert_eq!(m.get("retransmissions"), retries, "the whole retry budget preceded the reset");
     // The failed blade rejects new work.
     assert_eq!(
         c.access_as(ms(3), 1, pid, base, AccessKind::Read)
@@ -69,21 +79,36 @@ fn failed_blade_triggers_reset_and_releases_region() {
 
 #[test]
 fn reset_latency_is_bounded_by_retry_budget() {
-    let mut c = MindCluster::new(MindConfig::small());
-    let pid = c.exec().unwrap();
-    let base = c.mmap(pid, 1 << 16).unwrap();
+    let (mut c, pid, base) = rack(2);
     c.access_as(ms(1), 1, pid, base, AccessKind::Write).unwrap();
     c.fail_blade(1);
     let out = c.access_as(ms(2), 0, pid, base, AccessKind::Write).unwrap();
     // (max_retries + 1) x ack_timeout plus protocol time.
     let cfg = c.config().coherence;
-    let bound = cfg.ack_timeout * (cfg.max_retries as u64 + 2);
+    let round = cfg.ack_timeout * (cfg.max_retries as u64 + 1);
+    let bound = round + cfg.ack_timeout;
     assert!(
         out.latency.total() < bound + SimTime::from_micros(50),
         "reset bounded: {} vs {}",
         out.latency.total(),
         bound
     );
+    assert!(out.latency.total() >= round, "the reset waits out every retry");
+}
+
+#[test]
+fn retransmissions_go_to_pending_sharers_only() {
+    let (mut c, pid, base) = rack(3);
+    c.access_as(ms(1), 1, pid, base, AccessKind::Read).unwrap();
+    c.access_as(ms(2), 2, pid, base, AccessKind::Read).unwrap();
+    c.fail_blade(2);
+    // Both sharers get the first copy and blade 1 ACKs it; every
+    // retransmission goes to blade 2 alone.
+    c.access_as(ms(3), 0, pid, base, AccessKind::Write).unwrap();
+    let m = c.metrics_snapshot();
+    let retries = c.config().coherence.max_retries as u64;
+    assert_eq!(m.get("invalidation_requests"), 2 + retries);
+    assert_eq!(m.get("retransmissions"), retries);
 }
 
 #[test]
@@ -129,9 +154,7 @@ fn failover_mid_write_traffic_stays_coherent() {
 
 #[test]
 fn loss_free_runs_have_no_reliability_activity() {
-    let mut c = MindCluster::new(MindConfig::small());
-    let pid = c.exec().unwrap();
-    let base = c.mmap(pid, 1 << 16).unwrap();
+    let (mut c, pid, base) = rack(2);
     for i in 0..50u64 {
         c.write_bytes(ms(1 + i), (i % 2) as u16, pid, base, &[i as u8])
             .unwrap();
@@ -143,28 +166,71 @@ fn loss_free_runs_have_no_reliability_activity() {
 
 #[test]
 fn a_reset_region_stays_busy_until_its_round_ends() {
-    let mut c = MindCluster::new(MindConfig {
-        n_compute: 3,
-        ..MindConfig::small()
+    // Blade 1's ACK never comes: it dies silently, or the fabric drops
+    // every copy of the round, which then delivers no request at all.
+    for lossy in [false, true] {
+        let (mut c, pid, base) = rack(3);
+        // Blade 1 holds a clean Shared copy. A dirty one would be flushed
+        // by the reset, and that flush's fabric booking would delay the
+        // next access on its own.
+        c.access_as(ms(1), 1, pid, base, AccessKind::Read).unwrap();
+        if lossy {
+            c.inject_loss(1.0, 1);
+        } else {
+            c.fail_blade(1);
+        }
+        // Blade 0's write waits out every retry and ends in the reset.
+        c.access_as(ms(2), 0, pid, base, AccessKind::Write).unwrap();
+        c.inject_loss(0.0, 1);
+        assert_eq!(c.metrics_snapshot().get("invalidation_rounds"), 1, "lossy: {lossy}");
+        // A read just after must queue behind the region the reset recreated.
+        let at = ms(2) + SimTime::from_micros(1);
+        let out = c.access_as(at, 2, pid, base, AccessKind::Read).unwrap();
+        let cfg = c.config().coherence;
+        let round = cfg.ack_timeout * (cfg.max_retries as u64 + 1);
+        assert!(
+            at + out.latency.total() >= ms(2) + round,
+            "lossy: {lossy}: read done at {} before the reset round's {}",
+            at + out.latency.total(),
+            ms(2) + round
+        );
+        if lossy {
+            // The reset flushed the live holder's copy too.
+            let again = c.access_as(ms(3), 1, pid, base, AccessKind::Read).unwrap();
+            assert!(again.remote, "blade 1 kept its copy through the reset");
+        }
+    }
+}
+
+#[test]
+fn a_lossy_run_reports_what_its_metrics_count() {
+    // The fabric drops every copy of blade 0's read round: its reset
+    // flushes blade 1's dirty page, and the read reports that flush.
+    let (mut c, pid, base) = rack(2);
+    c.access_as(ms(1), 1, pid, base, AccessKind::Write).unwrap();
+    c.inject_loss(1.0, 1);
+    let out = c.access_as(ms(2), 0, pid, base, AccessKind::Read).unwrap();
+    assert_eq!((out.flushed_pages, c.metrics_snapshot().get("flushed_pages")), (1, 1));
+    // Write-heavy sharing on a lossy rack: rounds retransmit and some end
+    // in a reset, whose flushes belong to the op whose round reset.
+    let mut c = MindCluster::new(MindConfig::small());
+    c.inject_loss(0.5, 3);
+    let mut wl = MicroWorkload::new(MicroConfig {
+        n_threads: 2,
+        read_ratio: 0.3,
+        sharing_ratio: 0.9,
+        shared_pages: 64,
+        private_pages: 64,
+        seed: 5,
     });
-    let pid = c.exec().unwrap();
-    let base = c.mmap(pid, 1 << 16).unwrap();
-    // Blade 1 holds a clean Shared copy, then dies silently. A dirty one
-    // would be flushed by the reset, and that flush's fabric booking
-    // would delay the next access on its own.
-    c.access_as(ms(1), 1, pid, base, AccessKind::Read).unwrap();
-    c.fail_blade(1);
-    // Blade 0's write waits out every retry and ends in the reset.
-    c.access_as(ms(2), 0, pid, base, AccessKind::Write).unwrap();
-    // A read just after must queue behind the region the reset recreated.
-    let at = ms(2) + SimTime::from_micros(1);
-    let out = c.access_as(at, 2, pid, base, AccessKind::Read).unwrap();
-    let cfg = c.config().coherence;
-    let round = cfg.ack_timeout * (cfg.max_retries as u64 + 1);
-    assert!(
-        at + out.latency.total() >= ms(2) + round,
-        "read done at {} before the reset round's {}",
-        at + out.latency.total(),
-        ms(2) + round
-    );
+    let cfg = RunConfig {
+        ops_per_thread: 2_000,
+        warmup_ops_per_thread: 200,
+        ..Default::default()
+    };
+    let r = run(&mut c, &mut wl, cfg);
+    let w = &r.window_metrics;
+    assert!(w.get("resets") > 0 && w.get("flushed_pages") > 0);
+    assert_eq!(r.flushed_pages, w.get("flushed_pages"));
+    assert_eq!(r.invalidations, w.get("invalidation_requests"));
 }
