@@ -24,6 +24,7 @@ use crate::failure::{switch_failover, FailoverError, FailoverReport};
 use crate::protect::PermClass;
 use crate::split::{BoundedSplitting, SplitConfig};
 use crate::system::{AccessKind, AccessOutcome, ConsistencyModel, MemorySystem, OpBatch};
+use crate::translate::OutlierTarget;
 
 /// Fraction of a workload footprint held in the compute-blade cache when
 /// scaling a rack down (the paper's 512 MB cache / ~2 GB footprint, §7).
@@ -465,10 +466,11 @@ impl MindCluster {
         self.engine.fail_blade(blade);
     }
 
-    /// Fails over to the backup switch (§4.4): replays control-plane state
-    /// and cold-starts coherence; see [`switch_failover`] for the error.
+    /// Fails over to the backup switch (§4.4): cold-starts coherence and
+    /// builds the backup's tables from the control plane's state; see
+    /// [`switch_failover`] for the error.
     pub fn switch_failover(&mut self, now: SimTime) -> Result<FailoverReport, FailoverError> {
-        switch_failover(&mut self.controller, &mut self.engine, now)
+        switch_failover(&self.controller, &mut self.engine, &self.cfg, now)
     }
 
     /// Migrates a previously mmapped vma to a different memory blade,
@@ -479,15 +481,11 @@ impl MindCluster {
         now: SimTime,
         base: u64,
         len: u64,
-        dst_blade: u16,
+        blade: u16,
         pa_base: u64,
     ) -> Result<usize, SysError> {
-        // Flush coherence state so stale copies cannot outlive the move.
-        self.engine.reset_range(now, base, base + len);
-        self.engine
-            .translation
-            .add_outlier(base, len, dst_blade, pa_base)
-            .map_err(|_| SysError::NoMem)
+        let (range, to) = (Vma::new(base, len), OutlierTarget { blade, pa_base });
+        self.controller.migrate(&mut self.engine, now, range, to)
     }
 
     // ----- Reporting -----
@@ -495,14 +493,8 @@ impl MindCluster {
     /// Engine + controller metrics.
     pub fn metrics_snapshot(&self) -> Metrics {
         let mut m = self.engine.metrics();
-        m.add(
-            "syscalls",
-            self.controller.control_plane().syscalls_handled(),
-        );
-        m.add(
-            "rules_installed",
-            self.controller.control_plane().rules_installed(),
-        );
+        m.add("syscalls", self.controller.syscalls);
+        m.add("rules_installed", self.controller.rules_installed);
         m.add("match_action_rules", self.engine.rule_count() as u64);
         m
     }
@@ -1022,6 +1014,25 @@ mod tests {
         assert_eq!(again, base, "the freed extent is handed out again");
         let read = c.read_bytes(SimTime::from_millis(3), 1, pid, again, 5);
         assert_eq!(read.unwrap(), [0; 5]);
+    }
+
+    /// The backup rebuilds translation from the migration log: a migrated
+    /// vma routes and reads after a failover as it did before.
+    #[test]
+    fn a_migration_survives_failover() {
+        let (mut c, pid, base) = functional_cluster();
+        c.migrate(SimTime::ZERO, base, 1 << 16, 1, 1 << 25).unwrap();
+        c.write_bytes(SimTime::from_millis(1), 0, pid, base, b"migrated")
+            .unwrap();
+        let route = |c: &MindCluster, page| c.engine.translation.translate(page);
+        let pages = (base..base + (1 << 20)).step_by(PAGE_SIZE as usize);
+        let before: Vec<_> = pages.clone().map(|p| route(&c, p)).collect();
+        assert_eq!(before[0].map(|pa| pa.blade), Some(1), "migrated");
+        c.switch_failover(SimTime::from_millis(2)).unwrap();
+        let after: Vec<_> = pages.map(|p| route(&c, p)).collect();
+        assert_eq!(after, before);
+        let read = c.read_bytes(SimTime::from_millis(3), 1, pid, base, 8);
+        assert_eq!(read.unwrap(), b"migrated");
     }
 
     #[test]

@@ -229,7 +229,7 @@ impl Transition {
         let next_owner = match row.next {
             MsiState::Modified | MsiState::Exclusive => Some(blade),
             // M→O keeps the *old* owner as the dirty-data supplier.
-            MsiState::Owned => owner.or(entry.owner_blade),
+            MsiState::Owned => owner,
             _ => None,
         };
         Transition {
@@ -248,13 +248,13 @@ impl Transition {
     /// flushed every copy, the requester's too. The page comes from memory
     /// (stale only under rows that leave dirty data, which are sequential).
     fn fresh(self, blade: u16, kind: AccessKind) -> Self {
-        let state = match kind {
-            AccessKind::Read => MsiState::Shared,
-            AccessKind::Write => MsiState::Modified,
+        let (state, owner) = match kind {
+            AccessKind::Read => (MsiState::Shared, None),
+            AccessKind::Write => (MsiState::Modified, Some(blade)),
         };
         Transition {
             fetch: Fetch::Memory,
-            next: (state, BladeSet::singleton(blade), Some(blade)),
+            next: (state, BladeSet::singleton(blade), owner),
             ..self
         }
     }
@@ -1127,7 +1127,9 @@ mod tests {
     /// set over 3 blades (and owner, for Owned) × requester × read/write
     /// × `need_data`. Every applied plan leaves one writer or only
     /// readers, the requester holding the region, no holder dropped
-    /// without an invalidation, and the right owner.
+    /// without an invalidation, and the right owner, stored only where
+    /// the state has one; so does the same plan as the fresh fetch a
+    /// reset leaves its requester.
     #[test]
     fn every_planned_transition_keeps_the_protocol_invariants() {
         let kinds = [AccessKind::Read, AccessKind::Write];
@@ -1181,6 +1183,12 @@ mod tests {
 
                 let mut e = old.clone();
                 plan.apply(&mut e, SimTime::ZERO);
+                assert_eq!(e.owner_blade, e.owner(), "{case}");
+                // The §4.4 reset's fresh fetch, into the region it emptied.
+                let mut fresh = DirEntry::new(16);
+                plan.fresh(blade, kind).apply(&mut fresh, SimTime::ZERO);
+                assert_eq!(fresh.sharers, BladeSet::singleton(blade), "fresh: {case}");
+                assert_eq!(fresh.owner_blade, fresh.owner(), "fresh: {case}");
                 assert!(e.sharers.contains(blade), "requester holds nothing: {case}");
                 let dropped = old.sharers.difference(plan.victims).difference(e.sharers);
                 assert!(dropped.is_empty(), "{dropped:?} dropped uninvalidated: {case}");

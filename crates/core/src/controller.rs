@@ -15,12 +15,12 @@
 use mind_sim::slab::IdSlab;
 use mind_sim::spare::reuse;
 use mind_sim::SimTime;
-use mind_switch::control::ControlPlane;
 
 use crate::addr::Vma;
 use crate::coherence::CoherenceEngine;
 use crate::galloc::GlobalAllocator;
 use crate::protect::{slot, Pdid, PermClass};
+use crate::translate::OutlierTarget;
 
 /// Process identifier. For unmodified applications `PDID = PID` (§4.2).
 /// A pid is its record's id in the process slab plus one ([`slot`] maps
@@ -120,7 +120,13 @@ pub struct Controller {
     galloc: GlobalAllocator,
     /// Live processes, each at its pid's [`slot`].
     processes: IdSlab<Process>,
-    control: ControlPlane,
+    /// The migration log the backup switch rebuilds translation from:
+    /// every migration's outlier entries, in install order.
+    pub(crate) migrations: Vec<(Vma, OutlierTarget)>,
+    /// System calls handled.
+    pub syscalls: u64,
+    /// Data-plane rules installed over PCIe.
+    pub rules_installed: u64,
     rr_next_blade: u16,
     n_compute: u16,
     /// Exited processes' cleared blade lists, for the next `exec`s to reuse.
@@ -136,7 +142,9 @@ impl Controller {
         Controller {
             galloc: GlobalAllocator::build(n_memory, blade_span, galloc),
             processes: reuse(processes),
-            control: ControlPlane::default(),
+            migrations: Vec::new(),
+            syscalls: 0,
+            rules_installed: 0,
             rr_next_blade: 0,
             n_compute,
             spare_blades: Vec::new(),
@@ -146,7 +154,7 @@ impl Controller {
     /// `exec`: creates a process; the PID doubles as its protection domain.
     /// The pid of the process that exited last is issued first.
     pub fn exec(&mut self) -> Pid {
-        self.control.handle_syscall();
+        self.syscalls += 1;
         let blades = self.spare_blades.pop().unwrap_or_default();
         let id = self.processes.insert(Process { blades, ..Process::default() });
         id as Pid + 1
@@ -201,7 +209,7 @@ impl Controller {
         pc: PermClass,
         blades: std::ops::Range<u16>,
     ) -> Result<Vma, SysError> {
-        self.control.handle_syscall();
+        self.syscalls += 1;
         if self.processes.get(slot(pid)).is_none() {
             return Err(SysError::NoProcess);
         }
@@ -216,7 +224,7 @@ impl Controller {
             self.galloc.dealloc(vma.base);
             return Err(SysError::NoMem);
         }
-        self.control.install_rule();
+        self.rules_installed += 1;
         self.processes
             .get_mut(slot(pid))
             .expect("checked above")
@@ -233,7 +241,7 @@ impl Controller {
         pid: Pid,
         base: u64,
     ) -> Result<(), SysError> {
-        self.control.handle_syscall();
+        self.syscalls += 1;
         let p = self.processes.get_mut(slot(pid)).ok_or(SysError::NoProcess)?;
         if !p.unmap(base) {
             return Err(SysError::Fault);
@@ -241,7 +249,6 @@ impl Controller {
         let reserved_len = self.galloc.reserved_size(base).ok_or(SysError::Fault)?;
         let reserved = Vma::new(base, reserved_len);
         engine.protection.revoke(pid, reserved);
-        self.control.remove_rule();
         // Tear down directory entries covering the vma, flushing caches.
         engine.reset_range(now, reserved.base, reserved.end());
         self.galloc.dealloc(base);
@@ -262,7 +269,7 @@ impl Controller {
         base: u64,
         pc: PermClass,
     ) -> Result<(), SysError> {
-        self.control.handle_syscall();
+        self.syscalls += 1;
         if self.processes.get(slot(pid)).is_none() {
             return Err(SysError::NoProcess);
         }
@@ -273,7 +280,7 @@ impl Controller {
             .protection
             .grant(pid, reserved, pc)
             .map_err(|_| SysError::NoMem)?;
-        self.control.install_rule();
+        self.rules_installed += 1;
         engine.reset_range(now, reserved.base, reserved.end());
         if let Some(m) = self.processes.get_mut(slot(pid)).and_then(|p| p.mapping_mut(base)) {
             m.pc = pc;
@@ -288,7 +295,7 @@ impl Controller {
         now: SimTime,
         pid: Pid,
     ) -> Result<(), SysError> {
-        self.control.handle_syscall();
+        self.syscalls += 1;
         loop {
             let p = self.processes.get(slot(pid)).ok_or(SysError::NoProcess)?;
             let Some(oldest) = p.first else { break };
@@ -310,14 +317,24 @@ impl Controller {
         &self.galloc
     }
 
-    /// The control-plane CPU model.
-    pub fn control_plane(&self) -> &ControlPlane {
-        &self.control
-    }
-
-    /// Mutable control-plane access (replication driver).
-    pub fn control_plane_mut(&mut self) -> &mut ControlPlane {
-        &mut self.control
+    /// Migrates `range` to memory blade `to.blade` at physical offset
+    /// `to.pa_base`: tears down its coherence state so no stale copy
+    /// outlives the move, installs outlier translation entries (§4.1), and
+    /// logs the move. Returns the entries installed.
+    pub fn migrate(
+        &mut self,
+        engine: &mut CoherenceEngine,
+        now: SimTime,
+        range: Vma,
+        to: OutlierTarget,
+    ) -> Result<usize, SysError> {
+        engine.reset_range(now, range.base, range.end());
+        let pieces = engine
+            .translation
+            .add_outlier(range.base, range.len, to.blade, to.pa_base)
+            .map_err(|_| SysError::NoMem)?;
+        self.migrations.push((range, to));
+        Ok(pieces)
     }
 
     /// The grant log the backup switch reconstructs protection from: every
@@ -347,16 +364,17 @@ pub(crate) mod tests {
     /// A controller and engine over `n_compute` compute blades and
     /// `n_memory` memory blades of `span` bytes, with `slots` directory
     /// slots and as many TCAM rows.
-    pub(crate) fn rig(n_compute: u16, n_memory: u16, span: u64, slots: usize) -> (Controller, CoherenceEngine) {
+    pub(crate) fn rig(n_compute: u16, n_memory: u16, span: u64, slots: usize) -> (Controller, CoherenceEngine, MindConfig) {
         let cfg = MindConfig {
             n_compute, n_memory, cache_pages: 1024, blade_span: span, memory_blade_bytes: span,
             dir_capacity: slots, rule_capacity: slots, ..Default::default()
         };
-        (Controller::build(n_compute, n_memory, span, None), CoherenceEngine::new(&cfg))
+        (Controller::build(n_compute, n_memory, span, None), CoherenceEngine::new(&cfg), cfg)
     }
 
     fn setup() -> (Controller, CoherenceEngine) {
-        rig(4, 2, 1 << 30, 1000)
+        let (ctl, eng, _) = rig(4, 2, 1 << 30, 1000);
+        (ctl, eng)
     }
 
     #[test]
@@ -366,7 +384,7 @@ pub(crate) mod tests {
         let b = ctl.exec();
         assert_ne!(a, b);
         assert_eq!(ctl.processes.iter().count(), 2);
-        assert_eq!(ctl.control_plane().syscalls_handled(), 2);
+        assert_eq!(ctl.syscalls, 2);
     }
 
     #[test]
@@ -527,7 +545,7 @@ pub(crate) mod tests {
 
     #[test]
     fn enomem_when_memory_exhausted() {
-        let (mut ctl, mut eng) = rig(1, 1, 1 << 16, 100);
+        let (mut ctl, mut eng, _) = rig(1, 1, 1 << 16, 100);
         let pid = ctl.exec();
         assert!(ctl
             .mmap(&mut eng, pid, 1 << 16, PermClass::ReadWrite)

@@ -10,34 +10,34 @@
 //! 2. **Compute-blade failures**: injected via
 //!    [`crate::coherence::CoherenceEngine::fail_blade`]; a failed blade
 //!    stops ACKing, which funnels into the reset path.
-//! 3. **Switch failures**: the control plane replicates to a backup switch;
-//!    on failover the data plane is *reconstructed from control-plane
-//!    state* — translation and protection rules are replayed from the grant
-//!    log, while coherence state restarts cold (all blades flush, directory
-//!    empty). Control-plane state changes only on metadata operations, so
-//!    replication overhead is minimal.
+//! 3. **Switch failures**: every control-plane mutation reaches the
+//!    backup switch as it happens (control-plane state changes only on
+//!    metadata operations, so this costs little). On failover the backup's
+//!    data plane is *built from control-plane state*: protection from the
+//!    grant log and translation from the migration log, while coherence
+//!    restarts cold (all blades flush, directory empty).
 //!
-//! This module implements the switch-failover reconstruction and the
-//! plan-level helpers; the engine hooks are exercised in
-//! `tests/integration_failures.rs`.
+//! This module implements the switch-failover reconstruction; the engine
+//! hooks are exercised in `tests/integration_failures.rs`.
 
 use mind_sim::SimTime;
 
+use crate::addr::VA_BASE;
+use crate::cluster::MindConfig;
 use crate::coherence::CoherenceEngine;
 use crate::controller::Controller;
+use crate::protect::ProtectionTable;
+use crate::translate::TranslationTable;
 
 /// Outcome of a switch failover.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FailoverReport {
-    /// Protection/translation rules replayed into the backup's data plane.
+    /// Grant and migration records replayed into the backup's tables.
     pub rules_replayed: usize,
     /// Directory entries dropped (coherence restarts cold).
     pub directory_entries_dropped: usize,
     /// Dirty pages flushed by blades during the cold restart.
     pub pages_flushed: u64,
-    /// Whether the backup was current when the primary failed (replication
-    /// lag = 0).
-    pub backup_was_current: bool,
 }
 
 /// Why a switch failover could not rebuild the backup's data plane.
@@ -63,69 +63,60 @@ impl std::fmt::Display for FailoverError {
 
 impl std::error::Error for FailoverError {}
 
-/// Fails over from the primary switch to the backup: replays control-plane
-/// state into a fresh data plane and cold-starts coherence.
+/// Fails over from the primary switch to the backup: cold-starts coherence
+/// and builds the backup's match-action tables from the control plane's
+/// state.
 ///
-/// `engine` is mutated in place to represent the backup switch's data plane
-/// after reconstruction: same translation partition, protection rules
-/// replayed from the controller's grant log, empty directory, and all
-/// compute-blade caches flushed (their dirty data written back so no updates
-/// are lost).
+/// `engine` becomes the backup switch's data plane: every region reset
+/// (its holders flush their dirty data, so no update is lost, and the
+/// directory ends empty), then a new translation table holding the
+/// controller's migration log and a new protection table holding its
+/// grant log, each built from `cfg` in the primary table's storage. A row
+/// the control plane never logged does not reach the backup.
 ///
 /// Returns [`FailoverError::BackupTcamFull`] if the grant log does not fit
-/// the backup's protection TCAM; coherence has then already cold-started
-/// and the grants replayed before the full one stay installed.
+/// the backup's protection TCAM. The log replays in pid order, not in the
+/// order the primary granted it, so coalescing buddies can need a row the
+/// primary never did. Coherence has then cold-started, translation is
+/// rebuilt, and the grants replayed before the full one are installed.
 pub fn switch_failover(
-    controller: &mut Controller,
+    controller: &Controller,
     engine: &mut CoherenceEngine,
+    cfg: &MindConfig,
     now: SimTime,
 ) -> Result<FailoverReport, FailoverError> {
-    let backup_was_current = controller.control_plane().backup_is_current();
-    controller.control_plane_mut().replicate_to_backup();
-
-    // Cold-start coherence: every region entry is dropped after forcing the
-    // blades holding it to flush. Iterate over a snapshot of bases since
-    // reset_region mutates the directory.
-    let bases: Vec<(u64, u8)> = engine
-        .directory()
-        .bases_sorted()
-        .into_iter()
-        .map(|b| {
-            let k = engine
-                .directory()
-                .entry(b)
-                .expect("listed entry exists")
-                .size_log2;
-            (b, k)
-        })
-        .collect();
+    let dropped = engine.directory().entries();
     let flushed_before = engine.flushed_pages();
-    let dropped = bases.len();
-    for (base, k) in bases {
-        engine.reset_region(now, base, k);
-    }
+    // Every region, ascending. The walk steps through untracked space one
+    // smallest region at a time, so it starts where addresses do.
+    engine.reset_range(now, VA_BASE, u64::MAX);
     let pages_flushed = engine.flushed_pages() - flushed_before;
 
-    // Replay protection rules from the replicated grant log. (Translation
-    // needs no replay: the blade-range partition is config, not state.)
-    let mut replayed = 0;
+    // Each table is moved out for its successor's build to take over its
+    // storage; an empty table holds its place meanwhile.
+    let old = std::mem::replace(&mut engine.translation, TranslationTable::new(0, 1, 0));
+    engine.translation =
+        TranslationTable::build(cfg.n_memory, cfg.blade_span, cfg.rule_capacity, Some(old));
+    for &(range, to) in &controller.migrations {
+        // Replayed in install order into a table of the primary's size.
+        engine
+            .translation
+            .add_outlier(range.base, range.len, to.blade, to.pa_base)
+            .expect("the primary's translation table held this log");
+    }
+    let old = std::mem::replace(&mut engine.protection, ProtectionTable::new(0));
+    engine.protection = ProtectionTable::build(cfg.rule_capacity, Some(old));
     for g in controller.grants() {
-        // The grant may target a TCAM that already holds the entry (we reuse
-        // the same engine object as "the backup"); revoke first for
-        // idempotence.
-        engine.protection.revoke(g.pdid, g.vma);
         engine
             .protection
             .grant(g.pdid, g.vma, g.pc)
             .map_err(|_| FailoverError::BackupTcamFull)?;
-        replayed += 1;
     }
 
     Ok(FailoverReport {
-        rules_replayed: replayed,
+        rules_replayed: controller.grants().count() + controller.migrations.len(),
         directory_entries_dropped: dropped,
         pages_flushed,
-        backup_was_current,
     })
 }
 
@@ -138,13 +129,13 @@ mod tests {
     use crate::protect::PermClass;
     use crate::system::AccessKind;
 
-    fn setup() -> (Controller, CoherenceEngine) {
+    fn setup() -> (Controller, CoherenceEngine, MindConfig) {
         rig(2, 2, 1 << 30, 1000)
     }
 
     #[test]
     fn failover_preserves_protection_and_drops_directory() {
-        let (mut ctl, mut eng) = setup();
+        let (mut ctl, mut eng, cfg) = setup();
         let pid = ctl.exec();
         let vma = ctl
             .mmap(&mut eng, pid, 1 << 16, PermClass::ReadWrite)
@@ -154,7 +145,7 @@ mod tests {
             .unwrap();
         assert!(eng.directory().entries() > 0);
 
-        let report = switch_failover(&mut ctl, &mut eng, SimTime::from_millis(5)).unwrap();
+        let report = switch_failover(&ctl, &mut eng, &cfg, SimTime::from_millis(5)).unwrap();
         assert_eq!(report.rules_replayed, 1);
         assert!(report.directory_entries_dropped >= 1);
         assert_eq!(report.pages_flushed, 1, "dirty page not lost");
@@ -169,48 +160,52 @@ mod tests {
     }
 
     #[test]
-    fn failover_reports_replication_lag() {
-        let (mut ctl, mut eng) = setup();
-        let pid = ctl.exec();
-        // Replicate, then mutate: backup is stale at failure time.
-        ctl.control_plane_mut().replicate_to_backup();
-        ctl.mmap(&mut eng, pid, 4096, PermClass::ReadOnly).unwrap();
-        let report = switch_failover(&mut ctl, &mut eng, SimTime::ZERO).unwrap();
-        assert!(!report.backup_was_current);
-        // A second failover right after is current.
-        let report2 = switch_failover(&mut ctl, &mut eng, SimTime::ZERO).unwrap();
-        assert!(report2.backup_was_current);
-    }
-
-    #[test]
     fn failover_on_idle_system_is_trivial() {
-        let (mut ctl, mut eng) = setup();
-        let report = switch_failover(&mut ctl, &mut eng, SimTime::ZERO).unwrap();
+        let (ctl, mut eng, cfg) = setup();
+        let report = switch_failover(&ctl, &mut eng, &cfg, SimTime::ZERO).unwrap();
         assert_eq!(report.rules_replayed, 0);
         assert_eq!(report.directory_entries_dropped, 0);
         assert_eq!(report.pages_flushed, 0);
     }
 
+    /// A row granted on the primary's table behind the control plane's
+    /// back has no log record, so the backup never holds it.
     #[test]
-    fn a_grant_log_the_backup_tcam_cannot_hold_is_an_error() {
-        let (mut ctl, mut eng) = setup();
+    fn the_backup_holds_exactly_the_log() {
+        let (mut ctl, mut eng, cfg) = setup();
         let pid = ctl.exec();
         ctl.mmap(&mut eng, pid, 1 << 16, PermClass::ReadWrite)
             .unwrap();
-        // The data plane lost the logged grant, and other domains' rows
-        // took every TCAM row it held.
         let logged = ctl.grants().next().unwrap();
-        eng.protection.revoke(pid, logged.vma);
-        let mut other = pid + 1;
-        while eng
-            .protection
-            .grant(other, logged.vma, PermClass::ReadOnly)
-            .is_ok()
-        {
-            other += 1;
+        eng.protection
+            .grant(pid + 1, logged.vma, PermClass::ReadOnly)
+            .unwrap();
+        switch_failover(&ctl, &mut eng, &cfg, SimTime::ZERO).unwrap();
+        let base = logged.vma.base;
+        let foreign = eng.protection.check(pid + 1, base, AccessKind::Read);
+        assert!(!foreign, "unlogged row kept");
+        assert!(eng.protection.check(pid, base, AccessKind::Write));
+        assert_eq!(eng.protection.rule_count(), 1);
+    }
+
+    /// The second process's two buddy vmas coalesced into one row before
+    /// the first process took the TCAM's other row, so the primary never
+    /// needed a third. The backup replays the first process's grant first,
+    /// and the second buddy then needs a third row before it coalesces.
+    #[test]
+    fn a_grant_log_the_backup_tcam_cannot_hold_is_an_error() {
+        let (mut ctl, mut eng, cfg) = rig(1, 1, 1 << 20, 2);
+        let (first, second) = (ctl.exec(), ctl.exec());
+        for _ in 0..2 {
+            ctl.mmap(&mut eng, second, 4096, PermClass::ReadWrite)
+                .unwrap();
         }
+        assert_eq!(eng.protection.rule_count(), 1, "buddies coalesce");
+        ctl.mmap(&mut eng, first, 4096, PermClass::ReadWrite)
+            .unwrap();
+        assert_eq!(eng.protection.rule_count(), 2, "the primary is full");
         assert_eq!(
-            switch_failover(&mut ctl, &mut eng, SimTime::ZERO),
+            switch_failover(&ctl, &mut eng, &cfg, SimTime::ZERO),
             Err(FailoverError::BackupTcamFull)
         );
     }

@@ -3,12 +3,13 @@
 //! Models the resource-constrained substrate that MIND's in-network memory
 //! management must fit into (paper §2.1, §6.3): a TCAM supporting
 //! longest-prefix-match over power-of-two ranges with a hard entry capacity
-//! ([`tcam`]), SRAM partitioned into fixed-size directory slots with a free
-//! list ([`sram`]), and a control-plane CPU that installs rules and can
-//! replicate its state to a backup switch ([`control`]). The match-action
-//! pipeline is not modelled here: its one effect, the fixed delay and count
-//! of a directory transition's recirculation (Figure 4), is charged by
-//! `mind-core`'s coherence engine.
+//! ([`tcam`]) and SRAM partitioned into fixed-size directory slots with a
+//! free list ([`sram`]). The control program on the switch CPU, which
+//! installs rules and keeps the state a backup switch is built from, is
+//! `mind-core`'s controller. The match-action pipeline is not modelled
+//! here: its one effect, the fixed delay and count of a directory
+//! transition's recirculation (Figure 4), is charged by `mind-core`'s
+//! coherence engine.
 //!
 //! The crate deliberately contains *mechanism only*; MIND's policies
 //! (translation layout, protection classes, the MSI protocol, bounded
@@ -18,10 +19,8 @@
 
 #![forbid(unsafe_code)]
 
-pub mod control;
 pub mod sram;
 pub mod tcam;
 
-pub use control::ControlPlane;
 pub use sram::SlotStore;
 pub use tcam::{pow2_cover, Tcam, TcamEntry};

@@ -10,9 +10,9 @@
 //! | [`sim`] | §7 methodology | deterministic event loop, RNG, stats |
 //! | [`obs`] | §7 methodology | deterministic tracing, windowed telemetry, wall-clock profiling |
 //! | [`net`] | §2, §4.4 | rack fabric, links, multicast, loss injection |
-//! | [`switch`] | §2.1, §6.3 | TCAM, SRAM slots, control plane |
+//! | [`switch`] | §2.1, §6.3 | TCAM, SRAM slots |
 //! | [`blade`] | §6.1, §6.2 | compute-blade cache, memory blade |
-//! | [`core`] | §4–§6 | translation, protection, coherence (with §4.4 retransmit and reset), splitting |
+//! | [`core`] | §4–§6 | translation, protection, coherence (with §4.4 retransmit and reset), splitting, the control program and switch failover |
 //! | [`baselines`] | §7 | GAM and FastSwap comparison systems |
 //! | [`workloads`] | §7.1 | TF / GC / MA / MC generators, trace runner |
 //! | [`service`] | beyond the paper | multi-tenant serving: churn, QoS classes, elastic blades, per-tenant SLOs |
