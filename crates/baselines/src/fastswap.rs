@@ -197,14 +197,13 @@ impl MemorySystem for FastSwapSystem {
         self.cfg.n_compute
     }
 
-    fn metrics(&self) -> Metrics {
-        let mut m = Metrics::new();
+    fn metrics_into(&self, m: &mut Metrics) {
+        m.clear();
         m.add("accesses", self.accesses);
         m.add("local_hits", self.local_hits);
         m.add("remote_accesses", self.remote_accesses);
         let evictions: u64 = self.caches.iter().map(|c| c.evictions()).sum();
         m.add("evictions", evictions);
-        m
     }
 
     fn alloc(&mut self, len: u64) -> u64 {

@@ -445,8 +445,8 @@ impl MemorySystem for GamSystem {
         self.cfg.n_compute
     }
 
-    fn metrics(&self) -> Metrics {
-        let mut m = Metrics::new();
+    fn metrics_into(&self, m: &mut Metrics) {
+        m.clear();
         m.add("accesses", self.accesses);
         m.add("local_hits", self.local_hits);
         m.add("remote_accesses", self.remote_accesses);
@@ -456,7 +456,6 @@ impl MemorySystem for GamSystem {
         m.add("directory_entries", self.directory.len() as u64);
         let evictions: u64 = self.caches.iter().map(|c| c.evictions()).sum();
         m.add("evictions", evictions);
-        m
     }
 
     fn alloc(&mut self, len: u64) -> u64 {

@@ -215,11 +215,14 @@ impl MindCluster {
     /// The one body that builds a rack, in the storage of a spare built
     /// from the same `cfg`.
     fn build(cfg: MindConfig, spare: Option<Self>) -> Self {
-        let (engine, controller) = spare.map(|c| (c.engine, c.controller)).unzip();
+        let (engine, rest) = spare
+            .map(|c| (c.engine, (c.controller, c.splitter)))
+            .unzip();
+        let (controller, splitter) = rest.unzip();
         MindCluster {
             engine: CoherenceEngine::build(&cfg, engine),
             controller: Controller::build(cfg.n_compute, cfg.n_memory, cfg.blade_span, controller),
-            splitter: BoundedSplitting::new(cfg.split),
+            splitter: BoundedSplitting::build(cfg.split, splitter),
             cfg,
             default_pid: None,
             batch_engine: None,
@@ -492,11 +495,7 @@ impl MindCluster {
 
     /// Engine + controller metrics.
     pub fn metrics_snapshot(&self) -> Metrics {
-        let mut m = self.engine.metrics();
-        m.add("syscalls", self.controller.syscalls);
-        m.add("rules_installed", self.controller.rules_installed);
-        m.add("match_action_rules", self.engine.rule_count() as u64);
-        m
+        MemorySystem::metrics(self)
     }
 
     /// Per-epoch directory-entry counts (Figure 8 left).
@@ -692,8 +691,14 @@ impl MemorySystem for MindCluster {
         self.cfg.n_compute
     }
 
-    fn metrics(&self) -> Metrics {
-        self.metrics_snapshot()
+    fn metrics_into(&self, m: &mut Metrics) {
+        m.clear();
+        self.engine.add_metrics(m);
+        m.extend([
+            ("syscalls", self.controller.syscalls),
+            ("rules_installed", self.controller.rules_installed),
+            ("match_action_rules", self.engine.rule_count() as u64),
+        ]);
     }
 
     fn alloc(&mut self, len: u64) -> u64 {
@@ -1014,6 +1019,59 @@ mod tests {
         assert_eq!(again, base, "the freed extent is handed out again");
         let read = c.read_bytes(SimTime::from_millis(3), 1, pid, again, 5);
         assert_eq!(read.unwrap(), [0; 5]);
+    }
+
+    /// A migration's destination frames are its own: a vma another
+    /// tenant maps next is placed elsewhere and reads zeros, not what the
+    /// migrated vma holds, and frames a migration or a vma holds are refused.
+    #[test]
+    fn a_migration_reserves_its_frames() {
+        let ms = SimTime::from_millis;
+        let (mut c, a, base) = functional_cluster();
+        let b = c.exec().unwrap();
+        c.migrate(SimTime::ZERO, base, 1 << 20, 1, 0).unwrap();
+        c.write_bytes(ms(1), 0, a, base, b"secret").unwrap();
+        c.switch_failover(ms(2)).unwrap(); // The cold start flushes it.
+        let other = c.mmap(b, 1 << 20).unwrap();
+        assert_eq!(c.read_bytes(ms(3), 1, b, other, 6).unwrap(), [0; 6]);
+        let refused = Err(SysError::NoMem);
+        assert_eq!(c.migrate(ms(4), base, 1 << 20, 1, 0), refused, "migrated");
+        assert_eq!(other, base + (1 << 20), "blade 0, after the first vma");
+        assert_eq!(c.migrate(ms(4), base, 1 << 20, 0, 1 << 20), refused, "vma");
+    }
+
+    /// `munmap` undoes a vma's migration: its frames, outlier entry and log
+    /// record go, so the rules are the two partitions' again and a backup
+    /// switch replays nothing.
+    #[test]
+    fn munmap_undoes_a_migration() {
+        let (mut c, pid, base) = functional_cluster();
+        c.migrate(SimTime::ZERO, base, 1 << 20, 1, 0).unwrap();
+        assert_eq!(c.match_action_rules(), 4, "partitions, grant, outlier");
+        c.munmap(SimTime::from_millis(1), pid, base).unwrap();
+        assert_eq!(c.match_action_rules(), 2);
+        assert_eq!(c.controller.allocator().allocated(), 0);
+        let failover = c.switch_failover(SimTime::from_millis(2)).unwrap();
+        assert_eq!(failover.rules_replayed, 0);
+    }
+
+    /// A migration stays inside one live vma: a range that runs into the
+    /// next vma, or one never mapped, is refused and reserves no frame, so
+    /// unmapping one vma never undoes a move of another's pages.
+    #[test]
+    fn a_migration_outside_one_vma_is_refused() {
+        let (mut c, pid, base) = functional_cluster();
+        let next = c.mmap_in(pid, 1 << 20, 0..1).unwrap();
+        assert_eq!(next, base + (1 << 20), "adjacent on blade 0");
+        let allocated = c.controller.allocator().allocated();
+        let mut to_blade_1 = |base, len| c.migrate(SimTime::ZERO, base, len, 1, 0);
+        let fault = Err(SysError::Fault);
+        assert_eq!(to_blade_1(base, 1 << 21), fault, "two vmas");
+        assert_eq!(to_blade_1(next + (1 << 20), 1 << 16), fault, "unmapped");
+        assert_eq!(to_blade_1(base - (1 << 16), 1 << 16), fault, "below");
+        assert_eq!(to_blade_1(next + (1 << 16), 1 << 16), Ok(1), "inside");
+        let reserved = c.controller.allocator().allocated();
+        assert_eq!(reserved, allocated + (1 << 16), "only the last one");
     }
 
     /// The backup rebuilds translation from the migration log: a migrated

@@ -323,6 +323,8 @@ pub struct CoherenceEngine {
     deliveries_scratch: Vec<(u16, SimTime)>,
     /// Reusable invalidation-outcome buffer (per-victim cache scans).
     inval_scratch: InvalidationOutcome,
+    /// Reusable list of the regions a teardown of a sparse range resets.
+    regions_scratch: Vec<(u64, u8)>,
     /// Deterministic event sink (disabled unless the owning cluster
     /// installs a live one).
     pub(crate) trace: TraceBuf,
@@ -363,6 +365,7 @@ impl CoherenceEngine {
             ctrs: Counters::default(),
             deliveries_scratch: Vec::new(),
             inval_scratch: InvalidationOutcome::default(),
+            regions_scratch: Vec::new(),
             trace: TraceBuf::new(cfg.trace),
         }
     }
@@ -1001,11 +1004,19 @@ impl CoherenceEngine {
     /// [`CoherenceEngine::reset_region`] on every region overlapping
     /// `[base, end)`, ascending: `munmap`, `mprotect` and `migrate` teardown.
     pub(crate) fn reset_range(&mut self, now: SimTime, base: u64, end: u64) {
-        let mut addr = base;
-        while let Some((rbase, rk)) = self.directory.next_region(addr, end) {
-            self.reset_region(now, rbase, rk);
-            addr = rbase + (1u64 << rk);
+        let mut regions = std::mem::take(&mut self.regions_scratch);
+        if self.directory.list_sparse(base, end, &mut regions) {
+            for &(rbase, rk) in &regions {
+                self.reset_region(now, rbase, rk);
+            }
+        } else {
+            let mut addr = base;
+            while let Some((rbase, rk)) = self.directory.next_region(addr, end) {
+                self.reset_region(now, rbase, rk);
+                addr = rbase + (1u64 << rk);
+            }
         }
+        self.regions_scratch = regions;
     }
 
     /// Drops what the memory blades store for `[base, base + len)`: the
@@ -1018,7 +1029,7 @@ impl CoherenceEngine {
             // Range partition alone: an extent is one run of one blade's
             // frames.
             if let Some(pa) = self.translation.partition_of(base) {
-                self.memory[pa.blade as usize].free_range(pa.page(), len / PAGE_SIZE);
+                self.free_frames(pa.blade, pa.offset, len);
             }
             return;
         }
@@ -1029,6 +1040,14 @@ impl CoherenceEngine {
             if let Some(blade) = self.memory.get_mut(pa.blade as usize) {
                 blade.free_range(pa.page(), 1);
             }
+        }
+    }
+
+    /// Drops what memory blade `blade` stores for the `len` bytes of frames
+    /// from physical offset `offset` on.
+    pub(crate) fn free_frames(&mut self, blade: u16, offset: u64, len: u64) {
+        if let Some(memory) = self.memory.get_mut(blade as usize) {
+            memory.free_range(offset / PAGE_SIZE, len / PAGE_SIZE);
         }
     }
 
@@ -1066,38 +1085,35 @@ impl CoherenceEngine {
         })
     }
 
-    /// Lifetime metrics snapshot.
-    pub fn metrics(&self) -> Metrics {
-        let c = self.ctrs;
-        let mut m = Metrics::new();
-        m.add("accesses", c.accesses);
-        m.add("local_hits", c.local_hits);
-        m.add("remote_accesses", c.remote_accesses);
-        m.add("upgrades", c.upgrades);
-        m.add("invalidation_requests", c.inval_requests);
-        m.add("invalidation_rounds", c.inval_rounds);
-        m.add("flushed_pages", c.flushed_pages);
-        m.add("false_invalidations", c.false_invalidations);
-        m.add("bypasses", c.bypasses);
-        m.add("resets", c.resets);
-        m.add("denials", c.denials);
-        m.add("async_writes", c.async_writes);
-        m.add("directory_entries", self.directory.entries() as u64);
-        m.add(
-            "directory_watermark",
-            self.directory.high_watermark() as u64,
-        );
-        m.add("directory_splits", self.directory.splits());
-        m.add("directory_merges", self.directory.merges());
-        m.add("forced_merges", self.directory.forced_merges());
-        m.add("pipeline_recirculations", c.recirculations);
-        m.add("multicast_pruned", self.fabric.multicast_pruned());
-        m.add("retransmissions", c.retransmissions);
-        let tlb: u64 = self.caches.iter().map(|c| c.tlb_shootdowns()).sum();
-        m.add("tlb_shootdowns", tlb);
-        let evictions: u64 = self.caches.iter().map(|c| c.evictions()).sum();
-        m.add("evictions", evictions);
-        m
+    /// Adds the lifetime metrics to `m`.
+    pub(crate) fn add_metrics(&self, m: &mut Metrics) {
+        let (c, dir) = (self.ctrs, &self.directory);
+        let tlb = self.caches.iter().map(|c| c.tlb_shootdowns()).sum();
+        let evictions = self.caches.iter().map(|c| c.evictions()).sum();
+        m.extend([
+            ("accesses", c.accesses),
+            ("local_hits", c.local_hits),
+            ("remote_accesses", c.remote_accesses),
+            ("upgrades", c.upgrades),
+            ("invalidation_requests", c.inval_requests),
+            ("invalidation_rounds", c.inval_rounds),
+            ("flushed_pages", c.flushed_pages),
+            ("false_invalidations", c.false_invalidations),
+            ("bypasses", c.bypasses),
+            ("resets", c.resets),
+            ("denials", c.denials),
+            ("async_writes", c.async_writes),
+            ("directory_entries", dir.entries() as u64),
+            ("directory_watermark", dir.high_watermark() as u64),
+            ("directory_splits", dir.splits()),
+            ("directory_merges", dir.merges()),
+            ("forced_merges", dir.forced_merges()),
+            ("pipeline_recirculations", c.recirculations),
+            ("multicast_pruned", self.fabric.multicast_pruned()),
+            ("retransmissions", c.retransmissions),
+            ("tlb_shootdowns", tlb),
+            ("evictions", evictions),
+        ]);
     }
 
     /// Dirty pages flushed to the memory blades so far (the

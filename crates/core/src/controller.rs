@@ -233,7 +233,8 @@ impl Controller {
     }
 
     /// `munmap`: revokes protection, resets coherence state for all regions
-    /// overlapping the vma (flushing cached pages), and frees the memory.
+    /// overlapping the vma (flushing cached pages), undoes its migrations
+    /// and frees the memory.
     pub fn munmap(
         &mut self,
         engine: &mut CoherenceEngine,
@@ -251,6 +252,18 @@ impl Controller {
         engine.protection.revoke(pid, reserved);
         // Tear down directory entries covering the vma, flushing caches.
         engine.reset_range(now, reserved.base, reserved.end());
+        // Each migration of the vma's pages: its frames, outlier entries
+        // and log record go, so neither the next owner of the frames nor a
+        // backup switch sees them.
+        self.migrations.retain(|&(range, to)| {
+            if !range.overlaps(&reserved) {
+                return true;
+            }
+            engine.free_frames(to.blade, to.pa_base, range.len);
+            engine.translation.remove_outlier(range.base, range.len);
+            self.galloc.release(to.blade, to.pa_base, range.len);
+            false
+        });
         self.galloc.dealloc(base);
         engine.free_backing(reserved.base, reserved.len);
         Ok(())
@@ -318,9 +331,12 @@ impl Controller {
     }
 
     /// Migrates `range` to memory blade `to.blade` at physical offset
-    /// `to.pa_base`: tears down its coherence state so no stale copy
-    /// outlives the move, installs outlier translation entries (§4.1), and
-    /// logs the move. Returns the entries installed.
+    /// `to.pa_base`: reserves the destination frames, tears down the
+    /// range's coherence state so no stale copy outlives the move, installs
+    /// outlier translation entries (§4.1), and logs the move until `munmap`
+    /// undoes it. Returns the entries installed; `Fault` unless the range
+    /// lies in one live vma, `NoMem` if a destination frame is taken or the
+    /// TCAM is full.
     pub fn migrate(
         &mut self,
         engine: &mut CoherenceEngine,
@@ -328,11 +344,21 @@ impl Controller {
         range: Vma,
         to: OutlierTarget,
     ) -> Result<usize, SysError> {
+        let vma = self.galloc.vma_at(range.base).ok_or(SysError::Fault)?;
+        if range.end() > vma.end() {
+            return Err(SysError::Fault);
+        }
+        if !self.galloc.reserve(to.blade, to.pa_base, range.len) {
+            return Err(SysError::NoMem);
+        }
         engine.reset_range(now, range.base, range.end());
-        let pieces = engine
+        let installed = engine
             .translation
-            .add_outlier(range.base, range.len, to.blade, to.pa_base)
-            .map_err(|_| SysError::NoMem)?;
+            .add_outlier(range.base, range.len, to.blade, to.pa_base);
+        let Ok(pieces) = installed else {
+            self.galloc.release(to.blade, to.pa_base, range.len);
+            return Err(SysError::NoMem);
+        };
         self.migrations.push((range, to));
         Ok(pieces)
     }

@@ -260,11 +260,10 @@ impl RegionDirectory {
         Self::build(capacity, initial_region_log2, None)
     }
 
-    /// [`RegionDirectory::new`], in a spare's slot store and work lists.
+    /// [`RegionDirectory::new`], in a spare's slot store and class list.
     pub(crate) fn build(capacity: usize, initial_region_log2: u8, spare: Option<Self>) -> Self {
         assert!(initial_region_log2 >= PAGE_SHIFT, "region below page size");
-        let (slots, lists) = spare.map(|d| (d.slots, (d.by_count, d.touched))).unzip();
-        let (by_count, touched) = lists.unzip();
+        let (slots, by_count) = spare.map(|d| (d.slots, d.by_count)).unzip();
         RegionDirectory {
             slots: SlotStore::build(capacity, slots),
             class_count: [0; 64],
@@ -272,7 +271,7 @@ impl RegionDirectory {
             by_count: reuse(by_count),
             pair_head: NO_SLOT,
             memo: [None; MEMO_WAYS],
-            touched: reuse(touched),
+            touched: Vec::new(),
             initial_region_log2,
             generation: 0,
             splits: 0,
@@ -463,6 +462,27 @@ impl RegionDirectory {
             addr = (addr & !(step - 1)).checked_add(step)?;
         }
         None
+    }
+
+    /// Lists the regions overlapping `[addr, end)` into `out`, ascending,
+    /// when walking the installed entries (filtered, then sorted) is
+    /// cheaper than stepping through the span with
+    /// [`RegionDirectory::next_region`]: when the span holds more multiples
+    /// of the smallest populated size class than there are entries. Returns
+    /// whether it listed; `out` is emptied either way, and reserved at the
+    /// slot capacity by the first listing.
+    pub(crate) fn list_sparse(&self, addr: u64, end: u64, out: &mut Vec<(u64, u8)>) -> bool {
+        out.clear();
+        let step_log2 = self.classes.trailing_zeros(); // 64 when empty.
+        if addr >= end || (end - addr).checked_shr(step_log2).unwrap_or(0) < self.entries() as u64 {
+            return false;
+        }
+        let overlaps = |&(base, k): &(u64, u8)| base < end && base + ((1u64 << k) - 1) >= addr;
+        let regions = self.slots.iter().map(|(base, e)| (base, e.size_log2));
+        reserve_slots(out, self.slots.capacity());
+        out.extend(regions.filter(overlaps));
+        out.sort_unstable();
+        true
     }
 
     /// The entry behind a live handle.
@@ -908,6 +928,26 @@ mod tests {
         }
     }
 
+    /// A teardown over a sparse span lists the installed entries:
+    /// regions scattered over 16 GiB come back sorted. A span with fewer
+    /// multiples of the smallest class than there are entries is stepped
+    /// through instead.
+    #[test]
+    fn a_sparse_teardown_walks_the_entries() {
+        let (mut d, mut rng) = (RegionDirectory::new(64, 14), SimRng::new(3));
+        let mut bases: Vec<u64> = (0..8)
+            .map(|_| d.ensure(rng.gen_below(1 << 34)).unwrap().bounds().0)
+            .collect();
+        bases.sort_unstable();
+        let mut walked = vec![];
+        assert!(d.list_sparse(0, u64::MAX, &mut walked));
+        let listed: Vec<u64> = walked.iter().map(|&(base, _)| base).collect();
+        assert_eq!(listed, bases);
+        let (base, k) = walked[3];
+        assert!(!d.list_sparse(base + 1, base + (1 << k), &mut walked));
+        assert_eq!(d.next_region(base + 1, base + (1 << k)), Some((base, k)));
+    }
+
     /// Random create / split / merge / remove / force-merge / state churn
     /// on a small directory that spends most of the run at capacity: every
     /// lookup, creation size and forced-merge pick must agree with the
@@ -1016,10 +1056,13 @@ mod tests {
                     by_page.extend(found);
                     at = found.map_or(at + (1 << PAGE_SHIFT), |(base, k)| base + (1u64 << k));
                 }
-                let (mut walked, mut at) = (vec![], addr);
-                while let Some((base, k)) = d.next_region(at, end) {
-                    walked.push((base, k));
-                    at = base + (1u64 << k);
+                let mut walked = vec![];
+                if !d.list_sparse(addr, end, &mut walked) {
+                    let mut at = addr;
+                    while let Some((base, k)) = d.next_region(at, end) {
+                        walked.push((base, k));
+                        at = base + (1u64 << k);
+                    }
                 }
                 assert_eq!(walked, by_page, "seed {seed} step {step}");
                 let classes: u64 = oracle.0.values().fold(0, |m, &k| m | 1u64 << k);

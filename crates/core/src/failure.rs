@@ -87,8 +87,8 @@ pub fn switch_failover(
 ) -> Result<FailoverReport, FailoverError> {
     let dropped = engine.directory().entries();
     let flushed_before = engine.flushed_pages();
-    // Every region, ascending. The walk steps through untracked space one
-    // smallest region at a time, so it starts where addresses do.
+    // Every region, ascending: a span this sparse walks the directory's
+    // entries, so it starts where addresses do.
     engine.reset_range(now, VA_BASE, u64::MAX);
     let pages_flushed = engine.flushed_pages() - flushed_before;
 

@@ -12,8 +12,6 @@
 //! - **TCAM-friendly sizing**: only power-of-two sized, size-aligned areas
 //!   are carved so each vma is one TCAM protection entry (§4.2).
 
-use std::collections::BTreeMap;
-
 use mind_sim::hash::FastMap;
 use mind_sim::spare::{rebuild, reuse};
 
@@ -22,34 +20,29 @@ use crate::addr::{pow2_alloc_size, Vma, VA_BASE};
 /// First-fit allocator over one memory blade's contiguous range.
 #[derive(Debug, Clone)]
 pub struct BladeAllocator {
-    capacity: u64,
-    /// Free extents: offset → length, disjoint and coalesced.
-    free: BTreeMap<u64, u64>,
+    /// Free extents `(offset, length)` by offset, disjoint and coalesced.
+    free: Vec<(u64, u64)>,
     allocated: u64,
 }
 
 impl BladeAllocator {
     /// Creates an allocator over `[0, capacity)`.
     pub fn new(capacity: u64) -> Self {
-        let mut free = BTreeMap::new();
+        Self::build(capacity, None)
+    }
+
+    /// [`BladeAllocator::new`], in a spare's free list.
+    pub(crate) fn build(capacity: u64, spare: Option<Self>) -> Self {
+        let mut free = reuse(spare.map(|b| b.free));
         if capacity > 0 {
-            free.insert(0, capacity);
+            free.push((0, capacity));
         }
-        BladeAllocator {
-            capacity,
-            free,
-            allocated: 0,
-        }
+        BladeAllocator { free, allocated: 0 }
     }
 
     /// Bytes currently allocated.
     pub fn allocated(&self) -> u64 {
         self.allocated
-    }
-
-    /// Blade capacity in bytes.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
     }
 
     /// Allocates `size` bytes aligned to `size` (power of two), first-fit.
@@ -59,27 +52,36 @@ impl BladeAllocator {
     /// Panics if `size` is not a power of two.
     pub fn alloc(&mut self, size: u64) -> Option<u64> {
         assert!(size.is_power_of_two(), "allocation size must be pow2");
-        let candidate = self.free.iter().find_map(|(&off, &len)| {
+        let (i, aligned) = self.free.iter().enumerate().find_map(|(i, &(off, len))| {
             let aligned = off.next_multiple_of(size);
-            let pad = aligned - off;
-            if len >= pad + size {
-                Some((off, len, aligned))
-            } else {
-                None
-            }
-        });
-        let (off, len, aligned) = candidate?;
-        self.free.remove(&off);
-        if aligned > off {
-            self.free.insert(off, aligned - off);
-        }
-        let tail_start = aligned + size;
-        let tail_len = (off + len) - tail_start;
-        if tail_len > 0 {
-            self.free.insert(tail_start, tail_len);
-        }
-        self.allocated += size;
+            (len >= aligned - off + size).then_some((i, aligned))
+        })?;
+        self.take(i, aligned, size);
         Some(aligned)
+    }
+
+    /// Reserves `[offset, offset + size)`, aligned or not; returns `false`,
+    /// reserving nothing, unless the range is nonempty and wholly free.
+    pub(crate) fn reserve(&mut self, offset: u64, size: u64) -> bool {
+        let after = self.free.partition_point(|&(off, _)| off <= offset);
+        let Some(i) = after.checked_sub(1) else {
+            return false;
+        };
+        let (off, len) = self.free[i];
+        let fits = size > 0 && offset.checked_add(size).is_some_and(|end| end <= off + len);
+        if fits {
+            self.take(i, offset, size);
+        }
+        fits
+    }
+
+    /// Allocates `[at, at + size)` out of free extent `i`, which holds it.
+    fn take(&mut self, i: usize, at: u64, size: u64) {
+        let ((off, len), end) = (self.free[i], at + size);
+        let head = (off < at).then_some((off, at - off));
+        let tail = (end < off + len).then(|| (end, off + len - end));
+        self.free.splice(i..=i, head.into_iter().chain(tail));
+        self.allocated += size;
     }
 
     /// Frees `[offset, offset + size)`, coalescing with neighbours.
@@ -88,26 +90,22 @@ impl BladeAllocator {
     ///
     /// Panics if the range overlaps a free extent (double free).
     pub fn free(&mut self, offset: u64, size: u64) {
-        let mut start = offset;
-        let mut len = size;
-        // Coalesce with predecessor.
-        if let Some((&poff, &plen)) = self.free.range(..offset).next_back() {
+        // Extents `i..` start at or after `offset`; `i - 1` is its predecessor.
+        let i = self.free.partition_point(|&(off, _)| off < offset);
+        let (mut merged, mut start, mut end) = (i..i, offset, offset + size);
+        if let Some(&(poff, plen)) = i.checked_sub(1).map(|p| &self.free[p]) {
             assert!(poff + plen <= offset, "double free at {offset:#x}");
             if poff + plen == offset {
-                self.free.remove(&poff);
-                start = poff;
-                len += plen;
+                (start, merged.start) = (poff, i - 1);
             }
         }
-        // Coalesce with successor.
-        if let Some((&noff, &nlen)) = self.free.range(offset..).next() {
-            assert!(offset + size <= noff, "double free at {offset:#x}");
-            if offset + size == noff {
-                self.free.remove(&noff);
-                len += nlen;
+        if let Some(&(noff, nlen)) = self.free.get(i) {
+            assert!(end <= noff, "double free at {offset:#x}");
+            if end == noff {
+                (end, merged.end) = (noff + nlen, i + 1);
             }
         }
-        self.free.insert(start, len);
+        self.free.splice(merged, [(start, end - start)]);
         self.allocated -= size;
     }
 }
@@ -136,8 +134,9 @@ impl GlobalAllocator {
     pub fn build(n_blades: u16, blade_span: u64, spare: Option<Self>) -> Self {
         assert!(blade_span.is_power_of_two(), "blade span must be pow2");
         let (blades, allocations) = spare.map(|g| (g.blades, g.allocations)).unzip();
+        let blade = |spare| BladeAllocator::build(blade_span, spare);
         GlobalAllocator {
-            blades: rebuild(blades, n_blades as usize, |_| BladeAllocator::new(blade_span)),
+            blades: rebuild(blades, n_blades as usize, blade),
             blade_span,
             allocations: reuse(allocations),
         }
@@ -196,6 +195,29 @@ impl GlobalAllocator {
         let offset = (base - VA_BASE) % self.blade_span;
         self.blades[blade as usize].free(offset, 1 << size_log2);
         true
+    }
+
+    /// Reserves `[offset, offset + size)` of memory blade `blade`'s frames
+    /// outside any vma (a migration's destination); returns `false`,
+    /// reserving nothing, unless they are all free.
+    pub(crate) fn reserve(&mut self, blade: u16, offset: u64, size: u64) -> bool {
+        let blade = self.blades.get_mut(blade as usize);
+        blade.is_some_and(|b| b.reserve(offset, size))
+    }
+
+    /// Frees frames [`GlobalAllocator::reserve`] reserved.
+    pub(crate) fn release(&mut self, blade: u16, offset: u64, size: u64) {
+        self.blades[blade as usize].free(offset, size);
+    }
+
+    /// The live vma, at its reserved size, that holds `addr`.
+    pub(crate) fn vma_at(&self, addr: u64) -> Option<Vma> {
+        let blade_base = VA_BASE + self.blade_of(addr)? as u64 * self.blade_span;
+        // A vma's offset in its blade is a multiple of its power-of-two size.
+        (0..=self.blade_span.trailing_zeros() as u8).find_map(|log2| {
+            let base = blade_base + ((addr - blade_base) & !((1 << log2) - 1));
+            (self.allocations.get(&base) == Some(&log2)).then(|| Vma::new(base, 1 << log2))
+        })
     }
 
     /// The power-of-two size actually reserved for the vma at `base`.

@@ -18,6 +18,7 @@
 //! `S ≤ (⌈f/t⌉ − 1)(1 + log₂ M)`.
 
 use mind_blade::PAGE_SHIFT;
+use mind_sim::spare::reuse;
 use mind_sim::stats::TimeSeries;
 use mind_sim::SimTime;
 use mind_switch::sram::reserve_slots;
@@ -108,12 +109,17 @@ impl BoundedSplitting {
     /// Creates a driver that reserves nothing; the first epoch ends at
     /// `epoch_len`.
     pub fn new(cfg: SplitConfig) -> Self {
+        Self::build(cfg, None)
+    }
+
+    /// [`BoundedSplitting::new`], in a spare's entry series.
+    pub(crate) fn build(cfg: SplitConfig, spare: Option<Self>) -> Self {
         BoundedSplitting {
             c: cfg.c,
             next_epoch: cfg.epoch_len,
             cfg,
             epochs_run: 0,
-            entries_series: TimeSeries::new(),
+            entries_series: reuse(spare.map(|s| s.entries_series)),
             last_report: EpochReport::default(),
             counters: Vec::new(),
             hot: Vec::new(),

@@ -351,9 +351,17 @@ pub trait MemorySystem {
     /// Number of compute blades in the rack.
     fn n_compute(&self) -> u16;
 
-    /// Snapshot of system-wide metrics (invalidations, remote accesses,
-    /// flushed pages, directory occupancy, ...).
-    fn metrics(&self) -> Metrics;
+    /// Writes a snapshot of system-wide metrics (invalidations, remote
+    /// accesses, flushed pages, directory occupancy, ...) into `out`,
+    /// replacing what it held, in its storage.
+    fn metrics_into(&self, out: &mut Metrics);
+
+    /// [`MemorySystem::metrics_into`] a new metric set.
+    fn metrics(&self) -> Metrics {
+        let mut m = Metrics::new();
+        self.metrics_into(&mut m);
+        m
+    }
 
     /// Allocates a shared region of `len` bytes and returns its base
     /// virtual address. Used by the trace runner so every compared system

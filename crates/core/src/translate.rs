@@ -119,6 +119,14 @@ impl TranslationTable {
         Ok(installed)
     }
 
+    /// Removes the outlier entries [`TranslationTable::add_outlier`]
+    /// installed for `[va_base, va_base + len)`.
+    pub(crate) fn remove_outlier(&mut self, va_base: u64, len: u64) {
+        for (base, k) in pow2_cover(va_base, len) {
+            self.outliers.remove(&TcamEntry::new(0, base, k));
+        }
+    }
+
     /// Total match-action rules consumed by translation: one per blade
     /// partition plus the outlier TCAM entries (Figure 8 center counts
     /// these).

@@ -6,6 +6,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use crate::slab::IdSlab;
+use crate::stats::{Histogram, Metrics, TimeSeries};
 
 /// A collection that a new part can take over from a spare.
 pub trait Storage: Default {
@@ -24,6 +25,7 @@ macro_rules! storage {
     )+};
 }
 storage!([T] Vec<T>, [T] VecDeque<T>, [K, V, S: Default] HashMap<K, V, S>, [T: Default] IdSlab<T>);
+storage!([] String, [] Histogram, [] Metrics, [] TimeSeries);
 
 /// `spare` emptied, or new (unallocated) storage when there is none.
 pub fn reuse<S: Storage>(spare: Option<S>) -> S {

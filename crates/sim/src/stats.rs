@@ -4,8 +4,6 @@
 //! series (Figure 8 left tracks directory entries over time), and Jain's
 //! fairness index (Figure 8 right measures memory-blade load balance).
 
-use std::collections::BTreeMap;
-
 use crate::time::SimTime;
 
 /// A latency histogram with exact-ish percentiles.
@@ -146,6 +144,11 @@ impl TimeSeries {
         TimeSeries { points: Vec::new() }
     }
 
+    /// Removes every point, keeping the storage.
+    pub(crate) fn clear(&mut self) {
+        self.points.clear();
+    }
+
     /// Appends a point; times must be non-decreasing.
     pub fn push(&mut self, at: SimTime, value: f64) {
         debug_assert!(
@@ -194,9 +197,13 @@ pub fn jains_index(loads: &[f64]) -> f64 {
 }
 
 /// A labelled collection of counters, used for per-run metric snapshots.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// The counters sit in one vector sorted by name, so a set that is
+/// [`clear`](Metrics::clear)ed and refilled with the same names (a rack's
+/// snapshot, taken again) runs in the storage it already has.
+#[derive(Default, PartialEq, Eq)]
 pub struct Metrics {
-    values: BTreeMap<&'static str, u64>,
+    values: Vec<(&'static str, u64)>,
 }
 
 impl Metrics {
@@ -205,19 +212,29 @@ impl Metrics {
         Metrics::default()
     }
 
+    /// Removes every metric, keeping the storage.
+    pub fn clear(&mut self) {
+        self.values.clear();
+    }
+
     /// Adds `n` to metric `name`.
     pub fn add(&mut self, name: &'static str, n: u64) {
-        *self.values.entry(name).or_insert(0) += n;
+        match self.values.binary_search_by(|&(k, _)| k.cmp(name)) {
+            Ok(i) => self.values[i].1 += n,
+            Err(i) => self.values.insert(i, (name, n)),
+        }
     }
 
     /// Reads metric `name` (0 when absent).
     pub fn get(&self, name: &str) -> u64 {
-        self.values.get(name).copied().unwrap_or(0)
+        self.values
+            .binary_search_by(|&(k, _)| k.cmp(name))
+            .map_or(0, |i| self.values[i].1)
     }
 
     /// Iterates `(name, value)` pairs in name order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.values.iter().map(|(&k, &v)| (k, v))
+        self.values.iter().copied()
     }
 
     /// Merges another metric set into this one.
@@ -227,14 +244,42 @@ impl Metrics {
         }
     }
 
-    /// Returns `self - baseline` per metric (saturating at zero), for
+    /// Subtracts `baseline` from each metric, saturating at zero, for
     /// measuring a steady-state window after a warmup phase.
-    pub fn diff(&self, baseline: &Metrics) -> Metrics {
-        let mut out = Metrics::new();
-        for (k, v) in self.iter() {
-            out.add(k, v.saturating_sub(baseline.get(k)));
+    pub fn subtract(&mut self, baseline: &Metrics) {
+        for (k, v) in &mut self.values {
+            *v = v.saturating_sub(baseline.get(k));
         }
-        out
+    }
+}
+
+impl Extend<(&'static str, u64)> for Metrics {
+    /// Adds each `(name, n)`, with room reserved for them as new names.
+    fn extend<I: IntoIterator<Item = (&'static str, u64)>>(&mut self, pairs: I) {
+        let pairs = pairs.into_iter();
+        self.values.reserve(pairs.size_hint().0);
+        for (name, n) in pairs {
+            self.add(name, n);
+        }
+    }
+}
+
+impl Clone for Metrics {
+    fn clone(&self) -> Self {
+        Metrics {
+            values: self.values.clone(),
+        }
+    }
+
+    /// Copies `source` into this set's storage.
+    fn clone_from(&mut self, source: &Self) {
+        self.values.clone_from(&source.values);
+    }
+}
+
+impl std::fmt::Debug for Metrics {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
@@ -405,9 +450,9 @@ mod tests {
 
     #[test]
     fn metrics_merge_diff_round_trip() {
-        // diff is merge's inverse: (a ∪ b) − b == a whenever every key of
-        // b also appears in the merge (which merge guarantees), so a
-        // windowed measurement (merge during, diff after) recovers exactly
+        // subtract is merge's inverse: (a ∪ b) − b == a whenever every key
+        // of b also appears in the merge (which merge guarantees), so a
+        // windowed measurement (merge during, subtract after) recovers exactly
         // the window's contribution.
         let mut a = Metrics::new();
         a.add("remote_accesses", 7);
@@ -421,10 +466,11 @@ mod tests {
         assert_eq!(merged.get("remote_accesses"), 12);
         assert_eq!(merged.get("flushed_pages"), 2);
 
-        let recovered = merged.diff(&b);
+        let mut recovered = merged.clone();
+        recovered.subtract(&b);
         assert_eq!(recovered.get("remote_accesses"), a.get("remote_accesses"));
         assert_eq!(recovered.get("invalidations"), a.get("invalidations"));
-        // Keys only in b diff away to zero (but stay present).
+        // Keys only in b subtract away to zero (but stay present).
         assert_eq!(recovered.get("flushed_pages"), 0);
 
         // And merging the baseline back restores the merged totals.
@@ -433,12 +479,61 @@ mod tests {
         assert_eq!(round, merged);
     }
 
+    /// The sorted vector behaves as the `BTreeMap` it replaced: on random
+    /// key sequences `add`, `get`, name order, `merge` and `subtract` agree
+    /// with a map oracle, and a cleared set refills like a new one.
+    #[test]
+    fn metrics_match_a_map_oracle() {
+        use crate::SimRng;
+        use std::collections::BTreeMap;
+        const NAMES: [&str; 8] = ["z", "accesses", "b", "evicts", "a", "aa", "x_y", "resets"];
+        let mut rng = SimRng::new(7);
+        let random = |rng: &mut SimRng| {
+            let (mut m, mut oracle) = (Metrics::new(), BTreeMap::new());
+            for _ in 0..rng.gen_below(20) {
+                let (k, n) = (NAMES[rng.gen_below(8) as usize], rng.gen_below(50));
+                m.add(k, n);
+                *oracle.entry(k).or_insert(0) += n;
+            }
+            (m, oracle)
+        };
+        let listed = |m: &Metrics| m.iter().collect::<Vec<_>>();
+        fn of(o: &BTreeMap<&'static str, u64>) -> Vec<(&'static str, u64)> {
+            o.iter().map(|(&k, &v)| (k, v)).collect()
+        }
+        for _ in 0..200 {
+            let ((mut a, mut oa), (b, ob)) = (random(&mut rng), random(&mut rng));
+            assert_eq!(listed(&a), of(&oa));
+            assert_eq!(format!("{a:?}"), format!("{oa:?}"));
+            for k in NAMES.iter().chain(&["absent"]) {
+                assert_eq!(a.get(k), oa.get(k).copied().unwrap_or(0), "{k}");
+            }
+            let diff: Vec<_> = oa
+                .iter()
+                .map(|(&k, &v)| (k, v.saturating_sub(ob.get(k).copied().unwrap_or(0))))
+                .collect();
+            let mut window = a.clone();
+            window.subtract(&b);
+            assert_eq!(listed(&window), diff);
+            a.merge(&b);
+            for (k, v) in &ob {
+                *oa.entry(k).or_insert(0) += v;
+            }
+            assert_eq!(listed(&a), of(&oa));
+            let mut refilled = a.clone();
+            refilled.clear();
+            refilled.clone_from(&b);
+            assert_eq!(refilled, b);
+        }
+    }
+
     #[test]
     fn metrics_diff_saturates_at_zero() {
         let mut a = Metrics::new();
         a.add("x", 2);
         let mut b = Metrics::new();
         b.add("x", 5);
-        assert_eq!(a.diff(&b).get("x"), 0, "never underflows");
+        a.subtract(&b);
+        assert_eq!(a.get("x"), 0, "never underflows");
     }
 }

@@ -28,6 +28,7 @@ use mind_core::engine::{ClusterEngine, ClusterStep};
 use mind_core::protect::Pdid;
 use mind_core::system::{AccessKind, AccessOutcome, MemOp, MemorySystem, OpBatch};
 use mind_obs::{TraceConfig, TraceData, WindowSeries};
+use mind_sim::spare::reuse;
 use mind_sim::stats::{Histogram, Metrics};
 use mind_sim::{EventQueue, SimTime};
 
@@ -218,14 +219,45 @@ fn blade_of(thread: u16, cfg: RunConfig, n_blades: u16) -> u16 {
 }
 
 impl RunReport {
-    /// A report with nothing recorded yet, which also records the windowed
-    /// telemetry series when `trace` is enabled.
-    pub(crate) fn empty(name: String, trace: TraceConfig) -> Self {
-        let timeseries = trace.enabled().then(|| WindowSeries::new(trace.interval));
+    /// A report with nothing recorded yet, in a spare's name (emptied, for
+    /// the caller to write), histogram and metric sets when there is one.
+    /// It also records the windowed telemetry series when `trace` is
+    /// enabled.
+    pub(crate) fn build(trace: TraceConfig, spare: Option<RunReport>) -> Self {
+        let (name, latency, metrics, window_metrics) = match spare {
+            Some(r) => (
+                Some(r.name),
+                Some(r.latency),
+                Some(r.metrics),
+                Some(r.window_metrics),
+            ),
+            None => (None, None, None, None),
+        };
         RunReport {
-            name,
-            timeseries,
-            ..RunReport::default()
+            name: reuse(name),
+            runtime: SimTime::ZERO,
+            warmup_end: SimTime::ZERO,
+            total_ops: 0,
+            remote_ops: 0,
+            invalidations: 0,
+            flushed_pages: 0,
+            sum_remote_lat_ns: 0,
+            mops: 0.0,
+            remote_per_op: 0.0,
+            invalidations_per_op: 0.0,
+            flushed_per_op: 0.0,
+            sum_fault_ns: 0,
+            sum_network_ns: 0,
+            sum_inv_queue_ns: 0,
+            sum_inv_tlb_ns: 0,
+            sum_software_ns: 0,
+            sum_overlapped_ns: 0,
+            mean_remote_ns: 0.0,
+            latency: reuse(latency),
+            metrics: reuse(metrics),
+            window_metrics: reuse(window_metrics),
+            timeseries: trace.enabled().then(|| WindowSeries::new(trace.interval)),
+            trace: None,
         }
     }
 
@@ -291,8 +323,9 @@ impl RunReport {
     /// derived floats are recomputed from the folded integers, so folding
     /// one report into an empty one gives that report back, and every
     /// fold order gives the same report up to the order of trace events
-    /// (which every renderer canonicalizes).
-    pub fn merge(&mut self, other: RunReport) {
+    /// (which every renderer canonicalizes). Only `other`'s trace and
+    /// telemetry series are taken, so the rest of its storage stays with it.
+    pub fn merge(&mut self, other: &mut RunReport) {
         let end_clock = (self.warmup_end + self.runtime).max(other.warmup_end + other.runtime);
         self.warmup_end = self.warmup_end.max(other.warmup_end);
         self.total_ops += other.total_ops;
@@ -309,13 +342,13 @@ impl RunReport {
         self.latency.merge(&other.latency);
         self.metrics.merge(&other.metrics);
         self.window_metrics.merge(&other.window_metrics);
-        if let Some(series) = other.timeseries {
+        if let Some(series) = other.timeseries.take() {
             match &mut self.timeseries {
                 Some(mine) => mine.merge(&series),
                 None => self.timeseries = Some(series),
             }
         }
-        if let Some(t) = other.trace {
+        if let Some(t) = other.trace.take() {
             match &mut self.trace {
                 Some(mine) => mine.merge(t),
                 None => self.trace = Some(t),
@@ -519,12 +552,12 @@ struct Streams {
 }
 
 impl Streams {
-    /// Readies `sources`, each owing `owed`, over the storage earlier runs
+    /// Readies the sources, each owing `owed`, over the storage earlier runs
     /// grew.
-    fn arm(&mut self, sources: Vec<Source>, per_part: u32, bases: Vec<Vec<u64>>, owed: u64) {
+    fn arm(&mut self, per_part: u32, owed: u64) {
         self.cursors.clear();
-        self.cursors.resize(sources.len(), Cursor::default());
-        (self.sources, self.threads_per_part, self.bases) = (sources, per_part, bases);
+        self.cursors.resize(self.sources.len(), Cursor::default());
+        self.threads_per_part = per_part;
         self.owe(owed);
     }
 
@@ -620,13 +653,15 @@ impl Streams {
 }
 
 /// The schedule state of a replay. It owns who issues next and each
-/// source's stream, what the source still owes included; the system and
-/// the workloads are handed to [`Replay::run`], so one value drives
-/// [`run`]'s generic system and the sharded executor's sub-clusters alike,
-/// run after run.
+/// source's stream, what the source still owes included; the system, the
+/// workloads and the report are handed to [`Replay::run`], so one value
+/// drives [`run`]'s generic system and the sharded executor's sub-clusters
+/// alike, run after run, in the storage the first run grew.
 pub(crate) struct Replay {
     cfg: RunConfig,
     streams: Streams,
+    /// The system's metrics at the end of warmup.
+    baseline: Metrics,
     /// Turnwise: the current phase's ready sources by thread clock.
     queue: EventQueue<u32>,
     /// Turnwise: sources that finished warmup, at their post-warmup
@@ -648,6 +683,7 @@ impl Replay {
         Replay {
             cfg,
             streams: Streams::default(),
+            baseline: Metrics::new(),
             queue: EventQueue::new(),
             resume: EventQueue::new(),
             drivers: Vec::new(),
@@ -655,17 +691,22 @@ impl Replay {
         }
     }
 
-    /// Readies a run of `sources` (see [`Streams`] for their order) on
-    /// `system`, all ready at time zero, over the storage earlier runs grew.
-    pub(crate) fn arm<S: MemorySystem + ?Sized>(
-        &mut self,
-        system: &S,
-        sources: Vec<Source>,
-        threads_per_part: u32,
-        bases: Vec<Vec<u64>>,
-    ) {
+    /// The next run's sources and, per partition, region bases, emptied
+    /// in their storage for the caller to fill (see [`Streams`] for their
+    /// order) before [`Replay::arm`].
+    pub(crate) fn layout(&mut self, partitions: usize) -> (&mut Vec<Source>, &mut [Vec<u64>]) {
+        let streams = &mut self.streams;
+        streams.sources.clear();
+        streams.bases.resize_with(partitions, Vec::new);
+        streams.bases.iter_mut().for_each(Vec::clear);
+        (&mut streams.sources, &mut streams.bases)
+    }
+
+    /// Readies a run of the [`Replay::layout`] just filled on `system`, all
+    /// sources ready at time zero, over the storage earlier runs grew.
+    pub(crate) fn arm<S: MemorySystem + ?Sized>(&mut self, system: &S, threads_per_part: u32) {
         let (cfg, warmup) = (self.cfg, self.cfg.warmup_ops_per_thread);
-        self.streams.arm(sources, threads_per_part, bases, warmup);
+        self.streams.arm(threads_per_part, warmup);
         self.drivers.clear();
         if cfg.concurrency == Concurrency::Cluster && cfg.window > 1 {
             // A system without an issue engine stays turnwise.
@@ -689,20 +730,20 @@ impl Replay {
         }
     }
 
-    /// Replays to completion and reports the measured window: warm up
-    /// until every source has drained, snapshot the baseline metrics at
-    /// that barrier, re-seed the sources at their post-warmup clocks and
-    /// measure until every source has drained again. `system` and
-    /// `workloads` must be the ones the replay was armed for.
+    /// Replays to completion and reports the measured window into
+    /// `report`, a new one ([`RunReport::build`]): warm up until every
+    /// source has drained, snapshot the baseline metrics at that barrier,
+    /// re-seed the sources at their post-warmup clocks and measure until
+    /// every source has drained again. `system` and `workloads` must be the
+    /// ones the replay was armed for.
     pub(crate) fn run<S: MemorySystem + ?Sized, P: DerefMut<Target: Workload>>(
         &mut self,
         system: &mut S,
         workloads: &mut [P],
-        name: String,
-    ) -> RunReport {
-        let mut report = RunReport::empty(name, self.cfg.trace);
+        report: &mut RunReport,
+    ) {
         report.warmup_end = self.drain_phase(system, workloads, None);
-        let baseline = system.metrics();
+        system.metrics_into(&mut self.baseline);
         let measured = self.cfg.ops_per_thread;
         self.streams.owe(measured);
         // A zero-op measured phase seeds nobody: the drained warmup queue
@@ -713,12 +754,12 @@ impl Replay {
         for driver in &mut self.drivers {
             driver.start_measured(measured > 0);
         }
-        let measured_end = self.drain_phase(system, workloads, Some(&mut report));
-        report.metrics = system.metrics();
-        report.window_metrics = report.metrics.diff(&baseline);
+        let measured_end = self.drain_phase(system, workloads, Some(report));
+        system.metrics_into(&mut report.metrics);
+        report.window_metrics.clone_from(&report.metrics);
+        report.window_metrics.subtract(&self.baseline);
         report.trace = system.take_trace();
         report.finish(report.warmup_end.max(measured_end));
-        report
     }
 
     /// Runs the current phase until no source owes it an op, in timestamp
@@ -819,25 +860,21 @@ pub fn run<S: MemorySystem + ?Sized, W: Workload + ?Sized>(
         system.n_compute()
     );
 
-    // Resolve workload regions to system addresses.
-    let bases: Vec<u64> = workload
-        .regions()
-        .into_iter()
-        .map(|len| system.alloc(len))
-        .collect();
-    let sources = (0..n_threads)
-        .map(|thread| Source {
-            part: 0,
-            thread,
-            blade: blade_of(thread, cfg, blades_needed),
-            pdid: None,
-        })
-        .collect();
-
-    let name = workload.name();
     let mut replay = Replay::new(cfg);
-    replay.arm(system, sources, n_threads as u32, vec![bases]);
-    replay.run(system, std::slice::from_mut(&mut workload), name)
+    let (sources, bases) = replay.layout(1);
+    // Resolve workload regions to system addresses.
+    bases[0].extend(workload.regions().into_iter().map(|len| system.alloc(len)));
+    sources.extend((0..n_threads).map(|thread| Source {
+        part: 0,
+        thread,
+        blade: blade_of(thread, cfg, blades_needed),
+        pdid: None,
+    }));
+    replay.arm(system, n_threads as u32);
+    let mut report = RunReport::build(cfg.trace, None);
+    report.name = workload.name();
+    replay.run(system, std::slice::from_mut(&mut workload), &mut report);
+    report
 }
 
 #[cfg(test)]
@@ -1250,11 +1287,17 @@ mod tests {
     fn arming_reserves_a_queue_slot_per_source() {
         let sys = MindCluster::new(MindConfig::small());
         let n = 37u16;
-        let sources = (0..n)
-            .map(|thread| Source { part: 0, thread, blade: thread % 2, pdid: None })
-            .collect();
         let mut replay = Replay::new(RunConfig::default());
-        replay.arm(&sys, sources, n as u32, vec![vec![0]]);
+        let (sources, bases) = replay.layout(1);
+        let source = |thread| Source {
+            part: 0,
+            thread,
+            blade: thread % 2,
+            pdid: None,
+        };
+        sources.extend((0..n).map(source));
+        bases[0].push(0);
+        replay.arm(&sys, n as u32);
         assert!(replay.queue.capacity() >= n as usize, "warmup queue");
         assert!(replay.resume.capacity() >= n as usize, "measured queue");
     }

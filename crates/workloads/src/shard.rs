@@ -67,14 +67,14 @@
 //! [`MindConfig::try_partition`], which checks blade counts and switch
 //! capacities alike.
 
-use std::fmt;
+use std::fmt::{self, Write};
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use mind_core::cluster::{MindCluster, MindConfig};
-use mind_core::controller::Pid;
 use mind_core::shard::PartitionError;
+use mind_sim::spare::reuse;
 
 use crate::runner::{Replay, RunConfig, RunReport, Source};
 use crate::trace::Workload;
@@ -236,8 +236,38 @@ pub struct ShardSpec {
 /// already demanded).
 pub type PartitionFactory<'a> = dyn Fn(u16) -> Box<dyn Workload> + Sync + 'a;
 
-/// A worker lane's rack and replay, kept between the shards it claims.
-type Lane = Option<(MindCluster, Replay)>;
+/// A worker lane's rack, replay, workload list and report, kept between
+/// the shards it claims: each shard after the first is built, replayed and
+/// reported in the storage the one before it used, so a lane holds one
+/// shard's state.
+struct Lane {
+    cluster: MindCluster,
+    replay: Replay,
+    workloads: Vec<Box<dyn Workload>>,
+    report: RunReport,
+}
+
+impl Lane {
+    /// A lane for shards on racks of `cfg` replayed under `run`, in a
+    /// spare's storage (its rack [`MindCluster::reset`]) when there is one.
+    fn build(cfg: MindConfig, run: RunConfig, spare: Option<Lane>) -> Lane {
+        let (cluster, replay, workloads, report) = match spare {
+            Some(l) => (
+                l.cluster.reset(),
+                l.replay,
+                Some(l.workloads),
+                Some(l.report),
+            ),
+            None => (MindCluster::new(cfg), Replay::new(run), None, None),
+        };
+        Lane {
+            cluster,
+            replay,
+            workloads: reuse(workloads),
+            report: RunReport::build(run.trace, report),
+        }
+    }
+}
 
 /// Partition `p`'s compute and memory blades when every partition is a
 /// `slice`-sized sub-rack (a [`MindConfig::try_partition`] of its rack).
@@ -251,24 +281,25 @@ fn blades_of(slice: &MindConfig, p: u16) -> (Range<u16>, Range<u16>) {
 /// `cfg` with the global partitions `first..first + partitions` (per
 /// partition, one process, threads pinned to its compute slice, regions
 /// `mmap_in`-confined to its memory slice), checks confinement, and hands
-/// rack and partition workloads to a [`Replay`]. Rack and replay are
-/// `lane`'s, rebuilt, or new ones when it holds none. The report's trace, if
-/// any, carries this group's *local* lane indices.
+/// rack and partition workloads to a [`Replay`]. Everything is built in
+/// `lane`, rebuilt from the lane's last shard when it has one; the report,
+/// named `name`, is the lane's. Its trace, if any, carries this group's
+/// *local* lane indices.
 ///
 /// # Errors
 ///
 /// As [`run_shard`], less the checks of the shard split itself.
-fn replay_group(
+fn replay_group<'l>(
     spec: &ShardSpec,
-    name: String,
+    name: fmt::Arguments,
     cfg: MindConfig,
-    lane: &mut Lane,
+    lane: &'l mut Option<Lane>,
     first: u16,
     partitions: u16,
     factory: &PartitionFactory,
-) -> Result<RunReport, ShardError> {
+) -> Result<&'l mut RunReport, ShardError> {
     let (run, domain_per_thread) = (spec.run, spec.domain_per_thread);
-    let (cluster, replay, mut workloads) = {
+    let lane = {
         let _t = mind_obs::profile::scope("shard.build");
         if run.interleave {
             return Err(ShardError::InterleavedPlacement);
@@ -277,17 +308,14 @@ fn replay_group(
             return Err(ShardError::ZeroThreadsPerBlade);
         }
         let slice = cfg.try_partition(partitions)?;
-        let next = match lane.take() {
-            Some((cluster, replay)) => (cluster.reset(), replay),
-            None => (MindCluster::new(cfg), Replay::new(run)),
-        };
-        let (cluster, replay) = lane.insert(next);
-        let mut workloads = Vec::with_capacity(partitions as usize);
-        let mut sources = Vec::new();
-        let mut all_bases = Vec::with_capacity(partitions as usize);
+        let next = Lane::build(cfg, run, lane.take());
+        let lane = lane.insert(next);
+        lane.report.name.write_fmt(name).expect("a String takes any text");
+        let cluster = &mut lane.cluster;
+        let (sources, all_bases) = lane.replay.layout(partitions as usize);
         let mut threads_per_partition = None;
         let mut total_regions = 0usize;
-        for lp in 0..partitions {
+        for (lp, bases) in (0..partitions).zip(all_bases) {
             let workload = factory(first + lp);
             let nt = workload.n_threads();
             let expected = *threads_per_partition.get_or_insert(nt);
@@ -299,25 +327,29 @@ fn replay_group(
                 });
             }
             let regions = workload.regions();
-            let pids: Vec<Pid> = if domain_per_thread {
-                if regions.len() != nt as usize {
-                    return Err(ShardError::RegionPerThread {
-                        partition: first + lp,
-                        regions: regions.len(),
-                        threads: nt,
-                    });
-                }
-                (0..nt)
-                    .map(|_| cluster.exec().expect("exec cannot fail"))
-                    .collect()
-            } else {
-                vec![cluster.exec().expect("exec cannot fail")]
-            };
+            if domain_per_thread && regions.len() != nt as usize {
+                return Err(ShardError::RegionPerThread {
+                    partition: first + lp,
+                    regions: regions.len(),
+                    threads: nt,
+                });
+            }
+            // Thread `t` runs on the partition's compute slice, in its own
+            // domain or the partition's one; region `r` is thread `r`'s
+            // domain's or the partition's.
             let (compute, memory) = blades_of(&slice, lp);
+            let shared = (!domain_per_thread).then(|| cluster.exec().expect("exec cannot fail"));
+            let own = sources.len();
+            sources.extend((0..nt).map(|t| Source {
+                part: lp as u32,
+                thread: t,
+                blade: compute.start + t / run.threads_per_blade,
+                pdid: Some(shared.unwrap_or_else(|| cluster.exec().expect("exec cannot fail"))),
+            }));
             total_regions += regions.len();
-            let mut bases = Vec::with_capacity(regions.len());
             for (r, len) in regions.into_iter().enumerate() {
-                let pid = pids[if domain_per_thread { r } else { 0 }];
+                let owner = sources[own + if domain_per_thread { r } else { 0 }].pdid;
+                let pid = owner.expect("every source has a domain");
                 let base = cluster.mmap_in(pid, len, memory.clone()).map_err(|_| {
                     ShardError::MemorySliceOverflow {
                         partition: first + lp,
@@ -326,16 +358,7 @@ fn replay_group(
                 })?;
                 bases.push(base);
             }
-            // Thread `t` runs on the partition's compute slice, in its own
-            // domain or the partition's one.
-            sources.extend((0..nt).map(|t| Source {
-                part: lp as u32,
-                thread: t,
-                blade: compute.start + t / run.threads_per_blade,
-                pdid: Some(pids[if domain_per_thread { t as usize } else { 0 }]),
-            }));
-            workloads.push(workload);
-            all_bases.push(bases);
+            lane.workloads.push(workload);
         }
         let tpp = threads_per_partition.expect("at least one partition");
         let blades_needed = tpp.div_ceil(run.threads_per_blade);
@@ -360,11 +383,18 @@ fn replay_group(
             });
         }
 
-        replay.arm(cluster, sources, tpp as u32, all_bases);
-        (cluster, replay, workloads)
+        lane.replay.arm(&lane.cluster, tpp as u32);
+        lane
     };
     let _t = mind_obs::profile::scope("shard.advance");
-    Ok(replay.run(cluster, &mut workloads, name))
+    let Lane {
+        cluster,
+        replay,
+        workloads,
+        report,
+    } = lane;
+    replay.run(cluster, workloads, report);
+    Ok(report)
 }
 
 /// The sub-rack one of `shards` shards runs on and the partitions it
@@ -402,23 +432,25 @@ pub fn run_shard(
     s: u16,
     factory: &PartitionFactory,
 ) -> Result<RunReport, ShardError> {
-    run_shard_on(spec, shards, s, factory, &mut None)
+    let mut lane = None;
+    run_shard_on(spec, shards, s, factory, &mut lane)?;
+    Ok(lane.expect("the shard ran on the lane").report)
 }
 
-/// [`run_shard`] on `lane`'s rack and replay storage.
-fn run_shard_on(
+/// [`run_shard`] in `lane`'s storage; the report is the lane's.
+fn run_shard_on<'l>(
     spec: &ShardSpec,
     shards: u16,
     s: u16,
     factory: &PartitionFactory,
-    lane: &mut Lane,
-) -> Result<RunReport, ShardError> {
+    lane: &'l mut Option<Lane>,
+) -> Result<&'l mut RunReport, ShardError> {
     let (sub, per_shard) = shard_rack(spec, shards)?;
     if s >= shards {
         return Err(ShardError::ShardOutOfRange { shard: s, shards });
     }
-    let name = format!("{}/shard{s}", spec.name);
-    let mut report = replay_group(spec, name, sub, lane, s * per_shard, per_shard, factory)?;
+    let name = format_args!("{}/shard{s}", spec.name);
+    let report = replay_group(spec, name, sub, lane, s * per_shard, per_shard, factory)?;
     if let Some(t) = &mut report.trace {
         t.rebase_lanes(blades_of(&sub, s).0.start as u32);
     }
@@ -463,7 +495,7 @@ pub fn run_sharded_threads(
     let cursor = AtomicUsize::new(0);
     let failed: Mutex<Option<(u16, ShardError)>> = Mutex::new(None);
     mind_sim::pool::run_lanes(lanes, || {
-        let mut lane: Lane = None;
+        let mut lane = None;
         while failed.lock().expect("no panic holds the error slot").is_none() {
             let s = cursor.fetch_add(1, Ordering::Relaxed);
             if s >= shards as usize {
@@ -472,7 +504,8 @@ pub fn run_sharded_threads(
             match run_shard_on(spec, shards, s as u16, factory, &mut lane) {
                 Ok(report) => {
                     let _t = mind_obs::profile::scope("shard.merge");
-                    merged.lock().expect("no panic holds the merged report").merge(report);
+                    let mut merged = merged.lock().expect("no panic holds the merged report");
+                    merged.merge(report);
                 }
                 Err(e) => {
                     let mut slot = failed.lock().expect("no panic holds the error slot");
@@ -761,8 +794,8 @@ mod tests {
             name: name.to_string(),
             ..RunReport::default()
         };
-        for r in reports {
-            merged.merge(r);
+        for mut r in reports {
+            merged.merge(&mut r);
         }
         merged
     }

@@ -150,8 +150,8 @@ fn merge_all(name: &str, reports: impl IntoIterator<Item = RunReport>) -> RunRep
         name: name.to_string(),
         ..RunReport::default()
     };
-    for r in reports {
-        merged.merge(r);
+    for mut r in reports {
+        merged.merge(&mut r);
     }
     merged
 }
