@@ -34,8 +34,6 @@ pub struct FastSwapConfig {
     pub blade_span: u64,
     /// Physical bytes per memory blade.
     pub memory_blade_bytes: u64,
-    /// Calibrated latencies (shared with MIND for a fair comparison).
-    pub latency: LatencyConfig,
 }
 
 impl Default for FastSwapConfig {
@@ -46,7 +44,6 @@ impl Default for FastSwapConfig {
             cache_pages: 131_072,
             blade_span: 1 << 34,
             memory_blade_bytes: 1 << 34,
-            latency: LatencyConfig::default(),
         }
     }
 }
@@ -69,6 +66,8 @@ impl FastSwapConfig {
 #[derive(Debug)]
 pub struct FastSwapSystem {
     cfg: FastSwapConfig,
+    /// The testbed calibration, shared with MIND for a fair comparison.
+    lat: LatencyConfig,
     fabric: Fabric,
     caches: Vec<DramCache>,
     memory: Vec<MemoryBlade>,
@@ -82,7 +81,8 @@ impl FastSwapSystem {
     /// Builds the system.
     pub fn new(cfg: FastSwapConfig) -> Self {
         FastSwapSystem {
-            fabric: Fabric::new(cfg.n_compute, cfg.n_memory, cfg.latency),
+            fabric: Fabric::new(cfg.n_compute, cfg.n_memory, LatencyConfig::default()),
+            lat: LatencyConfig::default(),
             caches: (0..cfg.n_compute)
                 .map(|_| DramCache::new(cfg.cache_pages))
                 .collect(),
@@ -111,7 +111,7 @@ impl FastSwapSystem {
                 len: PAGE_SIZE as u32,
             },
         );
-        let t = self.fabric.send(now, &req) + self.cfg.latency.memory_service;
+        let t = self.fabric.send(now, &req) + self.lat.memory_service;
         let _ = self.memory[mb as usize].read_page_nodata((page - VA_BASE) >> 12);
         let resp = Packet::new(
             NodeId::Memory(mb),
@@ -148,7 +148,7 @@ impl MemorySystem for FastSwapSystem {
             mind_blade::CacheLookup::Hit => {
                 self.local_hits += 1;
                 AccessOutcome {
-                    latency: LatencyBreakdown::local(self.cfg.latency.local_dram),
+                    latency: LatencyBreakdown::local(self.lat.local_dram),
                     ..Default::default()
                 }
             }
@@ -159,13 +159,13 @@ impl MemorySystem for FastSwapSystem {
                 self.caches[blade as usize].grant_write(page);
                 self.local_hits += 1;
                 AccessOutcome {
-                    latency: LatencyBreakdown::local(self.cfg.latency.local_dram),
+                    latency: LatencyBreakdown::local(self.lat.local_dram),
                     ..Default::default()
                 }
             }
             mind_blade::CacheLookup::Miss => {
                 self.remote_accesses += 1;
-                let t0 = now + self.cfg.latency.fault_handler;
+                let t0 = now + self.lat.fault_handler;
                 let done = self.swap_in(t0, blade, page);
                 // The swap path maps pages writable; a clean page is still
                 // only swapped out if later dirtied (the cache tracks a
@@ -182,7 +182,7 @@ impl MemorySystem for FastSwapSystem {
                 }
                 AccessOutcome {
                     latency: LatencyBreakdown {
-                        fault: self.cfg.latency.fault_handler,
+                        fault: self.lat.fault_handler,
                         network: done.saturating_sub(t0),
                         ..Default::default()
                     },

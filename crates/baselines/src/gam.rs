@@ -43,8 +43,6 @@ pub struct GamConfig {
     pub blade_span: u64,
     /// Physical bytes per memory blade.
     pub memory_blade_bytes: u64,
-    /// Shared latency calibration.
-    pub latency: LatencyConfig,
     /// User-level library overhead per access (lock + permission check).
     /// 800 ns makes GAM's local accesses 10× MIND's 80 ns DRAM hit (§7.1).
     pub software_overhead: SimTime,
@@ -65,7 +63,6 @@ impl Default for GamConfig {
             cache_pages: 131_072,
             blade_span: 1 << 34,
             memory_blade_bytes: 1 << 34,
-            latency: LatencyConfig::default(),
             software_overhead: SimTime::from_nanos(800),
             home_service: SimTime::from_nanos(1_000),
             threads_per_blade: 1,
@@ -106,6 +103,8 @@ struct PageEntry {
 #[derive(Debug)]
 pub struct GamSystem {
     cfg: GamConfig,
+    /// The testbed calibration, shared with MIND for a fair comparison.
+    lat: LatencyConfig,
     fabric: Fabric,
     caches: Vec<DramCache>,
     /// Software directory-service queue per home blade.
@@ -126,7 +125,8 @@ impl GamSystem {
     /// Builds the system.
     pub fn new(cfg: GamConfig) -> Self {
         GamSystem {
-            fabric: Fabric::new(cfg.n_compute, cfg.n_memory, cfg.latency),
+            fabric: Fabric::new(cfg.n_compute, cfg.n_memory, LatencyConfig::default()),
+            lat: LatencyConfig::default(),
             caches: (0..cfg.n_compute)
                 .map(|_| DramCache::new(cfg.cache_pages))
                 .collect(),
@@ -210,7 +210,7 @@ impl GamSystem {
                 len: PAGE_SIZE as u32,
             },
         );
-        let t = self.fabric.send(t, &req) + self.cfg.latency.memory_service;
+        let t = self.fabric.send(t, &req) + self.lat.memory_service;
         let _ = self.memory[mb as usize].read_page_nodata((page - VA_BASE) >> 12);
         let resp = Packet::new(
             NodeId::Memory(mb),
@@ -234,7 +234,7 @@ impl GamSystem {
                 len: PAGE_SIZE as u32,
             },
         );
-        let done = self.fabric.send(t, &pkt) + self.cfg.latency.memory_service;
+        let done = self.fabric.send(t, &pkt) + self.lat.memory_service;
         let _ = self.memory[mb as usize].write_page_nodata((page - VA_BASE) >> 12);
         done
     }
@@ -288,7 +288,7 @@ impl MemorySystem for GamSystem {
             return AccessOutcome {
                 latency: LatencyBreakdown {
                     software: sw,
-                    dram: self.cfg.latency.local_dram,
+                    dram: self.lat.local_dram,
                     ..Default::default()
                 },
                 ..Default::default()
@@ -419,7 +419,7 @@ impl MemorySystem for GamSystem {
             return AccessOutcome {
                 latency: LatencyBreakdown {
                     software: sw,
-                    dram: self.cfg.latency.local_dram,
+                    dram: self.lat.local_dram,
                     ..Default::default()
                 },
                 remote: true,

@@ -4,7 +4,7 @@
 //! disabled, every instrumentation site reduces to a branch on a cached
 //! level. This bin makes that budget a gate. It measures
 //!
-//! 1. the per-operation wall cost of a replay with tracing pinned off
+//! 1. the per-operation wall cost of an untraced replay
 //!    (the datapath the instrumentation rides on), and
 //! 2. the per-call wall cost of the disabled `TraceBuf::record` path,
 //!
@@ -45,20 +45,15 @@ fn replay_ns_per_op() -> f64 {
     };
     let mut wl = MicroWorkload::new(wl_cfg);
     let footprint: u64 = wl.regions().iter().map(|len| len.div_ceil(4096)).sum();
-    let cfg = MindConfig {
-        trace: TraceConfig::with_mode(TraceMode::Off),
-        ..MindConfig::scaled_to(footprint, 4)
-    };
-    let mut sys = MindCluster::new(cfg);
+    let mut sys = MindCluster::new(MindConfig::scaled_to(footprint, 4));
     let run = RunConfig {
         ops_per_thread: REPLAY_OPS / wl_cfg.n_threads as u64,
-        trace: TraceConfig::with_mode(TraceMode::Off),
         ..Default::default()
     };
     let start = Instant::now();
     let report = runner::run(&mut sys, &mut wl, run);
     let wall = start.elapsed();
-    assert!(report.trace.is_none(), "tracing pinned off");
+    assert!(report.trace.is_none(), "untraced by default");
     wall.as_secs_f64() * 1e9 / report.total_ops as f64
 }
 

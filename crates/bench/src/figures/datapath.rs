@@ -238,7 +238,7 @@ fn population_point(
     thread_counts: &'static [usize],
 ) -> Scenario {
     let name = format!("datapath/shards_{tag}");
-    Scenario::custom(name.clone(), move || {
+    Scenario::custom(name.clone(), move |_| {
         let _serial = MEASURE_LOCK.lock().expect("measure lock");
         let population = shard_population(tenants_per_group);
         let spec = population_spec(&name, partitions, population);
@@ -325,7 +325,7 @@ pub fn build(quick: bool) -> Vec<Scenario> {
     let mut table: Vec<Scenario> = regimes()
         .into_iter()
         .map(|regime| {
-            Scenario::custom(format!("datapath/{}", regime.key), move || {
+            Scenario::custom(format!("datapath/{}", regime.key), move |_| {
                 let mut out = ScenarioOutput::default();
                 let mut base_sim_mops = 0.0;
                 for &batch in &BATCH_SIZES {
@@ -386,7 +386,7 @@ pub fn build(quick: bool) -> Vec<Scenario> {
         })
         .collect();
 
-    table.push(Scenario::custom("datapath/shards".to_string(), move || {
+    table.push(Scenario::custom("datapath/shards".to_string(), move |_| {
         let _serial = MEASURE_LOCK.lock().expect("measure lock");
         // 16 384 tenants in the full run, on a 16+16-blade rack.
         let population = shard_population(if quick { 256 } else { 1024 });

@@ -118,7 +118,7 @@ pub fn transitions_build(quick: bool) -> Vec<Scenario> {
         for (label, transition) in TRANSITIONS {
             table.push(Scenario::custom(
                 format!("fig7_transitions/{blades}C/{label}"),
-                move || {
+                move |_| {
                     ScenarioOutput::default()
                         .value("latency_us", measure_transition(blades, transition, iters))
                 },

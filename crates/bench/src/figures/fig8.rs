@@ -41,14 +41,14 @@ pub fn directory_build(quick: bool) -> Vec<Scenario> {
         .map(|&wl_name| {
             let n_threads = DIR_BLADES * DIR_TPB;
             let workload = WorkloadSpec::real(wl_name, n_threads);
-            Scenario::custom(format!("fig8_directory/{wl_name}"), move || {
+            Scenario::custom(format!("fig8_directory/{wl_name}"), move |trace| {
                 let mut wl = workload.build();
                 let regions = wl.regions();
                 let footprint = footprint_pages(&regions);
-                let mut sys = MindCluster::new(
-                    MindConfig::scaled_to(footprint, DIR_BLADES)
-                        .consistency(ConsistencyModel::Tso),
-                );
+                let mut sys = MindCluster::new(MindConfig {
+                    trace,
+                    ..MindConfig::scaled_to(footprint, DIR_BLADES).consistency(ConsistencyModel::Tso)
+                });
                 let report = run(
                     &mut sys,
                     wl.as_mut(),
@@ -56,6 +56,7 @@ pub fn directory_build(quick: bool) -> Vec<Scenario> {
                         ops_per_thread: total / n_threads as u64,
                         warmup_ops_per_thread: 0,
                         threads_per_blade: DIR_TPB,
+                        trace,
                         ..Default::default()
                     },
                 );
@@ -100,7 +101,7 @@ pub fn rules_build(quick: bool) -> Vec<Scenario> {
             let workload = WorkloadSpec::real(wl_name, 8);
             table.push(Scenario::custom(
                 format!("fig8_rules/{label}/b{blades}"),
-                move || {
+                move |_| {
                     let regions = workload.regions();
                     let instance_bytes: u64 = regions.iter().sum();
                     let instances = (heap_per_blade * blades as u64) / instance_bytes;
@@ -224,7 +225,7 @@ pub fn fairness_build(_quick: bool) -> Vec<Scenario> {
         for &blades in &RULE_BLADES {
             table.push(Scenario::custom(
                 format!("fig8_fairness/{label}/b{blades}"),
-                move || {
+                move |_| {
                     let vmas = vma_stream(label, wl_name, blades);
                     ScenarioOutput::default()
                         .value("mind", mind_fairness(&vmas, blades))

@@ -13,7 +13,8 @@
 
 use std::collections::BTreeMap;
 
-use mind_harness::{report, Engine, Scenario, ScenarioResult};
+use mind_harness::{report, Engine, Scenario, ScenarioKind, ScenarioResult};
+use mind_obs::TraceMode;
 
 pub mod ablations;
 pub mod datapath;
@@ -240,16 +241,6 @@ pub(crate) fn scaled_ops(full: u64, quick: bool) -> u64 {
     }
 }
 
-/// Writes `TRACE_<suite>.json` when `MIND_TRACE` enables tracing —
-/// disabled runs produce no trace files, so the default BENCH output set
-/// is unchanged.
-fn write_trace_if_enabled(suite: &str, results: &[ScenarioResult]) {
-    if mind_sim::env::trace_level() {
-        let path = report::write_trace(suite, results).expect("write TRACE json");
-        println!("wrote {}", path.display());
-    }
-}
-
 /// `figure`'s table from the scenarios of a BENCH document
 /// ([`report::scenario_values`]): one row per scenario named
 /// `<figure>/<label>`, labelled `<label>`, and one cell per column — the
@@ -290,12 +281,34 @@ pub fn render(figure: &Figure, scenarios: &[BTreeMap<&str, &str>]) -> String {
 /// Entry point of the figure binaries (`suite`, `service`, `datapath`):
 /// concatenates the given figures' tables, fans the combined table across
 /// the engine's workers, writes `BENCH_<suite>.json`, and prints each
-/// figure's columns from the file it wrote. Output is byte-identical for
-/// any worker count. Returns the results so a binary can gate on them
-/// (the `datapath` bin's `--quick` perf-guard).
+/// figure's columns from the file it wrote. The environment is read here
+/// and nowhere below: `MIND_THREADS` sizes the engine (default
+/// `available_parallelism`), `MIND_TRACE` sets the trace mode of every
+/// scenario and then adds a `TRACE_<suite>.json`, and
+/// `MIND_BENCH_DIR` names the output directory (default the current one).
+/// Output is byte-identical for any worker count. Returns the results so
+/// a binary can gate on them (the `datapath` bin's `--quick` perf-guard).
 pub fn run_suite(suite: &str, figures: &[Figure], quick: bool) -> Vec<ScenarioResult> {
-    let table: Vec<Scenario> = figures.iter().flat_map(|f| (f.build)(quick)).collect();
-    let engine = Engine::from_env();
+    let engine = Engine::new(mind_sim::env::threads());
+    let traced = mind_sim::env::trace_level();
+    let mode = if traced {
+        TraceMode::On
+    } else {
+        TraceMode::Off
+    };
+    let dir = mind_sim::env::bench_dir().unwrap_or_else(|| ".".into());
+    let mut table: Vec<Scenario> = figures.iter().flat_map(|f| (f.build)(quick)).collect();
+    // A replay's run switch (its rack's too), a service rack's, and the
+    // settings a custom scenario is handed (only `fig8_directory`, which
+    // reports a replay, uses them).
+    for scenario in &mut table {
+        let trace = match &mut scenario.kind {
+            ScenarioKind::Replay(spec) => &mut spec.run.trace,
+            ScenarioKind::Service(spec) => &mut spec.cfg.rack.trace,
+            ScenarioKind::Custom(trace, _) => trace,
+        };
+        trace.mode = mode;
+    }
     eprintln!(
         "{suite}: {} scenarios across {} figures on {} worker(s){}",
         table.len(),
@@ -305,7 +318,7 @@ pub fn run_suite(suite: &str, figures: &[Figure], quick: bool) -> Vec<ScenarioRe
     );
     let results = engine.run(table);
 
-    let path = report::write_suite(suite, quick, &results).expect("write BENCH json");
+    let path = report::write_suite(&dir, suite, quick, &results).expect("write BENCH json");
     let text = std::fs::read_to_string(&path).expect("read back BENCH json");
     let values = report::read_values(&text);
     let scenarios = report::scenario_values(&values);
@@ -313,7 +326,10 @@ pub fn run_suite(suite: &str, figures: &[Figure], quick: bool) -> Vec<ScenarioRe
         print!("{}", render(figure, &scenarios));
     }
     println!("\nwrote {}", path.display());
-    write_trace_if_enabled(suite, &results);
+    if traced {
+        let path = report::write_trace(&dir, suite, &results).expect("write TRACE json");
+        println!("wrote {}", path.display());
+    }
     results
 }
 

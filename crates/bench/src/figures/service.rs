@@ -180,7 +180,7 @@ pub fn scale_build(quick: bool) -> Vec<Scenario> {
         .map(|tenants_per_group| {
             Scenario::custom(
                 format!("service_scale/tenants{}", 16 * tenants_per_group as u32),
-                move || {
+                move |_| {
                     let population = TenantGroupConfig {
                         tenants_per_group,
                         pages_per_tenant: 16,

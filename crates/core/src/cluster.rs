@@ -100,9 +100,8 @@ pub struct MindConfig {
     /// at window 16 already do — which is the saturation the real adapter
     /// would impose.
     pub nic_depth: u32,
-    /// Deterministic tracing (defaults to resolving `MIND_TRACE`;
-    /// propagated unchanged into shard sub-clusters by
-    /// [`MindConfig::try_partition`]).
+    /// Deterministic tracing, off by default. A replay scenario's or a
+    /// shard's rack takes its replay's `RunConfig::trace` here instead.
     pub trace: mind_obs::TraceConfig,
 }
 
@@ -1091,6 +1090,21 @@ mod tests {
         assert_eq!(after, before);
         let read = c.read_bytes(SimTime::from_millis(3), 1, pid, base, 8);
         assert_eq!(read.unwrap(), b"migrated");
+    }
+
+    /// A migration moves the bytes it migrates: what was written before
+    /// the move reads back through the new frames, before and after a
+    /// failover.
+    #[test]
+    fn a_migration_keeps_its_bytes() {
+        let ms = SimTime::from_millis;
+        let (mut c, pid, base) = functional_cluster();
+        c.write_bytes(SimTime::ZERO, 0, pid, base, b"before")
+            .unwrap();
+        c.migrate(ms(1), base, 1 << 16, 1, 1 << 25).unwrap();
+        assert_eq!(c.read_bytes(ms(2), 1, pid, base, 6).unwrap(), b"before");
+        c.switch_failover(ms(3)).unwrap();
+        assert_eq!(c.read_bytes(ms(4), 1, pid, base, 6).unwrap(), b"before");
     }
 
     #[test]

@@ -118,11 +118,12 @@ pub struct CoherenceConfig {
     /// Whether page data is physically carried (functional mode) or elided
     /// (pure performance simulation).
     pub carry_data: bool,
-    /// ACK timeout for invalidation rounds (§4.4).
-    pub ack_timeout: SimTime,
-    /// Retransmissions before the reset protocol fires (§4.4).
-    pub max_retries: u32,
 }
+
+/// ACK timeout of an invalidation round (§4.4).
+pub const ACK_TIMEOUT: SimTime = SimTime::from_micros(100);
+/// Retransmissions before the reset protocol fires (§4.4).
+pub const MAX_RETRIES: u32 = 3;
 
 impl Default for CoherenceConfig {
     fn default() -> Self {
@@ -130,8 +131,6 @@ impl Default for CoherenceConfig {
             consistency: ConsistencyModel::Tso,
             protocol: Protocol::Msi,
             carry_data: false,
-            ack_timeout: SimTime::from_micros(100),
-            max_retries: 3,
         }
     }
 }
@@ -860,7 +859,7 @@ impl CoherenceEngine {
 
     /// Runs `plan`'s invalidation round, if any, on the region `(base, k)`
     /// (§4.4): it waits for every victim's ACK, retransmits to the pending
-    /// ones at each ACK timeout, and resets after `max_retries` retransmissions.
+    /// ones at each ACK timeout, and resets after [`MAX_RETRIES`] retransmissions.
     fn invalidate(
         &mut self,
         t_switch: SimTime,
@@ -958,8 +957,8 @@ impl CoherenceEngine {
             }
             // ACK timeout: retransmit to the pending victims, or, once the
             // retry budget is spent, reset the region as part of this round.
-            t += self.cfg.ack_timeout;
-            if retries == self.cfg.max_retries {
+            t += ACK_TIMEOUT;
+            if retries == MAX_RETRIES {
                 let (done, flushed) = self.reset_region(t, base, k);
                 round.done_at = round.done_at.max(done);
                 round.flushed += flushed;
@@ -1049,6 +1048,39 @@ impl CoherenceEngine {
         if let Some(memory) = self.memory.get_mut(blade as usize) {
             memory.free_range(offset / PAGE_SIZE, len / PAGE_SIZE);
         }
+    }
+
+    /// Runs `remap` on the translation table while the pages stored for
+    /// `[base, base + len)` move, as copy-on-write handles, from the frames
+    /// their addresses translate to before to those they translate to
+    /// after. A frame past its blade's memory takes no page, as it takes no
+    /// write-back.
+    pub(crate) fn remap_backing<R>(
+        &mut self,
+        base: u64,
+        len: u64,
+        remap: impl FnOnce(&mut TranslationTable) -> R,
+    ) -> R {
+        if !self.cfg.carry_data {
+            return remap(&mut self.translation); // Nothing is ever stored.
+        }
+        let mut pages = Vec::new();
+        for vaddr in (base..base + len).step_by(PAGE_SIZE as usize) {
+            if let Some(pa) = self.translation.translate(vaddr) {
+                let memory = &mut self.memory[pa.blade as usize];
+                if let Some(data) = memory.peek(pa.page()).cloned() {
+                    memory.free_range(pa.page(), 1);
+                    pages.push((vaddr, data));
+                }
+            }
+        }
+        let remapped = remap(&mut self.translation);
+        for (vaddr, data) in pages {
+            if let Some(pa) = self.translation.translate(vaddr) {
+                let _ = self.memory[pa.blade as usize].write_page(pa.page(), data);
+            }
+        }
+        remapped
     }
 
     /// Cache-bypass path when no directory slot can be made available: the

@@ -332,9 +332,10 @@ impl Controller {
 
     /// Migrates `range` to memory blade `to.blade` at physical offset
     /// `to.pa_base`: reserves the destination frames, tears down the
-    /// range's coherence state so no stale copy outlives the move, installs
-    /// outlier translation entries (§4.1), and logs the move until `munmap`
-    /// undoes it. Returns the entries installed; `Fault` unless the range
+    /// range's coherence state so no stale copy outlives the move, moves
+    /// the range's stored pages to the destination, installs outlier
+    /// translation entries (§4.1), and logs the move until `munmap` undoes
+    /// it. Returns the entries installed; `Fault` unless the range
     /// lies in one live vma, `NoMem` if a destination frame is taken or the
     /// TCAM is full.
     pub fn migrate(
@@ -352,9 +353,11 @@ impl Controller {
             return Err(SysError::NoMem);
         }
         engine.reset_range(now, range.base, range.end());
-        let installed = engine
-            .translation
-            .add_outlier(range.base, range.len, to.blade, to.pa_base);
+        // The stored pages follow the translation: to the new frames, or
+        // back where they were if the TCAM refuses the entries.
+        let installed = engine.remap_backing(range.base, range.len, |t| {
+            t.add_outlier(range.base, range.len, to.blade, to.pa_base)
+        });
         let Ok(pieces) = installed else {
             self.galloc.release(to.blade, to.pa_base, range.len);
             return Err(SysError::NoMem);

@@ -8,7 +8,7 @@
 //! configuration and seeds. Threads only decide *when* a scenario runs,
 //! never *what* it computes; reassembling results by index erases the
 //! scheduling order. `n` workers are the calling thread plus `n − 1`
-//! scoped threads ([`mind_sim::pool::run_lanes`]); `MIND_THREADS=1` is the
+//! scoped threads ([`mind_sim::pool::run_lanes`]); one worker is the
 //! same loop on the caller alone, the serial reference ordering the
 //! determinism tests compare against. A scenario that runs a
 //! sharded replay inside a worker brings its own lane count
@@ -31,13 +31,6 @@ impl Engine {
         Engine {
             threads: threads.max(1),
         }
-    }
-
-    /// An engine sized from the environment: `MIND_THREADS` if set and
-    /// parseable, otherwise `std::thread::available_parallelism`
-    /// (the [`mind_sim::env::threads`] policy).
-    pub fn from_env() -> Self {
-        Engine::new(mind_sim::env::threads())
     }
 
     /// Configured worker count.
@@ -91,7 +84,7 @@ mod tests {
     fn table(n: usize) -> Vec<Scenario> {
         (0..n)
             .map(|i| {
-                Scenario::custom(format!("s{i}"), move || {
+                Scenario::custom(format!("s{i}"), move |_| {
                     // Uneven work so completion order differs from table
                     // order under parallel execution.
                     let spin = (n - i) * 10_000;
@@ -126,7 +119,7 @@ mod tests {
         let table = (0..n)
             .map(|i| {
                 let (ran, barrier) = (ran.clone(), barrier.clone());
-                Scenario::custom(format!("s{i}"), move || {
+                Scenario::custom(format!("s{i}"), move |_| {
                     ran.lock().unwrap().push(thread::current().id());
                     if meet {
                         barrier.wait();
@@ -159,13 +152,5 @@ mod tests {
     #[test]
     fn empty_table_is_fine() {
         assert!(Engine::new(4).run(Vec::new()).is_empty());
-    }
-
-    #[test]
-    fn env_policy_parses_mind_threads() {
-        // The parse policy itself lives (and is unit-tested) in
-        // `mind_sim::env`; this pins the engine to it.
-        assert_eq!(mind_sim::env::parse_threads(Some("3")), 3);
-        assert!(mind_sim::env::parse_threads(None) >= 1);
     }
 }

@@ -11,12 +11,16 @@
 //! - [`scenario`]: a [`Scenario`] is a named spec triple (system,
 //!   workload, [`RunConfig`]) or a custom deterministic measurement; a
 //!   `Vec<Scenario>` is a scenario table;
-//! - [`engine`]: the [`Engine`] fans a table across `std::thread` workers
-//!   (default `available_parallelism`, override with `MIND_THREADS`),
-//!   collecting results by scenario index so parallel output is
-//!   byte-identical to a serial run;
+//! - [`engine`]: the [`Engine`] fans a table across as many
+//!   `std::thread` workers as its caller asks for, collecting results by
+//!   scenario index so parallel output is byte-identical to a serial run;
 //! - [`json`]/[`report`]: a hand-rolled JSON writer emitting per-scenario
-//!   metrics and latency breakdowns to `BENCH_<suite>.json`.
+//!   metrics and latency breakdowns to `BENCH_<suite>.json` in the
+//!   directory its caller names.
+//!
+//! Engine size, trace modes and report directory are arguments: the
+//! library reads no `MIND_*` knob but `MIND_PROFILE` and
+//! `MIND_GIT_DESCRIBE`, neither of which moves a value.
 //!
 //! ```
 //! use mind_core::system::ConsistencyModel;
@@ -31,7 +35,7 @@
 //!     workload,
 //!     RunConfig { ops_per_thread: 500, threads_per_blade: 2, ..Default::default() },
 //! )];
-//! let results = Engine::from_env().run(table);
+//! let results = Engine::new(2).run(table);
 //! assert!(results[0].report().total_ops > 0);
 //! ```
 //!

@@ -43,7 +43,7 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 use mind_obs::{chrome_process_name, TraceData, WindowSeries};
@@ -458,23 +458,17 @@ pub fn scenario_values(values: &BTreeMap<String, String>) -> Vec<BTreeMap<&str, 
     out
 }
 
-/// The output directory for BENCH/TRACE files: `$MIND_BENCH_DIR` if set,
-/// otherwise the current directory.
-fn bench_dir() -> PathBuf {
-    mind_sim::env::bench_dir().unwrap_or_else(|| PathBuf::from("."))
-}
-
-/// Renders and writes `BENCH_<suite>.json` into the current directory (or
-/// `$MIND_BENCH_DIR` if set), returning the path written. The header says
-/// which scenario table produced the file — `"mode": "quick"` or `"full"`
-/// — so that `bench_diff` can refuse to compare one with the other.
+/// Renders and writes `BENCH_<suite>.json` into `dir` (created if
+/// missing), returning the path written. The header says which scenario
+/// table produced the file — `"mode": "quick"` or `"full"` — so that
+/// `bench_diff` can refuse to compare one with the other.
 pub fn write_suite(
+    dir: &Path,
     suite: &str,
     quick: bool,
     results: &[ScenarioResult],
 ) -> std::io::Result<PathBuf> {
-    let dir = bench_dir();
-    std::fs::create_dir_all(&dir)?;
+    std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("BENCH_{suite}.json"));
     std::fs::write(&path, written_suite_json(suite, quick, results).render())?;
     Ok(path)
@@ -527,12 +521,15 @@ pub fn trace_json(suite: &str, results: &[ScenarioResult]) -> String {
     out
 }
 
-/// Writes `TRACE_<suite>.json` next to the BENCH output, returning the
-/// path written. Callers gate on tracing being enabled so disabled runs
-/// produce no trace files at all.
-pub fn write_trace(suite: &str, results: &[ScenarioResult]) -> std::io::Result<PathBuf> {
-    let dir = bench_dir();
-    std::fs::create_dir_all(&dir)?;
+/// Writes `TRACE_<suite>.json` into `dir` (created if missing), returning
+/// the path written. Callers write one only for a traced table, so
+/// untraced runs produce no trace files at all.
+pub fn write_trace(
+    dir: &Path,
+    suite: &str,
+    results: &[ScenarioResult],
+) -> std::io::Result<PathBuf> {
+    std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("TRACE_{suite}.json"));
     std::fs::write(&path, trace_json(suite, results))?;
     Ok(path)

@@ -1,5 +1,6 @@
 //! Scenarios: one experiment point as data, plus its execution result.
 
+use mind_obs::TraceConfig;
 use mind_service::ServiceReport;
 use mind_workloads::runner::{self, RunConfig, RunReport};
 
@@ -31,9 +32,10 @@ pub enum ScenarioKind {
     Service(Box<ServiceSpec>),
     /// An arbitrary deterministic experiment (e.g. Figure 7's orchestrated
     /// MSI transitions, Figure 8's rule counting) — must be a pure function
-    /// of its captured configuration for the engine's determinism guarantee
-    /// to hold.
-    Custom(Box<dyn Fn() -> ScenarioOutput + Send>),
+    /// of its captured configuration and the trace settings it is handed
+    /// (the first field, which one that replays applies) for the engine's
+    /// determinism guarantee to hold.
+    Custom(TraceConfig, Box<dyn Fn(TraceConfig) -> ScenarioOutput + Send>),
 }
 
 /// One experiment point: a name carrying the sweep parameters, and what to
@@ -72,11 +74,14 @@ impl Scenario {
         }
     }
 
-    /// A custom deterministic scenario.
-    pub fn custom(name: impl Into<String>, f: impl Fn() -> ScenarioOutput + Send + 'static) -> Self {
+    /// A custom deterministic scenario, untraced until its settings say.
+    pub fn custom(
+        name: impl Into<String>,
+        f: impl Fn(TraceConfig) -> ScenarioOutput + Send + 'static,
+    ) -> Self {
         Scenario {
             name: name.into(),
-            kind: ScenarioKind::Custom(Box::new(f)),
+            kind: ScenarioKind::Custom(TraceConfig::default(), Box::new(f)),
         }
     }
 
@@ -84,15 +89,15 @@ impl Scenario {
     pub fn execute(&self) -> ScenarioResult {
         let output = match &self.kind {
             ScenarioKind::Replay(spec) => {
-                // The run's pinned trace mode (if any) overrides the
-                // system's, so one `RunConfig` knob drives both the
-                // windowed telemetry and the system's event trace.
+                // The run's trace config is the rack's too, so one
+                // `RunConfig` knob drives both the windowed telemetry and
+                // the system's event trace.
                 let mut sys = spec.system.with_trace(spec.run.trace).build();
                 let mut wl = spec.workload.build();
                 ScenarioOutput::from_report(runner::run(sys.as_mut(), wl.as_mut(), spec.run))
             }
             ScenarioKind::Service(spec) => ScenarioOutput::from_service(spec.run()),
-            ScenarioKind::Custom(f) => f(),
+            ScenarioKind::Custom(trace, f) => f(*trace),
         };
         ScenarioResult {
             name: self.name.clone(),
@@ -245,7 +250,7 @@ mod tests {
 
     #[test]
     fn custom_scenario_produces_values() {
-        let s = Scenario::custom("c", || {
+        let s = Scenario::custom("c", |_| {
             ScenarioOutput::default()
                 .value("x", 2.5)
                 .with_series("ts", vec![(0.0, 1.0), (1.0, 2.0)])
@@ -258,7 +263,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "no value")]
     fn missing_value_panics() {
-        let r = Scenario::custom("c", ScenarioOutput::default).execute();
+        let r = Scenario::custom("c", |_| ScenarioOutput::default()).execute();
         r.value("absent");
     }
 }

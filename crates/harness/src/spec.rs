@@ -71,18 +71,14 @@ impl SystemSpec {
         }
     }
 
-    /// This spec with a run's trace configuration applied: a pinned mode
-    /// (`Off`/`On`) overrides the system's own trace config, while
-    /// the default `Env` mode leaves the spec untouched. Baselines don't
+    /// This spec with a run's trace configuration applied: a replay has
+    /// one trace switch, its `RunConfig::trace`, which drives both the
+    /// windowed telemetry and the rack's event trace. Baselines don't
     /// trace, so only MIND configs change.
     pub fn with_trace(self, trace: mind_obs::TraceConfig) -> Self {
-        match (self, trace.mode) {
-            (spec, mind_obs::TraceMode::Env) => spec,
-            (SystemSpec::Mind(mut cfg), _) => {
-                cfg.trace = trace;
-                SystemSpec::Mind(cfg)
-            }
-            (spec, _) => spec,
+        match self {
+            SystemSpec::Mind(cfg) => SystemSpec::Mind(MindConfig { trace, ..cfg }),
+            spec => spec,
         }
     }
 

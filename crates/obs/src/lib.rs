@@ -19,9 +19,9 @@
 //!   Inherently nondeterministic, so they are reported on stderr only
 //!   and never enter BENCH or trace output.
 //!
-//! Everything is gated by [`TraceConfig`] / the `MIND_TRACE` and
-//! `MIND_PROFILE` environment knobs ([`mind_sim::env`]); the disabled
-//! paths reduce to a branch on a cached flag.
+//! Tracing is gated by each run's [`TraceConfig`], profiling by the
+//! `MIND_PROFILE` environment knob ([`mind_sim::env`]); the disabled
+//! paths reduce to a branch on a flag.
 
 #![deny(unsafe_code)]
 

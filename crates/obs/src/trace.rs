@@ -28,22 +28,20 @@ use mind_sim::SimTime;
 /// recording order); the determinism tests assert zero drops.
 pub const DEFAULT_CAPACITY: usize = 1 << 20;
 
-/// How a system decides whether to trace.
+/// Whether a system traces. A run's trace is part of its configuration:
+/// nothing here reads the environment (the figure binaries turn
+/// `MIND_TRACE` into a mode before their tables run).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceMode {
-    /// Resolve from `MIND_TRACE` at system construction (the default, so
-    /// benches and binaries pick up the environment); see
-    /// [`mind_sim::env::trace_level`].
+    /// No events and no telemetry (the default).
     #[default]
-    Env,
-    /// Tracing off regardless of the environment.
     Off,
-    /// The grouping-invariant event set, regardless of the environment.
+    /// The grouping-invariant event set and the windowed telemetry.
     On,
 }
 
 /// Tracing configuration, embedded in system configs (`MindConfig`) and
-/// run configs so explicit settings override the environment in tests.
+/// run configs (`RunConfig`, whose mode a replay applies to its rack).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceConfig {
     /// Whether to trace.
@@ -58,7 +56,7 @@ pub struct TraceConfig {
 impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
-            mode: TraceMode::Env,
+            mode: TraceMode::Off,
             capacity: DEFAULT_CAPACITY,
             interval: SimTime::from_millis(1),
         }
@@ -66,7 +64,7 @@ impl Default for TraceConfig {
 }
 
 impl TraceConfig {
-    /// A config pinned to a mode (tests; `Env` keeps the other defaults).
+    /// A config in `mode`, the other settings at their defaults.
     pub fn with_mode(mode: TraceMode) -> Self {
         TraceConfig {
             mode,
@@ -74,14 +72,9 @@ impl TraceConfig {
         }
     }
 
-    /// Whether tracing is on, the environment resolved for
-    /// [`TraceMode::Env`].
+    /// Whether tracing is on.
     pub fn enabled(&self) -> bool {
-        match self.mode {
-            TraceMode::Env => mind_sim::env::trace_level(),
-            TraceMode::Off => false,
-            TraceMode::On => true,
-        }
+        self.mode == TraceMode::On
     }
 }
 
@@ -410,9 +403,10 @@ mod tests {
         SimTime::from_nanos(n)
     }
 
+    /// The default config is untraced, whatever the environment holds.
     #[test]
     fn disabled_sink_records_nothing() {
-        let mut buf = TraceBuf::new(TraceConfig::with_mode(TraceMode::Off));
+        let mut buf = TraceBuf::new(TraceConfig::default());
         assert!(!buf.enabled());
         buf.record(ns(1), 0, EventKind::Issue, ns(5), 1, 0);
         assert!(buf.is_empty());

@@ -1,32 +1,31 @@
 //! Typed access to the workspace's environment knobs.
 //!
 //! Every `MIND_*` environment variable the workspace honours is parsed
-//! here, in one place, with one policy per knob — instead of ad-hoc
-//! `std::env::var` calls scattered across the harness engine and the shard
-//! executor. Each accessor comes in two layers: a pure `parse_*` function
-//! over an `Option<&str>` (unit-tested without touching process state) and
-//! a thin reader that applies it to the process environment.
+//! here, in one place, with one policy per knob. Each accessor comes in two
+//! layers: a pure `parse_*` function over an `Option<&str>` (unit-tested
+//! without touching process state) and a thin reader that applies it to the
+//! process environment.
 //!
-//! Knobs that configure process-wide singletons ([`trace_level`],
-//! [`profile_enabled`]) are read once and cached: the observability layer
-//! consults them on hot paths, and a mid-process flip could never apply
-//! retroactively anyway. The worker-count knob is re-read on each call
-//! (each `Engine::from_env` sees the current environment).
+//! Only the figure binaries (`mind_bench::figures::run_suite`) call
+//! [`threads`], [`trace_level`] and [`bench_dir`]: a run is a function of
+//! its configuration. Of the knobs here the library reads only
+//! [`profile_enabled`] (once, cached): host-side timings reach no artifact.
 
 use std::sync::OnceLock;
 
-/// Harness engine worker count (`mind_harness::Engine::from_env`).
+/// Worker count of the figure binaries' engine.
 pub const THREADS_ENV: &str = "MIND_THREADS";
 /// The shard executor's former lane-count knob. No library code reads it:
 /// the lane count is an argument of
 /// `mind_workloads::shard::run_sharded_threads`. Kept because the repo
 /// benchmark (`src/bin/benchmark`) still pins it.
 pub const SHARD_THREADS_ENV: &str = "MIND_SHARD_THREADS";
-/// Trace level for the observability layer (`mind_obs`).
+/// Whether the figure binaries trace their scenarios.
 pub const TRACE_ENV: &str = "MIND_TRACE";
 /// Wall-clock self-profiling switch (`mind_obs::profile`).
 pub const PROFILE_ENV: &str = "MIND_PROFILE";
-/// Output directory for `BENCH_*.json` / `TRACE_*.json` reports.
+/// Output directory of the figure binaries' `BENCH_*.json` /
+/// `TRACE_*.json` reports.
 pub const BENCH_DIR_ENV: &str = "MIND_BENCH_DIR";
 
 /// Parses a positive integer knob; `None` when absent, unparseable, or
@@ -46,7 +45,7 @@ pub fn parse_threads(var: Option<&str>) -> usize {
     parse_positive(var).unwrap_or_else(available_parallelism)
 }
 
-/// Harness worker count from the environment.
+/// Engine worker count from the environment.
 pub fn threads() -> usize {
     parse_threads(std::env::var(THREADS_ENV).ok().as_deref())
 }
@@ -54,10 +53,6 @@ pub fn threads() -> usize {
 /// Parse policy for [`TRACE_ENV`]: `1`/`on`/`true` turn the deterministic
 /// trace layer on, everything else (including absence) leaves it off.
 ///
-/// Everything traced is *grouping-invariant* — the same events with the
-/// same virtual timestamps regardless of `MIND_THREADS`, the shard lane
-/// count, or the shard count — so rendered traces are byte-identical
-/// across every execution cell.
 pub fn parse_trace_level(var: Option<&str>) -> bool {
     matches!(
         var.map(|s| s.trim().to_ascii_lowercase()).as_deref(),
@@ -65,11 +60,9 @@ pub fn parse_trace_level(var: Option<&str>) -> bool {
     )
 }
 
-/// Whether tracing is on in the environment, read once per process and
-/// cached (the hot-path gate must be a load, not a syscall).
+/// Whether the environment asks for tracing.
 pub fn trace_level() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| parse_trace_level(std::env::var(TRACE_ENV).ok().as_deref()))
+    parse_trace_level(std::env::var(TRACE_ENV).ok().as_deref())
 }
 
 /// Parse policy for [`PROFILE_ENV`]: any value but `0`/`off`/empty
@@ -88,7 +81,7 @@ pub fn profile_enabled() -> bool {
     *ON.get_or_init(|| parse_profile(std::env::var(PROFILE_ENV).ok().as_deref()))
 }
 
-/// Output directory for bench reports (`None` → current directory).
+/// Output directory for bench reports (`None`: the current directory).
 pub fn bench_dir() -> Option<std::path::PathBuf> {
     std::env::var_os(BENCH_DIR_ENV).map(std::path::PathBuf::from)
 }

@@ -105,11 +105,11 @@ impl SimRng {
 #[derive(Debug, Clone)]
 pub struct Zipfian {
     n: u64,
-    theta: f64,
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2: f64,
+    /// `1 + 0.5^theta`: a draw scaled by `zetan` below it is rank 1.
+    rank1_bound: f64,
 }
 
 impl Zipfian {
@@ -128,11 +128,10 @@ impl Zipfian {
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
         Zipfian {
             n,
-            theta,
             alpha,
             zetan,
             eta,
-            zeta2,
+            rank1_bound: 1.0 + 0.5f64.powf(theta),
         }
     }
 
@@ -154,10 +153,9 @@ impl Zipfian {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < self.rank1_bound {
             return 1;
         }
-        let _ = self.zeta2;
         let rank = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
         rank.min(self.n - 1)
     }

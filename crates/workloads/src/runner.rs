@@ -92,8 +92,10 @@ pub struct RunConfig {
     /// serialized regardless.
     pub window: u32,
     /// Observability: whether to record the windowed telemetry series
-    /// (and its bucket width). Defaults to resolving `MIND_TRACE`, so an
-    /// untraced run carries no series and its report is unchanged.
+    /// (and its bucket width). A replay scenario and a sharded replay
+    /// apply it to the rack's event trace too, so it is a replay's one
+    /// trace switch. Off by default: an untraced run carries no series and
+    /// its report is unchanged.
     pub trace: TraceConfig,
     /// Cross-thread scheduling discipline; see [`Concurrency`].
     pub concurrency: Concurrency,
@@ -130,8 +132,7 @@ impl RunConfig {
         self
     }
 
-    /// This configuration with the given trace settings (builder-style;
-    /// tests pin a [`mind_obs::TraceMode`] to override the environment).
+    /// This configuration with the given trace settings (builder-style).
     pub fn with_trace(mut self, trace: TraceConfig) -> Self {
         self.trace = trace;
         self

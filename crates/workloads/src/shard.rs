@@ -208,12 +208,14 @@ impl From<PartitionError> for ShardError {
 pub struct ShardSpec {
     /// Scenario name carried into the merged report.
     pub name: String,
-    /// The fused rack hosting all partitions.
+    /// The fused rack hosting all partitions. Its `trace` is not read:
+    /// every sub-rack traces as `run.trace` says.
     pub base: MindConfig,
     /// Number of partitions; must divide the rack per
     /// [`MindConfig::try_partition`].
     pub partitions: u16,
-    /// Per-thread replay parameters (shared by every partition).
+    /// Per-thread replay parameters (shared by every partition); its
+    /// `trace` is the replay's one trace switch.
     pub run: RunConfig,
     /// `false` (the default shape): one process — one protection domain —
     /// per partition. `true`: one process *per thread*, for multi-tenant
@@ -397,8 +399,8 @@ fn replay_group<'l>(
     Ok(report)
 }
 
-/// The sub-rack one of `shards` shards runs on and the partitions it
-/// hosts.
+/// The sub-rack one of `shards` shards runs on, traced as the replay is,
+/// and the partitions it hosts.
 fn shard_rack(spec: &ShardSpec, shards: u16) -> Result<(MindConfig, u16), ShardError> {
     if shards == 0 || !spec.partitions.is_multiple_of(shards) {
         return Err(ShardError::UnevenShards {
@@ -406,7 +408,11 @@ fn shard_rack(spec: &ShardSpec, shards: u16) -> Result<(MindConfig, u16), ShardE
             shards,
         });
     }
-    Ok((spec.base.try_partition(shards)?, spec.partitions / shards))
+    let sub = MindConfig {
+        trace: spec.run.trace,
+        ..spec.base.try_partition(shards)?
+    };
+    Ok((sub, spec.partitions / shards))
 }
 
 /// Shard `s` of the scenario split `shards` ways, built, replayed to

@@ -8,7 +8,6 @@
 //! the measured delta.
 
 use mind_obs::mem::alloc_counts;
-use mind_obs::{TraceConfig, TraceMode};
 use mind_service::{AccessPattern, MemoryService, QosClass, ServiceConfig};
 use mind_sim::SimTime;
 
@@ -48,7 +47,6 @@ fn a_tenant_life_cycle_on_a_warm_service_allocates_nothing() {
     // series for the figures would grow with it.
     cfg.rack.coherence.carry_data = false;
     cfg.rack.split.epoch_len = SimTime::from_secs(10);
-    cfg.rack.trace = TraceConfig::with_mode(TraceMode::Off);
     let mut svc = MemoryService::new(cfg);
     let mut now = SimTime::ZERO;
     // Long-lived neighbours, so the rack's tables never empty out.

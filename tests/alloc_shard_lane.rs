@@ -7,7 +7,6 @@
 //! the measured delta.
 
 use mind_obs::mem::alloc_counts;
-use mind_obs::{TraceConfig, TraceMode};
 use mind_service::{population_spec, tenant_partitions, TenantGroupConfig};
 use mind_sim::SimTime;
 use mind_workloads::run_sharded_threads;
@@ -25,9 +24,6 @@ fn lane_run(partitions: u16) -> u64 {
         seed: 1,
     };
     let mut spec = population_spec("lane", partitions, population);
-    let untraced = TraceConfig::with_mode(TraceMode::Off);
-    spec.base.trace = untraced;
-    spec.run = spec.run.with_trace(untraced);
     spec.base.split.epoch_len = SimTime::from_millis(1);
     let factory = tenant_partitions(population);
     let (before, _) = alloc_counts();

@@ -57,7 +57,7 @@ fn table() -> Vec<Scenario> {
                 ..Default::default()
             }),
         ),
-        Scenario::custom("alloc/custom", || {
+        Scenario::custom("alloc/custom", |_| {
             ScenarioOutput::default()
                 .value("answer", 42.0)
                 .with_series("ts", vec![(0.0, 1.0), (1.0, 0.5)])

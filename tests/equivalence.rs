@@ -5,8 +5,7 @@
 //! collect-then-merge fold; the serial engine for engine workers; turn size
 //! 1 for one thread's turn size; window 1 for window 0; the turnwise
 //! discipline for cluster mode at window 1 and for one thread in one turn;
-//! the environment's trace default for tracing pinned off. Every other axis
-//! is explicit, so that cell is the only one the environment reaches. The
+//! both trace switches of a sharded replay for its run's switch alone. The
 //! sharded scenarios honour the confinement contract of
 //! `mind_workloads::shard`: symmetric partitions, slice confinement, zero
 //! invalidations, directory utilization at or below one half.
@@ -68,7 +67,6 @@ fn spec(name: &str, threads_per_partition: u16, domain_per_thread: bool) -> Shar
             memory_blade_bytes: 1 << 26,
             dir_capacity: 16_384,
             rule_capacity: 8_192,
-            trace: trace(false),
             ..MindConfig::default()
         },
         partitions: 4,
@@ -76,7 +74,6 @@ fn spec(name: &str, threads_per_partition: u16, domain_per_thread: bool) -> Shar
             ops_per_thread: 240,
             warmup_ops_per_thread: 40,
             threads_per_blade: threads_per_partition,
-            trace: trace(false),
             ..Default::default()
         }
         .with_batch_ops(8),
@@ -181,8 +178,8 @@ fn row_spec((family, batch_ops, cluster, traced): Row) -> ShardSpec {
         if service { 8 } else { 4 },
         service,
     );
-    // The rack's trace drives the cluster's event sink; the run's drives
-    // the windowed timeseries.
+    // Both switches set, as the benchmark sets them; the run's alone is
+    // a cell of its own (`check_row`).
     spec.base.trace = trace(traced);
     spec.run = spec.run.with_batch_ops(batch_ops).with_trace(trace(traced));
     if cluster {
@@ -206,6 +203,16 @@ fn check_row(row: Row, cells: Cells) {
     assert_eq!(fused.invalidations, 0, "{label}: not confined");
     assert!(fused.total_ops > 0, "{label}: the run did work");
     let reference = observed(label, traced, fused);
+    if traced {
+        // The run's trace is the replay's one switch: the rack's, left at
+        // its default, changes nothing.
+        let mut run_switch_only = spec.clone();
+        run_switch_only.base.trace = TraceConfig::default();
+        let cell = format!("{label} run switch only, shards = 4, lanes = 2");
+        let report = run_sharded_threads(&run_switch_only, 4, 2, &*factory);
+        let rendered = observed(&cell, true, report.expect("confined scenario"));
+        assert_eq!(rendered, reference, "{cell} diverged from both switches");
+    }
     if cluster && traced {
         // Bounded NICs under a traced cluster run record the NIC lane.
         let trace = reference.trace.as_deref().expect("traced");
@@ -412,14 +419,13 @@ fn run_cfg(batch_ops: u64) -> RunConfig {
         ops_per_thread: 1_200,
         warmup_ops_per_thread: 300,
         threads_per_blade: 2,
-        trace: trace(false),
         ..Default::default()
     }
     .with_batch_ops(batch_ops)
 }
 
-/// Replays `workload` on `system` and renders the BENCH JSON. A pinned
-/// trace mode in `cfg` overrides the system's, as in a replay scenario.
+/// Replays `workload` on `system` and renders the BENCH JSON. The run's
+/// trace config is the system's, as in a replay scenario.
 fn replay_json_on(system: SystemSpec, workload: &WorkloadSpec, cfg: RunConfig) -> String {
     let mut sys = system.with_trace(cfg.trace).build();
     let mut wl = workload.build();
@@ -539,7 +545,6 @@ fn one_thread_in_one_turn_is_the_same_schedule_under_both_disciplines() {
             let cfg = RunConfig {
                 ops_per_thread: 1_500,
                 threads_per_blade: 1,
-                trace: trace(false),
                 ..Default::default()
             }
             .with_batch_ops(1_500)
@@ -552,24 +557,6 @@ fn one_thread_in_one_turn_is_the_same_schedule_under_both_disciplines() {
     }
 }
 
-/// Tracing is observation, never behaviour: pinning the trace mode off
-/// renders the BENCH JSON of the environment-resolved default. The one
-/// cell the environment reaches: it is the environment's point.
-#[test]
-fn tracing_pinned_off_renders_the_environment_default() {
-    let workload = micro(4, 2_048, 256);
-    let system = SystemSpec::mind_scaled(&workload.regions(), 2, ConsistencyModel::Tso);
-    let render =
-        |trace: TraceConfig| replay_json_on(system, &workload, run_cfg(8).with_trace(trace));
-    let pinned_off = render(trace(false));
-    assert!(!pinned_off.contains("\"timeseries\""), "no telemetry");
-    assert_eq!(
-        pinned_off,
-        render(TraceConfig::default()),
-        "disabled tracing must be inert"
-    );
-}
-
 /// [`runner::run`] is the one-partition case of the group replay: the same
 /// workload as a single partition of a [`ShardSpec`] replays to the same
 /// runtime, op count, latency distribution and measured-window metrics —
@@ -577,10 +564,7 @@ fn tracing_pinned_off_renders_the_environment_default() {
 #[test]
 fn run_equals_a_group_run_of_one_partition() {
     let workload = micro(4, 512, 64);
-    let rack = MindConfig {
-        trace: trace(false),
-        ..MindConfig::scaled_to(workload.regions().iter().map(|len| len >> 12).sum(), 2)
-    };
+    let rack = MindConfig::scaled_to(workload.regions().iter().map(|len| len >> 12).sum(), 2);
     for (window, concurrency) in [(1, Concurrency::Turnwise), (4, Concurrency::Cluster)] {
         let cfg = run_cfg(8).with_window(window).with_concurrency(concurrency);
         let direct = {
@@ -667,10 +651,7 @@ fn sim_rng_streams_are_reproducible() {
 #[test]
 fn different_seed_changes_the_run() {
     let run = |seed: u64| {
-        let mut sys = MindCluster::new(MindConfig {
-            trace: trace(false),
-            ..MindConfig::small()
-        });
+        let mut sys = MindCluster::new(MindConfig::small());
         let mut workload = MicroWorkload::new(MicroConfig {
             n_threads: 4,
             read_ratio: 0.7,
@@ -736,7 +717,7 @@ fn mixed_table() -> Vec<Scenario> {
     let service = ServiceSpec::new(service_cfg(20, false));
     scenarios.push(Scenario::service("equiv/service", service));
 
-    scenarios.push(Scenario::custom("equiv/custom", || {
+    scenarios.push(Scenario::custom("equiv/custom", |_| {
         ScenarioOutput::default()
             .value("answer", 42.0)
             .with_series("ts", vec![(0.0, 1.0), (1.0, 0.5)])
@@ -789,7 +770,7 @@ fn sharded_runs_nested_in_a_parallel_engine_render_identical_bench_json() {
         [1usize, 2, 4]
             .into_iter()
             .map(|lanes| {
-                Scenario::custom(format!("equiv/sharded/l{lanes}"), move || {
+                Scenario::custom(format!("equiv/sharded/l{lanes}"), move |_| {
                     let mut s = spec("equiv/sharded", 8, true);
                     s.run.ops_per_thread = 60;
                     s.run.warmup_ops_per_thread = 10;

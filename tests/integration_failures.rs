@@ -3,7 +3,7 @@
 //! switch failover with control-plane reconstruction.
 
 use mind_core::cluster::{MindCluster, MindConfig};
-use mind_core::coherence::AccessError;
+use mind_core::coherence::{AccessError, ACK_TIMEOUT, MAX_RETRIES};
 use mind_core::controller::Pid;
 use mind_core::system::AccessKind;
 use mind_sim::SimTime;
@@ -44,7 +44,7 @@ fn packet_loss_retransmits_and_completes() {
         m.get("retransmissions") > 0,
         "loss at 10% must force retransmissions"
     );
-    // A reset needs max_retries+1 consecutive failures (~0.1% per round at
+    // A reset needs MAX_RETRIES + 1 consecutive failures (~0.1% per round at
     // this rate); data stayed correct above either way.
     assert!(
         m.get("resets") <= 2,
@@ -65,7 +65,7 @@ fn failed_blade_triggers_reset_and_releases_region() {
     assert!(out.remote);
     let m = c.metrics_snapshot();
     assert_eq!(m.get("resets"), 1, "reset protocol fired");
-    let retries = c.config().coherence.max_retries as u64;
+    let retries = MAX_RETRIES as u64;
     assert_eq!(m.get("retransmissions"), retries, "the whole retry budget preceded the reset");
     // The failed blade rejects new work.
     assert_eq!(
@@ -83,10 +83,9 @@ fn reset_latency_is_bounded_by_retry_budget() {
     c.access_as(ms(1), 1, pid, base, AccessKind::Write).unwrap();
     c.fail_blade(1);
     let out = c.access_as(ms(2), 0, pid, base, AccessKind::Write).unwrap();
-    // (max_retries + 1) x ack_timeout plus protocol time.
-    let cfg = c.config().coherence;
-    let round = cfg.ack_timeout * (cfg.max_retries as u64 + 1);
-    let bound = round + cfg.ack_timeout;
+    // (MAX_RETRIES + 1) x ACK_TIMEOUT plus protocol time.
+    let round = ACK_TIMEOUT * (MAX_RETRIES as u64 + 1);
+    let bound = round + ACK_TIMEOUT;
     assert!(
         out.latency.total() < bound + SimTime::from_micros(50),
         "reset bounded: {} vs {}",
@@ -106,7 +105,7 @@ fn retransmissions_go_to_pending_sharers_only() {
     // retransmission goes to blade 2 alone.
     c.access_as(ms(3), 0, pid, base, AccessKind::Write).unwrap();
     let m = c.metrics_snapshot();
-    let retries = c.config().coherence.max_retries as u64;
+    let retries = MAX_RETRIES as u64;
     assert_eq!(m.get("invalidation_requests"), 2 + retries);
     assert_eq!(m.get("retransmissions"), retries);
 }
@@ -186,8 +185,7 @@ fn a_reset_region_stays_busy_until_its_round_ends() {
         // A read just after must queue behind the region the reset recreated.
         let at = ms(2) + SimTime::from_micros(1);
         let out = c.access_as(at, 2, pid, base, AccessKind::Read).unwrap();
-        let cfg = c.config().coherence;
-        let round = cfg.ack_timeout * (cfg.max_retries as u64 + 1);
+        let round = ACK_TIMEOUT * (MAX_RETRIES as u64 + 1);
         assert!(
             at + out.latency.total() >= ms(2) + round,
             "lossy: {lossy}: read done at {} before the reset round's {}",

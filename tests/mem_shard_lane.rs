@@ -10,7 +10,6 @@
 //! measured peak.
 
 use mind_obs::mem::{live_bytes, reset_peak_live};
-use mind_obs::{TraceConfig, TraceMode};
 use mind_service::{population_spec, tenant_partitions, TenantGroupConfig};
 use mind_workloads::run_sharded_threads;
 
@@ -25,10 +24,7 @@ fn lane_peak(partitions: u16) -> u64 {
         read_ratio: 0.7,
         seed: 1,
     };
-    let mut spec = population_spec("lane", partitions, population);
-    let untraced = TraceConfig::with_mode(TraceMode::Off);
-    spec.base.trace = untraced;
-    spec.run = spec.run.with_trace(untraced);
+    let spec = population_spec("lane", partitions, population);
     let factory = tenant_partitions(population);
     reset_peak_live();
     let (before, _) = live_bytes();
